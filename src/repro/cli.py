@@ -1378,11 +1378,37 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit status when the reader of stdout went away: what a shell reports
+#: for a writer killed by ``SIGPIPE`` (128 + 13).
+EXIT_CLOSED_PIPE = 141
+
+
+def _reader_gone() -> int:
+    """Stop quietly after ``BrokenPipeError`` (``repro ... | head``).
+
+    Standard output is pointed at ``os.devnull`` so the interpreter's
+    exit-time flush of the unwritten buffer cannot raise a second time.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not backed by a file
+        return EXIT_CLOSED_PIPE
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+    return EXIT_CLOSED_PIPE
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here, not at exit, so a closed pipe surfaces below.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        return _reader_gone()
     except SpecError as err:
         # Unknown registry names are always user input at this surface;
         # other ValueErrors may be internal invariants and keep their

@@ -5,10 +5,13 @@ anonymous but whose edge endpoints carry local port numbers ``0..d-1``.
 :class:`~repro.graphs.port_graph.PortLabeledGraph` is the core data
 structure; :mod:`repro.graphs.families` builds the standard families used
 throughout the experiments, and :mod:`repro.graphs.conversion` bridges to
-``networkx``.
+``networkx``.  ``networkx`` is an optional dependency, so the bridge loads
+on first use of :func:`from_networkx`/:func:`to_networkx`: the package
+imports without it.
 """
 
-from repro.graphs.conversion import from_networkx, to_networkx
+from typing import Any
+
 from repro.graphs.families import (
     circulant_graph,
     complete_bipartite,
@@ -51,3 +54,12 @@ __all__ = [
     "to_networkx",
     "torus_grid",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    # The networkx bridge, loaded lazily (PEP 562).
+    if name in ("from_networkx", "to_networkx"):
+        from repro.graphs import conversion
+
+        return getattr(conversion, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

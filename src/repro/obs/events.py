@@ -259,6 +259,7 @@ def render_summary(summary: Mapping[str, Any]) -> list[str]:
                 f"  {bounds:<16} {shard.get('executions', 0):>8} configs  "
                 f"{shard.get('seconds', 0.0):>8.3f}s  "
                 f"engine={shard.get('engine', '?')}"
+                + (f" path={shard['path']}" if "path" in shard else "")
             )
     cluster = summary.get("cluster") or []
     if cluster:

@@ -97,12 +97,21 @@ class ShardTiming:
     measurements ride back on the :class:`ShardReport` and the runner
     re-emits them as ``shard.complete`` events.  Never part of equality
     or canonical payloads -- timing is observability data, not a result.
+
+    ``path`` is the route the shard actually took: ``"whole_cube"`` (one
+    cube-slice tensor pass) or ``"stream"`` (configuration by
+    configuration, or in vectorized chunks); ``prune`` is the cube
+    table's resolved pruning flag, ``None`` where pruning does not apply.
+    Records written before these fields existed load as ``"stream"`` and
+    ``None``, which is what those shards ran.
     """
 
     seconds: float
     table_seconds: float = 0.0
     engine: str = "reactive"
     chunks: int = 0
+    path: str = "stream"
+    prune: bool | None = None
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -110,6 +119,8 @@ class ShardTiming:
             "table_seconds": self.table_seconds,
             "engine": self.engine,
             "chunks": self.chunks,
+            "path": self.path,
+            "prune": self.prune,
         }
 
     @classmethod
@@ -119,6 +130,8 @@ class ShardTiming:
             table_seconds=payload.get("table_seconds", 0.0),
             engine=payload.get("engine", "reactive"),
             chunks=payload.get("chunks", 0),
+            path=payload.get("path", "stream"),
+            prune=payload.get("prune"),
         )
 
 

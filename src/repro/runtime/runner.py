@@ -63,6 +63,8 @@ def _emit_shard(telemetry: Telemetry, report: ShardReport, cached: bool) -> None
             table_seconds=report.timing.table_seconds,
             engine=report.timing.engine,
             chunks=report.timing.chunks,
+            path=report.timing.path,
+            prune=report.timing.prune,
         )
     telemetry.event("shard.cached" if cached else "shard.complete", **attrs)
 

@@ -36,10 +36,9 @@ from repro.registry import (
     KNOWLEDGE_MODELS,
 )
 from repro.sim.adversary import (
+    ConfigCube,
     Configuration,
     all_label_pairs,
-    configurations,
-    default_start_pairs,
 )
 
 
@@ -282,20 +281,30 @@ class JobSpec:
             return self.label_pairs
         return tuple(all_label_pairs(self.algorithm.label_space))
 
-    def config_space_size(self, graph: PortLabeledGraph | None = None) -> int:
-        """Total number of configurations, without simulating any."""
-        graph = graph if graph is not None else self.graph.build()
-        starts = len(default_start_pairs(graph, self.fix_first_start))
-        return len(self.resolved_label_pairs()) * starts * len(self.delays)
+    def config_cube(self, graph: PortLabeledGraph) -> ConfigCube:
+        """The sweep's configuration space as a :class:`ConfigCube`.
 
-    def iter_configs(self, graph: PortLabeledGraph) -> Iterator[Configuration]:
-        """All configurations in the global (shard-index) order."""
-        return configurations(
+        Its axes fix the global (shard-index) order: label pairs
+        outermost, then :func:`~repro.sim.adversary.default_start_pairs`,
+        then delays.  :meth:`iter_shard`, :meth:`config_space_size` and
+        the cube engine's shard slices all read these axes, so their
+        orderings cannot drift.
+        """
+        return ConfigCube.make(
             graph,
             self.resolved_label_pairs(),
             delays=self.delays,
             fix_first_start=self.fix_first_start,
         )
+
+    def config_space_size(self, graph: PortLabeledGraph | None = None) -> int:
+        """Total number of configurations, without simulating any."""
+        graph = graph if graph is not None else self.graph.build()
+        return len(self.config_cube(graph))
+
+    def iter_configs(self, graph: PortLabeledGraph) -> Iterator[Configuration]:
+        """All configurations in the global (shard-index) order."""
+        return iter(self.config_cube(graph))
 
     def iter_shard(
         self, graph: PortLabeledGraph
@@ -304,26 +313,22 @@ class JobSpec:
 
         The configuration space is a pure product (label pairs x start
         pairs x delays), so an index maps to its configuration by
-        ``divmod`` -- a shard costs ``O(hi - lo)`` regardless of where in
-        the global order it starts, instead of enumerating and discarding
-        every preceding configuration.  The decomposition mirrors the
-        nesting order of :func:`repro.sim.adversary.configurations`
-        (labels outermost, delays innermost), sharing its
-        :func:`~repro.sim.adversary.default_start_pairs` enumeration so
-        the two orderings cannot drift.
+        ``divmod`` over the :meth:`config_cube` axes -- a shard costs
+        ``O(hi - lo)`` regardless of where in the global order it
+        starts, instead of enumerating and discarding every preceding
+        configuration.
         """
-        label_pairs = self.resolved_label_pairs()
-        start_pairs = default_start_pairs(graph, self.fix_first_start)
-        delays = self.delays
-        per_label = len(start_pairs) * len(delays)
-        total = len(label_pairs) * per_label
+        cube = self.config_cube(graph)
+        delays = cube.delays
+        per_label = len(cube.start_pairs) * len(delays)
+        total = len(cube)
         lo, hi = self.shard if self.shard is not None else (0, total)
         for index in range(lo, min(hi, total)):
             label_index, rest = divmod(index, per_label)
             start_index, delay_index = divmod(rest, len(delays))
             yield index, Configuration(
-                labels=label_pairs[label_index],
-                starts=start_pairs[start_index],
+                labels=cube.label_pairs[label_index],
+                starts=cube.start_pairs[start_index],
                 delay=delays[delay_index],
             )
 

@@ -6,24 +6,30 @@ Graphs and algorithms are rebuilt from the spec on first use and memoised
 per process (pool workers are long-lived, so a worker pays the
 construction cost once per distinct job, not once per shard).
 
-The spec's ``engine`` picks the per-configuration substrate: the reactive
-round simulator, the compiled trajectory engine
-(:mod:`repro.sim.compiled`), the vectorized batch engine
-(:mod:`repro.sim.batch`), or the pruned cube engine
-(:mod:`repro.sim.cube`).  The compiled ``(label, start)`` trajectory
-table and the NumPy engines' dense timeline arrays are likewise memoised
-per process, so shards of one sweep share compilations.  The NumPy
-substrates never walk the shard configuration by configuration: the
-shard's lazy ``(index, configuration)`` stream is measured in bounded
-vectorized chunks.  Whatever the substrate, the measured ``(time, cost)``
-per configuration -- and hence the shard report -- is identical.
+The spec's ``engine`` picks the substrate: the reactive round
+simulator, the compiled trajectory engine (:mod:`repro.sim.compiled`),
+the vectorized batch engine (:mod:`repro.sim.batch`), or the pruned cube
+engine (:mod:`repro.sim.cube`).  Tables are memoised per process, so
+shards of one sweep share compilations.
+
+A cube shard never exists as configurations: its ``[lo, hi)`` range is
+handed to the cube engine as a slice of the sweep's
+:class:`~repro.sim.adversary.ConfigCube` (:meth:`JobSpec.config_cube`),
+answered by the same whole-cube evaluator ``worst_case_search`` uses,
+with horizons per ``(label pair, delay)`` and pruning resolved through
+``REPRO_PRUNE``; only the argmax winners and failures are decoded.  The
+other substrates walk the shard's lazy ``(index, configuration)`` stream
+(the batch engine in bounded vectorized chunks).  Whatever the path, the
+shard report is identical, and its non-canonical
+:class:`~repro.runtime.report.ShardTiming` records which path ran
+(``"whole_cube"`` or ``"stream"``) and whether pruning was on.
 """
 
 from __future__ import annotations
 
 import time
-from functools import lru_cache
-from typing import Iterator
+from functools import lru_cache, partial
+from typing import Callable, Iterator
 
 from repro.core.base import RendezvousAlgorithm
 from repro.graphs.port_graph import PortLabeledGraph
@@ -86,6 +92,8 @@ class _ShardMeter:
     def __init__(self) -> None:
         self.table_seconds = 0.0
         self.chunks = 0
+        #: The cube table's resolved pruning flag; ``None`` off the cube.
+        self.prune: bool | None = None
         self._table = None
         self._build_start = 0.0
 
@@ -101,6 +109,44 @@ class _ShardMeter:
         self.chunks += 1
 
 
+def _horizon_policy(
+    spec: JobSpec, algorithm: RendezvousAlgorithm
+) -> int | Callable[[Configuration], int]:
+    """The spec's fixed horizon, or the algorithm's own schedule bound."""
+    if spec.horizon is not None:
+        return spec.horizon
+    return partial(default_horizon, algorithm)
+
+
+def _cube_slice(
+    spec: JobSpec,
+    graph: PortLabeledGraph,
+    algorithm: RendezvousAlgorithm,
+    presence,
+    lo: int,
+    hi: int,
+    meter: _ShardMeter,
+):
+    """The shard as a ``[lo, hi)`` slice of the sweep's cube, one tensor pass.
+
+    Imported lazily so NumPy-free workers can run the other engines; the
+    evaluator is the one ``worst_case_search(engine="cube")`` uses.
+    """
+    from repro.sim.cube import _whole_cube_search
+
+    table = _cube_table(spec.graph, spec.algorithm)
+    meter.watch_table(table)
+    meter.prune = table.prune
+    return _whole_cube_search(
+        table,
+        spec.config_cube(graph),
+        _horizon_policy(spec, algorithm),
+        presence,
+        lo,
+        hi,
+    )
+
+
 def _measured_stream(
     spec: JobSpec,
     graph: PortLabeledGraph,
@@ -110,24 +156,18 @@ def _measured_stream(
 ) -> Iterator[tuple[int, Configuration, int | None, int]]:
     """``(index, config, time, cost)`` for the shard, in enumeration order.
 
-    One lazy stream per substrate, all field-identical: the shard loop in
-    :func:`run_shard` cannot tell the engines apart.
+    The per-configuration path of the reactive, compiled and batch
+    substrates, all field-identical: the shard loop in :func:`run_shard`
+    cannot tell them apart.
     """
+    horizon = _horizon_policy(spec, algorithm)
 
     def horizon_for(config: Configuration) -> int:
-        return (
-            spec.horizon
-            if spec.horizon is not None
-            else default_horizon(algorithm, config)
-        )
+        return horizon(config) if callable(horizon) else horizon
 
     indexed = spec.iter_shard(graph)
-    if spec.engine in ("batch", "cube"):
-        table = (
-            _cube_table(spec.graph, spec.algorithm)
-            if spec.engine == "cube"
-            else _batch_table(spec.graph, spec.algorithm)
-        )
+    if spec.engine == "batch":
+        table = _batch_table(spec.graph, spec.algorithm)
         if meter is not None:
             meter.watch_table(table)
         for index, config, _horizon, time_, cost in evaluate_stream(
@@ -158,15 +198,31 @@ def _measured_stream(
             yield index, config, (result.time if result.met else None), result.cost
 
 
+def _summary(extreme) -> ExtremeSummary | None:
+    if extreme is None:
+        return None
+    config = extreme.config
+    return ExtremeSummary(
+        index=extreme.index,
+        labels=config.labels,
+        starts=config.starts,
+        delay=config.delay,
+        time=extreme.time,
+        cost=extreme.cost,
+    )
+
+
 def run_shard(spec: JobSpec) -> ShardReport:
     """Run every configuration in the spec's shard and keep the extremes.
 
     Semantically identical to
     :func:`repro.sim.adversary.worst_case_search` restricted to the slice:
-    strict-``>`` updates walking the shard in enumeration order, so the
-    record kept per metric is the one with the lowest global index among
-    maximisers -- the invariant :func:`repro.runtime.report.merge_reports`
-    relies on.
+    the record kept per metric is the one with the lowest global index
+    among maximisers -- the invariant
+    :func:`repro.runtime.report.merge_reports` relies on.  Cube shards
+    get it from the whole-cube evaluator's single reduction over the
+    slice; the other substrates from strict-``>`` updates walking the
+    shard in enumeration order.
     """
     started = time.perf_counter()  # repro: allow(REP001): ShardTiming provenance
     graph, algorithm = _materialize(spec.graph, spec.algorithm)
@@ -179,32 +235,47 @@ def run_shard(spec: JobSpec) -> ShardReport:
     executions = 0
     meter = _ShardMeter()
 
-    for index, config, time_, cost in _measured_stream(
-        spec, graph, algorithm, presence, meter
-    ):
-        executions += 1
-        if time_ is None:
-            failures.append(
-                ConfigRef(
-                    index=index,
-                    labels=config.labels,
-                    starts=config.starts,
-                    delay=config.delay,
-                )
+    if spec.engine == "cube":
+        found = _cube_slice(spec, graph, algorithm, presence, lo, hi, meter)
+        worst_time = _summary(found.worst_time)
+        worst_cost = _summary(found.worst_cost)
+        failures = [
+            ConfigRef(
+                index=index,
+                labels=config.labels,
+                starts=config.starts,
+                delay=config.delay,
             )
-            continue
-        summary = ExtremeSummary(
-            index=index,
-            labels=config.labels,
-            starts=config.starts,
-            delay=config.delay,
-            time=time_,
-            cost=cost,
-        )
-        if worst_time is None or summary.time > worst_time.time:
-            worst_time = summary
-        if worst_cost is None or summary.cost > worst_cost.cost:
-            worst_cost = summary
+            for index, config in found.failures
+        ]
+        executions = found.executions
+    else:
+        for index, config, time_, cost in _measured_stream(
+            spec, graph, algorithm, presence, meter
+        ):
+            executions += 1
+            if time_ is None:
+                failures.append(
+                    ConfigRef(
+                        index=index,
+                        labels=config.labels,
+                        starts=config.starts,
+                        delay=config.delay,
+                    )
+                )
+                continue
+            summary = ExtremeSummary(
+                index=index,
+                labels=config.labels,
+                starts=config.starts,
+                delay=config.delay,
+                time=time_,
+                cost=cost,
+            )
+            if worst_time is None or summary.time > worst_time.time:
+                worst_time = summary
+            if worst_cost is None or summary.cost > worst_cost.cost:
+                worst_cost = summary
 
     meter.finish()
     return ShardReport(
@@ -220,5 +291,7 @@ def run_shard(spec: JobSpec) -> ShardReport:
             table_seconds=round(meter.table_seconds, 6),
             engine=spec.engine,
             chunks=meter.chunks,
+            path="whole_cube" if spec.engine == "cube" else "stream",
+            prune=meter.prune,
         ),
     )

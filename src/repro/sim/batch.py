@@ -162,6 +162,17 @@ def resolve_stream_chunk(
     return DEFAULT_STREAM_CHUNK
 
 
+def store_bounded(cache: dict, key: Any, value: Any, size: int) -> None:
+    """Insert into a FIFO cache of equal-size entries, evicting the oldest.
+
+    ``size`` is one entry's element count; entries are dropped oldest
+    first until the new one fits :data:`_MATRIX_CACHE_ELEMENTS`.
+    """
+    while cache and (len(cache) + 1) * size > _MATRIX_CACHE_ELEMENTS:
+        cache.pop(next(iter(cache)))
+    cache[key] = value
+
+
 @dataclass(frozen=True)
 class LabelTimelines:
     """One label's solo timelines over *all* starting nodes, as arrays.
@@ -399,13 +410,11 @@ class BatchTimelineTable:
         # Each entry holds TWO n*n matrices (met and cost).
         size = 2 * self.graph.num_nodes**2
         for index, (delay, horizon) in enumerate(missing):
-            while self._matrices and (len(self._matrices) + 1) * size > (
-                _MATRIX_CACHE_ELEMENTS
-            ):
-                self._matrices.pop(next(iter(self._matrices)))
-            self._matrices[(labels, delay, horizon, presence)] = (
-                met[index],
-                cost[index],
+            store_bounded(
+                self._matrices,
+                (labels, delay, horizon, presence),
+                (met[index], cost[index]),
+                size,
             )
 
     def group_matrices(

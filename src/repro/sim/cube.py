@@ -8,9 +8,10 @@ of them redundant.  This module removes all three costs:
 
 * **Cross-label tensorization** -- given a :class:`ConfigCube` (the
   product-structured configuration space), the whole
-  ``L(L-1) x n(n-1) x D`` cube is answered by per-axis array passes:
+  ``L(L-1) x n(n-1) x D`` cube -- or any contiguous index slice of it,
+  such as a runtime shard -- is answered by per-axis array passes:
   configurations exist only as ``(pair, start, delay)`` indices until the
-  two argmax extremes are decoded at the very end.
+  two argmax extremes (and any failures) are decoded at the very end.
 * **Rotation-orbit reduction** (:mod:`repro.sim.prune`) -- on a graph
   certified cyclic, with a start-oblivious factory, every label's ``n``
   timelines are rotated copies of one compiled trajectory, and a start
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.graphs.port_graph import PortLabeledGraph
@@ -54,11 +56,11 @@ from repro.sim.adversary import (
 )
 from repro.sim.batch import (
     _BLOCK_ELEMENTS,
-    _MATRIX_CACHE_ELEMENTS,
     _MIN_TIME_BLOCK,
     BatchTimelineTable,
     LabelTimelines,
     resolve_stream_chunk,
+    store_bounded,
 )
 from repro.sim.program import ProgramFactory
 from repro.sim.prune import (
@@ -70,73 +72,6 @@ from repro.sim.prune import (
     resolve_prune,
 )
 from repro.sim.simulator import PresenceModel
-
-
-def _delta_tables(
-    np: Any,
-    first: LabelTimelines,
-    second: LabelTimelines,
-    delay_horizons: Sequence[tuple[int, int]],
-    parachute: bool,
-    n: int,
-    stats: PruneStats,
-) -> tuple[Any, Any]:
-    """Per-delta first colocations and costs for every delay slice.
-
-    The orbit-reduced counterpart of the batch engine's
-    ``_meeting_tensor``/``_cost_tensor`` pair: with rotation-derived
-    timelines, starts ``(s1, s2)`` colocate at ``t`` iff
-    ``pos1(t) - pos2(t') == s2 - s1 (mod n)`` of the *start-0* rows, so
-    one ``(D, n)`` table over ``delta`` answers all ``n**2`` start pairs
-    of each slice.  Row semantics (windows, delay clipping, parachute
-    blanking, ``-1`` for never) match the batch tensors exactly; the
-    column-block scan stops early once every delta has met
-    (``stats.early_exit_rounds`` counts the skipped time points).
-    """
-    count = len(delay_horizons)
-    delays = np.array([delay for delay, _ in delay_horizons], dtype=np.intp)
-    horizons = np.array([horizon for _, horizon in delay_horizons], dtype=np.int64)
-    met = np.full((count, n), -1, dtype=np.int64)
-    length1, length2 = first.length, second.length
-    limit = np.minimum(horizons, np.maximum(length1, delays + length2))
-    max_scan = int(limit.max())
-    start_t = int(delays.min()) if parachute else 0
-    p1 = first.positions[0].astype(np.int64)
-    p2 = second.positions[0].astype(np.int64)
-    deltas = np.arange(n, dtype=np.int64)
-    block = max(_MIN_TIME_BLOCK, _BLOCK_ELEMENTS // max(count * n, 1))
-    t0 = start_t
-    while t0 <= max_scan:
-        t1 = min(t0 + block - 1, max_scan)
-        times = np.arange(t0, t1 + 1, dtype=np.intp)
-        a = p1[np.minimum(times, length1)]  # (b,)
-        cols2 = np.clip(times[None, :] - delays[:, None], 0, length2)  # (D, b)
-        diffs = (a[None, :] - p2[cols2]) % n  # (D, b)
-        # Out-of-window time points match no delta: past the slice's own
-        # limit, or (parachute only) before its wake.  The sentinel ``n``
-        # folds the window mask into the equality test.
-        invalid = times[None, :] > limit[:, None]
-        if parachute:
-            invalid |= times[None, :] < delays[:, None]
-        diffs = np.where(invalid, n, diffs)
-        hits = diffs[:, :, None] == deltas[None, None, :]  # (D, b, n)
-        fresh = hits.any(axis=1) & (met < 0)
-        if fresh.any():
-            met = np.where(fresh, t0 + hits.argmax(axis=1), met)
-            if (met >= 0).all():
-                stats.early_exit_rounds += max_scan - t1
-                break
-        t0 = t1 + 1
-    # Start-oblivious costs are start-independent, so the start-0 rows
-    # price every orbit member: through the meeting round, or through the
-    # slice's horizon where the delta never meets.
-    last = np.where(met >= 0, met, horizons[:, None])
-    cost = (
-        first.costs[0][np.minimum(last, length1)]
-        + second.costs[0][np.clip(last - delays[:, None], 0, length2)]
-    )
-    stats.orbit_cells += count * (n * n - n)
-    return met, cost
 
 
 class CubeTimelineTable(BatchTimelineTable):
@@ -168,10 +103,13 @@ class CubeTimelineTable(BatchTimelineTable):
             if self.prune
             else SymmetryCertificate(False, "pruning disabled")
         )
-        # (labels, delay, horizon, presence) -> (met_row, cost_row), each
-        # an (n,) array over delta.  Tiny (2n per slice), so unbounded.
+        # (labels, delay, horizon, presence) -> a (2, n) array over delta:
+        # the met row stacked on the cost row.  Shards of one sweep that
+        # split a label pair read it back instead of rescanning; a bounded
+        # FIFO like ``_matrices``, since a long-lived worker table serves
+        # sweep after sweep over ever new delays.
         self._delta_rows: dict[
-            tuple[tuple[int, int], int, int, PresenceModel], tuple[Any, Any]
+            tuple[tuple[int, int], int, int, PresenceModel], Any
         ] = {}
         self._probed = False
 
@@ -240,68 +178,17 @@ class CubeTimelineTable(BatchTimelineTable):
         delay_horizons: Sequence[tuple[int, int]],
         presence: PresenceModel,
     ) -> tuple[Any, Any] | None:
-        """``(met, cost)`` stacked ``(D, n)`` delta tables for the slices.
+        """``(met, cost)`` stacked ``(D, n)`` delta tables of one label pair.
 
-        Returns ``None`` when the orbit certificate does not hold (or is
-        voided by the trajectory probe while building the timelines) --
-        the caller falls back to full matrices.  Missing slices are
-        computed in one pass: dominance-planned pivots scanned, the rest
-        derived by exact translation.
+        The one-pair view of :meth:`cube_delta_tables`: ``None`` when the
+        orbit certificate does not hold, the caller then falls back to
+        full matrices.
         """
-        if not self.certificate.orbit:
+        tables = self.cube_delta_tables([labels], [delay_horizons], presence)
+        if tables is None:
             return None
-        np = self._np
-        missing = [
-            (delay, horizon)
-            for delay, horizon in delay_horizons
-            if (labels, delay, horizon, presence) not in self._delta_rows
-        ]
-        if missing:
-            first = self.timelines(labels[0])
-            second = self.timelines(labels[1])
-            if not self.certificate.orbit:  # probe mismatch mid-build
-                return None
-            parachute = presence is PresenceModel.PARACHUTE
-            plan = dominance_plan(missing, first.length)
-            scanned = [missing[index] for index in plan.scan]
-            met_rows, cost_rows = _delta_tables(
-                np,
-                first,
-                second,
-                scanned,
-                parachute,
-                self.graph.num_nodes,
-                self.stats,
-            )
-            rows: dict[int, tuple[Any, Any]] = {}
-            for slot, index in enumerate(plan.scan):
-                rows[index] = (met_rows[slot], cost_rows[slot])
-            for index, (pivot, shift) in plan.derived.items():
-                met_pivot, cost_pivot = rows[pivot]
-                rows[index] = (
-                    derive_met(
-                        np, met_pivot, missing[pivot][0], shift, parachute
-                    ),
-                    cost_pivot,  # dominance holds costs fixed (see prune.py)
-                )
-                self.stats.dominated_slices += 1
-            for index, (delay, horizon) in enumerate(missing):
-                self._delta_rows[(labels, delay, horizon, presence)] = rows[
-                    index
-                ]
-        met = np.stack(
-            [
-                self._delta_rows[(labels, delay, horizon, presence)][0]
-                for delay, horizon in delay_horizons
-            ]
-        )
-        cost = np.stack(
-            [
-                self._delta_rows[(labels, delay, horizon, presence)][1]
-                for delay, horizon in delay_horizons
-            ]
-        )
-        return met, cost
+        met, cost = tables
+        return met[0], cost[0]
 
     def cube_delta_tables(
         self,
@@ -309,19 +196,76 @@ class CubeTimelineTable(BatchTimelineTable):
         delay_horizons: Sequence[Sequence[tuple[int, int]]],
         presence: PresenceModel,
     ) -> tuple[Any, Any] | None:
-        """``(met, cost)`` as ``(P, D, n)`` tensors -- the whole cube at once.
+        """``(met, cost)`` as ``(P, D, n)`` tensors over the given label pairs.
 
-        The cross-label pass: every label's start-0 timeline is stacked
-        (parked-tail padded) into one ``(L, Tmax+1)`` tensor, and all
-        ``P x D`` dominance-pivot groups are scanned in a single
-        column-blocked sweep -- no Python loop over label pairs touches
-        the time axis.  ``delay_horizons[p]`` lists pair ``p``'s
-        ``(delay, horizon)`` slices (one per delay-axis entry, so ``D``
-        is uniform).  Returns ``None`` when the orbit certificate does
-        not hold (or the trajectory probe voids it mid-build).
+        ``delay_horizons[p]`` lists pair ``p``'s ``(delay, horizon)``
+        slices (one per delay-axis entry, so ``D`` is uniform).  Pairs
+        whose every slice is in the row cache are read back; the rest go
+        through one stacked pass (:meth:`_scan_delta_cube`) and are
+        cached.  Returns ``None`` when the orbit certificate does not
+        hold (or the trajectory probe voids it mid-build).
         """
         if not self.certificate.orbit:
             return None
+        np = self._np
+        n = self.graph.num_nodes
+        delay_count = len(delay_horizons[0]) if delay_horizons else 0
+        met = np.empty((len(label_pairs), delay_count, n), dtype=np.int64)
+        cost = np.empty((len(label_pairs), delay_count, n), dtype=np.int64)
+        todo: list[int] = []
+        for p, labels in enumerate(label_pairs):
+            rows = [
+                self._delta_rows.get((labels, delay, horizon, presence))
+                for delay, horizon in delay_horizons[p]
+            ]
+            if any(row is None for row in rows):
+                todo.append(p)
+                continue
+            for index, row in enumerate(rows):
+                met[p, index] = row[0]
+                cost[p, index] = row[1]
+        if todo:
+            scanned = self._scan_delta_cube(
+                [label_pairs[p] for p in todo],
+                [delay_horizons[p] for p in todo],
+                presence,
+            )
+            if scanned is None:
+                return None
+            met[todo], cost[todo] = scanned
+            # One (T, D, 2, n) copy; each cached row is a view into it, so
+            # a block lives until the FIFO has evicted all of its rows.
+            packed = np.stack(scanned, axis=2)
+            for slot, p in enumerate(todo):
+                for index, (delay, horizon) in enumerate(delay_horizons[p]):
+                    store_bounded(
+                        self._delta_rows,
+                        (label_pairs[p], delay, horizon, presence),
+                        packed[slot, index],
+                        2 * n,
+                    )
+        return met, cost
+
+    def _scan_delta_cube(
+        self,
+        label_pairs: Sequence[tuple[int, int]],
+        delay_horizons: Sequence[Sequence[tuple[int, int]]],
+        presence: PresenceModel,
+    ) -> tuple[Any, Any] | None:
+        """The cross-label pass behind :meth:`cube_delta_tables`.
+
+        Every label's start-0 timeline is stacked (parked-tail padded)
+        into one ``(L, Tmax+1)`` tensor, and all ``P x D`` dominance-pivot
+        groups are scanned in a single column-blocked sweep -- no Python
+        loop over label pairs touches the time axis.  With
+        rotation-derived timelines, starts ``(s1, s2)`` colocate at ``t``
+        iff ``pos1(t) - pos2(t') == s2 - s1 (mod n)`` of the start-0 rows,
+        so one ``(D, n)`` table over ``delta`` answers all ``n**2`` start
+        pairs of a label pair.  Row semantics (windows, delay clipping,
+        parachute blanking, ``-1`` for never) match the batch engine's
+        tensors exactly; the scan stops early once every delta has met
+        (``stats.early_exit_rounds`` counts the skipped time points).
+        """
         np = self._np
         n = self.graph.num_nodes
         pair_count = len(label_pairs)
@@ -336,9 +280,11 @@ class CubeTimelineTable(BatchTimelineTable):
         tmax = max(lengths) if lengths else 0
         # Parked-tail padding makes the rows rectangular across labels:
         # past its own schedule a timeline repeats its final position and
-        # cost, so clamped reads below need only the shared tmax.
-        pos0 = np.empty((len(labels_needed), tmax + 1), dtype=np.int64)
-        cost0 = np.empty((len(labels_needed), tmax + 1), dtype=np.int64)
+        # cost, so clamped reads below need only the shared tmax.  int32
+        # holds any node id or cumulative cost in half the bytes of int64,
+        # and schedules run to ~1e5 rounds.
+        pos0 = np.empty((len(labels_needed), tmax + 1), dtype=np.int32)
+        cost0 = np.empty((len(labels_needed), tmax + 1), dtype=np.int32)
         for slot, label in enumerate(labels_needed):
             rows = stacked[label]
             pos0[slot, : rows.length + 1] = rows.positions[0]
@@ -380,19 +326,29 @@ class CubeTimelineTable(BatchTimelineTable):
         if group_count:
             max_scan = int(limit.max())
             t0 = int(delays.min()) if parachute else 0
-            block = max(
+            # Blocks grow geometrically up to the element budget: meetings
+            # are typically early, so the first narrow blocks usually
+            # settle every delta and the scan exits long before the
+            # horizon, while late meetings cost only O(log) extra passes.
+            widest = max(
                 _MIN_TIME_BLOCK, _BLOCK_ELEMENTS // max(group_count * n, 1)
             )
+            block = _MIN_TIME_BLOCK
             while t0 <= max_scan:
                 t1 = min(t0 + block - 1, max_scan)
+                block = min(2 * block, widest)
                 times = np.arange(t0, t1 + 1, dtype=np.intp)
                 a = pos0[i1[:, None], np.minimum(times, tmax)[None, :]]
-                cols2 = np.clip(times[None, :] - delays[:, None], 0, tmax)
+                cols2 = np.minimum(
+                    np.maximum(times[None, :] - delays[:, None], 0), tmax
+                )
                 diffs = (a - pos0[i2[:, None], cols2]) % n  # (G, b)
+                # Out-of-window time points match no delta: past the
+                # group's limit, or (parachute only) before its wake.
                 invalid = times[None, :] > limit[:, None]
                 if parachute:
                     invalid |= times[None, :] < delays[:, None]
-                diffs = np.where(invalid, n, diffs)
+                diffs = np.where(invalid, -1, diffs)
                 hits = diffs[:, :, None] == deltas[None, None, :]  # (G, b, n)
                 fresh = hits.any(axis=1) & (met < 0)
                 if fresh.any():
@@ -402,9 +358,11 @@ class CubeTimelineTable(BatchTimelineTable):
                         break
                 t0 = t1 + 1
         last = np.where(met >= 0, met, horizons[:, None])
-        cost = (
-            cost0[i1[:, None], np.minimum(last, tmax)]
-            + cost0[i2[:, None], np.clip(last - delays[:, None], 0, tmax)]
+        # Start-oblivious costs are start-independent, so the start-0 rows
+        # price every delta: through the meeting round, or through the
+        # group's horizon where the delta never meets.
+        cost = cost0[i1[:, None], np.minimum(last, tmax)].astype(np.int64) + (
+            cost0[i2[:, None], np.minimum(np.maximum(last - delays[:, None], 0), tmax)]
         )
         # Scatter pivots into the (P, D, n) cube, then fill dominated
         # slices by exact translation from their pivot rows.
@@ -437,12 +395,7 @@ class CubeTimelineTable(BatchTimelineTable):
         cost: Any,
     ) -> None:
         """Insert one group's matrices under the parent's FIFO budget."""
-        size = 2 * self.graph.num_nodes**2
-        while self._matrices and (len(self._matrices) + 1) * size > (
-            _MATRIX_CACHE_ELEMENTS
-        ):
-            self._matrices.pop(next(iter(self._matrices)))
-        self._matrices[key] = (met, cost)
+        store_bounded(self._matrices, key, (met, cost), 2 * self.graph.num_nodes**2)
 
     def _ensure_matrices(
         self,
@@ -516,11 +469,6 @@ class CubeTimelineTable(BatchTimelineTable):
         serial first-wins tie-break.
         """
         np = self._np
-        tables = self.delta_tables(labels, delay_horizons, presence)
-        if tables is not None:
-            met_rows, cost_rows = tables
-            delta = (s2 - s1) % self.graph.num_nodes
-            return met_rows[:, delta].T, cost_rows[:, delta].T
         self._ensure_matrices(labels, delay_horizons, presence)
         met_slices = []
         cost_slices = []
@@ -573,149 +521,189 @@ def _pair_horizons(
     return pairs
 
 
-def _whole_cube_search(
+@dataclass(frozen=True)
+class CubeExtreme:
+    """One argmax winner: its enumeration index, configuration and verdict."""
+
+    index: int
+    config: Configuration
+    time: int
+    cost: int
+    horizon: int
+
+
+@dataclass(frozen=True)
+class CubeSearch:
+    """The extremes and failures of one pass, in enumeration order.
+
+    ``failures`` pairs each failing configuration with its index.
+    """
+
+    worst_time: CubeExtreme | None = None
+    worst_cost: CubeExtreme | None = None
+    failures: tuple[tuple[int, Configuration], ...] = ()
+    executions: int = 0
+
+
+def _reduce_block(
     np: Any,
+    met: Any,
+    cost: Any,
+    offset: int,
+    decode: Callable[[int], tuple[Configuration, int]],
+) -> CubeSearch:
+    """The lowest-index argmax and the failures of one flat verdict block.
+
+    ``met``/``cost`` hold the verdicts of enumeration indices ``offset,
+    offset + 1, ...``; ``decode(position)`` names the configuration and
+    horizon at a block position, and runs only for winners and failures.
+    ``argmax`` returns the first maximiser and failures sit at ``-1``
+    (their costs masked to ``-1``), so each winner is the lowest-index
+    maximiser -- the serial strict-``>`` tie-break.
+    """
+    missed = np.nonzero(met < 0)[0].tolist()
+    failures = tuple((offset + position, decode(position)[0]) for position in missed)
+    if len(missed) == met.size:
+        return CubeSearch(failures=failures, executions=int(met.size))
+
+    def extreme(position: int) -> CubeExtreme:
+        config, horizon = decode(position)
+        return CubeExtreme(
+            index=offset + position,
+            config=config,
+            time=int(met[position]),
+            cost=int(cost[position]),
+            horizon=horizon,
+        )
+
+    masked_cost = np.where(met >= 0, cost, -1)
+    return CubeSearch(
+        worst_time=extreme(int(met.argmax())),
+        worst_cost=extreme(int(masked_cost.argmax())),
+        failures=failures,
+        executions=int(met.size),
+    )
+
+
+def _merge(first: CubeSearch, second: CubeSearch) -> CubeSearch:
+    """Fold a later block into an earlier one; ties keep the earlier."""
+
+    def keep(
+        incumbent: CubeExtreme | None, challenger: CubeExtreme | None, metric: str
+    ) -> CubeExtreme | None:
+        if challenger is None:
+            return incumbent
+        if incumbent is None or getattr(challenger, metric) > getattr(
+            incumbent, metric
+        ):
+            return challenger
+        return incumbent
+
+    return CubeSearch(
+        worst_time=keep(first.worst_time, second.worst_time, "time"),
+        worst_cost=keep(first.worst_cost, second.worst_cost, "cost"),
+        failures=first.failures + second.failures,
+        executions=first.executions + second.executions,
+    )
+
+
+def _whole_cube_search(
     table: CubeTimelineTable,
     cube: ConfigCube,
     max_rounds: int | Callable[[Configuration], int],
     presence: PresenceModel,
-) -> tuple[
-    tuple[int, Configuration, int] | None,
-    tuple[int, Configuration, int] | None,
-    list[Configuration],
-    int,
-]:
-    """Answer a full :class:`ConfigCube` without materializing configs.
+    lo: int = 0,
+    hi: int | None = None,
+) -> CubeSearch:
+    """Answer the indices ``[lo, hi)`` of a :class:`ConfigCube` (default: all).
 
-    No :class:`Configuration` objects exist on this path until an argmax
-    winner or a failure is decoded.  On a certified-cyclic sweep the
-    whole cube is one stacked pass (:meth:`CubeTimelineTable.cube_delta_tables`)
-    followed by a single delta-gathered argmax in global enumeration
-    order; otherwise per-pair tensor passes run with flat positions
-    ``start_index * D + delay_index`` per pair -- the enumeration order
-    -- and ``argmax`` returns the first maximiser, so combined with the
-    strict-``>`` update across pairs either route is exactly the serial
-    first-wins tie-break.
+    The one evaluator behind ``worst_case_search(engine="cube")`` and the
+    runtime's cube shards.  Only the label pairs the range touches are
+    evaluated, with horizons per ``(label pair, delay)``
+    (:func:`_pair_horizons`).  On a certified-cyclic sweep they are one
+    stacked pass (:meth:`CubeTimelineTable.cube_delta_tables`) gathered
+    by start-pair delta; otherwise each pair's touched start rows are
+    read from its all-start-pairs matrices (:meth:`~CubeTimelineTable.pair_cube`).
+    Either way the verdicts form one flat block in enumeration order
+    (pair, start pair, delay), cut to ``[lo, hi)`` and reduced once by
+    :func:`_reduce_block` -- no :class:`Configuration` exists until a
+    winner or a failure is decoded.
     """
+    np = table._np
     start_pairs = cube.start_pairs
     delays = cube.delays
     delay_count = len(delays)
-    worst_time: tuple[int, Configuration, int] | None = None
-    worst_cost: tuple[int, Configuration, int] | None = None
-    failures: list[Configuration] = []
-    executions = 0
-    if not len(cube):
-        return worst_time, worst_cost, failures, executions
+    per_pair = len(start_pairs) * delay_count
+    hi = len(cube) if hi is None else min(hi, len(cube))
+    if lo >= hi:
+        return CubeSearch()
+    first_pair = lo // per_pair
+    label_pairs = cube.label_pairs[first_pair : (hi - 1) // per_pair + 1]
+    pair_horizons = [
+        _pair_horizons(cube, labels, max_rounds) for labels in label_pairs
+    ]
+    # Block positions count from the first touched pair's first index.
+    begin, end = lo - first_pair * per_pair, hi - first_pair * per_pair
 
-    if table.certificate.orbit:
-        pair_horizons = [
-            _pair_horizons(cube, labels, max_rounds)
-            for labels in cube.label_pairs
-        ]
-        tables = table.cube_delta_tables(
-            cube.label_pairs, pair_horizons, presence
+    tables = table.cube_delta_tables(label_pairs, pair_horizons, presence)
+    if tables is not None:
+        n = table.graph.num_nodes
+        delta = np.array([(v - u) % n for u, v in start_pairs], dtype=np.intp)
+        # (P, D, S) -> (P, S, D) -> flat row-major = enumeration order.
+        met_rows, cost_rows = tables
+        met = met_rows[:, :, delta].transpose(0, 2, 1).reshape(-1)[begin:end]
+        cost = cost_rows[:, :, delta].transpose(0, 2, 1).reshape(-1)[begin:end]
+    else:
+        s1 = np.array([u for u, _ in start_pairs], dtype=np.intp)
+        s2 = np.array([v for _, v in start_pairs], dtype=np.intp)
+        met_parts = []
+        cost_parts = []
+        for p, labels in enumerate(label_pairs):
+            # This pair's share of the range, as pair-local positions,
+            # widened to whole start rows for the gather.
+            first = max(begin - p * per_pair, 0)
+            last = min(end - p * per_pair, per_pair)
+            rows = slice(first // delay_count, (last - 1) // delay_count + 1)
+            pair_met, pair_cost = table.pair_cube(
+                labels, pair_horizons[p], presence, s1[rows], s2[rows]
+            )
+            skip = rows.start * delay_count
+            cut = slice(first - skip, last - skip)
+            met_parts.append(pair_met.reshape(-1)[cut])
+            cost_parts.append(pair_cost.reshape(-1)[cut])
+        met = np.concatenate(met_parts)
+        cost = np.concatenate(cost_parts)
+
+    def decode(position: int) -> tuple[Configuration, int]:
+        pair_index, rest = divmod(begin + position, per_pair)
+        start_index, delay_index = divmod(rest, delay_count)
+        config = Configuration(
+            labels=label_pairs[pair_index],
+            starts=start_pairs[start_index],
+            delay=delays[delay_index],
         )
-        if tables is not None:
-            met_rows, cost_rows = tables  # (P, D, n)
-            n = table.graph.num_nodes
-            delta = np.array(
-                [(v - u) % n for u, v in start_pairs], dtype=np.intp
-            )
-            start_count = len(start_pairs)
-            # (P, D, S) -> (P, S, D) -> flat row-major = enumeration order.
-            met_flat = (
-                met_rows[:, :, delta].transpose(0, 2, 1).reshape(-1)
-            )
-            cost_flat = (
-                cost_rows[:, :, delta].transpose(0, 2, 1).reshape(-1)
-            )
-            executions = int(met_flat.size)
+        return config, pair_horizons[pair_index][delay_index][1]
 
-            def decode_flat(position: int) -> tuple[Configuration, int]:
-                pair_index, rest = divmod(position, start_count * delay_count)
-                start_index, delay_index = divmod(rest, delay_count)
-                config = Configuration(
-                    labels=cube.label_pairs[pair_index],
-                    starts=start_pairs[start_index],
-                    delay=delays[delay_index],
-                )
-                return config, pair_horizons[pair_index][delay_index][1]
-
-            for position in np.nonzero(met_flat < 0)[0].tolist():
-                failures.append(decode_flat(position)[0])
-            if int(met_flat.max()) >= 0:
-                position = int(met_flat.argmax())
-                config, horizon = decode_flat(position)
-                worst_time = (int(met_flat[position]), config, horizon)
-                masked_cost = np.where(met_flat >= 0, cost_flat, -1)
-                position = int(masked_cost.argmax())
-                config, horizon = decode_flat(position)
-                worst_cost = (int(masked_cost[position]), config, horizon)
-            return worst_time, worst_cost, failures, executions
-
-    s1 = np.array([pair[0] for pair in start_pairs], dtype=np.intp)
-    s2 = np.array([pair[1] for pair in start_pairs], dtype=np.intp)
-
-    def decode(position: int, labels: tuple[int, int]) -> Configuration:
-        return Configuration(
-            labels=labels,
-            starts=start_pairs[position // delay_count],
-            delay=delays[position % delay_count],
-        )
-
-    for labels in cube.label_pairs:
-        delay_horizons = _pair_horizons(cube, labels, max_rounds)
-        met, cost = table.pair_cube(labels, delay_horizons, presence, s1, s2)
-        flat_met = met.reshape(-1)
-        executions += int(flat_met.size)
-        missed = np.nonzero(flat_met < 0)[0]
-        for position in missed.tolist():
-            failures.append(decode(position, labels))
-        if missed.size == flat_met.size:
-            continue
-        position = int(flat_met.argmax())
-        if worst_time is None or int(flat_met[position]) > worst_time[0]:
-            worst_time = (
-                int(flat_met[position]),
-                decode(position, labels),
-                delay_horizons[position % delay_count][1],
-            )
-        masked_cost = np.where(flat_met >= 0, cost.reshape(-1), -1)
-        position = int(masked_cost.argmax())
-        if worst_cost is None or int(masked_cost[position]) > worst_cost[0]:
-            worst_cost = (
-                int(masked_cost[position]),
-                decode(position, labels),
-                delay_horizons[position % delay_count][1],
-            )
-    return worst_time, worst_cost, failures, executions
+    return _reduce_block(np, met, cost, lo, decode)
 
 
 def _stream_search(
-    np: Any,
     table: CubeTimelineTable,
     configs: Iterable[Configuration],
     max_rounds: int | Callable[[Configuration], int],
     presence: PresenceModel,
-) -> tuple[
-    tuple[int, Configuration, int] | None,
-    tuple[int, Configuration, int] | None,
-    list[Configuration],
-    int,
-    int,
-]:
-    """Chunked fallback for arbitrary configuration streams (shards).
+) -> tuple[CubeSearch, int]:
+    """Chunked fallback for arbitrary configuration streams; ``(found, chunks)``.
 
-    The batch engine's loop over the pruned table: same chunking, same
-    strict-``>``/argmax-first tie-break, with the chunk size resolved
-    through :func:`repro.sim.batch.resolve_stream_chunk`.
+    The batch engine's loop over the pruned table: each chunk of
+    :func:`repro.sim.batch.resolve_stream_chunk` configurations is
+    reduced by :func:`_reduce_block` and folded in by :func:`_merge`,
+    with stream positions as the enumeration indices.
     """
+    np = table._np
     horizon_of = max_rounds if callable(max_rounds) else None
     chunk_size = resolve_stream_chunk(None, table.graph)
-    worst_time: tuple[int, Configuration, int] | None = None
-    worst_cost: tuple[int, Configuration, int] | None = None
-    failures: list[Configuration] = []
-    executions = 0
+    found = CubeSearch()
     chunks = 0
     iterator = iter(configs)
     while True:
@@ -728,24 +716,17 @@ def _stream_search(
         else:
             horizons = [max_rounds] * len(chunk)
         met, cost = table.evaluate_arrays(chunk, horizons, presence)
-        executions += len(chunk)
-        missed = np.nonzero(met < 0)[0]
-        for position in missed.tolist():
-            failures.append(chunk[position])
-        if missed.size == len(chunk):
-            continue
-        position = int(met.argmax())
-        if worst_time is None or met[position] > worst_time[0]:
-            worst_time = (int(met[position]), chunk[position], horizons[position])
-        masked_cost = np.where(met >= 0, cost, -1)
-        position = int(masked_cost.argmax())
-        if worst_cost is None or masked_cost[position] > worst_cost[0]:
-            worst_cost = (
-                int(masked_cost[position]),
-                chunk[position],
-                horizons[position],
-            )
-    return worst_time, worst_cost, failures, executions, chunks
+        found = _merge(
+            found,
+            _reduce_block(
+                np,
+                met,
+                cost,
+                found.executions,
+                lambda position: (chunk[position], horizons[position]),
+            ),
+        )
+    return found, chunks
 
 
 def cube_worst_case_search(
@@ -766,19 +747,15 @@ def cube_worst_case_search(
     reports are byte-identical.  Telemetry splits build versus scan
     seconds and meters every prune avenue.
     """
-    np = batch_module.require_numpy("cube")
+    batch_module.require_numpy("cube")
     table = CubeTimelineTable(graph, factory, prune=prune)
     chunks = 0
     with telemetry.span("cube.search"):
         started = time.perf_counter()
         if isinstance(configs, ConfigCube) and configs.graph == graph:
-            worst_time, worst_cost, failures, executions = _whole_cube_search(
-                np, table, configs, max_rounds, presence
-            )
+            found = _whole_cube_search(table, configs, max_rounds, presence)
         else:
-            worst_time, worst_cost, failures, executions, chunks = (
-                _stream_search(np, table, configs, max_rounds, presence)
-            )
+            found, chunks = _stream_search(table, configs, max_rounds, presence)
         if telemetry.enabled:
             elapsed = time.perf_counter() - started
             telemetry.gauge(
@@ -789,7 +766,7 @@ def cube_worst_case_search(
                 round(max(elapsed - table.build_seconds, 0.0), 6),
             )
             telemetry.count("cube.chunks", chunks)
-            telemetry.count("configs.evaluated", executions)
+            telemetry.count("configs.evaluated", found.executions)
             stats = table.stats
             telemetry.count("cube.prune.orbit_cells", stats.orbit_cells)
             telemetry.count(
@@ -799,19 +776,17 @@ def cube_worst_case_search(
                 "cube.prune.early_exit_rounds", stats.early_exit_rounds
             )
 
-    def record(
-        extreme: tuple[int, Configuration, int] | None,
-    ) -> ExtremeRecord | None:
+    def record(extreme: CubeExtreme | None) -> ExtremeRecord | None:
         if extreme is None:
             return None
-        _, config, horizon = extreme
         return ExtremeRecord(
-            config=config, result=table.result(config, horizon, presence)
+            config=extreme.config,
+            result=table.result(extreme.config, extreme.horizon, presence),
         )
 
     return WorstCaseReport(
-        worst_time=record(worst_time),
-        worst_cost=record(worst_cost),
-        executions=executions,
-        failures=tuple(failures),
+        worst_time=record(found.worst_time),
+        worst_cost=record(found.worst_cost),
+        executions=found.executions,
+        failures=tuple(config for _, config in found.failures),
     )

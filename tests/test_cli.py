@@ -1,10 +1,17 @@
 """Tests for the command-line interface."""
 
+import errno
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cli import build_algorithm, build_graph, main
+import repro
+from repro.cli import EXIT_CLOSED_PIPE, build_algorithm, build_graph, main
 
 
 class TestBuilders:
@@ -202,6 +209,20 @@ class TestTelemetryCommands:
         assert payload["counters"]["configs.evaluated"] > 0
         assert payload["phases"]["scenario.run"]["count"] == 1
 
+    def test_shard_events_name_the_path_taken(self, capsys, tmp_path):
+        events = tmp_path / "events.jsonl"
+        assert main(self.SWEEP + ["--telemetry", str(events)]) == 0
+        capsys.readouterr()
+        assert main(["telemetry", "summary", str(events), "--json"]) == 0
+        shards = json.loads(capsys.readouterr().out)["shards"]
+        assert shards
+        for shard in shards:
+            expected = "whole_cube" if shard["engine"] == "cube" else "stream"
+            assert shard["path"] == expected
+            assert shard["prune"] is (True if expected == "whole_cube" else None)
+        assert main(["telemetry", "summary", str(events)]) == 0
+        assert f"path={shards[0]['path']}" in capsys.readouterr().out
+
     def test_check_rejects_a_broken_event_file(self, capsys, tmp_path):
         events = tmp_path / "bad.jsonl"
         events.write_text('{"ev": "gauge", "ts": 0.0}\n')
@@ -224,3 +245,36 @@ class TestTelemetryCommands:
         captured = capsys.readouterr()
         assert "shards" in captured.err
         assert "Worst-case sweep" in captured.out
+
+
+class ClosedPipe(io.StringIO):
+    """A standard output whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+class TestClosedPipe:
+    def test_main_stops_quietly_when_the_reader_is_gone(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["engines"]) == EXIT_CLOSED_PIPE
+
+    def test_python_m_repro_into_a_closed_pipe(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "engines"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_CLOSED_PIPE
+        assert proc.stderr == ""
