@@ -67,9 +67,9 @@ def tradeoff_points(
     with the adversarial pairs of interest instead.  ``engine`` is
     forwarded to :func:`repro.api.sweep_objects`; the default ``"auto"``
     runs each schedule-driven algorithm on the fastest available engine
-    (batch, then compiled) instead of the reactive simulator, with
+    (cube, then compiled) instead of the reactive simulator, with
     identical points -- curve assembly over many algorithms is exactly
-    the dense workload the batch engine accelerates.
+    the dense workload the cube engine accelerates.
     """
     points = []
     for algorithm in algorithms:

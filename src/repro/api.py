@@ -86,7 +86,7 @@ from repro.sim.simulator import simulate_rendezvous
 #: spaces at least this large route to the process pool.
 AUTO_PARALLEL_THRESHOLD = 20_000
 
-_ENGINES = ("auto", "batch", "compiled", "cube", "parallel", "serial")
+_ENGINES = ("auto", "compiled", "cube", "parallel", "serial")
 
 
 def resolve_sim_engine(engine: str, algorithm_name: str) -> str:
@@ -94,14 +94,13 @@ def resolve_sim_engine(engine: str, algorithm_name: str) -> str:
 
     ``"serial"`` and ``"parallel"`` are explicit executor choices and keep
     the reactive simulator.  ``"compiled"`` demands the compiled
-    trajectory engine, ``"batch"`` the vectorized NumPy engine and
-    ``"cube"`` the cross-label tensor engine (:mod:`repro.sim.cube`); all
-    three raise unless the registered algorithm declares ``is_oblivious``
-    (the :class:`~repro.core.base.RendezvousAlgorithm` flag marking a
-    schedule-driven behaviour), and the NumPy engines additionally raise
-    a loud :class:`~repro.sim.batch.BatchUnavailableError` when NumPy is
-    not importable.  ``"auto"`` selects the fastest sound substrate:
-    ``"cube"`` when the flag is declared and NumPy is importable,
+    trajectory engine and ``"cube"`` the cross-label tensor engine
+    (:mod:`repro.sim.cube`); both raise unless the registered algorithm
+    is ``is_oblivious`` (the :class:`~repro.core.base.RendezvousAlgorithm`
+    flag marking a schedule-driven behaviour), and ``"cube"`` additionally
+    raises a loud :class:`~repro.sim.batch.BatchUnavailableError` when
+    NumPy is not importable.  ``"auto"`` selects the fastest sound
+    substrate: ``"cube"`` when the flag is set and NumPy is importable,
     ``"compiled"`` when only the flag is, and the reactive simulator for
     everything else -- sound any way, since the engines produce
     byte-identical reports wherever they all apply.
@@ -113,14 +112,14 @@ def resolve_sim_engine(engine: str, algorithm_name: str) -> str:
     oblivious = bool(
         getattr(ALGORITHMS.entry(algorithm_name).target, "is_oblivious", False)
     )
-    if engine in ("batch", "compiled", "cube"):
+    if engine in ("compiled", "cube"):
         if not oblivious:
             raise ValueError(
-                f"algorithm {algorithm_name!r} does not declare is_oblivious; "
+                f"algorithm {algorithm_name!r} is not is_oblivious; "
                 f"engine={engine!r} needs a schedule-driven algorithm"
             )
-        if engine in ("batch", "cube"):
-            sim_batch.require_numpy(engine)
+        if engine == "cube":
+            sim_batch.require_numpy()
         return engine
     if not oblivious:
         return "reactive"
@@ -256,7 +255,7 @@ def sweep_objects(
     Simultaneous-start-only algorithms reject non-zero delays loudly
     rather than producing invalid rows.  ``engine`` is forwarded to
     :func:`~repro.sim.adversary.worst_case_search` (``"auto"`` runs
-    objects declaring ``is_oblivious`` on the cube engine when NumPy is
+    ``is_oblivious`` objects on the cube engine when NumPy is
     importable, on compiled trajectories otherwise); the row is identical
     whichever engine runs.  The configuration space rides as a
     :class:`~repro.sim.adversary.ConfigCube` -- the axes product every
@@ -315,17 +314,17 @@ def run_job(
     _reject_nonzero_delays(
         algorithm.name, algorithm.requires_simultaneous_start, spec.delays
     )
-    if spec.engine in ("compiled", "batch", "cube") and not getattr(
+    if spec.engine in ("compiled", "cube") and not getattr(
         algorithm, "is_oblivious", False
     ):
         raise ValueError(
-            f"{algorithm.name} does not declare is_oblivious; "
+            f"{algorithm.name} is not is_oblivious; "
             f"a {spec.engine}-engine job spec needs a schedule-driven algorithm"
         )
-    if spec.engine in ("batch", "cube"):
+    if spec.engine == "cube":
         # Fail fast with the install hint here rather than deep inside a
         # worker process (every pool worker would raise the same error).
-        sim_batch.require_numpy(spec.engine)
+        sim_batch.require_numpy()
     outcome = execute_job(
         spec,
         executor=executor,
@@ -350,7 +349,7 @@ def resolve_engine(
     """Map an ``engine`` choice (and optional worker count) to an executor.
 
     ``"serial"`` and ``"parallel"`` are explicit; ``"auto"``,
-    ``"compiled"``, ``"batch"`` and ``"cube"`` (which constrain the
+    ``"compiled"`` and ``"cube"`` (which constrain the
     simulation substrate, not the executor -- see
     :func:`resolve_sim_engine`) follow the worker count when one is
     given, and otherwise route spaces of at least
@@ -364,7 +363,7 @@ def resolve_engine(
         return SerialExecutor()
     if engine == "parallel":
         return ParallelExecutor(workers)
-    if engine in ("auto", "batch", "compiled", "cube"):
+    if engine in ("auto", "compiled", "cube"):
         if workers is not None:
             return make_executor(workers)
         if config_space_size >= AUTO_PARALLEL_THRESHOLD:

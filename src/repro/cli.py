@@ -14,9 +14,9 @@ Commands:
   is given, so reruns and interrupted sweeps resume;
   ``--cache-backend`` picks the store format -- ``jsonl`` files or the
   indexed ``sqlite`` warehouse -- with byte-identical reports either way);
-* ``engines`` -- print the engine ladder (reactive, compiled, batch,
-  cube) with each rung's requirements and availability in this
-  environment, and what ``auto`` resolves to;
+* ``engines`` -- print the engine ladder (reactive, compiled, cube)
+  with each rung's requirements and availability in this environment,
+  and what ``auto`` resolves to;
 * ``query`` -- answer worst-case questions from stored runs without
   re-sweeping: filter the run store by algorithm, graph family, engine
   and label space, and print each matching sweep's merged extremes
@@ -84,7 +84,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from repro.analysis.tables import Table, format_ratio, print_lines
-from repro.api import Scenario, canonical_json, resolve_store, run_job
+from repro.api import _ENGINES, Scenario, canonical_json, resolve_store, run_job
 from repro.cluster import (
     DEFAULT_CLUSTER_ROOT,
     DEFAULT_TTL,
@@ -121,6 +121,7 @@ from repro.obs.sinks import JsonlSink, ProgressSink, combine
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.registry import ALGORITHMS, EXPERIMENTS, GRAPH_FAMILIES, SpecError
 from repro.runtime import AlgorithmSpec, GraphSpec, JobSpec
+from repro.runtime.spec import SIM_ENGINES
 from repro.runtime.store import (
     BACKENDS,
     DEFAULT_CACHE_DIR,
@@ -357,7 +358,7 @@ def command_sweep(args: argparse.Namespace) -> int:
 def _engine_rows() -> list[dict]:
     """The simulation-engine ladder, slowest rung first.
 
-    Availability is probed in this process: the NumPy rungs report
+    Availability is probed in this process: the NumPy rung reports
     ``available=False`` (never an import error) when the optional
     dependency is absent.
     """
@@ -376,12 +377,6 @@ def _engine_rows() -> list[dict]:
             "available": True,
             "requires": ["is_oblivious"],
             "description": "compiled (label, start) trajectories, pure Python",
-        },
-        {
-            "engine": "batch",
-            "available": numpy_ok,
-            "requires": ["is_oblivious", "numpy"],
-            "description": "dense NumPy timelines, chunked config blocks",
         },
         {
             "engine": "cube",
@@ -417,8 +412,8 @@ def command_engines(args: argparse.Namespace) -> int:
             row["description"],
         )
     table.print()
-    print(f"auto resolves to: {auto_oblivious} for algorithms declaring "
-          f"is_oblivious, reactive otherwise")
+    print(f"auto resolves to: {auto_oblivious} for is_oblivious "
+          f"algorithms, reactive otherwise")
     return 0
 
 
@@ -1000,8 +995,7 @@ def make_parser() -> argparse.ArgumentParser:
     common(sweep_parser)
     sweep_parser.add_argument("--delays", type=int, nargs="*", default=[0, 5, 20])
     sweep_parser.add_argument("--engine", default="auto",
-                              choices=["auto", "batch", "compiled", "cube",
-                                       "parallel", "serial"],
+                              choices=_ENGINES,
                               help="execution engine (default auto: whole-cube "
                                    "tensor engine for schedule-driven "
                                    "algorithms when numpy is installed, compiled "
@@ -1116,8 +1110,7 @@ def make_parser() -> argparse.ArgumentParser:
                                 help="shrunk CI-sized grids (same definitions, "
                                      "same verdict texts)")
     exp_run_parser.add_argument("--engine", default="auto",
-                                choices=["auto", "batch", "compiled", "cube",
-                                         "parallel", "serial"],
+                                choices=_ENGINES,
                                 help="execution engine for the scenario grids "
                                      "(default auto)")
     exp_run_parser.add_argument("--workers", type=int, default=1,
@@ -1230,8 +1223,9 @@ def make_parser() -> argparse.ArgumentParser:
     cluster_run_parser.add_argument("--delays", type=int, nargs="*",
                                     default=[0, 5, 20])
     cluster_run_parser.add_argument("--engine", default="auto",
-                                    choices=["auto", "batch", "compiled",
-                                             "cube"],
+                                    choices=[engine for engine in _ENGINES
+                                             if engine not in ("parallel",
+                                                               "serial")],
                                     help="simulation engine (default auto; "
                                          "the executor axis is the cluster)")
     cluster_run_parser.add_argument("--cluster-workers", type=int, default=2,
@@ -1332,7 +1326,7 @@ def make_parser() -> argparse.ArgumentParser:
     query_parser.add_argument("--graph", default=None,
                               help="filter on the graph family, e.g. ring")
     query_parser.add_argument("--engine", default=None,
-                              choices=["reactive", "compiled", "batch", "cube"],
+                              choices=SIM_ENGINES,
                               help="filter on the simulation engine the "
                                    "sweep recorded")
     query_parser.add_argument("--label-space", type=int, default=None,

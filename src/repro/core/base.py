@@ -34,12 +34,18 @@ class RendezvousAlgorithm(ABC):
     #: True for algorithms whose whole behaviour is the declared
     #: :meth:`schedule` run through ``schedule_program``: the trajectory
     #: of an agent depends only on its ``(label, start)``, never on the
-    #: other agent.  Such algorithms are eligible for the compiled
-    #: trajectory engine (:mod:`repro.sim.compiled`).  Deliberately
-    #: conservative: ``False`` here, set ``True`` by the paper's
-    #: algorithms; a subclass that overrides ``__call__``/``body`` with
-    #: reactive behaviour must leave it ``False``.
+    #: other agent.  Such algorithms are eligible for the compiled and
+    #: cube engines (:mod:`repro.sim.compiled`, :mod:`repro.sim.cube`).
+    #: Derived, never declared: :meth:`__init_subclass__` sets it exactly
+    #: when a subclass overrides neither ``__call__`` nor ``body``.
     is_oblivious: bool = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.is_oblivious = (
+            cls.__call__ is RendezvousAlgorithm.__call__
+            and cls.body is RendezvousAlgorithm.body
+        )
 
     def __init__(self, exploration: ExplorationProcedure, label_space: int):
         if label_space < 2:

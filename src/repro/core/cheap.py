@@ -30,7 +30,6 @@ class Cheap(RendezvousAlgorithm):
     """Delay-tolerant Cheap: explore, wait ``2 l E``, explore."""
 
     name = "cheap"
-    is_oblivious = True
 
     def schedule(self, label: int) -> Schedule:
         self._check_label(label)
@@ -57,7 +56,6 @@ class CheapSimultaneous(RendezvousAlgorithm):
 
     name = "cheap-simultaneous"
     requires_simultaneous_start = True
-    is_oblivious = True
 
     def schedule(self, label: int) -> Schedule:
         self._check_label(label)

@@ -42,7 +42,6 @@ class Fast(RendezvousAlgorithm):
     """Delay-tolerant Fast, driven by ``T = (1, S1, S1, ..., Sm, Sm)``."""
 
     name = "fast"
-    is_oblivious = True
 
     def transformed_bits(self, label: int) -> tuple[int, ...]:
         """The schedule bits ``T`` for agent ``label`` (exposed for analysis)."""
@@ -67,7 +66,6 @@ class FastSimultaneous(RendezvousAlgorithm):
 
     name = "fast-simultaneous"
     requires_simultaneous_start = True
-    is_oblivious = True
 
     def transformed_bits(self, label: int) -> tuple[int, ...]:
         self._check_label(label)

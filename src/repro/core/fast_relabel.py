@@ -36,7 +36,6 @@ class FastWithRelabeling(RendezvousAlgorithm):
     """Delay-tolerant FastWithRelabeling(w)."""
 
     name = "fast-relabel"
-    is_oblivious = True
 
     def __init__(
         self, exploration: ExplorationProcedure, label_space: int, weight: int
@@ -79,7 +78,6 @@ class FastWithRelabelingSimultaneous(RendezvousAlgorithm):
 
     name = "fast-relabel-simultaneous"
     requires_simultaneous_start = True
-    is_oblivious = True
 
     def __init__(
         self, exploration: ExplorationProcedure, label_space: int, weight: int

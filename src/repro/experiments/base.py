@@ -15,7 +15,7 @@ algorithms:
 
 The campaign runner (:mod:`repro.experiments.campaign`) executes the grid
 through :meth:`repro.api.Scenario.run`, so every experiment transparently
-inherits engine auto-selection (batch / compiled / reactive), sharded
+inherits engine auto-selection (cube / compiled / reactive), sharded
 parallel workers and ``.repro_cache/`` resumability.  The resulting
 :class:`ExperimentReport` is canonical JSON -- byte-identical across
 engines, worker counts and cache states -- carrying the claim, the

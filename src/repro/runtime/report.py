@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.sim.adversary import Configuration
+from repro.sim.adversary import Configuration, first_max
 
 
 @dataclass(frozen=True)
@@ -72,20 +72,6 @@ class ExtremeSummary(ConfigRef):
             time=payload["time"],
             cost=payload["cost"],
         )
-
-
-def _better(
-    incumbent: ExtremeSummary | None, challenger: ExtremeSummary | None, metric: str
-) -> ExtremeSummary | None:
-    """Max-reduce step with the serial tie-break (lower index wins ties)."""
-    if challenger is None:
-        return incumbent
-    if incumbent is None:
-        return challenger
-    a, b = getattr(incumbent, metric), getattr(challenger, metric)
-    if b > a or (b == a and challenger.index < incumbent.index):
-        return challenger
-    return incumbent
 
 
 @dataclass(frozen=True)
@@ -236,8 +222,10 @@ def merge_reports(reports: Iterable[ShardReport]) -> MergedReport:
     """Deterministically combine shard reports, whatever their arrival order.
 
     Shards are first sorted by their lower bound (shards of one sweep never
-    overlap), so failures concatenate in global-index order and the reduce
-    visits candidates exactly as the serial loop would.
+    overlap), so failures concatenate in global-index order and
+    :func:`~repro.sim.adversary.first_max` visits candidates exactly as
+    the serial loop would: a tie keeps the earlier shard's, lower-index
+    record.
     """
     ordered: Sequence[ShardReport] = sorted(reports, key=lambda r: r.shard)
     worst_time: ExtremeSummary | None = None
@@ -245,8 +233,8 @@ def merge_reports(reports: Iterable[ShardReport]) -> MergedReport:
     failures: list[ConfigRef] = []
     executions = 0
     for report in ordered:
-        worst_time = _better(worst_time, report.worst_time, "time")
-        worst_cost = _better(worst_cost, report.worst_cost, "cost")
+        worst_time = first_max(worst_time, report.worst_time, "time")
+        worst_cost = first_max(worst_cost, report.worst_cost, "cost")
         failures.extend(report.failures)
         executions += report.executions
     return MergedReport(

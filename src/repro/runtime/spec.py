@@ -217,7 +217,7 @@ class AlgorithmSpec:
 
 
 #: The per-configuration execution substrates a worker can run.
-SIM_ENGINES = ("reactive", "compiled", "batch", "cube")
+SIM_ENGINES = ("reactive", "compiled", "cube")
 
 
 @dataclass(frozen=True)
@@ -230,12 +230,12 @@ class JobSpec:
     the algorithm's own schedule (``delay + max schedule length``), which
     is how :func:`repro.api.sweep_objects` runs.
 
-    ``engine`` picks the per-configuration substrate a worker uses:
-    ``"reactive"`` (the round simulator), ``"compiled"`` (the trajectory
-    engine of :mod:`repro.sim.compiled`) or ``"batch"`` (the vectorized
-    NumPy engine of :mod:`repro.sim.batch`); the latter two are valid
-    only for schedule-driven algorithms, and ``"batch"`` additionally
-    needs the optional NumPy dependency in every worker process.  Reports
+    ``engine`` picks the evaluator a worker uses: ``"reactive"`` (the
+    round simulator), ``"compiled"`` (the trajectory engine of
+    :mod:`repro.sim.compiled`) or ``"cube"`` (the NumPy tensor engine of
+    :mod:`repro.sim.cube`); the latter two are valid only for
+    schedule-driven algorithms, and ``"cube"`` additionally needs the
+    optional NumPy dependency in every worker process.  Reports
     are byte-identical whichever substrate runs.  A non-default engine
     participates in the content key, so a run-store entry records exactly
     how it was produced -- while reactive specs serialize exactly as
@@ -255,8 +255,8 @@ class JobSpec:
     def __post_init__(self) -> None:
         if self.engine not in SIM_ENGINES:
             raise ValueError(
-                f"unknown simulation engine {self.engine!r}; "
-                f"choose from {list(SIM_ENGINES)}"
+                f"unknown engine {self.engine!r}; "
+                f"choose a simulation engine from {list(SIM_ENGINES)}"
             )
 
     # ------------------------------------------------------------------
@@ -311,26 +311,12 @@ class JobSpec:
     ) -> Iterator[tuple[int, Configuration]]:
         """The shard's ``(global_index, configuration)`` pairs.
 
-        The configuration space is a pure product (label pairs x start
-        pairs x delays), so an index maps to its configuration by
-        ``divmod`` over the :meth:`config_cube` axes -- a shard costs
-        ``O(hi - lo)`` regardless of where in the global order it
-        starts, instead of enumerating and discarding every preceding
-        configuration.
+        The shard's slice of :meth:`config_cube`
+        (:meth:`~repro.sim.adversary.ConfigCube.indexed`), so it costs
+        ``O(hi - lo)`` regardless of where in the global order it starts.
         """
-        cube = self.config_cube(graph)
-        delays = cube.delays
-        per_label = len(cube.start_pairs) * len(delays)
-        total = len(cube)
-        lo, hi = self.shard if self.shard is not None else (0, total)
-        for index in range(lo, min(hi, total)):
-            label_index, rest = divmod(index, per_label)
-            start_index, delay_index = divmod(rest, len(delays))
-            yield index, Configuration(
-                labels=cube.label_pairs[label_index],
-                starts=cube.start_pairs[start_index],
-                delay=delays[delay_index],
-            )
+        lo, hi = self.shard if self.shard is not None else (0, None)
+        return self.config_cube(graph).indexed(lo, hi)
 
     # ------------------------------------------------------------------
     # Serialization and content addressing

@@ -14,17 +14,8 @@ The simulator implements the paper's execution model exactly:
 
 from repro.sim.actions import WAIT, Action, is_move
 from repro.sim.adversary import WorstCaseReport, worst_case_search
-from repro.sim.batch import (
-    BatchTimelineTable,
-    BatchUnavailableError,
-    batch_worst_case_search,
-)
-from repro.sim.compiled import (
-    CompiledTrajectory,
-    TrajectoryTable,
-    compile_trajectory,
-    compiled_worst_case_search,
-)
+from repro.sim.batch import BatchTimelineTable, BatchUnavailableError
+from repro.sim.compiled import CompiledTrajectory, TrajectoryTable, compile_trajectory
 from repro.sim.gathering import GatheringResult, GatheringSimulator, GatheringSpec, gather
 from repro.sim.metrics import RendezvousResult
 from repro.sim.observation import Observation
@@ -59,9 +50,7 @@ __all__ = [
     "Simulator",
     "TrajectoryTable",
     "WorstCaseReport",
-    "batch_worst_case_search",
     "compile_trajectory",
-    "compiled_worst_case_search",
     "default_max_rounds",
     "idle",
     "is_move",

@@ -6,14 +6,27 @@ realises that adversary: it enumerates (or samples) the configuration space
 and reports the configurations maximising time and cost, so measured
 numbers can be compared against the claimed bounds and each extreme can be
 replayed.
+
+Every engine is an *evaluator*: it reports one :class:`Verdict` ``(index,
+time|None, cost)`` per configuration in enumeration order, singly or as a
+NumPy :class:`VerdictBlock`.  One :class:`Reduction` turns verdicts into
+extremes and failures, and :func:`first_max` is the only place the
+lowest-index tie-break is written.  :func:`worst_case_search` and the
+runtime's :func:`repro.runtime.worker.run_shard` are two thin drivers
+over :func:`reduce_space`.
 """
 
 from __future__ import annotations
 
+# repro: allow-file(REP001) -- perf_counter meters a search's table build
+# versus scan split for telemetry gauges; it flows only through
+# Telemetry, never into report bytes, as tests/obs proves dynamically.
+
 import itertools
 import random
+import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -180,6 +193,27 @@ class ConfigCube:
     def __len__(self) -> int:
         return len(self.label_pairs) * len(self.start_pairs) * len(self.delays)
 
+    def indexed(
+        self, lo: int = 0, hi: int | None = None
+    ) -> Iterator[tuple[int, Configuration]]:
+        """The ``(global index, configuration)`` pairs of indices ``[lo, hi)``.
+
+        An index maps to its configuration by ``divmod`` over the axes, so
+        a slice costs ``O(hi - lo)`` wherever it starts -- no preceding
+        configuration is enumerated and discarded.
+        """
+        delays = self.delays
+        per_pair = len(self.start_pairs) * len(delays)
+        hi = len(self) if hi is None else min(hi, len(self))
+        for index in range(lo, hi):
+            pair_index, rest = divmod(index, per_pair)
+            start_index, delay_index = divmod(rest, len(delays))
+            yield index, Configuration(
+                labels=self.label_pairs[pair_index],
+                starts=self.start_pairs[start_index],
+                delay=delays[delay_index],
+            )
+
 
 def default_horizon(algorithm: Any, config: Configuration) -> int:
     """The standard round budget for one configuration.
@@ -195,8 +229,221 @@ def default_horizon(algorithm: Any, config: Configuration) -> int:
     return default_max_rounds(algorithm, config.labels, config.delay)
 
 
+class Verdict(NamedTuple):
+    """One configuration's outcome at its enumeration index.
+
+    What every evaluator reports: ``time`` is the meeting time, ``None``
+    for a failure (no meeting within ``horizon``), and ``cost`` the
+    traversals through the meeting round.  ``result`` carries the full
+    record when the evaluator already holds it (the reactive simulator),
+    so the extremes need not be rebuilt.
+    """
+
+    index: int
+    config: Configuration
+    horizon: int
+    time: int | None
+    cost: int
+    result: RendezvousResult | None = None
+
+
+class VerdictBlock(NamedTuple):
+    """Verdicts of consecutive enumeration indices, as NumPy arrays.
+
+    ``met[k]`` (``-1`` for a failure) and ``cost[k]`` belong to block
+    position ``k``; ``locate(k)`` names its ``(index, config, horizon)``
+    and runs only for winners and failures, so a block's configurations
+    never materialize.
+    """
+
+    met: Any
+    cost: Any
+    locate: Callable[[int], tuple[int, Configuration, int]]
+
+
+def first_max(incumbent: Any, challenger: Any, metric: str) -> Any:
+    """The one extreme update: strict ``>``, so a tie keeps the incumbent.
+
+    Fed candidates in enumeration order, the survivor is the lowest-index
+    maximiser -- the tie-break every engine, shard and merge shares.
+    """
+    if challenger is None:
+        return incumbent
+    if incumbent is None or getattr(challenger, metric) > getattr(incumbent, metric):
+        return challenger
+    return incumbent
+
+
+class Reduction:
+    """Extremes and failures of verdicts fed in enumeration order.
+
+    The single reducer behind every engine: single verdicts and NumPy
+    blocks alike reach :func:`first_max`, a block through one ``argmax``
+    per metric (which returns the block's first maximiser).  ``failures``
+    holds ``(index, config)`` pairs in order; ``blocks`` counts the
+    blocks folded in.
+    """
+
+    def __init__(self) -> None:
+        self.worst_time: Verdict | None = None
+        self.worst_cost: Verdict | None = None
+        self.failures: list[tuple[int, Configuration]] = []
+        self.executions = 0
+        self.blocks = 0
+
+    def add(self, verdict: Verdict) -> None:
+        self.executions += 1
+        if verdict.time is None:
+            self.failures.append((verdict.index, verdict.config))
+            return
+        self.worst_time = first_max(self.worst_time, verdict, "time")
+        self.worst_cost = first_max(self.worst_cost, verdict, "cost")
+
+    def add_block(self, block: VerdictBlock) -> None:
+        met, cost, locate = block
+        self.executions += met.size
+        self.blocks += 1
+        failed = met < 0
+        missed = failed.nonzero()[0].tolist()
+        for position in missed:
+            index, config, _ = locate(position)
+            self.failures.append((index, config))
+        if len(missed) == met.size:
+            return
+
+        def verdict(position: int) -> Verdict:
+            return Verdict(*locate(position), int(met[position]), int(cost[position]))
+
+        # Failures sit at -1 in ``met``; masking their costs to -1 keeps
+        # them out of the cost argmax too.
+        masked_cost = cost
+        if missed:
+            masked_cost = cost.copy()
+            masked_cost[failed] = -1
+        self.worst_time = first_max(self.worst_time, verdict(int(met.argmax())), "time")
+        self.worst_cost = first_max(
+            self.worst_cost, verdict(int(masked_cost.argmax())), "cost"
+        )
+
+
+def reactive_verdicts(
+    graph: PortLabeledGraph,
+    factory: ProgramFactory,
+    items: Iterable[tuple[int, Configuration, int]],
+    presence: PresenceModel,
+) -> Iterator[Verdict]:
+    """The reactive evaluator: one round simulation per configuration."""
+    for index, config, horizon in items:
+        result = simulate_rendezvous(
+            graph,
+            factory,
+            labels=config.labels,
+            starts=config.starts,
+            delay=config.delay,
+            max_rounds=horizon,
+            presence=presence,
+        )
+        yield Verdict(
+            index, config, horizon, result.time if result.met else None, result.cost, result
+        )
+
+
 #: Valid values of ``worst_case_search``'s ``engine`` argument.
-SEARCH_ENGINES = ("reactive", "compiled", "batch", "cube", "auto")
+SEARCH_ENGINES = ("reactive", "compiled", "cube", "auto")
+
+
+def _engine_table(
+    engine: str,
+    graph: PortLabeledGraph,
+    factory: ProgramFactory,
+    prune: bool | None = None,
+) -> Any:
+    """The evaluation substrate of an engine (``None`` for reactive).
+
+    A :class:`~repro.sim.compiled.TrajectoryTable` for ``"compiled"``, a
+    :class:`~repro.sim.cube.CubeTimelineTable` for ``"cube"`` (which
+    needs NumPy).  Engine modules are imported lazily: they import this
+    module's types, so the import-time arrow points one way.
+    """
+    if engine == "compiled":
+        from repro.sim.compiled import TrajectoryTable
+
+        return TrajectoryTable(graph, factory)
+    if engine == "cube":
+        from repro.sim.batch import require_numpy
+        from repro.sim.cube import CubeTimelineTable
+
+        require_numpy()
+        return CubeTimelineTable(graph, factory, prune=prune)
+    return None
+
+
+def _tensorizes(engine: str, configs: Any, graph: PortLabeledGraph) -> bool:
+    """Whether the cube engine answers ``configs`` by whole-cube passes."""
+    return engine == "cube" and isinstance(configs, ConfigCube) and configs.graph == graph
+
+
+def _items(
+    configs: Iterable[Configuration],
+    max_rounds: int | Callable[[Configuration], int],
+    lo: int,
+    hi: int | None,
+) -> Iterator[tuple[int, Configuration, int]]:
+    """Lazy ``(index, config, horizon)`` items of a stream or a cube slice."""
+    if isinstance(configs, ConfigCube):
+        indexed: Iterable[tuple[int, Configuration]] = configs.indexed(lo, hi)
+    else:
+        indexed = enumerate(configs)
+    if callable(max_rounds):
+        return ((index, config, max_rounds(config)) for index, config in indexed)
+    return ((index, config, max_rounds) for index, config in indexed)
+
+
+def reduce_space(
+    engine: str,
+    table: Any,
+    graph: PortLabeledGraph,
+    factory: ProgramFactory,
+    configs: Iterable[Configuration],
+    max_rounds: int | Callable[[Configuration], int],
+    presence: PresenceModel,
+    lo: int = 0,
+    hi: int | None = None,
+) -> Reduction:
+    """Reduce one engine's verdicts over a configuration space.
+
+    ``configs`` is a stream (indexed by position) or a
+    :class:`ConfigCube`, of which only indices ``[lo, hi)`` are
+    evaluated.  ``table`` is the engine's substrate (see
+    :func:`_engine_table`; the runtime passes per-process memoised
+    ones).  The cube engine answers a cube over ``graph`` by one
+    whole-cube block (:func:`repro.sim.cube._whole_cube_search`) and any
+    other stream in chunked blocks; the reactive and compiled evaluators
+    hand over one verdict at a time, so the stream is consumed lazily.
+    """
+    reduction = Reduction()
+    if engine == "cube":
+        from repro.sim import cube
+
+        if _tensorizes(engine, configs, graph):
+            blocks: Iterable[VerdictBlock] = [
+                cube._whole_cube_search(table, configs, max_rounds, presence, lo, hi)
+            ]
+        else:
+            blocks = cube._stream_search(
+                table, _items(configs, max_rounds, lo, hi), presence
+            )
+        for block in blocks:
+            reduction.add_block(block)
+        return reduction
+    items = _items(configs, max_rounds, lo, hi)
+    if engine == "compiled":
+        verdicts = table.verdicts(items, presence)
+    else:
+        verdicts = reactive_verdicts(graph, factory, items, presence)
+    for verdict in verdicts:
+        reduction.add(verdict)
+    return reduction
 
 
 def worst_case_search(
@@ -219,28 +466,26 @@ def worst_case_search(
     drawn uniformly with ``rng`` (exhaustiveness traded for scale).
 
     ``configs`` is consumed as a *stream*: with ``sample=None``, no engine
-    materializes the configuration space -- the reactive loop runs one
-    configuration at a time, the compiled engine scans lazily, and the
-    batch engine pulls bounded chunks.  Only the sampling branch (which
-    must see the whole population to draw from it) builds a list.
+    materializes the configuration space -- the reactive and compiled
+    evaluators run one configuration at a time and the cube engine pulls
+    bounded chunks.  Only the sampling branch (which must see the whole
+    population to draw from it) builds a list.
 
-    ``engine`` selects the execution substrate and never the semantics --
-    the reports are identical, field for field, trace for trace:
+    ``engine`` selects the evaluator and never the semantics -- the
+    reports are identical, field for field, trace for trace, because
+    every engine's verdicts go through one :class:`Reduction`:
 
     * ``"reactive"`` runs each configuration through the round simulator;
     * ``"compiled"`` compiles each agent's trajectory once per
       ``(label, start)`` and scans timelines (:mod:`repro.sim.compiled`);
       requires a schedule-driven factory exposing ``schedule_length``;
-    * ``"batch"`` stacks the compiled timelines into dense arrays and
-      answers whole configuration blocks per NumPy pass
-      (:mod:`repro.sim.batch`); needs the optional NumPy dependency and a
-      schedule-driven factory;
     * ``"cube"`` tensorizes *across* label pairs and prunes the adversary
       space by rotation orbits and delay dominance
-      (:mod:`repro.sim.cube`); same requirements as ``"batch"``, fastest
-      when ``configs`` is a :class:`ConfigCube`;
+      (:mod:`repro.sim.cube`); needs the optional NumPy dependency and a
+      schedule-driven factory, and is fastest when ``configs`` is a
+      :class:`ConfigCube`;
     * ``"auto"`` picks the fastest sound engine for the factory: agents
-      declaring ``is_oblivious`` (see
+      that are ``is_oblivious`` (see
       :class:`repro.core.base.RendezvousAlgorithm`) run on ``"cube"``
       when NumPy is importable, on ``"compiled"`` otherwise; everything
       else stays reactive.
@@ -259,73 +504,56 @@ def worst_case_search(
             rng = rng or random.Random(0xC0FFEE)
             population = rng.sample(population, sample)
         configs = population
-
-    # Engine modules are imported lazily: they import this module's report
-    # types, so the dependency arrow at import time points one way.
     if engine == "auto":
         if getattr(factory, "is_oblivious", False):
-            from repro.sim import batch as batch_module
+            from repro.sim.batch import numpy_available
 
-            engine = "cube" if batch_module.numpy_available() else "compiled"
+            engine = "cube" if numpy_available() else "compiled"
         else:
             engine = "reactive"
-    if engine == "cube":
-        from repro.sim.cube import cube_worst_case_search
 
-        return cube_worst_case_search(
-            graph,
-            factory,
-            configs,
-            max_rounds,
-            presence,
-            telemetry=telemetry,
-            prune=prune,
+    table = _engine_table(engine, graph, factory, prune)
+    with telemetry.span(f"{engine}.search"):
+        started = time.perf_counter()
+        found = reduce_space(
+            engine, table, graph, factory, configs, max_rounds, presence
         )
-    if engine == "batch":
-        from repro.sim.batch import batch_worst_case_search
-
-        return batch_worst_case_search(
-            graph, factory, configs, max_rounds, presence, telemetry=telemetry
-        )
-    if engine == "compiled":
-        from repro.sim.compiled import compiled_worst_case_search
-
-        return compiled_worst_case_search(
-            graph, factory, configs, max_rounds, presence, telemetry=telemetry
-        )
-
-    worst_time: ExtremeRecord | None = None
-    worst_cost: ExtremeRecord | None = None
-    failures: list[Configuration] = []
-    executions = 0
-
-    with telemetry.span("reactive.search"):
-        for config in configs:
-            horizon = max_rounds(config) if callable(max_rounds) else max_rounds
-            result = simulate_rendezvous(
-                graph,
-                factory,
-                labels=config.labels,
-                starts=config.starts,
-                delay=config.delay,
-                max_rounds=horizon,
-                presence=presence,
-            )
-            executions += 1
-            if not result.met:
-                failures.append(config)
-                continue
-            record = ExtremeRecord(config=config, result=result)
-            if worst_time is None or record.time > worst_time.time:
-                worst_time = record
-            if worst_cost is None or record.cost > worst_cost.cost:
-                worst_cost = record
         if telemetry.enabled:
-            telemetry.count("configs.evaluated", executions)
+            elapsed = time.perf_counter() - started
+            if table is not None:
+                telemetry.gauge(
+                    f"{engine}.table_build_seconds", round(table.build_seconds, 6)
+                )
+                telemetry.gauge(
+                    f"{engine}.scan_seconds",
+                    round(max(elapsed - table.build_seconds, 0.0), 6),
+                )
+            if engine == "compiled":
+                telemetry.gauge("compiled.trajectories", len(table))
+            telemetry.count("configs.evaluated", found.executions)
+            if engine == "cube":
+                whole = _tensorizes(engine, configs, graph)
+                telemetry.count("cube.chunks", 0 if whole else found.blocks)
+                stats = table.stats
+                telemetry.count("cube.prune.orbit_cells", stats.orbit_cells)
+                telemetry.count(
+                    "cube.prune.dominated_slices", stats.dominated_slices
+                )
+                telemetry.count(
+                    "cube.prune.early_exit_rounds", stats.early_exit_rounds
+                )
+
+    def record(verdict: Verdict | None) -> ExtremeRecord | None:
+        if verdict is None:
+            return None
+        result = verdict.result
+        if result is None:
+            result = table.result(verdict.config, verdict.horizon, presence)
+        return ExtremeRecord(config=verdict.config, result=result)
 
     return WorstCaseReport(
-        worst_time=worst_time,
-        worst_cost=worst_cost,
-        executions=executions,
-        failures=tuple(failures),
+        worst_time=record(found.worst_time),
+        worst_cost=record(found.worst_cost),
+        executions=found.executions,
+        failures=tuple(config for _, config in found.failures),
     )

@@ -1,4 +1,4 @@
-"""The vectorized batch engine: whole configuration blocks per NumPy pass.
+"""Dense timeline arrays: the NumPy substrate of the cube engine.
 
 The compiled engine (:mod:`repro.sim.compiled`) already reduced a sweep to
 ``O(L * n)`` trajectory compilations plus one Python-level timeline scan
@@ -11,49 +11,39 @@ label pair are answered in one vectorized pass -- first colocation via
 array comparison over delay-shifted timelines, costs via fancy-indexed
 cumulative-traversal rows.
 
-Equivalence contract: identical to the compiled engine's, inherited
-verbatim -- :func:`batch_worst_case_search` returns a
-:class:`~repro.sim.adversary.WorstCaseReport` equal *field for field*
-(traces, crossings, tie-broken argmax configurations, failure tuples) to
-the reactive :func:`~repro.sim.adversary.worst_case_search`.  The measured
-``(time, cost)`` per configuration is computed by exact integer array
-arithmetic mirroring :meth:`~repro.sim.compiled.TrajectoryTable.evaluate`,
-and the extremes' full results are reconstructed through the compiled
-engine's :func:`~repro.sim.compiled.reconstruct_result`.  The cross-engine
-suite in ``tests/sim/test_compiled.py`` asserts the identity exhaustively.
+:class:`BatchTimelineTable` is the unpruned table under
+:class:`repro.sim.cube.CubeTimelineTable`, and its
+:meth:`~BatchTimelineTable.evaluate_arrays` answers the cube engine's
+configuration streams that are not a
+:class:`~repro.sim.adversary.ConfigCube`, in chunks of
+:func:`stream_chunk` configurations.  The measured ``(time, cost)`` per
+configuration is exact integer array arithmetic mirroring
+:meth:`~repro.sim.compiled.TrajectoryTable.evaluate`, and full results
+are reconstructed through the compiled engine's
+:func:`~repro.sim.compiled.reconstruct_result`.  The cross-engine suite
+in ``tests/sim/test_compiled.py`` asserts the identity exhaustively.
 
 NumPy is an *optional* dependency (the ``repro-rendezvous[batch]`` extra).
 Importing this module never requires it; constructing a
-:class:`BatchTimelineTable` (or resolving ``engine="batch"`` anywhere in
+:class:`BatchTimelineTable` (or resolving ``engine="cube"`` anywhere in
 the stack) without NumPy raises :class:`BatchUnavailableError` with the
 install hint, and ``engine="auto"`` falls back to the compiled engine
 silently.
-
-The engine consumes configuration streams in bounded chunks
-(:func:`evaluate_stream`), so arbitrarily large sweeps hold one chunk of
-configurations -- never the full adversarial space -- in memory.
 """
 
 from __future__ import annotations
 
-# repro: allow-file(REP001) -- perf_counter here meters table builds and
-# chunk scans for telemetry gauges (build_seconds, on_chunk); results
-# flow only through Telemetry, never into RendezvousResult bytes, as the
-# inertness matrix in tests/obs proves dynamically.
+# repro: allow-file(REP001) -- perf_counter here meters table builds for
+# telemetry gauges (build_seconds); results flow only through Telemetry,
+# never into RendezvousResult bytes, as the inertness matrix in tests/obs
+# proves dynamically.
 
-import itertools
-import os
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Sequence
 
 from repro.graphs.port_graph import PortLabeledGraph
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
-from repro.sim.adversary import (
-    Configuration,
-    ExtremeRecord,
-    WorstCaseReport,
-)
+from repro.sim.adversary import Configuration
 from repro.sim.compiled import TrajectoryTable
 from repro.sim.metrics import RendezvousResult
 from repro.sim.program import ProgramFactory
@@ -83,22 +73,16 @@ _MATRIX_CACHE_ELEMENTS = 1 << 24
 #: request ``n - 1`` of them) scan just their own rows.
 _DENSE_FRACTION = 8
 
-#: Configurations pulled from a stream per :func:`evaluate_stream` chunk
-#: when neither the caller nor the environment picks a size and no graph
-#: is available to size one from.
+#: Smallest stream chunk (:func:`stream_chunk`).
 DEFAULT_STREAM_CHUNK = 16384
 
-#: Environment override for the stream chunk size, consulted by
-#: :func:`resolve_stream_chunk` (kwarg > env > graph-derived default).
-STREAM_CHUNK_ENV = "REPRO_BATCH_CHUNK"
-
-#: Hard ceiling on a graph-derived chunk size: past this, chunk-list
-#: bookkeeping dominates and memory grows for no vectorization gain.
+#: Hard ceiling on a stream chunk: past this, chunk-list bookkeeping
+#: dominates and memory grows for no vectorization gain.
 _MAX_DERIVED_CHUNK = 1 << 18
 
 
 class BatchUnavailableError(ValueError):
-    """A NumPy engine was requested but NumPy is not importable.
+    """The NumPy engine was requested but NumPy is not importable.
 
     A :class:`ValueError` (like :class:`repro.registry.SpecError`) naming
     the requesting engine, the missing dependency, the extra that
@@ -107,19 +91,15 @@ class BatchUnavailableError(ValueError):
 
 
 def numpy_available() -> bool:
-    """Whether the NumPy engines (batch, cube) can run in this environment."""
+    """Whether the NumPy engine (cube) can run in this environment."""
     return _np is not None
 
 
-def require_numpy(engine: str = "batch") -> Any:
-    """The ``numpy`` module, or a loud :class:`BatchUnavailableError`.
-
-    ``engine`` names the requesting rung (``"batch"`` or ``"cube"``) so
-    the hint identifies what was asked for; the remedy is identical.
-    """
+def require_numpy() -> Any:
+    """The ``numpy`` module, or a loud :class:`BatchUnavailableError`."""
     if _np is None:
         raise BatchUnavailableError(
-            f"engine {engine!r} needs NumPy, which is not importable in "
+            "engine 'cube' needs NumPy, which is not importable in "
             "this environment; install the optional extra (pip install "
             "'repro-rendezvous[batch]') or choose engine 'auto' or "
             "'compiled' -- 'auto' falls back to the compiled engine "
@@ -128,38 +108,18 @@ def require_numpy(engine: str = "batch") -> Any:
     return _np
 
 
-def resolve_stream_chunk(
-    chunk_size: int | None = None, graph: PortLabeledGraph | None = None
-) -> int:
-    """The single resolution funnel for the stream chunk size.
+def stream_chunk(graph: PortLabeledGraph) -> int:
+    """Configurations per :meth:`~BatchTimelineTable.evaluate_arrays` pass.
 
-    Explicit argument > ``REPRO_BATCH_CHUNK`` environment variable > a
-    graph-derived default.  The derived default covers ``8 * n**2``
-    configurations -- enough start-pair coverage that every group in the
-    chunk clears :data:`_DENSE_FRACTION` and answers through the cached
-    all-pairs matrices -- floored at :data:`DEFAULT_STREAM_CHUNK` and
-    capped at :data:`_MAX_DERIVED_CHUNK` so small sweeps stop paying
-    per-chunk overhead without huge graphs ballooning memory.
+    The chunk a configuration stream is pulled in.  Covers ``8 * n**2`` configurations -- enough start-pair coverage that
+    every group in the chunk clears :data:`_DENSE_FRACTION` and answers
+    through the cached all-pairs matrices -- floored at
+    :data:`DEFAULT_STREAM_CHUNK` and capped at :data:`_MAX_DERIVED_CHUNK`
+    so small sweeps stop paying per-chunk overhead without huge graphs
+    ballooning memory.
     """
-    if chunk_size is not None:
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        return chunk_size
-    raw = os.environ.get(STREAM_CHUNK_ENV)
-    if raw is not None:
-        try:
-            parsed = int(raw)
-        except ValueError:
-            parsed = 0
-        if parsed < 1:
-            raise ValueError(
-                f"{STREAM_CHUNK_ENV}={raw!r} is not a positive integer"
-            )
-        return parsed
-    if graph is not None:
-        derived = 8 * graph.num_nodes**2
-        return min(max(DEFAULT_STREAM_CHUNK, derived), _MAX_DERIVED_CHUNK)
-    return DEFAULT_STREAM_CHUNK
+    derived = 8 * graph.num_nodes**2
+    return min(max(DEFAULT_STREAM_CHUNK, derived), _MAX_DERIVED_CHUNK)
 
 
 def store_bounded(cache: dict, key: Any, value: Any, size: int) -> None:
@@ -320,10 +280,11 @@ def _cost_tensor(
 class BatchTimelineTable:
     """Dense per-label timeline arrays plus the compiled-trajectory cache.
 
-    The batch engine's substrate: at most ``L`` label matrices are built
-    (each stacking the ``n`` compiled trajectories of one label), however
-    many configurations are evaluated.  :meth:`evaluate_many` answers a
-    block of configurations in grouped vectorized passes;
+    The cube engine's unpruned substrate: at most ``L`` label matrices
+    are built (each stacking the ``n`` compiled trajectories of one
+    label), however many configurations are evaluated.
+    :meth:`evaluate_arrays` answers a block of configurations in grouped
+    vectorized passes;
     :meth:`result` reconstructs the full reactive-equivalent record for
     the few configurations that end up as extremes, through the wrapped
     :class:`~repro.sim.compiled.TrajectoryTable`.
@@ -500,23 +461,6 @@ class BatchTimelineTable:
             cost_all[rows] = cost
         return met_all, cost_all
 
-    def evaluate_many(
-        self,
-        configs: Sequence[Configuration],
-        horizons: Sequence[int],
-        presence: PresenceModel = PresenceModel.FROM_START,
-    ) -> list[tuple[int | None, int]]:
-        """``(meeting time, cost)`` per configuration, as Python values.
-
-        The scalar view of :meth:`evaluate_arrays` (``None`` replacing
-        ``-1``), matching :meth:`TrajectoryTable.evaluate` per entry.
-        """
-        met, cost = self.evaluate_arrays(configs, horizons, presence)
-        return [
-            (time if time >= 0 else None, total)
-            for time, total in zip(met.tolist(), cost.tolist())
-        ]
-
     def result(
         self,
         config: Configuration,
@@ -525,130 +469,3 @@ class BatchTimelineTable:
     ) -> RendezvousResult:
         """The full reactive-equivalent result of one configuration."""
         return self.trajectories.result(config, max_rounds, presence)
-
-
-def evaluate_stream(
-    table: BatchTimelineTable,
-    items: Iterable[tuple[Any, Configuration, int]],
-    presence: PresenceModel = PresenceModel.FROM_START,
-    chunk_size: int | None = None,
-    on_chunk: Callable[[int, float], None] | None = None,
-) -> Iterator[tuple[Any, Configuration, int, int | None, int]]:
-    """Measure a lazy ``(key, config, horizon)`` stream, preserving order.
-
-    Pulls at most ``chunk_size`` configurations at a time (the whole
-    memory footprint of an arbitrarily large sweep), vectorizes each
-    chunk through :meth:`BatchTimelineTable.evaluate_many`, and yields
-    ``(key, config, horizon, time, cost)`` in the input order -- the shape
-    both :func:`batch_worst_case_search` and the runtime worker's shard
-    loop consume.  ``chunk_size=None`` resolves through
-    :func:`resolve_stream_chunk` (``REPRO_BATCH_CHUNK``, then a default
-    sized to the table's graph).  ``on_chunk(size, seconds)`` is called
-    once per vectorized pass (telemetry's chunk-timing hook); it observes
-    and must never influence the measurements.
-    """
-    chunk_size = resolve_stream_chunk(chunk_size, table.graph)
-    iterator = iter(items)
-    while True:
-        chunk = list(itertools.islice(iterator, chunk_size))
-        if not chunk:
-            return
-        configs = [config for _, config, _ in chunk]
-        horizons = [horizon for _, _, horizon in chunk]
-        started = time.perf_counter() if on_chunk is not None else 0.0
-        measured = table.evaluate_many(configs, horizons, presence)
-        if on_chunk is not None:
-            on_chunk(len(chunk), time.perf_counter() - started)
-        for (key, config, horizon), (time_, cost) in zip(chunk, measured):
-            yield key, config, horizon, time_, cost
-
-
-def batch_worst_case_search(
-    graph: PortLabeledGraph,
-    factory: ProgramFactory,
-    configs: Iterable[Configuration],
-    max_rounds: int | Callable[[Configuration], int],
-    presence: PresenceModel = PresenceModel.FROM_START,
-    telemetry: Telemetry = NULL_TELEMETRY,
-) -> WorstCaseReport:
-    """The batch engine behind ``worst_case_search(engine="batch")``.
-
-    Identical update discipline to the reactive loop (strict ``>`` in
-    enumeration order, so ties keep the earliest configuration); the
-    configuration stream is consumed lazily in bounded chunks, and the
-    full results of the two argmax records are reconstructed once at the
-    end, never per configuration.  Telemetry splits the sweep's wall
-    clock into table build (timeline stacking) versus vectorized scan,
-    and counts the chunks.
-    """
-    np = require_numpy()
-    table = BatchTimelineTable(graph, factory)
-    horizon_of = max_rounds if callable(max_rounds) else None
-    worst_time: tuple[int, Configuration, int] | None = None
-    worst_cost: tuple[int, Configuration, int] | None = None
-    failures: list[Configuration] = []
-    executions = 0
-    chunks = 0
-
-    chunk_size = resolve_stream_chunk(None, graph)
-    with telemetry.span("batch.search"):
-        started = time.perf_counter()
-        iterator = iter(configs)
-        while True:
-            chunk = list(itertools.islice(iterator, chunk_size))
-            if not chunk:
-                break
-            chunks += 1
-            if horizon_of is not None:
-                horizons = [horizon_of(config) for config in chunk]
-            else:
-                horizons = [max_rounds] * len(chunk)
-            met, cost = table.evaluate_arrays(chunk, horizons, presence)
-            executions += len(chunk)
-            missed = np.nonzero(met < 0)[0]
-            for position in missed.tolist():
-                failures.append(chunk[position])
-            if missed.size == len(chunk):
-                continue
-            # argmax returns the FIRST maximiser, and failures sit at -1 <
-            # any meeting time (costs are masked to -1), so each chunk's
-            # candidate carries the lowest in-chunk position -- combined with
-            # the strict-> update across chunks this is exactly the serial
-            # first-wins tie-break.
-            position = int(met.argmax())
-            if worst_time is None or met[position] > worst_time[0]:
-                worst_time = (int(met[position]), chunk[position], horizons[position])
-            masked_cost = np.where(met >= 0, cost, -1)
-            position = int(masked_cost.argmax())
-            if worst_cost is None or masked_cost[position] > worst_cost[0]:
-                worst_cost = (
-                    int(masked_cost[position]),
-                    chunk[position],
-                    horizons[position],
-                )
-        if telemetry.enabled:
-            elapsed = time.perf_counter() - started
-            telemetry.gauge(
-                "batch.table_build_seconds", round(table.build_seconds, 6)
-            )
-            telemetry.gauge(
-                "batch.scan_seconds",
-                round(max(elapsed - table.build_seconds, 0.0), 6),
-            )
-            telemetry.count("batch.chunks", chunks)
-            telemetry.count("configs.evaluated", executions)
-
-    def record(extreme: tuple[int, Configuration, int] | None) -> ExtremeRecord | None:
-        if extreme is None:
-            return None
-        _, config, horizon = extreme
-        return ExtremeRecord(
-            config=config, result=table.result(config, horizon, presence)
-        )
-
-    return WorstCaseReport(
-        worst_time=record(worst_time),
-        worst_cost=record(worst_cost),
-        executions=executions,
-        failures=tuple(failures),
-    )

@@ -14,13 +14,16 @@ each configuration by scanning two pre-computed position timelines for
 their first (delay-shifted) colocation.
 
 Equivalence contract: for any schedule-driven factory,
-:func:`compiled_worst_case_search` returns a
+``worst_case_search(engine="compiled")`` returns a
 :class:`~repro.sim.adversary.WorstCaseReport` equal *field for field* --
 including per-agent traces, crossing counts and tie-broken argmax
-configurations -- to what the reactive
-:func:`~repro.sim.adversary.worst_case_search` produces.  The cross-engine
-suite in ``tests/sim/test_compiled.py`` asserts exactly that over every
-registered algorithm x graph family x presence model x delay grid.
+configurations -- to the reactive engine's: :meth:`TrajectoryTable.verdicts`
+measures exactly the reactive ``(time, cost)``, the shared
+:class:`~repro.sim.adversary.Reduction` picks the extremes, and
+:meth:`TrajectoryTable.result` rebuilds their full records.  The
+cross-engine suite in ``tests/sim/test_compiled.py`` asserts exactly that
+over every registered algorithm x graph family x presence model x delay
+grid.
 
 Compilation replays the *actual* agent program (the same generators the
 simulator would drive), so schedule semantics, exploration routes and
@@ -38,16 +41,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable, Iterator
 
 from repro.graphs.port_graph import PortLabeledGraph
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.sim.actions import WAIT, Action, validate_action
-from repro.sim.adversary import (
-    Configuration,
-    ExtremeRecord,
-    WorstCaseReport,
-)
+from repro.sim.adversary import Configuration, Verdict
 from repro.sim.metrics import RendezvousResult
 from repro.sim.observation import Observation
 from repro.sim.program import AgentContext, ProgramFactory, ReactiveProgram
@@ -408,6 +406,21 @@ class TrajectoryTable:
         )
         return met_at, cost
 
+    def verdicts(
+        self,
+        items: Iterable[tuple[int, Configuration, int]],
+        presence: PresenceModel = PresenceModel.FROM_START,
+    ) -> Iterator[Verdict]:
+        """The compiled evaluator: one verdict per ``(index, config, horizon)``.
+
+        Lazy and in input order, so a configuration stream is never
+        materialized.
+        """
+        evaluate = self.evaluate
+        for index, config, horizon in items:
+            met_at, cost = evaluate(config, horizon, presence)
+            yield Verdict(index, config, horizon, met_at, cost)
+
     def result(
         self,
         config: Configuration,
@@ -422,69 +435,3 @@ class TrajectoryTable:
             max_rounds,
             presence,
         )
-
-
-def compiled_worst_case_search(
-    graph: PortLabeledGraph,
-    factory: ProgramFactory,
-    configs: Iterable[Configuration],
-    max_rounds: int | Callable[[Configuration], int],
-    presence: PresenceModel = PresenceModel.FROM_START,
-    telemetry: Telemetry = NULL_TELEMETRY,
-) -> WorstCaseReport:
-    """The compiled engine behind ``worst_case_search(engine="compiled")``.
-
-    Identical update discipline to the reactive loop (strict ``>`` in
-    enumeration order, so ties keep the earliest configuration); the full
-    results of the two argmax records are reconstructed once at the end,
-    never per configuration.  Telemetry splits the sweep's wall clock
-    into table build (trajectory compilation) versus timeline scan.
-    """
-    table = TrajectoryTable(graph, factory)
-    worst_time: tuple[int, Configuration, int] | None = None
-    worst_cost: tuple[int, Configuration, int] | None = None
-    failures: list[Configuration] = []
-    executions = 0
-    constant_horizon = None if callable(max_rounds) else max_rounds
-
-    with telemetry.span("compiled.search"):
-        started = time.perf_counter()
-        for config in configs:
-            horizon = (
-                constant_horizon if constant_horizon is not None else max_rounds(config)
-            )
-            met_at, cost = table.evaluate(config, horizon, presence)
-            executions += 1
-            if met_at is None:
-                failures.append(config)
-                continue
-            if worst_time is None or met_at > worst_time[0]:
-                worst_time = (met_at, config, horizon)
-            if worst_cost is None or cost > worst_cost[0]:
-                worst_cost = (cost, config, horizon)
-        if telemetry.enabled:
-            elapsed = time.perf_counter() - started
-            telemetry.gauge(
-                "compiled.table_build_seconds", round(table.build_seconds, 6)
-            )
-            telemetry.gauge(
-                "compiled.scan_seconds",
-                round(max(elapsed - table.build_seconds, 0.0), 6),
-            )
-            telemetry.gauge("compiled.trajectories", len(table))
-            telemetry.count("configs.evaluated", executions)
-
-    def record(extreme: tuple[int, Configuration, int] | None) -> ExtremeRecord | None:
-        if extreme is None:
-            return None
-        _, config, horizon = extreme
-        return ExtremeRecord(
-            config=config, result=table.result(config, horizon, presence)
-        )
-
-    return WorstCaseReport(
-        worst_time=record(worst_time),
-        worst_cost=record(worst_cost),
-        executions=executions,
-        failures=tuple(failures),
-    )

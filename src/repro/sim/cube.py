@@ -1,17 +1,18 @@
 """The cube engine: whole-sweep tensor passes with adversary-space pruning.
 
-The batch engine (:mod:`repro.sim.batch`) answers all ``(start, delay)``
-configurations of one label pair per NumPy pass but still loops over the
-``L(L-1)`` label pairs in Python, materializes a :class:`Configuration`
-object per cell, and scans every start pair even when symmetry makes most
-of them redundant.  This module removes all three costs:
+The dense timeline table (:mod:`repro.sim.batch`) answers all
+``(start, delay)`` configurations of one label pair per NumPy pass but
+still loops over the ``L(L-1)`` label pairs in Python, materializes a
+:class:`Configuration` object per cell, and scans every start pair even
+when symmetry makes most of them redundant.  This module removes all three costs:
 
 * **Cross-label tensorization** -- given a :class:`ConfigCube` (the
   product-structured configuration space), the whole
   ``L(L-1) x n(n-1) x D`` cube -- or any contiguous index slice of it,
   such as a runtime shard -- is answered by per-axis array passes:
-  configurations exist only as ``(pair, start, delay)`` indices until the
-  two argmax extremes (and any failures) are decoded at the very end.
+  configurations exist only as ``(pair, start, delay)`` indices, handed
+  to the reducer as one :class:`~repro.sim.adversary.VerdictBlock` that
+  locates only the two argmax extremes (and any failures).
 * **Rotation-orbit reduction** (:mod:`repro.sim.prune`) -- on a graph
   certified cyclic, with a start-oblivious factory, every label's ``n``
   timelines are rotated copies of one compiled trajectory, and a start
@@ -22,11 +23,12 @@ of them redundant.  This module removes all three costs:
   a pivot slice and are derived, not scanned; the meeting scan stops as
   soon as every tracked cell has met.
 
-Equivalence contract: identical to the batch engine's, inherited verbatim
--- every pruned verdict is reconstructed by an exact rule before any
-comparison, the argmax tie-break is the same strict-``>`` in global
-enumeration order, and the cross-engine suite (``tests/sim``) asserts
-byte-identity against the reactive engine with pruning on and off.
+Equivalence contract: identical to the compiled engine's -- every pruned
+verdict is reconstructed by an exact rule before any comparison, the
+blocks go through the same :class:`~repro.sim.adversary.Reduction` as
+every other engine's verdicts, and the cross-engine suite (``tests/sim``)
+asserts byte-identity against the reactive engine with pruning on and
+off.
 
 NumPy availability is checked at call time through
 :mod:`repro.sim.batch`, so ``engine="cube"`` degrades with the same loud
@@ -36,31 +38,23 @@ and ``engine="auto"`` falls back to the compiled engine silently.
 
 from __future__ import annotations
 
-# repro: allow-file(REP001) -- perf_counter meters table builds and scans
-# for telemetry gauges, exactly as in repro.sim.batch; results flow only
+# repro: allow-file(REP001) -- perf_counter meters table builds for
+# telemetry gauges, exactly as in repro.sim.batch; results flow only
 # through Telemetry, never into report bytes.
 
 import itertools
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.graphs.port_graph import PortLabeledGraph
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
-from repro.sim import batch as batch_module
-from repro.sim.adversary import (
-    ConfigCube,
-    Configuration,
-    ExtremeRecord,
-    WorstCaseReport,
-)
+from repro.sim.adversary import ConfigCube, Configuration, VerdictBlock
 from repro.sim.batch import (
     _BLOCK_ELEMENTS,
     _MIN_TIME_BLOCK,
     BatchTimelineTable,
     LabelTimelines,
-    resolve_stream_chunk,
     store_bounded,
+    stream_chunk,
 )
 from repro.sim.program import ProgramFactory
 from repro.sim.prune import (
@@ -262,7 +256,7 @@ class CubeTimelineTable(BatchTimelineTable):
         iff ``pos1(t) - pos2(t') == s2 - s1 (mod n)`` of the start-0 rows,
         so one ``(D, n)`` table over ``delta`` answers all ``n**2`` start
         pairs of a label pair.  Row semantics (windows, delay clipping,
-        parachute blanking, ``-1`` for never) match the batch engine's
+        parachute blanking, ``-1`` for never) match the parent table's
         tensors exactly; the scan stops early once every delta has met
         (``stats.early_exit_rounds`` counts the skipped time points).
         """
@@ -515,96 +509,10 @@ def _pair_horizons(
                     f"start pairs {first_start} and {last_start} "
                     f"(labels={labels}, delay={delay}); use a constant or "
                     "a (labels, delay)-determined policy, or choose "
-                    "engine 'batch'"
+                    "engine 'compiled'"
                 )
         pairs.append((delay, horizon))
     return pairs
-
-
-@dataclass(frozen=True)
-class CubeExtreme:
-    """One argmax winner: its enumeration index, configuration and verdict."""
-
-    index: int
-    config: Configuration
-    time: int
-    cost: int
-    horizon: int
-
-
-@dataclass(frozen=True)
-class CubeSearch:
-    """The extremes and failures of one pass, in enumeration order.
-
-    ``failures`` pairs each failing configuration with its index.
-    """
-
-    worst_time: CubeExtreme | None = None
-    worst_cost: CubeExtreme | None = None
-    failures: tuple[tuple[int, Configuration], ...] = ()
-    executions: int = 0
-
-
-def _reduce_block(
-    np: Any,
-    met: Any,
-    cost: Any,
-    offset: int,
-    decode: Callable[[int], tuple[Configuration, int]],
-) -> CubeSearch:
-    """The lowest-index argmax and the failures of one flat verdict block.
-
-    ``met``/``cost`` hold the verdicts of enumeration indices ``offset,
-    offset + 1, ...``; ``decode(position)`` names the configuration and
-    horizon at a block position, and runs only for winners and failures.
-    ``argmax`` returns the first maximiser and failures sit at ``-1``
-    (their costs masked to ``-1``), so each winner is the lowest-index
-    maximiser -- the serial strict-``>`` tie-break.
-    """
-    missed = np.nonzero(met < 0)[0].tolist()
-    failures = tuple((offset + position, decode(position)[0]) for position in missed)
-    if len(missed) == met.size:
-        return CubeSearch(failures=failures, executions=int(met.size))
-
-    def extreme(position: int) -> CubeExtreme:
-        config, horizon = decode(position)
-        return CubeExtreme(
-            index=offset + position,
-            config=config,
-            time=int(met[position]),
-            cost=int(cost[position]),
-            horizon=horizon,
-        )
-
-    masked_cost = np.where(met >= 0, cost, -1)
-    return CubeSearch(
-        worst_time=extreme(int(met.argmax())),
-        worst_cost=extreme(int(masked_cost.argmax())),
-        failures=failures,
-        executions=int(met.size),
-    )
-
-
-def _merge(first: CubeSearch, second: CubeSearch) -> CubeSearch:
-    """Fold a later block into an earlier one; ties keep the earlier."""
-
-    def keep(
-        incumbent: CubeExtreme | None, challenger: CubeExtreme | None, metric: str
-    ) -> CubeExtreme | None:
-        if challenger is None:
-            return incumbent
-        if incumbent is None or getattr(challenger, metric) > getattr(
-            incumbent, metric
-        ):
-            return challenger
-        return incumbent
-
-    return CubeSearch(
-        worst_time=keep(first.worst_time, second.worst_time, "time"),
-        worst_cost=keep(first.worst_cost, second.worst_cost, "cost"),
-        failures=first.failures + second.failures,
-        executions=first.executions + second.executions,
-    )
 
 
 def _whole_cube_search(
@@ -614,20 +522,20 @@ def _whole_cube_search(
     presence: PresenceModel,
     lo: int = 0,
     hi: int | None = None,
-) -> CubeSearch:
+) -> VerdictBlock:
     """Answer the indices ``[lo, hi)`` of a :class:`ConfigCube` (default: all).
 
-    The one evaluator behind ``worst_case_search(engine="cube")`` and the
-    runtime's cube shards.  Only the label pairs the range touches are
-    evaluated, with horizons per ``(label pair, delay)``
+    The whole-cube evaluator behind ``worst_case_search(engine="cube")``
+    and the runtime's cube shards.  Only the label pairs the range
+    touches are evaluated, with horizons per ``(label pair, delay)``
     (:func:`_pair_horizons`).  On a certified-cyclic sweep they are one
     stacked pass (:meth:`CubeTimelineTable.cube_delta_tables`) gathered
     by start-pair delta; otherwise each pair's touched start rows are
     read from its all-start-pairs matrices (:meth:`~CubeTimelineTable.pair_cube`).
     Either way the verdicts form one flat block in enumeration order
-    (pair, start pair, delay), cut to ``[lo, hi)`` and reduced once by
-    :func:`_reduce_block` -- no :class:`Configuration` exists until a
-    winner or a failure is decoded.
+    (pair, start pair, delay), cut to ``[lo, hi)`` -- no
+    :class:`Configuration` exists until the reducer locates a winner or
+    a failure.
     """
     np = table._np
     start_pairs = cube.start_pairs
@@ -636,7 +544,8 @@ def _whole_cube_search(
     per_pair = len(start_pairs) * delay_count
     hi = len(cube) if hi is None else min(hi, len(cube))
     if lo >= hi:
-        return CubeSearch()
+        empty = np.empty(0, dtype=np.int64)
+        return VerdictBlock(empty, empty, [].__getitem__)  # nothing to locate
     first_pair = lo // per_pair
     label_pairs = cube.label_pairs[first_pair : (hi - 1) // per_pair + 1]
     pair_horizons = [
@@ -674,7 +583,7 @@ def _whole_cube_search(
         met = np.concatenate(met_parts)
         cost = np.concatenate(cost_parts)
 
-    def decode(position: int) -> tuple[Configuration, int]:
+    def locate(position: int) -> tuple[int, Configuration, int]:
         pair_index, rest = divmod(begin + position, per_pair)
         start_index, delay_index = divmod(rest, delay_count)
         config = Configuration(
@@ -682,111 +591,29 @@ def _whole_cube_search(
             starts=start_pairs[start_index],
             delay=delays[delay_index],
         )
-        return config, pair_horizons[pair_index][delay_index][1]
+        return lo + position, config, pair_horizons[pair_index][delay_index][1]
 
-    return _reduce_block(np, met, cost, lo, decode)
+    return VerdictBlock(met, cost, locate)
 
 
 def _stream_search(
     table: CubeTimelineTable,
-    configs: Iterable[Configuration],
-    max_rounds: int | Callable[[Configuration], int],
+    items: Iterable[tuple[int, Configuration, int]],
     presence: PresenceModel,
-) -> tuple[CubeSearch, int]:
-    """Chunked fallback for arbitrary configuration streams; ``(found, chunks)``.
+) -> Iterator[VerdictBlock]:
+    """The stream evaluator: one block per chunk of ``(index, config, horizon)``.
 
-    The batch engine's loop over the pruned table: each chunk of
-    :func:`repro.sim.batch.resolve_stream_chunk` configurations is
-    reduced by :func:`_reduce_block` and folded in by :func:`_merge`,
-    with stream positions as the enumeration indices.
+    For configuration streams that are not a :class:`ConfigCube`: each
+    chunk of :func:`repro.sim.batch.stream_chunk` items is answered by
+    one :meth:`~CubeTimelineTable.evaluate_arrays` pass over the pruned
+    table, so the stream is held one chunk at a time.
     """
-    np = table._np
-    horizon_of = max_rounds if callable(max_rounds) else None
-    chunk_size = resolve_stream_chunk(None, table.graph)
-    found = CubeSearch()
-    chunks = 0
-    iterator = iter(configs)
-    while True:
-        chunk = list(itertools.islice(iterator, chunk_size))
-        if not chunk:
-            break
-        chunks += 1
-        if horizon_of is not None:
-            horizons = [horizon_of(config) for config in chunk]
-        else:
-            horizons = [max_rounds] * len(chunk)
-        met, cost = table.evaluate_arrays(chunk, horizons, presence)
-        found = _merge(
-            found,
-            _reduce_block(
-                np,
-                met,
-                cost,
-                found.executions,
-                lambda position: (chunk[position], horizons[position]),
-            ),
+    chunk_size = stream_chunk(table.graph)
+    iterator = iter(items)
+    while chunk := list(itertools.islice(iterator, chunk_size)):
+        met, cost = table.evaluate_arrays(
+            [config for _, config, _ in chunk],
+            [horizon for _, _, horizon in chunk],
+            presence,
         )
-    return found, chunks
-
-
-def cube_worst_case_search(
-    graph: PortLabeledGraph,
-    factory: ProgramFactory,
-    configs: Iterable[Configuration],
-    max_rounds: int | Callable[[Configuration], int],
-    presence: PresenceModel = PresenceModel.FROM_START,
-    telemetry: Telemetry = NULL_TELEMETRY,
-    prune: bool | None = None,
-) -> WorstCaseReport:
-    """The cube engine behind ``worst_case_search(engine="cube")``.
-
-    A :class:`ConfigCube` input takes the whole-cube tensor path
-    (configurations never materialize); any other iterable streams in
-    bounded chunks over the same pruned table.  ``prune=None`` resolves
-    through :func:`repro.sim.prune.resolve_prune`; pruned and unpruned
-    reports are byte-identical.  Telemetry splits build versus scan
-    seconds and meters every prune avenue.
-    """
-    batch_module.require_numpy("cube")
-    table = CubeTimelineTable(graph, factory, prune=prune)
-    chunks = 0
-    with telemetry.span("cube.search"):
-        started = time.perf_counter()
-        if isinstance(configs, ConfigCube) and configs.graph == graph:
-            found = _whole_cube_search(table, configs, max_rounds, presence)
-        else:
-            found, chunks = _stream_search(table, configs, max_rounds, presence)
-        if telemetry.enabled:
-            elapsed = time.perf_counter() - started
-            telemetry.gauge(
-                "cube.table_build_seconds", round(table.build_seconds, 6)
-            )
-            telemetry.gauge(
-                "cube.scan_seconds",
-                round(max(elapsed - table.build_seconds, 0.0), 6),
-            )
-            telemetry.count("cube.chunks", chunks)
-            telemetry.count("configs.evaluated", found.executions)
-            stats = table.stats
-            telemetry.count("cube.prune.orbit_cells", stats.orbit_cells)
-            telemetry.count(
-                "cube.prune.dominated_slices", stats.dominated_slices
-            )
-            telemetry.count(
-                "cube.prune.early_exit_rounds", stats.early_exit_rounds
-            )
-
-    def record(extreme: CubeExtreme | None) -> ExtremeRecord | None:
-        if extreme is None:
-            return None
-        return ExtremeRecord(
-            config=extreme.config,
-            result=table.result(extreme.config, extreme.horizon, presence),
-        )
-
-    return WorstCaseReport(
-        worst_time=record(found.worst_time),
-        worst_cost=record(found.worst_cost),
-        executions=found.executions,
-        failures=tuple(config for _, config in found.failures),
-    )
+        yield VerdictBlock(met, cost, chunk.__getitem__)

@@ -140,8 +140,8 @@ def reflection_automorphism(graph: PortLabeledGraph) -> bool:
 def start_oblivious_factory(factory: Any) -> bool:
     """Whether the factory's route is provably independent of its start.
 
-    Requires both the schedule-driven declaration (``is_oblivious``, the
-    gate the compiled/batch engines already use) and the exploration's
+    Requires both the schedule-driven flag (``is_oblivious``, the gate
+    the compiled and cube engines already use) and the exploration's
     :attr:`~repro.exploration.base.ExplorationProcedure.start_oblivious`
     declaration.  Factories without an ``exploration`` attribute (custom
     program factories) conservatively answer ``False``.

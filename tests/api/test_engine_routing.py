@@ -1,11 +1,12 @@
 """Engine routing: how ``engine=`` choices map to executors and substrates.
 
 The executor axis (serial / process pool) and the simulation substrate
-(reactive / compiled trajectories / vectorized batch / pruned cube) are
+(reactive / compiled trajectories / pruned cube) are
 independent; these tests pin down the mapping -- ``auto`` runs
 schedule-driven algorithms on the fastest available substrate (cube
 with NumPy, compiled without), explicit ``serial``/``parallel`` stay
-reactive, ``compiled``/``batch``/``cube`` demand the flag -- and that
+reactive, ``compiled``/``cube`` demand the flag, the retired ``batch``
+rung is unknown everywhere -- and that
 every combination produces byte-identical reports.
 """
 
@@ -26,10 +27,11 @@ from repro.runtime import (
     execute_job,
 )
 from repro.runtime.spec import canonical_json
+from repro.sim.adversary import worst_case_search
 from repro.sim.batch import numpy_available
 
 requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="the batch engine needs numpy"
+    not numpy_available(), reason="the cube engine needs numpy"
 )
 
 
@@ -76,16 +78,16 @@ class TestResolveSimEngine:
         assert resolve_sim_engine("compiled", "fast") == "compiled"
 
     @requires_numpy
-    def test_batch_and_cube_are_explicit(self):
-        assert resolve_sim_engine("batch", "fast") == "batch"
+    def test_cube_is_explicit(self):
         assert resolve_sim_engine("cube", "fast") == "cube"
 
     def test_batch_without_numpy_raises_the_install_hint(self, monkeypatch):
+        # The NumPy engine's hint names the [batch] extra that provides it.
         import repro.sim.batch as batch_module
 
         monkeypatch.setattr(batch_module, "_np", None)
         with pytest.raises(ValueError, match=r"repro-rendezvous\[batch\]"):
-            resolve_sim_engine("batch", "fast")
+            resolve_sim_engine("cube", "fast")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -98,9 +100,20 @@ class TestResolveSimEngine:
     def test_derived_engines_require_the_flag(self, monkeypatch):
         monkeypatch.setattr(Cheap, "is_oblivious", False)
         assert resolve_sim_engine("auto", "cheap") == "reactive"
-        for engine in ("compiled", "batch", "cube"):
+        for engine in ("compiled", "cube"):
             with pytest.raises(ValueError, match="is_oblivious"):
                 resolve_sim_engine(engine, "cheap")
+
+
+def test_retired_batch_engine_is_unknown_everywhere(ring12):
+    """``engine="batch"`` was retired: every entry point rejects it loudly."""
+    algorithm = AlgorithmSpec("cheap", 3).build(ring12)
+    with pytest.raises(ValueError, match="unknown engine"):
+        worst_case_search(ring12, algorithm, [], 1, engine="batch")
+    with pytest.raises(ValueError, match="unknown engine"):
+        ring_job(engine="batch")
+    with pytest.raises(ValueError, match="unknown engine"):
+        resolve_sim_engine("batch", "fast")
 
 
 class TestJobSpecEngine:
@@ -118,13 +131,12 @@ class TestJobSpecEngine:
         assert "engine" not in payload
         assert JobSpec.from_dict(payload).engine == "reactive"
         assert ring_job(engine="compiled").to_dict()["engine"] == "compiled"
-        assert ring_job(engine="batch").to_dict()["engine"] == "batch"
         assert ring_job(engine="cube").to_dict()["engine"] == "cube"
 
-    def test_batch_specs_round_trip_with_their_own_key(self):
-        batch = ring_job(engine="batch")
-        assert JobSpec.from_dict(batch.to_dict()) == batch
-        assert batch.key() not in (ring_job().key(), ring_job(engine="compiled").key())
+    def test_cube_specs_round_trip_with_their_own_key(self):
+        cube = ring_job(engine="cube")
+        assert JobSpec.from_dict(cube.to_dict()) == cube
+        assert cube.key() not in (ring_job().key(), ring_job(engine="compiled").key())
 
     def test_invalid_engine_rejected_at_construction(self):
         with pytest.raises(ValueError, match="simulation engine"):
@@ -139,19 +151,15 @@ class TestExecutionEquivalence:
             reactive.report.to_dict()
         )
         if numpy_available():
-            for engine in ("batch", "cube"):
-                derived = execute_job(
-                    ring_job(engine=engine), executor=SerialExecutor()
-                )
-                assert canonical_json(derived.report.to_dict()) == canonical_json(
-                    reactive.report.to_dict()
-                )
+            derived = execute_job(ring_job(engine="cube"), executor=SerialExecutor())
+            assert canonical_json(derived.report.to_dict()) == canonical_json(
+                reactive.report.to_dict()
+            )
 
     @pytest.mark.parametrize(
         "engine",
         [
             "compiled",
-            pytest.param("batch", marks=requires_numpy),
             pytest.param("cube", marks=requires_numpy),
         ],
     )
@@ -171,7 +179,7 @@ class TestExecutionEquivalence:
         scenario = tiny()
         engines = ["serial", "auto", "compiled"]
         if numpy_available():
-            engines.extend(["batch", "cube"])
+            engines.append("cube")
         by_engine = {engine: scenario.run(engine=engine) for engine in engines}
         reference = by_engine["serial"].to_json()
         assert all(run.to_json() == reference for run in by_engine.values())
@@ -188,7 +196,7 @@ class TestExecutionEquivalence:
         assert serial.stats.sweep_key == spec.key()
         assert auto.stats.sweep_key == replace(spec, engine=substrate).key()
 
-    @pytest.mark.parametrize("engine", ["compiled", "batch", "cube"])
+    @pytest.mark.parametrize("engine", ["compiled", "cube"])
     def test_run_job_rejects_engines_for_undeclared_algorithms(
         self, monkeypatch, engine
     ):
@@ -197,7 +205,7 @@ class TestExecutionEquivalence:
         with pytest.raises(ValueError, match="is_oblivious"):
             scenario.run(engine=engine)
 
-    @pytest.mark.parametrize("engine", ["batch", "cube"])
+    @pytest.mark.parametrize("engine", ["cube"])
     def test_scenario_run_numpy_engines_without_numpy_fail_fast(
         self, monkeypatch, engine
     ):
@@ -213,7 +221,7 @@ class TestCliEngineFlag:
         argv = ["sweep", "--graph", "ring", "--size", "6", "--algorithm", "cheap",
                 "--label-space", "3", "--delays", "0", "2", "--no-cache", "--json"]
         engines = ["serial", "compiled"] + (
-            ["batch", "cube"] if numpy_available() else []
+            ["cube"] if numpy_available() else []
         )
         payloads = {}
         for engine in engines:

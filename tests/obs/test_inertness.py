@@ -5,7 +5,7 @@ every engine and worker count.
 This extends the cross-engine identity suite (tests/sim/test_compiled.py)
 along the observability axis: the matrix below runs the same scenario
 under telemetry {off, memory, jsonl} x engine {serial/reactive, compiled,
-batch} x workers {1, 4} and asserts every cell produces the same bytes.
+cube} x workers {1, 4} and asserts every cell produces the same bytes.
 """
 
 import itertools
@@ -36,16 +36,16 @@ def scenario():
 
 #: (engine, workers) cells of the identity matrix.  ``serial`` runs the
 #: reactive substrate in-process; ``parallel`` the same substrate on a
-#: 4-worker pool; compiled and batch run both serial and pooled.
+#: 4-worker pool; compiled and cube run both serial and pooled.
 ENGINE_CELLS = [
     ("serial", None),
     ("parallel", 4),
     ("compiled", None),
     ("compiled", 4),
-    pytest.param("batch", None, marks=pytest.mark.skipif(
-        not numpy_available(), reason="the batch engine needs numpy")),
-    pytest.param("batch", 4, marks=pytest.mark.skipif(
-        not numpy_available(), reason="the batch engine needs numpy")),
+    pytest.param("cube", None, marks=pytest.mark.skipif(
+        not numpy_available(), reason="the cube engine needs numpy")),
+    pytest.param("cube", 4, marks=pytest.mark.skipif(
+        not numpy_available(), reason="the cube engine needs numpy")),
 ]
 
 TELEMETRY_MODES = ["off", "memory", "jsonl"]

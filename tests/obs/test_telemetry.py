@@ -297,7 +297,7 @@ class TestSummaries:
         with telemetry.span("scenario.run"):
             telemetry.event("shard.complete",
                             lo=0, hi=10, executions=10, seconds=0.5,
-                            engine="batch", chunks=1)
+                            engine="cube", chunks=1)
             telemetry.event("shard.cached", lo=10, hi=20, executions=10)
             telemetry.count("configs.evaluated", 20)
             telemetry.warn("something tore")
@@ -312,7 +312,7 @@ class TestSummaries:
         cached = [shard for shard in summary["shards"] if shard["cached"]]
         executed = [shard for shard in summary["shards"] if not shard["cached"]]
         assert len(cached) == len(executed) == 1
-        assert executed[0]["engine"] == "batch"
+        assert executed[0]["engine"] == "cube"
 
     def test_render_summary_lines(self):
         lines = render_summary(summarize(self.stream()))

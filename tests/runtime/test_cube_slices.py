@@ -160,7 +160,7 @@ def test_row_cache_stays_within_its_budget(monkeypatch, prune):
 
 def test_stream_substrates_report_their_path():
     spec = sweep("ring", delays=(0,))
-    for engine in ("reactive", "compiled", "batch"):
+    for engine in ("reactive", "compiled"):
         timing = run_shard(replace(spec, engine=engine)).timing
         assert (timing.path, timing.prune) == ("stream", None)
 

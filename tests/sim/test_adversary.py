@@ -7,13 +7,19 @@ from repro.core.ablations import CheapShortWait
 from repro.exploration.dfs import KnownMapDFS
 from repro.graphs.families import star_graph
 from repro.sim.adversary import (
+    ConfigCube,
     Configuration,
     ExtremeRecord,
+    Reduction,
+    Verdict,
+    VerdictBlock,
     all_label_pairs,
     configurations,
     default_horizon,
+    first_max,
     worst_case_search,
 )
+from repro.sim.batch import numpy_available
 from repro.sim.simulator import default_max_rounds, simulate_rendezvous
 
 
@@ -194,3 +200,70 @@ class TestDefaultHorizon:
 
         with pytest.raises(ValueError, match="max_rounds"):
             simulate_rendezvous(ring12, bare_factory, labels=(1, 2), starts=(0, 3))
+
+
+class TestConfigCubeIndexed:
+    @pytest.mark.parametrize("lo, hi", [(0, None), (0, 5), (7, 40), (130, 500)])
+    def test_slices_match_enumeration(self, ring12, lo, hi):
+        cube = ConfigCube.make(ring12, [(1, 2), (2, 1)], delays=(0, 3))
+        flat = list(enumerate(cube))
+        assert list(cube.indexed(lo, hi)) == flat[lo:hi]
+
+
+#: Verdicts with tied maxima and failures at known indices: the time
+#: maximum 9 first appears at index 2, the cost maximum 7 at index 1.
+VERDICTS = [(4, 3), (6, 7), (9, 1), (None, 8), (9, 7), (2, 2), (None, 0), (9, 5)]
+
+
+def _config(index):
+    return Configuration(labels=(1, 2), starts=(0, index + 1), delay=0)
+
+
+def _single_reduction():
+    reduction = Reduction()
+    for index, (time, cost) in enumerate(VERDICTS):
+        reduction.add(Verdict(index, _config(index), 50, time, cost))
+    return reduction
+
+
+class TestReduction:
+    def test_first_max_keeps_the_incumbent_on_ties(self):
+        early = Verdict(0, _config(0), 50, 5, 5)
+        late = Verdict(1, _config(1), 50, 5, 6)
+        assert first_max(early, late, "time") is early
+        assert first_max(early, late, "cost") is late
+        assert first_max(None, late, "time") is late
+        assert first_max(early, None, "time") is early
+
+    def test_single_verdicts_keep_the_lowest_index_maximiser(self):
+        reduction = _single_reduction()
+        assert reduction.worst_time.index == 2
+        assert reduction.worst_cost.index == 1
+        assert reduction.failures == [(3, _config(3)), (6, _config(6))]
+        assert reduction.executions == len(VERDICTS)
+
+    @pytest.mark.skipif(not numpy_available(), reason="blocks are NumPy arrays")
+    @pytest.mark.parametrize("split", [1, 3, 5, len(VERDICTS)])
+    def test_blocks_reduce_exactly_like_single_verdicts(self, split):
+        import numpy as np
+
+        met = np.array([-1 if t is None else t for t, _ in VERDICTS], dtype=np.int64)
+        cost = np.array([c for _, c in VERDICTS], dtype=np.int64)
+        reduction = Reduction()
+        for offset in range(0, len(VERDICTS), split):
+            reduction.add_block(
+                VerdictBlock(
+                    met[offset : offset + split],
+                    cost[offset : offset + split],
+                    lambda position, offset=offset: (
+                        offset + position,
+                        _config(offset + position),
+                        50,
+                    ),
+                )
+            )
+        single = _single_reduction()
+        assert reduction.worst_time == single.worst_time
+        assert reduction.worst_cost == single.worst_cost
+        assert reduction.failures == single.failures
+        assert reduction.executions == single.executions

@@ -1,11 +1,12 @@
-"""Tests for the vectorized batch sweep engine (`repro.sim.batch`).
+"""Tests for the dense timeline substrate (`repro.sim.batch`).
 
 The exhaustive cross-engine identity suite lives in
-``tests/sim/test_compiled.py`` (the batch engine participates there
-whenever NumPy is importable); this module covers the engine's own
-surface -- availability and fallback without NumPy, the timeline table
-and streaming evaluator, runtime/worker integration, and the determinism
-of sampled sweeps across engines and processes.
+``tests/sim/test_compiled.py`` (the cube engine built on this substrate
+participates there whenever NumPy is importable); this module covers the
+substrate's own surface -- availability and fallback without NumPy, the
+timeline table and the chunked stream evaluator over it, runtime/worker
+integration, and the determinism of sampled sweeps across engines and
+processes.
 """
 
 import json
@@ -33,18 +34,13 @@ from repro.sim.adversary import (
     default_horizon,
     worst_case_search,
 )
-from repro.sim.batch import (
-    BatchUnavailableError,
-    batch_worst_case_search,
-    evaluate_stream,
-    numpy_available,
-    require_numpy,
-)
+from repro.sim.batch import BatchUnavailableError, numpy_available, require_numpy
 from repro.sim.compiled import TrajectoryTable
+from repro.sim.cube import _stream_search
 from repro.sim.simulator import PresenceModel
 
 requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="the batch engine needs numpy"
+    not numpy_available(), reason="the cube engine needs numpy"
 )
 
 
@@ -62,12 +58,12 @@ class TestAvailability:
     def test_unavailable_error_is_a_value_error(self):
         assert issubclass(BatchUnavailableError, ValueError)
 
-    def test_explicit_batch_engine_raises_without_numpy(self, ring12, monkeypatch):
+    def test_explicit_cube_engine_raises_without_numpy(self, ring12, monkeypatch):
         monkeypatch.setattr(batch_module, "_np", None)
         algorithm = build_algorithm("cheap", ring12)
         configs = list(configurations(ring12, [(1, 2)], delays=(0,)))
         with pytest.raises(BatchUnavailableError, match="NumPy"):
-            worst_case_search(ring12, algorithm, configs, 50, engine="batch")
+            worst_case_search(ring12, algorithm, configs, 50, engine="cube")
 
     def test_auto_without_numpy_matches_the_compiled_report(
         self, ring12, monkeypatch
@@ -94,7 +90,7 @@ class TestAvailability:
 
 @requires_numpy
 class TestBatchTimelineTable:
-    def test_evaluate_many_matches_the_trajectory_table(self, ring12):
+    def test_evaluate_arrays_matches_the_trajectory_table(self, ring12):
         algorithm = build_algorithm("fast", ring12)
         table = batch_module.BatchTimelineTable(ring12, algorithm)
         reference = TrajectoryTable(ring12, algorithm)
@@ -103,11 +99,13 @@ class TestBatchTimelineTable:
         )
         horizons = [default_horizon(algorithm, config) for config in configs]
         for presence in PresenceModel:
-            measured = table.evaluate_many(configs, horizons, presence)
-            for config, horizon, (time, cost) in zip(configs, horizons, measured):
-                assert (time, cost) == reference.evaluate(config, horizon, presence)
-                assert time is None or isinstance(time, int)
-                assert isinstance(cost, int)
+            met, cost = table.evaluate_arrays(configs, horizons, presence)
+            assert met.shape == cost.shape == (len(configs),)
+            for config, horizon, time, total in zip(
+                configs, horizons, met.tolist(), cost.tolist()
+            ):
+                measured = (time if time >= 0 else None, total)
+                assert measured == reference.evaluate(config, horizon, presence)
 
     def test_label_matrices_are_built_once(self, ring12):
         algorithm = build_algorithm("cheap", ring12)
@@ -147,9 +145,18 @@ class TestBatchTimelineTable:
         assert table.group_matrices((1, 2), 9, horizon + 9) is cached
 
 
+def small_chunks(monkeypatch, size):
+    """Force the stream chunk down to ``size`` configurations."""
+    monkeypatch.setattr(batch_module, "DEFAULT_STREAM_CHUNK", size)
+    monkeypatch.setattr(batch_module, "_MAX_DERIVED_CHUNK", size)
+
+
 @requires_numpy
 class TestEvaluateStream:
-    def test_preserves_order_and_keys_across_chunks(self, ring12):
+    """The cube engine's chunked stream evaluator over this substrate."""
+
+    def test_preserves_order_and_keys_across_chunks(self, ring12, monkeypatch):
+        small_chunks(monkeypatch, 7)
         algorithm = build_algorithm("fast", ring12)
         table = batch_module.BatchTimelineTable(ring12, algorithm)
         reference = TrajectoryTable(ring12, algorithm)
@@ -158,26 +165,29 @@ class TestEvaluateStream:
             (index, config, default_horizon(algorithm, config))
             for index, config in enumerate(configs)
         ]
-        out = list(evaluate_stream(table, iter(items), chunk_size=7))
-        assert [key for key, *_ in out] == list(range(len(configs)))
-        for key, config, horizon, time, cost in out:
-            assert config is configs[key]
-            assert (time, cost) == reference.evaluate(config, horizon)
-
-    def test_rejects_nonpositive_chunks(self, ring12):
-        algorithm = build_algorithm("fast", ring12)
-        table = batch_module.BatchTimelineTable(ring12, algorithm)
-        with pytest.raises(ValueError, match="chunk_size"):
-            list(evaluate_stream(table, [], chunk_size=0))
+        blocks = list(_stream_search(table, iter(items), PresenceModel.FROM_START))
+        assert len(blocks) == -(-len(items) // 7)
+        located = []
+        for met, cost, locate in blocks:
+            for position, (time, total) in enumerate(zip(met.tolist(), cost.tolist())):
+                index, config, horizon = locate(position)
+                located.append(index)
+                assert config is configs[index]
+                measured = (time if time >= 0 else None, total)
+                assert measured == reference.evaluate(config, horizon)
+        assert located == list(range(len(configs)))
 
     def test_empty_stream_yields_nothing(self, ring12):
         algorithm = build_algorithm("fast", ring12)
         table = batch_module.BatchTimelineTable(ring12, algorithm)
-        assert list(evaluate_stream(table, [])) == []
+        assert list(_stream_search(table, [], PresenceModel.FROM_START)) == []
 
 
 @requires_numpy
 class TestBatchWorstCaseSearch:
+    """``worst_case_search(engine="cube")`` over plain lists: the chunked
+    stream path through this substrate."""
+
     def test_chunk_boundaries_keep_the_serial_tie_break(self, ring12, monkeypatch):
         # Force many tiny chunks: the cross-chunk strict-> reduction must
         # still keep the earliest maximiser, exactly like one serial pass.
@@ -190,24 +200,24 @@ class TestBatchWorstCaseSearch:
         reference = worst_case_search(
             ring12, algorithm, configs, horizon, engine="compiled"
         )
-        monkeypatch.setattr(batch_module, "DEFAULT_STREAM_CHUNK", 5)
-        chunked = batch_worst_case_search(ring12, algorithm, configs, horizon)
+        small_chunks(monkeypatch, 5)
+        chunked = worst_case_search(ring12, algorithm, configs, horizon, engine="cube")
         assert chunked == reference
 
     def test_failures_keep_enumeration_order(self, ring12):
         algorithm = build_algorithm("fast", ring12)
         configs = list(configurations(ring12, [(1, 2)], fix_first_start=True))
-        batch = batch_worst_case_search(ring12, algorithm, configs, 1)
+        cube = worst_case_search(ring12, algorithm, configs, 1, engine="cube")
         reactive = worst_case_search(
             ring12, algorithm, configs, 1, engine="reactive"
         )
-        assert batch == reactive
-        assert batch.worst_time is None
-        assert len(batch.failures) == 11
+        assert cube == reactive
+        assert cube.worst_time is None
+        assert len(cube.failures) == 11
 
     def test_empty_configuration_stream(self, ring12):
         algorithm = build_algorithm("cheap", ring12)
-        report = batch_worst_case_search(ring12, algorithm, [], 1)
+        report = worst_case_search(ring12, algorithm, [], 1, engine="cube")
         assert report.worst_time is None and report.worst_cost is None
         assert report.executions == 0 and report.failures == ()
 
@@ -215,9 +225,9 @@ class TestBatchWorstCaseSearch:
         algorithm = build_algorithm("cheap-sim", ring12)
         configs = list(configurations(ring12, all_label_pairs(3), delays=(0,)))
         horizon = default_horizon(algorithm, configs[0])
-        constant = batch_worst_case_search(ring12, algorithm, configs, horizon)
-        called = batch_worst_case_search(
-            ring12, algorithm, configs, lambda config: horizon
+        constant = worst_case_search(ring12, algorithm, configs, horizon, engine="cube")
+        called = worst_case_search(
+            ring12, algorithm, configs, lambda config: horizon, engine="cube"
         )
         assert constant == called
 
@@ -229,7 +239,7 @@ class TestRuntimeIntegration:
             algorithm=AlgorithmSpec("fast", 4),
             graph=GraphSpec.make("ring", n=8),
             delays=(0, 3),
-            engine="batch",
+            engine="cube",
         )
         base.update(overrides)
         return JobSpec(**base)
@@ -237,12 +247,12 @@ class TestRuntimeIntegration:
     def test_run_shard_matches_the_reactive_worker(self):
         from repro.obs import strip_timing
 
-        batch = run_shard(self.job().shard_spec(10, 40))
+        cube = run_shard(self.job().shard_spec(10, 40))
         reactive = run_shard(self.job(engine="reactive").shard_spec(10, 40))
         # The reports are equal (timing is non-canonical and excluded from
         # comparison); their canonical payloads are byte-identical.
-        assert batch == reactive
-        assert canonical_json(strip_timing(batch.to_dict())) == canonical_json(
+        assert cube == reactive
+        assert canonical_json(strip_timing(cube.to_dict())) == canonical_json(
             strip_timing(reactive.to_dict())
         )
 
@@ -254,7 +264,7 @@ class TestRuntimeIntegration:
             serial.report.to_dict()
         )
 
-    def test_scenario_auto_runs_batch_with_identical_report(self):
+    def test_scenario_auto_runs_cube_with_identical_report(self):
         scenario = Scenario(
             graph="ring",
             graph_params={"n": 8},
@@ -271,7 +281,7 @@ class TestSampledSweepDeterminism:
     """The `sample=` satellite: seeded draws, identical across engines
     and across interpreter processes."""
 
-    ENGINES = ("reactive", "compiled") + (("batch",) if numpy_available() else ())
+    ENGINES = ("reactive", "compiled") + (("cube",) if numpy_available() else ())
 
     def sampled_row(self, engine):
         from repro.graphs.families import oriented_ring

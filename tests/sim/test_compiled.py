@@ -1,8 +1,7 @@
 """Cross-engine equivalence: derived engines vs. the reactive simulator.
 
-The compiled trajectory engine (`repro.sim.compiled`), the vectorized
-batch engine (`repro.sim.batch`) and the whole-cube tensor engine
-(`repro.sim.cube`) are only allowed to exist because they
+The compiled trajectory engine (`repro.sim.compiled`) and the whole-cube
+tensor engine (`repro.sim.cube`) are only allowed to exist because they
 are *indistinguishable* from the reactive engine: for every registered
 algorithm on a small instance of every registered graph family, under
 both presence models and a ``{0, 1, E}`` delay grid, the engines must
@@ -13,8 +12,9 @@ per-agent traces inside the extreme records.
 
 import pytest
 
-from repro.core.ablations import CheapShortWait
-from repro.exploration.ring import RingExploration
+from repro.core.ablations import CheapShortWait, FastNoDelimiter, FastNoDoubling
+from repro.exploration.dfs import KnownMapDFS
+from repro.graphs.families import star_graph
 from repro.registry import ALGORITHMS, GRAPH_FAMILIES
 from repro.runtime.spec import AlgorithmSpec
 from repro.sim.adversary import (
@@ -24,18 +24,12 @@ from repro.sim.adversary import (
     worst_case_search,
 )
 from repro.sim.batch import numpy_available
-from repro.sim.compiled import (
-    TrajectoryTable,
-    compile_trajectory,
-    compiled_worst_case_search,
-)
+from repro.sim.compiled import TrajectoryTable, compile_trajectory
 from repro.sim.program import AgentContext
 from repro.sim.simulator import PresenceModel, simulate_rendezvous
 
 #: Every engine that must be indistinguishable from "reactive" here.
-DERIVED_ENGINES = ("compiled",) + (
-    ("batch", "cube") if numpy_available() else ()
-)
+DERIVED_ENGINES = ("compiled",) + (("cube",) if numpy_available() else ())
 
 #: The smallest valid instance of every registered graph family.  A test
 #: below asserts this stays in sync with the registry, so adding a family
@@ -86,7 +80,7 @@ class TestSuiteCoverage:
 def test_derived_engine_reports_equal_reactive_report(family, algorithm_name):
     """The exhaustive cross-engine sweep: equal reports, field for field.
 
-    Every derived engine (compiled, and batch when NumPy is present) is
+    Every derived engine (compiled, and cube when NumPy is present) is
     compared against one reactive reference per presence model.  Delays
     are swept even for simultaneous-start algorithms -- they then
     legitimately fail to meet in some configurations, which is exactly how
@@ -156,25 +150,16 @@ class TestEngineSelection:
         algorithm = build_algorithm("cheap", ring12)
         configs = list(configurations(ring12, [(1, 2)], delays=(0,)))
         calls = []
+        import repro.sim.adversary as adversary_module
         import repro.sim.batch as batch_module
-        import repro.sim.compiled as compiled_module
-        import repro.sim.cube as cube_module
 
-        def spy(name, original):
-            return lambda *args, **kwargs: calls.append(name) or original(
-                *args, **kwargs
-            )
+        original = adversary_module.reduce_space
 
-        monkeypatch.setattr(
-            cube_module,
-            "cube_worst_case_search",
-            spy("cube", cube_module.cube_worst_case_search),
-        )
-        monkeypatch.setattr(
-            compiled_module,
-            "compiled_worst_case_search",
-            spy("compiled", compiled_module.compiled_worst_case_search),
-        )
+        def spy(engine, *args, **kwargs):
+            calls.append(engine)
+            return original(engine, *args, **kwargs)
+
+        monkeypatch.setattr(adversary_module, "reduce_space", spy)
 
         def search():
             worst_case_search(
@@ -193,20 +178,37 @@ class TestEngineSelection:
         search()
         assert calls == ["compiled"]
 
-    def test_auto_falls_back_to_reactive_for_undeclared_factories(self, ring12):
-        # Ablations are schedule-driven but deliberately undeclared; under
-        # "auto" they stay on the reactive engine, and the explicit
-        # "compiled" override still works because they really are schedules.
-        algorithm = CheapShortWait(RingExploration(12), label_space=LABEL_SPACE)
-        assert not algorithm.is_oblivious
-        configs = list(configurations(ring12, [(1, 2)], delays=(0,)))
+    def test_ablations_derive_is_oblivious_and_auto_matches_reactive(self):
+        """The ablations inherit the schedule-driven ``__call__``/``body``,
+        so they derive the flag (overriding ``__call__`` withdraws it) and
+        ``auto`` runs them on a derived engine -- with the reactive report,
+        failures included."""
+        assert FastNoDoubling.is_oblivious
+        assert CheapShortWait.is_oblivious
+        assert FastNoDelimiter.is_oblivious
+
+        class Reactive(CheapShortWait):
+            def __call__(self, ctx):
+                return super().__call__(ctx)
+
+        assert Reactive.is_oblivious is False
+
+        star = star_graph(6)
+        algorithm = CheapShortWait(KnownMapDFS(star), label_space=LABEL_SPACE)
+        configs = list(
+            configurations(star, all_label_pairs(LABEL_SPACE), delays=(0, 2))
+        )
 
         def horizon(config):
             return default_horizon(algorithm, config)
 
-        auto = worst_case_search(ring12, algorithm, configs, horizon, engine="auto")
-        forced = worst_case_search(ring12, algorithm, configs, horizon, engine="compiled")
-        assert auto == forced
+        auto = worst_case_search(star, algorithm, configs, horizon, engine="auto")
+        reactive = worst_case_search(
+            star, algorithm, configs, horizon, engine="reactive"
+        )
+        assert reactive.failures, "delay 2 must defeat the short wait"
+        assert auto.failures == reactive.failures
+        assert auto == reactive
 
     def test_unknown_engine_is_rejected(self, ring12):
         algorithm = build_algorithm("cheap", ring12)
@@ -306,6 +308,6 @@ class TestCompilation:
 
     def test_search_without_configurations_reports_nothing(self, ring12):
         algorithm = build_algorithm("cheap", ring12)
-        report = compiled_worst_case_search(ring12, algorithm, [], 1)
+        report = worst_case_search(ring12, algorithm, [], 1, engine="compiled")
         assert report.worst_time is None and report.worst_cost is None
         assert report.executions == 0 and report.failures == ()

@@ -32,12 +32,11 @@ from repro.sim.adversary import (
 )
 from repro.sim.batch import (
     DEFAULT_STREAM_CHUNK,
-    STREAM_CHUNK_ENV,
     BatchUnavailableError,
     numpy_available,
-    resolve_stream_chunk,
+    stream_chunk,
 )
-from repro.sim.cube import CubeTimelineTable, cube_worst_case_search
+from repro.sim.cube import CubeTimelineTable
 from repro.sim.prune import (
     DEFAULT_PRUNE,
     PRUNE_ENV,
@@ -70,6 +69,12 @@ needs_numpy = pytest.mark.skipif(
 )
 
 
+def cube_search(graph, factory, configs, max_rounds, **kwargs):
+    return worst_case_search(
+        graph, factory, configs, max_rounds, engine="cube", **kwargs
+    )
+
+
 @needs_numpy
 @pytest.mark.parametrize("family", sorted(SMALL_FAMILIES))
 @pytest.mark.parametrize("algorithm_name", ALGORITHMS.names())
@@ -95,7 +100,7 @@ def test_pruning_never_changes_a_report(family, algorithm_name):
             graph, algorithm, list(cube), horizon, presence=presence, engine="reactive"
         )
         for prune in (True, False):
-            report = cube_worst_case_search(
+            report = cube_search(
                 graph, algorithm, cube, horizon, presence=presence, prune=prune
             )
             assert report == reactive, (
@@ -127,10 +132,10 @@ class TestStreamPath:
             ring12, algorithm, list(cube), horizon, engine="reactive"
         )
         for prune in (True, False):
-            whole = cube_worst_case_search(
+            whole = cube_search(
                 ring12, algorithm, cube, horizon, prune=prune
             )
-            streamed = cube_worst_case_search(
+            streamed = cube_search(
                 ring12, algorithm, iter(list(cube)), horizon, prune=prune
             )
             assert whole == reactive, f"whole-cube path, prune={prune}"
@@ -146,7 +151,7 @@ class TestStreamPath:
             return default_horizon(algorithm, config)
 
         telemetry = Telemetry()
-        report = cube_worst_case_search(
+        report = cube_search(
             ring12,
             algorithm,
             list(cube),
@@ -217,7 +222,12 @@ class TestCertification:
         assert "rotation" in certificate.reason
 
     def test_undeclared_factory_fails_the_behavioural_gate(self, ring12):
-        ablation = CheapShortWait(RingExploration(12), label_space=LABEL_SPACE)
+        # Overriding __call__ withdraws the derived is_oblivious flag.
+        class Reactive(CheapShortWait):
+            def __call__(self, ctx):
+                return super().__call__(ctx)
+
+        ablation = Reactive(RingExploration(12), label_space=LABEL_SPACE)
         assert not start_oblivious_factory(ablation)
         certificate = certify_symmetry(ring12, ablation)
         assert not certificate.orbit
@@ -274,7 +284,7 @@ class TestProbeDefense:
         reactive = worst_case_search(
             graph, factory, list(cube), 12, engine="reactive"
         )
-        assert cube_worst_case_search(graph, factory, cube, 12) == reactive
+        assert cube_search(graph, factory, cube, 12) == reactive
 
 
 class TestDominance:
@@ -319,7 +329,7 @@ class TestTelemetryMeters:
             return default_horizon(algorithm, config)
 
         telemetry = Telemetry()
-        report = cube_worst_case_search(
+        report = cube_search(
             ring12, algorithm, cube, horizon, telemetry=telemetry
         )
         counters = telemetry.counters
@@ -339,7 +349,7 @@ class TestTelemetryMeters:
         algorithm = build_algorithm("fast", ring12)
         cube = ConfigCube.make(ring12, [(1, 2)], delays=(0,))
         telemetry = Telemetry()
-        cube_worst_case_search(
+        cube_search(
             ring12,
             algorithm,
             cube,
@@ -382,34 +392,14 @@ class TestResolvePrune:
 
 
 class TestResolveStreamChunk:
-    def test_explicit_argument_beats_the_environment(self, monkeypatch):
-        monkeypatch.setenv(STREAM_CHUNK_ENV, "99")
-        assert resolve_stream_chunk(7) == 7
-
-    def test_environment_beats_the_derived_default(self, monkeypatch):
-        monkeypatch.setenv(STREAM_CHUNK_ENV, "4096")
-        assert resolve_stream_chunk(None, oriented_ring(64)) == 4096
-
-    def test_derived_default_is_floored_and_capped(self, monkeypatch):
-        monkeypatch.delenv(STREAM_CHUNK_ENV, raising=False)
+    def test_derived_default_is_floored_and_capped(self):
         # Small graphs floor at the flat default (8 * 8**2 = 512).
-        assert resolve_stream_chunk(None, oriented_ring(8)) == DEFAULT_STREAM_CHUNK
+        assert stream_chunk(oriented_ring(8)) == DEFAULT_STREAM_CHUNK
         # Mid-size graphs scale with 8 * n**2.
-        assert resolve_stream_chunk(None, oriented_ring(64)) == 8 * 64**2
+        assert stream_chunk(oriented_ring(64)) == 8 * 64**2
         # Huge graphs cap (only num_nodes is read, so a stub suffices).
         huge = SimpleNamespace(num_nodes=4096)
-        assert resolve_stream_chunk(None, huge) == 1 << 18
-        assert resolve_stream_chunk(None, None) == DEFAULT_STREAM_CHUNK
-
-    def test_invalid_values_raise(self, monkeypatch):
-        with pytest.raises(ValueError, match=">= 1"):
-            resolve_stream_chunk(0)
-        monkeypatch.setenv(STREAM_CHUNK_ENV, "-3")
-        with pytest.raises(ValueError, match=STREAM_CHUNK_ENV):
-            resolve_stream_chunk()
-        monkeypatch.setenv(STREAM_CHUNK_ENV, "lots")
-        with pytest.raises(ValueError, match=STREAM_CHUNK_ENV):
-            resolve_stream_chunk()
+        assert stream_chunk(huge) == 1 << 18
 
 
 class TestWithoutNumpy:
@@ -419,7 +409,7 @@ class TestWithoutNumpy:
         algorithm = build_algorithm("fast", ring12)
         monkeypatch.setattr(batch_module, "_np", None)
         with pytest.raises(BatchUnavailableError, match="'cube'"):
-            cube_worst_case_search(ring12, algorithm, [], 1)
+            cube_search(ring12, algorithm, [], 1)
 
 
 @needs_numpy
@@ -427,10 +417,12 @@ class TestStartDependentHorizon:
     def test_whole_cube_path_rejects_start_dependent_horizons(self, ring12):
         algorithm = build_algorithm("fast", ring12)
         cube = ConfigCube.make(ring12, [(1, 2)], delays=(0,))
-        with pytest.raises(ValueError, match="engine 'batch'"):
-            cube_worst_case_search(
-                ring12, algorithm, cube, lambda config: 40 + config.starts[1]
-            )
+        horizon = lambda config: 40 + config.starts[1]  # noqa: E731
+        with pytest.raises(ValueError, match="engine 'compiled'"):
+            cube_search(ring12, algorithm, cube, horizon)
+        # The suggested engine takes the very same callable.
+        report = worst_case_search(ring12, algorithm, cube, horizon, engine="compiled")
+        assert report.executions == len(cube)
 
     def test_stream_path_accepts_the_same_horizon(self, ring12):
         # Streamed configurations evaluate per-config horizons fine; only
@@ -441,7 +433,7 @@ class TestStartDependentHorizon:
         def horizon(config):
             return 40 + config.starts[1]
 
-        report = cube_worst_case_search(ring12, algorithm, configs, horizon)
+        report = cube_search(ring12, algorithm, configs, horizon)
         assert report == worst_case_search(
             ring12, algorithm, configs, horizon, engine="reactive"
         )

@@ -12,7 +12,7 @@ Eight gates, all dependency-free (run with ``python tools/ci_smoke.py``):
 5. ``lint --json`` reports a clean tree under every registered
    invariant rule (the shipped source must stay ``repro lint`` green);
 6. ``engines --json`` lists the full simulation-engine ladder
-   (reactive, compiled, batch, cube) with a sane ``auto`` resolution;
+   (reactive, compiled, cube) with a sane ``auto`` resolution;
 7. the run-store warehouse round-trips: the same sweep cached under the
    jsonl and sqlite backends reports identically (modulo the
    non-canonical timing section), ``query`` answers the worst-case
@@ -139,7 +139,7 @@ def check_json_commands() -> None:
     engines_out, engines_warnings = run_cli_capturing(["engines", "--json"])
     ladder = json.loads(engines_out)
     listed = [row["engine"] for row in ladder["engines"]]
-    if listed != ["reactive", "compiled", "batch", "cube"]:
+    if listed != ["reactive", "compiled", "cube"]:
         fail(f"unexpected engine ladder: {listed}")
     if ladder["auto"]["oblivious"] not in ("cube", "compiled"):
         fail(f"unexpected auto resolution: {ladder['auto']}")
