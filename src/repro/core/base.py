@@ -42,10 +42,7 @@ class RendezvousAlgorithm(ABC):
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls.is_oblivious = (
-            cls.__call__ is RendezvousAlgorithm.__call__
-            and cls.body is RendezvousAlgorithm.body
-        )
+        cls.is_oblivious = schedule_driven(cls)
 
     def __init__(self, exploration: ExplorationProcedure, label_space: int):
         if label_space < 2:
@@ -122,3 +119,19 @@ class RendezvousAlgorithm(ABC):
             f"{type(self).__name__}(E={self.exploration_budget}, "
             f"L={self.label_space})"
         )
+
+
+def schedule_driven(cls: type) -> bool:
+    """Whether ``cls``'s program is its :meth:`~RendezvousAlgorithm.schedule`.
+
+    The structural rule behind :attr:`RendezvousAlgorithm.is_oblivious`:
+    true exactly for subclasses that override neither ``__call__`` nor
+    ``body``, so every agent runs ``schedule_program(self.schedule(label),
+    self.exploration, ctx)``.  The compiled engine asks this rule, never
+    the flag, before compiling a trajectory segment by segment.
+    """
+    return (
+        issubclass(cls, RendezvousAlgorithm)
+        and cls.__call__ is RendezvousAlgorithm.__call__
+        and cls.body is RendezvousAlgorithm.body
+    )

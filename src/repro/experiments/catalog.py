@@ -59,6 +59,7 @@ from repro.graphs.families import oriented_ring, standard_test_suite, star_graph
 from repro.lower_bounds.certificates import certify_theorem_31, certify_theorem_32
 from repro.lower_bounds.trim import trimmed_from_algorithm
 from repro.registry import EXPERIMENTS
+from repro.sim.adversary import ConfigCube, all_label_pairs, worst_case_search
 from repro.sim.gathering import gather
 from repro.sim.simulator import simulate_rendezvous
 
@@ -1483,26 +1484,32 @@ ABLATIONS_QUICK_NO_DOUBLING_DELAYS = (0, 5)
 
 
 def _ablations_count_failures(graph, algorithm, delays, horizon_factor=6):
-    failures = []
-    total = 0
-    label_space = ABLATIONS_LABEL_SPACE
-    for a, b in itertools.permutations(range(1, label_space + 1), 2):
-        for start_b in range(1, graph.num_nodes):
-            for delay in delays:
-                total += 1
-                horizon = horizon_factor * max(
-                    algorithm.schedule_length(a), algorithm.schedule_length(b)
-                ) + delay
-                result = simulate_rendezvous(
-                    graph, algorithm, labels=(a, b), starts=(0, start_b),
-                    delay=delay, max_rounds=horizon,
-                )
-                if not result.met:
-                    failures.append([a, b, start_b, delay])
+    """Failures of ``algorithm`` over every label pair, start ``(0, b)`` and delay.
+
+    One adversary search on the engine ladder (``auto``); the horizon
+    depends on the labels and the delay only, so the cube engine takes it.
+    """
+    cube = ConfigCube.make(
+        graph,
+        all_label_pairs(ABLATIONS_LABEL_SPACE),
+        delays=delays,
+        start_pairs=[(0, start_b) for start_b in range(1, graph.num_nodes)],
+    )
+
+    def horizon(config):
+        a, b = config.labels
+        return horizon_factor * max(
+            algorithm.schedule_length(a), algorithm.schedule_length(b)
+        ) + config.delay
+
+    report = worst_case_search(graph, algorithm, cube, horizon, engine="auto")
+    first = report.failures[0] if report.failures else None
     return {
-        "failures": len(failures),
-        "total": total,
-        "first_counterexample": failures[0] if failures else None,
+        "failures": len(report.failures),
+        "total": report.executions,
+        "first_counterexample": (
+            None if first is None else [*first.labels, first.starts[1], first.delay]
+        ),
     }
 
 

@@ -50,6 +50,7 @@ from repro.lower_bounds.progress import (
 from repro.lower_bounds.ring_exec import (
     displacement,
     meeting_round,
+    meeting_rounds_by_gap,
     positions_over_time,
     solo_cost,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "forward_and_back",
     "hamiltonian_path",
     "meeting_round",
+    "meeting_rounds_by_gap",
     "positions_over_time",
     "progress_pairs",
     "solo_cost",

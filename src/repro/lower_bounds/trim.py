@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.graphs.validation import require_oriented_ring
 from repro.lower_bounds.behaviour import behaviour_from_schedule, behaviour_from_solo_run
-from repro.lower_bounds.ring_exec import meeting_round
+from repro.lower_bounds.ring_exec import meeting_rounds_by_gap
 from repro.sim.program import ProgramFactory
 
 
@@ -67,10 +67,8 @@ def trim_vectors(
         for y in labels:
             if y == x:
                 continue
-            for gap in range(1, ring_size):
-                met = meeting_round(
-                    raw_vectors[x], 0, raw_vectors[y], gap, ring_size
-                )
+            rounds = meeting_rounds_by_gap(raw_vectors[x], raw_vectors[y], ring_size)
+            for gap, met in enumerate(rounds):
                 if met is None:
                     raise NonMeetingError(
                         f"labels {x} and {y} never meet from gap {gap}: "

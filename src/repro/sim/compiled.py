@@ -25,11 +25,20 @@ cross-engine suite in ``tests/sim/test_compiled.py`` asserts exactly that
 over every registered algorithm x graph family x presence model x delay
 grid.
 
-Compilation replays the *actual* agent program (the same generators the
-simulator would drive), so schedule semantics, exploration routes and
-budget enforcement are shared with the reactive engine by construction
-rather than re-implemented; only the per-configuration interaction logic
-(colocation, presence, costs, crossings) is specialised here.
+Compilation takes one of two routes, picked by structure, never by a
+declared flag.  When the factory is a
+:class:`~repro.core.base.RendezvousAlgorithm` whose program is its
+schedule (:func:`~repro.core.base.schedule_driven`: it overrides neither
+``__call__`` nor ``body``, the rule that also derives ``is_oblivious``),
+the *segment route* walks ``schedule(label)``: a ``WAIT(k)`` segment
+extends the timeline by ``k`` rounds in one step, and each ``EXPLORE``
+segment runs the real ``exploration.execute`` generator on the
+observations the program would see.  Every other factory takes the
+*replay route*, which drives the agent program itself one round at a
+time.  Either way exploration routes and budget enforcement are the
+reactive engine's own code, not a re-implementation; only the
+per-configuration interaction logic (colocation, presence, costs,
+crossings) is specialised here.
 """
 
 from __future__ import annotations
@@ -91,6 +100,68 @@ class CompiledTrajectory:
         return cumulative[round_] if round_ < len(cumulative) else cumulative[-1]
 
 
+class _Recorder:
+    """One agent's solo timeline as it is compiled, round by round or in runs."""
+
+    __slots__ = (
+        "graph", "positions", "actions", "entries", "cumulative", "moves", "entry_port"
+    )
+
+    def __init__(self, graph: PortLabeledGraph, start: int):
+        self.graph = graph
+        self.positions = [start]
+        self.actions: list[Action] = []
+        self.entries: list[int | None] = []
+        self.cumulative = [0]
+        self.moves = 0
+        self.entry_port: int | None = None  # persists across waits, as in the simulator
+
+    def observation(self) -> Observation:
+        """What the agent perceives before its next round."""
+        return Observation(
+            clock=len(self.actions),
+            degree=self.graph.degree(self.positions[-1]),
+            entry_port=self.entry_port,
+        )
+
+    def act(self, action: Action) -> None:
+        """Record one round's action."""
+        position = self.positions[-1]
+        validate_action(action, self.graph.degree(position))
+        if action is not None:
+            position, self.entry_port = self.graph.neighbor_via(position, action)
+            self.moves += 1
+        self.entries.append(None if action is None else self.entry_port)
+        self.actions.append(action)
+        self.positions.append(position)
+        self.cumulative.append(self.moves)
+
+    def wait(self, rounds: int) -> None:
+        """Record ``rounds`` consecutive waits in one step."""
+        self.positions.extend([self.positions[-1]] * rounds)
+        self.actions.extend([WAIT] * rounds)
+        self.entries.extend([None] * rounds)
+        self.cumulative.extend([self.moves] * rounds)
+
+    def trajectory(self, label: int) -> CompiledTrajectory:
+        return CompiledTrajectory(
+            label=label,
+            start=self.positions[0],
+            positions=tuple(self.positions),
+            actions=tuple(self.actions),
+            entries=tuple(self.entries),
+            cumulative_cost=tuple(self.cumulative),
+        )
+
+
+def _still_active(factory: ProgramFactory, label: int, total: int) -> ValueError:
+    return ValueError(
+        f"cannot compile {getattr(factory, 'name', factory)!r}: the program "
+        f"for label {label} is still active after its declared "
+        f"schedule_length of {total} rounds"
+    )
+
+
 def compile_trajectory(
     graph: PortLabeledGraph,
     factory: ProgramFactory,
@@ -99,16 +170,20 @@ def compile_trajectory(
     provide_map: bool = True,
     provide_position: bool = True,
 ) -> CompiledTrajectory:
-    """Replay agent ``label``'s program solo from ``start`` and record it.
+    """Run agent ``label`` solo from ``start`` and record its timeline.
 
-    Drives the very generator the simulator would run, for exactly
-    ``factory.schedule_length(label)`` rounds, feeding it the same
-    observations (clock, degree, last entry port) a two-agent run would --
-    legitimate because oblivious programs never observe the other agent.
-    Fails loudly if the program is still active past its declared schedule
+    Records exactly ``factory.schedule_length(label)`` rounds, feeding the
+    agent the same observations (clock, degree, last entry port) a
+    two-agent run would -- legitimate because oblivious programs never
+    observe the other agent.  A schedule-driven algorithm is compiled
+    segment by segment, anything else by replaying its program (see the
+    module docstring); both routes give the same trajectory.  Fails
+    loudly if the program is still active past its declared schedule
     length: a factory whose behaviour outlives ``schedule_length`` is not
     schedule-driven and must use the reactive engine.
     """
+    from repro.core.base import schedule_driven  # deferred: core imports sim
+
     schedule_length = getattr(factory, "schedule_length", None)
     if schedule_length is None:
         raise ValueError(
@@ -117,55 +192,56 @@ def compile_trajectory(
         )
     total = schedule_length(label)
 
-    positions = [start]
+    recorder = _Recorder(graph, start)
     context = AgentContext(
         label=label,
         graph=graph if provide_map else None,
-        position_oracle=(lambda: positions[-1]) if provide_position else None,
+        position_oracle=(
+            (lambda: recorder.positions[-1]) if provide_position else None
+        ),
     )
+    if schedule_driven(type(factory)):
+        _record_segments(recorder, factory, context)
+        if len(recorder.actions) > total:
+            raise _still_active(factory, label, total)
+        recorder.wait(total - len(recorder.actions))
+    else:
+        _record_replay(recorder, factory, context, total)
+    return recorder.trajectory(label)
+
+
+def _record_segments(recorder: _Recorder, algorithm, context: AgentContext) -> None:
+    """The segment route: waits in one step, explorations by their generator."""
+    from repro.core.schedule import SegmentKind
+
+    algorithm._check_label(context.label)
+    exploration = algorithm.exploration
+    for segment in algorithm.schedule(context.label):
+        if segment.kind is SegmentKind.WAIT:
+            recorder.wait(segment.rounds)
+            continue
+        behaviour = exploration.execute(context, recorder.observation())
+        try:
+            action = next(behaviour)
+            while True:
+                recorder.act(action)
+                action = behaviour.send(recorder.observation())
+        except StopIteration:
+            pass
+
+
+def _record_replay(
+    recorder: _Recorder, factory: ProgramFactory, context: AgentContext, total: int
+) -> None:
+    """The replay route: drive the agent program for ``total`` rounds."""
     program = ReactiveProgram(factory(context))
-    actions: list[Action] = []
-    entries: list[int | None] = []
-    cumulative = [0]
-    moves = 0
-    entry_port: int | None = None  # persists across waits, as in the simulator
-    obs = Observation(clock=0, degree=graph.degree(start), entry_port=None)
-
-    for round_ in range(1, total + 1):
-        position = positions[-1]
-        action = program.step(obs)
-        validate_action(action, graph.degree(position))
-        if action is not None:
-            position, entry_port = graph.neighbor_via(position, action)
-            moves += 1
-            entries.append(entry_port)
-        else:
-            entries.append(None)
-        actions.append(action)
-        positions.append(position)
-        cumulative.append(moves)
-        obs = Observation(
-            clock=round_, degree=graph.degree(position), entry_port=entry_port
-        )
-
+    for _ in range(total):
+        recorder.act(program.step(recorder.observation()))
     # The schedule must be exhausted: one further step has to yield the
     # implicit wait-forever, or the declared length lied and compiled
     # results would silently diverge from the reactive engine.
-    if program.step(obs) is not WAIT or not program.finished:
-        raise ValueError(
-            f"cannot compile {getattr(factory, 'name', factory)!r}: the program "
-            f"for label {label} is still active after its declared "
-            f"schedule_length of {total} rounds"
-        )
-
-    return CompiledTrajectory(
-        label=label,
-        start=start,
-        positions=tuple(positions),
-        actions=tuple(actions),
-        entries=tuple(entries),
-        cumulative_cost=tuple(cumulative),
-    )
+    if program.step(recorder.observation()) is not WAIT or not program.finished:
+        raise _still_active(factory, context.label, total)
 
 
 def first_meeting_time(

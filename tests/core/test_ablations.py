@@ -3,10 +3,15 @@
 
 import itertools
 
+import pytest
+
 from repro.core.ablations import CheapShortWait, FastNoDelimiter, FastNoDoubling
 from repro.core.fast import Fast
+from repro.experiments import catalog
 from repro.exploration.dfs import KnownMapDFS
-from repro.graphs.families import star_graph
+from repro.exploration.ring import RingExploration
+from repro.graphs.families import oriented_ring, star_graph
+from repro.sim.adversary import ConfigCube, all_label_pairs, worst_case_search
 from repro.sim.simulator import simulate_rendezvous
 
 
@@ -72,3 +77,52 @@ class TestFastNoDoubling:
         for label in (3, 8):
             assert ablated.schedule_length(label) < real.schedule_length(label)
             assert ablated.schedule_length(label) >= real.schedule_length(label) // 2 - 11
+
+
+def quick_ablations():
+    """The three quick-mode ablation runs: ``(graph, algorithm, delays)``."""
+    ring = oriented_ring(catalog.RING_SIZE)
+    ring_exploration = RingExploration(catalog.RING_SIZE)
+    star = star_graph(6)
+    label_space = catalog.ABLATIONS_LABEL_SPACE
+    return {
+        "no-delimiter": (ring, FastNoDelimiter(ring_exploration, label_space), (0,)),
+        "short-wait": (
+            star,
+            CheapShortWait(KnownMapDFS(star), label_space),
+            catalog.ABLATIONS_QUICK_SHORT_WAIT_DELAYS,
+        ),
+        "no-doubling": (
+            ring,
+            FastNoDoubling(ring_exploration, label_space),
+            catalog.ABLATIONS_QUICK_NO_DOUBLING_DELAYS,
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["no-delimiter", "short-wait", "no-doubling"])
+def test_ablation_counts_equal_the_reactive_search(name):
+    """The campaign's failure counts (engine ``auto``) equal a reactive
+    search over the same cube: failures, total and first counterexample."""
+    graph, algorithm, delays = quick_ablations()[name]
+    cube = ConfigCube.make(
+        graph,
+        all_label_pairs(catalog.ABLATIONS_LABEL_SPACE),
+        delays=delays,
+        start_pairs=[(0, b) for b in range(1, graph.num_nodes)],
+    )
+
+    def horizon(config):
+        a, b = config.labels
+        longer = max(algorithm.schedule_length(a), algorithm.schedule_length(b))
+        return 6 * longer + config.delay
+
+    reactive = worst_case_search(graph, algorithm, cube, horizon, engine="reactive")
+    first = reactive.failures[0] if reactive.failures else None
+    assert catalog._ablations_count_failures(graph, algorithm, delays) == {
+        "failures": len(reactive.failures),
+        "total": len(cube),
+        "first_counterexample": (
+            None if first is None else [*first.labels, first.starts[1], first.delay]
+        ),
+    }

@@ -64,6 +64,22 @@ class TestTrimVectors:
         with pytest.raises(NonMeetingError):
             trim_vectors({1: [0] * 10, 2: [0] * 10}, 6)
 
+    @pytest.mark.parametrize("padding", [0, 40])
+    def test_non_meeting_error_names_the_first_failing_gap(self, padding):
+        # Label 1 walks the whole ring and meets everyone; label 3 steps
+        # back twice, so from label 2 it is met only from gaps 1 and 2.
+        # The first failure in (x, y, gap) order is (2, 3, 3), on both the
+        # pure-Python (short) and NumPy (padded) paths.
+        vectors = {
+            1: [1] * 5 + [0] * (2 + padding),
+            2: [0] * (7 + padding),
+            3: [0] * 5 + [-1, -1] + [0] * padding,
+        }
+        with pytest.raises(
+            NonMeetingError, match=r"^labels 2 and 3 never meet from gap 3:"
+        ):
+            trim_vectors(vectors, 6)
+
     def test_needs_two_labels(self):
         with pytest.raises(ValueError):
             trim_vectors({1: [1]}, 6)

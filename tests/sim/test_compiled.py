@@ -13,9 +13,10 @@ per-agent traces inside the extreme records.
 import pytest
 
 from repro.core.ablations import CheapShortWait, FastNoDelimiter, FastNoDoubling
+from repro.exploration.base import ExplorationProcedure
 from repro.exploration.dfs import KnownMapDFS
 from repro.graphs.families import star_graph
-from repro.registry import ALGORITHMS, GRAPH_FAMILIES
+from repro.registry import ALGORITHMS, GRAPH_FAMILIES, KNOWLEDGE_MODELS
 from repro.runtime.spec import AlgorithmSpec
 from repro.sim.adversary import (
     all_label_pairs,
@@ -23,6 +24,7 @@ from repro.sim.adversary import (
     default_horizon,
     worst_case_search,
 )
+from repro.sim import compiled
 from repro.sim.batch import numpy_available
 from repro.sim.compiled import TrajectoryTable, compile_trajectory
 from repro.sim.program import AgentContext
@@ -311,3 +313,145 @@ class TestCompilation:
         report = worst_case_search(ring12, algorithm, [], 1, engine="compiled")
         assert report.worst_time is None and report.worst_cost is None
         assert report.executions == 0 and report.failures == ()
+
+
+#: Graphs of the segment-route suite: a ring, a torus, a star and a path.
+SEGMENT_GRAPHS = {
+    "ring": {"n": 6},
+    "torus": {"rows": 3, "cols": 3},
+    "star": {"n": 4},
+    "path": {"n": 4},
+}
+
+ABLATIONS = (CheapShortWait, FastNoDelimiter, FastNoDoubling)
+
+
+class Replayed:
+    """The same agent program behind a factory the structural rule rejects.
+
+    Not a :class:`~repro.core.base.RendezvousAlgorithm`, so
+    :func:`compile_trajectory` replays its generator round by round.
+    """
+
+    def __init__(self, algorithm):
+        self.algorithm = algorithm
+        self.name = algorithm.name
+
+    def schedule_length(self, label: int) -> int:
+        return self.algorithm.schedule_length(label)
+
+    def __call__(self, ctx: AgentContext):
+        return self.algorithm(ctx)
+
+
+class ObservantExploration(ExplorationProcedure):
+    """Steers by the whole observation it starts from: clock, degree and
+    the entry port carried over from before the segment (no registered
+    procedure reads all three)."""
+
+    name = "observant"
+
+    @property
+    def budget(self) -> int:
+        return 3
+
+    def moves(self, ctx, obs):
+        obs = yield (obs.clock + (obs.entry_port or 0)) % obs.degree
+        obs = yield (obs.entry_port + 1) % obs.degree
+        return obs
+
+
+def segment_algorithms(graph, knowledge):
+    """Every registered algorithm and the three ablations, on one exploration,
+    plus the short-wait ablation on an observation-driven one."""
+    algorithms = [
+        AlgorithmSpec(name, label_space=LABEL_SPACE, knowledge=knowledge).build(graph)
+        for name in ALGORITHMS.names()
+    ]
+    exploration = algorithms[0].exploration
+    return (
+        algorithms
+        + [ablation(exploration, LABEL_SPACE) for ablation in ABLATIONS]
+        + [CheapShortWait(ObservantExploration(), LABEL_SPACE)]
+    )
+
+
+def forbid(monkeypatch, route: str):
+    """Make one compile route fail loudly if it is taken."""
+
+    def taken(*args, **kwargs):
+        raise AssertionError(f"{route} taken")
+
+    monkeypatch.setattr(compiled, route, taken)
+
+
+class TestSegmentRoute:
+    @pytest.mark.parametrize("knowledge", KNOWLEDGE_MODELS.names())
+    @pytest.mark.parametrize("family", sorted(SEGMENT_GRAPHS))
+    def test_segments_equal_the_generator_replay(self, family, knowledge):
+        graph = GRAPH_FAMILIES.entry(family).build(**SEGMENT_GRAPHS[family])
+        provide = (knowledge != "size-bound-only", knowledge == "map-with-position")
+        for algorithm in segment_algorithms(graph, knowledge):
+            assert algorithm.is_oblivious, algorithm.name
+            for label in range(1, LABEL_SPACE + 1):
+                for start in range(graph.num_nodes):
+                    segmented = compile_trajectory(graph, algorithm, label, start, *provide)
+                    replayed = compile_trajectory(
+                        graph, Replayed(algorithm), label, start, *provide
+                    )
+                    assert segmented == replayed, (algorithm.name, label, start)
+                    assert segmented.length == algorithm.schedule_length(label)
+
+    def test_schedule_driven_algorithms_never_replay(self, ring12, monkeypatch):
+        forbid(monkeypatch, "_record_replay")
+        for algorithm in segment_algorithms(ring12, "map-with-position"):
+            compile_trajectory(ring12, algorithm, label=2, start=3)
+
+    def test_a_hand_set_flag_keeps_the_replay_route(self, ring12, monkeypatch):
+        class Reactive(CheapShortWait):
+            def __call__(self, ctx):
+                return super().__call__(ctx)
+
+        Reactive.is_oblivious = True  # declared, not derived
+        algorithm = Reactive(KnownMapDFS(ring12), LABEL_SPACE)
+        forbid(monkeypatch, "_record_segments")
+        replayed = compile_trajectory(ring12, algorithm, label=2, start=3)
+        assert replayed.length == algorithm.schedule_length(2)
+
+    def test_hand_declared_factories_keep_the_replay_route(self, ring12, monkeypatch):
+        from tests.sim.test_cube import StartSensitiveFactory
+
+        forbid(monkeypatch, "_record_segments")
+        anchored = compile_trajectory(ring12, StartSensitiveFactory(), label=1, start=0)
+        assert anchored.cost_through(anchored.length) == 6
+
+    def test_a_short_declared_length_is_still_active(self, ring12):
+        class Truncated(CheapShortWait):
+            def schedule_length(self, label: int) -> int:
+                return super().schedule_length(label) - 1
+
+        algorithm = Truncated(KnownMapDFS(ring12), LABEL_SPACE)
+        assert algorithm.is_oblivious
+        for factory in (algorithm, Replayed(algorithm)):
+            with pytest.raises(ValueError, match="still active"):
+                compile_trajectory(ring12, factory, label=2, start=0)
+
+    def test_a_long_declared_length_pads_with_waits(self, ring12):
+        class Padded(CheapShortWait):
+            def schedule_length(self, label: int) -> int:
+                return super().schedule_length(label) + 5
+
+        algorithm = Padded(KnownMapDFS(ring12), LABEL_SPACE)
+        segmented = compile_trajectory(ring12, algorithm, label=2, start=4)
+        assert segmented == compile_trajectory(
+            ring12, Replayed(algorithm), label=2, start=4
+        )
+        assert segmented.length == CheapShortWait.schedule_length(algorithm, 2) + 5
+        assert segmented.actions[-5:] == (None,) * 5
+        assert len(set(segmented.positions[-6:])) == 1
+
+    def test_out_of_range_labels_raise(self, ring12):
+        algorithm = build_algorithm("fast", ring12)
+        for label in (0, LABEL_SPACE + 1):
+            with pytest.raises(ValueError, match="outside the label space"):
+                compile_trajectory(ring12, algorithm, label=label, start=0)

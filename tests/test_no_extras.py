@@ -78,3 +78,18 @@ def test_the_bridge_still_loads_on_demand():
 
     graph, _ = from_networkx(to_networkx(repro.graphs.oriented_ring(4)))
     assert graph.num_nodes == 4
+
+
+def test_trim_runs_without_numpy():
+    # NumPy is optional too: Trim's all-gaps pass falls back to pure Python.
+    proc = run_blocked(
+        """
+        sys.modules["numpy"] = None
+        from repro.lower_bounds import ring_exec
+        from repro.lower_bounds.trim import trim_vectors
+        assert ring_exec._np is None
+        print(trim_vectors({1: [1] * 40, 2: [0] * 40}, 6).deadline(1))
+        """
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "5"
