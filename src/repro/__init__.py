@@ -91,8 +91,6 @@ from repro.runtime import (
     ParallelExecutor,
     RunStore,
     SerialExecutor,
-    SqliteBackend,
-    StoreBackend,
     execute_job,
 )
 from repro.sim import (
@@ -148,8 +146,6 @@ __all__ = [
     "SerialExecutor",
     "Simulator",
     "SpecError",
-    "SqliteBackend",
-    "StoreBackend",
     "Sweep",
     "SweepRow",
     "SweepRun",

@@ -65,12 +65,7 @@ from repro.runtime.spec import (
     resolve_exploration,
     thaw_value,
 )
-from repro.runtime.store import (
-    BACKENDS,
-    DEFAULT_CACHE_DIR,
-    StoreBackend,
-    resolve_backend,
-)
+from repro.runtime.store import DEFAULT_CACHE_DIR, RunStore
 from repro.sim import batch as sim_batch
 from repro.sim.adversary import (
     ConfigCube,
@@ -295,7 +290,7 @@ def run_job(
     spec: JobSpec,
     graph_name: str | None = None,
     executor: Executor | None = None,
-    store: StoreBackend | None = None,
+    store: RunStore | None = None,
     shard_count: int | None = None,
     graph: PortLabeledGraph | None = None,
     algorithm: RendezvousAlgorithm | None = None,
@@ -373,55 +368,31 @@ def resolve_engine(
 
 
 def resolve_store(
-    cache: bool | str | StoreBackend | None,
+    cache: bool | str | RunStore | None,
     cache_dir: str | None = None,
-    backend: str | None = None,
-) -> StoreBackend | None:
+) -> RunStore | None:
     """Map the ``cache`` argument of :meth:`Scenario.run` to a store.
 
     ``False`` disables caching, ``True`` opens the default store (or
-    ``cache_dir``), a path opens a store there, and a
-    :class:`StoreBackend` instance (e.g. a :class:`RunStore`) is used
-    as-is.  ``cache=None`` follows ``cache_dir``: a bare
+    ``cache_dir``), a path opens a store there, and a :class:`RunStore`
+    is used as-is.  ``cache=None`` follows ``cache_dir``: a bare
     ``run(cache_dir=...)`` caches there rather than silently not caching.
-
-    The backend defaults to JSONL and is selected either by ``backend``
-    (a :data:`repro.runtime.store.BACKENDS` name) or by prefixing a path
-    with the backend name -- ``cache="sqlite:results"`` opens the SQLite
-    warehouse under ``results/``.  A ready-made store instance already
-    *is* its backend, so combining one with ``backend`` is an error.
     """
-    if isinstance(cache, StoreBackend):
+    if isinstance(cache, RunStore):
         if cache_dir is not None:
             raise ValueError("pass either a RunStore or cache_dir, not both")
-        if backend is not None:
-            raise ValueError(
-                "a store instance already fixes its backend; "
-                "pass either the instance or backend, not both"
-            )
         return cache
     if cache is None:
-        return None if cache_dir is None else resolve_backend(backend, cache_dir)
+        return None if cache_dir is None else RunStore(cache_dir)
     if cache is False:
         if cache_dir is not None:
             raise ValueError("cache=False contradicts cache_dir")
-        if backend is not None:
-            raise ValueError("cache=False contradicts backend")
         return None
     if cache is True:
-        return resolve_backend(
-            backend, cache_dir if cache_dir is not None else DEFAULT_CACHE_DIR
-        )
+        return RunStore(cache_dir if cache_dir is not None else DEFAULT_CACHE_DIR)
     if cache_dir is not None:
         raise ValueError("pass either a cache path or cache_dir, not both")
-    scheme, sep, rest = cache.partition(":")
-    if sep and scheme in BACKENDS:
-        if backend is not None and backend != scheme:
-            raise ValueError(
-                f"cache={cache!r} contradicts backend={backend!r}"
-            )
-        return resolve_backend(scheme, rest if rest else DEFAULT_CACHE_DIR)
-    return resolve_backend(backend, cache)
+    return RunStore(cache)
 
 
 # ----------------------------------------------------------------------
@@ -760,9 +731,8 @@ class Scenario:
         self,
         engine: str = "auto",
         workers: int | None = None,
-        cache: bool | str | StoreBackend | None = None,
+        cache: bool | str | RunStore | None = None,
         cache_dir: str | None = None,
-        backend: str | None = None,
         shard_count: int | None = None,
         graph_name: str | None = None,
         graph: PortLabeledGraph | None = None,
@@ -777,11 +747,10 @@ class Scenario:
         :func:`resolve_sim_engine`) -- under the default ``"auto"``,
         schedule-driven algorithms run on the pruned cube engine
         (compiled trajectories when NumPy is absent), everything else on
-        the reactive simulator.  ``cache`` picks the
-        run store and ``backend`` its on-disk format -- ``"jsonl"`` (the
-        default) or ``"sqlite"`` (see :func:`resolve_store`).  Reports are byte-identical
-        across engines, worker counts and shard granularities.  ``graph``
-        may be passed when the caller already built it from this scenario.
+        the reactive simulator.  ``cache`` picks the run store (see
+        :func:`resolve_store`).  Reports are byte-identical across
+        engines, worker counts and shard granularities.  ``graph`` may be
+        passed when the caller already built it from this scenario.
         An explicit ``executor`` overrides ``engine``/``workers`` for the
         executor axis only and stays open (the caller owns it -- how
         :meth:`Sweep.run` shares one pool across grid points); executors
@@ -842,7 +811,7 @@ class Scenario:
                 executor = resolve_engine(
                     engine, workers, spec.config_space_size(graph)
                 )
-        store = resolve_store(cache, cache_dir, backend)
+        store = resolve_store(cache, cache_dir)
         try:
             with tele.span(
                 "scenario.run", algorithm=self.algorithm, graph=self.graph
@@ -993,7 +962,7 @@ class Sweep:
         self,
         engine: str = "auto",
         workers: int | None = None,
-        cache: bool | str | StoreBackend | None = None,
+        cache: bool | str | RunStore | None = None,
         cache_dir: str | None = None,
         shard_count: int | None = None,
         cluster: Any = None,

@@ -11,9 +11,7 @@ Commands:
   otherwise; ``--no-prune`` disables the cube engine's adversary-space
   pruning (reports are byte-identical either way);
   completed shards are cached in ``.repro_cache/`` unless ``--no-cache``
-  is given, so reruns and interrupted sweeps resume;
-  ``--cache-backend`` picks the store format -- ``jsonl`` files or the
-  indexed ``sqlite`` warehouse -- with byte-identical reports either way);
+  is given, so reruns and interrupted sweeps resume);
 * ``engines`` -- print the engine ladder (reactive, compiled, cube)
   with each rung's requirements and availability in this environment,
   and what ``auto`` resolves to;
@@ -22,7 +20,7 @@ Commands:
   and label space, and print each matching sweep's merged extremes
   (canonical JSON with ``--json``);
 * ``cache`` -- maintain the run store: ``clear`` deletes every stored
-  run (reporting per-backend file counts), ``compact`` folds torn lines
+  run (reporting how many files went), ``compact`` folds torn lines
   and duplicate records out of damaged store files;
 * ``certify`` -- run a lower-bound certificate (Theorem 3.1 or 3.2);
 * ``explore`` -- print the exploration budgets ``E`` for the built-in
@@ -123,11 +121,10 @@ from repro.registry import ALGORITHMS, EXPERIMENTS, GRAPH_FAMILIES, SpecError
 from repro.runtime import AlgorithmSpec, GraphSpec, JobSpec
 from repro.runtime.spec import SIM_ENGINES
 from repro.runtime.store import (
-    BACKENDS,
     DEFAULT_CACHE_DIR,
+    RunStore,
     query_payload,
     render_query_lines,
-    resolve_backend,
 )
 
 
@@ -303,10 +300,7 @@ def command_sweep(args: argparse.Namespace) -> int:
         raise SystemExit(f"--workers must be >= 1, got {args.workers}")
     if args.engine == "serial" and args.workers != 1:
         raise SystemExit("--engine serial runs in-process; --workers contradicts it")
-    if args.no_cache and args.cache_dir is not None:
-        raise SystemExit("--no-cache contradicts --cache-dir")
-    if args.no_cache and args.cache_backend is not None:
-        raise SystemExit("--no-cache contradicts --cache-backend")
+    store = _sweep_store_from_args(args)
     simultaneous = getattr(
         ALGORITHMS.entry(args.algorithm).target, "requires_simultaneous_start", False
     )
@@ -318,11 +312,6 @@ def command_sweep(args: argparse.Namespace) -> int:
         # workers inherit it, and the knob stays out of run-store keys
         # (pruned and unpruned sweeps are byte-identical).
         os.environ["REPRO_PRUNE"] = "0"
-    store = (
-        None
-        if args.no_cache
-        else resolve_store(True, args.cache_dir, args.cache_backend)
-    )
     with cli_telemetry(args) as tele:
         run = scenario.run(
             engine=args.engine,
@@ -546,17 +535,9 @@ def command_experiments_run(args: argparse.Namespace) -> int:
         )
     if args.workers < 1:
         raise SystemExit(f"--workers must be >= 1, got {args.workers}")
-    if args.no_cache and args.cache_dir is not None:
-        raise SystemExit("--no-cache contradicts --cache-dir")
-    if args.no_cache and args.cache_backend is not None:
-        raise SystemExit("--no-cache contradicts --cache-backend")
+    store = _sweep_store_from_args(args)
     for experiment_id in args.ids:
         EXPERIMENTS.entry(experiment_id)  # SpecError lists the choices
-    store = (
-        None
-        if args.no_cache
-        else resolve_store(True, args.cache_dir, args.cache_backend)
-    )
     with cli_telemetry(args) as tele:
         campaign = Campaign(
             experiments=args.ids or None,
@@ -678,21 +659,13 @@ def _cluster_block(executor: ClusterExecutor) -> "dict | None":
 def command_cluster_run(args: argparse.Namespace) -> int:
     if args.shards is not None and args.shards < 1:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
-    if args.no_cache and args.cache_dir is not None:
-        raise SystemExit("--no-cache contradicts --cache-dir")
-    if args.no_cache and args.cache_backend is not None:
-        raise SystemExit("--no-cache contradicts --cache-backend")
+    store = _sweep_store_from_args(args)
     simultaneous = getattr(
         ALGORITHMS.entry(args.algorithm).target, "requires_simultaneous_start", False
     )
     delays = (0,) if simultaneous else tuple(args.delays)
     scenario = scenario_from_args(args, delays=delays)
     graph = _from_flags(scenario.build_graph)
-    store = (
-        None
-        if args.no_cache
-        else resolve_store(True, args.cache_dir, args.cache_backend)
-    )
     with cli_telemetry(args) as tele:
         executor = ClusterExecutor(
             _cluster_config(args, args.cluster_workers), telemetry=tele
@@ -735,10 +708,7 @@ def command_cluster_run(args: argparse.Namespace) -> int:
 
 
 def command_cluster_coordinator(args: argparse.Namespace) -> int:
-    if args.no_cache and args.cache_dir is not None:
-        raise SystemExit("--no-cache contradicts --cache-dir")
-    if args.no_cache and args.cache_backend is not None:
-        raise SystemExit("--no-cache contradicts --cache-backend")
+    store = _sweep_store_from_args(args)
     root = args.root if args.root is not None else DEFAULT_CLUSTER_ROOT
     queue = ShardQueue(Path(root) / args.run_id)
     try:
@@ -753,11 +723,6 @@ def command_cluster_coordinator(args: argparse.Namespace) -> int:
     spec = JobSpec.from_dict(job["spec"])
     shards = args.shards if args.shards is not None else job.get("shard_count")
     graph_name = job.get("graph_name")
-    store = (
-        None
-        if args.no_cache
-        else resolve_store(True, args.cache_dir, args.cache_backend)
-    )
     with cli_telemetry(args) as tele:
         executor = ClusterExecutor(
             _cluster_config(args, args.cluster_workers), telemetry=tele
@@ -822,20 +787,29 @@ def command_cluster_status(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# Run-store commands: query the warehouse, clear/compact the cache
+# Run-store commands: query stored runs, clear/compact the cache
 # ----------------------------------------------------------------------
 
 
-def _store_from_args(args: argparse.Namespace):
-    root = args.cache_dir if args.cache_dir is not None else DEFAULT_CACHE_DIR
-    return resolve_backend(args.cache_backend, root)
+def _store_from_args(args: argparse.Namespace) -> RunStore:
+    """The run store under ``--cache-dir`` (the default store without it)."""
+    return resolve_store(True, args.cache_dir)
+
+
+def _sweep_store_from_args(args: argparse.Namespace) -> RunStore | None:
+    """The store a sweeping command caches into; ``None`` under ``--no-cache``."""
+    if not args.no_cache:
+        return _store_from_args(args)
+    if args.cache_dir is not None:
+        raise SystemExit("--no-cache contradicts --cache-dir")
+    return None
 
 
 def command_query(args: argparse.Namespace) -> int:
     """Answer a worst-case lookup from stored runs -- no re-sweeping.
 
-    The payload is canonical: two stores warehousing the same sweeps
-    answer byte-identically whichever backend holds them.
+    The payload is canonical: two stores holding the same sweeps answer
+    byte-identically.
     """
     store = _store_from_args(args)
     payload = query_payload(
@@ -854,17 +828,11 @@ def command_query(args: argparse.Namespace) -> int:
 
 def command_cache_clear(args: argparse.Namespace) -> int:
     store = _store_from_args(args)
-    counts = store.clear()
-    total = sum(counts.values())
+    removed = store.clear()
     if args.json:
-        print(canonical_json({
-            "root": str(store.root),
-            "removed": counts,
-            "total": total,
-        }))
+        print(canonical_json({"root": str(store.root), "removed": removed}))
         return 0
-    print(f"cleared {total} run file(s) under {store.root / 'runs'} "
-          f"({counts['jsonl']} jsonl, {counts['sqlite']} sqlite)")
+    print(f"cleared {removed} run file(s) under {store.root / 'runs'}")
     return 0
 
 
@@ -874,12 +842,11 @@ def command_cache_compact(args: argparse.Namespace) -> int:
     if args.json:
         print(canonical_json({
             "root": str(store.root),
-            "backend": store.kind,
             "compaction": stats.to_dict(),
         }))
         return 0
-    print(f"compacted {stats.files} file(s) under {store.root / 'runs'} "
-          f"({store.kind}): {stats.rewritten} rewritten, "
+    print(f"compacted {stats.files} file(s) under {store.root / 'runs'}: "
+          f"{stats.rewritten} rewritten, "
           f"{stats.torn_lines} torn line(s), "
           f"{stats.duplicate_headers} duplicate header(s), "
           f"{stats.duplicate_shards} duplicate shard(s) folded")
@@ -973,13 +940,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--weight", type=int, default=2,
                        help="w for FastWithRelabeling (default 2)")
 
-    def backend_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--cache-backend", default=None,
-                       choices=sorted(BACKENDS),
-                       help="run-store backend (default jsonl; sqlite "
-                            "selects the indexed results warehouse -- "
-                            "reports are byte-identical either way)")
-
     run_parser = sub.add_parser("run", help="simulate one rendezvous",
                                 parents=[obs_flags])
     common(run_parser)
@@ -1018,7 +978,6 @@ def make_parser() -> argparse.ArgumentParser:
     sweep_parser.set_defaults(no_cache=False)
     sweep_parser.add_argument("--cache-dir", default=None,
                               help=f"run-store directory (default {DEFAULT_CACHE_DIR})")
-    backend_flag(sweep_parser)
     sweep_parser.add_argument("--json", action="store_true",
                               help="emit the canonical JSON report instead of tables")
     sweep_parser.set_defaults(func=command_sweep)
@@ -1130,7 +1089,6 @@ def make_parser() -> argparse.ArgumentParser:
     exp_run_parser.add_argument("--cache-dir", default=None,
                                 help=f"run-store directory (default "
                                      f"{DEFAULT_CACHE_DIR})")
-    backend_flag(exp_run_parser)
     exp_run_parser.add_argument("--report-dir", default=None,
                                 help=f"where per-experiment JSON reports land "
                                      f"(default {DEFAULT_REPORT_DIR})")
@@ -1212,7 +1170,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.set_defaults(no_cache=False)
         p.add_argument("--cache-dir", default=None,
                        help=f"run-store directory (default {DEFAULT_CACHE_DIR})")
-        backend_flag(p)
 
     cluster_run_parser = cluster_sub.add_parser(
         "run", parents=[obs_flags],
@@ -1334,10 +1291,8 @@ def make_parser() -> argparse.ArgumentParser:
     query_parser.add_argument("--cache-dir", default=None,
                               help=f"run-store directory (default "
                                    f"{DEFAULT_CACHE_DIR})")
-    backend_flag(query_parser)
     query_parser.add_argument("--json", action="store_true",
-                              help="emit the canonical JSON answer "
-                                   "(byte-identical across backends)")
+                              help="emit the canonical JSON answer")
     query_parser.set_defaults(func=command_query)
 
     cache_parser = sub.add_parser(
@@ -1347,13 +1302,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     cache_clear_parser = cache_sub.add_parser(
         "clear",
-        help="delete every stored run, whichever backend wrote it, and "
-             "report per-backend file counts",
+        help="delete every file under the run store's runs/ directory "
+             "and report how many went",
     )
     cache_clear_parser.add_argument("--cache-dir", default=None,
                                     help=f"run-store directory (default "
                                          f"{DEFAULT_CACHE_DIR})")
-    backend_flag(cache_clear_parser)
     cache_clear_parser.add_argument("--json", action="store_true")
     cache_clear_parser.set_defaults(func=command_cache_clear)
 
@@ -1365,7 +1319,6 @@ def make_parser() -> argparse.ArgumentParser:
     cache_compact_parser.add_argument("--cache-dir", default=None,
                                       help=f"run-store directory (default "
                                            f"{DEFAULT_CACHE_DIR})")
-    backend_flag(cache_compact_parser)
     cache_compact_parser.add_argument("--json", action="store_true")
     cache_compact_parser.set_defaults(func=command_cache_compact)
 

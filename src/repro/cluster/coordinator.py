@@ -11,11 +11,10 @@ restarts (re-running a killed campaign republishes only the still-missing
 shards), and the lease protocol resumes within a run (a killed worker's
 shards are re-claimed by survivors).  Byte-identity of the merged report
 is inherited, not re-proven: the queue yields the same ``ShardReport``
-values a serial executor would compute.  The store side is equally
-backend-agnostic: the coordinating ``execute_job`` appends fresh shards
-to whatever :class:`repro.runtime.store.StoreBackend` the run resolved
--- JSONL files or the shared SQLite warehouse -- so cluster runs publish
-into the same warehouse serial and pool runs do.
+values a serial executor would compute.  The coordinating
+``execute_job`` is the store's only writer: it appends fresh shards to
+the run's :class:`repro.runtime.store.RunStore`, so cluster runs publish
+into the same store serial and pool runs do.
 
 The coordinator itself holds a lease (``coordinator.lease``).  A second
 coordinator pointed at the same run directory refuses to start while

@@ -10,9 +10,8 @@ and a survivor re-executes the shard to the identical report.
 
 Workers never touch the run store: results travel through the queue's
 result files, and the coordinating ``execute_job`` appends them to its
-resolved :class:`repro.runtime.store.StoreBackend` (JSONL or the SQLite
-warehouse) as they arrive.  Backend choice is therefore invisible here
--- a worker behaves identically whichever warehouse the run feeds.
+resolved :class:`repro.runtime.store.RunStore` as they arrive, so the
+store has exactly one writer however many workers a run has.
 
 While a shard executes (which can take arbitrarily long), a daemon
 :class:`LeaseKeeper` thread renews the shard lease and beats the

@@ -30,7 +30,7 @@ from repro.obs.telemetry import resolve_telemetry
 from repro.registry import EXPERIMENTS
 from repro.runtime.executor import Executor, make_executor
 from repro.runtime.spec import thaw_value
-from repro.runtime.store import DEFAULT_CACHE_DIR, StoreBackend
+from repro.runtime.store import DEFAULT_CACHE_DIR, RunStore
 
 #: Where ``python -m repro experiments run`` drops per-experiment reports.
 DEFAULT_REPORT_DIR = os.path.join(DEFAULT_CACHE_DIR, "experiments")
@@ -67,9 +67,8 @@ def run_experiment(
     quick: bool = False,
     engine: str = "auto",
     workers: int | None = None,
-    cache: "bool | str | StoreBackend | None" = None,
+    cache: "bool | str | RunStore | None" = None,
     cache_dir: str | None = None,
-    backend: str | None = None,
     shard_count: int | None = None,
     executor: Executor | None = None,
     cluster: Any = None,
@@ -105,7 +104,6 @@ def run_experiment(
                 workers=workers,
                 cache=cache,
                 cache_dir=cache_dir,
-                backend=backend,
                 shard_count=shard_count,
                 executor=executor,
                 cluster=cluster,
@@ -285,9 +283,7 @@ class Campaign:
     """A subset of the registered experiments plus how to execute them.
 
     ``experiments=None`` means *all of them*, in campaign order.  The
-    engine/worker/cache knobs mirror :meth:`repro.api.Scenario.run`
-    (``backend="sqlite"`` points every experiment at one shared SQLite
-    warehouse -- see :mod:`repro.runtime.store`); a
+    engine/worker/cache knobs mirror :meth:`repro.api.Scenario.run`; a
     worker count creates ONE executor shared by every grid unit of every
     experiment, so the pool is spun up once per campaign; ``cluster``
     (exclusive with ``workers`` -- the cluster config carries its own
@@ -304,9 +300,8 @@ class Campaign:
     quick: bool = False
     engine: str = "auto"
     workers: int | None = None
-    cache: "bool | str | StoreBackend | None" = None
+    cache: "bool | str | RunStore | None" = None
     cache_dir: str | None = None
-    backend: str | None = None
     shard_count: int | None = None
     cluster: Any = None
     telemetry: Any = None
@@ -320,9 +315,8 @@ class Campaign:
         experiments = self.resolved()
         tele = resolve_telemetry(self.telemetry)
         # Resolve the store once so every experiment shares one cache
-        # handle, mirroring the shared executor.  With backend="sqlite"
-        # the whole campaign publishes into one shared warehouse.
-        store = resolve_store(self.cache, self.cache_dir, self.backend)
+        # handle, mirroring the shared executor.
+        store = resolve_store(self.cache, self.cache_dir)
         cluster = None
         owns_cluster = False
         if self.cluster is not None and self.cluster is not False:

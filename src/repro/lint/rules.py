@@ -37,12 +37,12 @@ partial documents):
   ``os.open`` with ``O_CREAT`` but no ``O_EXCL``) can tear under kill
   schedules.  Mirrors the SIGKILL kill-matrix suite in
   ``tests/cluster/``.
-* ``REP011`` -- outside ``runtime/store/``, no ``sqlite3`` imports and
-  no file writes naming the store's on-disk formats (``.jsonl`` /
-  ``.sqlite`` paths): the run store's bytes have exactly one writer,
-  the backend layer, so its append-atomicity and first-write-claim
-  guarantees cannot be bypassed.  Mirrors the cross-backend
-  byte-identity suites in ``tests/runtime/test_store_backends.py``.
+* ``REP011`` -- outside ``runtime/store/``, no file writes naming the
+  store's on-disk format (``.jsonl`` paths): the run store's bytes
+  have exactly one writer, :class:`~repro.runtime.store.RunStore`, so
+  its append-atomicity and first-write-claim guarantees cannot be
+  bypassed.  Mirrors the racing-append and byte-identity suites in
+  ``tests/runtime/test_store_backends.py``.
 
 **Inertness** (telemetry observes, never influences):
 
@@ -474,21 +474,19 @@ def _constant_strings(node: ast.AST) -> Iterator[str]:
 @LINT_RULES.register(
     "REP011",
     family="atomicity",
-    mirrors="cross-backend byte-identity suites "
+    mirrors="racing-append and byte-identity suites "
             "(tests/runtime/test_store_backends.py)",
 )
 class StoreBoundaryRule(Rule):
     id = "REP011"
-    summary = "run-store bytes are written only by the runtime/store/ backends"
+    summary = "run-store .jsonl bytes are written only by runtime/store/"
 
     _ADVICE = (
-        "; the run store's on-disk formats belong to the "
-        "repro.runtime.store backends (RunStore / SqliteBackend) -- their "
-        "append-atomicity and first-write-claim guarantees only hold "
-        "while they are the store root's single writer"
+        "; the run store's on-disk format belongs to "
+        "repro.runtime.store.RunStore -- its append-atomicity and "
+        "first-write-claim guarantees only hold while it is the store "
+        "root's single writer"
     )
-
-    _SUFFIXES = (".jsonl", ".sqlite")
 
     def _store_write_label(
         self, node: ast.Call, table: dict[str, str]
@@ -515,10 +513,8 @@ class StoreBoundaryRule(Rule):
             label = "os.open()"
         if not writes:
             return None
-        for value in _constant_strings(node):
-            for suffix in self._SUFFIXES:
-                if suffix in value:
-                    return f"{label} on a {suffix} path"
+        if any(".jsonl" in value for value in _constant_strings(node)):
+            return f"{label} on a .jsonl path"
         return None
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
@@ -526,34 +522,7 @@ class StoreBoundaryRule(Rule):
             return
         table = import_table(module.tree)
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                if any(
-                    alias.name == "sqlite3"
-                    or alias.name.startswith("sqlite3.")
-                    for alias in node.names
-                ):
-                    yield self.finding(
-                        module,
-                        node,
-                        "importing sqlite3 outside runtime/store/ bypasses "
-                        "the warehouse backend" + self._ADVICE,
-                    )
-            elif isinstance(node, ast.ImportFrom):
-                if (
-                    not node.level
-                    and node.module
-                    and (
-                        node.module == "sqlite3"
-                        or node.module.startswith("sqlite3.")
-                    )
-                ):
-                    yield self.finding(
-                        module,
-                        node,
-                        "importing sqlite3 outside runtime/store/ bypasses "
-                        "the warehouse backend" + self._ADVICE,
-                    )
-            elif isinstance(node, ast.Call):
+            if isinstance(node, ast.Call):
                 label = self._store_write_label(node, table)
                 if label is not None:
                     yield self.finding(

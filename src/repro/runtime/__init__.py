@@ -19,9 +19,9 @@ one-off serial enumeration into sharded, parallel, resumable *runs*:
   ``ProcessPoolExecutor`` pool);
 * :mod:`repro.runtime.store` -- a content-addressed run store under
   ``.repro_cache/`` so repeated sweeps skip completed shards and
-  interrupted runs resume where they stopped, with two interchangeable
-  backends (append-only JSONL files and an indexed SQLite warehouse)
-  plus a query layer answering worst-case questions from stored runs;
+  interrupted runs resume where they stopped (one append-only JSONL
+  file per sweep), plus a query layer answering worst-case questions
+  from stored runs;
 * :mod:`repro.runtime.runner` -- :func:`execute_job`, the high-level
   entry point gluing planning, cache lookup, execution and merge.
 """
@@ -44,29 +44,22 @@ from repro.runtime.report import (
 from repro.runtime.runner import RunOutcome, RunStats, execute_job
 from repro.runtime.spec import AlgorithmSpec, GraphSpec, JobSpec, canonical_json
 from repro.runtime.store import (
-    BACKENDS,
     CompactionStats,
-    JsonlBackend,
     RunStore,
-    SqliteBackend,
-    StoreBackend,
     StoredRun,
     query_payload,
     query_runs,
-    resolve_backend,
 )
 from repro.runtime.worker import run_shard
 
 __all__ = [
     "AlgorithmSpec",
-    "BACKENDS",
     "CompactionStats",
     "ConfigRef",
     "DEFAULT_SHARD_COUNT",
     "ExtremeSummary",
     "GraphSpec",
     "JobSpec",
-    "JsonlBackend",
     "MergedReport",
     "ParallelExecutor",
     "RunOutcome",
@@ -75,8 +68,6 @@ __all__ = [
     "SerialExecutor",
     "ShardExecutionError",
     "ShardReport",
-    "SqliteBackend",
-    "StoreBackend",
     "StoredRun",
     "canonical_json",
     "execute_job",
@@ -85,6 +76,5 @@ __all__ = [
     "plan_shards",
     "query_payload",
     "query_runs",
-    "resolve_backend",
     "run_shard",
 ]

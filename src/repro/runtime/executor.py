@@ -3,8 +3,7 @@
 Shard boundaries are a function of the configuration-space size only --
 *not* of the worker count -- so a sweep cached by a serial run is hit by a
 parallel rerun and vice versa, and any worker count replays the same
-shards (whichever :class:`repro.runtime.store.StoreBackend` holds them:
-the shard plan, like the reports, is backend-agnostic).  Executors yield
+shards from the :class:`repro.runtime.store.RunStore`.  Executors yield
 shard reports as they complete (the parallel one out of order); callers
 that need determinism get it from
 :func:`repro.runtime.report.merge_reports`, which is order-insensitive.

@@ -5,9 +5,9 @@ plans shard bounds from the configuration-space size, looks completed
 shards up in the run store (if one is given), hands only the missing
 shards to the executor, persists each fresh report as it arrives, and
 merges everything into one deterministic report with cache statistics.
-The store is any :class:`repro.runtime.store.StoreBackend` -- JSONL
-files or the SQLite warehouse -- and the merged report is byte-identical
-whichever backend (or none) served the cached shards.
+The store is a :class:`repro.runtime.store.RunStore`, and the merged
+report is byte-identical whether it or a fresh execution served each
+shard.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.runtime.executor import Executor, SerialExecutor, plan_shards
 from repro.runtime.report import MergedReport, ShardReport, merge_reports
 from repro.runtime.spec import JobSpec
-from repro.runtime.store import StoreBackend
+from repro.runtime.store import RunStore
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def _emit_shard(telemetry: Telemetry, report: ShardReport, cached: bool) -> None
 def execute_job(
     spec: JobSpec,
     executor: Executor | None = None,
-    store: StoreBackend | None = None,
+    store: RunStore | None = None,
     shard_count: int | None = None,
     shard_size: int | None = None,
     graph: PortLabeledGraph | None = None,

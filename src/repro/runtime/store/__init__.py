@@ -1,87 +1,45 @@
-"""Content-addressed on-disk store of completed shards, in two formats.
+"""Content-addressed on-disk store of completed shards.
 
 The store persists every completed shard keyed by the content hash of
 its sweep spec, so interrupted or repeated runs resume instead of
-recomputing.  Two interchangeable backends implement the
-:class:`StoreBackend` interface:
-
-``jsonl`` (:class:`JsonlBackend`, the default; :class:`RunStore` is its
-    historical name)
-    One append-only JSONL file per sweep under ``runs/``, written with
-    single ``O_APPEND`` syscalls.  Byte-compatible with every cache
-    directory written since the format-2 records.
-
-``sqlite`` (:class:`SqliteBackend`)
-    One indexed SQLite database (``runs/warehouse.sqlite``) holding
-    every sweep, keyed by (spec hash, library version, record format)
-    with the query dimensions -- algorithm, graph family, engine --
-    denormalized into indexed columns.
-
-Both backends replay byte-identical reports (the crown-jewel invariant
-extends across backends, engines, and worker counts), both enumerate
-their contents via ``iter_runs`` for the query layer in
-:mod:`repro.runtime.store.query`, and both repair accumulated damage
-via ``compact``.  Pick one by name with :func:`resolve_backend`, by
-CLI flag (``--cache-backend``), or by ``cache="sqlite:<path>"`` in
-:func:`repro.api.resolve_store`.
+recomputing.  :class:`RunStore` keeps one append-only JSONL file per
+sweep under ``runs/``, written with single ``O_APPEND`` syscalls
+(:mod:`repro.runtime.store.jsonl`); :mod:`repro.runtime.store.query`
+answers worst-case questions from its contents without re-executing
+anything.
 """
 
 from __future__ import annotations
 
-import os
-
-from repro.runtime.store.base import (
+from repro.runtime.store.jsonl import (
     _FORMAT_VERSION,
     DEFAULT_CACHE_DIR,
     CompactionStats,
-    StoreBackend,
+    RunStore,
     StoredRun,
     _library_version,
 )
-from repro.runtime.store.jsonl import JsonlBackend, RunStore
 from repro.runtime.store.query import (
     query_json,
     query_payload,
     query_runs,
     render_query_lines,
 )
-from repro.runtime.store.sqlite import SqliteBackend
 
-#: Backend name -> class, the registry ``resolve_backend`` serves.
-BACKENDS: dict[str, type[StoreBackend]] = {
-    "jsonl": RunStore,
-    "sqlite": SqliteBackend,
-}
-
-
-def resolve_backend(
-    backend: str | None, root: str | os.PathLike[str] = DEFAULT_CACHE_DIR
-) -> StoreBackend:
-    """Construct the named backend (``None`` means the JSONL default)."""
-    name = backend if backend is not None else "jsonl"
-    try:
-        cls = BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown store backend {name!r}; choose from {sorted(BACKENDS)}"
-        ) from None
-    return cls(root)
-
+#: The store class by on-disk format.  Not an option: nothing selects
+#: through it.  The benchmark's layer tracer (``perfbench/layers.py``)
+#: finds the store methods it times here.
+BACKENDS = {"jsonl": RunStore}
 
 __all__ = [
-    "BACKENDS",
     "CompactionStats",
     "DEFAULT_CACHE_DIR",
-    "JsonlBackend",
     "RunStore",
-    "SqliteBackend",
-    "StoreBackend",
     "StoredRun",
     "query_json",
     "query_payload",
     "query_runs",
     "render_query_lines",
-    "resolve_backend",
     "_FORMAT_VERSION",
     "_library_version",
 ]

@@ -1,4 +1,4 @@
-"""The append-only JSONL backend (the store's historical on-disk format).
+"""The run store: append-only JSONL files, one per sweep.
 
 Layout (under ``.repro_cache/`` by default)::
 
@@ -12,15 +12,19 @@ followed by one ``shard`` line per completed shard.  Records are written
 with a single ``O_APPEND`` syscall each, so concurrent sweeps of the same
 spec interleave at record granularity rather than tearing each other's
 lines, and a process killed mid-write leaves at most one truncated
-trailing line.  :meth:`JsonlBackend.load` skips undecodable lines
+trailing line.  :meth:`RunStore.load` skips undecodable lines
 (re-running at most the affected shards) instead of failing.  A spec hash
 names an immutable computation *within one library version* -- the
 library and record-format versions are part of the filename, so results
 computed by different code never serve (or evict) each other -- and the
-store never invalidates in-place: :meth:`StoreBackend.clear` (or
-deleting the directory) is the only eviction.  :meth:`compact` is the
+store never invalidates in-place: :meth:`RunStore.clear` (or deleting
+the directory) is the only eviction.  :meth:`RunStore.compact` is the
 one sanctioned rewrite: it folds torn lines and duplicate records out
 of damaged files without touching healthy bytes.
+
+The invariant the store upholds is the repo's crown jewel: a run
+resumed from it produces a canonical report that is byte-identical to
+a cold run, for every engine and worker count.
 """
 
 from __future__ import annotations
@@ -29,28 +33,92 @@ import json
 import os
 import re
 import warnings
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.runtime.report import ShardReport
 from repro.runtime.spec import JobSpec
-from repro.runtime.store.base import (
-    _FORMAT_VERSION,
-    CompactionStats,
-    StoreBackend,
-    StoredRun,
-    _library_version,
-)
+
+#: Default cache directory, relative to the current working directory.
+DEFAULT_CACHE_DIR = ".repro_cache"
+
+#: Bumped to 2 when shard records gained the optional ``timing`` section
+#: (readers tolerate its absence, but the filename isolation keeps record
+#: formats from mixing within one file).
+_FORMAT_VERSION = 2
 
 #: ``<sweep_key>-v<library>-f<format>`` -- the stem of every sweep file.
 _STEM = re.compile(r"^(?P<key>[0-9a-f]{64})-v(?P<library>.+)-f(?P<format>\d+)$")
 
 
-class JsonlBackend(StoreBackend):
+def _library_version() -> str:
+    # Imported lazily: repro/__init__ imports this package.
+    from repro import __version__
+
+    return __version__
+
+
+@dataclass(frozen=True)
+class StoredRun:
+    """One stored sweep: its identity, spec, and completed shards.
+
+    Yielded by :meth:`RunStore.iter_runs`; the query layer merges
+    ``shards`` into a canonical report without re-executing anything.
+    """
+
+    sweep_key: str
+    library: str
+    format: int
+    spec: dict[str, Any]
+    shards: dict[tuple[int, int], ShardReport] = field(default_factory=dict)
+
+    @property
+    def algorithm(self) -> str:
+        return self.spec["algorithm"]["name"]
+
+    @property
+    def graph_family(self) -> str:
+        return self.spec["graph"]["family"]
+
+    @property
+    def engine(self) -> str:
+        return self.spec.get("engine", "reactive")
+
+    @property
+    def label_space(self) -> int:
+        return self.spec["algorithm"]["label_space"]
+
+
+@dataclass
+class CompactionStats:
+    """What :meth:`RunStore.compact` scanned and repaired."""
+
+    files: int = 0
+    rewritten: int = 0
+    torn_lines: int = 0
+    duplicate_headers: int = 0
+    duplicate_shards: int = 0
+
+    def to_dict(self) -> dict[str, int]:
+        return {
+            "files": self.files,
+            "rewritten": self.rewritten,
+            "torn_lines": self.torn_lines,
+            "duplicate_headers": self.duplicate_headers,
+            "duplicate_shards": self.duplicate_shards,
+        }
+
+
+class RunStore:
     """A directory of append-only JSONL shard records, keyed by spec hash."""
 
-    kind = "jsonl"
+    def __init__(self, root: str | os.PathLike[str] = DEFAULT_CACHE_DIR):
+        self.root = Path(root)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(root={str(self.root)!r})"
 
     # ------------------------------------------------------------------
 
@@ -167,20 +235,15 @@ class JsonlBackend(StoreBackend):
 
     # ------------------------------------------------------------------
 
-    def iter_runs(
-        self,
-        *,
-        algorithm: str | None = None,
-        graph_family: str | None = None,
-        engine: str | None = None,
-    ) -> Iterator[StoredRun]:
-        """Every stored sweep matching the filters, sorted by filename.
+    def iter_runs(self) -> Iterator[StoredRun]:
+        """Every stored sweep, sorted by filename.
 
-        Files without a parseable ``job`` header are skipped: the spec
-        (and hence the filter fields) cannot be recovered from shard
-        records alone.  ``compact`` never produces such a file, so in
-        practice this only drops a sweep whose very first append was
-        interrupted before the header line landed.
+        Filtering is the query layer's job
+        (:func:`repro.runtime.store.query.query_runs`).  Files without a
+        parseable ``job`` header are skipped: the spec cannot be
+        recovered from shard records alone.  ``compact`` never produces
+        such a file, so in practice this only drops a sweep whose very
+        first append was interrupted before the header line landed.
         """
         runs = self.root / "runs"
         if not runs.exists():
@@ -208,20 +271,13 @@ class JsonlBackend(StoreBackend):
                         shards[report.shard] = report
             if spec is None:
                 continue
-            run = StoredRun(
+            yield StoredRun(
                 sweep_key=match["key"],
                 library=match["library"],
                 format=int(match["format"]),
                 spec=spec,
                 shards=shards,
             )
-            if algorithm is not None and run.algorithm != algorithm:
-                continue
-            if graph_family is not None and run.graph_family != graph_family:
-                continue
-            if engine is not None and run.engine != engine:
-                continue
-            yield run
 
     def compact(self) -> CompactionStats:
         """Fold torn lines and duplicate records out of damaged files.
@@ -285,11 +341,20 @@ class JsonlBackend(StoreBackend):
             os.replace(tmp, path)
         return stats
 
+    def clear(self) -> int:
+        """Delete every stored run; returns the number of files removed.
 
-class RunStore(JsonlBackend):
-    """Backwards-compatible name for the JSONL backend.
-
-    ``RunStore`` predates the backend split; every public surface that
-    accepted one (``cache=RunStore(...)``, ``store=``) still does, and
-    constructing one is exactly constructing a :class:`JsonlBackend`.
-    """
+        Every regular file directly under ``runs/`` goes, not just the
+        ``*.jsonl`` sweep files: a ``warehouse.sqlite*`` left by an older
+        version or a ``*.jsonl.compact`` temp file stranded by a crashed
+        :meth:`compact` would otherwise outlive the eviction.
+        """
+        runs = self.root / "runs"
+        if not runs.exists():
+            return 0
+        removed = 0
+        for path in sorted(runs.iterdir()):
+            if path.is_file():
+                path.unlink()
+                removed += 1
+        return removed

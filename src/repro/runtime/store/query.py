@@ -1,14 +1,14 @@
 """Answer worst-case and tradeoff questions from stored runs.
 
 The store already holds every completed shard of every sweep; this
-module turns that warehouse into answers without re-executing anything:
+module turns those records into answers without re-executing anything:
 filter the stored sweeps (:func:`query_runs`), merge each one's shards
 with the same :func:`repro.runtime.report.merge_reports` a live run
 uses, and report the merged extremes.  Because the merge discards the
 non-canonical ``timing`` section and the entries are sorted by content
-key, the same warehouse contents produce byte-identical query payloads
-whichever backend stored them -- the crown-jewel invariant, extended to
-queries.
+key, the same stored sweeps produce byte-identical query payloads
+whatever order they were written in -- the crown-jewel invariant,
+extended to queries.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from typing import Any
 
 from repro.runtime.report import merge_reports
 from repro.runtime.spec import canonical_json
-from repro.runtime.store.base import StoreBackend
+from repro.runtime.store.jsonl import RunStore
 
 
 def query_runs(
-    store: StoreBackend,
+    store: RunStore,
     *,
     algorithm: str | None = None,
     graph: str | None = None,
@@ -30,20 +30,25 @@ def query_runs(
 ) -> list[dict[str, Any]]:
     """Stored sweeps matching the filters, each merged to its extremes.
 
-    ``graph`` filters on the graph family (``ring``, ``path``, ...);
-    ``label_space`` on the algorithm's label-space size.  Sweeps with no
-    completed shards yet (a header and nothing else) are skipped: they
-    have no extremes to report.  Entries come back sorted by
-    (sweep_key, library, format), so the listing is stable across
-    backends and insertion orders.
+    ``algorithm`` filters on the algorithm name, ``graph`` on the graph
+    family (``ring``, ``path``, ...), ``engine`` on the spec's engine and
+    ``label_space`` on the algorithm's label-space size; ``None`` matches
+    anything.  Sweeps with no completed shards yet (a header and nothing
+    else) are skipped: they have no extremes to report.  Entries come
+    back sorted by (sweep_key, library, format), so the listing is
+    stable across insertion orders.
     """
     entries: list[dict[str, Any]] = []
-    for run in store.iter_runs(
-        algorithm=algorithm, graph_family=graph, engine=engine
-    ):
-        if label_space is not None and run.label_space != label_space:
-            continue
+    for run in store.iter_runs():
         if not run.shards:
+            continue
+        if algorithm is not None and run.algorithm != algorithm:
+            continue
+        if graph is not None and run.graph_family != graph:
+            continue
+        if engine is not None and run.engine != engine:
+            continue
+        if label_space is not None and run.label_space != label_space:
             continue
         merged = merge_reports(run.shards.values())
         entries.append(
@@ -64,7 +69,7 @@ def query_runs(
 
 
 def query_payload(
-    store: StoreBackend,
+    store: RunStore,
     *,
     algorithm: str | None = None,
     graph: str | None = None,
@@ -73,9 +78,9 @@ def query_payload(
 ) -> dict[str, Any]:
     """The canonical query answer: the filters asked, the runs found.
 
-    Deliberately omits the backend kind and store root: the payload
-    describes the stored computations, not the bytes holding them, so
-    two backends warehousing the same sweeps answer identically.
+    Deliberately omits the store root: the payload describes the stored
+    computations, not the bytes holding them, so two stores holding the
+    same sweeps answer identically.
     """
     runs = query_runs(
         store,

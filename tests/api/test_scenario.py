@@ -16,7 +16,7 @@ from repro.api import (
 )
 from repro.registry import ALGORITHMS, GRAPH_FAMILIES, PRESENCE_MODELS, SpecError
 from repro.runtime.executor import ParallelExecutor, SerialExecutor
-from repro.runtime.store import RunStore, SqliteBackend
+from repro.runtime.store import RunStore
 
 #: Small valid parameters for every registered family.
 FAMILY_PARAMS = {
@@ -273,32 +273,12 @@ class TestEngineRouting:
             resolve_store(store, str(tmp_path))
         with pytest.raises(ValueError, match="contradicts"):
             resolve_store(False, str(tmp_path))
-
-    def test_backend_resolution(self, tmp_path):
-        sqlite_store = resolve_store(True, str(tmp_path), "sqlite")
-        assert isinstance(sqlite_store, SqliteBackend)
-        assert sqlite_store.root == tmp_path
-        assert resolve_store(True, str(tmp_path)).kind == "jsonl"  # the default
-
-        # A path may carry the backend as a scheme prefix.
-        prefixed = resolve_store(f"sqlite:{tmp_path}")
-        assert isinstance(prefixed, SqliteBackend)
-        assert prefixed.root == tmp_path
-        assert resolve_store("sqlite:").root.name == ".repro_cache"
-        # ... but a path that merely contains a colon is still a path.
-        odd = resolve_store(str(tmp_path / "a:b"))
-        assert odd.kind == "jsonl"
-        assert odd.root.name == "a:b"
-
-    def test_backend_contradictions(self, tmp_path):
-        with pytest.raises(ValueError, match="contradicts backend"):
-            resolve_store(f"sqlite:{tmp_path}", backend="jsonl")
         with pytest.raises(ValueError, match="not both"):
-            resolve_store(SqliteBackend(tmp_path), backend="sqlite")
-        with pytest.raises(ValueError, match="cache=False contradicts backend"):
-            resolve_store(False, backend="sqlite")
-        with pytest.raises(ValueError, match="unknown store backend"):
-            resolve_store(True, backend="parquet")
+            resolve_store(str(tmp_path), str(tmp_path))
+        # A path that contains a colon is just a path.
+        odd = resolve_store(str(tmp_path / "a:b"))
+        assert isinstance(odd, RunStore)
+        assert odd.root.name == "a:b"
 
 
 class TestByteIdentity:
@@ -326,19 +306,14 @@ class TestByteIdentity:
     def test_every_presence_model(self, presence):
         self.both_engines(tiny(presence=presence))
 
-    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-    def test_every_store_backend(self, backend, tmp_path):
-        # The backend axis joins the engine axis: a run replayed from
-        # either store matches the storeless run byte-for-byte.
+    def test_store_replay_matches_the_storeless_run(self, tmp_path):
+        # The store joins the engine axis: a run replayed from it
+        # matches the storeless run byte-for-byte.
         scenario = tiny()
         cold = scenario.run(engine="serial", shard_count=4)
-        warm = scenario.run(
-            engine="serial", shard_count=4,
-            cache=str(tmp_path), backend=backend,
-        )
+        warm = scenario.run(engine="serial", shard_count=4, cache=str(tmp_path))
         replay = scenario.run(
-            engine="parallel", workers=2, shard_count=4,
-            cache=str(tmp_path), backend=backend,
+            engine="parallel", workers=2, shard_count=4, cache=str(tmp_path)
         )
         assert replay.stats.fully_cached
         assert cold.to_json() == warm.to_json() == replay.to_json()

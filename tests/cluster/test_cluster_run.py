@@ -40,26 +40,23 @@ class TestByteIdentity:
         )
         assert canonical(run) == serial_baseline
 
-    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
     def test_store_resume_skips_completed_shards(
-        self, scenario, serial_baseline, tmp_path, backend
+        self, scenario, serial_baseline, tmp_path
     ):
         # First run populates the content-addressed store (workers never
-        # touch it -- the coordinator-side execute_job appends into
-        # whichever backend resolved); the second resolves entirely from
-        # it (no shards reach the queue, so no run directory is created)
-        # and stays byte-identical.
+        # touch it -- the coordinator-side execute_job is its only
+        # writer); the second resolves entirely from it (no shards reach
+        # the queue, so no run directory is created) and stays
+        # byte-identical.
         cache_dir = str(tmp_path / "store")
         first = scenario.run(
             cluster=config(tmp_path / "c1"),
             cache_dir=cache_dir,
-            backend=backend,
             shard_count=4,
         )
         executor = ClusterExecutor(config(tmp_path / "c2"))
         second = scenario.run(
-            cluster=executor, cache_dir=cache_dir, backend=backend,
-            shard_count=4,
+            cluster=executor, cache_dir=cache_dir, shard_count=4
         )
         assert canonical(first) == serial_baseline
         assert canonical(second) == serial_baseline

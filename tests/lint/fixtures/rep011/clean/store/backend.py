@@ -1,18 +1,15 @@
-"""REP011 clean: inside a store/ directory the backends own the bytes.
+"""REP011 clean: inside a store/ directory the run store owns the bytes.
 
-Reading store files elsewhere stays free, too -- only writes and
-``sqlite3`` imports mark a module as a second store writer.
+Reading store files elsewhere stays free, too -- only writes mark a
+module as a second store writer.
 """
 
 import json
-import sqlite3
 
 
 def append(root, record):
-    connection = sqlite3.connect(root / "runs" / "warehouse.sqlite")
     with open(root / "runs" / "deadbeef.jsonl", "a", encoding="utf-8") as handle:
         handle.write(json.dumps(record) + "\n")
-    return connection
 
 
 def read_elsewhere(path):

@@ -1,11 +1,8 @@
 """REP011 trigger: run-store bytes written outside runtime/store/."""
 
 import json
-import sqlite3
 
 
 def sneak_results_in(root, record):
-    connection = sqlite3.connect(root / "runs" / "warehouse.sqlite")
     with open(root / "runs" / "deadbeef.jsonl", "a", encoding="utf-8") as handle:
         handle.write(json.dumps(record) + "\n")
-    return connection

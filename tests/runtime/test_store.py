@@ -147,9 +147,9 @@ class TestEviction:
         store = RunStore(tmp_path)
         execute_job(small_job(), store=store)
         execute_job(small_job(delays=(0,)), store=store)
-        assert store.clear() == {"jsonl": 2, "sqlite": 0}
+        assert store.clear() == 2
         assert store.load(small_job()) == {}
-        assert store.clear() == {"jsonl": 0, "sqlite": 0}
+        assert store.clear() == 0
 
 
 def test_version_skew_is_isolated_by_filename(tmp_path):

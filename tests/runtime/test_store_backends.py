@@ -1,15 +1,11 @@
-"""Both store backends, one contract: caching, races, compaction, queries.
+"""The run store's contract: caching, races, eviction, compaction, queries.
 
-The suite parametrizes over ``resolve_backend`` names so every assertion
-here is a statement about the :class:`~repro.runtime.store.StoreBackend`
-protocol, not about one implementation -- and the byte-identity tests
-pin the crown jewel across the backend axis: whichever backend serves
-the cached shards, the merged canonical report does not change by a
-byte.
+The byte-identity test pins the crown jewel on the store: whether the
+shards come from a fresh serial run, a parallel run or a replay out of
+the store, the merged canonical report does not change by a byte.
 """
 
 import json
-import sqlite3
 import threading
 import warnings
 
@@ -19,20 +15,16 @@ from repro.runtime import (
     AlgorithmSpec,
     GraphSpec,
     JobSpec,
-    JsonlBackend,
     ParallelExecutor,
+    RunStore,
     SerialExecutor,
-    SqliteBackend,
     canonical_json,
     execute_job,
     plan_shards,
     query_payload,
     query_runs,
-    resolve_backend,
     run_shard,
 )
-
-BACKEND_NAMES = ["jsonl", "sqlite"]
 
 
 def small_job(**overrides):
@@ -58,41 +50,41 @@ class CountingExecutor(SerialExecutor):
             yield run_shard(spec)
 
 
-@pytest.fixture(params=BACKEND_NAMES)
-def backend(request, tmp_path):
-    return resolve_backend(request.param, tmp_path / request.param)
+@pytest.fixture
+def store(tmp_path):
+    return RunStore(tmp_path / "store")
 
 
-class TestBackendContract:
-    def test_second_run_is_fully_cached(self, backend):
+class TestStoreContract:
+    def test_second_run_is_fully_cached(self, store):
         job = small_job()
-        first = execute_job(job, store=backend)
+        first = execute_job(job, store=store)
         assert first.stats.shards_executed == first.stats.shards_total > 0
 
         counting = CountingExecutor()
-        second = execute_job(job, executor=counting, store=backend)
+        second = execute_job(job, executor=counting, store=store)
         assert counting.shards_run == 0
         assert second.stats.fully_cached
         assert canonical_json(second.report.to_dict()) == canonical_json(
             first.report.to_dict()
         )
 
-    def test_load_of_an_empty_store_creates_nothing(self, backend):
-        assert backend.load(small_job()) == {}
-        assert not (backend.root / "runs").exists()
+    def test_load_of_an_empty_store_creates_nothing(self, store):
+        assert store.load(small_job()) == {}
+        assert not (store.root / "runs").exists()
 
-    def test_different_specs_do_not_share_entries(self, backend):
-        execute_job(small_job(), store=backend)
+    def test_different_specs_do_not_share_entries(self, store):
+        execute_job(small_job(), store=store)
         counting = CountingExecutor()
         outcome = execute_job(
-            small_job(delays=(0,)), executor=counting, store=backend
+            small_job(delays=(0,)), executor=counting, store=store
         )
         assert counting.shards_run == outcome.stats.shards_total > 0
 
-    def test_iter_runs_reports_what_was_stored(self, backend):
+    def test_iter_runs_reports_what_was_stored(self, store):
         job = small_job()
-        execute_job(job, store=backend, shard_count=4)
-        (run,) = list(backend.iter_runs())
+        execute_job(job, store=store, shard_count=4)
+        (run,) = list(store.iter_runs())
         assert run.sweep_key == job.sweep_key()
         assert run.algorithm == "fast"
         assert run.graph_family == "ring"
@@ -102,52 +94,33 @@ class TestBackendContract:
         assert run.spec == job.sweep_spec().to_dict()
 
 
-class TestCrossBackendByteIdentity:
-    """The crown jewel, extended: backend x executor never changes bytes."""
+class TestReplayByteIdentity:
+    """The crown jewel on the store: replay never changes a byte."""
 
-    def test_cached_reports_match_the_storeless_run(self, tmp_path):
+    def test_cached_and_parallel_replays_match_the_storeless_run(self, tmp_path):
         job = small_job()
         baseline = canonical_json(execute_job(job, shard_count=5).report.to_dict())
 
-        replayed = []
-        for name in BACKEND_NAMES:
-            store = resolve_backend(name, tmp_path / name)
-            execute_job(job, store=store, shard_count=5)
-            counting = CountingExecutor()
-            outcome = execute_job(
-                job, executor=counting, store=store, shard_count=5
-            )
-            assert counting.shards_run == 0  # pure replay, no re-execution
-            replayed.append(canonical_json(outcome.report.to_dict()))
+        store = RunStore(tmp_path / "serial")
+        execute_job(job, store=store, shard_count=5)
+        counting = CountingExecutor()
+        replay = execute_job(job, executor=counting, store=store, shard_count=5)
+        assert counting.shards_run == 0  # pure replay, no re-execution
 
         parallel = execute_job(
             job,
             executor=ParallelExecutor(2),
-            store=resolve_backend("sqlite", tmp_path / "parallel"),
+            store=RunStore(tmp_path / "parallel"),
             shard_count=5,
         )
-        replayed.append(canonical_json(parallel.report.to_dict()))
-        assert set(replayed) == {baseline}
-
-    def test_query_payload_is_byte_identical_across_backends(self, tmp_path):
-        jobs = [
-            small_job(),
-            small_job(graph=GraphSpec.make("path", n=5)),
-            small_job(algorithm=AlgorithmSpec("fast", 4)),
-        ]
-        payloads = []
-        for name in BACKEND_NAMES:
-            store = resolve_backend(name, tmp_path / name)
-            for job in jobs:
-                execute_job(job, store=store, shard_count=3)
-            payloads.append(
-                canonical_json(query_payload(store, algorithm="fast"))
-            )
-        assert payloads[0] == payloads[1]
+        replayed = {
+            canonical_json(outcome.report.to_dict()) for outcome in (replay, parallel)
+        }
+        assert replayed == {baseline}
 
 
 class TestConcurrentFirstAppend:
-    def test_racing_appenders_lose_no_shards(self, backend):
+    def test_racing_appenders_lose_no_shards(self, store):
         job = small_job()
         bounds = plan_shards(job.config_space_size(), shard_count=8)
         reports = [run_shard(job.shard_spec(lo, hi)) for lo, hi in bounds]
@@ -155,7 +128,7 @@ class TestConcurrentFirstAppend:
 
         def publish(report):
             barrier.wait()
-            backend.append(job, report)
+            store.append(job, report)
 
         threads = [
             threading.Thread(target=publish, args=(report,))
@@ -166,13 +139,13 @@ class TestConcurrentFirstAppend:
         for thread in threads:
             thread.join()
 
-        loaded = backend.load(job)
+        loaded = store.load(job)
         assert sorted(loaded) == sorted(report.shard for report in reports)
-        (run,) = list(backend.iter_runs())
+        (run,) = list(store.iter_runs())
         assert len(run.shards) == len(reports)
 
     def test_jsonl_race_claims_exactly_one_header(self, tmp_path):
-        store = JsonlBackend(tmp_path)
+        store = RunStore(tmp_path)
         job = small_job()
         bounds = plan_shards(job.config_space_size(), shard_count=8)
         reports = [run_shard(job.shard_spec(lo, hi)) for lo, hi in bounds]
@@ -200,25 +173,25 @@ class TestConcurrentFirstAppend:
 
 
 class TestClearCounts:
-    def test_clear_sweeps_both_formats_and_counts_each(self, tmp_path):
-        root = tmp_path / "shared"
-        jsonl = JsonlBackend(root)
-        sqlite_store = SqliteBackend(root)
-        execute_job(small_job(), store=jsonl)
-        execute_job(small_job(delays=(0,)), store=jsonl)
-        execute_job(small_job(), store=sqlite_store)
+    def test_clear_removes_every_file_under_runs(self, tmp_path):
+        store = RunStore(tmp_path)
+        execute_job(small_job(), store=store)
+        execute_job(small_job(delays=(0,)), store=store)
+        runs = tmp_path / "runs"
+        # A warehouse left by an older version and a temp file stranded
+        # by a crashed compaction must not outlive the eviction.
+        (runs / "warehouse.sqlite").write_bytes(b"SQLite format 3\x00")
+        (runs / f"{small_job().sweep_key()}.jsonl.compact").write_text("{torn")
 
-        # Either backend's clear() removes the other's bytes too, so a
-        # backend switch can never leave stale results behind.
-        assert jsonl.clear() == {"jsonl": 2, "sqlite": 1}
-        assert sqlite_store.clear() == {"jsonl": 0, "sqlite": 0}
-        assert jsonl.load(small_job()) == {}
-        assert sqlite_store.load(small_job()) == {}
+        assert store.clear() == 4
+        assert sorted(runs.iterdir()) == []
+        assert store.load(small_job()) == {}
+        assert store.clear() == 0
 
 
 class TestJsonlCompaction:
     def test_compact_of_a_healthy_store_changes_no_bytes(self, tmp_path):
-        store = JsonlBackend(tmp_path)
+        store = RunStore(tmp_path)
         job = small_job()
         execute_job(job, store=store, shard_count=4)
         before = store.path_for(job).read_bytes()
@@ -228,7 +201,7 @@ class TestJsonlCompaction:
         assert store.path_for(job).read_bytes() == before
 
     def test_compact_folds_torn_lines_and_duplicates(self, tmp_path):
-        store = JsonlBackend(tmp_path)
+        store = RunStore(tmp_path)
         job = small_job()
         baseline = execute_job(job, store=store, shard_count=5)
         path = store.path_for(job)
@@ -258,7 +231,7 @@ class TestJsonlCompaction:
         )
 
     def test_multiple_torn_lines_warn_with_the_count(self, tmp_path):
-        store = JsonlBackend(tmp_path)
+        store = RunStore(tmp_path)
         job = small_job()
         execute_job(job, store=store, shard_count=6)
         path = store.path_for(job)
@@ -279,7 +252,7 @@ class TestJsonlCompaction:
             assert len(store.load(job)) == 3
 
     def test_compact_restores_a_missing_trailing_newline(self, tmp_path):
-        store = JsonlBackend(tmp_path)
+        store = RunStore(tmp_path)
         job = small_job()
         execute_job(job, store=store, shard_count=3)
         path = store.path_for(job)
@@ -290,82 +263,46 @@ class TestJsonlCompaction:
         assert len(store.load(job)) == 3
 
 
-class TestSqliteCompaction:
-    def test_healthy_warehouse_compacts_to_a_noop(self, tmp_path):
-        store = SqliteBackend(tmp_path)
-        job = small_job()
-        execute_job(job, store=store, shard_count=4)
-        stats = store.compact()
-        assert stats.files == 1
-        assert stats.rewritten == 0
-        assert stats.duplicate_shards == 0
-        assert len(store.load(job)) == 4
-
-    def test_orphaned_shard_rows_are_swept(self, tmp_path):
-        store = SqliteBackend(tmp_path)
-        job = small_job()
-        execute_job(job, store=store, shard_count=4)
-        connection = sqlite3.connect(store.path_for(job))
-        with connection:
-            connection.execute("DELETE FROM runs")
-        connection.close()
-
-        stats = store.compact()
-        assert stats.rewritten == 1
-        assert stats.duplicate_shards == 4
-        assert store.load(job) == {}
-        assert list(store.iter_runs()) == []
-
-
 class TestQueryLayer:
-    def test_filters_narrow_by_every_dimension(self, backend):
+    def test_filters_narrow_by_every_dimension(self, store):
         ring = small_job()
         path = small_job(graph=GraphSpec.make("path", n=5))
         wide = small_job(algorithm=AlgorithmSpec("fast", 4))
         compiled = small_job(engine="compiled")
         for job in (ring, path, wide, compiled):
-            execute_job(job, store=backend, shard_count=2)
+            execute_job(job, store=store, shard_count=2)
 
-        assert len(query_runs(backend)) == 4
-        assert len(query_runs(backend, graph="path")) == 1
-        assert len(query_runs(backend, engine="compiled")) == 1
-        assert len(query_runs(backend, label_space=4)) == 1
-        assert query_runs(backend, algorithm="nope") == []
+        assert len(query_runs(store)) == 4
+        assert len(query_runs(store, graph="path")) == 1
+        assert len(query_runs(store, engine="compiled")) == 1
+        assert len(query_runs(store, label_space=4)) == 1
+        assert query_runs(store, algorithm="nope") == []
         families = {
             entry["graph"]["family"]
-            for entry in query_runs(backend, algorithm="fast")
+            for entry in query_runs(store, algorithm="fast")
         }
         assert families == {"ring", "path"}
 
-    def test_worst_case_answer_matches_the_live_report(self, backend):
+    def test_worst_case_answer_matches_the_live_report(self, store):
         job = small_job()
-        live = execute_job(job, store=backend, shard_count=3)
-        (entry,) = query_runs(backend, algorithm="fast")
+        live = execute_job(job, store=store, shard_count=3)
+        (entry,) = query_runs(store, algorithm="fast")
         assert entry["result"] == live.report.to_dict()
         assert entry["sweep_key"] == job.sweep_key()
 
-    def test_runs_with_no_shards_are_skipped(self, backend):
+    def test_runs_with_no_shards_are_skipped(self, store):
         # A registered sweep with no completed shards has no extremes to
         # report; the query layer skips it rather than inventing nulls.
         job = small_job()
         other = small_job(delays=(0,))
-        execute_job(job, store=backend, shard_count=2)
-        execute_job(other, store=backend, shard_count=2)
-        if backend.kind == "jsonl":
-            path = backend.path_for(other)
-            header = path.read_text().splitlines()[0]
-            path.write_text(header + "\n")
-        else:
-            connection = sqlite3.connect(backend.path_for(other))
-            with connection:
-                connection.execute(
-                    "DELETE FROM shards WHERE sweep_key = ?",
-                    (other.sweep_key(),),
-                )
-            connection.close()
+        execute_job(job, store=store, shard_count=2)
+        execute_job(other, store=store, shard_count=2)
+        path = store.path_for(other)
+        header = path.read_text().splitlines()[0]
+        path.write_text(header + "\n")
 
-        entries = query_runs(backend)
+        entries = query_runs(store)
         assert [entry["sweep_key"] for entry in entries] == [job.sweep_key()]
-        payload = query_payload(backend, algorithm="fast")
+        payload = query_payload(store, algorithm="fast")
         assert payload["result"]["count"] == 1
         assert payload["query"]["algorithm"] == "fast"

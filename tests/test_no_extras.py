@@ -46,6 +46,18 @@ def test_import_repro_without_networkx():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_repro_loads_no_sqlite3():
+    # The run store is plain JSONL files; importing the package must not
+    # pull in the sqlite3 extension module.
+    proc = run_blocked(
+        """
+        import repro
+        assert "sqlite3" not in sys.modules, "import repro loaded sqlite3"
+        """
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_engines_without_networkx():
     proc = run_blocked(
         """

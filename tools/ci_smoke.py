@@ -13,11 +13,11 @@ Eight gates, all dependency-free (run with ``python tools/ci_smoke.py``):
    invariant rule (the shipped source must stay ``repro lint`` green);
 6. ``engines --json`` lists the full simulation-engine ladder
    (reactive, compiled, cube) with a sane ``auto`` resolution;
-7. the run-store warehouse round-trips: the same sweep cached under the
-   jsonl and sqlite backends reports identically (modulo the
-   non-canonical timing section), ``query`` answers the worst-case
-   lookup from the warehouse without re-sweeping, and ``cache clear``
-   reports per-backend removal counts;
+7. the run store round-trips: a sweep run cold into a fresh
+   ``--cache-dir`` and again from the store reports identically (modulo
+   the non-canonical timing section), ``query`` answers the worst-case
+   lookup from the stored run without re-sweeping, and ``cache clear``
+   reports how many files it removed;
 8. no ``DeprecationWarning`` originates from inside ``src/repro`` while
    doing so -- deprecation shims, if any ever exist, are for external
    callers only; package-internal code must stay on the current API.
@@ -170,36 +170,37 @@ def _without_timing(payload):
     return payload
 
 
-def check_warehouse() -> None:
-    cache_dir = "ci-smoke-warehouse"
+def check_store() -> None:
+    cache_dir = "ci-smoke-store"
     sweep_args = ["sweep", "--graph", "ring", "--size", "6",
                   "--algorithm", "fast-sim", "--label-space", "4",
                   "--cache-dir", cache_dir, "--json"]
-    jsonl_out, jsonl_warnings = run_cli_capturing(sweep_args)
-    sqlite_out, sqlite_warnings = run_cli_capturing(
-        sweep_args + ["--cache-backend", "sqlite"]
-    )
-    jsonl_payload = _without_timing(json.loads(jsonl_out))
-    sqlite_payload = _without_timing(json.loads(sqlite_out))
-    if jsonl_payload != sqlite_payload:
-        fail("sweep reports differ between the jsonl and sqlite backends")
-    print("sweep across both store backends: OK")
+    cold_out, cold_warnings = run_cli_capturing(sweep_args)
+    cached_out, cached_warnings = run_cli_capturing(sweep_args)
+    cold_payload = _without_timing(json.loads(cold_out))
+    cached_payload = _without_timing(json.loads(cached_out))
+    runtime = cached_payload.pop("runtime")
+    if runtime["shards_executed"] != 0:
+        fail(f"the second sweep was not fully cached: {runtime}")
+    cold_payload.pop("runtime")
+    if cold_payload != cached_payload:
+        fail("the cached sweep reports differently from the cold one")
+    print("sweep cold vs cached: OK")
 
     query_out, query_warnings = run_cli_capturing(
-        ["query", "--json", "--algorithm", "fast-sim",
-         "--cache-dir", cache_dir, "--cache-backend", "sqlite"]
+        ["query", "--json", "--algorithm", "fast-sim", "--cache-dir", cache_dir]
     )
     answer = json.loads(query_out)
-    if answer["result"]["count"] < 1:
-        fail("query found no stored runs in the warehouse")
+    if answer["result"]["count"] != 1:
+        fail(f"query found {answer['result']['count']} stored runs, expected 1")
     entry = answer["result"]["runs"][0]
     if entry["algorithm"] != "fast-sim":
         fail(f"query returned a foreign algorithm: {entry['algorithm']}")
     worst_time = entry["result"]["worst_time"]["time"]
-    if worst_time != jsonl_payload["result"]["max_time"]:
+    if worst_time != cold_payload["result"]["max_time"]:
         fail(
-            f"warehouse worst time {worst_time} does not match the "
-            f"sweep's {jsonl_payload['result']['max_time']}"
+            f"stored worst time {worst_time} does not match the "
+            f"sweep's {cold_payload['result']['max_time']}"
         )
     print("query --json: OK")
 
@@ -207,12 +208,12 @@ def check_warehouse() -> None:
         ["cache", "clear", "--json", "--cache-dir", cache_dir]
     )
     removed = json.loads(clear_out)["removed"]
-    if removed != {"jsonl": 1, "sqlite": 1}:
-        fail(f"unexpected cache clear counts: {removed}")
+    if removed != 1:
+        fail(f"cache clear removed {removed} file(s), expected 1")
     print("cache clear --json: OK")
 
     offenders = internal_deprecations(
-        jsonl_warnings + sqlite_warnings + query_warnings + clear_warnings
+        cold_warnings + cached_warnings + query_warnings + clear_warnings
     )
     if offenders:
         lines = "\n".join(
@@ -224,7 +225,7 @@ def check_warehouse() -> None:
 def main() -> None:
     check_help()
     check_json_commands()
-    check_warehouse()
+    check_store()
     print("smoke: all checks passed")
 
 
