@@ -40,7 +40,6 @@ from repro.runtime import (
 from repro.sim.adversary import (
     ConfigCube,
     all_label_pairs,
-    configurations,
     default_horizon,
     worst_case_search,
 )
@@ -158,10 +157,8 @@ def compiled_engine_baseline(path: pathlib.Path | None = BASELINE_PATH) -> dict:
     """
     graph = oriented_ring(16)
     algorithm = Fast(RingExploration(16), 8)
-    configs = list(
-        configurations(
-            graph, all_label_pairs(8), delays=(0, 3, 15), fix_first_start=True
-        )
+    configs = ConfigCube.make(
+        graph, all_label_pairs(8), delays=(0, 3, 15), fix_first_start=True
     )
 
     def horizon(config):
@@ -308,11 +305,11 @@ def _speedups(samples: dict, slower: str, faster: str, gate: int) -> dict:
 def cube_engine_baseline(graph, algorithm) -> dict | None:
     """Cube vs compiled on the dense (all start pairs) whole-cube sweep.
 
-    The cube engine receives the space as a
-    :class:`~repro.sim.adversary.ConfigCube` (the axes, not a flat
-    stream), so its cross-label tensor pass and the orbit/dominance
-    pruning engage; the compiled engine scans the identical
-    configurations as a stream.  The engines run in alternating
+    Both engines receive the same
+    :class:`~repro.sim.adversary.ConfigCube`: the cube engine's
+    cross-label tensor pass and orbit/dominance pruning engage on its
+    axes, while the compiled engine scans its configurations one at a
+    time.  The engines run in alternating
     repetitions, :data:`DENSE_REPETITIONS` each, so drift on a shared
     runner hits both alike; the speedup is the ratio of the min-of-N
     seconds, and the spread of each side is recorded beside it.  Returns
@@ -322,13 +319,12 @@ def cube_engine_baseline(graph, algorithm) -> dict | None:
     if not numpy_available():
         return None
     cube = ConfigCube.make(graph, all_label_pairs(8), delays=DENSE_DELAYS)
-    configs = list(cube)
 
     def horizon(config):
         return default_horizon(algorithm, config)
 
     best, samples = _alternating(
-        {"compiled": configs, "cube": cube},
+        {"compiled": cube, "cube": cube},
         graph,
         algorithm,
         horizon,
@@ -345,11 +341,11 @@ def cube_engine_baseline(graph, algorithm) -> dict | None:
             "label_space": 8,
             "delays": list(DENSE_DELAYS),
             "fix_first_start": False,
-            "configurations": len(configs),
+            "configurations": len(cube),
         },
         "cpu": _cpu_model(),
-        "compiled": _engine_entry("compiled", len(configs), best, samples),
-        "cube": _engine_entry("cube", len(configs), best, samples),
+        "compiled": _engine_entry("compiled", len(cube), best, samples),
+        "cube": _engine_entry("cube", len(cube), best, samples),
         **_speedups(samples, "compiled", "cube", CUBE_SPEEDUP_GATE),
     }
 

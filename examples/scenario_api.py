@@ -32,10 +32,12 @@ def main() -> None:
           f"(fix_first_start={scenario.resolved_fix_first_start}, "
           "derived from the family's vertex-transitivity)")
 
-    # run() is the single entry point: engine="auto" routes small jobs to
-    # the in-process serial executor and large ones to the sharded
-    # process pool.  Reports are byte-identical either way.
-    outcome = scenario.run(engine="serial")
+    # run() is the single entry point: engine= picks the simulation
+    # substrate (the default "auto" picks the fastest sound one) and
+    # workers= the executor -- without it, small jobs run in-process and
+    # large ones on the sharded process pool.  Reports are byte-identical
+    # either way.
+    outcome = scenario.run(engine="reactive", workers=1)
     row = outcome.row
     print(f"  worst time {row.max_time} <= paper bound {row.time_bound}")
     print(f"  worst cost {row.max_cost} <= paper bound {row.cost_bound}")
@@ -48,7 +50,7 @@ def main() -> None:
     print("  " + wire)
     assert Scenario.from_json(wire) == scenario
 
-    parallel = scenario.run(engine="parallel", workers=2)
+    parallel = scenario.run(engine="reactive", workers=2)
     assert parallel.to_json() == outcome.to_json()  # byte-identical report
     print("serial and parallel reports are byte-identical.")
     print()
@@ -65,7 +67,7 @@ def main() -> None:
         label_space=[3, 4],
     )
     print(f"Sweep over {len(sweep)} grid points:")
-    for run in sweep.run(engine="serial").runs:
+    for run in sweep.run(engine="reactive", workers=1).runs:
         r = run.row
         print(f"  {r.algorithm:<22} L={r.label_space}: "
               f"time {r.max_time:>3} (<= {r.time_bound:>3}), "

@@ -66,12 +66,12 @@ from repro.runtime.spec import (
     thaw_value,
 )
 from repro.runtime.store import DEFAULT_CACHE_DIR, RunStore
-from repro.sim import batch as sim_batch
 from repro.sim.adversary import (
     ConfigCube,
     Configuration,
     all_label_pairs,
     default_horizon,
+    resolve_substrate,
     worst_case_search,
 )
 from repro.sim.metrics import RendezvousResult
@@ -80,46 +80,6 @@ from repro.sim.simulator import simulate_rendezvous
 #: With ``engine="auto"`` and no explicit worker count, configuration
 #: spaces at least this large route to the process pool.
 AUTO_PARALLEL_THRESHOLD = 20_000
-
-_ENGINES = ("auto", "compiled", "cube", "parallel", "serial")
-
-
-def resolve_sim_engine(engine: str, algorithm_name: str) -> str:
-    """The per-configuration substrate an ``engine`` choice implies.
-
-    ``"serial"`` and ``"parallel"`` are explicit executor choices and keep
-    the reactive simulator.  ``"compiled"`` demands the compiled
-    trajectory engine and ``"cube"`` the cross-label tensor engine
-    (:mod:`repro.sim.cube`); both raise unless the registered algorithm
-    is ``is_oblivious`` (the :class:`~repro.core.base.RendezvousAlgorithm`
-    flag marking a schedule-driven behaviour), and ``"cube"`` additionally
-    raises a loud :class:`~repro.sim.batch.BatchUnavailableError` when
-    NumPy is not importable.  ``"auto"`` selects the fastest sound
-    substrate: ``"cube"`` when the flag is set and NumPy is importable,
-    ``"compiled"`` when only the flag is, and the reactive simulator for
-    everything else -- sound any way, since the engines produce
-    byte-identical reports wherever they all apply.
-    """
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {list(_ENGINES)}")
-    if engine in ("serial", "parallel"):
-        return "reactive"
-    oblivious = bool(
-        getattr(ALGORITHMS.entry(algorithm_name).target, "is_oblivious", False)
-    )
-    if engine in ("compiled", "cube"):
-        if not oblivious:
-            raise ValueError(
-                f"algorithm {algorithm_name!r} is not is_oblivious; "
-                f"engine={engine!r} needs a schedule-driven algorithm"
-            )
-        if engine == "cube":
-            sim_batch.require_numpy()
-        return engine
-    if not oblivious:
-        return "reactive"
-    return "cube" if sim_batch.numpy_available() else "compiled"
-
 
 def _reject_nonzero_delays(
     algorithm_name: str, requires_simultaneous: bool, delays: Sequence[int]
@@ -253,9 +213,8 @@ def sweep_objects(
     ``is_oblivious`` objects on the cube engine when NumPy is
     importable, on compiled trajectories otherwise); the row is identical
     whichever engine runs.  The configuration space rides as a
-    :class:`~repro.sim.adversary.ConfigCube` -- the axes product every
-    engine iterates lazily and the cube engine answers by whole tensor
-    passes.  ``prune`` is the cube engine's pruning knob (``None``
+    :class:`~repro.sim.adversary.ConfigCube`, of which ``sample`` draws
+    indices.  ``prune`` is the cube engine's pruning knob (``None``
     resolves via ``REPRO_PRUNE``); pruned and unpruned rows are
     byte-identical.
     """
@@ -309,17 +268,9 @@ def run_job(
     _reject_nonzero_delays(
         algorithm.name, algorithm.requires_simultaneous_start, spec.delays
     )
-    if spec.engine in ("compiled", "cube") and not getattr(
-        algorithm, "is_oblivious", False
-    ):
-        raise ValueError(
-            f"{algorithm.name} is not is_oblivious; "
-            f"a {spec.engine}-engine job spec needs a schedule-driven algorithm"
-        )
-    if spec.engine == "cube":
-        # Fail fast with the install hint here rather than deep inside a
-        # worker process (every pool worker would raise the same error).
-        sim_batch.require_numpy()
+    # Fail fast here rather than deep inside a worker process (every
+    # pool worker would raise the same error).
+    resolve_substrate(spec.engine, algorithm)
     outcome = execute_job(
         spec,
         executor=executor,
@@ -338,33 +289,19 @@ def run_job(
 # ----------------------------------------------------------------------
 
 
-def resolve_engine(
-    engine: str, workers: int | None, config_space_size: int
-) -> Executor:
-    """Map an ``engine`` choice (and optional worker count) to an executor.
+def resolve_engine(workers: int | None, config_space_size: int) -> Executor:
+    """The executor a run takes; the substrate is not its concern.
 
-    ``"serial"`` and ``"parallel"`` are explicit; ``"auto"``,
-    ``"compiled"`` and ``"cube"`` (which constrain the
-    simulation substrate, not the executor -- see
-    :func:`resolve_sim_engine`) follow the worker count when one is
-    given, and otherwise route spaces of at least
-    :data:`AUTO_PARALLEL_THRESHOLD` configurations to the pool.
+    An explicit worker count decides (see
+    :func:`~repro.runtime.executor.make_executor`, which rejects counts
+    below one); without one, spaces of at least
+    :data:`AUTO_PARALLEL_THRESHOLD` configurations route to the pool.
     """
-    if engine == "serial":
-        if workers not in (None, 1):
-            raise ValueError(
-                f"engine='serial' runs in-process; workers={workers} is contradictory"
-            )
-        return SerialExecutor()
-    if engine == "parallel":
-        return ParallelExecutor(workers)
-    if engine in ("auto", "compiled", "cube"):
-        if workers is not None:
-            return make_executor(workers)
-        if config_space_size >= AUTO_PARALLEL_THRESHOLD:
-            return ParallelExecutor()
-        return SerialExecutor()
-    raise ValueError(f"unknown engine {engine!r}; choose from {list(_ENGINES)}")
+    if workers is not None:
+        return make_executor(workers)
+    if config_space_size >= AUTO_PARALLEL_THRESHOLD:
+        return ParallelExecutor()
+    return SerialExecutor()
 
 
 def resolve_store(
@@ -742,26 +679,28 @@ class Scenario:
     ) -> "ScenarioRun":
         """Execute the worst-case sweep this scenario describes.
 
-        The single entry point: ``engine`` picks the executor (see
-        :func:`resolve_engine`) *and* the per-configuration substrate (see
-        :func:`resolve_sim_engine`) -- under the default ``"auto"``,
-        schedule-driven algorithms run on the pruned cube engine
-        (compiled trajectories when NumPy is absent), everything else on
-        the reactive simulator.  ``cache`` picks the run store (see
+        The single entry point: ``engine`` picks the per-configuration
+        substrate only (``"auto"``, ``"reactive"``, ``"compiled"`` or
+        ``"cube"``; see :func:`~repro.sim.adversary.resolve_substrate`)
+        -- under the default ``"auto"``, schedule-driven algorithms run
+        on the pruned cube engine (compiled trajectories when NumPy is
+        absent), everything else on the reactive simulator.  The
+        executor comes from ``workers`` (see :func:`resolve_engine`),
+        ``executor`` or ``cluster``.  ``cache`` picks the run store (see
         :func:`resolve_store`).  Reports are byte-identical across
         engines, worker counts and shard granularities.  ``graph`` may be
         passed when the caller already built it from this scenario.
-        An explicit ``executor`` overrides ``engine``/``workers`` for the
-        executor axis only and stays open (the caller owns it -- how
-        :meth:`Sweep.run` shares one pool across grid points); executors
-        resolved here are closed before returning.
+        An explicit ``executor`` overrides ``workers`` and stays open (the
+        caller owns it -- how :meth:`Sweep.run` shares one pool across
+        grid points); executors resolved here are closed before
+        returning.
 
         ``cluster`` routes execution through the fault-tolerant
         distributed queue instead (see
         :func:`repro.cluster.resolve_cluster` for the accepted shapes:
         a local worker count, a :class:`~repro.cluster.ClusterConfig`,
         or a live :class:`~repro.cluster.ClusterExecutor`).  It replaces
-        the executor axis only -- engine/cache semantics are unchanged,
+        the executor only -- engine/cache semantics are unchanged,
         and the run is byte-identical to every other execution route.
         ``cluster`` excludes ``executor`` and ``workers`` (the cluster
         config carries its own worker count); executors resolved from a
@@ -778,7 +717,9 @@ class Scenario:
         """
         tele = resolve_telemetry(telemetry)
         spec = self.job_spec()
-        sim_engine = resolve_sim_engine(engine, self.algorithm)
+        sim_engine = resolve_substrate(
+            engine, ALGORITHMS.entry(self.algorithm).target
+        )
         if sim_engine != spec.engine:
             spec = replace(spec, engine=sim_engine)
         graph = graph if graph is not None else spec.graph.build()
@@ -789,11 +730,6 @@ class Scenario:
                 raise ValueError(
                     "cluster carries its own worker count; "
                     "workers configures the in-process pool"
-                )
-            if engine in ("serial", "parallel"):
-                raise ValueError(
-                    f"engine={engine!r} pins the in-process executor and "
-                    f"contradicts cluster execution"
                 )
             # Imported lazily: repro.cluster builds on the runtime and api
             # layers, so a top-level import would be circular.
@@ -808,9 +744,7 @@ class Scenario:
         else:
             owned = executor is None
             if executor is None:
-                executor = resolve_engine(
-                    engine, workers, spec.config_space_size(graph)
-                )
+                executor = resolve_engine(workers, spec.config_space_size(graph))
         store = resolve_store(cache, cache_dir)
         try:
             with tele.span(
@@ -970,12 +904,12 @@ class Sweep:
     ) -> "SweepRun":
         """Run every grid point and collect the outcomes, in grid order.
 
-        Grid points that route to the process pool share ONE pool (created
-        lazily at the first point that needs it, closed at the end), so a
-        sweep pays process startup once -- whether the pool was requested
-        explicitly (``engine="parallel"``, or ``auto`` with a worker
-        count) or triggered by a point's configuration-space size under
-        the default ``auto``.  ``telemetry`` (resolved as in
+        ``engine`` picks the substrate of every grid point, as in
+        :meth:`Scenario.run`.  Grid points that route to the process pool
+        share ONE pool (created lazily at the first point that needs it,
+        closed at the end), so a sweep pays process startup once --
+        whether the pool was requested by a worker count or triggered by
+        a point's configuration-space size.  ``telemetry`` (resolved as in
         :meth:`Scenario.run`) wraps the whole grid in a ``sweep.run`` span
         and streams per-point progress; one telemetry narrates all points.
 
@@ -1016,11 +950,11 @@ class Sweep:
                         tele.progress("grid", position + 1, len(scenarios))
                         continue
                     # Route through resolve_engine itself (single source of
-                    # truth for engine selection); its ParallelExecutor is
+                    # truth for executor selection); its ParallelExecutor is
                     # lazy, so probing costs nothing and the shared pool is
                     # substituted for every point it would route to a pool.
                     routed = resolve_engine(
-                        engine, workers, scenario.config_space_size(graph)
+                        workers, scenario.config_space_size(graph)
                     )
                     executor: Executor | None = None
                     if isinstance(routed, ParallelExecutor):
@@ -1079,7 +1013,6 @@ __all__ = [
     "SweepRun",
     "canonical_json",
     "resolve_engine",
-    "resolve_sim_engine",
     "resolve_store",
     "run_job",
     "sweep_objects",

@@ -5,7 +5,7 @@ Commands:
 * ``run`` -- simulate one rendezvous and print the outcome and traces;
 * ``sweep`` -- adversarial worst-case sweep of a scenario (sharded over
   the runtime: ``--workers N`` fans shards out to a process pool;
-  ``--engine`` picks the execution engine, with the default ``auto``
+  ``--engine`` picks the simulation engine, with the default ``auto``
   running schedule-driven algorithms on the whole-cube tensor engine
   when NumPy is installed and on the compiled trajectory engine
   otherwise; ``--no-prune`` disables the cube engine's adversary-space
@@ -79,10 +79,11 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 from repro.analysis.tables import Table, format_ratio, print_lines
-from repro.api import _ENGINES, Scenario, canonical_json, resolve_store, run_job
+from repro.api import Scenario, canonical_json, resolve_store, run_job
 from repro.cluster import (
     DEFAULT_CLUSTER_ROOT,
     DEFAULT_TTL,
@@ -119,7 +120,7 @@ from repro.obs.sinks import JsonlSink, ProgressSink, combine
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.registry import ALGORITHMS, EXPERIMENTS, GRAPH_FAMILIES, SpecError
 from repro.runtime import AlgorithmSpec, GraphSpec, JobSpec
-from repro.runtime.spec import SIM_ENGINES
+from repro.sim.adversary import ENGINES, resolve_substrate
 from repro.runtime.store import (
     DEFAULT_CACHE_DIR,
     RunStore,
@@ -298,8 +299,6 @@ def command_sweep(args: argparse.Namespace) -> int:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
     if args.workers < 1:
         raise SystemExit(f"--workers must be >= 1, got {args.workers}")
-    if args.engine == "serial" and args.workers != 1:
-        raise SystemExit("--engine serial runs in-process; --workers contradicts it")
     store = _sweep_store_from_args(args)
     simultaneous = getattr(
         ALGORITHMS.entry(args.algorithm).target, "requires_simultaneous_start", False
@@ -379,14 +378,13 @@ def _engine_rows() -> list[dict]:
 
 def command_engines(args: argparse.Namespace) -> int:
     """Print the engine ladder with availability in this environment."""
-    from repro.sim.batch import numpy_available
-
     rows = _engine_rows()
-    auto_oblivious = "cube" if numpy_available() else "compiled"
+    auto_oblivious = resolve_substrate("auto", SimpleNamespace(is_oblivious=True))
+    auto_otherwise = resolve_substrate("auto", None)
     if args.json:
         print(canonical_json({
             "engines": rows,
-            "auto": {"oblivious": auto_oblivious, "otherwise": "reactive"},
+            "auto": {"oblivious": auto_oblivious, "otherwise": auto_otherwise},
         }))
         return 0
     table = Table(
@@ -402,7 +400,7 @@ def command_engines(args: argparse.Namespace) -> int:
         )
     table.print()
     print(f"auto resolves to: {auto_oblivious} for is_oblivious "
-          f"algorithms, reactive otherwise")
+          f"algorithms, {auto_otherwise} otherwise")
     return 0
 
 
@@ -955,8 +953,8 @@ def make_parser() -> argparse.ArgumentParser:
     common(sweep_parser)
     sweep_parser.add_argument("--delays", type=int, nargs="*", default=[0, 5, 20])
     sweep_parser.add_argument("--engine", default="auto",
-                              choices=_ENGINES,
-                              help="execution engine (default auto: whole-cube "
+                              choices=ENGINES,
+                              help="simulation engine (default auto: whole-cube "
                                    "tensor engine for schedule-driven "
                                    "algorithms when numpy is installed, compiled "
                                    "trajectories otherwise, reactive simulation "
@@ -1069,8 +1067,8 @@ def make_parser() -> argparse.ArgumentParser:
                                 help="shrunk CI-sized grids (same definitions, "
                                      "same verdict texts)")
     exp_run_parser.add_argument("--engine", default="auto",
-                                choices=_ENGINES,
-                                help="execution engine for the scenario grids "
+                                choices=ENGINES,
+                                help="simulation engine for the scenario grids "
                                      "(default auto)")
     exp_run_parser.add_argument("--workers", type=int, default=1,
                                 help="process-pool workers shared by the whole "
@@ -1180,9 +1178,7 @@ def make_parser() -> argparse.ArgumentParser:
     cluster_run_parser.add_argument("--delays", type=int, nargs="*",
                                     default=[0, 5, 20])
     cluster_run_parser.add_argument("--engine", default="auto",
-                                    choices=[engine for engine in _ENGINES
-                                             if engine not in ("parallel",
-                                                               "serial")],
+                                    choices=ENGINES,
                                     help="simulation engine (default auto; "
                                          "the executor axis is the cluster)")
     cluster_run_parser.add_argument("--cluster-workers", type=int, default=2,
@@ -1283,7 +1279,7 @@ def make_parser() -> argparse.ArgumentParser:
     query_parser.add_argument("--graph", default=None,
                               help="filter on the graph family, e.g. ring")
     query_parser.add_argument("--engine", default=None,
-                              choices=SIM_ENGINES,
+                              choices=[e for e in ENGINES if e != "auto"],
                               help="filter on the simulation engine the "
                                    "sweep recorded")
     query_parser.add_argument("--label-space", type=int, default=None,

@@ -193,7 +193,13 @@ class ParallelExecutor:
 
 
 def make_executor(workers: int | None) -> "SerialExecutor | ParallelExecutor":
-    """The conventional mapping from a ``--workers`` flag to an executor."""
-    if workers is None or workers <= 1:
+    """The conventional mapping from a ``--workers`` flag to an executor.
+
+    The one check every API entry point's worker count passes: a count
+    below one is refused, not run serially.
+    """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers is None or workers == 1:
         return SerialExecutor()
     return ParallelExecutor(workers)

@@ -36,6 +36,7 @@ from repro.registry import (
     KNOWLEDGE_MODELS,
 )
 from repro.sim.adversary import (
+    ENGINES,
     ConfigCube,
     Configuration,
     all_label_pairs,
@@ -216,10 +217,6 @@ class AlgorithmSpec:
         )
 
 
-#: The per-configuration execution substrates a worker can run.
-SIM_ENGINES = ("reactive", "compiled", "cube")
-
-
 @dataclass(frozen=True)
 class JobSpec:
     """One unit of adversary-search work, serializable by value.
@@ -253,10 +250,11 @@ class JobSpec:
     engine: str = "reactive"
 
     def __post_init__(self) -> None:
-        if self.engine not in SIM_ENGINES:
+        # A spec records a resolved substrate, never ``auto``.
+        if self.engine == "auto" or self.engine not in ENGINES:
             raise ValueError(
-                f"unknown engine {self.engine!r}; "
-                f"choose a simulation engine from {list(SIM_ENGINES)}"
+                f"unknown engine {self.engine!r}; choose a simulation "
+                f"engine from {[e for e in ENGINES if e != 'auto']}"
             )
 
     # ------------------------------------------------------------------
@@ -315,8 +313,9 @@ class JobSpec:
         (:meth:`~repro.sim.adversary.ConfigCube.indexed`), so it costs
         ``O(hi - lo)`` regardless of where in the global order it starts.
         """
-        lo, hi = self.shard if self.shard is not None else (0, None)
-        return self.config_cube(graph).indexed(lo, hi)
+        cube = self.config_cube(graph)
+        lo, hi = self.shard if self.shard is not None else (0, len(cube))
+        return cube.indexed(range(lo, min(hi, len(cube))))
 
     # ------------------------------------------------------------------
     # Serialization and content addressing

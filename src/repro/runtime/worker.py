@@ -6,7 +6,7 @@ Graphs and algorithms are rebuilt from the spec on first use and memoised
 per process (pool workers are long-lived, so a worker pays the
 construction cost once per distinct job, not once per shard).
 
-A shard is the ``[lo, hi)`` slice of the sweep's
+A shard is the ``range(lo, hi)`` of indices into the sweep's
 :class:`~repro.sim.adversary.ConfigCube` (:meth:`JobSpec.config_cube`),
 reduced by :func:`repro.sim.adversary.reduce_space` -- the evaluators and
 the reducer ``worst_case_search`` uses.  The spec's ``engine`` picks the
@@ -19,8 +19,8 @@ horizons per ``(label pair, delay)`` and pruning resolved through
 ``REPRO_PRUNE``; the other evaluators walk the slice configuration by
 configuration.  Whatever the path, the shard report is identical, and
 its non-canonical :class:`~repro.runtime.report.ShardTiming` records
-which path ran (``"whole_cube"`` or ``"stream"``) and whether pruning
-was on.
+which path ran (``"whole_cube"``, or ``"stream"`` for one configuration
+at a time) and whether pruning was on.
 """
 
 from __future__ import annotations
@@ -121,10 +121,9 @@ def run_shard(spec: JobSpec) -> ShardReport:
         graph,
         algorithm,
         cube,
+        range(lo, min(hi, len(cube))),
         _horizon_policy(spec, algorithm),
         presence,
-        lo,
-        hi,
     )
     table_seconds = table.build_seconds - build_before if table is not None else 0.0
 

@@ -2,14 +2,15 @@
 
 The paper's complexity statements quantify over *all* label pairs, *all*
 pairs of distinct starting nodes and *all* wake-up delays.  This module
-realises that adversary: it enumerates (or samples) the configuration space
-and reports the configurations maximising time and cost, so measured
+realises that adversary over one space shape, the :class:`ConfigCube`:
+it evaluates all of a cube (or a shard or sample of its indices) and
+reports the configurations maximising time and cost, so measured
 numbers can be compared against the claimed bounds and each extreme can be
 replayed.
 
 Every engine is an *evaluator*: it reports one :class:`Verdict` ``(index,
-time|None, cost)`` per configuration in enumeration order, singly or as a
-NumPy :class:`VerdictBlock`.  One :class:`Reduction` turns verdicts into
+time|None, cost)`` per requested cube index, in the order requested,
+singly or as a NumPy :class:`VerdictBlock`.  One :class:`Reduction` turns verdicts into
 extremes and failures, and :func:`first_max` is the only place the
 lowest-index tie-break is written.  :func:`worst_case_search` and the
 runtime's :func:`repro.runtime.worker.run_shard` are two thin drivers
@@ -26,7 +27,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -109,7 +110,7 @@ def default_start_pairs(
     """The canonical ordered start-pair enumeration of a sweep.
 
     This single definition fixes the global configuration ordering that
-    :func:`configurations`, the runtime's shard indexing
+    :class:`ConfigCube`, the runtime's shard indexing
     (:meth:`repro.runtime.spec.JobSpec.iter_shard`) and the space-size
     law (:meth:`~repro.runtime.spec.JobSpec.config_space_size`) all
     share -- cached shard indices and merge tie-breaking silently corrupt
@@ -120,44 +121,17 @@ def default_start_pairs(
     return [(u, v) for u in first_nodes for v in nodes if u != v]
 
 
-def configurations(
-    graph: PortLabeledGraph,
-    label_pairs: Iterable[tuple[int, int]],
-    delays: Iterable[int] = (0,),
-    start_pairs: Iterable[tuple[int, int]] | None = None,
-    fix_first_start: bool = False,
-) -> Iterator[Configuration]:
-    """Enumerate the adversarial configuration space.
-
-    ``fix_first_start`` pins the first agent to node 0, which is sound
-    (loses no worst case) exactly on port-preservingly vertex-transitive
-    graphs such as oriented rings, hypercubes and tori; the caller
-    asserts that property.
-    """
-    if start_pairs is None:
-        start_pairs = default_start_pairs(graph, fix_first_start)
-    else:
-        start_pairs = list(start_pairs)
-    label_pairs = list(label_pairs)
-    delays = list(delays)
-    for labels in label_pairs:
-        for starts in start_pairs:
-            for delay in delays:
-                yield Configuration(labels=labels, starts=starts, delay=delay)
-
-
 @dataclass(frozen=True)
 class ConfigCube:
-    """The adversarial space as a product of axes, not a flat stream.
+    """The adversarial space as a product of axes: the one space shape.
 
-    Iterating one yields exactly what :func:`configurations` yields, in
-    the same global order (label pairs outermost, start pairs, then
-    delays), so every engine accepts a cube wherever it accepts a
-    configuration iterable.  The point of the class is what it *keeps*:
-    the axes.  The cube engine (:mod:`repro.sim.cube`) recognises a
-    :class:`ConfigCube` and answers the whole ``L(L-1) x n(n-1) x D``
-    space by tensor passes over the axes -- no per-configuration Python
-    objects are ever created on that path.
+    Its global order is label pairs outermost, then start pairs, then
+    delays; every engine takes a cube plus a sequence of indices into
+    that order.  The point of the class is what it *keeps*: the axes.
+    The cube engine (:mod:`repro.sim.cube`) answers the whole
+    ``L(L-1) x n(n-1) x D`` space, or any index range of it, by tensor
+    passes over the axes -- no per-configuration Python objects are ever
+    created on that path.
     """
 
     graph: PortLabeledGraph
@@ -174,7 +148,13 @@ class ConfigCube:
         start_pairs: Iterable[tuple[int, int]] | None = None,
         fix_first_start: bool = False,
     ) -> "ConfigCube":
-        """Build a cube with :func:`configurations`' argument conventions."""
+        """Build a cube; ``start_pairs`` defaults to :func:`default_start_pairs`.
+
+        ``fix_first_start`` pins the first agent to node 0, which is sound
+        (loses no worst case) exactly on port-preservingly
+        vertex-transitive graphs such as oriented rings, hypercubes and
+        tori; the caller asserts that property.
+        """
         if start_pairs is None:
             start_pairs = default_start_pairs(graph, fix_first_start)
         return cls(
@@ -194,18 +174,17 @@ class ConfigCube:
         return len(self.label_pairs) * len(self.start_pairs) * len(self.delays)
 
     def indexed(
-        self, lo: int = 0, hi: int | None = None
+        self, indices: Iterable[int]
     ) -> Iterator[tuple[int, Configuration]]:
-        """The ``(global index, configuration)`` pairs of indices ``[lo, hi)``.
+        """The ``(global index, configuration)`` pair of each index, in order.
 
         An index maps to its configuration by ``divmod`` over the axes, so
-        a slice costs ``O(hi - lo)`` wherever it starts -- no preceding
-        configuration is enumerated and discarded.
+        a slice or a sample costs ``O(len(indices))`` wherever it lies --
+        no other configuration is enumerated and discarded.
         """
         delays = self.delays
         per_pair = len(self.start_pairs) * len(delays)
-        hi = len(self) if hi is None else min(hi, len(self))
-        for index in range(lo, hi):
+        for index in indices:
             pair_index, rest = divmod(index, per_pair)
             start_index, delay_index = divmod(rest, len(delays))
             yield index, Configuration(
@@ -280,8 +259,7 @@ class Reduction:
     The single reducer behind every engine: single verdicts and NumPy
     blocks alike reach :func:`first_max`, a block through one ``argmax``
     per metric (which returns the block's first maximiser).  ``failures``
-    holds ``(index, config)`` pairs in order; ``blocks`` counts the
-    blocks folded in.
+    holds ``(index, config)`` pairs in order.
     """
 
     def __init__(self) -> None:
@@ -289,7 +267,6 @@ class Reduction:
         self.worst_cost: Verdict | None = None
         self.failures: list[tuple[int, Configuration]] = []
         self.executions = 0
-        self.blocks = 0
 
     def add(self, verdict: Verdict) -> None:
         self.executions += 1
@@ -302,7 +279,6 @@ class Reduction:
     def add_block(self, block: VerdictBlock) -> None:
         met, cost, locate = block
         self.executions += met.size
-        self.blocks += 1
         failed = met < 0
         missed = failed.nonzero()[0].tolist()
         for position in missed:
@@ -348,8 +324,43 @@ def reactive_verdicts(
         )
 
 
-#: Valid values of ``worst_case_search``'s ``engine`` argument.
-SEARCH_ENGINES = ("reactive", "compiled", "cube", "auto")
+#: The ``engine=`` values of every entry point: ``auto`` or a substrate.
+ENGINES = ("auto", "reactive", "compiled", "cube")
+
+
+def resolve_substrate(engine: str, factory: Any) -> str:
+    """The substrate an ``engine`` choice runs ``factory`` on.
+
+    The one statement of the substrate policy, shared by every entry
+    point.  ``"auto"`` picks the fastest sound substrate: ``"cube"`` for
+    an ``is_oblivious`` factory (see
+    :class:`repro.core.base.RendezvousAlgorithm`; a class or an
+    instance) when NumPy is importable, ``"compiled"`` for one without
+    NumPy, ``"reactive"`` for everything else.  An explicit
+    ``"compiled"`` or ``"cube"`` raises unless the factory is
+    ``is_oblivious``, and ``"cube"`` raises a loud
+    :class:`~repro.sim.batch.BatchUnavailableError` without NumPy.  The
+    engines produce byte-identical reports wherever they all apply.
+    """
+    # Imported lazily: repro.sim.batch imports this module's types.
+    from repro.sim.batch import numpy_available, require_numpy
+
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; choose from {list(ENGINES)}")
+    oblivious = getattr(factory, "is_oblivious", False)
+    if engine == "auto":
+        if not oblivious:
+            return "reactive"
+        return "cube" if numpy_available() else "compiled"
+    if engine != "reactive" and not oblivious:
+        name = getattr(factory, "name", factory)
+        raise ValueError(
+            f"{name!r} is not is_oblivious; "
+            f"engine={engine!r} needs a schedule-driven algorithm"
+        )
+    if engine == "cube":
+        require_numpy()
+    return engine
 
 
 def _engine_table(
@@ -361,42 +372,19 @@ def _engine_table(
     """The evaluation substrate of an engine (``None`` for reactive).
 
     A :class:`~repro.sim.compiled.TrajectoryTable` for ``"compiled"``, a
-    :class:`~repro.sim.cube.CubeTimelineTable` for ``"cube"`` (which
-    needs NumPy).  Engine modules are imported lazily: they import this
-    module's types, so the import-time arrow points one way.
+    :class:`~repro.sim.cube.CubeTimelineTable` for ``"cube"``.  Engine
+    modules are imported lazily: they import this module's types, so the
+    import-time arrow points one way.
     """
     if engine == "compiled":
         from repro.sim.compiled import TrajectoryTable
 
         return TrajectoryTable(graph, factory)
     if engine == "cube":
-        from repro.sim.batch import require_numpy
         from repro.sim.cube import CubeTimelineTable
 
-        require_numpy()
         return CubeTimelineTable(graph, factory, prune=prune)
     return None
-
-
-def _tensorizes(engine: str, configs: Any, graph: PortLabeledGraph) -> bool:
-    """Whether the cube engine answers ``configs`` by whole-cube passes."""
-    return engine == "cube" and isinstance(configs, ConfigCube) and configs.graph == graph
-
-
-def _items(
-    configs: Iterable[Configuration],
-    max_rounds: int | Callable[[Configuration], int],
-    lo: int,
-    hi: int | None,
-) -> Iterator[tuple[int, Configuration, int]]:
-    """Lazy ``(index, config, horizon)`` items of a stream or a cube slice."""
-    if isinstance(configs, ConfigCube):
-        indexed: Iterable[tuple[int, Configuration]] = configs.indexed(lo, hi)
-    else:
-        indexed = enumerate(configs)
-    if callable(max_rounds):
-        return ((index, config, max_rounds(config)) for index, config in indexed)
-    return ((index, config, max_rounds) for index, config in indexed)
 
 
 def reduce_space(
@@ -404,39 +392,40 @@ def reduce_space(
     table: Any,
     graph: PortLabeledGraph,
     factory: ProgramFactory,
-    configs: Iterable[Configuration],
+    cube: ConfigCube,
+    indices: Sequence[int],
     max_rounds: int | Callable[[Configuration], int],
     presence: PresenceModel,
-    lo: int = 0,
-    hi: int | None = None,
 ) -> Reduction:
-    """Reduce one engine's verdicts over a configuration space.
+    """Reduce one engine's verdicts over ``indices`` of a cube, in that order.
 
-    ``configs`` is a stream (indexed by position) or a
-    :class:`ConfigCube`, of which only indices ``[lo, hi)`` are
-    evaluated.  ``table`` is the engine's substrate (see
-    :func:`_engine_table`; the runtime passes per-process memoised
-    ones).  The cube engine answers a cube over ``graph`` by one
-    whole-cube block (:func:`repro.sim.cube._whole_cube_search`) and any
-    other stream in chunked blocks; the reactive and compiled evaluators
-    hand over one verdict at a time, so the stream is consumed lazily.
+    The single point every engine passes through: a shard passes
+    ``range(lo, hi)``, a sample the drawn indices.  ``table`` is the
+    engine's substrate (see :func:`_engine_table`; the runtime passes
+    per-process memoised ones).  The cube engine answers the indices
+    from one whole-cube block (:func:`repro.sim.cube._whole_cube_search`);
+    the reactive and compiled evaluators hand over one verdict at a
+    time, walking the indices lazily.  A cube over another graph than
+    ``graph`` is refused: its start pairs would name the wrong nodes.
     """
+    if cube.graph is not graph and cube.graph != graph:
+        raise ValueError(
+            f"the configuration cube is over {cube.graph!r}, "
+            f"not the searched {graph!r}"
+        )
     reduction = Reduction()
     if engine == "cube":
-        from repro.sim import cube
+        from repro.sim.cube import _whole_cube_search
 
-        if _tensorizes(engine, configs, graph):
-            blocks: Iterable[VerdictBlock] = [
-                cube._whole_cube_search(table, configs, max_rounds, presence, lo, hi)
-            ]
-        else:
-            blocks = cube._stream_search(
-                table, _items(configs, max_rounds, lo, hi), presence
-            )
-        for block in blocks:
-            reduction.add_block(block)
+        reduction.add_block(
+            _whole_cube_search(table, cube, indices, max_rounds, presence)
+        )
         return reduction
-    items = _items(configs, max_rounds, lo, hi)
+    indexed = cube.indexed(indices)
+    if callable(max_rounds):
+        items = ((index, config, max_rounds(config)) for index, config in indexed)
+    else:
+        items = ((index, config, max_rounds) for index, config in indexed)
     if engine == "compiled":
         verdicts = table.verdicts(items, presence)
     else:
@@ -449,7 +438,7 @@ def reduce_space(
 def worst_case_search(
     graph: PortLabeledGraph,
     factory: ProgramFactory,
-    configs: Iterable[Configuration],
+    cube: ConfigCube,
     max_rounds: int | Callable[[Configuration], int],
     presence: PresenceModel = PresenceModel.FROM_START,
     sample: int | None = None,
@@ -458,65 +447,45 @@ def worst_case_search(
     telemetry: Telemetry = NULL_TELEMETRY,
     prune: bool | None = None,
 ) -> WorstCaseReport:
-    """Run every configuration and keep the extremes.
+    """Run every configuration of ``cube`` and keep the extremes.
 
     ``max_rounds`` may be a constant horizon or a function of the
     configuration (e.g., the algorithm's own schedule bound plus the delay).
     With ``sample`` set, at most that many configurations are examined,
-    drawn uniformly with ``rng`` (exhaustiveness traded for scale).
+    drawn uniformly with ``rng`` as indices into the cube
+    (exhaustiveness traded for scale); the population is never built.
 
-    ``configs`` is consumed as a *stream*: with ``sample=None``, no engine
-    materializes the configuration space -- the reactive and compiled
-    evaluators run one configuration at a time and the cube engine pulls
-    bounded chunks.  Only the sampling branch (which must see the whole
-    population to draw from it) builds a list.
-
-    ``engine`` selects the evaluator and never the semantics -- the
-    reports are identical, field for field, trace for trace, because
-    every engine's verdicts go through one :class:`Reduction`:
+    ``engine`` selects the substrate (resolved by
+    :func:`resolve_substrate`) and never the semantics -- the reports are
+    identical, field for field, trace for trace, because every engine's
+    verdicts go through one :class:`Reduction`:
 
     * ``"reactive"`` runs each configuration through the round simulator;
     * ``"compiled"`` compiles each agent's trajectory once per
       ``(label, start)`` and scans timelines (:mod:`repro.sim.compiled`);
-      requires a schedule-driven factory exposing ``schedule_length``;
     * ``"cube"`` tensorizes *across* label pairs and prunes the adversary
-      space by rotation orbits and delay dominance
-      (:mod:`repro.sim.cube`); needs the optional NumPy dependency and a
-      schedule-driven factory, and is fastest when ``configs`` is a
-      :class:`ConfigCube`;
-    * ``"auto"`` picks the fastest sound engine for the factory: agents
-      that are ``is_oblivious`` (see
-      :class:`repro.core.base.RendezvousAlgorithm`) run on ``"cube"``
-      when NumPy is importable, on ``"compiled"`` otherwise; everything
-      else stays reactive.
+      space by rotation orbits and delay dominance (:mod:`repro.sim.cube`);
+      needs the optional NumPy dependency and a horizon determined by
+      ``(labels, delay)``;
+    * ``"auto"`` picks the fastest sound one of these for the factory.
 
     ``prune`` is consulted by the cube engine only (``None`` resolves
     through :func:`repro.sim.prune.resolve_prune`); pruned and unpruned
     runs return byte-identical reports.
     """
-    if engine not in SEARCH_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose from {list(SEARCH_ENGINES)}"
-        )
-    if sample is not None:
-        population = list(configs)
-        if sample < len(population):
-            rng = rng or random.Random(0xC0FFEE)
-            population = rng.sample(population, sample)
-        configs = population
-    if engine == "auto":
-        if getattr(factory, "is_oblivious", False):
-            from repro.sim.batch import numpy_available
-
-            engine = "cube" if numpy_available() else "compiled"
-        else:
-            engine = "reactive"
+    engine = resolve_substrate(engine, factory)
+    indices: Sequence[int] = range(len(cube))
+    if sample is not None and sample < len(cube):
+        # Drawing indices picks exactly the configurations that drawing
+        # from the materialized population would, in the same order.
+        rng = rng or random.Random(0xC0FFEE)
+        indices = rng.sample(indices, sample)
 
     table = _engine_table(engine, graph, factory, prune)
     with telemetry.span(f"{engine}.search"):
         started = time.perf_counter()
         found = reduce_space(
-            engine, table, graph, factory, configs, max_rounds, presence
+            engine, table, graph, factory, cube, indices, max_rounds, presence
         )
         if telemetry.enabled:
             elapsed = time.perf_counter() - started
@@ -532,8 +501,6 @@ def worst_case_search(
                 telemetry.gauge("compiled.trajectories", len(table))
             telemetry.count("configs.evaluated", found.executions)
             if engine == "cube":
-                whole = _tensorizes(engine, configs, graph)
-                telemetry.count("cube.chunks", 0 if whole else found.blocks)
                 stats = table.stats
                 telemetry.count("cube.prune.orbit_cells", stats.orbit_cells)
                 telemetry.count(

@@ -12,12 +12,10 @@ array comparison over delay-shifted timelines, costs via fancy-indexed
 cumulative-traversal rows.
 
 :class:`BatchTimelineTable` is the unpruned table under
-:class:`repro.sim.cube.CubeTimelineTable`, and its
-:meth:`~BatchTimelineTable.evaluate_arrays` answers the cube engine's
-configuration streams that are not a
-:class:`~repro.sim.adversary.ConfigCube`, in chunks of
-:func:`stream_chunk` configurations.  The measured ``(time, cost)`` per
-configuration is exact integer array arithmetic mirroring
+:class:`repro.sim.cube.CubeTimelineTable`: its cached per-group
+all-start-pairs matrices are what the cube engine's whole-cube slices
+read when the orbit shortcut does not apply.  The measured ``(time,
+cost)`` per configuration is exact integer array arithmetic mirroring
 :meth:`~repro.sim.compiled.TrajectoryTable.evaluate`, and full results
 are reconstructed through the compiled engine's
 :func:`~repro.sim.compiled.reconstruct_result`.  The cross-engine suite
@@ -25,10 +23,10 @@ in ``tests/sim/test_compiled.py`` asserts the identity exhaustively.
 
 NumPy is an *optional* dependency (the ``repro-rendezvous[batch]`` extra).
 Importing this module never requires it; constructing a
-:class:`BatchTimelineTable` (or resolving ``engine="cube"`` anywhere in
-the stack) without NumPy raises :class:`BatchUnavailableError` with the
-install hint, and ``engine="auto"`` falls back to the compiled engine
-silently.
+:class:`BatchTimelineTable` (or resolving ``engine="cube"`` through
+:func:`repro.sim.adversary.resolve_substrate`) without NumPy raises
+:class:`BatchUnavailableError` with the install hint, and
+``engine="auto"`` falls back to the compiled engine silently.
 """
 
 from __future__ import annotations
@@ -67,19 +65,6 @@ _MIN_TIME_BLOCK = 16
 #: oldest groups are evicted beyond it.
 _MATRIX_CACHE_ELEMENTS = 1 << 24
 
-#: A group answers through the all-pairs matrices when its requested
-#: configurations cover at least ``1/_DENSE_FRACTION`` of the ``n**2``
-#: start pairs; sparser groups (e.g. pinned-first-start sweeps, which
-#: request ``n - 1`` of them) scan just their own rows.
-_DENSE_FRACTION = 8
-
-#: Smallest stream chunk (:func:`stream_chunk`).
-DEFAULT_STREAM_CHUNK = 16384
-
-#: Hard ceiling on a stream chunk: past this, chunk-list bookkeeping
-#: dominates and memory grows for no vectorization gain.
-_MAX_DERIVED_CHUNK = 1 << 18
-
 
 class BatchUnavailableError(ValueError):
     """The NumPy engine was requested but NumPy is not importable.
@@ -106,20 +91,6 @@ def require_numpy() -> Any:
             "without NumPy and the reports are identical"
         )
     return _np
-
-
-def stream_chunk(graph: PortLabeledGraph) -> int:
-    """Configurations per :meth:`~BatchTimelineTable.evaluate_arrays` pass.
-
-    The chunk a configuration stream is pulled in.  Covers ``8 * n**2`` configurations -- enough start-pair coverage that
-    every group in the chunk clears :data:`_DENSE_FRACTION` and answers
-    through the cached all-pairs matrices -- floored at
-    :data:`DEFAULT_STREAM_CHUNK` and capped at :data:`_MAX_DERIVED_CHUNK`
-    so small sweeps stop paying per-chunk overhead without huge graphs
-    ballooning memory.
-    """
-    derived = 8 * graph.num_nodes**2
-    return min(max(DEFAULT_STREAM_CHUNK, derived), _MAX_DERIVED_CHUNK)
 
 
 def store_bounded(cache: dict, key: Any, value: Any, size: int) -> None:
@@ -209,47 +180,6 @@ def _meeting_tensor(
     return np.where((met >= 0) & (met <= limit[:, None, None]), met, -1)
 
 
-def _first_meetings(
-    np: Any,
-    first: LabelTimelines,
-    second: LabelTimelines,
-    s1: Any,
-    s2: Any,
-    delay: int,
-    horizon: int,
-    earliest: int,
-) -> Any:
-    """First colocation time per row-aligned start pair (-1 = none).
-
-    The sparse-group counterpart of :func:`_meeting_tensor`: the same
-    delay-shifted column scan, restricted to the requested ``(s1, s2)``
-    rows, with met rows dropping out between blocks.
-    """
-    count = s1.shape[0]
-    met = np.full(count, -1, dtype=np.int64)
-    if earliest > horizon:
-        return met
-    length1, length2 = first.length, second.length
-    scan_hi = min(horizon, max(length1, delay + length2))
-    positions1, positions2 = first.positions, second.positions
-    block = max(_MIN_TIME_BLOCK, _BLOCK_ELEMENTS // max(count, 1))
-    active = np.arange(count, dtype=np.intp)
-    t0 = earliest
-    while active.size and t0 <= scan_hi:
-        t1 = min(t0 + block - 1, scan_hi)
-        times = np.arange(t0, t1 + 1, dtype=np.intp)
-        colocated = (
-            positions1[s1[active][:, None], np.minimum(times, length1)[None, :]]
-            == positions2[s2[active][:, None], np.clip(times - delay, 0, length2)[None, :]]
-        )
-        hit = colocated.any(axis=1)
-        if hit.any():
-            met[active[hit]] = t0 + colocated[hit].argmax(axis=1)
-            active = active[~hit]
-        t0 = t1 + 1
-    return met
-
-
 def _cost_tensor(
     np: Any,
     first: LabelTimelines,
@@ -283,8 +213,8 @@ class BatchTimelineTable:
     The cube engine's unpruned substrate: at most ``L`` label matrices
     are built (each stacking the ``n`` compiled trajectories of one
     label), however many configurations are evaluated.
-    :meth:`evaluate_arrays` answers a block of configurations in grouped
-    vectorized passes;
+    :meth:`group_matrices` answers every start pair of one ``(label
+    pair, delay, horizon)`` group in one vectorized pass;
     :meth:`result` reconstructs the full reactive-equivalent record for
     the few configurations that end up as extremes, through the wrapped
     :class:`~repro.sim.compiled.TrajectoryTable`.
@@ -310,8 +240,8 @@ class BatchTimelineTable:
         #: data only: nothing reads it back into the computation.
         self.build_seconds = 0.0
         # (labels, delay, horizon, presence) -> (met, cost) matrices.
-        # Bounded FIFO: shards and stream chunks of one sweep revisit the
-        # same groups, so each matrix is computed once per process.
+        # Bounded FIFO: shards of one sweep revisit the same groups, so
+        # each matrix is computed once per process.
         self._matrices: dict[
             tuple[tuple[int, int], int, int, PresenceModel], tuple[Any, Any]
         ] = {}
@@ -389,8 +319,8 @@ class BatchTimelineTable:
 
         One vectorized pass answers every ordered start pair of a
         ``(label pair, delay, horizon)`` group at once; the matrices are
-        cached (bounded FIFO) so stream chunks and shards that split a
-        group across calls still compute it once.
+        cached (bounded FIFO) so shards that split a group across calls
+        still compute it once.
         """
         key = (labels, delay, horizon, presence)
         matrices = self._matrices.get(key)
@@ -398,68 +328,6 @@ class BatchTimelineTable:
             self._ensure_matrices(labels, [(delay, horizon)], presence)
             matrices = self._matrices[key]
         return matrices
-
-    def evaluate_arrays(
-        self,
-        configs: Sequence[Configuration],
-        horizons: Sequence[int],
-        presence: PresenceModel = PresenceModel.FROM_START,
-    ) -> tuple[Any, Any]:
-        """``(met, cost)`` int64 arrays aligned to the input order.
-
-        ``met[i]`` is configuration ``i``'s meeting time (``-1`` when the
-        agents do not meet within its horizon) and ``cost[i]`` the total
-        edge traversals through the meeting round (through the horizon
-        for a failure).  Configurations are grouped by ``(labels, delay,
-        horizon)`` -- the axes the vector pass shares; dense groups are
-        read out of their (cached) all-start-pairs matrices, sparse ones
-        scan just their own rows.  The numbers are exactly what
-        :meth:`TrajectoryTable.evaluate` (and hence the reactive
-        simulator) would measure.
-        """
-        np = self._np
-        met_all = np.empty(len(configs), dtype=np.int64)
-        cost_all = np.empty(len(configs), dtype=np.int64)
-        pair_count = self.graph.num_nodes**2
-        groups: dict[tuple[tuple[int, int], int, int], list[int]] = {}
-        for position, config in enumerate(configs):
-            key = (config.labels, config.delay, horizons[position])
-            groups.setdefault(key, []).append(position)
-        # Pre-build every dense group's matrices, one tensor pass per
-        # label pair across all its delays.
-        dense: dict[tuple[tuple[int, int], PresenceModel], list[tuple[int, int]]] = {}
-        for (labels, delay, horizon), members in groups.items():
-            if len(members) * _DENSE_FRACTION >= pair_count:
-                dense.setdefault((labels, presence), []).append((delay, horizon))
-        for (labels, _), delay_horizons in dense.items():
-            self._ensure_matrices(labels, delay_horizons, presence)
-        for (labels, delay, horizon), members in groups.items():
-            rows = np.array(members, dtype=np.intp)
-            starts = np.array([configs[i].starts for i in members], dtype=np.intp)
-            s1, s2 = starts[:, 0], starts[:, 1]
-            if (
-                len(members) * _DENSE_FRACTION >= pair_count
-                or (labels, delay, horizon, presence) in self._matrices
-            ):
-                met_matrix, cost_matrix = self.group_matrices(
-                    labels, delay, horizon, presence
-                )
-                met, cost = met_matrix[s1, s2], cost_matrix[s1, s2]
-            else:
-                first = self.timelines(labels[0])
-                second = self.timelines(labels[1])
-                earliest = delay if presence is PresenceModel.PARACHUTE else 0
-                met = _first_meetings(
-                    np, first, second, s1, s2, delay, horizon, earliest
-                )
-                last = np.where(met >= 0, met, horizon)
-                cost = (
-                    first.costs[s1, np.minimum(last, first.length)]
-                    + second.costs[s2, np.clip(last - delay, 0, second.length)]
-                )
-            met_all[rows] = met
-            cost_all[rows] = cost
-        return met_all, cost_all
 
     def result(
         self,

@@ -9,7 +9,8 @@ when symmetry makes most of them redundant.  This module removes all three costs
 * **Cross-label tensorization** -- given a :class:`ConfigCube` (the
   product-structured configuration space), the whole
   ``L(L-1) x n(n-1) x D`` cube -- or any contiguous index slice of it,
-  such as a runtime shard -- is answered by per-axis array passes:
+  such as a runtime shard, or a sample gathered from the slice it
+  spans -- is answered by per-axis array passes:
   configurations exist only as ``(pair, start, delay)`` indices, handed
   to the reducer as one :class:`~repro.sim.adversary.VerdictBlock` that
   locates only the two argmax extremes (and any failures).
@@ -30,10 +31,11 @@ every other engine's verdicts, and the cross-engine suite (``tests/sim``)
 asserts byte-identity against the reactive engine with pruning on and
 off.
 
-NumPy availability is checked at call time through
-:mod:`repro.sim.batch`, so ``engine="cube"`` degrades with the same loud
-:class:`~repro.sim.batch.BatchUnavailableError` hint (naming ``'cube'``)
-and ``engine="auto"`` falls back to the compiled engine silently.
+NumPy availability is checked at call time by
+:func:`repro.sim.adversary.resolve_substrate`, so ``engine="cube"``
+degrades with a loud :class:`~repro.sim.batch.BatchUnavailableError`
+hint (naming ``'cube'``) and ``engine="auto"`` falls back to the
+compiled engine silently.
 """
 
 from __future__ import annotations
@@ -42,9 +44,8 @@ from __future__ import annotations
 # telemetry gauges, exactly as in repro.sim.batch; results flow only
 # through Telemetry, never into report bytes.
 
-import itertools
 import time
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.sim.adversary import ConfigCube, Configuration, VerdictBlock
@@ -54,7 +55,6 @@ from repro.sim.batch import (
     BatchTimelineTable,
     LabelTimelines,
     store_bounded,
-    stream_chunk,
 )
 from repro.sim.program import ProgramFactory
 from repro.sim.prune import (
@@ -399,11 +399,10 @@ class CubeTimelineTable(BatchTimelineTable):
     ) -> None:
         """The parent hook, pruned: delta expansion and delay dominance.
 
-        Keeps :meth:`evaluate_arrays` (the stream path) inherited
-        unchanged -- it reads the same ``(n, n)`` matrices, they are just
-        produced more cheaply: expanded from delta tables on a certified
-        sweep, and dominated slices derived instead of scanned either
-        way.  With pruning off this is exactly the parent's pass.
+        The same ``(n, n)`` matrices as the parent's, produced more
+        cheaply: expanded from delta tables on a certified sweep, and
+        dominated slices derived instead of scanned either way.  With
+        pruning off this is exactly the parent's pass.
         """
         if not self.prune:
             return super()._ensure_matrices(labels, delay_horizons, presence)
@@ -518,17 +517,19 @@ def _pair_horizons(
 def _whole_cube_search(
     table: CubeTimelineTable,
     cube: ConfigCube,
+    indices: Sequence[int],
     max_rounds: int | Callable[[Configuration], int],
     presence: PresenceModel,
-    lo: int = 0,
-    hi: int | None = None,
 ) -> VerdictBlock:
-    """Answer the indices ``[lo, hi)`` of a :class:`ConfigCube` (default: all).
+    """Answer the given indices of a :class:`ConfigCube`, in their order.
 
-    The whole-cube evaluator behind ``worst_case_search(engine="cube")``
-    and the runtime's cube shards.  Only the label pairs the range
-    touches are evaluated, with horizons per ``(label pair, delay)``
-    (:func:`_pair_horizons`).  On a certified-cyclic sweep they are one
+    The cube engine's one evaluator, behind
+    ``worst_case_search(engine="cube")`` and the runtime's cube shards.
+    The index range ``[lo, hi)`` that ``indices`` spans is evaluated as
+    one block; a contiguous ascending ``range`` (a shard, a whole cube)
+    is that block, any other sequence (a sample) is gathered from it.
+    Only the label pairs the range touches are evaluated, with horizons
+    per ``(label pair, delay)`` (:func:`_pair_horizons`).  On a certified-cyclic sweep they are one
     stacked pass (:meth:`CubeTimelineTable.cube_delta_tables`) gathered
     by start-pair delta; otherwise each pair's touched start rows are
     read from its all-start-pairs matrices (:meth:`~CubeTimelineTable.pair_cube`).
@@ -542,10 +543,14 @@ def _whole_cube_search(
     delays = cube.delays
     delay_count = len(delays)
     per_pair = len(start_pairs) * delay_count
-    hi = len(cube) if hi is None else min(hi, len(cube))
-    if lo >= hi:
+    if not len(indices):
         empty = np.empty(0, dtype=np.int64)
         return VerdictBlock(empty, empty, [].__getitem__)  # nothing to locate
+    contiguous = isinstance(indices, range) and indices.step == 1
+    if contiguous:
+        lo, hi = indices.start, indices.stop
+    else:
+        lo, hi = min(indices), max(indices) + 1
     first_pair = lo // per_pair
     label_pairs = cube.label_pairs[first_pair : (hi - 1) // per_pair + 1]
     pair_horizons = [
@@ -593,27 +598,7 @@ def _whole_cube_search(
         )
         return lo + position, config, pair_horizons[pair_index][delay_index][1]
 
-    return VerdictBlock(met, cost, locate)
-
-
-def _stream_search(
-    table: CubeTimelineTable,
-    items: Iterable[tuple[int, Configuration, int]],
-    presence: PresenceModel,
-) -> Iterator[VerdictBlock]:
-    """The stream evaluator: one block per chunk of ``(index, config, horizon)``.
-
-    For configuration streams that are not a :class:`ConfigCube`: each
-    chunk of :func:`repro.sim.batch.stream_chunk` items is answered by
-    one :meth:`~CubeTimelineTable.evaluate_arrays` pass over the pruned
-    table, so the stream is held one chunk at a time.
-    """
-    chunk_size = stream_chunk(table.graph)
-    iterator = iter(items)
-    while chunk := list(itertools.islice(iterator, chunk_size)):
-        met, cost = table.evaluate_arrays(
-            [config for _, config, _ in chunk],
-            [horizon for _, _, horizon in chunk],
-            presence,
-        )
-        yield VerdictBlock(met, cost, chunk.__getitem__)
+    if contiguous:
+        return VerdictBlock(met, cost, locate)
+    at = np.asarray(indices, dtype=np.intp) - lo
+    return VerdictBlock(met[at], cost[at], lambda k: locate(int(at[k])))

@@ -1,23 +1,23 @@
-"""Engine routing: how ``engine=`` choices map to executors and substrates.
+"""Engine routing: how ``engine=`` choices map to substrates.
 
-The executor axis (serial / process pool) and the simulation substrate
-(reactive / compiled trajectories / pruned cube) are
-independent; these tests pin down the mapping -- ``auto`` runs
-schedule-driven algorithms on the fastest available substrate (cube
-with NumPy, compiled without), explicit ``serial``/``parallel`` stay
-reactive, ``compiled``/``cube`` demand the flag, the retired ``batch``
-rung is unknown everywhere -- and that
-every combination produces byte-identical reports.
+``engine=`` names only the simulation substrate (reactive / compiled
+trajectories / pruned cube); the executor comes from ``workers=``,
+``executor=`` or ``cluster=``.  These tests pin down the mapping --
+``auto`` runs schedule-driven algorithms on the fastest available
+substrate (cube with NumPy, compiled without), ``compiled``/``cube``
+demand the flag, executor names and the retired ``batch`` rung are
+unknown everywhere -- and that every combination produces
+byte-identical reports.
 """
 
 import json
 
 import pytest
 
-from repro.api import Scenario, resolve_sim_engine
+from repro.api import Scenario
 from repro.cli import main as cli_main
 from repro.core.cheap import Cheap
-from repro.registry import SpecError
+from repro.core.fast import Fast
 from repro.runtime import (
     AlgorithmSpec,
     GraphSpec,
@@ -27,7 +27,7 @@ from repro.runtime import (
     execute_job,
 )
 from repro.runtime.spec import canonical_json
-from repro.sim.adversary import worst_case_search
+from repro.sim.adversary import ConfigCube, resolve_substrate, worst_case_search
 from repro.sim.batch import numpy_available
 
 requires_numpy = pytest.mark.skipif(
@@ -59,27 +59,32 @@ def ring_job(**overrides) -> JobSpec:
 
 
 class TestResolveSimEngine:
+    """The one substrate resolver, :func:`resolve_substrate`."""
+
     def test_auto_picks_the_fastest_sound_substrate(self):
+        from repro.registry import ALGORITHMS
+
         expected = "cube" if numpy_available() else "compiled"
         for name in ("cheap", "cheap-sim", "fast", "fast-sim", "fwr", "fwr-sim"):
-            assert resolve_sim_engine("auto", name) == expected
+            assert resolve_substrate("auto", ALGORITHMS.entry(name).target) == expected
 
     def test_auto_falls_back_to_compiled_without_numpy(self, monkeypatch):
         import repro.sim.batch as batch_module
 
         monkeypatch.setattr(batch_module, "_np", None)
-        assert resolve_sim_engine("auto", "fast") == "compiled"
+        assert resolve_substrate("auto", Fast) == "compiled"
 
-    def test_explicit_executor_choices_stay_reactive(self):
-        assert resolve_sim_engine("serial", "cheap") == "reactive"
-        assert resolve_sim_engine("parallel", "cheap") == "reactive"
+    def test_reactive_is_explicit_for_every_algorithm(self, monkeypatch):
+        assert resolve_substrate("reactive", Fast) == "reactive"
+        monkeypatch.setattr(Cheap, "is_oblivious", False)
+        assert resolve_substrate("reactive", Cheap) == "reactive"
 
     def test_compiled_is_explicit(self):
-        assert resolve_sim_engine("compiled", "fast") == "compiled"
+        assert resolve_substrate("compiled", Fast) == "compiled"
 
     @requires_numpy
     def test_cube_is_explicit(self):
-        assert resolve_sim_engine("cube", "fast") == "cube"
+        assert resolve_substrate("cube", Fast) == "cube"
 
     def test_batch_without_numpy_raises_the_install_hint(self, monkeypatch):
         # The NumPy engine's hint names the [batch] extra that provides it.
@@ -87,33 +92,47 @@ class TestResolveSimEngine:
 
         monkeypatch.setattr(batch_module, "_np", None)
         with pytest.raises(ValueError, match=r"repro-rendezvous\[batch\]"):
-            resolve_sim_engine("cube", "fast")
+            resolve_substrate("cube", Fast)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
-            resolve_sim_engine("warp", "cheap")
-
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(SpecError):
-            resolve_sim_engine("auto", "nope")
+            resolve_substrate("warp", Cheap)
 
     def test_derived_engines_require_the_flag(self, monkeypatch):
         monkeypatch.setattr(Cheap, "is_oblivious", False)
-        assert resolve_sim_engine("auto", "cheap") == "reactive"
+        assert resolve_substrate("auto", Cheap) == "reactive"
         for engine in ("compiled", "cube"):
             with pytest.raises(ValueError, match="is_oblivious"):
-                resolve_sim_engine(engine, "cheap")
+                resolve_substrate(engine, Cheap)
 
 
 def test_retired_batch_engine_is_unknown_everywhere(ring12):
     """``engine="batch"`` was retired: every entry point rejects it loudly."""
     algorithm = AlgorithmSpec("cheap", 3).build(ring12)
+    empty = ConfigCube.make(ring12, [])
     with pytest.raises(ValueError, match="unknown engine"):
-        worst_case_search(ring12, algorithm, [], 1, engine="batch")
+        worst_case_search(ring12, algorithm, empty, 1, engine="batch")
     with pytest.raises(ValueError, match="unknown engine"):
         ring_job(engine="batch")
     with pytest.raises(ValueError, match="unknown engine"):
-        resolve_sim_engine("batch", "fast")
+        resolve_substrate("batch", algorithm)
+
+
+@pytest.mark.parametrize("engine", ["serial", "parallel"])
+def test_executor_names_are_not_engines(ring12, engine):
+    """The executor is chosen by workers/executor/cluster, never ``engine``."""
+    algorithm = AlgorithmSpec("cheap", 3).build(ring12)
+    with pytest.raises(ValueError, match="unknown engine"):
+        tiny().run(engine=engine, workers=1)
+    with pytest.raises(ValueError, match="unknown engine"):
+        worst_case_search(
+            ring12, algorithm, ConfigCube.make(ring12, []), 1, engine=engine
+        )
+    with pytest.raises(ValueError, match="unknown engine"):
+        ring_job(engine=engine)
+    with pytest.raises(SystemExit) as exited:
+        cli_main(["sweep", "--engine", engine, "--no-cache"])
+    assert exited.value.code == 2
 
 
 class TestJobSpecEngine:
@@ -177,11 +196,11 @@ class TestExecutionEquivalence:
 
     def test_scenario_reports_are_engine_invariant(self):
         scenario = tiny()
-        engines = ["serial", "auto", "compiled"]
+        engines = ["reactive", "auto", "compiled"]
         if numpy_available():
             engines.append("cube")
         by_engine = {engine: scenario.run(engine=engine) for engine in engines}
-        reference = by_engine["serial"].to_json()
+        reference = by_engine["reactive"].to_json()
         assert all(run.to_json() == reference for run in by_engine.values())
 
     def test_auto_records_its_substrate_in_provenance(self):
@@ -189,11 +208,11 @@ class TestExecutionEquivalence:
 
         scenario = tiny()
         auto = scenario.run(engine="auto")
-        serial = scenario.run(engine="serial")
+        reactive = scenario.run(engine="reactive", workers=1)
         spec = scenario.job_spec()
-        substrate = resolve_sim_engine("auto", scenario.algorithm)
+        substrate = resolve_substrate("auto", Cheap)
         assert substrate == ("cube" if numpy_available() else "compiled")
-        assert serial.stats.sweep_key == spec.key()
+        assert reactive.stats.sweep_key == spec.key()
         assert auto.stats.sweep_key == replace(spec, engine=substrate).key()
 
     @pytest.mark.parametrize("engine", ["compiled", "cube"])
@@ -220,7 +239,7 @@ class TestCliEngineFlag:
     def test_sweep_json_engine_invariance(self, capsys):
         argv = ["sweep", "--graph", "ring", "--size", "6", "--algorithm", "cheap",
                 "--label-space", "3", "--delays", "0", "2", "--no-cache", "--json"]
-        engines = ["serial", "compiled"] + (
+        engines = ["reactive", "auto", "compiled"] + (
             ["cube"] if numpy_available() else []
         )
         payloads = {}
@@ -228,8 +247,8 @@ class TestCliEngineFlag:
             assert cli_main(argv + ["--engine", engine]) == 0
             payload = json.loads(capsys.readouterr().out)
             payloads[engine] = {k: payload[k] for k in ("scenario", "result")}
-        assert all(value == payloads["serial"] for value in payloads.values())
+        assert all(value == payloads["reactive"] for value in payloads.values())
 
-    def test_serial_engine_contradicts_workers(self):
+    def test_nonpositive_workers_are_refused(self):
         with pytest.raises(SystemExit, match="--workers"):
-            cli_main(["sweep", "--engine", "serial", "--workers", "2", "--no-cache"])
+            cli_main(["sweep", "--engine", "reactive", "--workers", "0", "--no-cache"])

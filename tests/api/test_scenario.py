@@ -1,8 +1,8 @@
 """Scenario: construction, validation, serialization, and execution.
 
 The load-bearing guarantees: every registered combination round-trips
-through dicts/JSON, and ``engine="serial"`` and ``engine="parallel"``
-produce byte-identical canonical reports.
+through dicts/JSON, and serial and pooled runs (``workers=1`` and
+``workers=2``) produce byte-identical canonical reports.
 """
 
 import pytest
@@ -79,7 +79,7 @@ class TestConstruction:
             tiny(label_pairs=[(1, 9)])
         with pytest.raises(ValueError, match="must be distinct"):
             tiny(label_pairs=[(2, 2)])
-        assert tiny(label_pairs=[(1, 3), (3, 1)]).run(engine="serial").row.executions
+        assert tiny(label_pairs=[(1, 3), (3, 1)]).run(engine="reactive", workers=1).row.executions
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="at least two labels"):
@@ -156,7 +156,7 @@ class TestRoundTrips:
         assert forced.build_algorithm().exploration_budget == 7
         assert derived.build_algorithm().exploration_budget == 4
         assert Scenario.from_json(forced.to_json()) == forced
-        run = forced.run(engine="serial", shard_count=2)
+        run = forced.run(engine="reactive", workers=1, shard_count=2)
         assert run.row.exploration_budget == 7
 
     def test_unknown_exploration_rejected(self):
@@ -237,27 +237,42 @@ class TestRoundTrips:
 
 
 class TestEngineRouting:
+    """``resolve_engine`` routes the executor; ``engine=`` is the substrate."""
+
     def test_explicit_engines(self):
-        assert isinstance(resolve_engine("serial", None, 10), SerialExecutor)
-        parallel = resolve_engine("parallel", 3, 10)
+        assert isinstance(resolve_engine(1, 10), SerialExecutor)
+        parallel = resolve_engine(3, 10)
         assert isinstance(parallel, ParallelExecutor)
         assert parallel.workers == 3
 
     def test_auto_follows_workers_then_size(self):
-        assert isinstance(resolve_engine("auto", 1, 10**9), SerialExecutor)
-        assert isinstance(resolve_engine("auto", 4, 10), ParallelExecutor)
+        assert isinstance(resolve_engine(1, 10**9), SerialExecutor)
+        assert isinstance(resolve_engine(4, 10), ParallelExecutor)
         assert isinstance(
-            resolve_engine("auto", None, AUTO_PARALLEL_THRESHOLD), ParallelExecutor
+            resolve_engine(None, AUTO_PARALLEL_THRESHOLD), ParallelExecutor
         )
         assert isinstance(
-            resolve_engine("auto", None, AUTO_PARALLEL_THRESHOLD - 1), SerialExecutor
+            resolve_engine(None, AUTO_PARALLEL_THRESHOLD - 1), SerialExecutor
         )
 
     def test_bad_engine_and_contradictory_workers(self):
         with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine("quantum", None, 10)
-        with pytest.raises(ValueError, match="contradictory"):
-            resolve_engine("serial", 4, 10)
+            tiny().run(engine="quantum")
+        for workers in (0, -2):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                resolve_engine(workers, 10)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_nonpositive_workers_are_refused_by_every_entry_point(self, workers):
+        from repro.api import Sweep
+        from repro.experiments import Campaign
+
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            tiny().run(workers=workers, cache=False)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            Sweep(tiny()).run(workers=workers, cache=False)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            Campaign(experiments=["exp01"], quick=True, workers=workers).run()
 
     def test_store_resolution(self, tmp_path):
         assert resolve_store(None) is None
@@ -282,12 +297,12 @@ class TestEngineRouting:
 
 
 class TestByteIdentity:
-    """engine="serial" and engine="parallel" agree byte-for-byte."""
+    """Serial and pooled reactive runs agree byte-for-byte."""
 
     @staticmethod
     def both_engines(scenario):
-        serial = scenario.run(engine="serial", shard_count=4)
-        parallel = scenario.run(engine="parallel", workers=2, shard_count=4)
+        serial = scenario.run(engine="reactive", workers=1, shard_count=4)
+        parallel = scenario.run(engine="reactive", workers=2, shard_count=4)
         assert serial.to_json() == parallel.to_json()
         return serial
 
@@ -310,10 +325,10 @@ class TestByteIdentity:
         # The store joins the engine axis: a run replayed from it
         # matches the storeless run byte-for-byte.
         scenario = tiny()
-        cold = scenario.run(engine="serial", shard_count=4)
-        warm = scenario.run(engine="serial", shard_count=4, cache=str(tmp_path))
+        cold = scenario.run(engine="reactive", workers=1, shard_count=4)
+        warm = scenario.run(engine="reactive", workers=1, shard_count=4, cache=str(tmp_path))
         replay = scenario.run(
-            engine="parallel", workers=2, shard_count=4, cache=str(tmp_path)
+            engine="reactive", workers=2, shard_count=4, cache=str(tmp_path)
         )
         assert replay.stats.fully_cached
         assert cold.to_json() == warm.to_json() == replay.to_json()
@@ -321,7 +336,7 @@ class TestByteIdentity:
 
 class TestRunBehaviour:
     def test_run_returns_scenario_run_with_stats(self):
-        run = tiny().run(engine="serial", shard_count=2)
+        run = tiny().run(engine="reactive", workers=1, shard_count=2)
         assert isinstance(run, ScenarioRun)
         assert run.scenario == tiny()
         assert run.stats.shards_total == 2
@@ -332,9 +347,9 @@ class TestRunBehaviour:
 
     def test_cache_round_trip(self, tmp_path):
         scenario = tiny()
-        first = scenario.run(engine="serial", cache=str(tmp_path), shard_count=3)
+        first = scenario.run(engine="reactive", workers=1, cache=str(tmp_path), shard_count=3)
         assert first.stats.shards_executed == 3
-        second = scenario.run(engine="serial", cache=str(tmp_path), shard_count=3)
+        second = scenario.run(engine="reactive", workers=1, cache=str(tmp_path), shard_count=3)
         assert second.stats.fully_cached
         assert first.to_json() == second.to_json()
 
@@ -363,7 +378,7 @@ class TestRunBehaviour:
         from repro.api import sweep_objects
 
         scenario = tiny(algorithm="cheap", delays=(0, 1))
-        run = scenario.run(engine="serial")
+        run = scenario.run(engine="reactive", workers=1)
         direct = sweep_objects(
             scenario.build_algorithm(),
             scenario.build_graph(),

@@ -80,7 +80,7 @@ class TestSerialization:
 class TestExecution:
     def test_run_covers_the_grid_in_order(self):
         sweep = Sweep.over(BASE, label_space=[3, 4])
-        outcome = sweep.run(engine="serial", shard_count=2)
+        outcome = sweep.run(engine="reactive", workers=1, shard_count=2)
         assert [r.scenario.label_space for r in outcome.runs] == [3, 4]
         assert all(r.row.time_within_bound for r in outcome.runs)
         assert len(outcome.rows) == 2
@@ -94,12 +94,12 @@ class TestExecution:
                 {"family": "star", "params": {"n": 4}},
             ],
         )
-        serial = sweep.run(engine="serial", shard_count=3)
-        parallel = sweep.run(engine="parallel", workers=2, shard_count=3)
+        serial = sweep.run(engine="reactive", workers=1, shard_count=3)
+        parallel = sweep.run(engine="reactive", workers=2, shard_count=3)
         assert serial.to_json() == parallel.to_json()
 
     def test_sweep_run_report_shape(self):
-        outcome = Sweep(BASE).run(engine="serial", shard_count=2)
+        outcome = Sweep(BASE).run(engine="reactive", workers=1, shard_count=2)
         payload = outcome.to_dict()
         assert payload["sweep"] == Sweep(BASE).to_dict()
         assert len(payload["runs"]) == 1

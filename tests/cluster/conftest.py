@@ -31,6 +31,6 @@ def canonical(run):
 @pytest.fixture(scope="session")
 def serial_baseline():
     run = Scenario(**SCENARIO_FIELDS).run(
-        engine="serial", cache=False, shard_count=4
+        engine="reactive", workers=1, cache=False, shard_count=4
     )
     return canonical(run)

@@ -141,7 +141,8 @@ class TestGuards:
             scenario.run(cluster=cfg, executor=SerialExecutor())
         with pytest.raises(ValueError, match="worker count"):
             scenario.run(cluster=cfg, workers=2)
-        with pytest.raises(ValueError):
+        # Executor names are no engines at all: the cluster is the executor.
+        with pytest.raises(ValueError, match="unknown engine"):
             scenario.run(cluster=cfg, engine="serial")
 
     def test_config_validation(self):

@@ -4,8 +4,8 @@ every engine and worker count.
 
 This extends the cross-engine identity suite (tests/sim/test_compiled.py)
 along the observability axis: the matrix below runs the same scenario
-under telemetry {off, memory, jsonl} x engine {serial/reactive, compiled,
-cube} x workers {1, 4} and asserts every cell produces the same bytes.
+under telemetry {off, memory, jsonl} x engine {reactive, compiled, cube}
+x workers {default, 4} and asserts every cell produces the same bytes.
 """
 
 import itertools
@@ -34,12 +34,12 @@ def scenario():
     )
 
 
-#: (engine, workers) cells of the identity matrix.  ``serial`` runs the
-#: reactive substrate in-process; ``parallel`` the same substrate on a
-#: 4-worker pool; compiled and cube run both serial and pooled.
+#: (engine, workers) cells of the identity matrix: every substrate runs
+#: both in-process (the default for this small space) and on a 4-worker
+#: pool.  The reactive cells are named by their executor.
 ENGINE_CELLS = [
-    ("serial", None),
-    ("parallel", 4),
+    pytest.param("reactive", None, id="serial-None"),
+    pytest.param("reactive", 4, id="parallel-4"),
     ("compiled", None),
     ("compiled", 4),
     pytest.param("cube", None, marks=pytest.mark.skipif(
@@ -63,7 +63,7 @@ def make_telemetry(mode, tmp_path):
 @pytest.fixture(scope="module")
 def baseline():
     """The telemetry-off, serial, reactive reference bytes."""
-    return scenario().run(engine="serial").to_json()
+    return scenario().run(engine="reactive", workers=1).to_json()
 
 
 class TestScenarioRunInertness:
@@ -85,7 +85,7 @@ class TestScenarioRunInertness:
 
     def test_memory_telemetry_observes_the_run(self):
         sink = MemorySink()
-        scenario().run(engine="serial", telemetry=Telemetry(sink))
+        scenario().run(engine="reactive", workers=1, telemetry=Telemetry(sink))
         assert sink.span_totals()["scenario.run"] > 0
         resolved = [event for event in sink.of_kind("event")
                     if event["name"] == "engine.resolved"]
@@ -95,13 +95,13 @@ class TestScenarioRunInertness:
 
     def test_bare_sink_is_accepted_directly(self, baseline):
         sink = MemorySink()
-        run = scenario().run(engine="serial", telemetry=sink)
+        run = scenario().run(engine="reactive", workers=1, telemetry=sink)
         assert run.to_json() == baseline
         assert len(sink) > 0
 
     def test_shard_events_cover_the_configuration_space(self):
         sink = MemorySink()
-        scenario().run(engine="serial", telemetry=Telemetry(sink))
+        scenario().run(engine="reactive", workers=1, telemetry=Telemetry(sink))
         shard_events = [event for event in sink.of_kind("event")
                         if event["name"] == "shard.complete"]
         executions = sum(e["attrs"]["executions"] for e in shard_events)
@@ -113,10 +113,10 @@ class TestCachedRunInertness:
         from repro.runtime.store import RunStore
 
         store = RunStore(tmp_path / "cache")
-        first = scenario().run(engine="serial", cache=store)
+        first = scenario().run(engine="reactive", workers=1, cache=store)
         sink = MemorySink()
         second = scenario().run(
-            engine="serial", cache=store, telemetry=Telemetry(sink)
+            engine="reactive", workers=1, cache=store, telemetry=Telemetry(sink)
         )
         assert second.to_json() == first.to_json()
         cached = [event for event in sink.of_kind("event")

@@ -177,11 +177,10 @@ def test_scenario_runs_are_byte_identical_across_engines(graph, params, workers)
         label_space=LABEL_SPACE,
         delays=(0, 2, 9),
     )
-    reactive = "serial" if workers == 1 else "parallel"
     runs = {
         engine: scenario.run(engine=engine, workers=workers, cache=False)
-        for engine in (reactive, "compiled", "cube")
+        for engine in ("reactive", "compiled", "cube")
     }
-    reference = runs[reactive].to_json()
+    reference = runs["reactive"].to_json()
     for engine, run in runs.items():
         assert run.to_json() == reference, engine

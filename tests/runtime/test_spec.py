@@ -6,7 +6,7 @@ from repro.core.fast import Fast, FastSimultaneous
 from repro.core.fast_relabel import FastWithRelabeling
 from repro.graphs.families import full_binary_tree, oriented_ring
 from repro.runtime import AlgorithmSpec, GraphSpec, JobSpec
-from repro.sim.adversary import all_label_pairs, configurations
+from repro.sim.adversary import Configuration, all_label_pairs, default_start_pairs
 
 
 def ring_job(**overrides):
@@ -102,14 +102,13 @@ class TestJobSpec:
     def test_enumeration_matches_adversary_order(self):
         spec = ring_job()
         graph = spec.graph.build()
-        expected = list(
-            configurations(
-                graph,
-                spec.resolved_label_pairs(),
-                delays=spec.delays,
-                fix_first_start=True,
-            )
-        )
+        # Label pairs outermost, then start pairs, then delays.
+        expected = [
+            Configuration(labels=labels, starts=starts, delay=delay)
+            for labels in spec.resolved_label_pairs()
+            for starts in default_start_pairs(graph, fix_first_start=True)
+            for delay in spec.delays
+        ]
         assert list(spec.iter_configs(graph)) == expected
 
     def test_shards_partition_the_space_with_global_indices(self):

@@ -5,7 +5,7 @@ import pytest
 from repro.core import CheapSimultaneous, Fast
 from repro.core.ablations import CheapShortWait
 from repro.exploration.dfs import KnownMapDFS
-from repro.graphs.families import star_graph
+from repro.graphs.families import oriented_ring, star_graph
 from repro.sim.adversary import (
     ConfigCube,
     Configuration,
@@ -14,7 +14,6 @@ from repro.sim.adversary import (
     Verdict,
     VerdictBlock,
     all_label_pairs,
-    configurations,
     default_horizon,
     first_max,
     worst_case_search,
@@ -31,20 +30,20 @@ class TestConfigurationEnumeration:
         assert all(a != b for a, b in pairs)
 
     def test_full_start_enumeration(self, ring12):
-        configs = list(configurations(ring12, [(1, 2)], delays=(0,)))
+        configs = list(ConfigCube.make(ring12, [(1, 2)], delays=(0,)))
         # 12 * 11 ordered start pairs.
         assert len(configs) == 132
 
     def test_fixed_first_start(self, ring12):
         configs = list(
-            configurations(ring12, [(1, 2)], delays=(0, 5), fix_first_start=True)
+            ConfigCube.make(ring12, [(1, 2)], delays=(0, 5), fix_first_start=True)
         )
         assert len(configs) == 11 * 2
         assert all(config.starts[0] == 0 for config in configs)
 
     def test_explicit_start_pairs(self, ring12):
         configs = list(
-            configurations(ring12, [(1, 2)], start_pairs=[(0, 3), (0, 9)])
+            ConfigCube.make(ring12, [(1, 2)], start_pairs=[(0, 3), (0, 9)])
         )
         assert [config.starts for config in configs] == [(0, 3), (0, 9)]
 
@@ -55,7 +54,7 @@ class TestWorstCaseSearch:
         report = worst_case_search(
             ring12,
             algorithm,
-            configurations(ring12, all_label_pairs(4), fix_first_start=True),
+            ConfigCube.make(ring12, all_label_pairs(4), fix_first_start=True),
             max_rounds=lambda config: max(
                 algorithm.schedule_length(config.labels[0]),
                 algorithm.schedule_length(config.labels[1]),
@@ -72,7 +71,7 @@ class TestWorstCaseSearch:
         report = worst_case_search(
             ring12,
             algorithm,
-            configurations(ring12, [(1, 2)], fix_first_start=True),
+            ConfigCube.make(ring12, [(1, 2)], fix_first_start=True),
             max_rounds=1,  # hopeless horizon
         )
         assert report.worst_time is None
@@ -103,7 +102,7 @@ class TestWorstCaseSearch:
         report = worst_case_search(
             ring12,
             algorithm,
-            configurations(ring12, all_label_pairs(4), fix_first_start=True),
+            ConfigCube.make(ring12, all_label_pairs(4), fix_first_start=True),
             max_rounds=lambda config: algorithm.schedule_length(4),
             sample=10,
         )
@@ -111,22 +110,13 @@ class TestWorstCaseSearch:
         assert not report.failures
 
 
+#: Every engine that runs here: cube only when NumPy is importable.
+ENGINES = ["reactive", "compiled"] + (["cube"] if numpy_available() else [])
+
+
 class TestStreaming:
-    """With ``sample=None`` the reactive sweep consumes its configuration
-    stream lazily -- it must never build ``list(configs)``."""
-
-    def interleaving_generator(self, configs, executed):
-        """Yields each configuration only after the previous one ran.
-
-        An eager ``list(...)`` pulls every item before any simulation,
-        tripping the assertion -- so merely completing the sweep proves
-        the path streams.
-        """
-        for index, config in enumerate(configs):
-            assert len(executed) == index, (
-                "the sweep materialized the configuration stream"
-            )
-            yield config
+    """The reactive sweep walks its cube's indices lazily, and no engine
+    ever builds the configuration population -- not even to sample it."""
 
     def test_reactive_path_streams_configurations(
         self, ring12, ring12_exploration, monkeypatch
@@ -134,40 +124,65 @@ class TestStreaming:
         import repro.sim.adversary as adversary_module
 
         algorithm = CheapSimultaneous(ring12_exploration, label_space=3)
-        configs = list(configurations(ring12, [(1, 2)], fix_first_start=True))
+        cube = ConfigCube.make(ring12, [(1, 2)], fix_first_start=True)
         executed = []
-        real = adversary_module.simulate_rendezvous
+        real_simulate = adversary_module.simulate_rendezvous
+        real_indexed = ConfigCube.indexed
 
         def spying(*args, **kwargs):
-            result = real(*args, **kwargs)
+            result = real_simulate(*args, **kwargs)
             executed.append(kwargs["labels"])
             return result
 
+        def interleaving(self, indices):
+            # An eager ``list(...)`` pulls every configuration before any
+            # simulation, tripping the assertion -- so merely completing
+            # the sweep proves the path streams.
+            for position, item in enumerate(real_indexed(self, indices)):
+                assert len(executed) == position, (
+                    "the sweep materialized the configuration stream"
+                )
+                yield item
+
         monkeypatch.setattr(adversary_module, "simulate_rendezvous", spying)
+        monkeypatch.setattr(ConfigCube, "indexed", interleaving)
         report = worst_case_search(
             ring12,
             algorithm,
-            self.interleaving_generator(configs, executed),
+            cube,
             max_rounds=lambda config: default_horizon(algorithm, config),
             engine="reactive",
         )
-        assert report.executions == len(configs) == len(executed)
+        assert report.executions == len(cube) == len(executed)
 
-    def test_sampling_still_materializes(self, ring12, ring12_exploration):
-        # The sampling branch must see the whole population; feeding it
-        # the interleaving generator trips the eager-listing assertion,
-        # which is exactly the documented contract.
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_sampled_search_never_builds_the_population(
+        self, ring12, ring12_exploration, monkeypatch, engine
+    ):
         algorithm = CheapSimultaneous(ring12_exploration, label_space=3)
-        configs = list(configurations(ring12, [(1, 2)], fix_first_start=True))
-        with pytest.raises(AssertionError, match="materialized"):
-            worst_case_search(
-                ring12,
-                algorithm,
-                self.interleaving_generator(configs, executed=[]),
-                max_rounds=lambda config: default_horizon(algorithm, config),
-                sample=5,
-                engine="reactive",
-            )
+        cube = ConfigCube.make(ring12, all_label_pairs(3), fix_first_start=True)
+        expected = worst_case_search(
+            ring12, algorithm, cube, 60, sample=5, engine="reactive"
+        )
+
+        def refuse(self):
+            raise AssertionError("the sampled search built the population")
+
+        monkeypatch.setattr(ConfigCube, "__iter__", refuse)
+        report = worst_case_search(
+            ring12, algorithm, cube, 60, sample=5, engine=engine
+        )
+        assert report.executions == 5
+        assert report == expected
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_foreign_graph_cube_is_refused(ring12, ring12_exploration, engine):
+    """A cube over another graph would sweep the wrong start pairs."""
+    algorithm = CheapSimultaneous(ring12_exploration, label_space=3)
+    foreign = ConfigCube.make(oriented_ring(6), [(1, 2)], delays=(0,))
+    with pytest.raises(ValueError, match="configuration cube is over"):
+        worst_case_search(ring12, algorithm, foreign, 60, engine=engine)
 
 
 class TestDefaultHorizon:
@@ -207,7 +222,7 @@ class TestConfigCubeIndexed:
     def test_slices_match_enumeration(self, ring12, lo, hi):
         cube = ConfigCube.make(ring12, [(1, 2), (2, 1)], delays=(0, 3))
         flat = list(enumerate(cube))
-        assert list(cube.indexed(lo, hi)) == flat[lo:hi]
+        assert list(cube.indexed(range(len(cube))[lo:hi])) == flat[lo:hi]
 
 
 #: Verdicts with tied maxima and failures at known indices: the time

@@ -4,7 +4,7 @@ The exhaustive cross-engine identity suite lives in
 ``tests/sim/test_compiled.py`` (the cube engine built on this substrate
 participates there whenever NumPy is importable); this module covers the
 substrate's own surface -- availability and fallback without NumPy, the
-timeline table and the chunked stream evaluator over it, runtime/worker
+timeline table, the cube engine's searches over it, runtime/worker
 integration, and the determinism of sampled sweeps across engines and
 processes.
 """
@@ -29,15 +29,14 @@ from repro.runtime import (
 from repro.runtime.spec import canonical_json
 from repro.runtime.worker import run_shard
 from repro.sim.adversary import (
+    ConfigCube,
+    Configuration,
     all_label_pairs,
-    configurations,
     default_horizon,
     worst_case_search,
 )
 from repro.sim.batch import BatchUnavailableError, numpy_available, require_numpy
 from repro.sim.compiled import TrajectoryTable
-from repro.sim.cube import _stream_search
-from repro.sim.simulator import PresenceModel
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="the cube engine needs numpy"
@@ -61,7 +60,7 @@ class TestAvailability:
     def test_explicit_cube_engine_raises_without_numpy(self, ring12, monkeypatch):
         monkeypatch.setattr(batch_module, "_np", None)
         algorithm = build_algorithm("cheap", ring12)
-        configs = list(configurations(ring12, [(1, 2)], delays=(0,)))
+        configs = ConfigCube.make(ring12, [(1, 2)], delays=(0,))
         with pytest.raises(BatchUnavailableError, match="NumPy"):
             worst_case_search(ring12, algorithm, configs, 50, engine="cube")
 
@@ -69,7 +68,7 @@ class TestAvailability:
         self, ring12, monkeypatch
     ):
         algorithm = build_algorithm("cheap", ring12)
-        configs = list(configurations(ring12, all_label_pairs(3), delays=(0, 2)))
+        configs = ConfigCube.make(ring12, all_label_pairs(3), delays=(0, 2))
 
         def horizon(config):
             return default_horizon(algorithm, config)
@@ -90,23 +89,6 @@ class TestAvailability:
 
 @requires_numpy
 class TestBatchTimelineTable:
-    def test_evaluate_arrays_matches_the_trajectory_table(self, ring12):
-        algorithm = build_algorithm("fast", ring12)
-        table = batch_module.BatchTimelineTable(ring12, algorithm)
-        reference = TrajectoryTable(ring12, algorithm)
-        configs = list(
-            configurations(ring12, all_label_pairs(3), delays=(0, 1, 7))
-        )
-        horizons = [default_horizon(algorithm, config) for config in configs]
-        for presence in PresenceModel:
-            met, cost = table.evaluate_arrays(configs, horizons, presence)
-            assert met.shape == cost.shape == (len(configs),)
-            for config, horizon, time, total in zip(
-                configs, horizons, met.tolist(), cost.tolist()
-            ):
-                measured = (time if time >= 0 else None, total)
-                assert measured == reference.evaluate(config, horizon, presence)
-
     def test_label_matrices_are_built_once(self, ring12):
         algorithm = build_algorithm("cheap", ring12)
         table = batch_module.BatchTimelineTable(ring12, algorithm)
@@ -119,9 +101,7 @@ class TestBatchTimelineTable:
     def test_result_matches_the_simulator(self, ring12):
         algorithm = build_algorithm("fwr", ring12)
         table = batch_module.BatchTimelineTable(ring12, algorithm)
-        config = next(
-            iter(configurations(ring12, [(1, 3)], delays=(4,), start_pairs=[(2, 9)]))
-        )
+        config = Configuration(labels=(1, 3), starts=(2, 9), delay=4)
         horizon = default_horizon(algorithm, config)
         assert table.result(config, horizon) == TrajectoryTable(
             ring12, algorithm
@@ -134,8 +114,7 @@ class TestBatchTimelineTable:
         algorithm = build_algorithm("cheap", ring12)
         table = batch_module.BatchTimelineTable(ring12, algorithm)
         horizon = default_horizon(
-            algorithm,
-            next(iter(configurations(ring12, [(1, 2)], delays=(0,)))),
+            algorithm, Configuration(labels=(1, 2), starts=(0, 1), delay=0)
         )
         for delay in range(10):
             table.group_matrices((1, 2), delay, horizon + delay)
@@ -145,68 +124,13 @@ class TestBatchTimelineTable:
         assert table.group_matrices((1, 2), 9, horizon + 9) is cached
 
 
-def small_chunks(monkeypatch, size):
-    """Force the stream chunk down to ``size`` configurations."""
-    monkeypatch.setattr(batch_module, "DEFAULT_STREAM_CHUNK", size)
-    monkeypatch.setattr(batch_module, "_MAX_DERIVED_CHUNK", size)
-
-
-@requires_numpy
-class TestEvaluateStream:
-    """The cube engine's chunked stream evaluator over this substrate."""
-
-    def test_preserves_order_and_keys_across_chunks(self, ring12, monkeypatch):
-        small_chunks(monkeypatch, 7)
-        algorithm = build_algorithm("fast", ring12)
-        table = batch_module.BatchTimelineTable(ring12, algorithm)
-        reference = TrajectoryTable(ring12, algorithm)
-        configs = list(configurations(ring12, all_label_pairs(3), delays=(0, 3)))
-        items = [
-            (index, config, default_horizon(algorithm, config))
-            for index, config in enumerate(configs)
-        ]
-        blocks = list(_stream_search(table, iter(items), PresenceModel.FROM_START))
-        assert len(blocks) == -(-len(items) // 7)
-        located = []
-        for met, cost, locate in blocks:
-            for position, (time, total) in enumerate(zip(met.tolist(), cost.tolist())):
-                index, config, horizon = locate(position)
-                located.append(index)
-                assert config is configs[index]
-                measured = (time if time >= 0 else None, total)
-                assert measured == reference.evaluate(config, horizon)
-        assert located == list(range(len(configs)))
-
-    def test_empty_stream_yields_nothing(self, ring12):
-        algorithm = build_algorithm("fast", ring12)
-        table = batch_module.BatchTimelineTable(ring12, algorithm)
-        assert list(_stream_search(table, [], PresenceModel.FROM_START)) == []
-
-
 @requires_numpy
 class TestBatchWorstCaseSearch:
-    """``worst_case_search(engine="cube")`` over plain lists: the chunked
-    stream path through this substrate."""
-
-    def test_chunk_boundaries_keep_the_serial_tie_break(self, ring12, monkeypatch):
-        # Force many tiny chunks: the cross-chunk strict-> reduction must
-        # still keep the earliest maximiser, exactly like one serial pass.
-        algorithm = build_algorithm("cheap-sim", ring12)
-        configs = list(configurations(ring12, all_label_pairs(3), delays=(0,)))
-
-        def horizon(config):
-            return default_horizon(algorithm, config)
-
-        reference = worst_case_search(
-            ring12, algorithm, configs, horizon, engine="compiled"
-        )
-        small_chunks(monkeypatch, 5)
-        chunked = worst_case_search(ring12, algorithm, configs, horizon, engine="cube")
-        assert chunked == reference
+    """``worst_case_search(engine="cube")`` through this substrate."""
 
     def test_failures_keep_enumeration_order(self, ring12):
         algorithm = build_algorithm("fast", ring12)
-        configs = list(configurations(ring12, [(1, 2)], fix_first_start=True))
+        configs = ConfigCube.make(ring12, [(1, 2)], fix_first_start=True)
         cube = worst_case_search(ring12, algorithm, configs, 1, engine="cube")
         reactive = worst_case_search(
             ring12, algorithm, configs, 1, engine="reactive"
@@ -217,14 +141,15 @@ class TestBatchWorstCaseSearch:
 
     def test_empty_configuration_stream(self, ring12):
         algorithm = build_algorithm("cheap", ring12)
-        report = worst_case_search(ring12, algorithm, [], 1, engine="cube")
+        empty = ConfigCube.make(ring12, [])
+        report = worst_case_search(ring12, algorithm, empty, 1, engine="cube")
         assert report.worst_time is None and report.worst_cost is None
         assert report.executions == 0 and report.failures == ()
 
     def test_constant_horizon_matches_callable(self, ring12):
         algorithm = build_algorithm("cheap-sim", ring12)
-        configs = list(configurations(ring12, all_label_pairs(3), delays=(0,)))
-        horizon = default_horizon(algorithm, configs[0])
+        configs = ConfigCube.make(ring12, all_label_pairs(3), delays=(0,))
+        horizon = default_horizon(algorithm, next(iter(configs)))
         constant = worst_case_search(ring12, algorithm, configs, horizon, engine="cube")
         called = worst_case_search(
             ring12, algorithm, configs, lambda config: horizon, engine="cube"
@@ -273,7 +198,7 @@ class TestRuntimeIntegration:
             delays=(0, 2),
         )
         auto = scenario.run(engine="auto")
-        serial = scenario.run(engine="serial")
+        serial = scenario.run(engine="reactive", workers=1)
         assert auto.to_json() == serial.to_json()
 
 

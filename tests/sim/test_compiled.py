@@ -19,9 +19,11 @@ from repro.graphs.families import star_graph
 from repro.registry import ALGORITHMS, GRAPH_FAMILIES, KNOWLEDGE_MODELS
 from repro.runtime.spec import AlgorithmSpec
 from repro.sim.adversary import (
+    ConfigCube,
+    Configuration,
     all_label_pairs,
-    configurations,
     default_horizon,
+    default_start_pairs,
     worst_case_search,
 )
 from repro.sim import compiled
@@ -90,8 +92,8 @@ def test_derived_engine_reports_equal_reactive_report(family, algorithm_name):
     """
     graph = small_instance(family)
     algorithm = build_algorithm(algorithm_name, graph)
-    configs = list(
-        configurations(graph, all_label_pairs(LABEL_SPACE), delays=delay_grid(algorithm))
+    configs = ConfigCube.make(
+        graph, all_label_pairs(LABEL_SPACE), delays=delay_grid(algorithm)
     )
 
     def horizon(config):
@@ -114,20 +116,27 @@ class TestTieBreaking:
     def test_enumeration_order_decides_ties_in_both_engines(self, ring12):
         """Max ties are broken by enumeration order, not by engine.
 
-        Feeding the same configurations in reversed order must flip both
-        engines to the same other argmax record -- proving ties exist and
-        that the compiled engine inherits the reactive first-wins rule
-        rather than accidentally agreeing.
+        Feeding the same configurations in reversed order (a cube over
+        every axis reversed) must flip both engines to the same other
+        argmax record -- proving ties exist and that the compiled engine
+        inherits the reactive first-wins rule rather than accidentally
+        agreeing.
         """
         algorithm = build_algorithm("cheap-sim", ring12)
-        configs = list(
-            configurations(ring12, all_label_pairs(LABEL_SPACE), delays=(0,))
+        pairs = list(all_label_pairs(LABEL_SPACE))
+        configs = ConfigCube.make(ring12, pairs, delays=(0,))
+        reversed_configs = ConfigCube.make(
+            ring12,
+            reversed(pairs),
+            delays=(0,),
+            start_pairs=reversed(default_start_pairs(ring12)),
         )
+        assert list(reversed_configs) == list(reversed(list(configs)))
 
         def horizon(config):
             return default_horizon(algorithm, config)
 
-        for ordering in (configs, list(reversed(configs))):
+        for ordering in (configs, reversed_configs):
             reactive = worst_case_search(
                 ring12, algorithm, ordering, horizon, engine="reactive"
             )
@@ -138,7 +147,7 @@ class TestTieBreaking:
                 assert derived == reactive, engine
         forward = worst_case_search(ring12, algorithm, configs, horizon, engine="compiled")
         backward = worst_case_search(
-            ring12, algorithm, list(reversed(configs)), horizon, engine="compiled"
+            ring12, algorithm, reversed_configs, horizon, engine="compiled"
         )
         assert forward.max_time == backward.max_time
         assert forward.worst_time.config != backward.worst_time.config
@@ -150,7 +159,7 @@ class TestEngineSelection:
     ):
         """``auto`` routes to cube with NumPy, to compiled without."""
         algorithm = build_algorithm("cheap", ring12)
-        configs = list(configurations(ring12, [(1, 2)], delays=(0,)))
+        configs = ConfigCube.make(ring12, [(1, 2)], delays=(0,))
         calls = []
         import repro.sim.adversary as adversary_module
         import repro.sim.batch as batch_module
@@ -197,9 +206,7 @@ class TestEngineSelection:
 
         star = star_graph(6)
         algorithm = CheapShortWait(KnownMapDFS(star), label_space=LABEL_SPACE)
-        configs = list(
-            configurations(star, all_label_pairs(LABEL_SPACE), delays=(0, 2))
-        )
+        configs = ConfigCube.make(star, all_label_pairs(LABEL_SPACE), delays=(0, 2))
 
         def horizon(config):
             return default_horizon(algorithm, config)
@@ -215,13 +222,13 @@ class TestEngineSelection:
     def test_unknown_engine_is_rejected(self, ring12):
         algorithm = build_algorithm("cheap", ring12)
         with pytest.raises(ValueError, match="unknown engine"):
-            worst_case_search(ring12, algorithm, [], 1, engine="warp")
+            worst_case_search(
+                ring12, algorithm, ConfigCube.make(ring12, []), 1, engine="warp"
+            )
 
     def test_sampling_is_engine_independent(self, ring12):
         algorithm = build_algorithm("fast", ring12)
-        configs = list(
-            configurations(ring12, all_label_pairs(LABEL_SPACE), delays=(0, 2))
-        )
+        configs = ConfigCube.make(ring12, all_label_pairs(LABEL_SPACE), delays=(0, 2))
 
         def horizon(config):
             return default_horizon(algorithm, config)
@@ -265,13 +272,7 @@ class TestCompilation:
             ((3, 1), (2, 9), 4, PresenceModel.PARACHUTE),
             ((2, 3), (11, 1), 17, PresenceModel.FROM_START),
         ]:
-            config = next(
-                iter(
-                    configurations(
-                        ring12, [labels], delays=(delay,), start_pairs=[starts]
-                    )
-                )
-            )
+            config = Configuration(labels=labels, starts=starts, delay=delay)
             horizon = default_horizon(algorithm, config)
             expected = simulate_rendezvous(
                 ring12,
@@ -310,7 +311,8 @@ class TestCompilation:
 
     def test_search_without_configurations_reports_nothing(self, ring12):
         algorithm = build_algorithm("cheap", ring12)
-        report = worst_case_search(ring12, algorithm, [], 1, engine="compiled")
+        empty = ConfigCube.make(ring12, [])
+        report = worst_case_search(ring12, algorithm, empty, 1, engine="compiled")
         assert report.worst_time is None and report.worst_cost is None
         assert report.executions == 0 and report.failures == ()
 

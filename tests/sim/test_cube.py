@@ -1,19 +1,16 @@
 """The cube engine: whole-cube tensorization and pruning soundness.
 
-Two contracts are enforced here.  First, byte-identity: with pruning on,
-with pruning off, on the whole-cube tensor path and on the chunked
-stream path, the cube engine must return reports equal field-for-field
-to the reactive engine -- for every registered algorithm on a small
-instance of every registered graph family, under both presence models
-(the matrix the lint rule ``REP030`` cites as its mirror).  Second, the
+Two contracts are enforced here.  First, byte-identity: with pruning on
+and with pruning off, the cube engine must return reports equal
+field-for-field to the reactive engine -- for every registered algorithm
+on a small instance of every registered graph family, under both
+presence models (the matrix the lint rule ``REP030`` cites as its mirror).  Second, the
 pruning machinery itself (:mod:`repro.sim.prune`): rotation orbits must
 partition the full ordered-start space on odd and even rings, the
 certification gates must each refuse exactly their failure mode, delay
 dominance must derive exact translates, and every knob must resolve
 through its single funnel.
 """
-
-from types import SimpleNamespace
 
 import pytest
 
@@ -25,17 +22,13 @@ from repro.registry import ALGORITHMS, GRAPH_FAMILIES
 from repro.sim import batch as batch_module
 from repro.sim.adversary import (
     ConfigCube,
+    Configuration,
     all_label_pairs,
-    configurations,
     default_horizon,
+    default_start_pairs,
     worst_case_search,
 )
-from repro.sim.batch import (
-    DEFAULT_STREAM_CHUNK,
-    BatchUnavailableError,
-    numpy_available,
-    stream_chunk,
-)
+from repro.sim.batch import BatchUnavailableError, numpy_available
 from repro.sim.cube import CubeTimelineTable
 from repro.sim.prune import (
     DEFAULT_PRUNE,
@@ -97,7 +90,7 @@ def test_pruning_never_changes_a_report(family, algorithm_name):
 
     for presence in PresenceModel:
         reactive = worst_case_search(
-            graph, algorithm, list(cube), horizon, presence=presence, engine="reactive"
+            graph, algorithm, cube, horizon, presence=presence, engine="reactive"
         )
         for prune in (True, False):
             report = cube_search(
@@ -109,13 +102,13 @@ def test_pruning_never_changes_a_report(family, algorithm_name):
 
 
 @needs_numpy
-class TestStreamPath:
-    def test_stream_and_whole_cube_paths_agree_either_way(self, ring12):
-        """Configuration lists take the chunked path; reports still match.
+class TestSampledPath:
+    def test_sampled_and_whole_cube_paths_agree_either_way(self, ring12):
+        """A sample is gathered from its index range's whole-cube block;
+        reports still match the reactive engine's, sampled or not.
 
         The delay grid reaches past the schedule so dominance fires on
-        both paths, and the stream path is fed a plain iterator so the
-        ``ConfigCube`` fast-path check cannot trigger.
+        both paths.
         """
         algorithm = build_algorithm("fast", ring12)
         budget = algorithm.exploration_budget
@@ -128,40 +121,17 @@ class TestStreamPath:
         def horizon(config):
             return default_horizon(algorithm, config)
 
-        reactive = worst_case_search(
-            ring12, algorithm, list(cube), horizon, engine="reactive"
+        reactive = worst_case_search(ring12, algorithm, cube, horizon)
+        reactive_sample = worst_case_search(
+            ring12, algorithm, cube, horizon, sample=40
         )
         for prune in (True, False):
-            whole = cube_search(
-                ring12, algorithm, cube, horizon, prune=prune
-            )
-            streamed = cube_search(
-                ring12, algorithm, iter(list(cube)), horizon, prune=prune
+            whole = cube_search(ring12, algorithm, cube, horizon, prune=prune)
+            sampled = cube_search(
+                ring12, algorithm, cube, horizon, prune=prune, sample=40
             )
             assert whole == reactive, f"whole-cube path, prune={prune}"
-            assert streamed == reactive, f"stream path, prune={prune}"
-
-    def test_foreign_graph_cube_streams_instead_of_tensorizing(self, ring12):
-        """A cube built over a *different* graph must not take the fast path."""
-        other = oriented_ring(6)
-        algorithm = build_algorithm("cheap", ring12)
-        cube = ConfigCube.make(other, [(1, 2)], delays=(0,))
-
-        def horizon(config):
-            return default_horizon(algorithm, config)
-
-        telemetry = Telemetry()
-        report = cube_search(
-            ring12,
-            algorithm,
-            list(cube),
-            horizon,
-            telemetry=telemetry,
-        )
-        assert telemetry.counters["cube.chunks"] >= 1
-        assert report == worst_case_search(
-            ring12, algorithm, list(cube), horizon, engine="reactive"
-        )
+            assert sampled == reactive_sample, f"sampled path, prune={prune}"
 
 
 class TestOrbitCoverage:
@@ -282,7 +252,7 @@ class TestProbeDefense:
         factory = StartSensitiveFactory()
         cube = ConfigCube.make(graph, [(1, 2), (2, 1)], delays=(0, 2))
         reactive = worst_case_search(
-            graph, factory, list(cube), 12, engine="reactive"
+            graph, factory, cube, 12, engine="reactive"
         )
         assert cube_search(graph, factory, cube, 12) == reactive
 
@@ -334,7 +304,6 @@ class TestTelemetryMeters:
         )
         counters = telemetry.counters
         assert counters["configs.evaluated"] == len(cube)
-        assert counters["cube.chunks"] == 0  # whole-cube path, no chunking
         assert counters["cube.prune.orbit_cells"] == len(pairs) * 3 * (
             12 * 12 - 12
         )
@@ -342,7 +311,7 @@ class TestTelemetryMeters:
         # slice per label pair derives from its pivot.
         assert counters["cube.prune.dominated_slices"] == len(pairs)
         assert report == worst_case_search(
-            ring12, algorithm, list(cube), horizon, engine="reactive"
+            ring12, algorithm, cube, horizon, engine="reactive"
         )
 
     def test_disabled_pruning_meters_nothing(self, ring12):
@@ -391,17 +360,6 @@ class TestResolvePrune:
             resolve_prune()
 
 
-class TestResolveStreamChunk:
-    def test_derived_default_is_floored_and_capped(self):
-        # Small graphs floor at the flat default (8 * 8**2 = 512).
-        assert stream_chunk(oriented_ring(8)) == DEFAULT_STREAM_CHUNK
-        # Mid-size graphs scale with 8 * n**2.
-        assert stream_chunk(oriented_ring(64)) == 8 * 64**2
-        # Huge graphs cap (only num_nodes is read, so a stub suffices).
-        huge = SimpleNamespace(num_nodes=4096)
-        assert stream_chunk(huge) == 1 << 18
-
-
 class TestWithoutNumpy:
     # Deliberately not skipped without NumPy: on the NumPy-free CI legs
     # the monkeypatch is a no-op and the real absence path is proven.
@@ -409,7 +367,7 @@ class TestWithoutNumpy:
         algorithm = build_algorithm("fast", ring12)
         monkeypatch.setattr(batch_module, "_np", None)
         with pytest.raises(BatchUnavailableError, match="'cube'"):
-            cube_search(ring12, algorithm, [], 1)
+            cube_search(ring12, algorithm, ConfigCube.make(ring12, []), 1)
 
 
 @needs_numpy
@@ -424,37 +382,24 @@ class TestStartDependentHorizon:
         report = worst_case_search(ring12, algorithm, cube, horizon, engine="compiled")
         assert report.executions == len(cube)
 
-    def test_stream_path_accepts_the_same_horizon(self, ring12):
-        # Streamed configurations evaluate per-config horizons fine; only
-        # the whole-cube tensor pass needs start independence.
-        algorithm = build_algorithm("fast", ring12)
-        configs = list(configurations(ring12, [(1, 2)], delays=(0,)))
-
-        def horizon(config):
-            return 40 + config.starts[1]
-
-        report = cube_search(ring12, algorithm, configs, horizon)
-        assert report == worst_case_search(
-            ring12, algorithm, configs, horizon, engine="reactive"
-        )
-
-
 class TestConfigCube:
     def test_iteration_matches_configurations_in_global_order(self, ring12):
         pairs = list(all_label_pairs(LABEL_SPACE))
         cube = ConfigCube.make(ring12, pairs, delays=(0, 2, 5))
-        assert list(cube) == list(
-            configurations(ring12, pairs, delays=(0, 2, 5))
-        )
+        # Label pairs outermost, then start pairs, then delays.
+        assert list(cube) == [
+            Configuration(labels=labels, starts=starts, delay=delay)
+            for labels in pairs
+            for starts in default_start_pairs(ring12)
+            for delay in (0, 2, 5)
+        ]
         assert len(cube) == len(pairs) * 12 * 11 * 3
 
     def test_fix_first_start_matches_too(self, ring12):
         cube = ConfigCube.make(
             ring12, [(1, 2)], delays=(0, 1), fix_first_start=True
         )
-        assert list(cube) == list(
-            configurations(
-                ring12, [(1, 2)], delays=(0, 1), fix_first_start=True
-            )
-        )
+        assert [config.starts for config in cube] == [
+            (0, v) for v in range(1, 12) for _ in (0, 1)
+        ]
         assert len(cube) == 11 * 2

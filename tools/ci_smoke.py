@@ -1,6 +1,6 @@
 """CI smoke check for the CLI and the internal-deprecation policy.
 
-Eight gates, all dependency-free (run with ``python tools/ci_smoke.py``):
+Nine gates, all dependency-free (run with ``python tools/ci_smoke.py``):
 
 1. ``python -m repro --help`` exits 0 in a fresh subprocess;
 2. one tiny ``sweep --json`` (and ``run --json``) on a 6-node ring runs
@@ -18,7 +18,11 @@ Eight gates, all dependency-free (run with ``python tools/ci_smoke.py``):
    the non-canonical timing section), ``query`` answers the worst-case
    lookup from the stored run without re-sweeping, and ``cache clear``
    reports how many files it removed;
-8. no ``DeprecationWarning`` originates from inside ``src/repro`` while
+8. ``--engine`` names only the simulation substrate: ``sweep --engine
+   reactive --workers 2`` and ``sweep --engine auto`` print
+   byte-identical reports after ``telemetry strip --provenance``, and the
+   executor name ``--engine serial`` is a usage error (exit status 2);
+9. no ``DeprecationWarning`` originates from inside ``src/repro`` while
    doing so -- deprecation shims, if any ever exist, are for external
    callers only; package-internal code must stay on the current API.
 """
@@ -31,8 +35,9 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import warnings
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -222,10 +227,43 @@ def check_store() -> None:
         fail(f"DeprecationWarning raised from inside src/repro:\n{lines}")
 
 
+def check_engine_axis() -> None:
+    sweep_args = ["sweep", "--graph", "ring", "--size", "6",
+                  "--algorithm", "fast-sim", "--label-space", "4",
+                  "--no-cache", "--json"]
+    stripped = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, flags in (("reactive", ["--engine", "reactive", "--workers", "2"]),
+                            ("auto", ["--engine", "auto"])):
+            report, _ = run_cli_capturing(sweep_args + flags)
+            path = pathlib.Path(scratch) / f"{name}.json"
+            path.write_text(report, encoding="utf-8")
+            stripped[name], _ = run_cli_capturing(
+                ["telemetry", "strip", "--provenance", str(path)]
+            )
+    if stripped["reactive"] != stripped["auto"]:
+        fail("sweep --engine reactive --workers 2 and --engine auto differ")
+    print("sweep --engine reactive --workers 2 == --engine auto: OK")
+
+    from repro.cli import main as cli_main
+
+    try:
+        with redirect_stderr(io.StringIO()):
+            cli_main(sweep_args + ["--engine", "serial"])
+    except SystemExit as exited:
+        code = exited.code
+    else:
+        code = 0
+    if code != 2:
+        fail(f"--engine serial exited {code}, expected the usage error 2")
+    print("--engine serial is a usage error: OK")
+
+
 def main() -> None:
     check_help()
     check_json_commands()
     check_store()
+    check_engine_axis()
     print("smoke: all checks passed")
 
 
