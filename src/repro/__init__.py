@@ -39,7 +39,6 @@ from repro.api import (
     run_job,
     sweep_objects,
 )
-from repro.cluster import ClusterConfig, ClusterError, ClusterExecutor
 from repro.core import (
     Cheap,
     CheapSimultaneous,
@@ -110,9 +109,6 @@ __all__ = [
     "CampaignResult",
     "Cheap",
     "CheapSimultaneous",
-    "ClusterConfig",
-    "ClusterError",
-    "ClusterExecutor",
     "EXPERIMENTS",
     "EXPLORATIONS",
     "Experiment",

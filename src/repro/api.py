@@ -674,7 +674,6 @@ class Scenario:
         graph_name: str | None = None,
         graph: PortLabeledGraph | None = None,
         executor: Executor | None = None,
-        cluster: Any = None,
         telemetry: Any = None,
     ) -> "ScenarioRun":
         """Execute the worst-case sweep this scenario describes.
@@ -685,8 +684,8 @@ class Scenario:
         -- under the default ``"auto"``, schedule-driven algorithms run
         on the pruned cube engine (compiled trajectories when NumPy is
         absent), everything else on the reactive simulator.  The
-        executor comes from ``workers`` (see :func:`resolve_engine`),
-        ``executor`` or ``cluster``.  ``cache`` picks the run store (see
+        executor comes from ``workers`` (see :func:`resolve_engine`) or
+        ``executor``.  ``cache`` picks the run store (see
         :func:`resolve_store`).  Reports are byte-identical across
         engines, worker counts and shard granularities.  ``graph`` may be
         passed when the caller already built it from this scenario.
@@ -694,18 +693,6 @@ class Scenario:
         caller owns it -- how :meth:`Sweep.run` shares one pool across
         grid points); executors resolved here are closed before
         returning.
-
-        ``cluster`` routes execution through the fault-tolerant
-        distributed queue instead (see
-        :func:`repro.cluster.resolve_cluster` for the accepted shapes:
-        a local worker count, a :class:`~repro.cluster.ClusterConfig`,
-        or a live :class:`~repro.cluster.ClusterExecutor`).  It replaces
-        the executor only -- engine/cache semantics are unchanged,
-        and the run is byte-identical to every other execution route.
-        ``cluster`` excludes ``executor`` and ``workers`` (the cluster
-        config carries its own worker count); executors resolved from a
-        config here are closed before returning, a passed-in
-        ``ClusterExecutor`` stays open.
 
         ``telemetry`` accepts ``None`` (off, the default), a
         :class:`~repro.obs.telemetry.Telemetry`, or a bare sink (see
@@ -723,28 +710,9 @@ class Scenario:
         if sim_engine != spec.engine:
             spec = replace(spec, engine=sim_engine)
         graph = graph if graph is not None else spec.graph.build()
-        if cluster is not None and cluster is not False:
-            if executor is not None:
-                raise ValueError("pass either cluster or executor, not both")
-            if workers is not None:
-                raise ValueError(
-                    "cluster carries its own worker count; "
-                    "workers configures the in-process pool"
-                )
-            # Imported lazily: repro.cluster builds on the runtime and api
-            # layers, so a top-level import would be circular.
-            from repro.cluster import ClusterExecutor, resolve_cluster
-
-            executor = resolve_cluster(cluster, telemetry=tele)
-            owned = not isinstance(cluster, ClusterExecutor)
-            if graph_name is not None:
-                # Recorded in job.json so an adopting coordinator labels
-                # its merged row exactly as this run would have.
-                executor.publish_graph_name = graph_name
-        else:
-            owned = executor is None
-            if executor is None:
-                executor = resolve_engine(workers, spec.config_space_size(graph))
+        owned = executor is None
+        if executor is None:
+            executor = resolve_engine(workers, spec.config_space_size(graph))
         store = resolve_store(cache, cache_dir)
         try:
             with tele.span(
@@ -899,7 +867,6 @@ class Sweep:
         cache: bool | str | RunStore | None = None,
         cache_dir: str | None = None,
         shard_count: int | None = None,
-        cluster: Any = None,
         telemetry: Any = None,
     ) -> "SweepRun":
         """Run every grid point and collect the outcomes, in grid order.
@@ -912,22 +879,9 @@ class Sweep:
         a point's configuration-space size.  ``telemetry`` (resolved as in
         :meth:`Scenario.run`) wraps the whole grid in a ``sweep.run`` span
         and streams per-point progress; one telemetry narrates all points.
-
-        ``cluster`` (see :meth:`Scenario.run`) routes every grid point
-        through the distributed queue; a single
-        :class:`~repro.cluster.ClusterExecutor` instance (or one resolved
-        here from a config) serves all points -- each sweep gets its own
-        run directory under the cluster root.
         """
         tele = resolve_telemetry(telemetry)
         shared: ParallelExecutor | None = None
-        shared_cluster = None
-        owns_cluster = False
-        if cluster is not None and cluster is not False:
-            from repro.cluster import ClusterExecutor, resolve_cluster
-
-            shared_cluster = resolve_cluster(cluster, telemetry=tele)
-            owns_cluster = not isinstance(cluster, ClusterExecutor)
         try:
             runs = []
             with tele.span("sweep.run"):
@@ -935,20 +889,6 @@ class Sweep:
                 tele.gauge("sweep.grid_points", len(scenarios))
                 for position, scenario in enumerate(scenarios):
                     graph = scenario.build_graph()
-                    if shared_cluster is not None:
-                        runs.append(
-                            scenario.run(
-                                engine=engine,
-                                cache=cache,
-                                cache_dir=cache_dir,
-                                shard_count=shard_count,
-                                graph=graph,
-                                cluster=shared_cluster,
-                                telemetry=tele,
-                            )
-                        )
-                        tele.progress("grid", position + 1, len(scenarios))
-                        continue
                     # Route through resolve_engine itself (single source of
                     # truth for executor selection); its ParallelExecutor is
                     # lazy, so probing costs nothing and the shared pool is
@@ -977,8 +917,6 @@ class Sweep:
         finally:
             if shared is not None:
                 shared.close()
-            if shared_cluster is not None and owns_cluster:
-                shared_cluster.close()
         return SweepRun(sweep=self, runs=tuple(runs))
 
 

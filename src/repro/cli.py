@@ -37,15 +37,7 @@ Commands:
   and exits non-zero on errors); ``strip [FILE]`` removes the
   non-canonical ``timing`` sections from a JSON report so files can be
   compared byte for byte (``--provenance`` additionally removes the
-  ``runtime``/``cluster`` provenance blocks);
-* ``cluster`` -- the fault-tolerant distributed sweep cluster
-  (:mod:`repro.cluster`): ``run`` publishes a scenario's shards to a
-  filesystem work queue and drives local workers over it, ``worker``
-  joins an existing run (claim shards via leases, execute, write
-  reports back -- killable at any instant), ``coordinator`` adopts an
-  orphaned run by lease takeover, and ``status`` inspects queue/lease/
-  heartbeat state.  Merged cluster reports are byte-identical to
-  serial sweeps for any worker count and kill schedule.
+  ``runtime`` provenance block).
 
 ``run``, ``sweep`` and ``experiments run`` share one observability
 flag set: ``-v/--verbose`` narrates messages on stderr, ``--progress``
@@ -77,25 +69,12 @@ import os
 import random
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 from repro.analysis.tables import Table, format_ratio, print_lines
-from repro.api import Scenario, canonical_json, resolve_store, run_job
-from repro.cluster import (
-    DEFAULT_CLUSTER_ROOT,
-    DEFAULT_TTL,
-    ClusterConfig,
-    ClusterError,
-    ClusterExecutor,
-    ShardQueue,
-    WorkerConfig,
-    cluster_status,
-    render_status,
-    work,
-)
+from repro.api import Scenario, canonical_json, resolve_store
 from repro.core.base import RendezvousAlgorithm
 from repro.experiments.campaign import (
     DEFAULT_REPORT_DIR,
@@ -119,7 +98,7 @@ from repro.obs.events import (
 from repro.obs.sinks import JsonlSink, ProgressSink, combine
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.registry import ALGORITHMS, EXPERIMENTS, GRAPH_FAMILIES, SpecError
-from repro.runtime import AlgorithmSpec, GraphSpec, JobSpec
+from repro.runtime import AlgorithmSpec, GraphSpec
 from repro.sim.adversary import ENGINES, resolve_substrate
 from repro.runtime.store import (
     DEFAULT_CACHE_DIR,
@@ -307,8 +286,8 @@ def command_sweep(args: argparse.Namespace) -> int:
     scenario = scenario_from_args(args, delays=delays)
     graph = _from_flags(scenario.build_graph)
     if args.no_prune:
-        # Through the environment rather than the spec: pool and cluster
-        # workers inherit it, and the knob stays out of run-store keys
+        # Through the environment rather than the spec: pool workers
+        # inherit it, and the knob stays out of run-store keys
         # (pruned and unpruned sweeps are byte-identical).
         os.environ["REPRO_PRUNE"] = "0"
     with cli_telemetry(args) as tele:
@@ -624,167 +603,6 @@ def command_telemetry_strip(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# Cluster commands
-# ----------------------------------------------------------------------
-
-
-def _cluster_config(args: argparse.Namespace, workers: int) -> ClusterConfig:
-    return _from_flags(lambda: ClusterConfig(
-        workers=workers,
-        root=args.root,
-        run_id=args.run_id,
-        ttl=args.ttl,
-        poll=args.poll,
-        stall_timeout=args.stall_timeout,
-    ))
-
-
-def _write_run_report(executor: ClusterExecutor, payload: dict) -> None:
-    """Drop the canonical report next to the run's queue files."""
-    if executor.run_dir is None:
-        return  # fully cached: nothing was ever published
-    path = executor.run_dir / "report.json"
-    path.write_text(canonical_json(strip_provenance(payload)) + "\n",
-                    encoding="utf-8")
-
-
-def _cluster_block(executor: ClusterExecutor) -> "dict | None":
-    if executor.run_dir is None:
-        return None
-    return {"run_id": executor.run_id, "run_dir": str(executor.run_dir)}
-
-
-def command_cluster_run(args: argparse.Namespace) -> int:
-    if args.shards is not None and args.shards < 1:
-        raise SystemExit(f"--shards must be >= 1, got {args.shards}")
-    store = _sweep_store_from_args(args)
-    simultaneous = getattr(
-        ALGORITHMS.entry(args.algorithm).target, "requires_simultaneous_start", False
-    )
-    delays = (0,) if simultaneous else tuple(args.delays)
-    scenario = scenario_from_args(args, delays=delays)
-    graph = _from_flags(scenario.build_graph)
-    with cli_telemetry(args) as tele:
-        executor = ClusterExecutor(
-            _cluster_config(args, args.cluster_workers), telemetry=tele
-        )
-        executor.publish_shard_count = args.shards
-        try:
-            run = scenario.run(
-                engine=args.engine,
-                cache=store,
-                shard_count=args.shards,
-                graph_name=f"{args.graph}-{graph.num_nodes}",
-                graph=graph,
-                cluster=executor,
-                telemetry=tele,
-            )
-        except ClusterError as err:
-            raise SystemExit(str(err)) from None
-        finally:
-            executor.close()
-    payload = {**run.to_dict(), "runtime": run.runtime_dict()}
-    block = _cluster_block(executor)
-    if block is not None:
-        payload["cluster"] = block
-    _write_run_report(executor, run.to_dict())
-    if args.json:
-        print(canonical_json(payload))
-        return 0
-    row, stats = run.row, run.stats
-    print(f"cluster sweep: {row.algorithm} on {row.graph} "
-          f"(time {row.max_time}/{row.time_bound}, "
-          f"cost {row.max_cost}/{row.cost_bound}, "
-          f"{row.executions} executions)")
-    print(f"runtime: {stats.summary()}")
-    if block is not None:
-        print(f"cluster: run {block['run_id']} under {block['run_dir']} "
-              f"({args.cluster_workers} local workers)")
-    else:
-        print("cluster: fully cached, nothing published")
-    return 0
-
-
-def command_cluster_coordinator(args: argparse.Namespace) -> int:
-    store = _sweep_store_from_args(args)
-    root = args.root if args.root is not None else DEFAULT_CLUSTER_ROOT
-    queue = ShardQueue(Path(root) / args.run_id)
-    try:
-        job = queue.load_job()
-    except ClusterError as err:
-        raise SystemExit(str(err)) from None
-    if job is None:
-        raise SystemExit(
-            f"no job published under {queue.run_dir}; start runs with "
-            f"`python -m repro cluster run` (this command adopts them)"
-        )
-    spec = JobSpec.from_dict(job["spec"])
-    shards = args.shards if args.shards is not None else job.get("shard_count")
-    graph_name = job.get("graph_name")
-    with cli_telemetry(args) as tele:
-        executor = ClusterExecutor(
-            _cluster_config(args, args.cluster_workers), telemetry=tele
-        )
-        executor.publish_shard_count = shards
-        try:
-            row, stats = run_job(
-                spec,
-                graph_name=graph_name,
-                executor=executor,
-                store=store,
-                shard_count=shards,
-                telemetry=tele,
-            )
-        except ClusterError as err:
-            raise SystemExit(str(err)) from None
-        finally:
-            executor.close()
-    payload = {
-        "job": spec.to_dict(),
-        "result": row.to_dict(),
-        "runtime": asdict(stats),
-    }
-    block = _cluster_block(executor)
-    if block is not None:
-        payload["cluster"] = block
-    _write_run_report(executor, {"job": spec.to_dict(), "result": row.to_dict()})
-    if args.json:
-        print(canonical_json(payload))
-        return 0
-    print(f"adopted run {args.run_id}: {stats.summary()}")
-    print(f"result: time {row.max_time}/{row.time_bound}, "
-          f"cost {row.max_cost}/{row.cost_bound}")
-    return 0
-
-
-def command_cluster_worker(args: argparse.Namespace) -> int:
-    root = args.root if args.root is not None else DEFAULT_CLUSTER_ROOT
-    config = _from_flags(lambda: WorkerConfig(
-        run_dir=Path(root) / args.run_id,
-        node=args.node,
-        ttl=args.ttl,
-        poll=args.poll,
-        max_shards=args.max_shards,
-        startup_timeout=args.startup_timeout,
-    ))
-    try:
-        executed = work(config)
-    except ClusterError as err:
-        raise SystemExit(str(err)) from None
-    print(f"worker exiting: {executed} shards executed")
-    return 0
-
-
-def command_cluster_status(args: argparse.Namespace) -> int:
-    payload = cluster_status(args.root, args.run_id)
-    if args.json:
-        print(canonical_json(payload))
-        return 0
-    print_lines(render_status(payload))
-    return 0
-
-
-# ----------------------------------------------------------------------
 # Run-store commands: query stored runs, clear/compact the cache
 # ----------------------------------------------------------------------
 
@@ -962,7 +780,7 @@ def make_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--no-prune", action="store_true",
                               help="disable the cube engine's adversary-space "
                                    "pruning (sets REPRO_PRUNE=0, which pool "
-                                   "and cluster workers inherit; reports are "
+                                   "workers inherit; reports are "
                                    "byte-identical either way)")
     sweep_parser.add_argument("--workers", type=int, default=1,
                               help="process-pool workers (default 1 = serial)")
@@ -1131,143 +949,10 @@ def make_parser() -> argparse.ArgumentParser:
     strip_parser.add_argument("file", nargs="?", default=None, metavar="FILE",
                               help="JSON report file (default: stdin)")
     strip_parser.add_argument("--provenance", action="store_true",
-                              help="also remove the runtime/cluster provenance "
-                                   "blocks (compare cluster runs against "
-                                   "serial sweeps byte for byte)")
+                              help="also remove the runtime provenance "
+                                   "block (compare pooled or cached runs "
+                                   "against serial sweeps byte for byte)")
     strip_parser.set_defaults(func=command_telemetry_strip)
-
-    cluster_parser = sub.add_parser(
-        "cluster",
-        help="fault-tolerant distributed sweeps over a filesystem work queue",
-    )
-    cluster_sub = cluster_parser.add_subparsers(
-        dest="cluster_command", required=True
-    )
-
-    def cluster_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--run-id", default=None,
-                       help="run directory name under the cluster root "
-                            "(default: derived from the sweep key)")
-        p.add_argument("--root", default=None,
-                       help=f"cluster root directory "
-                            f"(default {DEFAULT_CLUSTER_ROOT})")
-        p.add_argument("--ttl", type=float, default=DEFAULT_TTL,
-                       help="lease time-to-live in seconds -- the failure "
-                            "detection horizon: a killed node's claims come "
-                            "back after at most this long (default 30)")
-        p.add_argument("--poll", type=float, default=0.1,
-                       help="queue poll interval in seconds (default 0.1)")
-
-    def cluster_cache_flags(p: argparse.ArgumentParser) -> None:
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--cache", dest="no_cache", action="store_false",
-                           help="reuse/store shards in the run store "
-                                "(default; how killed runs resume)")
-        group.add_argument("--no-cache", dest="no_cache", action="store_true",
-                           help="bypass the run store entirely")
-        p.set_defaults(no_cache=False)
-        p.add_argument("--cache-dir", default=None,
-                       help=f"run-store directory (default {DEFAULT_CACHE_DIR})")
-
-    cluster_run_parser = cluster_sub.add_parser(
-        "run", parents=[obs_flags],
-        help="publish a scenario's shards and drive local workers to the "
-             "merged report (byte-identical to a serial sweep)",
-    )
-    common(cluster_run_parser)
-    cluster_run_parser.add_argument("--delays", type=int, nargs="*",
-                                    default=[0, 5, 20])
-    cluster_run_parser.add_argument("--engine", default="auto",
-                                    choices=ENGINES,
-                                    help="simulation engine (default auto; "
-                                         "the executor axis is the cluster)")
-    cluster_run_parser.add_argument("--cluster-workers", type=int, default=2,
-                                    help="local worker processes to spawn "
-                                         "(default 2; 0 = external workers "
-                                         "only)")
-    cluster_flags(cluster_run_parser)
-    cluster_run_parser.add_argument("--stall-timeout", type=float, default=None,
-                                    help="abort after this many seconds "
-                                         "without progress (default: wait "
-                                         "for workers / lease liveness)")
-    cluster_run_parser.add_argument("--shards", type=int, default=None,
-                                    help="override the shard count (default 16)")
-    cluster_cache_flags(cluster_run_parser)
-    cluster_run_parser.add_argument("--json", action="store_true",
-                                    help="emit the canonical JSON report plus "
-                                         "runtime/cluster provenance")
-    cluster_run_parser.set_defaults(func=command_cluster_run)
-
-    cluster_coord_parser = cluster_sub.add_parser(
-        "coordinator", parents=[obs_flags],
-        help="adopt an existing run (lease takeover): republish missing "
-             "shards, reap expired leases, collect to the merged report",
-    )
-    cluster_coord_parser.add_argument("--run-id", required=True,
-                                      help="run directory name to adopt")
-    cluster_coord_parser.add_argument("--root", default=None,
-                                      help=f"cluster root directory "
-                                           f"(default {DEFAULT_CLUSTER_ROOT})")
-    cluster_coord_parser.add_argument("--ttl", type=float, default=DEFAULT_TTL,
-                                      help="lease time-to-live in seconds "
-                                           "(default 30)")
-    cluster_coord_parser.add_argument("--poll", type=float, default=0.1,
-                                      help="queue poll interval in seconds "
-                                           "(default 0.1)")
-    cluster_coord_parser.add_argument("--cluster-workers", type=int, default=0,
-                                      help="local worker processes to spawn "
-                                           "(default 0: collect only)")
-    cluster_coord_parser.add_argument("--stall-timeout", type=float,
-                                      default=None,
-                                      help="abort after this many seconds "
-                                           "without progress")
-    cluster_coord_parser.add_argument("--shards", type=int, default=None,
-                                      help="shard count of the original plan "
-                                           "(default: recorded in job.json)")
-    cluster_cache_flags(cluster_coord_parser)
-    cluster_coord_parser.add_argument("--json", action="store_true")
-    cluster_coord_parser.set_defaults(func=command_cluster_coordinator)
-
-    cluster_worker_parser = cluster_sub.add_parser(
-        "worker",
-        help="join a run: claim shards via leases, execute, write reports "
-             "back (killable at any instant; exits when the run finishes)",
-    )
-    cluster_worker_parser.add_argument("--run-id", required=True,
-                                       help="run directory name to join")
-    cluster_worker_parser.add_argument("--root", default=None,
-                                       help=f"cluster root directory "
-                                            f"(default {DEFAULT_CLUSTER_ROOT})")
-    cluster_worker_parser.add_argument("--ttl", type=float, default=DEFAULT_TTL,
-                                       help="lease time-to-live in seconds "
-                                            "(default 30)")
-    cluster_worker_parser.add_argument("--poll", type=float, default=0.2,
-                                       help="claim poll interval in seconds "
-                                            "(default 0.2)")
-    cluster_worker_parser.add_argument("--node", default=None,
-                                       help="node identity (default "
-                                            "worker-<host>-<pid>)")
-    cluster_worker_parser.add_argument("--max-shards", type=int, default=None,
-                                       help="exit after executing this many "
-                                            "shards (staging/testing)")
-    cluster_worker_parser.add_argument("--startup-timeout", type=float,
-                                       default=60.0,
-                                       help="seconds to wait for job.json "
-                                            "before giving up (default 60)")
-    cluster_worker_parser.set_defaults(func=command_cluster_worker)
-
-    cluster_status_parser = cluster_sub.add_parser(
-        "status",
-        help="inspect runs: shard progress, leases, coordinator, heartbeats",
-    )
-    cluster_status_parser.add_argument("--run-id", default=None,
-                                       help="one run (default: all runs "
-                                            "under the root)")
-    cluster_status_parser.add_argument("--root", default=None,
-                                       help=f"cluster root directory "
-                                            f"(default {DEFAULT_CLUSTER_ROOT})")
-    cluster_status_parser.add_argument("--json", action="store_true")
-    cluster_status_parser.set_defaults(func=command_cluster_status)
 
     query_parser = sub.add_parser(
         "query",

@@ -71,7 +71,6 @@ def run_experiment(
     cache_dir: str | None = None,
     shard_count: int | None = None,
     executor: Executor | None = None,
-    cluster: Any = None,
     telemetry: Any = None,
 ) -> ExperimentReport:
     """Execute one experiment and return its canonical verdict report.
@@ -80,10 +79,6 @@ def run_experiment(
     engine/worker/cache routing (an explicit ``executor`` overrides the
     executor axis and stays open -- how :class:`Campaign` shares one pool
     across experiments); the extra measurements always run in-process.
-    ``cluster`` (see :meth:`Scenario.run`) instead routes every grid unit
-    through the distributed queue -- pass a live
-    :class:`~repro.cluster.ClusterExecutor` to share it across units (and
-    experiments; it stays open), and leave ``executor``/``workers`` unset.
 
     The report carries a non-canonical ``timing`` section (total seconds,
     per-unit seconds, measurement seconds), always measured -- telemetry
@@ -106,7 +101,6 @@ def run_experiment(
                 cache_dir=cache_dir,
                 shard_count=shard_count,
                 executor=executor,
-                cluster=cluster,
                 telemetry=tele,
             )
             units.append({"key": key, **run.to_dict()})
@@ -285,11 +279,7 @@ class Campaign:
     ``experiments=None`` means *all of them*, in campaign order.  The
     engine/worker/cache knobs mirror :meth:`repro.api.Scenario.run`; a
     worker count creates ONE executor shared by every grid unit of every
-    experiment, so the pool is spun up once per campaign; ``cluster``
-    (exclusive with ``workers`` -- the cluster config carries its own
-    worker count) analogously creates ONE
-    :class:`~repro.cluster.ClusterExecutor` shared by the whole campaign,
-    each sweep getting its own run directory.  ``telemetry``
+    experiment, so the pool is spun up once per campaign.  ``telemetry``
     (``None``, a :class:`~repro.obs.telemetry.Telemetry`, or a bare sink)
     narrates the whole campaign under one ``campaign`` root span with
     per-experiment progress; the result's canonical content is identical
@@ -303,7 +293,6 @@ class Campaign:
     cache: "bool | str | RunStore | None" = None
     cache_dir: str | None = None
     shard_count: int | None = None
-    cluster: Any = None
     telemetry: Any = None
 
     def resolved(self) -> list[Experiment]:
@@ -317,22 +306,8 @@ class Campaign:
         # Resolve the store once so every experiment shares one cache
         # handle, mirroring the shared executor.
         store = resolve_store(self.cache, self.cache_dir)
-        cluster = None
-        owns_cluster = False
-        if self.cluster is not None and self.cluster is not False:
-            if self.workers is not None:
-                raise ValueError(
-                    "cluster carries its own worker count; "
-                    "workers configures the in-process pool"
-                )
-            from repro.cluster import ClusterExecutor, resolve_cluster
-
-            cluster = resolve_cluster(self.cluster, telemetry=tele)
-            owns_cluster = not isinstance(self.cluster, ClusterExecutor)
         executor = (
-            make_executor(self.workers)
-            if self.workers is not None and cluster is None
-            else None
+            make_executor(self.workers) if self.workers is not None else None
         )
         started = time.perf_counter()
         rows: list[dict[str, Any]] = []
@@ -347,7 +322,6 @@ class Campaign:
                         cache=store,
                         shard_count=self.shard_count,
                         executor=executor,
-                        cluster=cluster,
                         telemetry=tele,
                     )
                     reports.append(report)
@@ -366,8 +340,6 @@ class Campaign:
         finally:
             if executor is not None:
                 executor.close()
-            if cluster is not None and owns_cluster:
-                cluster.close()
         return CampaignResult(
             profile="quick" if self.quick else "full",
             reports=tuple(reports),

@@ -4,8 +4,8 @@ The dynamic suites prove that canonical reports are byte-identical
 across engines, worker counts and kill/restart schedules; this package
 proves the *source* never acquires one of the known ways to break that
 -- wall-clock reads, unseeded randomness, unsorted directory scans, set
-iteration in canonical modules, non-atomic writes under the cluster
-queue root, non-inert telemetry.  Dependency-free (stdlib ``ast``), with
+iteration in canonical modules, run-store writes outside the store,
+non-inert telemetry.  Dependency-free (stdlib ``ast``), with
 rules registered in :data:`repro.registry.LINT_RULES` and a CLI
 subcommand::
 

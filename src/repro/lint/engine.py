@@ -98,8 +98,8 @@ class SourceModule:
     """One parsed source file, as rules see it.
 
     ``ident`` is the path string findings report and rules scope on (its
-    parts decide whether the module counts as ``cluster/`` code, ``obs/``
-    code, and so on); ``parents`` maps every AST node to its parent so
+    parts decide whether the module counts as ``runtime/store/`` code,
+    ``obs/`` code, and so on); ``parents`` maps every AST node to its parent so
     rules can walk outward (e.g. to find an enclosing ``sorted()`` call).
     """
 
@@ -233,8 +233,8 @@ class LintCache:
 
     One JSON document holds every entry.  A key is
     ``sha256(ident + content)`` -- the identity participates because
-    rules scope on the path (the same bytes are clean outside
-    ``cluster/`` and findings inside it) -- and the whole document is
+    rules scope on the path (the same bytes are clean inside
+    ``runtime/store/`` and findings outside it) -- and the whole document is
     versioned by the library version plus the rule selection, so a rule
     edit or a different ``--select`` never serves stale results.  Writes
     go through the usual tmp-then-``os.replace`` so a killed lint run

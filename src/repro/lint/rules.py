@@ -11,9 +11,9 @@ engines, worker counts and kill schedules):
 * ``REP001`` -- no wall/process-clock reads (``time.time``,
   ``datetime.now``, ``time.perf_counter``, ...) outside ``obs/``.
   Timing-provenance sites (worker ``ShardTiming``, engine
-  ``build_seconds``, lease expiries) carry justified
-  ``# repro: allow`` suppressions.  Mirrors the cross-engine identity
-  suites and the telemetry inertness matrix.
+  ``build_seconds``) carry justified ``# repro: allow`` suppressions.
+  Mirrors the cross-engine identity suites and the telemetry inertness
+  matrix.
 * ``REP002`` -- no unseeded randomness: module-level ``random.*`` calls
   and argument-less ``random.Random()`` are rejected; only explicitly
   seeded ``random.Random(seed)`` instances are allowed (the
@@ -28,15 +28,8 @@ engines, worker counts and kill schedules):
   iterates a ``set`` value directly: set order is salted per process.
   Mirrors the same byte-identity gates.
 
-**Atomicity** (the cluster queue protocol rests on readers never seeing
-partial documents):
+**Atomicity** (readers of the run store must never see torn records):
 
-* ``REP010`` -- inside ``cluster/`` (``files.py`` itself excepted, it
-  *is* the primitive layer), file writes must route through the
-  ``files.py`` helpers: bare ``open(..., "w")``/``write_text`` (or
-  ``os.open`` with ``O_CREAT`` but no ``O_EXCL``) can tear under kill
-  schedules.  Mirrors the SIGKILL kill-matrix suite in
-  ``tests/cluster/``.
 * ``REP011`` -- outside ``runtime/store/``, no file writes naming the
   store's on-disk format (``.jsonl`` paths): the run store's bytes
   have exactly one writer, :class:`~repro.runtime.store.RunStore`, so
@@ -405,63 +398,6 @@ def _flag_names(node: ast.AST) -> set[str]:
         elif isinstance(child, ast.Name):
             names.add(child.id)
     return names
-
-
-@LINT_RULES.register(
-    "REP010",
-    family="atomicity",
-    mirrors="SIGKILL kill matrix (tests/cluster/)",
-)
-class BareWriteRule(Rule):
-    id = "REP010"
-    summary = "cluster/ file writes must use the files.py atomic helpers"
-
-    _ADVICE = (
-        "; route writes under the cluster queue root through "
-        "repro.cluster.files (write_json_atomic / try_create_json) so a "
-        "kill schedule can never expose a torn document"
-    )
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        if not module.in_dir("cluster") or module.name == "files.py":
-            return
-        table = import_table(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = resolve_dotted(node.func, table)
-            if isinstance(node.func, ast.Name) and node.func.id == "open":
-                mode = _write_mode(node, mode_position=1)
-                if mode is not None:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"bare open(..., {mode!r}) is not atomic" + self._ADVICE,
-                    )
-            elif isinstance(node.func, ast.Attribute) and resolved is None:
-                if node.func.attr == "open":
-                    mode = _write_mode(node, mode_position=0)
-                    if mode is not None:
-                        yield self.finding(
-                            module,
-                            node,
-                            f".open(..., {mode!r}) is not atomic" + self._ADVICE,
-                        )
-                elif node.func.attr in ("write_text", "write_bytes"):
-                    yield self.finding(
-                        module,
-                        node,
-                        f".{node.func.attr}() is not atomic" + self._ADVICE,
-                    )
-            elif resolved == "os.open" and len(node.args) >= 2:
-                flags = _flag_names(node.args[1])
-                if "O_CREAT" in flags and "O_EXCL" not in flags:
-                    yield self.finding(
-                        module,
-                        node,
-                        "os.open with O_CREAT but no O_EXCL is neither an "
-                        "atomic claim nor an atomic replace" + self._ADVICE,
-                    )
 
 
 def _constant_strings(node: ast.AST) -> Iterator[str]:

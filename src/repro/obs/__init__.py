@@ -9,7 +9,6 @@ the front end, :mod:`repro.obs.sinks` for where events go, and
 """
 
 from repro.obs.events import (
-    CLUSTER_EVENTS,
     EVENT_KINDS,
     PROVENANCE_KEYS,
     read_events,
@@ -38,7 +37,6 @@ from repro.obs.telemetry import (
 )
 
 __all__ = [
-    "CLUSTER_EVENTS",
     "EVENT_KINDS",
     "JsonlSink",
     "PROVENANCE_KEYS",

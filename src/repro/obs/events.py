@@ -59,16 +59,6 @@ _REQUIRED: dict[str, dict[str, tuple[type, ...]]] = {
 
 EVENT_KINDS = tuple(_REQUIRED)
 
-#: Cluster lifecycle event names (kind ``event``), as emitted by
-#: :mod:`repro.cluster` through scenario telemetry and per-node
-#: heartbeat files: run publication, lease requeues after worker death,
-#: and coordinator takeover of an orphaned run.
-CLUSTER_EVENTS = (
-    "cluster.published",
-    "shard.requeued",
-    "coordinator.takeover",
-)
-
 
 def validate_event(event: Any, position: int = 0) -> list[str]:
     """Schema errors of one event (empty when valid)."""
@@ -170,7 +160,6 @@ def summarize(events: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
     counters: dict[str, float] = {}
     gauges: dict[str, Any] = {}
     shards: list[dict[str, Any]] = []
-    cluster: list[dict[str, Any]] = []
     warnings: list[str] = []
     meta: dict[str, Any] = {}
     duration = 0.0
@@ -196,16 +185,11 @@ def summarize(events: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
             attrs = dict(event.get("attrs", {}))
             attrs["cached"] = event["name"] == "shard.cached"
             shards.append(attrs)
-        elif kind == "event" and event.get("name") in CLUSTER_EVENTS:
-            attrs = dict(event.get("attrs", {}))
-            entry = {"event": event["name"]}
-            entry.update(attrs)
-            cluster.append(entry)
         elif kind == "close":
             duration = max(duration, float(event.get("seconds", 0.0)))
             for name, value in event.get("counters", {}).items():
                 counters.setdefault(name, value)
-    summary = {
+    return {
         "meta": meta,
         "duration": round(duration, 6),
         "events": len(events),
@@ -215,11 +199,6 @@ def summarize(events: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
         "shards": shards,
         "warnings": warnings,
     }
-    if cluster:
-        # Only present when cluster events occurred, so summaries of
-        # non-cluster streams keep their pre-cluster shape.
-        summary["cluster"] = cluster
-    return summary
 
 
 def render_summary(summary: Mapping[str, Any]) -> list[str]:
@@ -261,28 +240,6 @@ def render_summary(summary: Mapping[str, Any]) -> list[str]:
                 f"engine={shard.get('engine', '?')}"
                 + (f" path={shard['path']}" if "path" in shard else "")
             )
-    cluster = summary.get("cluster") or []
-    if cluster:
-        requeued = sum(1 for e in cluster if e.get("event") == "shard.requeued")
-        takeovers = sum(
-            1 for e in cluster if e.get("event") == "coordinator.takeover"
-        )
-        published = [e for e in cluster if e.get("event") == "cluster.published"]
-        lines.append(
-            f"cluster: {len(published)} runs published, "
-            f"{requeued} shards requeued, {takeovers} takeovers"
-        )
-        for entry in cluster:
-            if entry.get("event") == "shard.requeued":
-                lines.append(
-                    f"  requeued [{entry.get('lo', '?')}, {entry.get('hi', '?')})"
-                    f" from {entry.get('owner', '?')}"
-                )
-            elif entry.get("event") == "coordinator.takeover":
-                lines.append(
-                    f"  takeover of run {entry.get('run_id', '?')} "
-                    f"from {entry.get('previous', '?')}"
-                )
     for warning in summary.get("warnings") or []:
         lines.append(f"warning: {warning}")
     return lines
@@ -306,8 +263,8 @@ def _strip_keys(payload: Any, keys: "frozenset[str]") -> Any:
 
 
 #: Every non-canonical provenance section a report may carry: worker
-#: timing, run-store statistics, and cluster run identifiers.
-PROVENANCE_KEYS = frozenset({"timing", "runtime", "cluster"})
+#: timing and run-store statistics.
+PROVENANCE_KEYS = frozenset({"timing", "runtime"})
 
 
 def strip_timing(payload: Any) -> Any:
@@ -326,15 +283,14 @@ def strip_provenance(payload: Any) -> Any:
 
     The wider sibling of :func:`strip_timing` for outputs that carry
     run provenance beyond timing -- ``runtime`` (cache-hit statistics,
-    which legitimately differ between reruns) and ``cluster`` (run ids
-    and directories).  ``python -m repro telemetry strip --provenance``
-    and the CI cluster-vs-serial ``cmp`` use this.
+    which legitimately differ between reruns).  ``python -m repro
+    telemetry strip --provenance`` and the CI pooled-vs-serial ``cmp``
+    use this.
     """
     return _strip_keys(payload, PROVENANCE_KEYS)
 
 
 __all__ = [
-    "CLUSTER_EVENTS",
     "EVENT_KINDS",
     "PROVENANCE_KEYS",
     "read_events",

@@ -30,9 +30,9 @@ class ShardExecutionError(RuntimeError):
     """A worker process died while executing one shard.
 
     Wraps the pool's bare ``BrokenProcessPool`` with what the caller
-    actually needs: *which* shard was in flight, and that completed
-    shards are already persisted -- a cached rerun resumes from them
-    rather than starting over.
+    actually needs: *which* shard was in flight, and that a run store,
+    when one is in use, already holds the completed shards -- a cached
+    rerun resumes from them rather than starting over.
     """
 
     def __init__(self, spec: JobSpec, index: int, total: int):
@@ -41,10 +41,9 @@ class ShardExecutionError(RuntimeError):
         bounds = f"[{spec.shard[0]}, {spec.shard[1]})" if spec.shard else "?"
         super().__init__(
             f"worker process died executing shard {index + 1}/{total} "
-            f"(configurations {bounds}); completed shards are kept by the "
-            f"run store -- rerun with caching enabled (the default --cache) "
-            f"to resume, or use `python -m repro cluster run` for "
-            f"fault-tolerant execution"
+            f"(configurations {bounds}); completed shards are kept only "
+            f"when a run store is in use (the default --cache), so a cached "
+            f"rerun resumes from them"
         )
 
 

@@ -79,7 +79,7 @@ class ShardTiming:
     """How long one shard took, and where the time went.
 
     The telemetry channel out of worker processes: workers cannot share a
-    :class:`~repro.obs.telemetry.Telemetry` with the coordinator, so their
+    :class:`~repro.obs.telemetry.Telemetry` with the parent, so their
     measurements ride back on the :class:`ShardReport` and the runner
     re-emits them as ``shard.complete`` events.  Never part of equality
     or canonical payloads -- timing is observability data, not a result.

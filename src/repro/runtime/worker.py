@@ -60,7 +60,7 @@ def _cube_table(graph_spec: GraphSpec, algorithm_spec: AlgorithmSpec):
     from repro.sim.cube import CubeTimelineTable
 
     graph, algorithm = _materialize(graph_spec, algorithm_spec)
-    # prune=None resolves via REPRO_PRUNE, which pool/cluster workers
+    # prune=None resolves via REPRO_PRUNE, which pool workers
     # inherit from the submitting process -- pruned and unpruned shards
     # are byte-identical, so the knob never rides on the spec.
     return CubeTimelineTable(graph, algorithm)

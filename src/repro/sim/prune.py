@@ -53,8 +53,8 @@ from repro.graphs.port_graph import PortLabeledGraph
 DEFAULT_PRUNE = True
 
 #: Environment override consulted by :func:`resolve_prune` -- the hook the
-#: CLI's ``--no-prune`` uses so pool and cluster workers inherit the
-#: choice without widening ``JobSpec`` (pruned and unpruned runs produce
+#: CLI's ``--no-prune`` uses so pool workers inherit the choice
+#: without widening ``JobSpec`` (pruned and unpruned runs produce
 #: byte-identical reports, so the knob never belongs in run-store keys).
 PRUNE_ENV = "REPRO_PRUNE"
 

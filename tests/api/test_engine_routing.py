@@ -1,8 +1,8 @@
 """Engine routing: how ``engine=`` choices map to substrates.
 
 ``engine=`` names only the simulation substrate (reactive / compiled
-trajectories / pruned cube); the executor comes from ``workers=``,
-``executor=`` or ``cluster=``.  These tests pin down the mapping --
+trajectories / pruned cube); the executor comes from ``workers=`` or
+``executor=``.  These tests pin down the mapping --
 ``auto`` runs schedule-driven algorithms on the fastest available
 substrate (cube with NumPy, compiled without), ``compiled``/``cube``
 demand the flag, executor names and the retired ``batch`` rung are
@@ -120,7 +120,7 @@ def test_retired_batch_engine_is_unknown_everywhere(ring12):
 
 @pytest.mark.parametrize("engine", ["serial", "parallel"])
 def test_executor_names_are_not_engines(ring12, engine):
-    """The executor is chosen by workers/executor/cluster, never ``engine``."""
+    """The executor is chosen by workers/executor, never ``engine``."""
     algorithm = AlgorithmSpec("cheap", 3).build(ring12)
     with pytest.raises(ValueError, match="unknown engine"):
         tiny().run(engine=engine, workers=1)

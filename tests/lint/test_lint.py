@@ -225,11 +225,11 @@ class TestCli:
         assert "sorted()" in out
 
     def test_json_report_round_trips(self, capsys):
-        trigger = FIXTURES / "rep010" / "trigger"
+        trigger = FIXTURES / "rep011" / "trigger"
         assert main(["lint", "--json", "--no-cache", str(trigger)]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["result"]["ok"] is False
-        assert {f["rule"] for f in payload["result"]["findings"]} == {"REP010"}
+        assert {f["rule"] for f in payload["result"]["findings"]} == {"REP011"}
 
     def test_select_and_ignore_route_through_spec_error(self, capsys):
         trigger = FIXTURES / "rep001" / "trigger"
@@ -260,8 +260,8 @@ class TestCli:
         first = capsys.readouterr().out
         assert main(["lint", "--cache-dir", str(cache_dir), str(trigger)]) == 1
         second = capsys.readouterr().out
-        assert "[9 rules, 0 cached]" in first
-        assert "[9 rules, 1 cached]" in second
+        assert "[8 rules, 0 cached]" in first
+        assert "[8 rules, 1 cached]" in second
 
         def findings(output):
             return [line for line in output.splitlines() if "REP002" in line]

@@ -204,7 +204,7 @@ class TestShardExecutionError:
         assert err.shard in [spec.shard for spec in specs]
         assert f"[{err.shard[0]}, {err.shard[1]})" in str(err)
         assert "--cache" in str(err)
-        assert "cluster run" in str(err)
+        assert "kept only when a run store is in use" in str(err)
         # The broken pool was dropped so a retry gets a fresh one.
         assert executor._pool is None
         executor.close()

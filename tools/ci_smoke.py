@@ -1,28 +1,26 @@
 """CI smoke check for the CLI and the internal-deprecation policy.
 
-Nine gates, all dependency-free (run with ``python tools/ci_smoke.py``):
+Eight gates, all dependency-free (run with ``python tools/ci_smoke.py``):
 
 1. ``python -m repro --help`` exits 0 in a fresh subprocess;
 2. one tiny ``sweep --json`` (and ``run --json``) on a 6-node ring runs
    end-to-end in-process and prints parseable canonical JSON;
 3. ``experiments list --json`` exposes the registered experiment
    catalog (all twelve EXP-NN ids);
-4. ``cluster status --json`` answers with the expected payload shape
-   (an empty cluster root is a valid, reportable state);
-5. ``lint --json`` reports a clean tree under every registered
+4. ``lint --json`` reports a clean tree under every registered
    invariant rule (the shipped source must stay ``repro lint`` green);
-6. ``engines --json`` lists the full simulation-engine ladder
+5. ``engines --json`` lists the full simulation-engine ladder
    (reactive, compiled, cube) with a sane ``auto`` resolution;
-7. the run store round-trips: a sweep run cold into a fresh
+6. the run store round-trips: a sweep run cold into a fresh
    ``--cache-dir`` and again from the store reports identically (modulo
    the non-canonical timing section), ``query`` answers the worst-case
    lookup from the stored run without re-sweeping, and ``cache clear``
    reports how many files it removed;
-8. ``--engine`` names only the simulation substrate: ``sweep --engine
+7. ``--engine`` names only the simulation substrate: ``sweep --engine
    reactive --workers 2`` and ``sweep --engine auto`` print
    byte-identical reports after ``telemetry strip --provenance``, and the
    executor name ``--engine serial`` is a usage error (exit status 2);
-9. no ``DeprecationWarning`` originates from inside ``src/repro`` while
+8. no ``DeprecationWarning`` originates from inside ``src/repro`` while
    doing so -- deprecation shims, if any ever exist, are for external
    callers only; package-internal code must stay on the current API.
 """
@@ -60,8 +58,8 @@ def check_help() -> None:
     if proc.returncode != 0:
         fail(f"--help exited {proc.returncode}: {proc.stderr}")
     for command in ("run", "sweep", "certify", "explore", "engines",
-                    "tradeoff", "experiments", "telemetry", "cluster",
-                    "query", "cache"):
+                    "tradeoff", "experiments", "telemetry", "query",
+                    "cache"):
         if command not in proc.stdout:
             fail(f"--help does not mention the {command!r} command")
     print("help: OK")
@@ -123,21 +121,13 @@ def check_json_commands() -> None:
         fail(f"experiments list is missing {sorted(missing)}")
     print("experiments list --json: OK")
 
-    status_out, status_warnings = run_cli_capturing(
-        ["cluster", "status", "--root", "ci-smoke-empty-cluster", "--json"]
-    )
-    status = json.loads(status_out)
-    if sorted(status) != ["root", "runs"] or status["runs"] != []:
-        fail(f"unexpected cluster status payload: {status}")
-    print("cluster status --json: OK")
-
     lint_out, lint_warnings = run_cli_capturing(
         ["lint", "--json", "--no-cache", str(SRC)]
     )
     lint = json.loads(lint_out)
     if lint["result"]["ok"] is not True or lint["result"]["findings"] != []:
         fail(f"repro lint found violations: {lint['result']['findings']}")
-    if len(lint["lint"]["rules"]) < 9:
+    if len(lint["lint"]["rules"]) < 8:
         fail(f"lint rule registry shrank: {lint['lint']['rules']}")
     print("lint --json: OK")
 
@@ -151,8 +141,8 @@ def check_json_commands() -> None:
     print("engines --json: OK")
 
     offenders = internal_deprecations(
-        sweep_warnings + run_warnings + list_warnings + status_warnings
-        + lint_warnings + engines_warnings
+        sweep_warnings + run_warnings + list_warnings + lint_warnings
+        + engines_warnings
     )
     if offenders:
         lines = "\n".join(
