@@ -43,7 +43,7 @@ from repro.sim.adversary import (
     default_horizon,
     worst_case_search,
 )
-from repro.sim.batch import numpy_available
+from repro.sim.cube import numpy_available
 from repro.sim.compiled import TrajectoryTable
 from repro.sim.simulator import simulate_rendezvous
 

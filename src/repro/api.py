@@ -199,7 +199,6 @@ def sweep_objects(
     sample: int | None = None,
     engine: str = "reactive",
     telemetry: Telemetry = NULL_TELEMETRY,
-    prune: bool | None = None,
 ) -> SweepRow:
     """Adversarial worst-case search over live ``(algorithm, graph)`` objects.
 
@@ -214,9 +213,7 @@ def sweep_objects(
     importable, on compiled trajectories otherwise); the row is identical
     whichever engine runs.  The configuration space rides as a
     :class:`~repro.sim.adversary.ConfigCube`, of which ``sample`` draws
-    indices.  ``prune`` is the cube engine's pruning knob (``None``
-    resolves via ``REPRO_PRUNE``); pruned and unpruned rows are
-    byte-identical.
+    indices.
     """
     _reject_nonzero_delays(
         algorithm.name, algorithm.requires_simultaneous_start, delays
@@ -240,7 +237,6 @@ def sweep_objects(
         sample=sample,
         engine=engine,
         telemetry=telemetry,
-        prune=prune,
     )
     return _row_from_report(algorithm, graph, graph_name, report)
 

@@ -8,10 +8,8 @@ Commands:
   ``--engine`` picks the simulation engine, with the default ``auto``
   running schedule-driven algorithms on the whole-cube tensor engine
   when NumPy is installed and on the compiled trajectory engine
-  otherwise; ``--no-prune`` disables the cube engine's adversary-space
-  pruning (reports are byte-identical either way);
-  completed shards are cached in ``.repro_cache/`` unless ``--no-cache``
-  is given, so reruns and interrupted sweeps resume);
+  otherwise; completed shards are cached in ``.repro_cache/`` unless
+  ``--no-cache`` is given, so reruns and interrupted sweeps resume);
 * ``engines`` -- print the engine ladder (reactive, compiled, cube)
   with each rung's requirements and availability in this environment,
   and what ``auto`` resolves to;
@@ -285,11 +283,6 @@ def command_sweep(args: argparse.Namespace) -> int:
     delays = (0,) if simultaneous else tuple(args.delays)
     scenario = scenario_from_args(args, delays=delays)
     graph = _from_flags(scenario.build_graph)
-    if args.no_prune:
-        # Through the environment rather than the spec: pool workers
-        # inherit it, and the knob stays out of run-store keys
-        # (pruned and unpruned sweeps are byte-identical).
-        os.environ["REPRO_PRUNE"] = "0"
     with cli_telemetry(args) as tele:
         run = scenario.run(
             engine=args.engine,
@@ -329,7 +322,7 @@ def _engine_rows() -> list[dict]:
     ``available=False`` (never an import error) when the optional
     dependency is absent.
     """
-    from repro.sim.batch import numpy_available
+    from repro.sim.cube import numpy_available
 
     numpy_ok = numpy_available()
     return [
@@ -777,11 +770,6 @@ def make_parser() -> argparse.ArgumentParser:
                                    "algorithms when numpy is installed, compiled "
                                    "trajectories otherwise, reactive simulation "
                                    "for the rest; reports are byte-identical)")
-    sweep_parser.add_argument("--no-prune", action="store_true",
-                              help="disable the cube engine's adversary-space "
-                                   "pruning (sets REPRO_PRUNE=0, which pool "
-                                   "workers inherit; reports are "
-                                   "byte-identical either way)")
     sweep_parser.add_argument("--workers", type=int, default=1,
                               help="process-pool workers (default 1 = serial)")
     sweep_parser.add_argument("--shards", type=int, default=None,

@@ -50,16 +50,6 @@ engines, worker counts and kill schedules):
   Both mirror the telemetry x engine x workers inertness matrix in
   ``tests/obs/``.
 
-**Soundness** (pruning decisions have exactly one vetted funnel):
-
-* ``REP030`` -- outside ``sim/prune.py``, a parameter or dataclass
-  field named ``prune`` must default to ``None``: the only place a
-  concrete pruning default may live is
-  :func:`repro.sim.prune.resolve_prune` (parameter > ``REPRO_PRUNE``
-  env > ``DEFAULT_PRUNE``), so no call path can silently pin pruning
-  on or off and drift from the byte-identity contract.  Mirrors the
-  prune-on/off identity matrix in ``tests/sim/test_cube.py``.
-
 Rules register themselves into :data:`repro.registry.LINT_RULES` at
 import time, exactly like graph families and algorithms, so
 ``--select``/``--ignore`` resolve through the same :class:`SpecError`
@@ -605,69 +595,9 @@ class TelemetryFlowRule(Rule):
             )
 
 
-# ----------------------------------------------------------------------
-# Soundness
-# ----------------------------------------------------------------------
-
-
-def _is_none_default(node: "ast.AST | None") -> bool:
-    return isinstance(node, ast.Constant) and node.value is None
-
-
-@LINT_RULES.register(
-    "REP030",
-    family="soundness",
-    mirrors="prune-on/off byte-identity matrix (tests/sim/test_cube.py)",
-)
-class PruneDefaultRule(Rule):
-    id = "REP030"
-    summary = "prune parameters default to None outside sim/prune.py"
-
-    _MESSAGE = (
-        "a concrete prune default pins pruning outside the vetted funnel; "
-        "default to None and let repro.sim.prune.resolve_prune decide "
-        "(parameter > REPRO_PRUNE > DEFAULT_PRUNE)"
-    )
-
-    def _check_function(
-        self, module: SourceModule, node: "ast.FunctionDef | ast.AsyncFunctionDef"
-    ) -> Iterator[Finding]:
-        args = node.args
-        positional = args.posonlyargs + args.args
-        defaults: "list[ast.AST | None]" = [None] * (
-            len(positional) - len(args.defaults)
-        ) + list(args.defaults)
-        for arg, default in zip(positional, defaults):
-            if arg.arg == "prune" and default is not None:
-                if not _is_none_default(default):
-                    yield self.finding(module, arg, self._MESSAGE)
-        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-            if arg.arg == "prune" and default is not None:
-                if not _is_none_default(default):
-                    yield self.finding(module, arg, self._MESSAGE)
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        if module.in_dir("sim") and module.name == "prune.py":
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(module, node)
-            elif isinstance(node, ast.ClassDef):
-                for statement in node.body:
-                    if (
-                        isinstance(statement, ast.AnnAssign)
-                        and isinstance(statement.target, ast.Name)
-                        and statement.target.id == "prune"
-                        and statement.value is not None
-                        and not _is_none_default(statement.value)
-                    ):
-                        yield self.finding(module, statement, self._MESSAGE)
-
-
 __all__ = [
     "BareWriteRule",
     "CANONICAL_DIRS",
-    "PruneDefaultRule",
     "RANDOM_MODULE_FNS",
     "Rule",
     "SetIterationRule",

@@ -27,21 +27,30 @@ DEFAULT_SHARD_COUNT = 16
 
 
 class ShardExecutionError(RuntimeError):
-    """A worker process died while executing one shard.
+    """A worker process died, and the shards still unfinished were lost.
 
     Wraps the pool's bare ``BrokenProcessPool`` with what the caller
-    actually needs: *which* shard was in flight, and that a run store,
+    actually needs: *which* shards did not finish, and that a run store,
     when one is in use, already holds the completed shards -- a cached
-    rerun resumes from them rather than starting over.
+    rerun resumes from them rather than starting over.  A dying worker
+    fails every unfinished shard of the pool alike, so the one it was
+    executing cannot be told apart from those queued or running beside
+    it: ``unfinished`` lists them all as ``(index, bounds)`` in plan
+    order, and ``index``/``shard`` name the first.
     """
 
-    def __init__(self, spec: JobSpec, index: int, total: int):
-        self.shard = spec.shard
-        self.index = index
-        bounds = f"[{spec.shard[0]}, {spec.shard[1]})" if spec.shard else "?"
+    def __init__(self, unfinished: Sequence[tuple[int, JobSpec]], total: int):
+        self.unfinished = tuple(
+            (index, spec.shard) for index, spec in sorted(unfinished)
+        )
+        self.index, self.shard = self.unfinished[0]
+        lost = ", ".join(
+            f"{index + 1}/{total} [{shard[0]}, {shard[1]})" if shard else "?"
+            for index, shard in self.unfinished
+        )
         super().__init__(
-            f"worker process died executing shard {index + 1}/{total} "
-            f"(configurations {bounds}); completed shards are kept only "
+            f"worker process died; {len(self.unfinished)} shard(s) did not "
+            f"finish (configurations {lost}); completed shards are kept only "
             f"when a run store is in use (the default --cache), so a cached "
             f"rerun resumes from them"
         )
@@ -146,26 +155,32 @@ class ParallelExecutor:
         submitted = {pool.submit(run_shard, spec): (index, spec)
                      for index, spec in enumerate(specs)}
         pending = set(submitted)
+        # A dead worker fails every unfinished future; the reports that
+        # did complete are still handed over before the error names the
+        # lost shards.
+        lost: list[tuple[int, JobSpec]] = []
         try:
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
                     try:
-                        yield future.result()
+                        report = future.result()
                     except BrokenProcessPool:
-                        # A dead pool poisons this executor: drop it so a
-                        # caller that catches the error and retries gets
-                        # a fresh pool instead of the same broken one.
-                        self.close()
-                        index, spec = submitted[future]
-                        raise ShardExecutionError(
-                            spec, index, len(specs)
-                        ) from None
+                        lost.append(submitted[future])
+                        continue
+                    yield report
         finally:
             # An abandoned iteration (break / exception / GeneratorExit)
             # must not leave queued shards burning CPU in the background.
             for future in pending:
                 future.cancel()
+            if lost:
+                # A dead pool poisons this executor: drop it so a caller
+                # that catches the error and retries gets a fresh pool
+                # instead of the same broken one.
+                self.close()
+        if lost:
+            raise ShardExecutionError(lost, len(specs))
 
     def close(self) -> None:
         """Shut down the worker pool (idempotent)."""

@@ -86,27 +86,22 @@ class ShardTiming:
 
     ``path`` is the route the shard actually took: ``"whole_cube"`` (one
     cube-slice tensor pass) or ``"stream"`` (configuration by
-    configuration, or in vectorized chunks); ``prune`` is the cube
-    table's resolved pruning flag, ``None`` where pruning does not apply.
-    Records written before these fields existed load as ``"stream"`` and
-    ``None``, which is what those shards ran.
+    configuration).  Records written before ``path`` existed load as
+    ``"stream"``, which is what those shards ran; keys this class no
+    longer has (the retired ``chunks`` and ``prune``) are ignored.
     """
 
     seconds: float
     table_seconds: float = 0.0
     engine: str = "reactive"
-    chunks: int = 0
     path: str = "stream"
-    prune: bool | None = None
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "seconds": self.seconds,
             "table_seconds": self.table_seconds,
             "engine": self.engine,
-            "chunks": self.chunks,
             "path": self.path,
-            "prune": self.prune,
         }
 
     @classmethod
@@ -115,9 +110,7 @@ class ShardTiming:
             seconds=payload["seconds"],
             table_seconds=payload.get("table_seconds", 0.0),
             engine=payload.get("engine", "reactive"),
-            chunks=payload.get("chunks", 0),
             path=payload.get("path", "stream"),
-            prune=payload.get("prune"),
         )
 
 

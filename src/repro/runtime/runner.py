@@ -62,9 +62,7 @@ def _emit_shard(telemetry: Telemetry, report: ShardReport, cached: bool) -> None
             seconds=report.timing.seconds,
             table_seconds=report.timing.table_seconds,
             engine=report.timing.engine,
-            chunks=report.timing.chunks,
             path=report.timing.path,
-            prune=report.timing.prune,
         )
     telemetry.event("shard.cached" if cached else "shard.complete", **attrs)
 

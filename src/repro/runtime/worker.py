@@ -15,12 +15,11 @@ evaluator: the reactive round simulator, the compiled trajectory engine
 (:mod:`repro.sim.cube`).  Tables are memoised per process, so shards of
 one sweep share compilations.  A cube shard never exists as
 configurations: it is one whole-cube tensor pass over the slice, with
-horizons per ``(label pair, delay)`` and pruning resolved through
-``REPRO_PRUNE``; the other evaluators walk the slice configuration by
-configuration.  Whatever the path, the shard report is identical, and
-its non-canonical :class:`~repro.runtime.report.ShardTiming` records
-which path ran (``"whole_cube"``, or ``"stream"`` for one configuration
-at a time) and whether pruning was on.
+horizons per ``(label pair, delay)``; the other evaluators walk the
+slice configuration by configuration.  Whatever the path, the shard
+report is identical, and its non-canonical
+:class:`~repro.runtime.report.ShardTiming` records which path ran
+(``"whole_cube"``, or ``"stream"`` for one configuration at a time).
 """
 
 from __future__ import annotations
@@ -60,9 +59,6 @@ def _cube_table(graph_spec: GraphSpec, algorithm_spec: AlgorithmSpec):
     from repro.sim.cube import CubeTimelineTable
 
     graph, algorithm = _materialize(graph_spec, algorithm_spec)
-    # prune=None resolves via REPRO_PRUNE, which pool workers
-    # inherit from the submitting process -- pruned and unpruned shards
-    # are byte-identical, so the knob never rides on the spec.
     return CubeTimelineTable(graph, algorithm)
 
 
@@ -148,6 +144,5 @@ def run_shard(spec: JobSpec) -> ShardReport:
             table_seconds=round(table_seconds, 6),
             engine=spec.engine,
             path="whole_cube" if spec.engine == "cube" else "stream",
-            prune=table.prune if spec.engine == "cube" else None,
         ),
     )

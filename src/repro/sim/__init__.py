@@ -14,8 +14,8 @@ The simulator implements the paper's execution model exactly:
 
 from repro.sim.actions import WAIT, Action, is_move
 from repro.sim.adversary import WorstCaseReport, worst_case_search
-from repro.sim.batch import BatchTimelineTable, BatchUnavailableError
 from repro.sim.compiled import CompiledTrajectory, TrajectoryTable, compile_trajectory
+from repro.sim.cube import BatchUnavailableError
 from repro.sim.gathering import GatheringResult, GatheringSimulator, GatheringSpec, gather
 from repro.sim.metrics import RendezvousResult
 from repro.sim.observation import Observation
@@ -35,7 +35,6 @@ __all__ = [
     "AgentContext",
     "AgentSpec",
     "AgentTrace",
-    "BatchTimelineTable",
     "BatchUnavailableError",
     "CompiledTrajectory",
     "GatheringResult",

@@ -339,11 +339,11 @@ def resolve_substrate(engine: str, factory: Any) -> str:
     NumPy, ``"reactive"`` for everything else.  An explicit
     ``"compiled"`` or ``"cube"`` raises unless the factory is
     ``is_oblivious``, and ``"cube"`` raises a loud
-    :class:`~repro.sim.batch.BatchUnavailableError` without NumPy.  The
+    :class:`~repro.sim.cube.BatchUnavailableError` without NumPy.  The
     engines produce byte-identical reports wherever they all apply.
     """
-    # Imported lazily: repro.sim.batch imports this module's types.
-    from repro.sim.batch import numpy_available, require_numpy
+    # Imported lazily: repro.sim.cube imports this module's types.
+    from repro.sim.cube import numpy_available, require_numpy
 
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {list(ENGINES)}")
@@ -364,10 +364,7 @@ def resolve_substrate(engine: str, factory: Any) -> str:
 
 
 def _engine_table(
-    engine: str,
-    graph: PortLabeledGraph,
-    factory: ProgramFactory,
-    prune: bool | None = None,
+    engine: str, graph: PortLabeledGraph, factory: ProgramFactory
 ) -> Any:
     """The evaluation substrate of an engine (``None`` for reactive).
 
@@ -383,7 +380,7 @@ def _engine_table(
     if engine == "cube":
         from repro.sim.cube import CubeTimelineTable
 
-        return CubeTimelineTable(graph, factory, prune=prune)
+        return CubeTimelineTable(graph, factory)
     return None
 
 
@@ -445,7 +442,6 @@ def worst_case_search(
     rng: random.Random | None = None,
     engine: str = "reactive",
     telemetry: Telemetry = NULL_TELEMETRY,
-    prune: bool | None = None,
 ) -> WorstCaseReport:
     """Run every configuration of ``cube`` and keep the extremes.
 
@@ -468,10 +464,6 @@ def worst_case_search(
       needs the optional NumPy dependency and a horizon determined by
       ``(labels, delay)``;
     * ``"auto"`` picks the fastest sound one of these for the factory.
-
-    ``prune`` is consulted by the cube engine only (``None`` resolves
-    through :func:`repro.sim.prune.resolve_prune`); pruned and unpruned
-    runs return byte-identical reports.
     """
     engine = resolve_substrate(engine, factory)
     indices: Sequence[int] = range(len(cube))
@@ -481,7 +473,7 @@ def worst_case_search(
         rng = rng or random.Random(0xC0FFEE)
         indices = rng.sample(indices, sample)
 
-    table = _engine_table(engine, graph, factory, prune)
+    table = _engine_table(engine, graph, factory)
     with telemetry.span(f"{engine}.search"):
         started = time.perf_counter()
         found = reduce_space(

@@ -1,11 +1,16 @@
 """The cube engine: whole-sweep tensor passes with adversary-space pruning.
 
-The dense timeline table (:mod:`repro.sim.batch`) answers all
-``(start, delay)`` configurations of one label pair per NumPy pass but
-still loops over the ``L(L-1)`` label pairs in Python, materializes a
-:class:`Configuration` object per cell, and scans every start pair even
-when symmetry makes most of them redundant.  This module removes all three costs:
+The compiled engine (:mod:`repro.sim.compiled`) reduces a sweep to
+``O(L * n)`` trajectory compilations plus one Python-level timeline scan
+per configuration.  This module removes the per-configuration scan, the
+per-configuration objects and most of the scanned space:
 
+* **Dense timelines** -- the per-``(label, start)`` position timelines
+  are stacked into one ``(n, T+1)`` array per label, and every ``(start
+  pair, delay)`` configuration of a label pair is answered by array
+  comparison over delay-shifted timelines, costs by fancy-indexed
+  cumulative-traversal rows -- exact integer arithmetic mirroring
+  :meth:`~repro.sim.compiled.TrajectoryTable.evaluate`.
 * **Cross-label tensorization** -- given a :class:`ConfigCube` (the
   product-structured configuration space), the whole
   ``L(L-1) x n(n-1) x D`` cube -- or any contiguous index slice of it,
@@ -27,35 +32,34 @@ when symmetry makes most of them redundant.  This module removes all three costs
 Equivalence contract: identical to the compiled engine's -- every pruned
 verdict is reconstructed by an exact rule before any comparison, the
 blocks go through the same :class:`~repro.sim.adversary.Reduction` as
-every other engine's verdicts, and the cross-engine suite (``tests/sim``)
-asserts byte-identity against the reactive engine with pruning on and
-off.
+every other engine's verdicts, full results of the extremes are
+reconstructed through the compiled engine's
+:func:`~repro.sim.compiled.reconstruct_result`, and the cross-engine
+suites (``tests/sim``) assert byte-identity against the reactive engine.
 
-NumPy availability is checked at call time by
-:func:`repro.sim.adversary.resolve_substrate`, so ``engine="cube"``
-degrades with a loud :class:`~repro.sim.batch.BatchUnavailableError`
-hint (naming ``'cube'``) and ``engine="auto"`` falls back to the
-compiled engine silently.
+NumPy is an *optional* dependency (the ``repro-rendezvous[batch]``
+extra).  Importing this module never requires it; constructing a
+:class:`CubeTimelineTable` (or resolving ``engine="cube"`` through
+:func:`repro.sim.adversary.resolve_substrate`) without NumPy raises
+:class:`BatchUnavailableError` with the install hint, and
+``engine="auto"`` falls back to the compiled engine silently.
 """
 
 from __future__ import annotations
 
-# repro: allow-file(REP001) -- perf_counter meters table builds for
-# telemetry gauges, exactly as in repro.sim.batch; results flow only
-# through Telemetry, never into report bytes.
+# repro: allow-file(REP001) -- perf_counter here meters table builds for
+# telemetry gauges (build_seconds); results flow only through Telemetry,
+# never into report bytes, as the inertness matrix in tests/obs proves
+# dynamically.
 
 import time
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.sim.adversary import ConfigCube, Configuration, VerdictBlock
-from repro.sim.batch import (
-    _BLOCK_ELEMENTS,
-    _MIN_TIME_BLOCK,
-    BatchTimelineTable,
-    LabelTimelines,
-    store_bounded,
-)
+from repro.sim.compiled import TrajectoryTable
+from repro.sim.metrics import RendezvousResult
 from repro.sim.program import ProgramFactory
 from repro.sim.prune import (
     PruneStats,
@@ -63,73 +67,265 @@ from repro.sim.prune import (
     certify_symmetry,
     derive_met,
     dominance_plan,
-    resolve_prune,
 )
 from repro.sim.simulator import PresenceModel
 
+try:  # pragma: no cover - exercised via both CI legs
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
 
-class CubeTimelineTable(BatchTimelineTable):
-    """A :class:`BatchTimelineTable` with certified pruning on top.
+#: Element budget of one ``(n, n, block)`` comparison tensor; the scanned
+#: column block adapts to the graph size so temporaries stay a few MB.
+_BLOCK_ELEMENTS = 1 << 21
 
-    With pruning resolved on (:func:`repro.sim.prune.resolve_prune`) and
-    the sweep certified (cyclic graph declaration re-verified exactly,
-    start-oblivious factory, derived-trajectory probe), label timelines
-    are rotation-derived from two compilations instead of ``n``, and
-    group matrices are answered through ``(D, n)`` delta tables.  Delay
-    dominance applies on every path.  Any gate failing falls back to the
-    parent's full passes -- the reports are byte-identical either way,
-    only the work differs (``stats`` meters what was avoided).
+#: Narrowest scanned column block.  Meetings are typically early, so
+#: moderate blocks give the vector path the same early-exit the compiled
+#: engine's phase scans enjoy.
+_MIN_TIME_BLOCK = 16
+
+#: Total element budget of each cache of per-group meeting/cost
+#: matrices or delta rows; the oldest entries are evicted beyond it.
+_MATRIX_CACHE_ELEMENTS = 1 << 24
+
+
+class BatchUnavailableError(ValueError):
+    """The NumPy engine was requested but NumPy is not importable.
+
+    A :class:`ValueError` (like :class:`repro.registry.SpecError`) naming
+    the requesting engine, the missing dependency, the extra that
+    provides it and the engines that work without it.
     """
 
-    def __init__(
-        self,
-        graph: PortLabeledGraph,
-        factory: ProgramFactory,
-        provide_map: bool = True,
-        provide_position: bool = True,
-        prune: bool | None = None,
-    ):
-        super().__init__(graph, factory, provide_map, provide_position)
-        self.prune = resolve_prune(prune)
-        self.stats = PruneStats()
-        self.certificate = (
-            certify_symmetry(graph, factory)
-            if self.prune
-            else SymmetryCertificate(False, "pruning disabled")
+
+def numpy_available() -> bool:
+    """Whether the NumPy engine (cube) can run in this environment."""
+    return _np is not None
+
+
+def require_numpy() -> Any:
+    """The ``numpy`` module, or a loud :class:`BatchUnavailableError`."""
+    if _np is None:
+        raise BatchUnavailableError(
+            "engine 'cube' needs NumPy, which is not importable in "
+            "this environment; install the optional extra (pip install "
+            "'repro-rendezvous[batch]') or choose engine 'auto' or "
+            "'compiled' -- 'auto' falls back to the compiled engine "
+            "without NumPy and the reports are identical"
         )
-        # (labels, delay, horizon, presence) -> a (2, n) array over delta:
-        # the met row stacked on the cost row.  Shards of one sweep that
-        # split a label pair read it back instead of rescanning; a bounded
-        # FIFO like ``_matrices``, since a long-lived worker table serves
-        # sweep after sweep over ever new delays.
+    return _np
+
+
+def store_bounded(cache: dict, key: Any, value: Any, size: int) -> None:
+    """Insert into a FIFO cache of equal-size entries, evicting the oldest.
+
+    ``size`` is one entry's element count; entries are dropped oldest
+    first until the new one fits :data:`_MATRIX_CACHE_ELEMENTS`.
+    """
+    while cache and (len(cache) + 1) * size > _MATRIX_CACHE_ELEMENTS:
+        cache.pop(next(iter(cache)))
+    cache[key] = value
+
+
+@dataclass(frozen=True)
+class LabelTimelines:
+    """One label's solo timelines over *all* starting nodes, as arrays.
+
+    Row ``s`` of ``positions`` is the padded position timeline of the
+    agent with this label started at node ``s`` (``positions[s, t]`` for
+    time points ``t = 0..T``); ``costs[s, t]`` is its cumulative number
+    of edge traversals through round ``t``.  ``length`` is the schedule
+    length ``T`` (identical across starts: it is a function of the label
+    alone, which is what makes the rows rectangular).
+    """
+
+    positions: Any  # (n, T+1) int16 (int32 on huge graphs) ndarray
+    costs: Any  # (n, T+1) int32 ndarray
+    length: int
+
+
+def _meeting_tensor(
+    np: Any,
+    first: LabelTimelines,
+    second: LabelTimelines,
+    delay_horizons: Sequence[tuple[int, int]],
+    parachute: bool,
+) -> Any:
+    """First colocation times for every ``(delay slice, start pair)``.
+
+    Slice ``d`` of the returned ``(D, n, n)`` tensor answers
+    ``delay_horizons[d] = (delay, horizon)`` for every ordered start
+    pair: the first time point in ``[earliest, horizon]`` at which the
+    delay-shifted timelines colocate, ``-1`` when they never do.  The
+    second agent's timeline is read through clipped time indices
+    (``clip(t - delay, 0, T2)``), which realises both the pre-wake wait
+    at its start and the parked tail past its schedule -- the same delay
+    shift :func:`repro.sim.compiled.first_meeting_time` scans in phases;
+    under the parachute presence model its pre-wake positions are blanked
+    to a sentinel no node matches, so no meeting can precede its wake.
+
+    All slices share one column-block scan (early meetings stop it
+    early).  No slice looks past ``max(T1, delay + T2)``: beyond that
+    point both timelines are constant, so a colocation there implies an
+    earlier one at the parking point, which the scan covers.  A first
+    colocation past a slice's own window is masked back to ``-1``.
+    """
+    n = first.positions.shape[0]
+    count = len(delay_horizons)
+    delays = np.array([delay for delay, _ in delay_horizons], dtype=np.intp)
+    horizons = np.array([horizon for _, horizon in delay_horizons], dtype=np.int64)
+    met = np.full((count, n, n), -1, dtype=np.int64)
+    length1, length2 = first.length, second.length
+    limit = np.minimum(horizons, np.maximum(length1, delays + length2))
+    max_scan = int(limit.max())
+    start_t = int(delays.min()) if parachute else 0
+    positions1, positions2 = first.positions, second.positions
+    block = max(_MIN_TIME_BLOCK, _BLOCK_ELEMENTS // (count * n * n))
+    t0 = start_t
+    while t0 <= max_scan:
+        t1 = min(t0 + block - 1, max_scan)
+        times = np.arange(t0, t1 + 1, dtype=np.intp)
+        a = positions1[:, np.minimum(times, length1)]  # (n, b)
+        cols2 = np.clip(times[None, :] - delays[:, None], 0, length2)  # (D, b)
+        b2 = np.moveaxis(positions2[:, cols2], 0, 1)  # (D, n, b)
+        if parachute:
+            asleep = times[None, :] < delays[:, None]
+            b2 = np.where(asleep[:, None, :], -1, b2)
+        colocated = a[None, :, None, :] == b2[:, None, :, :]  # (D, n, n, b)
+        fresh = colocated.any(axis=3) & (met < 0)
+        if fresh.any():
+            met[fresh] = t0 + colocated[fresh].argmax(axis=1)
+            if (met >= 0).all():
+                break
+        t0 = t1 + 1
+    # A colocation past a slice's window (its horizon, or -- parachute
+    # only -- at a time its own delay has not reached) is no meeting.
+    return np.where((met >= 0) & (met <= limit[:, None, None]), met, -1)
+
+
+def _cost_tensor(
+    np: Any,
+    first: LabelTimelines,
+    second: LabelTimelines,
+    delay_horizons: Sequence[tuple[int, int]],
+    met: Any,
+) -> Any:
+    """Total traversal cost for every ``(delay slice, start pair)``.
+
+    Counted through the meeting round (``met[d, s1, s2]``), or through
+    the slice's horizon where the pair never meets -- exactly the clamped
+    cumulative-cost reads of :meth:`TrajectoryTable.evaluate`.
+    """
+    n = met.shape[1]
+    delays = np.array([delay for delay, _ in delay_horizons], dtype=np.int64)
+    horizons = np.array([horizon for _, horizon in delay_horizons], dtype=np.int64)
+    last = np.where(met >= 0, met, horizons[:, None, None])
+    rows = np.arange(n, dtype=np.intp)
+    return (
+        first.costs[rows[None, :, None], np.minimum(last, first.length)]
+        + second.costs[
+            rows[None, None, :],
+            np.clip(last - delays[:, None, None], 0, second.length),
+        ]
+    )
+
+
+class CubeTimelineTable:
+    """Dense per-label timelines, pruned whenever pruning is certified.
+
+    At most ``L`` label timeline arrays are built, however many
+    configurations are evaluated.  When the sweep is certified (cyclic
+    graph declaration re-verified exactly, start-oblivious factory,
+    derived-trajectory probe), each label's arrays are rotation-derived
+    from one compilation instead of ``n``, and whole label-pair blocks
+    are answered through ``(D, n)`` delta tables
+    (:meth:`orbit_cube`); otherwise they come from per-start
+    compilations and ``(n, n)`` start-pair matrices (:meth:`pair_cube`).
+    Delay dominance applies on both paths.  Every reduction is exact, so
+    the path changes only the work done (``stats`` meters what was
+    avoided), never a report.  :meth:`result` reconstructs the full
+    reactive-equivalent record of the few configurations that end up as
+    extremes, through the wrapped
+    :class:`~repro.sim.compiled.TrajectoryTable`.
+    """
+
+    def __init__(self, graph: PortLabeledGraph, factory: ProgramFactory):
+        self._np = require_numpy()
+        self.graph = graph
+        self.factory = factory
+        self.trajectories = TrajectoryTable(graph, factory)
+        self._labels: dict[int, LabelTimelines] = {}
+        #: Cumulative wall-clock seconds spent building label timelines
+        #: (including the nested trajectory compiles they trigger) -- the
+        #: "table build" half of this engine's profile.  Observability
+        #: data only: nothing reads it back into the computation.
+        self.build_seconds = 0.0
+        self.stats = PruneStats()
+        self.certificate = certify_symmetry(graph, factory)
+        # Both caches are bounded FIFOs keyed by (labels, delay, horizon,
+        # presence): shards of one sweep that split a label pair read
+        # them back instead of rescanning, and a long-lived worker table
+        # serves sweep after sweep over ever new delays.  Certified
+        # sweeps cache a (2, n) array over delta -- the met row stacked
+        # on the cost row; the others a (met, cost) pair of (n, n)
+        # start-pair matrices.
         self._delta_rows: dict[
             tuple[tuple[int, int], int, int, PresenceModel], Any
         ] = {}
+        self._matrices: dict[
+            tuple[tuple[int, int], int, int, PresenceModel], tuple[Any, Any]
+        ] = {}
         self._probed = False
-
-    @property
-    def orbit_active(self) -> bool:
-        """Whether rotation-orbit reduction is currently in force."""
-        return self.certificate.orbit
+        # int16 positions halve the traffic of the comparison pass; node
+        # ids exceed it only on graphs far past this engine's O(n^2)
+        # start-pair matrices anyway.
+        self._position_dtype = (
+            self._np.int16 if graph.num_nodes <= 2**15 else self._np.int32
+        )
 
     def timelines(self, label: int) -> LabelTimelines:
-        """Rotation-derived stacked timelines (one compile per label).
+        """The stacked (all-starts) timeline arrays of one label, built once.
 
-        Row ``s`` is the start-0 trajectory shifted by ``s`` -- exact on a
-        certified-cyclic graph with a start-oblivious factory.  Defense
-        in depth beyond the declarations: the first label built also
-        compiles its start-1 trajectory and probes it against the derived
-        row (one extra compile per table, the property is a factory-wide
-        one); any mismatch voids the certificate for the whole table,
-        discards derived state and falls back to the parent's full
-        per-start builds.
+        On a certified sweep row ``s`` is the start-0 trajectory shifted
+        by ``s`` -- exact on a certified-cyclic graph with a
+        start-oblivious factory -- so one compile serves all ``n`` rows.
+        Defense in depth beyond the declarations: the first label built
+        also compiles its start-1 trajectory and probes it against the
+        derived row (one extra compile per table, the property is a
+        factory-wide one); any mismatch voids the certificate for the
+        whole table, discards derived state and falls back to per-start
+        compilations.
         """
-        if not self.certificate.orbit or self.graph.num_nodes < 2:
-            return super().timelines(label)
         stacked = self._labels.get(label)
         if stacked is not None:
             return stacked
         started = time.perf_counter()
+        if self.certificate.orbit and self.graph.num_nodes >= 2:
+            stacked = self._rotated_timelines(label)
+        if stacked is None:
+            stacked = self._per_start_timelines(label)
+        self._labels[label] = stacked
+        self.build_seconds += time.perf_counter() - started
+        return stacked
+
+    def _per_start_timelines(self, label: int) -> LabelTimelines:
+        """One compiled trajectory per start, stacked row by row."""
+        np = self._np
+        rows = [
+            self.trajectories.trajectory(label, start)
+            for start in range(self.graph.num_nodes)
+        ]
+        return LabelTimelines(
+            positions=np.array(
+                [t.positions for t in rows], dtype=self._position_dtype
+            ),
+            costs=np.array([t.cumulative_cost for t in rows], dtype=np.int32),
+            length=rows[0].length,
+        )
+
+    def _rotated_timelines(self, label: int) -> LabelTimelines | None:
+        """The start-0 trajectory rotated to every start, or ``None``
+        when the probe voids the certificate."""
         np = self._np
         n = self.graph.num_nodes
         base = self.trajectories.trajectory(label, 0)
@@ -149,53 +345,30 @@ class CubeTimelineTable(BatchTimelineTable):
                 )
                 self._labels.clear()  # derived rows of other labels are void
                 self._delta_rows.clear()
-                self.build_seconds += time.perf_counter() - started
-                return super().timelines(label)
+                return None
             self._probed = True
-        position_dtype = np.int16 if n <= 2**15 else np.int32
-        row0 = np.array(base.positions, dtype=position_dtype)
-        shifts = np.arange(n, dtype=position_dtype)[:, None]
-        stacked = LabelTimelines(
+        row0 = np.array(base.positions, dtype=self._position_dtype)
+        shifts = np.arange(n, dtype=self._position_dtype)[:, None]
+        return LabelTimelines(
             positions=(row0[None, :] + shifts) % n,
             costs=np.tile(
                 np.array(base.cumulative_cost, dtype=np.int32), (n, 1)
             ),
             length=base.length,
         )
-        self._labels[label] = stacked
-        self.build_seconds += time.perf_counter() - started
-        return stacked
 
-    def delta_tables(
-        self,
-        labels: tuple[int, int],
-        delay_horizons: Sequence[tuple[int, int]],
-        presence: PresenceModel,
-    ) -> tuple[Any, Any] | None:
-        """``(met, cost)`` stacked ``(D, n)`` delta tables of one label pair.
-
-        The one-pair view of :meth:`cube_delta_tables`: ``None`` when the
-        orbit certificate does not hold, the caller then falls back to
-        full matrices.
-        """
-        tables = self.cube_delta_tables([labels], [delay_horizons], presence)
-        if tables is None:
-            return None
-        met, cost = tables
-        return met[0], cost[0]
-
-    def cube_delta_tables(
+    def orbit_cube(
         self,
         label_pairs: Sequence[tuple[int, int]],
         delay_horizons: Sequence[Sequence[tuple[int, int]]],
         presence: PresenceModel,
     ) -> tuple[Any, Any] | None:
-        """``(met, cost)`` as ``(P, D, n)`` tensors over the given label pairs.
+        """``(met, cost)`` as ``(P, D, n)`` tensors: label pair, delay, delta.
 
         ``delay_horizons[p]`` lists pair ``p``'s ``(delay, horizon)``
         slices (one per delay-axis entry, so ``D`` is uniform).  Pairs
         whose every slice is in the row cache are read back; the rest go
-        through one stacked pass (:meth:`_scan_delta_cube`) and are
+        through one stacked pass (:meth:`_scan_orbit_cube`) and are
         cached.  Returns ``None`` when the orbit certificate does not
         hold (or the trajectory probe voids it mid-build).
         """
@@ -219,7 +392,7 @@ class CubeTimelineTable(BatchTimelineTable):
                 met[p, index] = row[0]
                 cost[p, index] = row[1]
         if todo:
-            scanned = self._scan_delta_cube(
+            scanned = self._scan_orbit_cube(
                 [label_pairs[p] for p in todo],
                 [delay_horizons[p] for p in todo],
                 presence,
@@ -240,13 +413,13 @@ class CubeTimelineTable(BatchTimelineTable):
                     )
         return met, cost
 
-    def _scan_delta_cube(
+    def _scan_orbit_cube(
         self,
         label_pairs: Sequence[tuple[int, int]],
         delay_horizons: Sequence[Sequence[tuple[int, int]]],
         presence: PresenceModel,
     ) -> tuple[Any, Any] | None:
-        """The cross-label pass behind :meth:`cube_delta_tables`.
+        """The cross-label pass behind :meth:`orbit_cube`.
 
         Every label's start-0 timeline is stacked (parked-tail padded)
         into one ``(L, Tmax+1)`` tensor, and all ``P x D`` dominance-pivot
@@ -256,8 +429,8 @@ class CubeTimelineTable(BatchTimelineTable):
         iff ``pos1(t) - pos2(t') == s2 - s1 (mod n)`` of the start-0 rows,
         so one ``(D, n)`` table over ``delta`` answers all ``n**2`` start
         pairs of a label pair.  Row semantics (windows, delay clipping,
-        parachute blanking, ``-1`` for never) match the parent table's
-        tensors exactly; the scan stops early once every delta has met
+        parachute blanking, ``-1`` for never) match
+        :func:`_meeting_tensor`'s exactly; the scan stops early once every delta has met
         (``stats.early_exit_rounds`` counts the skipped time points).
         """
         np = self._np
@@ -382,70 +555,6 @@ class CubeTimelineTable(BatchTimelineTable):
         self.stats.orbit_cells += pair_count * delay_count * (n * n - n)
         return met_full, cost_full
 
-    def _store_matrices(
-        self,
-        key: tuple[tuple[int, int], int, int, PresenceModel],
-        met: Any,
-        cost: Any,
-    ) -> None:
-        """Insert one group's matrices under the parent's FIFO budget."""
-        store_bounded(self._matrices, key, (met, cost), 2 * self.graph.num_nodes**2)
-
-    def _ensure_matrices(
-        self,
-        labels: tuple[int, int],
-        delay_horizons: Sequence[tuple[int, int]],
-        presence: PresenceModel,
-    ) -> None:
-        """The parent hook, pruned: delta expansion and delay dominance.
-
-        The same ``(n, n)`` matrices as the parent's, produced more
-        cheaply: expanded from delta tables on a certified sweep, and
-        dominated slices derived instead of scanned either way.  With
-        pruning off this is exactly the parent's pass.
-        """
-        if not self.prune:
-            return super()._ensure_matrices(labels, delay_horizons, presence)
-        missing = [
-            (delay, horizon)
-            for delay, horizon in delay_horizons
-            if (labels, delay, horizon, presence) not in self._matrices
-        ]
-        if not missing:
-            return
-        np = self._np
-        tables = self.delta_tables(labels, missing, presence)
-        if tables is not None:
-            met_rows, cost_rows = tables
-            n = self.graph.num_nodes
-            # delta of the ordered pair (s1, s2) -- row s1, column s2.
-            spread = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-            for index, (delay, horizon) in enumerate(missing):
-                self._store_matrices(
-                    (labels, delay, horizon, presence),
-                    met_rows[index][spread],
-                    cost_rows[index][spread],
-                )
-            return
-        # No orbit: full tensors for the pivots, translation for the rest.
-        first = self.timelines(labels[0])
-        plan = dominance_plan(missing, first.length)
-        scanned = [missing[index] for index in plan.scan]
-        super()._ensure_matrices(labels, scanned, presence)
-        parachute = presence is PresenceModel.PARACHUTE
-        for index, (pivot, shift) in plan.derived.items():
-            pivot_delay, pivot_horizon = missing[pivot]
-            met_pivot, cost_pivot = self._matrices[
-                (labels, pivot_delay, pivot_horizon, presence)
-            ]
-            delay, horizon = missing[index]
-            self._store_matrices(
-                (labels, delay, horizon, presence),
-                derive_met(np, met_pivot, pivot_delay, shift, parachute),
-                cost_pivot,
-            )
-            self.stats.dominated_slices += 1
-
     def pair_cube(
         self,
         labels: tuple[int, int],
@@ -459,19 +568,62 @@ class CubeTimelineTable(BatchTimelineTable):
         Rows follow the given start-pair order, columns the given delay
         order -- the flattened result is the global enumeration order
         within the pair, which is what makes one ``argmax`` reproduce the
-        serial first-wins tie-break.
+        serial first-wins tie-break.  Each ``(delay, horizon)`` slice is
+        an ``(n, n)`` all-start-pairs matrix pair, cached (bounded FIFO)
+        so shards that split a label pair still compute it once.  The
+        missing slices are answered together: dominance pivots
+        (:func:`~repro.sim.prune.dominance_plan`) by one tensor pass, the
+        slices they dominate by exact translation
+        (:func:`~repro.sim.prune.derive_met`).
         """
         np = self._np
-        self._ensure_matrices(labels, delay_horizons, presence)
+        slices = {
+            (delay, horizon): self._matrices.get((labels, delay, horizon, presence))
+            for delay, horizon in delay_horizons
+        }
+        missing = [key for key, matrices in slices.items() if matrices is None]
+        if missing:
+            first = self.timelines(labels[0])
+            second = self.timelines(labels[1])
+            parachute = presence is PresenceModel.PARACHUTE
+            plan = dominance_plan(missing, first.length)
+            pivots = [missing[index] for index in plan.scan]
+            met = _meeting_tensor(np, first, second, pivots, parachute)
+            cost = _cost_tensor(np, first, second, pivots, met)
+            for slot, pivot in enumerate(pivots):
+                slices[pivot] = (met[slot], cost[slot])
+            for index, (pivot, shift) in plan.derived.items():
+                pivot_met, pivot_cost = slices[missing[pivot]]
+                slices[missing[index]] = (
+                    derive_met(np, pivot_met, missing[pivot][0], shift, parachute),
+                    pivot_cost,
+                )
+                self.stats.dominated_slices += 1
+            # Each entry holds TWO n*n matrices (met and cost).
+            size = 2 * self.graph.num_nodes**2
+            for delay, horizon in missing:
+                store_bounded(
+                    self._matrices,
+                    (labels, delay, horizon, presence),
+                    slices[delay, horizon],
+                    size,
+                )
         met_slices = []
         cost_slices = []
-        for delay, horizon in delay_horizons:
-            met_matrix, cost_matrix = self.group_matrices(
-                labels, delay, horizon, presence
-            )
+        for key in delay_horizons:
+            met_matrix, cost_matrix = slices[key]
             met_slices.append(met_matrix[s1, s2])
             cost_slices.append(cost_matrix[s1, s2])
         return np.stack(met_slices, axis=1), np.stack(cost_slices, axis=1)
+
+    def result(
+        self,
+        config: Configuration,
+        max_rounds: int,
+        presence: PresenceModel = PresenceModel.FROM_START,
+    ) -> RendezvousResult:
+        """The full reactive-equivalent result of one configuration."""
+        return self.trajectories.result(config, max_rounds, presence)
 
 
 def _pair_horizons(
@@ -530,7 +682,7 @@ def _whole_cube_search(
     is that block, any other sequence (a sample) is gathered from it.
     Only the label pairs the range touches are evaluated, with horizons
     per ``(label pair, delay)`` (:func:`_pair_horizons`).  On a certified-cyclic sweep they are one
-    stacked pass (:meth:`CubeTimelineTable.cube_delta_tables`) gathered
+    stacked pass (:meth:`CubeTimelineTable.orbit_cube`) gathered
     by start-pair delta; otherwise each pair's touched start rows are
     read from its all-start-pairs matrices (:meth:`~CubeTimelineTable.pair_cube`).
     Either way the verdicts form one flat block in enumeration order
@@ -559,7 +711,7 @@ def _whole_cube_search(
     # Block positions count from the first touched pair's first index.
     begin, end = lo - first_pair * per_pair, hi - first_pair * per_pair
 
-    tables = table.cube_delta_tables(label_pairs, pair_horizons, presence)
+    tables = table.orbit_cube(label_pairs, pair_horizons, presence)
     if tables is not None:
         n = table.graph.num_nodes
         delta = np.array([(v - u) % n for u, v in start_pairs], dtype=np.intp)

@@ -18,8 +18,10 @@ Every reduction here is *exact reconstruction*, never approximation: a
 pruned verdict is recomputed from its representative by a closed-form
 rule proven from the simulator's semantics, so reports stay byte-identical
 to the reactive engine (the cross-engine suite in ``tests/sim`` asserts
-this for every registered algorithm x family x presence model).  Three
-gates keep the rules sound:
+this for every registered algorithm x family x presence model).  There
+is no switch: the cube engine applies every reduction whose gates pass
+and falls back exactly where one fails.  Three gates keep the rules
+sound:
 
 * **Declaration** -- a graph family must declare ``symmetry="cyclic"``
   (:data:`repro.registry.GRAPH_FAMILIES` metadata, stamped onto built
@@ -29,10 +31,9 @@ gates keep the rules sound:
   :func:`rotation_automorphism` re-checks, in ``O(E)``, that
   ``v -> v + 1 (mod n)`` preserves every port label.  A wrong declaration
   therefore degrades performance, never correctness.  Reflection
-  (``v -> -v (mod n)``) is checked by :func:`reflection_automorphism`
-  but is *not* port-preserving on oriented rings (it swaps the
-  clockwise/counterclockwise ports 0 and 1), so no registered family
-  earns reflection orbits and the engine never merges them.
+  (``v -> -v (mod n)``) is *not* port-preserving on oriented rings (it
+  swaps the clockwise/counterclockwise ports 0 and 1), so the engine
+  never merges reflection orbits.
 * **Behavioural declaration** -- the algorithm's exploration must declare
   :attr:`~repro.exploration.base.ExplorationProcedure.start_oblivious`
   (its port sequence depends only on the observation stream), and the
@@ -42,49 +43,10 @@ gates keep the rules sound:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
 from repro.graphs.port_graph import PortLabeledGraph
-
-#: Pruning is on by default: it is exact, so the only reason to disable
-#: it is debugging (``--no-prune`` / ``REPRO_PRUNE=0``).
-DEFAULT_PRUNE = True
-
-#: Environment override consulted by :func:`resolve_prune` -- the hook the
-#: CLI's ``--no-prune`` uses so pool workers inherit the choice
-#: without widening ``JobSpec`` (pruned and unpruned runs produce
-#: byte-identical reports, so the knob never belongs in run-store keys).
-PRUNE_ENV = "REPRO_PRUNE"
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-_FALSY = frozenset({"0", "false", "no", "off"})
-
-
-def resolve_prune(prune: bool | None = None) -> bool:
-    """The single resolution funnel for the pruning knob.
-
-    Explicit argument > ``REPRO_PRUNE`` environment variable >
-    :data:`DEFAULT_PRUNE`.  Every ``prune=`` parameter elsewhere in the
-    package defaults to ``None`` and routes through here (the lint rule
-    ``REP030`` forbids other defaults), so one place defines precedence.
-    """
-    if prune is not None:
-        return bool(prune)
-    raw = os.environ.get(PRUNE_ENV)
-    if raw is None:
-        return DEFAULT_PRUNE
-    lowered = raw.strip().lower()
-    if lowered in _TRUTHY:
-        return True
-    if lowered in _FALSY:
-        return False
-    raise ValueError(
-        f"{PRUNE_ENV}={raw!r} is not a boolean; use one of "
-        f"{sorted(_TRUTHY)} or {sorted(_FALSY)}"
-    )
-
 
 # ----------------------------------------------------------------------
 # Symmetry certification
@@ -111,28 +73,6 @@ def rotation_automorphism(graph: PortLabeledGraph) -> bool:
         for port in range(degree):
             v, q = graph.neighbor_via(u, port)
             if graph.neighbor_via(rotated, port) != ((v + 1) % n, q):
-                return False
-    return True
-
-
-def reflection_automorphism(graph: PortLabeledGraph) -> bool:
-    """Whether ``v -> -v (mod n)`` preserves every port label.
-
-    Provided for completeness of the symmetry story: on *oriented* rings
-    the reflection is a graph automorphism but swaps the clockwise and
-    counterclockwise ports, so this check returns ``False`` there and the
-    engine never merges the ``delta`` and ``n - delta`` orbits.  A future
-    family with symmetric ports could earn it.
-    """
-    n = graph.num_nodes
-    for u in range(n):
-        mirrored = (-u) % n
-        degree = graph.degree(u)
-        if graph.degree(mirrored) != degree:
-            return False
-        for port in range(degree):
-            v, q = graph.neighbor_via(u, port)
-            if graph.neighbor_via(mirrored, port) != ((-v) % n, q):
                 return False
     return True
 
@@ -319,9 +259,3 @@ class PruneStats:
     dominated_slices: int = 0
     early_exit_rounds: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "orbit_cells": self.orbit_cells,
-            "dominated_slices": self.dominated_slices,
-            "early_exit_rounds": self.early_exit_rounds,
-        }

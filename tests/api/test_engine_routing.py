@@ -28,7 +28,7 @@ from repro.runtime import (
 )
 from repro.runtime.spec import canonical_json
 from repro.sim.adversary import ConfigCube, resolve_substrate, worst_case_search
-from repro.sim.batch import numpy_available
+from repro.sim.cube import numpy_available
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="the cube engine needs numpy"
@@ -69,9 +69,9 @@ class TestResolveSimEngine:
             assert resolve_substrate("auto", ALGORITHMS.entry(name).target) == expected
 
     def test_auto_falls_back_to_compiled_without_numpy(self, monkeypatch):
-        import repro.sim.batch as batch_module
+        import repro.sim.cube as cube_module
 
-        monkeypatch.setattr(batch_module, "_np", None)
+        monkeypatch.setattr(cube_module, "_np", None)
         assert resolve_substrate("auto", Fast) == "compiled"
 
     def test_reactive_is_explicit_for_every_algorithm(self, monkeypatch):
@@ -88,9 +88,9 @@ class TestResolveSimEngine:
 
     def test_batch_without_numpy_raises_the_install_hint(self, monkeypatch):
         # The NumPy engine's hint names the [batch] extra that provides it.
-        import repro.sim.batch as batch_module
+        import repro.sim.cube as cube_module
 
-        monkeypatch.setattr(batch_module, "_np", None)
+        monkeypatch.setattr(cube_module, "_np", None)
         with pytest.raises(ValueError, match=r"repro-rendezvous\[batch\]"):
             resolve_substrate("cube", Fast)
 
@@ -228,9 +228,9 @@ class TestExecutionEquivalence:
     def test_scenario_run_numpy_engines_without_numpy_fail_fast(
         self, monkeypatch, engine
     ):
-        import repro.sim.batch as batch_module
+        import repro.sim.cube as cube_module
 
-        monkeypatch.setattr(batch_module, "_np", None)
+        monkeypatch.setattr(cube_module, "_np", None)
         with pytest.raises(ValueError, match=r"repro-rendezvous\[batch\]"):
             tiny().run(engine=engine)
 

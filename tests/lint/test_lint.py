@@ -260,8 +260,8 @@ class TestCli:
         first = capsys.readouterr().out
         assert main(["lint", "--cache-dir", str(cache_dir), str(trigger)]) == 1
         second = capsys.readouterr().out
-        assert "[8 rules, 0 cached]" in first
-        assert "[8 rules, 1 cached]" in second
+        assert "[7 rules, 0 cached]" in first
+        assert "[7 rules, 1 cached]" in second
 
         def findings(output):
             return [line for line in output.splitlines() if "REP002" in line]

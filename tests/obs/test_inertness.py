@@ -21,7 +21,7 @@ from repro.obs import (
     read_events,
     validate_events,
 )
-from repro.sim.batch import numpy_available
+from repro.sim.cube import numpy_available
 
 
 def scenario():

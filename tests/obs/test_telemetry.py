@@ -297,7 +297,7 @@ class TestSummaries:
         with telemetry.span("scenario.run"):
             telemetry.event("shard.complete",
                             lo=0, hi=10, executions=10, seconds=0.5,
-                            engine="cube", chunks=1)
+                            engine="cube", path="whole_cube")
             telemetry.event("shard.cached", lo=10, hi=20, executions=10)
             telemetry.count("configs.evaluated", 20)
             telemetry.warn("something tore")
@@ -313,6 +313,7 @@ class TestSummaries:
         executed = [shard for shard in summary["shards"] if not shard["cached"]]
         assert len(cached) == len(executed) == 1
         assert executed[0]["engine"] == "cube"
+        assert executed[0]["path"] == "whole_cube"
 
     def test_render_summary_lines(self):
         lines = render_summary(summarize(self.stream()))

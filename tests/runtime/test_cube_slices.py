@@ -5,8 +5,9 @@ of the sweep's :class:`~repro.sim.adversary.ConfigCube` in one tensor
 pass.  These tests pin that slice path against the reactive round
 simulator, shard report by shard report, with shard bounds that cut mid
 label pair and mid start row, on a ring (rotation orbits) and a torus
-(no orbits), with pruning on and off, under both start policies, both
-presence models, explicit horizons and horizons too small to meet in.
+(no orbits), pruned as shipped and with every reduction patched out,
+under both start policies, both presence models, explicit horizons and
+horizons too small to meet in.
 
 The reference for a shard is the merge of the reactive engine's
 one-configuration shards over ``[lo, hi)``: the lowest-index maximiser
@@ -23,9 +24,9 @@ from repro.runtime import AlgorithmSpec, GraphSpec, JobSpec, worker
 from repro.runtime.executor import plan_shards
 from repro.runtime.report import ShardReport, merge_reports
 from repro.runtime.worker import run_shard
-from repro.sim import batch
-from repro.sim.batch import numpy_available
-from repro.sim.prune import PRUNE_ENV
+from repro.sim import cube
+from repro.sim.cube import numpy_available
+from repro.sim.prune import DominancePlan, SymmetryCertificate
 
 pytestmark = pytest.mark.skipif(
     not numpy_available(), reason="the cube engine needs numpy"
@@ -101,8 +102,24 @@ def shard_plans(spec: JobSpec) -> dict[str, list[tuple[int, int]]]:
 
 @pytest.fixture(params=[True, False], ids=["pruned", "unpruned"])
 def prune(request, monkeypatch):
-    """Resolve pruning through the environment, with a fresh cube table."""
-    monkeypatch.setenv(PRUNE_ENV, "1" if request.param else "0")
+    """The cube engine as shipped, or with every reduction patched out.
+
+    The unpruned variant is a test-only oracle: the orbit certificate is
+    refused and every delay slice is scanned, so each shard runs the
+    plain per-start tensor pass.  Both must match the reactive engine.
+    Each variant starts from a fresh per-process cube table.
+    """
+    if not request.param:
+        monkeypatch.setattr(
+            cube,
+            "certify_symmetry",
+            lambda graph, factory: SymmetryCertificate(False, "patched out"),
+        )
+        monkeypatch.setattr(
+            cube,
+            "dominance_plan",
+            lambda slices, first_length: DominancePlan(tuple(range(len(slices)))),
+        )
     worker._cube_table.cache_clear()
     yield request.param
     worker._cube_table.cache_clear()
@@ -116,7 +133,8 @@ def assert_slices_match(spec: JobSpec, prune: bool) -> None:
             assert report == expected_shard(spec, lo, hi), f"{name}: [{lo}, {hi})"
             assert report.executions == hi - lo
             assert report.timing.path == "whole_cube"
-            assert report.timing.prune is prune
+    table = worker._cube_table(spec.graph, spec.algorithm)
+    assert table.certificate.orbit is (prune and spec.graph == GRAPHS["ring"])
 
 
 @pytest.mark.parametrize("graph", sorted(GRAPHS))
@@ -149,20 +167,22 @@ def test_too_small_horizon_decodes_failures_in_index_order(graph, prune):
 
 
 def test_row_cache_stays_within_its_budget(monkeypatch, prune):
-    """Evicting cached delta rows mid-sweep never changes a shard report."""
+    """Evicting cached rows or matrices mid-sweep never changes a shard report."""
     rows = 4
-    monkeypatch.setattr(batch, "_MATRIX_CACHE_ELEMENTS", rows * 2 * 6)
+    monkeypatch.setattr(cube, "_MATRIX_CACHE_ELEMENTS", rows * 2 * 6)
     spec = sweep("ring")
     assert_slices_match(spec, prune)
     table = worker._cube_table(spec.graph, spec.algorithm)
     assert len(table._delta_rows) <= rows
+    # A (6, 6) matrix pair outgrows this budget on its own: one is kept.
+    assert len(table._matrices) <= 1
 
 
 def test_stream_substrates_report_their_path():
     spec = sweep("ring", delays=(0,))
     for engine in ("reactive", "compiled"):
         timing = run_shard(replace(spec, engine=engine)).timing
-        assert (timing.path, timing.prune) == ("stream", None)
+        assert timing.path == "stream"
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -18,7 +18,7 @@ from repro.sim.adversary import (
     first_max,
     worst_case_search,
 )
-from repro.sim.batch import numpy_available
+from repro.sim.cube import numpy_available
 from repro.sim.simulator import default_max_rounds, simulate_rendezvous
 
 

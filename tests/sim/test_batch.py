@@ -1,12 +1,12 @@
-"""Tests for the dense timeline substrate (`repro.sim.batch`).
+"""Tests for the NumPy substrate of the cube engine (the ``[batch]`` extra).
 
 The exhaustive cross-engine identity suite lives in
-``tests/sim/test_compiled.py`` (the cube engine built on this substrate
-participates there whenever NumPy is importable); this module covers the
-substrate's own surface -- availability and fallback without NumPy, the
-timeline table, the cube engine's searches over it, runtime/worker
-integration, and the determinism of sampled sweeps across engines and
-processes.
+``tests/sim/test_compiled.py`` (the cube engine participates there
+whenever NumPy is importable); this module covers the substrate's own
+surface -- availability and fallback without NumPy, the dense timeline
+table (:class:`repro.sim.cube.CubeTimelineTable`) on its per-start path,
+the cube engine's searches over it, runtime/worker integration, and the
+determinism of sampled sweeps across engines and processes.
 """
 
 import json
@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-import repro.sim.batch as batch_module
+import repro.sim.cube as cube_module
 from repro.api import Scenario, sweep_objects
 from repro.runtime import (
     AlgorithmSpec,
@@ -35,8 +35,15 @@ from repro.sim.adversary import (
     default_horizon,
     worst_case_search,
 )
-from repro.sim.batch import BatchUnavailableError, numpy_available, require_numpy
 from repro.sim.compiled import TrajectoryTable
+from repro.sim.cube import (
+    BatchUnavailableError,
+    CubeTimelineTable,
+    numpy_available,
+    require_numpy,
+)
+from repro.sim.prune import certify_symmetry
+from repro.sim.simulator import PresenceModel
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="the cube engine needs numpy"
@@ -49,7 +56,7 @@ def build_algorithm(name, graph, label_space=3):
 
 class TestAvailability:
     def test_require_numpy_names_the_extra(self, monkeypatch):
-        monkeypatch.setattr(batch_module, "_np", None)
+        monkeypatch.setattr(cube_module, "_np", None)
         assert not numpy_available()
         with pytest.raises(BatchUnavailableError, match=r"repro-rendezvous\[batch\]"):
             require_numpy()
@@ -58,7 +65,7 @@ class TestAvailability:
         assert issubclass(BatchUnavailableError, ValueError)
 
     def test_explicit_cube_engine_raises_without_numpy(self, ring12, monkeypatch):
-        monkeypatch.setattr(batch_module, "_np", None)
+        monkeypatch.setattr(cube_module, "_np", None)
         algorithm = build_algorithm("cheap", ring12)
         configs = ConfigCube.make(ring12, [(1, 2)], delays=(0,))
         with pytest.raises(BatchUnavailableError, match="NumPy"):
@@ -76,52 +83,71 @@ class TestAvailability:
         compiled = worst_case_search(
             ring12, algorithm, configs, horizon, engine="compiled"
         )
-        monkeypatch.setattr(batch_module, "_np", None)
+        monkeypatch.setattr(cube_module, "_np", None)
         auto = worst_case_search(ring12, algorithm, configs, horizon, engine="auto")
         assert auto == compiled
 
     def test_importing_the_module_needs_no_numpy(self, monkeypatch):
         # The guard is at use sites, not import time: numpy_available and
         # the error path must work with the module attribute cleared.
-        monkeypatch.setattr(batch_module, "_np", None)
-        assert batch_module.numpy_available() is False
+        monkeypatch.setattr(cube_module, "_np", None)
+        assert cube_module.numpy_available() is False
+
+
+@pytest.fixture
+def torus():
+    """A 3x3 torus: no cyclic certificate, so tables build every start."""
+    return GraphSpec.make("torus", rows=3, cols=3).build()
 
 
 @requires_numpy
-class TestBatchTimelineTable:
-    def test_label_matrices_are_built_once(self, ring12):
-        algorithm = build_algorithm("cheap", ring12)
-        table = batch_module.BatchTimelineTable(ring12, algorithm)
+class TestCubeTimelineTable:
+    """The table's per-start path, on a graph the orbit certificate refuses."""
+
+    def test_label_matrices_are_built_once(self, torus):
+        algorithm = build_algorithm("cheap", torus)
+        table = CubeTimelineTable(torus, algorithm)
+        assert not table.certificate.orbit
         first = table.timelines(1)
         assert table.timelines(1) is first
-        assert len(table) == 1
-        assert first.positions.shape == (12, first.length + 1)
+        assert list(table._labels) == [1]
+        assert first.positions.shape == (9, first.length + 1)
         assert first.costs.shape == first.positions.shape
 
-    def test_result_matches_the_simulator(self, ring12):
-        algorithm = build_algorithm("fwr", ring12)
-        table = batch_module.BatchTimelineTable(ring12, algorithm)
-        config = Configuration(labels=(1, 3), starts=(2, 9), delay=4)
+    def test_result_matches_the_simulator(self, torus):
+        algorithm = build_algorithm("fwr", torus)
+        table = CubeTimelineTable(torus, algorithm)
+        config = Configuration(labels=(1, 3), starts=(2, 7), delay=4)
         horizon = default_horizon(algorithm, config)
         assert table.result(config, horizon) == TrajectoryTable(
-            ring12, algorithm
+            torus, algorithm
         ).result(config, horizon)
 
-    def test_group_matrix_cache_is_bounded(self, ring12, monkeypatch):
-        monkeypatch.setattr(
-            batch_module, "_MATRIX_CACHE_ELEMENTS", 4 * ring12.num_nodes**2
-        )
-        algorithm = build_algorithm("cheap", ring12)
-        table = batch_module.BatchTimelineTable(ring12, algorithm)
+    def test_group_matrix_cache_is_bounded(self, torus, monkeypatch):
+        n = torus.num_nodes
+        monkeypatch.setattr(cube_module, "_MATRIX_CACHE_ELEMENTS", 4 * n**2)
+        algorithm = build_algorithm("cheap", torus)
+        assert not certify_symmetry(torus, algorithm).orbit
+        table = CubeTimelineTable(torus, algorithm)
         horizon = default_horizon(
             algorithm, Configuration(labels=(1, 2), starts=(0, 1), delay=0)
         )
-        for delay in range(10):
-            table.group_matrices((1, 2), delay, horizon + delay)
+        s1, s2 = cube_module._np.array([0, 3]), cube_module._np.array([5, 8])
+        presence = PresenceModel.FROM_START
+
+        def slices(delays):
+            return [(delay, horizon + delay) for delay in delays]
+
+        first = table.pair_cube((1, 2), slices(range(10)), presence, s1, s2)
         assert len(table._matrices) <= 4
-        # The most recent group is still served from the cache.
-        cached = table.group_matrices((1, 2), 9, horizon + 9)
-        assert table.group_matrices((1, 2), 9, horizon + 9) is cached
+        # The most recent group is still served from the cache ...
+        cached = table._matrices[(1, 2), 9, horizon + 9, presence]
+        table.pair_cube((1, 2), slices([9]), presence, s1, s2)
+        assert table._matrices[(1, 2), 9, horizon + 9, presence] is cached
+        # ... and the evicted ones are recomputed to the same values.
+        again = table.pair_cube((1, 2), slices(range(10)), presence, s1, s2)
+        assert all((a == b).all() for a, b in zip(first, again))
+        assert first[0].shape == (2, 10)
 
 
 @requires_numpy

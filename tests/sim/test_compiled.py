@@ -27,7 +27,7 @@ from repro.sim.adversary import (
     worst_case_search,
 )
 from repro.sim import compiled
-from repro.sim.batch import numpy_available
+from repro.sim.cube import numpy_available
 from repro.sim.compiled import TrajectoryTable, compile_trajectory
 from repro.sim.program import AgentContext
 from repro.sim.simulator import PresenceModel, simulate_rendezvous
@@ -162,7 +162,7 @@ class TestEngineSelection:
         configs = ConfigCube.make(ring12, [(1, 2)], delays=(0,))
         calls = []
         import repro.sim.adversary as adversary_module
-        import repro.sim.batch as batch_module
+        import repro.sim.cube as cube_module
 
         original = adversary_module.reduce_space
 
@@ -185,7 +185,7 @@ class TestEngineSelection:
             search()
             assert calls == ["cube"]
         calls.clear()
-        monkeypatch.setattr(batch_module, "_np", None)
+        monkeypatch.setattr(cube_module, "_np", None)
         search()
         assert calls == ["compiled"]
 

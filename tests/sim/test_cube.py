@@ -1,15 +1,15 @@
 """The cube engine: whole-cube tensorization and pruning soundness.
 
-Two contracts are enforced here.  First, byte-identity: with pruning on
-and with pruning off, the cube engine must return reports equal
+Two contracts are enforced here.  First, byte-identity: the cube engine,
+which always prunes what it can certify, must return reports equal
 field-for-field to the reactive engine -- for every registered algorithm
-on a small instance of every registered graph family, under both
-presence models (the matrix the lint rule ``REP030`` cites as its mirror).  Second, the
-pruning machinery itself (:mod:`repro.sim.prune`): rotation orbits must
-partition the full ordered-start space on odd and even rings, the
-certification gates must each refuse exactly their failure mode, delay
-dominance must derive exact translates, and every knob must resolve
-through its single funnel.
+on a small instance of every registered graph family plus an odd and an
+even certified ring, with delays past every schedule so that delay
+dominance fires, under both presence models.  Second, the pruning
+machinery itself (:mod:`repro.sim.prune`): rotation orbits must partition
+the full ordered-start space on odd and even rings, the certification
+gates must each refuse exactly their failure mode, and delay dominance
+must derive exact translates.
 """
 
 import pytest
@@ -19,7 +19,7 @@ from repro.exploration.ring import RingExploration
 from repro.graphs.families import oriented_ring
 from repro.obs.telemetry import Telemetry
 from repro.registry import ALGORITHMS, GRAPH_FAMILIES
-from repro.sim import batch as batch_module
+from repro.sim import cube as cube_module
 from repro.sim.adversary import (
     ConfigCube,
     Configuration,
@@ -28,19 +28,14 @@ from repro.sim.adversary import (
     default_start_pairs,
     worst_case_search,
 )
-from repro.sim.batch import BatchUnavailableError, numpy_available
-from repro.sim.cube import CubeTimelineTable
+from repro.sim.cube import BatchUnavailableError, CubeTimelineTable, numpy_available
 from repro.sim.prune import (
-    DEFAULT_PRUNE,
-    PRUNE_ENV,
     certify_symmetry,
     derive_met,
     dominance_plan,
     orbit_of,
     orbit_representatives,
     pair_delta,
-    reflection_automorphism,
-    resolve_prune,
     rotation_automorphism,
     start_oblivious_factory,
 )
@@ -53,7 +48,6 @@ from tests.sim.test_compiled import (
     LABEL_SPACE,
     SMALL_FAMILIES,
     build_algorithm,
-    delay_grid,
     small_instance,
 )
 
@@ -68,44 +62,72 @@ def cube_search(graph, factory, configs, max_rounds, **kwargs):
     )
 
 
+#: Certified rings beside the family instances: the orbit path must hold
+#: on odd and even ``n`` alike (``delta`` and ``n - delta`` coincide only
+#: on even rings).
+CERTIFIED_RINGS = {"ring-5": 5, "ring-6": 6}
+
+
+def reference_instance(name):
+    if name in CERTIFIED_RINGS:
+        return oriented_ring(CERTIFIED_RINGS[name])
+    return small_instance(name)
+
+
+def past_schedule_delays(algorithm):
+    """No delay, plus two delays past every label's schedule.
+
+    The late pair shares one post-wake window, so delay dominance derives
+    one slice of every label pair from the other.
+    """
+    longest = max(
+        algorithm.schedule_length(label) for label in range(1, LABEL_SPACE + 1)
+    )
+    return (0, longest + 1, longest + 3)
+
+
 @needs_numpy
-@pytest.mark.parametrize("family", sorted(SMALL_FAMILIES))
+@pytest.mark.parametrize("family", sorted(SMALL_FAMILIES) + sorted(CERTIFIED_RINGS))
 @pytest.mark.parametrize("algorithm_name", ALGORITHMS.names())
 def test_pruning_never_changes_a_report(family, algorithm_name):
-    """The REP030 mirror: pruned == unpruned == reactive, everywhere.
+    """Pruned cube == reactive, everywhere.
 
-    The whole-cube tensor path (a :class:`ConfigCube` input) is exercised
-    with pruning resolved both ways; only certified-cyclic families
-    actually take the orbit shortcut, but every family must come back
-    byte-identical to the reactive reference regardless.
+    The whole-cube tensor path (a :class:`ConfigCube` input) takes every
+    reduction its gates allow -- rotation orbits exactly where the
+    symmetry certificate holds, delay dominance on the past-schedule
+    slices -- and must come back byte-identical to the reactive
+    reference regardless.
     """
-    graph = small_instance(family)
+    graph = reference_instance(family)
     algorithm = build_algorithm(algorithm_name, graph)
     cube = ConfigCube.make(
-        graph, all_label_pairs(LABEL_SPACE), delays=delay_grid(algorithm)
+        graph, all_label_pairs(LABEL_SPACE), delays=past_schedule_delays(algorithm)
     )
 
     def horizon(config):
         return default_horizon(algorithm, config)
 
+    certified = certify_symmetry(graph, algorithm).orbit
+    assert certified or family not in CERTIFIED_RINGS
     for presence in PresenceModel:
         reactive = worst_case_search(
             graph, algorithm, cube, horizon, presence=presence, engine="reactive"
         )
-        for prune in (True, False):
-            report = cube_search(
-                graph, algorithm, cube, horizon, presence=presence, prune=prune
-            )
-            assert report == reactive, (
-                f"{algorithm_name} on {family} ({presence}, prune={prune})"
-            )
+        telemetry = Telemetry()
+        report = cube_search(
+            graph, algorithm, cube, horizon, presence=presence, telemetry=telemetry
+        )
+        assert report == reactive, f"{algorithm_name} on {family} ({presence})"
+        counters = telemetry.counters
+        assert (counters["cube.prune.orbit_cells"] > 0) is certified
+        assert counters["cube.prune.dominated_slices"] > 0
 
 
 @needs_numpy
 class TestSampledPath:
     def test_sampled_and_whole_cube_paths_agree_either_way(self, ring12):
         """A sample is gathered from its index range's whole-cube block;
-        reports still match the reactive engine's, sampled or not.
+        reports match the reactive engine's, sampled or not.
 
         The delay grid reaches past the schedule so dominance fires on
         both paths.
@@ -125,13 +147,9 @@ class TestSampledPath:
         reactive_sample = worst_case_search(
             ring12, algorithm, cube, horizon, sample=40
         )
-        for prune in (True, False):
-            whole = cube_search(ring12, algorithm, cube, horizon, prune=prune)
-            sampled = cube_search(
-                ring12, algorithm, cube, horizon, prune=prune, sample=40
-            )
-            assert whole == reactive, f"whole-cube path, prune={prune}"
-            assert sampled == reactive_sample, f"sampled path, prune={prune}"
+        assert cube_search(ring12, algorithm, cube, horizon) == reactive
+        sampled = cube_search(ring12, algorithm, cube, horizon, sample=40)
+        assert sampled == reactive_sample
 
 
 class TestOrbitCoverage:
@@ -169,12 +187,6 @@ class TestCertification:
     def test_oriented_ring_rotation_is_port_preserving(self):
         for n in (3, 8, 12):
             assert rotation_automorphism(oriented_ring(n))
-
-    def test_oriented_ring_reflection_swaps_ports(self):
-        # The documented reason reflection orbits are never merged: on an
-        # oriented ring the mirror is a graph automorphism but exchanges
-        # the clockwise and counterclockwise ports.
-        assert not reflection_automorphism(oriented_ring(8))
 
     def test_undeclared_family_fails_the_declaration_gate(self):
         graph = GRAPH_FAMILIES.entry("path").build(n=4)
@@ -241,10 +253,10 @@ class TestProbeDefense:
         factory = StartSensitiveFactory()
         # Every declaration gate passes -- the lie is behavioural.
         assert certify_symmetry(graph, factory).orbit
-        table = CubeTimelineTable(graph, factory, prune=True)
-        assert table.orbit_active
+        table = CubeTimelineTable(graph, factory)
+        assert table.certificate.orbit
         table.timelines(1)
-        assert not table.orbit_active
+        assert not table.certificate.orbit
         assert "probe mismatch" in table.certificate.reason
 
     def test_fallback_after_the_probe_is_still_byte_identical(self):
@@ -274,7 +286,7 @@ class TestDominance:
 
     @needs_numpy
     def test_derive_met_translates_exactly_the_post_wake_meetings(self):
-        np = batch_module.require_numpy()
+        np = cube_module.require_numpy()
         met_pivot = np.array([-1, 3, 7, 12])
         from_start = derive_met(np, met_pivot, 5, 4, parachute=False)
         assert from_start.tolist() == [-1, 3, 11, 16]
@@ -314,50 +326,22 @@ class TestTelemetryMeters:
             ring12, algorithm, cube, horizon, engine="reactive"
         )
 
-    def test_disabled_pruning_meters_nothing(self, ring12):
-        algorithm = build_algorithm("fast", ring12)
-        cube = ConfigCube.make(ring12, [(1, 2)], delays=(0,))
+    def test_uncertified_family_meters_no_orbit_cells(self):
+        graph = small_instance("torus")
+        algorithm = build_algorithm("fast", graph)
+        assert not certify_symmetry(graph, algorithm).orbit
+        cube = ConfigCube.make(graph, [(1, 2)], delays=(0,))
         telemetry = Telemetry()
         cube_search(
-            ring12,
+            graph,
             algorithm,
             cube,
             lambda config: default_horizon(algorithm, config),
             telemetry=telemetry,
-            prune=False,
         )
+        assert telemetry.counters["configs.evaluated"] == len(cube)
         assert telemetry.counters["cube.prune.orbit_cells"] == 0
         assert telemetry.counters["cube.prune.dominated_slices"] == 0
-
-
-class TestResolvePrune:
-    def test_pruning_defaults_on(self, monkeypatch):
-        monkeypatch.delenv(PRUNE_ENV, raising=False)
-        assert DEFAULT_PRUNE is True
-        assert resolve_prune() is True
-
-    def test_explicit_argument_beats_the_environment(self, monkeypatch):
-        monkeypatch.setenv(PRUNE_ENV, "0")
-        assert resolve_prune(True) is True
-        monkeypatch.setenv(PRUNE_ENV, "1")
-        assert resolve_prune(False) is False
-
-    @pytest.mark.parametrize("raw", ["1", "true", "YES", " on "])
-    def test_truthy_environment_values(self, monkeypatch, raw):
-        monkeypatch.setenv(PRUNE_ENV, raw)
-        assert resolve_prune() is True
-
-    @pytest.mark.parametrize("raw", ["0", "false", "No", " OFF "])
-    def test_falsy_environment_values(self, monkeypatch, raw):
-        monkeypatch.setenv(PRUNE_ENV, raw)
-        assert resolve_prune() is False
-
-    def test_garbage_environment_value_raises_naming_the_variable(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv(PRUNE_ENV, "maybe")
-        with pytest.raises(ValueError, match=PRUNE_ENV):
-            resolve_prune()
 
 
 class TestWithoutNumpy:
@@ -365,7 +349,7 @@ class TestWithoutNumpy:
     # the monkeypatch is a no-op and the real absence path is proven.
     def test_cube_raises_a_loud_hint_naming_cube(self, ring12, monkeypatch):
         algorithm = build_algorithm("fast", ring12)
-        monkeypatch.setattr(batch_module, "_np", None)
+        monkeypatch.setattr(cube_module, "_np", None)
         with pytest.raises(BatchUnavailableError, match="'cube'"):
             cube_search(ring12, algorithm, ConfigCube.make(ring12, []), 1)
 

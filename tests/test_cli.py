@@ -219,7 +219,7 @@ class TestTelemetryCommands:
         for shard in shards:
             expected = "whole_cube" if shard["engine"] == "cube" else "stream"
             assert shard["path"] == expected
-            assert shard["prune"] is (True if expected == "whole_cube" else None)
+            assert "prune" not in shard and "chunks" not in shard
         assert main(["telemetry", "summary", str(events)]) == 0
         assert f"path={shards[0]['path']}" in capsys.readouterr().out
 

@@ -127,7 +127,7 @@ def check_json_commands() -> None:
     lint = json.loads(lint_out)
     if lint["result"]["ok"] is not True or lint["result"]["findings"] != []:
         fail(f"repro lint found violations: {lint['result']['findings']}")
-    if len(lint["lint"]["rules"]) < 8:
+    if len(lint["lint"]["rules"]) < 7:
         fail(f"lint rule registry shrank: {lint['lint']['rules']}")
     print("lint --json: OK")
 
