@@ -5,71 +5,18 @@ Run with:  python examples/tradeoff_curve.py
 Reproduces the paper's headline picture on one instance: Algorithm Cheap
 at the cheap/slow end, Algorithm Fast at the expensive/fast end, and
 FastWithRelabeling(w) interpolating between them, with the shared-label
-oracle as the unreachable reference point.
+oracle as the unreachable reference point.  This is experiment EXP-08:
+its label pairs, strategies and oracle are the curve's, and its report
+renders the table, the plot and the checked frontier ordering.
 """
 
-from math import log10
-
-from repro.analysis.ascii_plot import scatter_plot
-from repro.analysis.tables import Table
-from repro.analysis.tradeoff import tradeoff_points
-from repro.baselines.oracle import OracleBaseline
-from repro.core import (
-    CheapSimultaneous,
-    FastSimultaneous,
-    FastWithRelabelingSimultaneous,
-)
-from repro.exploration import RingExploration
-from repro.graphs import oriented_ring
-from repro.sim import simulate_rendezvous
-
-RING_SIZE = 12
-LABEL_SPACE = 1024
-PAIRS = [(1022, 1023), (1023, 1024), (511, 512), (1, 2), (1, 1024)]
+from repro.experiments import render_report, run_experiment
 
 
 def main() -> None:
-    ring = oriented_ring(RING_SIZE)
-    exploration = RingExploration(RING_SIZE)
-    budget = exploration.budget
-
-    algorithms = [
-        CheapSimultaneous(exploration, LABEL_SPACE),
-        FastWithRelabelingSimultaneous(exploration, LABEL_SPACE, 3),
-        FastWithRelabelingSimultaneous(exploration, LABEL_SPACE, 2),
-        FastSimultaneous(exploration, LABEL_SPACE),
-    ]
-    points = tradeoff_points(
-        algorithms, ring, f"ring-{RING_SIZE}", label_pairs=PAIRS
-    )
-
-    oracle_time = oracle_cost = 0
-    for pair in PAIRS:
-        oracle = OracleBaseline(exploration, pair)
-        for start_b in range(1, RING_SIZE):
-            result = simulate_rendezvous(ring, oracle, labels=pair, starts=(0, start_b))
-            oracle_time = max(oracle_time, result.time)
-            oracle_cost = max(oracle_cost, result.cost)
-
-    table = Table(
-        f"Worst-case (cost, time) on the oriented {RING_SIZE}-ring, L = {LABEL_SPACE}",
-        ["strategy", "cost", "cost/E", "time", "time/E"],
-    )
-    table.add_row("oracle", oracle_cost, f"{oracle_cost/budget:.1f}",
-                  oracle_time, f"{oracle_time/budget:.1f}")
-    for point in points:
-        table.add_row(point.algorithm, point.max_cost, f"{point.cost_per_e:.1f}",
-                      point.max_time, f"{point.time_per_e:.1f}")
-    print(table.render())
+    for line in render_report(run_experiment("exp08")):
+        print(line)
     print()
-
-    markers = [(oracle_cost / budget, log10(oracle_time), "O")]
-    for point, marker in zip(points, "CdDF"):
-        markers.append((point.cost_per_e, log10(point.max_time), marker))
-    print(scatter_plot(markers, width=60, height=16,
-                       x_label="worst cost / E", y_label="log10(worst time)"))
-    print()
-    print("O = oracle   C = Cheap   d = FWR(w=3)   D = FWR(w=2)   F = Fast")
     print("Reading the curve: each extra exploration of cost buys an")
     print("exponential reduction in waiting time -- and the paper's lower")
     print("bounds show the two ends cannot be improved.")

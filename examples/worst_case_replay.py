@@ -15,23 +15,24 @@ the gap closes.
 """
 
 from repro.analysis.replay import replay_with_timeline
-from repro.api import sweep_objects
-from repro.core import FastSimultaneous
+from repro.api import Scenario
 from repro.core.labels import modified_label
-from repro.exploration import RingExploration
-from repro.graphs import oriented_ring
 
 RING_SIZE = 12
 LABEL_SPACE = 8
 
 
 def main() -> None:
-    ring = oriented_ring(RING_SIZE)
-    algorithm = FastSimultaneous(RingExploration(RING_SIZE), LABEL_SPACE)
-
-    row = sweep_objects(
-        algorithm, ring, f"ring-{RING_SIZE}", fix_first_start=True
+    scenario = Scenario(
+        graph="ring",
+        graph_params={"n": RING_SIZE},
+        algorithm="fast-sim",
+        label_space=LABEL_SPACE,
     )
+    ring = scenario.build_graph()
+    algorithm = scenario.build_algorithm(ring)
+
+    row = scenario.run(graph=ring).row
     config = row.worst_time_config
     print(f"Adversary sweep over {row.executions} executions.")
     print(f"Worst time {row.max_time} (bound {row.time_bound}) at {config}.")

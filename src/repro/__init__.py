@@ -37,7 +37,6 @@ from repro.api import (
     SweepRun,
     canonical_json,
     run_job,
-    sweep_objects,
 )
 from repro.core import (
     Cheap,
@@ -157,6 +156,5 @@ __all__ = [
     "run_job",
     "simulate_rendezvous",
     "strip_timing",
-    "sweep_objects",
     "worst_case_search",
 ]

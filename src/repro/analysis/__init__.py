@@ -1,31 +1,26 @@
-"""Analysis tooling: tables, tradeoff curves and ASCII plots.
+"""Analysis tooling: tables, memory profiles and ASCII plots.
 
 These are the building blocks of the experiment renderers in
 :mod:`repro.experiments`: each experiment sweeps a parameter grid with
 the adversary (through :mod:`repro.api`), renders a plain-text table of
 measured-vs-paper columns, and (for curve-shaped claims) an ASCII
-scatter plot.  Worst-case sweeps themselves live in :mod:`repro.api`
-(:func:`repro.api.sweep_objects` for live objects,
-:meth:`repro.api.Scenario.run` for named scenarios); the deprecated
-``worst_case_sweep*`` shims that used to forward there from this package
-have been removed.
+scatter plot.  Worst-case sweeps themselves live elsewhere:
+:meth:`repro.api.Scenario.run` for named scenarios and
+:func:`repro.sim.adversary.worst_case_search` for live objects.
 """
 
 from repro.analysis.ascii_plot import scatter_plot
 from repro.analysis.memory import MemoryProfile, counter_bits, dfs_walk_bits, map_bits
 from repro.analysis.tables import Table, format_ratio
-from repro.analysis.tradeoff import TradeoffPoint, tradeoff_points
 from repro.api import SweepRow
 
 __all__ = [
     "MemoryProfile",
     "SweepRow",
     "Table",
-    "TradeoffPoint",
     "counter_bits",
     "dfs_walk_bits",
     "format_ratio",
     "map_bits",
     "scatter_plot",
-    "tradeoff_points",
 ]

@@ -24,10 +24,12 @@ Quickstart::
     print(outcome.row.max_time, "<=", outcome.row.time_bound)
     print(outcome.to_json())                   # canonical, machine-readable
 
-The object world stays available underneath: :func:`sweep_objects` sweeps
-live ``(algorithm, graph)`` instances that have no registry name (ablation
-variants, baselines), and :func:`run_job` drives a raw
-:class:`~repro.runtime.spec.JobSpec` for callers that already hold one.
+The object world stays available underneath:
+:func:`~repro.sim.adversary.worst_case_search` searches live
+``(algorithm, graph)`` instances that have no registry name (ablation
+variants, baselines) over a :class:`~repro.sim.adversary.ConfigCube`, and
+:func:`run_job` drives a raw :class:`~repro.runtime.spec.JobSpec` for
+callers that already hold one.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import inspect
 import itertools
 import json
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.core.base import RendezvousAlgorithm
 from repro.graphs.port_graph import PortLabeledGraph
@@ -54,6 +56,7 @@ from repro.runtime.executor import (
     SerialExecutor,
     make_executor,
 )
+from repro.runtime.report import MergedReport
 from repro.runtime.runner import RunStats, execute_job
 from repro.runtime.spec import (
     AlgorithmSpec,
@@ -66,14 +69,7 @@ from repro.runtime.spec import (
     thaw_value,
 )
 from repro.runtime.store import DEFAULT_CACHE_DIR, RunStore
-from repro.sim.adversary import (
-    ConfigCube,
-    Configuration,
-    all_label_pairs,
-    default_horizon,
-    resolve_substrate,
-    worst_case_search,
-)
+from repro.sim.adversary import Configuration, resolve_substrate
 from repro.sim.metrics import RendezvousResult
 from repro.sim.simulator import simulate_rendezvous
 
@@ -85,8 +81,8 @@ def _reject_nonzero_delays(
     algorithm_name: str, requires_simultaneous: bool, delays: Sequence[int]
 ) -> None:
     """The one statement of the simultaneous-start rule, shared by every
-    entry point (object sweeps, job specs, scenario validation and single
-    simulations): such algorithms are only correct at delay 0."""
+    entry point (job specs, scenario validation and single simulations):
+    such algorithms are only correct at delay 0."""
     if requires_simultaneous and any(d != 0 for d in delays):
         raise ValueError(
             f"{algorithm_name} requires simultaneous start; "
@@ -151,14 +147,14 @@ def _config_dict(config: Configuration) -> dict[str, Any]:
     }
 
 
-def _row_from_report(algorithm, graph, graph_name, report) -> SweepRow:
-    """Turn a worst-case report into a :class:`SweepRow`, or raise.
-
-    Accepts both :class:`~repro.sim.adversary.WorstCaseReport` and
-    :class:`~repro.runtime.report.MergedReport` (the shared shape: argmax
-    records exposing ``.config``, plus ``failures`` and ``executions``), so
-    the serial and runtime paths cannot drift apart.
-    """
+def _row_from_report(
+    algorithm: RendezvousAlgorithm,
+    graph: PortLabeledGraph,
+    graph_name: str,
+    report: MergedReport,
+) -> SweepRow:
+    """Turn a runtime :class:`~repro.runtime.report.MergedReport` into a
+    :class:`SweepRow`, or raise on any failure to meet."""
     if report.failures:
         first = report.failures[0]
         raise AssertionError(
@@ -185,60 +181,8 @@ def _row_from_report(algorithm, graph, graph_name, report) -> SweepRow:
 
 
 # ----------------------------------------------------------------------
-# The two execution substrates: live objects, and job specs
+# Running a raw job spec
 # ----------------------------------------------------------------------
-
-
-def sweep_objects(
-    algorithm: RendezvousAlgorithm,
-    graph: PortLabeledGraph,
-    graph_name: str,
-    delays: Sequence[int] = (0,),
-    label_pairs: Iterable[tuple[int, int]] | None = None,
-    fix_first_start: bool = False,
-    sample: int | None = None,
-    engine: str = "reactive",
-    telemetry: Telemetry = NULL_TELEMETRY,
-) -> SweepRow:
-    """Adversarial worst-case search over live ``(algorithm, graph)`` objects.
-
-    The object-world escape hatch: for instances with no registry name
-    (ablations, baselines, hand-built graphs), where a :class:`Scenario`
-    cannot describe the job by value.  ``fix_first_start=True`` is only
-    sound on vertex-transitive graphs; callers assert that themselves.
-    Simultaneous-start-only algorithms reject non-zero delays loudly
-    rather than producing invalid rows.  ``engine`` is forwarded to
-    :func:`~repro.sim.adversary.worst_case_search` (``"auto"`` runs
-    ``is_oblivious`` objects on the cube engine when NumPy is
-    importable, on compiled trajectories otherwise); the row is identical
-    whichever engine runs.  The configuration space rides as a
-    :class:`~repro.sim.adversary.ConfigCube`, of which ``sample`` draws
-    indices.
-    """
-    _reject_nonzero_delays(
-        algorithm.name, algorithm.requires_simultaneous_start, delays
-    )
-    if label_pairs is None:
-        label_pairs = all_label_pairs(algorithm.label_space)
-
-    def horizon(config: Configuration) -> int:
-        return default_horizon(algorithm, config)
-
-    report = worst_case_search(
-        graph,
-        algorithm,
-        ConfigCube.make(
-            graph,
-            label_pairs,
-            delays=delays,
-            fix_first_start=fix_first_start,
-        ),
-        max_rounds=horizon,
-        sample=sample,
-        engine=engine,
-        telemetry=telemetry,
-    )
-    return _row_from_report(algorithm, graph, graph_name, report)
 
 
 def run_job(
@@ -949,5 +893,4 @@ __all__ = [
     "resolve_engine",
     "resolve_store",
     "run_job",
-    "sweep_objects",
 ]

@@ -406,52 +406,51 @@ def command_certify(args: argparse.Namespace) -> int:
 
 
 def command_tradeoff(args: argparse.Namespace) -> int:
-    from repro.analysis.tradeoff import tradeoff_points
-    from repro.core import (
-        CheapSimultaneous,
-        FastSimultaneous,
-        FastWithRelabelingSimultaneous,
-    )
-    from repro.exploration import best_exploration
+    from repro.experiments.catalog import adversarial_pairs
 
-    graph = build_graph("ring", args.size)
-    exploration = best_exploration(graph)
     label_space = args.label_space
-    pairs = [
-        (label_space - 1, label_space),
-        (label_space // 2, label_space // 2 + 1),
-        (1, 2),
-        (1, label_space),
-    ]
-    algorithms = [
-        CheapSimultaneous(exploration, label_space),
-        FastWithRelabelingSimultaneous(exploration, label_space, args.weight),
-        FastSimultaneous(exploration, label_space),
-    ]
-    points = tradeoff_points(
-        algorithms, graph, f"ring-{graph.num_nodes}", label_pairs=pairs
-    )
+    pairs = adversarial_pairs(label_space)
+    points = []
+    for algorithm in ("cheap-sim", "fwr-sim", "fast-sim"):
+        row = Scenario(
+            graph="ring",
+            graph_params={"n": args.size},
+            algorithm=algorithm,
+            label_space=label_space,
+            weight=args.weight,
+            label_pairs=pairs,
+        ).run().row
+        budget = row.exploration_budget
+        points.append({
+            "algorithm": row.algorithm,
+            "label_space": row.label_space,
+            "exploration_budget": budget,
+            "max_cost": row.max_cost,
+            "max_time": row.max_time,
+            "cost_per_e": row.max_cost / budget,
+            "time_per_e": row.max_time / budget,
+        })
     if args.json:
         print(canonical_json({
             "scenario": {
-                "graph": {"family": "ring", "params": {"n": graph.num_nodes}},
+                "graph": {"family": "ring", "params": {"n": args.size}},
                 "label_space": label_space,
                 "weight": args.weight,
                 "label_pairs": [list(pair) for pair in pairs],
-                "algorithms": [algorithm.name for algorithm in algorithms],
+                "algorithms": [point["algorithm"] for point in points],
             },
-            "result": {"points": [point.to_dict() for point in points]},
+            "result": {"points": points},
         }))
         return 0
     table = Table(
-        f"Tradeoff on the oriented {graph.num_nodes}-ring, L = {label_space} "
+        f"Tradeoff on the oriented {args.size}-ring, L = {label_space} "
         "(adversarial pairs)",
         ["strategy", "worst cost", "cost/E", "worst time", "time/E"],
     )
     for point in points:
         table.add_row(
-            point.algorithm, point.max_cost, f"{point.cost_per_e:.1f}",
-            point.max_time, f"{point.time_per_e:.1f}",
+            point["algorithm"], point["max_cost"], f"{point['cost_per_e']:.1f}",
+            point["max_time"], f"{point['time_per_e']:.1f}",
         )
     table.print()
     return 0

@@ -236,11 +236,6 @@ class Experiment:
         # stable identity derived from the experiment id.
         object.__setattr__(self, "__qualname__", f"Experiment[{self.id}]")
 
-    @property
-    def in_verdict_table(self) -> bool:
-        """Whether this experiment is a row of the EXPERIMENTS.md table."""
-        return self.exp_id.startswith("EXP-")
-
 
 __all__ = [
     "Check",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import partial
 from math import log10, log2
 from typing import Any, Mapping, Sequence
 
@@ -59,9 +60,14 @@ from repro.graphs.families import oriented_ring, standard_test_suite, star_graph
 from repro.lower_bounds.certificates import certify_theorem_31, certify_theorem_32
 from repro.lower_bounds.trim import trimmed_from_algorithm
 from repro.registry import EXPERIMENTS
-from repro.sim.adversary import ConfigCube, all_label_pairs, worst_case_search
+from repro.sim.adversary import (
+    ConfigCube,
+    WorstCaseReport,
+    all_label_pairs,
+    default_horizon,
+    worst_case_search,
+)
 from repro.sim.gathering import gather
-from repro.sim.simulator import simulate_rendezvous
 
 # ----------------------------------------------------------------------
 # Shared instance constants (previously duplicated across bench scripts)
@@ -135,6 +141,41 @@ def _bound_checks(ctx: ExperimentContext) -> list[Check]:
             )
         )
     return out
+
+
+def _pinned_cube(
+    graph, label_pairs, delays: Sequence[int] = (0,), start_pairs=None
+) -> ConfigCube:
+    """The adversary's cube with the first agent at node 0.
+
+    ``start_pairs`` defaults to ``(0, b)`` for every other node ``b``.
+    """
+    return ConfigCube.make(
+        graph, label_pairs, delays=delays, start_pairs=start_pairs,
+        fix_first_start=True,
+    )
+
+
+def _worst_case(graph, factory, label_pairs, start_pairs=None) -> WorstCaseReport:
+    """The worst case of ``factory`` over :func:`_pinned_cube`, at delay 0.
+
+    One :func:`worst_case_search` on the engine ladder (``auto``) with the
+    default horizon -- how a measurement sweeps live objects that have no
+    registry name.  Any failure to meet raises.
+    """
+    report = worst_case_search(
+        graph,
+        factory,
+        _pinned_cube(graph, label_pairs, start_pairs=start_pairs),
+        partial(default_horizon, factory),
+        engine="auto",
+    )
+    if report.failures:
+        raise AssertionError(
+            f"no meeting in {len(report.failures)} configurations, "
+            f"e.g. {report.failures[0]}"
+        )
+    return report
 
 
 def _graph_label(unit: Mapping[str, Any]) -> str:
@@ -897,15 +938,9 @@ def _exp08_measure(quick: bool) -> Mapping[str, Any]:
     exploration = RingExploration(RING_SIZE)
     oracle_time = oracle_cost = 0
     for pair in _exp08_pairs(quick):
-        oracle = OracleBaseline(exploration, pair)
-        for start_b in range(1, RING_SIZE):
-            result = simulate_rendezvous(
-                ring, oracle, labels=pair, starts=(0, start_b)
-            )
-            if not result.met:
-                raise AssertionError(f"oracle failed on {pair} start {start_b}")
-            oracle_time = max(oracle_time, result.time)
-            oracle_cost = max(oracle_cost, result.cost)
+        report = _worst_case(ring, OracleBaseline(exploration, pair), [pair])
+        oracle_time = max(oracle_time, report.max_time)
+        oracle_cost = max(oracle_cost, report.max_cost)
     return {"oracle": {"max_time": oracle_time, "max_cost": oracle_cost}}
 
 
@@ -1006,20 +1041,6 @@ EXP09_QUICK_RING_SIZES = (6, 12, 24)
 EXP09_LABEL_PAIRS = ((1, 2), (3, 4), (2, 3))
 
 
-def _exp09_worst_over_configs(ring, factory, ring_size):
-    worst_time = worst_cost = 0
-    for labels in EXP09_LABEL_PAIRS:
-        for start_b in (1, ring_size // 2, ring_size - 1):
-            result = simulate_rendezvous(
-                ring, factory, labels=labels, starts=(0, start_b)
-            )
-            if not result.met:
-                raise AssertionError(f"no meeting: {labels} start {start_b}")
-            worst_time = max(worst_time, result.time)
-            worst_cost = max(worst_cost, result.cost)
-    return worst_time, worst_cost
-
-
 def _exp09_measure(quick: bool) -> Mapping[str, Any]:
     ring_sizes = EXP09_QUICK_RING_SIZES if quick else EXP09_RING_SIZES
     rows = {}
@@ -1030,17 +1051,14 @@ def _exp09_measure(quick: bool) -> Mapping[str, Any]:
             start_level=2, max_level=10,
         )
         direct = Fast(RingExploration(ring_size), EXP09_LABEL_SPACE)
-        unknown_time, unknown_cost = _exp09_worst_over_configs(
-            ring, wrapper, ring_size
-        )
-        direct_time, direct_cost = _exp09_worst_over_configs(
-            ring, direct, ring_size
-        )
+        starts = [(0, b) for b in (1, ring_size // 2, ring_size - 1)]
+        unknown = _worst_case(ring, wrapper, EXP09_LABEL_PAIRS, starts)
+        known = _worst_case(ring, direct, EXP09_LABEL_PAIRS, starts)
         rows[f"n{ring_size}"] = {
-            "unknown_time": unknown_time,
-            "direct_time": direct_time,
-            "unknown_cost": unknown_cost,
-            "direct_cost": direct_cost,
+            "unknown_time": unknown.max_time,
+            "direct_time": known.max_time,
+            "unknown_cost": unknown.max_cost,
+            "direct_cost": known.max_cost,
         }
     return {"ring_sizes": list(ring_sizes), "rows": rows}
 
@@ -1377,17 +1395,8 @@ EXP12_QUICK_DISTANCES = (1, 4, 24)
 
 
 def _exp12_worst_time_at_distance(ring, factory, distance):
-    worst = 0
-    for labels in EXP12_PAIRS:
-        for start_b in (distance, EXP12_RING_SIZE - distance):
-            result = simulate_rendezvous(
-                ring, factory, labels=labels,
-                starts=(0, start_b % EXP12_RING_SIZE),
-            )
-            if not result.met:
-                raise AssertionError(f"no meeting: {labels} D={distance}")
-            worst = max(worst, result.time)
-    return worst
+    starts = sorted({(0, distance), (0, EXP12_RING_SIZE - distance)})
+    return _worst_case(ring, factory, EXP12_PAIRS, starts).max_time
 
 
 def _exp12_measure(quick: bool) -> Mapping[str, Any]:
@@ -1489,12 +1498,7 @@ def _ablations_count_failures(graph, algorithm, delays, horizon_factor=6):
     One adversary search on the engine ladder (``auto``); the horizon
     depends on the labels and the delay only, so the cube engine takes it.
     """
-    cube = ConfigCube.make(
-        graph,
-        all_label_pairs(ABLATIONS_LABEL_SPACE),
-        delays=delays,
-        start_pairs=[(0, start_b) for start_b in range(1, graph.num_nodes)],
-    )
+    cube = _pinned_cube(graph, all_label_pairs(ABLATIONS_LABEL_SPACE), delays)
 
     def horizon(config):
         a, b = config.labels

@@ -17,8 +17,8 @@ engines, worker counts and kill schedules):
 * ``REP002`` -- no unseeded randomness: module-level ``random.*`` calls
   and argument-less ``random.Random()`` are rejected; only explicitly
   seeded ``random.Random(seed)`` instances are allowed (the
-  ``baselines/random_walk.py`` pattern).  Mirrors the sampled-sweep
-  cross-process determinism tests.
+  ``baselines/random_walk.py`` pattern).  Mirrors the seeded-determinism
+  tests of the random-walk baseline and the standard graph suite.
 * ``REP003`` -- directory scans (``os.listdir``, ``Path.iterdir``,
   ``glob``) must pass through ``sorted()`` before anything iterates
   them: filesystem enumeration order is platform noise.  Mirrors the
@@ -219,7 +219,10 @@ RANDOM_MODULE_FNS = frozenset(
 @LINT_RULES.register(
     "REP002",
     family="determinism",
-    mirrors="sampled-sweep cross-process determinism (tests/sim/test_batch.py)",
+    mirrors=(
+        "seeded determinism (tests/baselines/test_baselines.py::TestRandomWalk, "
+        "tests/graphs/test_families.py::TestStandardSuite)"
+    ),
 )
 class UnseededRandomRule(Rule):
     id = "REP002"

@@ -34,7 +34,7 @@ from repro.lower_bounds.progress import (
     progress_weight,
     verify_progress_invariants,
 )
-from repro.lower_bounds.ring_exec import meeting_round, solo_cost
+from repro.lower_bounds.ring_exec import meeting_rounds_by_gap, solo_cost
 from repro.lower_bounds.tournament import (
     chain_executions,
     gap_f,
@@ -49,22 +49,24 @@ class CertificateError(RuntimeError):
 
 
 def _max_execution_cost(trimmed: TrimmedAlgorithm) -> int:
-    """Worst combined cost over all pairs and gaps (simultaneous start)."""
+    """Worst combined cost over all pairs and gaps (simultaneous start).
+
+    Every gap of a pair is answered by one :func:`meeting_rounds_by_gap` pass.
+    """
     labels = trimmed.labels
     worst = 0
     for i, x in enumerate(labels):
+        vector_x = trimmed.vector(x)
         for y in labels[i + 1 :]:
+            vector_y = trimmed.vector(y)
+            times = meeting_rounds_by_gap(vector_x, vector_y, trimmed.ring_size)
             for gap in range(1, trimmed.ring_size):
-                time = meeting_round(
-                    trimmed.vector(x), 0, trimmed.vector(y), gap, trimmed.ring_size
-                )
+                time = times[gap]
                 if time is None:
                     raise CertificateError(
                         f"trimmed vectors of {x}, {y} never meet from gap {gap}"
                     )
-                cost = solo_cost(trimmed.vector(x), time) + solo_cost(
-                    trimmed.vector(y), time
-                )
+                cost = solo_cost(vector_x, time) + solo_cost(vector_y, time)
                 worst = max(worst, cost)
     return worst
 

@@ -57,18 +57,15 @@ class ShardExecutionError(RuntimeError):
 
 
 def plan_shards(
-    total: int,
-    shard_count: int | None = None,
-    shard_size: int | None = None,
+    total: int, shard_count: int | None = None
 ) -> list[tuple[int, int]]:
-    """Split ``[0, total)`` into contiguous shard bounds.
+    """Split ``[0, total)`` into ``shard_count`` (default 16) near-equal
+    contiguous shards.
 
-    With ``shard_size`` set, chunks of that size are cut; otherwise the
-    space is split into ``shard_count`` (default 16) near-equal parts.
-    Either way no shard is ever empty: ``shard_count`` larger than the
-    space clamps to one configuration per shard rather than planning
-    zero-width ``[lo, lo)`` shards (which would poison the run store
-    with keys no execution ever fills).
+    No shard is ever empty: ``shard_count`` larger than the space clamps
+    to one configuration per shard rather than planning zero-width
+    ``[lo, lo)`` shards (which would poison the run store with keys no
+    execution ever fills).
     """
     if total < 0:
         raise ValueError(f"configuration-space size must be >= 0, got {total}")
@@ -76,10 +73,6 @@ def plan_shards(
         raise ValueError(f"shard_count must be >= 1, got {shard_count}")
     if total == 0:
         return []
-    if shard_size is not None:
-        if shard_size < 1:
-            raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-        return [(lo, min(lo + shard_size, total)) for lo in range(0, total, shard_size)]
     count = min(total, shard_count if shard_count is not None else DEFAULT_SHARD_COUNT)
     base, extra = divmod(total, count)
     bounds = []

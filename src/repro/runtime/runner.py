@@ -72,7 +72,6 @@ def execute_job(
     executor: Executor | None = None,
     store: RunStore | None = None,
     shard_count: int | None = None,
-    shard_size: int | None = None,
     graph: PortLabeledGraph | None = None,
     telemetry: Telemetry = NULL_TELEMETRY,
 ) -> RunOutcome:
@@ -80,10 +79,10 @@ def execute_job(
 
     ``spec.shard`` is ignored (the runner owns sharding); pass the sweep
     spec.  Cached shards are reused only when their bounds match the
-    current plan, so changing ``shard_count``/``shard_size`` safely
-    re-executes rather than merging mismatched slices.  ``graph`` may be
-    passed when the caller has already built ``spec.graph`` (it is only
-    used to size the configuration space).
+    current plan, so changing ``shard_count`` safely re-executes rather
+    than merging mismatched slices.  ``graph`` may be passed when the
+    caller has already built ``spec.graph`` (it is only used to size the
+    configuration space).
 
     Telemetry narrates the run -- shard plan gauges, store hit/miss
     counters, one event per shard (carrying the worker-measured timing
@@ -95,7 +94,7 @@ def execute_job(
     executor = executor if executor is not None else SerialExecutor()
     graph = graph if graph is not None else spec.graph.build()
     total = spec.config_space_size(graph)
-    bounds = plan_shards(total, shard_count=shard_count, shard_size=shard_size)
+    bounds = plan_shards(total, shard_count=shard_count)
     telemetry.gauge("sweep.configurations", total)
     telemetry.gauge("sweep.shards", len(bounds))
 

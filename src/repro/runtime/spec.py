@@ -224,8 +224,8 @@ class JobSpec:
     ``shard=None`` describes the whole sweep; ``shard=(lo, hi)`` restricts
     it to the configurations with global indices in ``[lo, hi)``.
     ``horizon=None`` means each execution's round budget is derived from
-    the algorithm's own schedule (``delay + max schedule length``), which
-    is how :func:`repro.api.sweep_objects` runs.
+    the algorithm's own schedule (``delay + max schedule length``), as
+    :func:`repro.sim.adversary.default_horizon` states it.
 
     ``engine`` picks the evaluator a worker uses: ``"reactive"`` (the
     round simulator), ``"compiled"`` (the trajectory engine of

@@ -3,7 +3,7 @@
 The paper's complexity statements quantify over *all* label pairs, *all*
 pairs of distinct starting nodes and *all* wake-up delays.  This module
 realises that adversary over one space shape, the :class:`ConfigCube`:
-it evaluates all of a cube (or a shard or sample of its indices) and
+it evaluates all of a cube (or a shard of its indices) and
 reports the configurations maximising time and cost, so measured
 numbers can be compared against the claimed bounds and each extreme can be
 replayed.
@@ -24,10 +24,9 @@ from __future__ import annotations
 # Telemetry, never into report bytes, as tests/obs proves dynamically.
 
 import itertools
-import random
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -179,7 +178,7 @@ class ConfigCube:
         """The ``(global index, configuration)`` pair of each index, in order.
 
         An index maps to its configuration by ``divmod`` over the axes, so
-        a slice or a sample costs ``O(len(indices))`` wherever it lies --
+        a slice costs ``O(len(indices))`` wherever it lies --
         no other configuration is enumerated and discarded.
         """
         delays = self.delays
@@ -390,14 +389,14 @@ def reduce_space(
     graph: PortLabeledGraph,
     factory: ProgramFactory,
     cube: ConfigCube,
-    indices: Sequence[int],
+    indices: range,
     max_rounds: int | Callable[[Configuration], int],
     presence: PresenceModel,
 ) -> Reduction:
     """Reduce one engine's verdicts over ``indices`` of a cube, in that order.
 
     The single point every engine passes through: a shard passes
-    ``range(lo, hi)``, a sample the drawn indices.  ``table`` is the
+    ``range(lo, hi)``, a whole search ``range(len(cube))``.  ``table`` is the
     engine's substrate (see :func:`_engine_table`; the runtime passes
     per-process memoised ones).  The cube engine answers the indices
     from one whole-cube block (:func:`repro.sim.cube._whole_cube_search`);
@@ -438,8 +437,6 @@ def worst_case_search(
     cube: ConfigCube,
     max_rounds: int | Callable[[Configuration], int],
     presence: PresenceModel = PresenceModel.FROM_START,
-    sample: int | None = None,
-    rng: random.Random | None = None,
     engine: str = "reactive",
     telemetry: Telemetry = NULL_TELEMETRY,
 ) -> WorstCaseReport:
@@ -447,9 +444,6 @@ def worst_case_search(
 
     ``max_rounds`` may be a constant horizon or a function of the
     configuration (e.g., the algorithm's own schedule bound plus the delay).
-    With ``sample`` set, at most that many configurations are examined,
-    drawn uniformly with ``rng`` as indices into the cube
-    (exhaustiveness traded for scale); the population is never built.
 
     ``engine`` selects the substrate (resolved by
     :func:`resolve_substrate`) and never the semantics -- the reports are
@@ -466,18 +460,12 @@ def worst_case_search(
     * ``"auto"`` picks the fastest sound one of these for the factory.
     """
     engine = resolve_substrate(engine, factory)
-    indices: Sequence[int] = range(len(cube))
-    if sample is not None and sample < len(cube):
-        # Drawing indices picks exactly the configurations that drawing
-        # from the materialized population would, in the same order.
-        rng = rng or random.Random(0xC0FFEE)
-        indices = rng.sample(indices, sample)
-
     table = _engine_table(engine, graph, factory)
     with telemetry.span(f"{engine}.search"):
         started = time.perf_counter()
         found = reduce_space(
-            engine, table, graph, factory, cube, indices, max_rounds, presence
+            engine, table, graph, factory, cube, range(len(cube)), max_rounds,
+            presence,
         )
         if telemetry.enabled:
             elapsed = time.perf_counter() - started

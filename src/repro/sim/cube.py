@@ -14,8 +14,7 @@ per-configuration objects and most of the scanned space:
 * **Cross-label tensorization** -- given a :class:`ConfigCube` (the
   product-structured configuration space), the whole
   ``L(L-1) x n(n-1) x D`` cube -- or any contiguous index slice of it,
-  such as a runtime shard, or a sample gathered from the slice it
-  spans -- is answered by per-axis array passes:
+  such as a runtime shard -- is answered by per-axis array passes:
   configurations exist only as ``(pair, start, delay)`` indices, handed
   to the reducer as one :class:`~repro.sim.adversary.VerdictBlock` that
   locates only the two argmax extremes (and any failures).
@@ -669,17 +668,15 @@ def _pair_horizons(
 def _whole_cube_search(
     table: CubeTimelineTable,
     cube: ConfigCube,
-    indices: Sequence[int],
+    indices: range,
     max_rounds: int | Callable[[Configuration], int],
     presence: PresenceModel,
 ) -> VerdictBlock:
-    """Answer the given indices of a :class:`ConfigCube`, in their order.
+    """Answer the index range ``[lo, hi)`` of a :class:`ConfigCube` as one block.
 
     The cube engine's one evaluator, behind
-    ``worst_case_search(engine="cube")`` and the runtime's cube shards.
-    The index range ``[lo, hi)`` that ``indices`` spans is evaluated as
-    one block; a contiguous ascending ``range`` (a shard, a whole cube)
-    is that block, any other sequence (a sample) is gathered from it.
+    ``worst_case_search(engine="cube")`` and the runtime's cube shards;
+    ``indices`` is a contiguous ascending ``range`` (a shard, a whole cube).
     Only the label pairs the range touches are evaluated, with horizons
     per ``(label pair, delay)`` (:func:`_pair_horizons`).  On a certified-cyclic sweep they are one
     stacked pass (:meth:`CubeTimelineTable.orbit_cube`) gathered
@@ -698,11 +695,7 @@ def _whole_cube_search(
     if not len(indices):
         empty = np.empty(0, dtype=np.int64)
         return VerdictBlock(empty, empty, [].__getitem__)  # nothing to locate
-    contiguous = isinstance(indices, range) and indices.step == 1
-    if contiguous:
-        lo, hi = indices.start, indices.stop
-    else:
-        lo, hi = min(indices), max(indices) + 1
+    lo, hi = indices.start, indices.stop
     first_pair = lo // per_pair
     label_pairs = cube.label_pairs[first_pair : (hi - 1) // per_pair + 1]
     pair_horizons = [
@@ -750,7 +743,4 @@ def _whole_cube_search(
         )
         return lo + position, config, pair_horizons[pair_index][delay_index][1]
 
-    if contiguous:
-        return VerdictBlock(met, cost, locate)
-    at = np.asarray(indices, dtype=np.intp) - lo
-    return VerdictBlock(met[at], cost[at], lambda k: locate(int(at[k])))
+    return VerdictBlock(met, cost, locate)

@@ -1,13 +1,10 @@
-"""Tests for tables, sweeps, tradeoff assembly and ASCII plots."""
+"""Tests for tables, sweep rows and ASCII plots."""
 
 import pytest
 
 from repro.analysis.ascii_plot import scatter_plot
 from repro.analysis.tables import Table, format_ratio
-from repro.analysis.tradeoff import tradeoff_points
-from repro.api import sweep_objects
-from repro.core.cheap import Cheap, CheapSimultaneous
-from repro.core.fast import FastSimultaneous
+from repro.api import Scenario
 
 
 class TestTable:
@@ -32,82 +29,56 @@ class TestTable:
 
 
 class TestSweep:
-    def test_sweep_row_contents(self, ring12, ring12_exploration):
-        algorithm = Cheap(ring12_exploration, label_space=4)
-        row = sweep_objects(
-            algorithm, ring12, "ring-12", delays=(0, 5), fix_first_start=True
-        )
+    def test_sweep_row_contents(self):
+        row = Scenario(
+            graph="ring",
+            graph_params={"n": 12},
+            algorithm="cheap",
+            label_space=4,
+            delays=(0, 5),
+        ).run().row
         assert row.algorithm == "cheap"
         assert row.exploration_budget == 11
         assert row.time_within_bound
         assert row.cost_within_bound
         assert row.executions == 4 * 3 * 11 * 2  # pairs * starts * delays
 
-    def test_simultaneous_algorithms_reject_delays(self, ring12, ring12_exploration):
-        algorithm = CheapSimultaneous(ring12_exploration, label_space=4)
+    def test_simultaneous_algorithms_reject_delays(self):
         with pytest.raises(ValueError, match="simultaneous"):
-            sweep_objects(algorithm, ring12, "ring-12", delays=(0, 3))
-
-    def test_sampling(self, ring12, ring12_exploration):
-        algorithm = Cheap(ring12_exploration, label_space=4)
-        row = sweep_objects(
-            algorithm, ring12, "ring-12", fix_first_start=True, sample=20
-        )
-        assert row.executions == 20
+            Scenario(
+                graph="ring",
+                graph_params={"n": 12},
+                algorithm="cheap-sim",
+                delays=(0, 3),
+            )
 
 
 class TestTradeoff:
-    def test_points_reflect_the_separation(self, ring12, ring12_exploration):
+    """Curve points: the rows of simultaneous-start scenarios on one ring."""
+
+    def rows(self, label_space, label_pairs=None, engine="auto"):
+        return {
+            algorithm: Scenario(
+                graph="ring",
+                graph_params={"n": 12},
+                algorithm=algorithm,
+                label_space=label_space,
+                label_pairs=label_pairs,
+            ).run(engine=engine).row
+            for algorithm in ("cheap-sim", "fast-sim")
+        }
+
+    def test_points_reflect_the_separation(self):
         # L = 16 is past the crossover: Cheap's (L-1)E worst time exceeds
         # Fast's (2 floor(log(L-1)) + 4)E.
-        label_space = 16
-        points = tradeoff_points(
-            [
-                CheapSimultaneous(ring12_exploration, label_space),
-                FastSimultaneous(ring12_exploration, label_space),
-            ],
-            ring12,
-            "ring-12",
-            label_pairs=[(15, 16), (14, 15), (1, 2), (1, 16)],
-        )
-        by_name = {point.algorithm: point for point in points}
-        cheap = by_name["cheap-simultaneous"]
-        fast = by_name["fast-simultaneous"]
+        rows = self.rows(16, label_pairs=[(15, 16), (14, 15), (1, 2), (1, 16)])
+        cheap, fast = rows["cheap-sim"], rows["fast-sim"]
         assert cheap.max_cost < fast.max_cost  # Cheap is cheaper
         assert fast.max_time < cheap.max_time  # Fast is faster
-        assert cheap.cost_per_e == pytest.approx(1.0)
+        assert cheap.max_cost / cheap.exploration_budget == pytest.approx(1.0)
 
-    def test_engine_defaults_to_auto_and_is_forwarded(
-        self, ring12, ring12_exploration, monkeypatch
-    ):
-        """Regression: EXP-08 curve assembly used to always run the slow
-        reactive path because ``tradeoff_points`` never forwarded an
-        engine to ``sweep_objects``."""
-        import repro.analysis.tradeoff as tradeoff_module
-
-        seen = []
-        real = tradeoff_module.sweep_objects
-
-        def spying(*args, **kwargs):
-            seen.append(kwargs["engine"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(tradeoff_module, "sweep_objects", spying)
-        algorithms = [CheapSimultaneous(ring12_exploration, 4)]
-        tradeoff_points(algorithms, ring12, "ring-12", label_pairs=[(1, 2)])
-        tradeoff_points(
-            algorithms, ring12, "ring-12", label_pairs=[(1, 2)], engine="reactive"
-        )
-        assert seen == ["auto", "reactive"]
-
-    def test_points_are_engine_invariant(self, ring12, ring12_exploration):
-        algorithms = [
-            CheapSimultaneous(ring12_exploration, 4),
-            FastSimultaneous(ring12_exploration, 4),
-        ]
-        auto = tradeoff_points(algorithms, ring12, "ring-12")
-        reactive = tradeoff_points(algorithms, ring12, "ring-12", engine="reactive")
-        assert auto == reactive
+    def test_points_are_engine_invariant(self):
+        assert self.rows(4) == self.rows(4, engine="reactive")
 
 
 class TestScatterPlot:

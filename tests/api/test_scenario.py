@@ -374,21 +374,34 @@ class TestRunBehaviour:
 
     def test_run_matches_object_sweep(self):
         # The spec world (Scenario.run) and the object world
-        # (sweep_objects) must report identical extremes and argmaxes.
-        from repro.api import sweep_objects
+        # (worst_case_search) must report identical extremes and argmaxes.
+        from functools import partial
+
+        from repro.sim.adversary import (
+            ConfigCube,
+            all_label_pairs,
+            default_horizon,
+            worst_case_search,
+        )
 
         scenario = tiny(algorithm="cheap", delays=(0, 1))
         run = scenario.run(engine="reactive", workers=1)
-        direct = sweep_objects(
-            scenario.build_algorithm(),
-            scenario.build_graph(),
-            scenario.graph_spec.label,
-            delays=(0, 1),
-            fix_first_start=True,
+        graph = scenario.build_graph()
+        algorithm = scenario.build_algorithm(graph)
+        direct = worst_case_search(
+            graph,
+            algorithm,
+            ConfigCube.make(
+                graph,
+                all_label_pairs(scenario.label_space),
+                delays=(0, 1),
+                fix_first_start=True,
+            ),
+            partial(default_horizon, algorithm),
         )
         assert (direct.max_time, direct.max_cost) == (run.row.max_time, run.row.max_cost)
-        assert direct.worst_time_config == run.row.worst_time_config
-        assert direct.worst_cost_config == run.row.worst_cost_config
+        assert direct.worst_time.config == run.row.worst_time_config
+        assert direct.worst_cost.config == run.row.worst_cost_config
 
     def test_deprecated_sweep_shims_are_gone(self):
         # PR history: analysis.sweep forwarded here with DeprecationWarnings;

@@ -21,7 +21,6 @@ import pytest
 
 from repro.api import Scenario
 from repro.runtime import AlgorithmSpec, GraphSpec, JobSpec, worker
-from repro.runtime.executor import plan_shards
 from repro.runtime.report import ShardReport, merge_reports
 from repro.runtime.worker import run_shard
 from repro.sim import cube
@@ -85,6 +84,11 @@ def expected_shard(spec: JobSpec, lo: int, hi: int) -> ShardReport:
     )
 
 
+def chunks(total: int, size: int) -> list[tuple[int, int]]:
+    """``[0, total)`` cut into ``[lo, hi)`` chunks of ``size``."""
+    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
+
+
 def shard_plans(spec: JobSpec) -> dict[str, list[tuple[int, int]]]:
     """Bounds cutting mid label pair and mid start row, plus the whole."""
     graph = spec.graph.build()
@@ -92,10 +96,10 @@ def shard_plans(spec: JobSpec) -> dict[str, list[tuple[int, int]]]:
     total = len(cube)
     per_pair = len(cube.start_pairs) * len(cube.delays)
     return {
-        "size 1": plan_shards(total, shard_size=1),
-        "size 7": plan_shards(total, shard_size=7),
-        "pair - 1": plan_shards(total, shard_size=per_pair - 1),
-        "pair + 1": plan_shards(total, shard_size=per_pair + 1),
+        "size 1": chunks(total, 1),
+        "size 7": chunks(total, 7),
+        "pair - 1": chunks(total, per_pair - 1),
+        "pair + 1": chunks(total, per_pair + 1),
         "whole": [(0, total)],
     }
 

@@ -5,9 +5,10 @@ however many workers execute the shards, the merged report is
 byte-identical (canonical JSON) to the serial in-process enumeration.
 """
 
+from functools import partial
+
 import pytest
 
-from repro.api import sweep_objects
 from repro.runtime import (
     AlgorithmSpec,
     ExtremeSummary,
@@ -22,6 +23,12 @@ from repro.runtime import (
     merge_reports,
     plan_shards,
     run_shard,
+)
+from repro.sim.adversary import (
+    ConfigCube,
+    all_label_pairs,
+    default_horizon,
+    worst_case_search,
 )
 
 RING_JOB = JobSpec(
@@ -50,14 +57,9 @@ class TestPlanShards:
         assert len(plan_shards(3, shard_count=16)) == 3
         assert plan_shards(0) == []
 
-    def test_shard_size_override(self):
-        assert plan_shards(10, shard_size=4) == [(0, 4), (4, 8), (8, 10)]
-
     def test_invalid_inputs_raise(self):
         with pytest.raises(ValueError):
             plan_shards(-1)
-        with pytest.raises(ValueError):
-            plan_shards(10, shard_size=0)
 
 
 class TestMerge:
@@ -112,19 +114,21 @@ class TestDeterminism:
     def test_runtime_matches_the_in_process_adversary(self, job):
         graph = job.graph.build()
         algorithm = job.algorithm.build(graph)
-        legacy = sweep_objects(
-            algorithm,
+        cube = ConfigCube.make(
             graph,
-            "g",
+            all_label_pairs(algorithm.label_space),
             delays=job.delays,
             fix_first_start=job.fix_first_start,
         )
+        reference = worst_case_search(
+            graph, algorithm, cube, partial(default_horizon, algorithm)
+        )
         merged = execute_job(job, executor=ParallelExecutor(2)).report
-        assert merged.max_time == legacy.max_time
-        assert merged.max_cost == legacy.max_cost
-        assert merged.worst_time.config == legacy.worst_time_config
-        assert merged.worst_cost.config == legacy.worst_cost_config
-        assert merged.executions == legacy.executions
+        assert merged.max_time == reference.max_time
+        assert merged.max_cost == reference.max_cost
+        assert merged.worst_time.config == reference.worst_time.config
+        assert merged.worst_cost.config == reference.worst_cost.config
+        assert merged.executions == reference.executions
 
     def test_pool_is_reused_across_map_shards_calls(self):
         with ParallelExecutor(2) as executor:
@@ -185,9 +189,6 @@ class TestPlanShardsGuards:
             plan_shards(0, shard_count=0)
         with pytest.raises(ValueError, match="shard_count"):
             plan_shards(10, shard_count=-3)
-
-    def test_oversized_shard_size_is_one_whole_shard(self):
-        assert plan_shards(5, shard_size=100) == [(0, 5)]
 
 
 class TestShardExecutionError:

@@ -97,18 +97,6 @@ class TestWorstCaseSearch:
             _ = record.time
         assert record.cost == unmet.cost  # cost stays well-defined
 
-    def test_sampling_limits_executions(self, ring12, ring12_exploration):
-        algorithm = Fast(ring12_exploration, label_space=4)
-        report = worst_case_search(
-            ring12,
-            algorithm,
-            ConfigCube.make(ring12, all_label_pairs(4), fix_first_start=True),
-            max_rounds=lambda config: algorithm.schedule_length(4),
-            sample=10,
-        )
-        assert report.executions == 10
-        assert not report.failures
-
 
 #: Every engine that runs here: cube only when NumPy is importable.
 ENGINES = ["reactive", "compiled"] + (["cube"] if numpy_available() else [])
@@ -116,7 +104,7 @@ ENGINES = ["reactive", "compiled"] + (["cube"] if numpy_available() else [])
 
 class TestStreaming:
     """The reactive sweep walks its cube's indices lazily, and no engine
-    ever builds the configuration population -- not even to sample it."""
+    ever builds the configuration population."""
 
     def test_reactive_path_streams_configurations(
         self, ring12, ring12_exploration, monkeypatch
@@ -156,23 +144,19 @@ class TestStreaming:
         assert report.executions == len(cube) == len(executed)
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_sampled_search_never_builds_the_population(
+    def test_search_never_builds_the_population(
         self, ring12, ring12_exploration, monkeypatch, engine
     ):
         algorithm = CheapSimultaneous(ring12_exploration, label_space=3)
         cube = ConfigCube.make(ring12, all_label_pairs(3), fix_first_start=True)
-        expected = worst_case_search(
-            ring12, algorithm, cube, 60, sample=5, engine="reactive"
-        )
+        expected = worst_case_search(ring12, algorithm, cube, 60, engine="reactive")
 
         def refuse(self):
-            raise AssertionError("the sampled search built the population")
+            raise AssertionError("the search built the population")
 
         monkeypatch.setattr(ConfigCube, "__iter__", refuse)
-        report = worst_case_search(
-            ring12, algorithm, cube, 60, sample=5, engine=engine
-        )
-        assert report.executions == 5
+        report = worst_case_search(ring12, algorithm, cube, 60, engine=engine)
+        assert report.executions == len(cube)
         assert report == expected
 
 

@@ -5,19 +5,13 @@ The exhaustive cross-engine identity suite lives in
 whenever NumPy is importable); this module covers the substrate's own
 surface -- availability and fallback without NumPy, the dense timeline
 table (:class:`repro.sim.cube.CubeTimelineTable`) on its per-start path,
-the cube engine's searches over it, runtime/worker integration, and the
-determinism of sampled sweeps across engines and processes.
+the cube engine's searches over it, and runtime/worker integration.
 """
-
-import json
-import os
-import subprocess
-import sys
 
 import pytest
 
 import repro.sim.cube as cube_module
-from repro.api import Scenario, sweep_objects
+from repro.api import Scenario
 from repro.runtime import (
     AlgorithmSpec,
     GraphSpec,
@@ -226,58 +220,3 @@ class TestRuntimeIntegration:
         auto = scenario.run(engine="auto")
         serial = scenario.run(engine="reactive", workers=1)
         assert auto.to_json() == serial.to_json()
-
-
-class TestSampledSweepDeterminism:
-    """The `sample=` satellite: seeded draws, identical across engines
-    and across interpreter processes."""
-
-    ENGINES = ("reactive", "compiled") + (("cube",) if numpy_available() else ())
-
-    def sampled_row(self, engine):
-        from repro.graphs.families import oriented_ring
-
-        return sweep_objects(
-            build_algorithm("fast", oriented_ring(12), label_space=4),
-            oriented_ring(12),
-            "ring-12",
-            delays=(0, 2),
-            sample=30,
-            engine=engine,
-        )
-
-    def test_identical_rows_across_engines(self):
-        rows = {engine: self.sampled_row(engine) for engine in self.ENGINES}
-        reference = rows["reactive"]
-        assert reference.executions == 30
-        assert all(row == reference for row in rows.values())
-
-    def test_identical_report_in_a_fresh_process(self):
-        """The default ``random.Random(0xC0FFEE)`` seed makes sampled
-        sweeps reproducible across worker processes and reruns."""
-        script = (
-            "import json\n"
-            "from repro.api import sweep_objects\n"
-            "from repro.graphs.families import oriented_ring\n"
-            "from repro.runtime.spec import AlgorithmSpec, canonical_json\n"
-            "graph = oriented_ring(12)\n"
-            "algorithm = AlgorithmSpec('fast', label_space=4).build(graph)\n"
-            "row = sweep_objects(algorithm, graph, 'ring-12', delays=(0, 2),\n"
-            "                    sample=30, engine='reactive')\n"
-            "print(canonical_json(row.to_dict()))\n"
-        )
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
-            "PYTHONPATH", ""
-        )
-        completed = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        subprocess_payload = json.loads(completed.stdout)
-        local_payload = json.loads(canonical_json(self.sampled_row("reactive").to_dict()))
-        assert subprocess_payload == local_payload

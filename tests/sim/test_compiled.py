@@ -226,23 +226,6 @@ class TestEngineSelection:
                 ring12, algorithm, ConfigCube.make(ring12, []), 1, engine="warp"
             )
 
-    def test_sampling_is_engine_independent(self, ring12):
-        algorithm = build_algorithm("fast", ring12)
-        configs = ConfigCube.make(ring12, all_label_pairs(LABEL_SPACE), delays=(0, 2))
-
-        def horizon(config):
-            return default_horizon(algorithm, config)
-
-        reactive = worst_case_search(
-            ring12, algorithm, configs, horizon, sample=25, engine="reactive"
-        )
-        assert reactive.executions == 25
-        for engine in DERIVED_ENGINES:
-            derived = worst_case_search(
-                ring12, algorithm, configs, horizon, sample=25, engine=engine
-            )
-            assert derived == reactive, engine
-
 
 class TestCompilation:
     def test_trajectory_matches_solo_simulation(self, ring12):

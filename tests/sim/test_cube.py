@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.ablations import CheapShortWait
 from repro.exploration.ring import RingExploration
-from repro.graphs.families import oriented_ring
+from repro.graphs.families import oriented_ring, torus_grid
 from repro.obs.telemetry import Telemetry
 from repro.registry import ALGORITHMS, GRAPH_FAMILIES
 from repro.sim import cube as cube_module
@@ -123,33 +123,42 @@ def test_pruning_never_changes_a_report(family, algorithm_name):
         assert counters["cube.prune.dominated_slices"] > 0
 
 
+#: Sparse start pairs with a repeat, the shape of the EXP-12 measurement:
+#: ``(0, d)``, ``(0, n - d)`` and ``(0, n - d)`` again.
+SPARSE_INSTANCES = {
+    "ring-12": lambda: oriented_ring(12),
+    "torus(3,3)": lambda: torus_grid(3, 3),
+}
+
+
 @needs_numpy
-class TestSampledPath:
-    def test_sampled_and_whole_cube_paths_agree_either_way(self, ring12):
-        """A sample is gathered from its index range's whole-cube block;
-        reports match the reactive engine's, sampled or not.
+@pytest.mark.parametrize("name", sorted(SPARSE_INSTANCES))
+def test_sparse_repeated_start_pairs_agree_across_engines(name):
+    """A cube over a sparse start-pair subset with a repeated pair.
 
-        The delay grid reaches past the schedule so dominance fires on
-        both paths.
-        """
-        algorithm = build_algorithm("fast", ring12)
-        budget = algorithm.exploration_budget
-        cube = ConfigCube.make(
-            ring12,
-            all_label_pairs(LABEL_SPACE),
-            delays=(0, 2, budget + 1, budget + 4),
-        )
+    The ring takes the orbit path (a delta gather), the torus the
+    per-start path (a start-row gather); both must report exactly what
+    the compiled and reactive engines report.
+    """
+    graph = SPARSE_INSTANCES[name]()
+    n = graph.num_nodes
+    algorithm = build_algorithm("fast", graph)
+    assert certify_symmetry(graph, algorithm).orbit is (name == "ring-12")
+    cube = ConfigCube.make(
+        graph,
+        all_label_pairs(LABEL_SPACE),
+        delays=(0, 5),
+        start_pairs=[(0, 3), (0, n - 3), (0, n - 3)],
+    )
 
-        def horizon(config):
-            return default_horizon(algorithm, config)
+    def horizon(config):
+        return default_horizon(algorithm, config)
 
-        reactive = worst_case_search(ring12, algorithm, cube, horizon)
-        reactive_sample = worst_case_search(
-            ring12, algorithm, cube, horizon, sample=40
-        )
-        assert cube_search(ring12, algorithm, cube, horizon) == reactive
-        sampled = cube_search(ring12, algorithm, cube, horizon, sample=40)
-        assert sampled == reactive_sample
+    reactive = worst_case_search(graph, algorithm, cube, horizon, engine="reactive")
+    assert reactive.executions == len(cube)
+    for engine in ("compiled", "cube"):
+        report = worst_case_search(graph, algorithm, cube, horizon, engine=engine)
+        assert report == reactive, engine
 
 
 class TestOrbitCoverage:

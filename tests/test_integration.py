@@ -6,11 +6,10 @@ algorithm -> adversary -> bound comparison -> certificates.
 """
 
 import itertools
+from functools import partial
 
 import pytest
 
-from repro.analysis.tradeoff import tradeoff_points
-from repro.api import sweep_objects
 from repro.core import (
     Cheap,
     CheapSimultaneous,
@@ -31,6 +30,12 @@ from repro.graphs.families import (
 )
 from repro.lower_bounds import certify_theorem_31, certify_theorem_32
 from repro.lower_bounds.trim import trimmed_from_algorithm
+from repro.sim.adversary import (
+    ConfigCube,
+    all_label_pairs,
+    default_horizon,
+    worst_case_search,
+)
 
 GRAPHS = [
     ("ring-9", oriented_ring(9), True),
@@ -40,6 +45,20 @@ GRAPHS = [
     ("hypercube-3", hypercube(3), True),
     ("petersen", petersen_graph(), True),
 ]
+
+
+def worst_case(algorithm, graph, label_pairs=None, delays=(0,), fix_first_start=False):
+    """The adversary's worst case over live objects; no configuration may fail."""
+    if label_pairs is None:
+        label_pairs = all_label_pairs(algorithm.label_space)
+    cube = ConfigCube.make(
+        graph, label_pairs, delays=delays, fix_first_start=fix_first_start
+    )
+    report = worst_case_search(
+        graph, algorithm, cube, partial(default_horizon, algorithm), engine="auto"
+    )
+    assert not report.failures, (algorithm.name, report.failures[0])
+    return report
 
 
 @pytest.mark.parametrize("name,graph,transitive", GRAPHS, ids=[g[0] for g in GRAPHS])
@@ -58,11 +77,11 @@ def test_all_algorithms_meet_bounds_on_all_graphs(name, graph, transitive):
     ]
     for algorithm in algorithms:
         delays = (0,) if algorithm.requires_simultaneous_start else (0, 4)
-        row = sweep_objects(
-            algorithm, graph, name, delays=delays, fix_first_start=transitive
+        report = worst_case(
+            algorithm, graph, delays=delays, fix_first_start=transitive
         )
-        assert row.time_within_bound, (name, algorithm.name, row)
-        assert row.cost_within_bound, (name, algorithm.name, row)
+        assert report.max_time <= algorithm.time_bound(), (name, algorithm.name)
+        assert report.max_cost <= algorithm.cost_bound(), (name, algorithm.name)
 
 
 def test_headline_tradeoff_on_the_ring():
@@ -75,22 +94,14 @@ def test_headline_tradeoff_on_the_ring():
     ring = oriented_ring(n)
     exploration = RingExploration(n)
     pairs = [(1022, 1023), (1023, 1024), (511, 512), (1, 2), (1, 1024)]
-    points = {
-        point.algorithm: point
-        for point in tradeoff_points(
-            [
-                CheapSimultaneous(exploration, label_space),
-                FastWithRelabelingSimultaneous(exploration, label_space, 2),
-                FastSimultaneous(exploration, label_space),
-            ],
-            ring,
-            "ring-12",
-            label_pairs=pairs,
+    cheap, middle, fast = (
+        worst_case(algorithm, ring, label_pairs=pairs, fix_first_start=True)
+        for algorithm in (
+            CheapSimultaneous(exploration, label_space),
+            FastWithRelabelingSimultaneous(exploration, label_space, 2),
+            FastSimultaneous(exploration, label_space),
         )
-    }
-    cheap = points["cheap-simultaneous"]
-    fast = points["fast-simultaneous"]
-    middle = points["fast-relabel-simultaneous(w=2)"]
+    )
 
     # Cost ordering: Cheap <= middle <= Fast (strictly at the ends).
     assert cheap.max_cost == n - 1  # exactly E

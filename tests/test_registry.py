@@ -1,5 +1,7 @@
 """The named registries and the typed SpecError they raise."""
 
+from functools import partial
+
 import pytest
 
 from repro.exploration.registry import KnowledgeModel
@@ -23,6 +25,12 @@ from repro.registry import (
 )
 from repro.runtime.spec import AlgorithmSpec, GraphSpec, JobSpec
 from repro.runtime.worker import run_shard
+from repro.sim.adversary import (
+    ConfigCube,
+    all_label_pairs,
+    default_horizon,
+    worst_case_search,
+)
 from repro.sim.simulator import PresenceModel
 
 
@@ -143,8 +151,6 @@ class TestPopulatedRegistries:
 
     def test_pinning_is_sound_on_every_vertex_transitive_family(self):
         """Pinned and full sweeps agree wherever the metadata allows pinning."""
-        from repro.api import sweep_objects
-
         params = {
             "ring": {"n": 6},
             "complete": {"n": 5},
@@ -156,8 +162,15 @@ class TestPopulatedRegistries:
             assert GRAPH_FAMILIES.entry(name).metadata["vertex_transitive"]
             graph = GraphSpec.make(name, **kwargs).build()
             algorithm = AlgorithmSpec("fast-sim", 3).build(graph)
-            pinned = sweep_objects(algorithm, graph, name, fix_first_start=True)
-            full = sweep_objects(algorithm, graph, name, fix_first_start=False)
+            pinned, full = (
+                worst_case_search(
+                    graph,
+                    algorithm,
+                    ConfigCube.make(graph, all_label_pairs(3), fix_first_start=pin),
+                    partial(default_horizon, algorithm),
+                )
+                for pin in (True, False)
+            )
             assert (pinned.max_time, pinned.max_cost) == (
                 full.max_time,
                 full.max_cost,

@@ -1,26 +1,28 @@
 """CI smoke check for the CLI and the internal-deprecation policy.
 
-Eight gates, all dependency-free (run with ``python tools/ci_smoke.py``):
+Nine gates, all dependency-free (run with ``python tools/ci_smoke.py``):
 
 1. ``python -m repro --help`` exits 0 in a fresh subprocess;
 2. one tiny ``sweep --json`` (and ``run --json``) on a 6-node ring runs
    end-to-end in-process and prints parseable canonical JSON;
-3. ``experiments list --json`` exposes the registered experiment
+3. ``tradeoff --json`` on the 12-ring reports the curve's three
+   strategies, with Cheap's worst cost below Fast's;
+4. ``experiments list --json`` exposes the registered experiment
    catalog (all twelve EXP-NN ids);
-4. ``lint --json`` reports a clean tree under every registered
+5. ``lint --json`` reports a clean tree under every registered
    invariant rule (the shipped source must stay ``repro lint`` green);
-5. ``engines --json`` lists the full simulation-engine ladder
+6. ``engines --json`` lists the full simulation-engine ladder
    (reactive, compiled, cube) with a sane ``auto`` resolution;
-6. the run store round-trips: a sweep run cold into a fresh
+7. the run store round-trips: a sweep run cold into a fresh
    ``--cache-dir`` and again from the store reports identically (modulo
    the non-canonical timing section), ``query`` answers the worst-case
    lookup from the stored run without re-sweeping, and ``cache clear``
    reports how many files it removed;
-7. ``--engine`` names only the simulation substrate: ``sweep --engine
+8. ``--engine`` names only the simulation substrate: ``sweep --engine
    reactive --workers 2`` and ``sweep --engine auto`` print
    byte-identical reports after ``telemetry strip --provenance``, and the
    executor name ``--engine serial`` is a usage error (exit status 2);
-8. no ``DeprecationWarning`` originates from inside ``src/repro`` while
+9. no ``DeprecationWarning`` originates from inside ``src/repro`` while
    doing so -- deprecation shims, if any ever exist, are for external
    callers only; package-internal code must stay on the current API.
 """
@@ -114,6 +116,21 @@ def check_json_commands() -> None:
         fail("run --json reported no meeting")
     print("run --json: OK")
 
+    tradeoff_out, tradeoff_warnings = run_cli_capturing(
+        ["tradeoff", "--size", "12", "--label-space", "16", "--json"]
+    )
+    points = {
+        point["algorithm"]: point
+        for point in json.loads(tradeoff_out)["result"]["points"]
+    }
+    expected = ["cheap-simultaneous", "fast-relabel-simultaneous(w=2)",
+                "fast-simultaneous"]
+    if list(points) != expected:
+        fail(f"unexpected tradeoff points: {list(points)}")
+    if not points[expected[0]]["max_cost"] < points[expected[2]]["max_cost"]:
+        fail("tradeoff: Cheap's worst cost is not below Fast's")
+    print("tradeoff --json: OK")
+
     list_out, list_warnings = run_cli_capturing(["experiments", "list", "--json"])
     registered = {item["id"] for item in json.loads(list_out)["experiments"]}
     missing = {f"exp{n:02d}" for n in range(1, 13)} - registered
@@ -141,8 +158,8 @@ def check_json_commands() -> None:
     print("engines --json: OK")
 
     offenders = internal_deprecations(
-        sweep_warnings + run_warnings + list_warnings + lint_warnings
-        + engines_warnings
+        sweep_warnings + run_warnings + tradeoff_warnings + list_warnings
+        + lint_warnings + engines_warnings
     )
     if offenders:
         lines = "\n".join(
