@@ -1,11 +1,7 @@
-"""Shared helpers for the benchmark harness.
+"""Shared fixtures for the benchmark harness (``bench_engine.py``).
 
-Each ``bench_expNN_*`` module is a thin shim over its registered
-experiment in ``repro.experiments``: it runs the full-profile campaign
-for that experiment, prints the measured-vs-paper tables (bypassing
-pytest's capture so they land in the bench log), and asserts the
-verdict.  ``bench_engine.py`` (a standalone script, not a pytest module)
-tracks engine throughput separately.
+Experiment reports are not benchmarked here: run
+``python -m repro experiments run <id>`` for those.
 """
 
 import pytest

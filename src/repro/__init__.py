@@ -36,7 +36,6 @@ from repro.api import (
     SweepRow,
     SweepRun,
     canonical_json,
-    run_job,
 )
 from repro.core import (
     Cheap,
@@ -82,15 +81,7 @@ from repro.registry import (
     Registry,
     SpecError,
 )
-from repro.runtime import (
-    AlgorithmSpec,
-    GraphSpec,
-    JobSpec,
-    ParallelExecutor,
-    RunStore,
-    SerialExecutor,
-    execute_job,
-)
+from repro.runtime import ParallelExecutor, RunStore, SerialExecutor
 from repro.sim import (
     PresenceModel,
     RendezvousResult,
@@ -103,7 +94,6 @@ __version__ = "1.5.0"
 
 __all__ = [
     "ALGORITHMS",
-    "AlgorithmSpec",
     "Campaign",
     "CampaignResult",
     "Cheap",
@@ -118,9 +108,7 @@ __all__ = [
     "FastWithRelabeling",
     "FastWithRelabelingSimultaneous",
     "GRAPH_FAMILIES",
-    "GraphSpec",
     "IteratedDoublingRendezvous",
-    "JobSpec",
     "JsonlSink",
     "KNOWLEDGE_MODELS",
     "KnowledgeModel",
@@ -150,10 +138,8 @@ __all__ = [
     "best_exploration",
     "bounds",
     "canonical_json",
-    "execute_job",
     "oriented_ring",
     "run_experiment",
-    "run_job",
     "simulate_rendezvous",
     "strip_timing",
     "worst_case_search",

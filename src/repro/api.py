@@ -27,9 +27,9 @@ Quickstart::
 The object world stays available underneath:
 :func:`~repro.sim.adversary.worst_case_search` searches live
 ``(algorithm, graph)`` instances that have no registry name (ablation
-variants, baselines) over a :class:`~repro.sim.adversary.ConfigCube`, and
-:func:`run_job` drives a raw :class:`~repro.runtime.spec.JobSpec` for
-callers that already hold one.
+variants, baselines) over a :class:`~repro.sim.adversary.ConfigCube`.
+:meth:`Scenario.job_spec` is the one builder of the runtime's
+:class:`~repro.runtime.spec.JobSpec` envelope.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Any, Iterator, Mapping, Sequence
 
 from repro.core.base import RendezvousAlgorithm
 from repro.graphs.port_graph import PortLabeledGraph
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, resolve_telemetry
+from repro.obs.telemetry import resolve_telemetry
 from repro.registry import (
     ALGORITHMS,
     GRAPH_FAMILIES,
@@ -63,7 +63,6 @@ from repro.runtime.spec import (
     GraphSpec,
     JobSpec,
     canonical_json,
-    ensure_hashable_param,
     freeze_value,
     resolve_exploration,
     thaw_value,
@@ -80,9 +79,9 @@ AUTO_PARALLEL_THRESHOLD = 20_000
 def _reject_nonzero_delays(
     algorithm_name: str, requires_simultaneous: bool, delays: Sequence[int]
 ) -> None:
-    """The one statement of the simultaneous-start rule, shared by every
-    entry point (job specs, scenario validation and single simulations):
-    such algorithms are only correct at delay 0."""
+    """The one statement of the simultaneous-start rule, shared by
+    scenario validation and single simulations: such algorithms are only
+    correct at delay 0."""
     if requires_simultaneous and any(d != 0 for d in delays):
         raise ValueError(
             f"{algorithm_name} requires simultaneous start; "
@@ -181,50 +180,6 @@ def _row_from_report(
 
 
 # ----------------------------------------------------------------------
-# Running a raw job spec
-# ----------------------------------------------------------------------
-
-
-def run_job(
-    spec: JobSpec,
-    graph_name: str | None = None,
-    executor: Executor | None = None,
-    store: RunStore | None = None,
-    shard_count: int | None = None,
-    graph: PortLabeledGraph | None = None,
-    algorithm: RendezvousAlgorithm | None = None,
-    telemetry: Telemetry = NULL_TELEMETRY,
-) -> tuple[SweepRow, RunStats]:
-    """Runtime-backed worst-case sweep of a raw :class:`JobSpec`.
-
-    Sharded, parallelisable, cached -- and byte-identical to the serial
-    enumeration (the merge tie-breaking guarantees identical argmax
-    configurations).  ``graph`` and ``algorithm`` may be passed when the
-    caller has already built them from the spec, to avoid rebuilding
-    (they must match the spec).
-    """
-    graph = graph if graph is not None else spec.graph.build()
-    algorithm = algorithm if algorithm is not None else spec.algorithm.build(graph)
-    _reject_nonzero_delays(
-        algorithm.name, algorithm.requires_simultaneous_start, spec.delays
-    )
-    # Fail fast here rather than deep inside a worker process (every
-    # pool worker would raise the same error).
-    resolve_substrate(spec.engine, algorithm)
-    outcome = execute_job(
-        spec,
-        executor=executor,
-        store=store,
-        shard_count=shard_count,
-        graph=graph,
-        telemetry=telemetry,
-    )
-    name = graph_name if graph_name is not None else spec.graph.label
-    row = _row_from_report(algorithm, graph, name, outcome.report)
-    return row, outcome.stats
-
-
-# ----------------------------------------------------------------------
 # Engine and cache routing
 # ----------------------------------------------------------------------
 
@@ -251,9 +206,10 @@ def resolve_store(
     """Map the ``cache`` argument of :meth:`Scenario.run` to a store.
 
     ``False`` disables caching, ``True`` opens the default store (or
-    ``cache_dir``), a path opens a store there, and a :class:`RunStore`
-    is used as-is.  ``cache=None`` follows ``cache_dir``: a bare
-    ``run(cache_dir=...)`` caches there rather than silently not caching.
+    ``cache_dir``, the CLI's ``--cache-dir``), a path opens a store
+    there, and a :class:`RunStore` is used as-is.  ``cache=None``
+    follows ``cache_dir``: a bare ``cache_dir`` caches there rather than
+    silently not caching.
     """
     if isinstance(cache, RunStore):
         if cache_dir is not None:
@@ -309,25 +265,6 @@ def _parse_algorithm_dict(where: str, payload: Mapping[str, Any]) -> dict[str, A
     return kwargs
 
 
-def _params_pairs(params: Any) -> tuple[tuple[str, Any], ...]:
-    """Normalize graph parameters to the canonical sorted-pair form.
-
-    Mapping-valued parameters (even nested inside sequences) are rejected
-    via the same :func:`ensure_hashable_param` guard as
-    :meth:`GraphSpec.make`: they would survive freezing as dicts and
-    break the spec hashability the runtime workers memoise on.
-    """
-    if isinstance(params, Mapping):
-        items = params.items()
-    else:
-        items = (tuple(pair) for pair in params)
-    pairs = []
-    for key, value in items:
-        ensure_hashable_param(str(key), value)
-        pairs.append((str(key), freeze_value(value)))
-    return tuple(sorted(pairs))
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A declarative rendezvous scenario: the paper's axes as plain data.
@@ -356,7 +293,11 @@ class Scenario:
 
     def __post_init__(self) -> None:
         set_ = object.__setattr__
-        set_(self, "graph_params", _params_pairs(self.graph_params))
+        set_(
+            self,
+            "graph_params",
+            GraphSpec.make(self.graph, **dict(self.graph_params)).params,
+        )
         set_(self, "delays", tuple(int(d) for d in self.delays))
         if self.label_pairs is not None:
             set_(
@@ -419,11 +360,33 @@ class Scenario:
     # ------------------------------------------------------------------
 
     @property
-    def graph_spec(self) -> GraphSpec:
+    def resolved_fix_first_start(self) -> bool:
+        if self.fix_first_start is not None:
+            return self.fix_first_start
+        entry = GRAPH_FAMILIES.entry(self.graph)
+        return bool(entry.metadata.get("vertex_transitive", False))
+
+    def job_spec(self) -> JobSpec:
+        """The runtime :class:`JobSpec` describing this scenario's sweep.
+
+        The one place a :class:`JobSpec` is built: the CLI and campaigns
+        describe a sweep as a scenario and resolve it here, so run-store
+        keys have a single source.
+        """
+        return JobSpec(
+            algorithm=self._algorithm_spec(),
+            graph=self._graph_spec(),
+            delays=self.delays,
+            label_pairs=self.label_pairs,
+            fix_first_start=self.resolved_fix_first_start,
+            presence=self.presence,
+            horizon=self.horizon,
+        )
+
+    def _graph_spec(self) -> GraphSpec:
         return GraphSpec(self.graph, self.graph_params)
 
-    @property
-    def algorithm_spec(self) -> AlgorithmSpec:
+    def _algorithm_spec(self) -> AlgorithmSpec:
         return AlgorithmSpec(
             name=self.algorithm,
             label_space=self.label_space,
@@ -432,33 +395,14 @@ class Scenario:
             exploration=self.exploration,
         )
 
-    @property
-    def resolved_fix_first_start(self) -> bool:
-        if self.fix_first_start is not None:
-            return self.fix_first_start
-        entry = GRAPH_FAMILIES.entry(self.graph)
-        return bool(entry.metadata.get("vertex_transitive", False))
-
-    def job_spec(self) -> JobSpec:
-        """The runtime :class:`JobSpec` describing this scenario's sweep."""
-        return JobSpec(
-            algorithm=self.algorithm_spec,
-            graph=self.graph_spec,
-            delays=self.delays,
-            label_pairs=self.label_pairs,
-            fix_first_start=self.resolved_fix_first_start,
-            presence=self.presence,
-            horizon=self.horizon,
-        )
-
     def build_graph(self) -> PortLabeledGraph:
-        return self.graph_spec.build()
+        return self._graph_spec().build()
 
     def build_algorithm(
         self, graph: PortLabeledGraph | None = None
     ) -> RendezvousAlgorithm:
         graph = graph if graph is not None else self.build_graph()
-        return self.algorithm_spec.build(graph)
+        return self._algorithm_spec().build(graph)
 
     def config_space_size(self, graph: PortLabeledGraph | None = None) -> int:
         return self.job_spec().config_space_size(graph)
@@ -466,7 +410,7 @@ class Scenario:
     @property
     def label(self) -> str:
         """Short display name, e.g. ``fast on ring(n=12)``."""
-        return f"{self.algorithm} on {self.graph_spec.label}"
+        return f"{self.algorithm} on {self._graph_spec().label}"
 
     # ------------------------------------------------------------------
     # Serialization: dicts and JSON
@@ -474,7 +418,7 @@ class Scenario:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "graph": self.graph_spec.to_dict(),
+            "graph": self._graph_spec().to_dict(),
             "algorithm": {
                 "name": self.algorithm,
                 "label_space": self.label_space,
@@ -609,7 +553,6 @@ class Scenario:
         engine: str = "auto",
         workers: int | None = None,
         cache: bool | str | RunStore | None = None,
-        cache_dir: str | None = None,
         shard_count: int | None = None,
         graph_name: str | None = None,
         graph: PortLabeledGraph | None = None,
@@ -653,7 +596,7 @@ class Scenario:
         owned = executor is None
         if executor is None:
             executor = resolve_engine(workers, spec.config_space_size(graph))
-        store = resolve_store(cache, cache_dir)
+        store = resolve_store(cache)
         try:
             with tele.span(
                 "scenario.run", algorithm=self.algorithm, graph=self.graph
@@ -666,9 +609,9 @@ class Scenario:
                     workers=workers,
                     cached=store is not None,
                 )
-                row, stats = run_job(
+                algorithm = spec.algorithm.build(graph)
+                outcome = execute_job(
                     spec,
-                    graph_name=graph_name,
                     executor=executor,
                     store=store,
                     shard_count=shard_count,
@@ -678,7 +621,9 @@ class Scenario:
         finally:
             if owned:
                 executor.close()
-        return ScenarioRun(scenario=self, row=row, stats=stats)
+        name = graph_name if graph_name is not None else spec.graph.label
+        row = _row_from_report(algorithm, graph, name, outcome.report)
+        return ScenarioRun(scenario=self, row=row, stats=outcome.stats)
 
 
 @dataclass(frozen=True)
@@ -805,7 +750,6 @@ class Sweep:
         engine: str = "auto",
         workers: int | None = None,
         cache: bool | str | RunStore | None = None,
-        cache_dir: str | None = None,
         shard_count: int | None = None,
         telemetry: Any = None,
     ) -> "SweepRun":
@@ -846,7 +790,6 @@ class Sweep:
                             engine=engine,
                             workers=workers,
                             cache=cache,
-                            cache_dir=cache_dir,
                             shard_count=shard_count,
                             graph=graph,
                             executor=executor,
@@ -892,5 +835,4 @@ __all__ = [
     "canonical_json",
     "resolve_engine",
     "resolve_store",
-    "run_job",
 ]

@@ -73,7 +73,6 @@ from typing import Iterator, Sequence
 
 from repro.analysis.tables import Table, format_ratio, print_lines
 from repro.api import Scenario, canonical_json, resolve_store
-from repro.core.base import RendezvousAlgorithm
 from repro.experiments.campaign import (
     DEFAULT_REPORT_DIR,
     Campaign,
@@ -81,8 +80,6 @@ from repro.experiments.campaign import (
     load_reports,
     render_report,
 )
-from repro.graphs import oriented_ring
-from repro.graphs.port_graph import PortLabeledGraph
 from repro.lower_bounds import certify_theorem_31, certify_theorem_32
 from repro.lower_bounds.trim import trimmed_from_algorithm
 from repro.obs.events import (
@@ -96,7 +93,6 @@ from repro.obs.events import (
 from repro.obs.sinks import JsonlSink, ProgressSink, combine
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.registry import ALGORITHMS, EXPERIMENTS, GRAPH_FAMILIES, SpecError
-from repro.runtime import AlgorithmSpec, GraphSpec
 from repro.sim.adversary import ENGINES, resolve_substrate
 from repro.runtime.store import (
     DEFAULT_CACHE_DIR,
@@ -104,46 +100,6 @@ from repro.runtime.store import (
     query_payload,
     render_query_lines,
 )
-
-
-def graph_spec(name: str, size: int) -> GraphSpec:
-    """The :class:`GraphSpec` for a named family at roughly ``size`` nodes.
-
-    The size-to-parameters heuristic is the family's ``from_size``
-    registry metadata; unknown names exit with the registered choices.
-    The local SpecError wrapper is not redundant with :func:`main`'s:
-    this helper (via :func:`build_graph`/:func:`build_algorithm`) is also
-    called directly, outside any command.
-    """
-    try:
-        entry = GRAPH_FAMILIES.entry(name)
-    except SpecError as err:
-        raise SystemExit(str(err)) from None
-    from_size = entry.metadata.get("from_size")
-    if from_size is None:
-        raise SystemExit(f"graph family {name!r} cannot be sized via --size")
-    return GraphSpec.make(name, **from_size(size))
-
-
-def algorithm_spec(name: str, label_space: int, weight: int) -> AlgorithmSpec:
-    """The :class:`AlgorithmSpec` for a named algorithm (SystemExit if unknown)."""
-    try:
-        ALGORITHMS.entry(name)
-    except SpecError as err:
-        raise SystemExit(str(err)) from None
-    return AlgorithmSpec(name=name, label_space=label_space, weight=weight)
-
-
-def build_graph(name: str, size: int) -> PortLabeledGraph:
-    """Construct one of the named graph families at roughly ``size`` nodes."""
-    return graph_spec(name, size).build()
-
-
-def build_algorithm(
-    name: str, graph: PortLabeledGraph, label_space: int, weight: int
-) -> RendezvousAlgorithm:
-    """Instantiate an algorithm with the best available exploration."""
-    return algorithm_spec(name, label_space, weight).build(graph)
 
 
 #: Default node budget when --size is not given.
@@ -168,23 +124,23 @@ def scenario_from_args(
     """Assemble the declarative scenario the flags describe.
 
     Everything in a flag-built scenario is user input, so validation
-    failures exit with the message instead of a traceback.  An explicit
-    ``--size`` on a fixed-size family (``sized=False`` metadata) is an
-    error rather than silently ignored.
+    failures exit with the message instead of a traceback.  The graph's
+    parameters come from the family's ``from_size`` registry metadata at
+    roughly ``--size`` nodes; an explicit ``--size`` on a fixed-size
+    family (``sized=False`` metadata) is an error rather than silently
+    ignored.
     """
-    entry = GRAPH_FAMILIES.lookup(args.graph)
-    if (
-        entry is not None
-        and args.size is not None
-        and entry.metadata.get("sized", True) is False
-    ):
+    entry = _from_flags(lambda: GRAPH_FAMILIES.entry(args.graph))
+    if args.size is not None and entry.metadata.get("sized", True) is False:
         raise SystemExit(
             f"graph family {args.graph!r} has a fixed size; --size is not supported"
         )
-    spec = graph_spec(args.graph, resolved_size(args))
+    from_size = entry.metadata.get("from_size")
+    if from_size is None:
+        raise SystemExit(f"graph family {args.graph!r} cannot be sized via --size")
     return _from_flags(lambda: Scenario(
-        graph=spec.family,
-        graph_params=spec.params,
+        graph=args.graph,
+        graph_params=from_size(resolved_size(args)),
         algorithm=args.algorithm,
         label_space=args.label_space,
         weight=args.weight,
@@ -380,8 +336,13 @@ def command_certify(args: argparse.Namespace) -> int:
     size = resolved_size(args)
     if size % 6 != 0:
         raise SystemExit("certificates need a ring size divisible by 6")
-    graph = oriented_ring(size)
-    algorithm = build_algorithm(args.algorithm, graph, args.label_space, args.weight)
+    algorithm = _from_flags(lambda: Scenario(
+        graph="ring",
+        graph_params={"n": size},
+        algorithm=args.algorithm,
+        label_space=args.label_space,
+        weight=args.weight,
+    ).build_algorithm())
     trimmed = trimmed_from_algorithm(algorithm, size)
     certify = certify_theorem_31 if args.theorem == "3.1" else certify_theorem_32
     certificate = certify(trimmed)

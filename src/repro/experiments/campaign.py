@@ -68,7 +68,6 @@ def run_experiment(
     engine: str = "auto",
     workers: int | None = None,
     cache: "bool | str | RunStore | None" = None,
-    cache_dir: str | None = None,
     shard_count: int | None = None,
     executor: Executor | None = None,
     telemetry: Any = None,
@@ -98,7 +97,6 @@ def run_experiment(
                 engine=engine,
                 workers=workers,
                 cache=cache,
-                cache_dir=cache_dir,
                 shard_count=shard_count,
                 executor=executor,
                 telemetry=tele,
@@ -291,7 +289,6 @@ class Campaign:
     engine: str = "auto"
     workers: int | None = None
     cache: "bool | str | RunStore | None" = None
-    cache_dir: str | None = None
     shard_count: int | None = None
     telemetry: Any = None
 
@@ -305,7 +302,7 @@ class Campaign:
         tele = resolve_telemetry(self.telemetry)
         # Resolve the store once so every experiment shares one cache
         # handle, mirroring the shared executor.
-        store = resolve_store(self.cache, self.cache_dir)
+        store = resolve_store(self.cache)
         executor = (
             make_executor(self.workers) if self.workers is not None else None
         )

@@ -3,11 +3,12 @@
 This module is the single source of truth for every experiment's
 instance constants (ring sizes, label spaces, adversarial pairs, delay
 grids), its paper-bound assertions and its table renderer -- the data
-that used to be copy-pasted across the ``benchmarks/bench_*`` scripts.
+that used to be copy-pasted across per-experiment bench scripts.
 Each experiment registers by id in :data:`repro.registry.EXPERIMENTS`
 (with the ``--quick`` profile shrinking the grid through the same
-definitions), and the bench scripts are thin pytest shims over
-:func:`repro.experiments.campaign.run_experiment`.
+definitions) and runs through
+:func:`repro.experiments.campaign.run_experiment`
+(``python -m repro experiments run <id>``).
 
 Scenario-shaped experiments express their grids as declarative
 :class:`~repro.api.Scenario` units; the rest (certificates, baselines,

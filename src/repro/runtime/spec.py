@@ -5,11 +5,12 @@ parameters, the graph as a family descriptor, and the adversarial grid as
 delays / label pairs / start policy.  Worker processes rebuild the actual
 objects from the description, so a :class:`JobSpec` can be pickled to a
 pool, serialized to JSON for the run store, and hashed into a stable
-content address.
+content address.  :meth:`repro.api.Scenario.job_spec` is the one place
+that builds a :class:`JobSpec`; this module is its runtime envelope.
 
-The configuration space of a job is totally ordered (the enumeration order
-of :func:`repro.sim.adversary.configurations`); a *shard* is a contiguous
-slice ``[lo, hi)`` of that order.  Each configuration therefore has a
+The configuration space of a job is totally ordered (the axis order of
+:meth:`JobSpec.config_cube`); a *shard* is a contiguous slice
+``[lo, hi)`` of that order.  Each configuration therefore has a
 global index, which downstream merge logic uses for tie-breaking so that
 sharded results are bit-identical to a serial enumeration.
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.core.base import RendezvousAlgorithm
 from repro.exploration.registry import KnowledgeModel, best_exploration
@@ -38,7 +39,6 @@ from repro.registry import (
 from repro.sim.adversary import (
     ENGINES,
     ConfigCube,
-    Configuration,
     all_label_pairs,
 )
 
@@ -142,10 +142,6 @@ class GraphSpec:
     def to_dict(self) -> dict[str, Any]:
         return {"family": self.family, "params": {k: thaw_value(v) for k, v in self.params}}
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "GraphSpec":
-        return cls.make(payload["family"], **payload.get("params", {}))
-
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
@@ -205,16 +201,6 @@ class AlgorithmSpec:
         if self.exploration is not None:
             payload["exploration"] = self.exploration
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "AlgorithmSpec":
-        return cls(
-            name=payload["name"],
-            label_space=payload["label_space"],
-            weight=payload.get("weight", 2),
-            knowledge=payload.get("knowledge", KnowledgeModel.MAP_WITH_POSITION.value),
-            exploration=payload.get("exploration"),
-        )
 
 
 @dataclass(frozen=True)
@@ -284,9 +270,10 @@ class JobSpec:
 
         Its axes fix the global (shard-index) order: label pairs
         outermost, then :func:`~repro.sim.adversary.default_start_pairs`,
-        then delays.  :meth:`iter_shard`, :meth:`config_space_size` and
-        the cube engine's shard slices all read these axes, so their
-        orderings cannot drift.
+        then delays.  A shard ``[lo, hi)`` is the slice
+        ``cube.indexed(range(lo, hi))``; :meth:`config_space_size` and
+        the engines' shard slices all read these axes, so their orderings
+        cannot drift.
         """
         return ConfigCube.make(
             graph,
@@ -299,23 +286,6 @@ class JobSpec:
         """Total number of configurations, without simulating any."""
         graph = graph if graph is not None else self.graph.build()
         return len(self.config_cube(graph))
-
-    def iter_configs(self, graph: PortLabeledGraph) -> Iterator[Configuration]:
-        """All configurations in the global (shard-index) order."""
-        return iter(self.config_cube(graph))
-
-    def iter_shard(
-        self, graph: PortLabeledGraph
-    ) -> Iterator[tuple[int, Configuration]]:
-        """The shard's ``(global_index, configuration)`` pairs.
-
-        The shard's slice of :meth:`config_cube`
-        (:meth:`~repro.sim.adversary.ConfigCube.indexed`), so it costs
-        ``O(hi - lo)`` regardless of where in the global order it starts.
-        """
-        cube = self.config_cube(graph)
-        lo, hi = self.shard if self.shard is not None else (0, len(cube))
-        return cube.indexed(range(lo, min(hi, len(cube))))
 
     # ------------------------------------------------------------------
     # Serialization and content addressing
@@ -342,26 +312,6 @@ class JobSpec:
             # entries -- unchanged.
             payload["engine"] = self.engine
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "JobSpec":
-        label_pairs = payload.get("label_pairs")
-        shard = payload.get("shard")
-        return cls(
-            algorithm=AlgorithmSpec.from_dict(payload["algorithm"]),
-            graph=GraphSpec.from_dict(payload["graph"]),
-            delays=tuple(payload["delays"]),
-            label_pairs=(
-                None
-                if label_pairs is None
-                else tuple((a, b) for a, b in label_pairs)
-            ),
-            fix_first_start=payload["fix_first_start"],
-            presence=payload.get("presence", "from-start"),
-            horizon=payload.get("horizon"),
-            shard=None if shard is None else (shard[0], shard[1]),
-            engine=payload.get("engine", "reactive"),
-        )
 
     def key(self) -> str:
         """Content hash of this spec (including the shard slice, if any)."""

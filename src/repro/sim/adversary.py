@@ -110,7 +110,7 @@ def default_start_pairs(
 
     This single definition fixes the global configuration ordering that
     :class:`ConfigCube`, the runtime's shard indexing
-    (:meth:`repro.runtime.spec.JobSpec.iter_shard`) and the space-size
+    (:meth:`repro.runtime.spec.JobSpec.config_cube`) and the space-size
     law (:meth:`~repro.runtime.spec.JobSpec.config_space_size`) all
     share -- cached shard indices and merge tie-breaking silently corrupt
     if any of them drifts, so none of them re-implements it.

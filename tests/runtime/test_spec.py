@@ -1,7 +1,10 @@
 """Job specs: construction, serialization, hashing and shard algebra."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.api import Scenario
 from repro.core.fast import Fast, FastSimultaneous
 from repro.core.fast_relabel import FastWithRelabeling
 from repro.graphs.families import full_binary_tree, oriented_ring
@@ -30,12 +33,6 @@ class TestGraphSpec:
         b = GraphSpec.make("torus", cols=4, rows=3)
         assert a == b and hash(a) == hash(b)
 
-    def test_round_trip(self):
-        spec = GraphSpec.make("circulant", n=10, offsets=(1, 3))
-        again = GraphSpec.from_dict(spec.to_dict())
-        assert again == spec
-        assert again.build() == spec.build()
-
     def test_unknown_family_raises(self):
         with pytest.raises(ValueError, match="unknown graph family"):
             GraphSpec.make("moebius", n=8).build()
@@ -59,10 +56,6 @@ class TestAlgorithmSpec:
         with pytest.raises(ValueError, match="unknown algorithm"):
             AlgorithmSpec("teleport", 8).build(ring12)
 
-    def test_round_trip(self):
-        spec = AlgorithmSpec("fwr-sim", 16, weight=3)
-        assert AlgorithmSpec.from_dict(spec.to_dict()) == spec
-
     def test_weight_is_canonical_for_unweighted_algorithms(self):
         # Only the fwr variants consume the weight, so specs that differ
         # solely in an ignored weight must share one cache key.
@@ -71,12 +64,6 @@ class TestAlgorithmSpec:
 
 
 class TestJobSpec:
-    def test_round_trip_preserves_equality_and_key(self):
-        spec = ring_job(label_pairs=((1, 2), (2, 1)), horizon=100)
-        again = JobSpec.from_dict(spec.to_dict())
-        assert again == spec
-        assert again.key() == spec.key()
-
     def test_key_is_content_addressed(self):
         assert ring_job().key() == ring_job().key()
         assert ring_job().key() != ring_job(delays=(0,)).key()
@@ -97,7 +84,7 @@ class TestJobSpec:
         for fix in (True, False):
             spec = ring_job(fix_first_start=fix)
             graph = spec.graph.build()
-            assert spec.config_space_size(graph) == len(list(spec.iter_configs(graph)))
+            assert spec.config_space_size(graph) == len(list(spec.config_cube(graph)))
 
     def test_enumeration_matches_adversary_order(self):
         spec = ring_job()
@@ -109,21 +96,49 @@ class TestJobSpec:
             for starts in default_start_pairs(graph, fix_first_start=True)
             for delay in spec.delays
         ]
-        assert list(spec.iter_configs(graph)) == expected
+        assert list(spec.config_cube(graph)) == expected
 
     def test_shards_partition_the_space_with_global_indices(self):
         spec = ring_job()
         graph = spec.graph.build()
+        cube = spec.config_cube(graph)
         total = spec.config_space_size(graph)
         cut = total // 3
         pieces = [
-            list(spec.shard_spec(0, cut).iter_shard(graph)),
-            list(spec.shard_spec(cut, total).iter_shard(graph)),
+            list(cube.indexed(range(0, cut))),
+            list(cube.indexed(range(cut, total))),
         ]
         rejoined = pieces[0] + pieces[1]
         assert [index for index, _ in rejoined] == list(range(total))
-        assert [config for _, config in rejoined] == list(spec.iter_configs(graph))
+        assert [config for _, config in rejoined] == list(cube)
 
     def test_invalid_shard_bounds_raise(self):
         with pytest.raises(ValueError, match="invalid shard"):
             ring_job().shard_spec(5, 2)
+
+
+class TestPinnedContentKeys:
+    """The run-store content key, pinned to the bytes existing caches use.
+
+    A change to :meth:`JobSpec.to_dict` (or to how a scenario builds its
+    spec) orphans every stored run; these digests make it fail here
+    instead of only in a cold-cache rerun.
+    """
+
+    @pytest.mark.parametrize(
+        "engine, key",
+        [
+            ("reactive", "77cae088525e2f05e709ae85cfee55e9232bbc8376aaf531dd2d89e7d764077d"),
+            ("cube", "5e390224ff95dd2b49cdc5a5898537a20296ad9009e47d47c286ae1a149799b3"),
+            ("compiled", "07a70b125be1bbd517320045573e1f3d48f07af6f48c91624b6f8b39b186cee3"),
+        ],
+    )
+    def test_sweep_key_is_pinned(self, engine, key):
+        spec = Scenario(
+            graph="ring",
+            graph_params={"n": 8},
+            algorithm="fast",
+            label_space=4,
+            delays=(0,),
+        ).job_spec()
+        assert replace(spec, engine=engine).sweep_key() == key

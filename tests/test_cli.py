@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import errno
 import io
 import json
@@ -11,28 +12,46 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import EXIT_CLOSED_PIPE, build_algorithm, build_graph, main
+from repro.api import Scenario
+from repro.cli import EXIT_CLOSED_PIPE, main, scenario_from_args
+
+
+def flags(graph="ring", size=12, algorithm="cheap", label_space=8, weight=2):
+    """The parsed flags :func:`scenario_from_args` reads."""
+    return argparse.Namespace(
+        graph=graph,
+        size=size,
+        algorithm=algorithm,
+        label_space=label_space,
+        weight=weight,
+    )
 
 
 class TestBuilders:
     def test_build_graph_families(self):
-        assert build_graph("ring", 10).num_nodes == 10
-        assert build_graph("star", 7).num_nodes == 7
-        assert build_graph("hypercube", 8).num_nodes == 8
+        def nodes(graph, size):
+            return scenario_from_args(flags(graph, size)).build_graph().num_nodes
+
+        assert nodes("ring", 10) == 10
+        assert nodes("star", 7) == 7
+        assert nodes("hypercube", 8) == 8
 
     def test_unknown_graph(self):
-        with pytest.raises(SystemExit):
-            build_graph("moebius", 10)
+        with pytest.raises(SystemExit, match="unknown graph family"):
+            scenario_from_args(flags("moebius", 10))
 
     def test_build_algorithm_variants(self):
-        graph = build_graph("ring", 12)
+        graph = scenario_from_args(flags("ring", 12)).build_graph()
         for name in ("cheap", "cheap-sim", "fast", "fast-sim", "fwr", "fwr-sim"):
-            algorithm = build_algorithm(name, graph, 8, 2)
+            scenario = Scenario(
+                graph="ring", graph_params={"n": 12}, algorithm=name, label_space=8
+            )
+            algorithm = scenario.build_algorithm(graph)
             assert algorithm.label_space == 8
 
     def test_unknown_algorithm(self):
-        with pytest.raises(SystemExit):
-            build_algorithm("teleport", build_graph("ring", 12), 8, 2)
+        with pytest.raises(SystemExit, match="unknown algorithm"):
+            scenario_from_args(flags(algorithm="teleport"))
 
 
 class TestCommands:
@@ -102,6 +121,24 @@ class TestCommands:
     def test_certify_rejects_bad_ring_size(self):
         with pytest.raises(SystemExit, match="divisible by 6"):
             main(["certify", "--size", "10", "--algorithm", "cheap-sim"])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--algorithm", "fast", "--label-space", "1"],
+             "rendezvous needs at least two labels, got L=1"),
+            (["--algorithm", "fast", "--label-space", "0"],
+             "rendezvous needs at least two labels, got L=0"),
+            (["--algorithm", "fwr", "--weight", "0"],
+             "weight must be a positive integer, got 0"),
+            (["--algorithm", "cheap", "--weight", "0"],
+             "weight must be a positive integer, got 0"),
+        ],
+    )
+    def test_certify_bad_flags_exit_with_the_message(self, argv, message):
+        with pytest.raises(SystemExit) as exited:
+            main(["certify", "--size", "12", *argv])
+        assert str(exited.value.code) == message
 
     def test_explore_command(self, capsys):
         exit_code = main(["explore"])

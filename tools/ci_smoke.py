@@ -1,6 +1,6 @@
 """CI smoke check for the CLI and the internal-deprecation policy.
 
-Nine gates, all dependency-free (run with ``python tools/ci_smoke.py``):
+Ten gates, all dependency-free (run with ``python tools/ci_smoke.py``):
 
 1. ``python -m repro --help`` exits 0 in a fresh subprocess;
 2. one tiny ``sweep --json`` (and ``run --json``) on a 6-node ring runs
@@ -22,7 +22,10 @@ Nine gates, all dependency-free (run with ``python tools/ci_smoke.py``):
    reactive --workers 2`` and ``sweep --engine auto`` print
    byte-identical reports after ``telemetry strip --provenance``, and the
    executor name ``--engine serial`` is a usage error (exit status 2);
-9. no ``DeprecationWarning`` originates from inside ``src/repro`` while
+9. ``certify --json`` prints a canonical ``scenario``/``result`` report
+   for Theorem 3.1, and a bad flag (``--label-space 1``) exits 1 with
+   the validation message on stderr, not a traceback;
+10. no ``DeprecationWarning`` originates from inside ``src/repro`` while
    doing so -- deprecation shims, if any ever exist, are for external
    callers only; package-internal code must stay on the current API.
 """
@@ -48,15 +51,20 @@ def fail(message: str) -> None:
     raise SystemExit(1)
 
 
-def check_help() -> None:
+def run_cli_subprocess(argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m repro ARGV`` in a fresh interpreter, output captured."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "--help"],
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def check_help() -> None:
+    proc = run_cli_subprocess(["--help"])
     if proc.returncode != 0:
         fail(f"--help exited {proc.returncode}: {proc.stderr}")
     for command in ("run", "sweep", "certify", "explore", "engines",
@@ -148,6 +156,29 @@ def check_json_commands() -> None:
         fail(f"lint rule registry shrank: {lint['lint']['rules']}")
     print("lint --json: OK")
 
+    certify_out, certify_warnings = run_cli_capturing(
+        ["certify", "--theorem", "3.1", "--size", "12", "--algorithm", "cheap",
+         "--label-space", "8", "--json"]
+    )
+    certificate = json.loads(certify_out)
+    if certify_out.strip() != json.dumps(
+        certificate, sort_keys=True, separators=(",", ":")
+    ):
+        fail("certify --json is not canonical JSON")
+    if set(certificate) != {"scenario", "result"}:
+        fail(f"unexpected certify report blocks: {sorted(certificate)}")
+    print("certify --json: OK")
+
+    proc = run_cli_subprocess(
+        ["certify", "--size", "12", "--algorithm", "fast", "--label-space", "1"]
+    )
+    message = "rendezvous needs at least two labels, got L=1"
+    if proc.returncode != 1 or message not in proc.stderr:
+        fail(f"certify --label-space 1 exited {proc.returncode}: {proc.stderr}")
+    if "Traceback" in proc.stderr:
+        fail(f"certify --label-space 1 printed a traceback:\n{proc.stderr}")
+    print("certify rejects a bad flag cleanly: OK")
+
     engines_out, engines_warnings = run_cli_capturing(["engines", "--json"])
     ladder = json.loads(engines_out)
     listed = [row["engine"] for row in ladder["engines"]]
@@ -159,7 +190,7 @@ def check_json_commands() -> None:
 
     offenders = internal_deprecations(
         sweep_warnings + run_warnings + tradeoff_warnings + list_warnings
-        + lint_warnings + engines_warnings
+        + lint_warnings + certify_warnings + engines_warnings
     )
     if offenders:
         lines = "\n".join(
