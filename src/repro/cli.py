@@ -227,11 +227,16 @@ def command_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def command_sweep(args: argparse.Namespace) -> int:
+def _check_executor_flags(args: argparse.Namespace) -> None:
+    """Exit with the message on a ``--workers`` or ``--shards`` below 1."""
     if args.shards is not None and args.shards < 1:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
     if args.workers < 1:
         raise SystemExit(f"--workers must be >= 1, got {args.workers}")
+
+
+def command_sweep(args: argparse.Namespace) -> int:
+    _check_executor_flags(args)
     store = _sweep_store_from_args(args)
     simultaneous = getattr(
         ALGORITHMS.entry(args.algorithm).target, "requires_simultaneous_start", False
@@ -371,16 +376,21 @@ def command_tradeoff(args: argparse.Namespace) -> int:
 
     label_space = args.label_space
     pairs = adversarial_pairs(label_space)
-    points = []
-    for algorithm in ("cheap-sim", "fwr-sim", "fast-sim"):
-        row = Scenario(
+    scenarios = [
+        _from_flags(lambda: Scenario(
             graph="ring",
             graph_params={"n": args.size},
             algorithm=algorithm,
             label_space=label_space,
             weight=args.weight,
             label_pairs=pairs,
-        ).run().row
+        ))
+        for algorithm in ("cheap-sim", "fwr-sim", "fast-sim")
+    ]
+    graph = _from_flags(scenarios[0].build_graph)
+    points = []
+    for scenario in scenarios:
+        row = scenario.run(graph=graph).row
         budget = row.exploration_budget
         points.append({
             "algorithm": row.algorithm,
@@ -463,8 +473,7 @@ def command_experiments_run(args: argparse.Namespace) -> int:
         raise SystemExit(
             "pass experiment ids or --all; see `python -m repro experiments list`"
         )
-    if args.workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
+    _check_executor_flags(args)
     store = _sweep_store_from_args(args)
     for experiment_id in args.ids:
         EXPERIMENTS.entry(experiment_id)  # SpecError lists the choices

@@ -26,15 +26,20 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache, partial
-from typing import Callable
+from typing import Any, Callable
 
 from repro.core.base import RendezvousAlgorithm
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.registry import PRESENCE_MODELS
 from repro.runtime.report import ConfigRef, ExtremeSummary, ShardReport, ShardTiming
 from repro.runtime.spec import AlgorithmSpec, GraphSpec, JobSpec
-from repro.sim.adversary import Configuration, Verdict, default_horizon, reduce_space
-from repro.sim.compiled import TrajectoryTable
+from repro.sim.adversary import (
+    Configuration,
+    Verdict,
+    default_horizon,
+    engine_table,
+    reduce_space,
+)
 
 
 @lru_cache(maxsize=16)
@@ -45,21 +50,12 @@ def _materialize(
     return graph, algorithm_spec.build(graph)
 
 
-@lru_cache(maxsize=8)
-def _trajectory_table(
-    graph_spec: GraphSpec, algorithm_spec: AlgorithmSpec
-) -> TrajectoryTable:
+@lru_cache(maxsize=16)
+def _table(engine: str, graph_spec: GraphSpec, algorithm_spec: AlgorithmSpec) -> Any:
+    # Keyed without delays, so every sweep over one graph and algorithm
+    # shares a table whatever its delays.
     graph, algorithm = _materialize(graph_spec, algorithm_spec)
-    return TrajectoryTable(graph, algorithm)
-
-
-@lru_cache(maxsize=8)
-def _cube_table(graph_spec: GraphSpec, algorithm_spec: AlgorithmSpec):
-    # Imported lazily so NumPy-free workers can run the other engines.
-    from repro.sim.cube import CubeTimelineTable
-
-    graph, algorithm = _materialize(graph_spec, algorithm_spec)
-    return CubeTimelineTable(graph, algorithm)
+    return engine_table(engine, graph, algorithm)
 
 
 def _horizon_policy(
@@ -104,12 +100,7 @@ def run_shard(spec: JobSpec) -> ShardReport:
     # Tables are memoised per process, so the shard's table-build cost is
     # the delta of the table's cumulative ``build_seconds`` (the first
     # shard of a sweep pays the builds; later shards read the cache).
-    if spec.engine == "cube":
-        table = _cube_table(spec.graph, spec.algorithm)
-    elif spec.engine == "compiled":
-        table = _trajectory_table(spec.graph, spec.algorithm)
-    else:
-        table = None
+    table = _table(spec.engine, spec.graph, spec.algorithm)
     build_before = table.build_seconds if table is not None else 0.0
     found = reduce_space(
         spec.engine,

@@ -9,12 +9,16 @@ numbers can be compared against the claimed bounds and each extreme can be
 replayed.
 
 Every engine is an *evaluator*: it reports one :class:`Verdict` ``(index,
-time|None, cost)`` per requested cube index, in the order requested,
-singly or as a NumPy :class:`VerdictBlock`.  One :class:`Reduction` turns verdicts into
-extremes and failures, and :func:`first_max` is the only place the
-lowest-index tie-break is written.  :func:`worst_case_search` and the
-runtime's :func:`repro.runtime.worker.run_shard` are two thin drivers
-over :func:`reduce_space`.
+config, time|None, cost)`` per requested cube index, in the order
+requested, singly or as a NumPy :class:`VerdictBlock`.  One
+:class:`Reduction` turns verdicts into extremes and failures, and
+:func:`first_max` is the only place the lowest-index tie-break is
+written.  The extremes stay verdicts: a full execution of one, with
+traces, comes from replaying its configuration through the reactive
+simulator (:func:`repro.analysis.replay.replay`).
+:func:`worst_case_search` and the runtime's
+:func:`repro.runtime.worker.run_shard` are two thin drivers over
+:func:`reduce_space`.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
-from repro.sim.metrics import RendezvousResult
 from repro.sim.program import ProgramFactory
 from repro.sim.simulator import (
     PresenceModel,
@@ -49,36 +52,18 @@ class Configuration:
 
 
 @dataclass(frozen=True)
-class ExtremeRecord:
-    """A configuration together with the result it produced."""
-
-    config: Configuration
-    result: RendezvousResult
-
-    @property
-    def time(self) -> int:
-        # A hard error, not an assert: under ``python -O`` an assert
-        # vanishes and a None would flow silently into max comparisons.
-        if self.result.time is None:
-            raise ValueError("record carries an execution that never met")
-        return self.result.time
-
-    @property
-    def cost(self) -> int:
-        return self.result.cost
-
-
-@dataclass(frozen=True)
 class WorstCaseReport:
     """Outcome of a worst-case search.
 
-    ``failures`` lists configurations in which the agents did not meet
-    within the horizon -- for a correct algorithm with a sufficient horizon
-    it must be empty, and tests assert exactly that.
+    ``worst_time`` and ``worst_cost`` are the lowest-index verdicts
+    maximising each metric (``None`` when nothing met).  ``failures``
+    lists configurations in which the agents did not meet within the
+    horizon -- for a correct algorithm with a sufficient horizon it must
+    be empty, and tests assert exactly that.
     """
 
-    worst_time: ExtremeRecord | None
-    worst_cost: ExtremeRecord | None
+    worst_time: Verdict | None
+    worst_cost: Verdict | None
     executions: int
     failures: tuple[Configuration, ...]
 
@@ -211,32 +196,29 @@ class Verdict(NamedTuple):
     """One configuration's outcome at its enumeration index.
 
     What every evaluator reports: ``time`` is the meeting time, ``None``
-    for a failure (no meeting within ``horizon``), and ``cost`` the
-    traversals through the meeting round.  ``result`` carries the full
-    record when the evaluator already holds it (the reactive simulator),
-    so the extremes need not be rebuilt.
+    for a failure (no meeting within the horizon), and ``cost`` the
+    traversals through the meeting round, or through the horizon for a
+    failure.
     """
 
     index: int
     config: Configuration
-    horizon: int
     time: int | None
     cost: int
-    result: RendezvousResult | None = None
 
 
 class VerdictBlock(NamedTuple):
     """Verdicts of consecutive enumeration indices, as NumPy arrays.
 
     ``met[k]`` (``-1`` for a failure) and ``cost[k]`` belong to block
-    position ``k``; ``locate(k)`` names its ``(index, config, horizon)``
-    and runs only for winners and failures, so a block's configurations
+    position ``k``; ``locate(k)`` names its ``(index, config)`` and runs
+    only for winners and failures, so a block's configurations
     never materialize.
     """
 
     met: Any
     cost: Any
-    locate: Callable[[int], tuple[int, Configuration, int]]
+    locate: Callable[[int], tuple[int, Configuration]]
 
 
 def first_max(incumbent: Any, challenger: Any, metric: str) -> Any:
@@ -280,9 +262,7 @@ class Reduction:
         self.executions += met.size
         failed = met < 0
         missed = failed.nonzero()[0].tolist()
-        for position in missed:
-            index, config, _ = locate(position)
-            self.failures.append((index, config))
+        self.failures.extend(locate(position) for position in missed)
         if len(missed) == met.size:
             return
 
@@ -318,9 +298,7 @@ def reactive_verdicts(
             max_rounds=horizon,
             presence=presence,
         )
-        yield Verdict(
-            index, config, horizon, result.time if result.met else None, result.cost, result
-        )
+        yield Verdict(index, config, result.time if result.met else None, result.cost)
 
 
 #: The ``engine=`` values of every entry point: ``auto`` or a substrate.
@@ -362,7 +340,7 @@ def resolve_substrate(engine: str, factory: Any) -> str:
     return engine
 
 
-def _engine_table(
+def engine_table(
     engine: str, graph: PortLabeledGraph, factory: ProgramFactory
 ) -> Any:
     """The evaluation substrate of an engine (``None`` for reactive).
@@ -397,7 +375,7 @@ def reduce_space(
 
     The single point every engine passes through: a shard passes
     ``range(lo, hi)``, a whole search ``range(len(cube))``.  ``table`` is the
-    engine's substrate (see :func:`_engine_table`; the runtime passes
+    engine's substrate (see :func:`engine_table`; the runtime passes
     per-process memoised ones).  The cube engine answers the indices
     from one whole-cube block (:func:`repro.sim.cube._whole_cube_search`);
     the reactive and compiled evaluators hand over one verdict at a
@@ -447,8 +425,8 @@ def worst_case_search(
 
     ``engine`` selects the substrate (resolved by
     :func:`resolve_substrate`) and never the semantics -- the reports are
-    identical, field for field, trace for trace, because every engine's
-    verdicts go through one :class:`Reduction`:
+    identical, field for field, because every engine's verdicts go
+    through one :class:`Reduction`:
 
     * ``"reactive"`` runs each configuration through the round simulator;
     * ``"compiled"`` compiles each agent's trajectory once per
@@ -460,7 +438,7 @@ def worst_case_search(
     * ``"auto"`` picks the fastest sound one of these for the factory.
     """
     engine = resolve_substrate(engine, factory)
-    table = _engine_table(engine, graph, factory)
+    table = engine_table(engine, graph, factory)
     with telemetry.span(f"{engine}.search"):
         started = time.perf_counter()
         found = reduce_space(
@@ -490,17 +468,9 @@ def worst_case_search(
                     "cube.prune.early_exit_rounds", stats.early_exit_rounds
                 )
 
-    def record(verdict: Verdict | None) -> ExtremeRecord | None:
-        if verdict is None:
-            return None
-        result = verdict.result
-        if result is None:
-            result = table.result(verdict.config, verdict.horizon, presence)
-        return ExtremeRecord(config=verdict.config, result=result)
-
     return WorstCaseReport(
-        worst_time=record(found.worst_time),
-        worst_cost=record(found.worst_cost),
+        worst_time=found.worst_time,
+        worst_cost=found.worst_cost,
         executions=found.executions,
         failures=tuple(config for _, config in found.failures),
     )

@@ -16,14 +16,15 @@ their first (delay-shifted) colocation.
 Equivalence contract: for any schedule-driven factory,
 ``worst_case_search(engine="compiled")`` returns a
 :class:`~repro.sim.adversary.WorstCaseReport` equal *field for field* --
-including per-agent traces, crossing counts and tie-broken argmax
-configurations -- to the reactive engine's: :meth:`TrajectoryTable.verdicts`
-measures exactly the reactive ``(time, cost)``, the shared
-:class:`~repro.sim.adversary.Reduction` picks the extremes, and
-:meth:`TrajectoryTable.result` rebuilds their full records.  The
-cross-engine suite in ``tests/sim/test_compiled.py`` asserts exactly that
-over every registered algorithm x graph family x presence model x delay
-grid.
+extreme verdicts with their indices and tie-broken argmax
+configurations, executions and failures -- to the reactive engine's:
+:meth:`TrajectoryTable.verdicts` measures exactly the reactive ``(time,
+cost)`` and the shared :class:`~repro.sim.adversary.Reduction` picks the
+extremes.  The cross-engine suite in ``tests/sim/test_compiled.py``
+asserts exactly that over every registered algorithm x graph family x
+presence model x delay grid.  No full execution is rebuilt here: a
+caller that wants one with traces replays the configuration through
+the reactive simulator.
 
 Compilation takes one of two routes, picked by structure, never by a
 declared flag.  When the factory is a
@@ -37,15 +38,15 @@ observations the program would see.  Every other factory takes the
 *replay route*, which drives the agent program itself one round at a
 time.  Either way exploration routes and budget enforcement are the
 reactive engine's own code, not a re-implementation; only the
-per-configuration interaction logic (colocation, presence, costs,
-crossings) is specialised here.
+per-configuration interaction logic (colocation, presence, costs) is
+specialised here.
 """
 
 from __future__ import annotations
 
 # repro: allow-file(REP001) -- perf_counter here meters trajectory-table
 # builds and scans for telemetry gauges (build_seconds); measurements
-# flow only through Telemetry, never into RendezvousResult bytes, as the
+# flow only through Telemetry, never into report bytes, as the
 # inertness matrix in tests/obs proves dynamically.
 
 import time
@@ -55,11 +56,9 @@ from typing import Iterable, Iterator
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.sim.actions import WAIT, Action, validate_action
 from repro.sim.adversary import Configuration, Verdict
-from repro.sim.metrics import RendezvousResult
 from repro.sim.observation import Observation
 from repro.sim.program import AgentContext, ProgramFactory, ReactiveProgram
 from repro.sim.simulator import PresenceModel
-from repro.sim.trace import AgentTrace
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,7 @@ class CompiledTrajectory:
     ``positions[t]`` is the node occupied at time point ``t`` for
     ``t = 0..T`` (``T`` = the schedule length in rounds); after ``T`` the
     agent idles at ``positions[T]`` forever.  ``actions[r - 1]`` is the
-    action of round ``r`` (``None`` for a wait), ``entries[r - 1]`` the
-    entry port of that round's move (``None`` for a wait), and
+    action of round ``r`` (``None`` for a wait), and
     ``cumulative_cost[r]`` the number of edge traversals through round
     ``r`` (``cumulative_cost[0] == 0``).
     """
@@ -79,7 +77,6 @@ class CompiledTrajectory:
     start: int
     positions: tuple[int, ...]
     actions: tuple[Action, ...]
-    entries: tuple[int | None, ...]
     cumulative_cost: tuple[int, ...]
 
     @property
@@ -103,15 +100,12 @@ class CompiledTrajectory:
 class _Recorder:
     """One agent's solo timeline as it is compiled, round by round or in runs."""
 
-    __slots__ = (
-        "graph", "positions", "actions", "entries", "cumulative", "moves", "entry_port"
-    )
+    __slots__ = ("graph", "positions", "actions", "cumulative", "moves", "entry_port")
 
     def __init__(self, graph: PortLabeledGraph, start: int):
         self.graph = graph
         self.positions = [start]
         self.actions: list[Action] = []
-        self.entries: list[int | None] = []
         self.cumulative = [0]
         self.moves = 0
         self.entry_port: int | None = None  # persists across waits, as in the simulator
@@ -131,7 +125,6 @@ class _Recorder:
         if action is not None:
             position, self.entry_port = self.graph.neighbor_via(position, action)
             self.moves += 1
-        self.entries.append(None if action is None else self.entry_port)
         self.actions.append(action)
         self.positions.append(position)
         self.cumulative.append(self.moves)
@@ -140,7 +133,6 @@ class _Recorder:
         """Record ``rounds`` consecutive waits in one step."""
         self.positions.extend([self.positions[-1]] * rounds)
         self.actions.extend([WAIT] * rounds)
-        self.entries.extend([None] * rounds)
         self.cumulative.extend([self.moves] * rounds)
 
     def trajectory(self, label: int) -> CompiledTrajectory:
@@ -149,7 +141,6 @@ class _Recorder:
             start=self.positions[0],
             positions=tuple(self.positions),
             actions=tuple(self.actions),
-            entries=tuple(self.entries),
             cumulative_cost=tuple(self.cumulative),
         )
 
@@ -313,119 +304,13 @@ def first_meeting_time(
     return None
 
 
-def crossings_through(
-    first: CompiledTrajectory,
-    second: CompiledTrajectory,
-    delay: int,
-    last_round: int,
-) -> int:
-    """Rounds in ``1..last_round`` where the agents swap along one edge.
-
-    The reactive engine's criterion exactly: both agents traverse the
-    *same* edge (matching ports at both endpoints, so parallel edges are
-    distinguished) in opposite directions in the same round.
-    """
-    crossings = 0
-    hi = min(last_round, first.length, delay + second.length)
-    p1, p2 = first.positions, second.positions
-    for round_ in range(delay + 1, hi + 1):
-        port1 = first.actions[round_ - 1]
-        if port1 is None:
-            continue
-        local = round_ - delay
-        port2 = second.actions[local - 1]
-        if port2 is None:
-            continue
-        if (
-            p1[round_] == p2[local - 1]
-            and p2[local] == p1[round_ - 1]
-            and first.entries[round_ - 1] == port2
-            and second.entries[local - 1] == port1
-        ):
-            crossings += 1
-    return crossings
-
-
-def _padded_timeline(
-    trajectory: CompiledTrajectory, sleep: int, last: int
-) -> tuple[list[int], list[Action], int]:
-    """Positions ``0..last``, actions ``1..last`` and moves of one agent.
-
-    ``sleep`` is how many leading rounds the agent spends asleep at its
-    start (0 for the first agent, the wake-up delay for the second); the
-    reactive simulator records a sleeping agent's position each round and
-    its actions only from its wake-up on, and this reproduces both lists.
-    """
-    start_block = min(last, sleep)
-    positions = [trajectory.positions[0]] * (start_block + 1)
-    actions: list[Action] = []
-    if last > sleep:
-        local_last = last - sleep
-        length = trajectory.length
-        positions.extend(trajectory.positions[1 : local_last + 1])
-        actions.extend(trajectory.actions[:local_last])
-        if local_last > length:
-            positions.extend([trajectory.positions[-1]] * (local_last - length))
-            actions.extend([WAIT] * (local_last - length))
-    moves = trajectory.cost_through(max(last - sleep, 0))
-    return positions, actions, moves
-
-
-def reconstruct_result(
-    first: CompiledTrajectory,
-    second: CompiledTrajectory,
-    config: Configuration,
-    horizon: int,
-    presence: PresenceModel = PresenceModel.FROM_START,
-) -> RendezvousResult:
-    """The full :class:`RendezvousResult` of one configuration, from timelines.
-
-    Byte-identical to what the reactive simulator returns for the same
-    configuration: same meeting time/node, per-agent costs, crossing
-    count, rounds executed, and per-agent traces (positions recorded
-    through the final round, actions only while awake).
-    """
-    met_at = first_meeting_time(first, second, config.delay, horizon, presence)
-    last_round = met_at if met_at is not None else horizon
-
-    positions1, actions1, moves1 = _padded_timeline(first, 0, last_round)
-    positions2, actions2, moves2 = _padded_timeline(second, config.delay, last_round)
-    trace1 = AgentTrace(
-        label=config.labels[0],
-        start_node=config.starts[0],
-        wake_round=1,
-        actions=actions1,
-        positions=positions1,
-        moves=moves1,
-    )
-    trace2 = AgentTrace(
-        label=config.labels[1],
-        start_node=config.starts[1],
-        wake_round=1 + config.delay,
-        actions=actions2,
-        positions=positions2,
-        moves=moves2,
-    )
-    return RendezvousResult(
-        met=met_at is not None,
-        time=met_at,
-        meeting_node=positions1[met_at] if met_at is not None else None,
-        cost=moves1 + moves2,
-        costs=(moves1, moves2),
-        crossings=crossings_through(first, second, config.delay, last_round),
-        rounds_executed=last_round,
-        traces=(trace1, trace2),
-    )
-
-
 class TrajectoryTable:
     """Lazily compiled ``(label, start) -> trajectory`` cache for one sweep.
 
     The compilation substrate of the compiled engine: at most ``L * n``
     trajectories are compiled however many configurations are evaluated.
-    ``evaluate`` answers the hot path (meeting time and cost only);
-    ``result`` reconstructs the full reactive-equivalent record and is
-    reserved for the few configurations that end up as extremes.
+    ``evaluate`` answers one configuration's meeting time and cost, the
+    numbers a report keeps.
     """
 
     def __init__(
@@ -471,7 +356,8 @@ class TrajectoryTable:
         The meeting time is ``None`` when the agents do not meet within
         ``max_rounds``; the cost is counted through the meeting round, or
         through the horizon for a failure -- exactly the numbers the
-        reactive engine's :class:`RendezvousResult` would carry.
+        reactive engine's :class:`~repro.sim.metrics.RendezvousResult`
+        would carry.
         """
         first = self.trajectory(config.labels[0], config.starts[0])
         second = self.trajectory(config.labels[1], config.starts[1])
@@ -495,19 +381,4 @@ class TrajectoryTable:
         evaluate = self.evaluate
         for index, config, horizon in items:
             met_at, cost = evaluate(config, horizon, presence)
-            yield Verdict(index, config, horizon, met_at, cost)
-
-    def result(
-        self,
-        config: Configuration,
-        max_rounds: int,
-        presence: PresenceModel = PresenceModel.FROM_START,
-    ) -> RendezvousResult:
-        """The full reactive-equivalent result of one configuration."""
-        return reconstruct_result(
-            self.trajectory(config.labels[0], config.starts[0]),
-            self.trajectory(config.labels[1], config.starts[1]),
-            config,
-            max_rounds,
-            presence,
-        )
+            yield Verdict(index, config, met_at, cost)

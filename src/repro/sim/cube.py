@@ -31,10 +31,9 @@ per-configuration objects and most of the scanned space:
 Equivalence contract: identical to the compiled engine's -- every pruned
 verdict is reconstructed by an exact rule before any comparison, the
 blocks go through the same :class:`~repro.sim.adversary.Reduction` as
-every other engine's verdicts, full results of the extremes are
-reconstructed through the compiled engine's
-:func:`~repro.sim.compiled.reconstruct_result`, and the cross-engine
-suites (``tests/sim``) assert byte-identity against the reactive engine.
+every other engine's verdicts, so the extremes are the same verdicts,
+and the cross-engine suites (``tests/sim``) assert identity against the
+reactive engine.
 
 NumPy is an *optional* dependency (the ``repro-rendezvous[batch]``
 extra).  Importing this module never requires it; constructing a
@@ -58,7 +57,6 @@ from typing import Any, Callable, Sequence
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.sim.adversary import ConfigCube, Configuration, VerdictBlock
 from repro.sim.compiled import TrajectoryTable
-from repro.sim.metrics import RendezvousResult
 from repro.sim.program import ProgramFactory
 from repro.sim.prune import (
     PruneStats,
@@ -242,10 +240,7 @@ class CubeTimelineTable:
     compilations and ``(n, n)`` start-pair matrices (:meth:`pair_cube`).
     Delay dominance applies on both paths.  Every reduction is exact, so
     the path changes only the work done (``stats`` meters what was
-    avoided), never a report.  :meth:`result` reconstructs the full
-    reactive-equivalent record of the few configurations that end up as
-    extremes, through the wrapped
-    :class:`~repro.sim.compiled.TrajectoryTable`.
+    avoided), never a report.
     """
 
     def __init__(self, graph: PortLabeledGraph, factory: ProgramFactory):
@@ -615,15 +610,6 @@ class CubeTimelineTable:
             cost_slices.append(cost_matrix[s1, s2])
         return np.stack(met_slices, axis=1), np.stack(cost_slices, axis=1)
 
-    def result(
-        self,
-        config: Configuration,
-        max_rounds: int,
-        presence: PresenceModel = PresenceModel.FROM_START,
-    ) -> RendezvousResult:
-        """The full reactive-equivalent result of one configuration."""
-        return self.trajectories.result(config, max_rounds, presence)
-
 
 def _pair_horizons(
     cube: ConfigCube,
@@ -733,7 +719,7 @@ def _whole_cube_search(
         met = np.concatenate(met_parts)
         cost = np.concatenate(cost_parts)
 
-    def locate(position: int) -> tuple[int, Configuration, int]:
+    def locate(position: int) -> tuple[int, Configuration]:
         pair_index, rest = divmod(begin + position, per_pair)
         start_index, delay_index = divmod(rest, delay_count)
         config = Configuration(
@@ -741,6 +727,6 @@ def _whole_cube_search(
             starts=start_pairs[start_index],
             delay=delays[delay_index],
         )
-        return lo + position, config, pair_horizons[pair_index][delay_index][1]
+        return lo + position, config
 
     return VerdictBlock(met, cost, locate)

@@ -124,9 +124,9 @@ def prune(request, monkeypatch):
             "dominance_plan",
             lambda slices, first_length: DominancePlan(tuple(range(len(slices)))),
         )
-    worker._cube_table.cache_clear()
+    worker._table.cache_clear()
     yield request.param
-    worker._cube_table.cache_clear()
+    worker._table.cache_clear()
 
 
 def assert_slices_match(spec: JobSpec, prune: bool) -> None:
@@ -137,7 +137,7 @@ def assert_slices_match(spec: JobSpec, prune: bool) -> None:
             assert report == expected_shard(spec, lo, hi), f"{name}: [{lo}, {hi})"
             assert report.executions == hi - lo
             assert report.timing.path == "whole_cube"
-    table = worker._cube_table(spec.graph, spec.algorithm)
+    table = worker._table("cube", spec.graph, spec.algorithm)
     assert table.certificate.orbit is (prune and spec.graph == GRAPHS["ring"])
 
 
@@ -176,7 +176,7 @@ def test_row_cache_stays_within_its_budget(monkeypatch, prune):
     monkeypatch.setattr(cube, "_MATRIX_CACHE_ELEMENTS", rows * 2 * 6)
     spec = sweep("ring")
     assert_slices_match(spec, prune)
-    table = worker._cube_table(spec.graph, spec.algorithm)
+    table = worker._table("cube", spec.graph, spec.algorithm)
     assert len(table._delta_rows) <= rows
     # A (6, 6) matrix pair outgrows this budget on its own: one is kept.
     assert len(table._matrices) <= 1

@@ -128,6 +128,8 @@ class TestDeterminism:
         assert merged.max_cost == reference.max_cost
         assert merged.worst_time.config == reference.worst_time.config
         assert merged.worst_cost.config == reference.worst_cost.config
+        assert merged.worst_time.index == reference.worst_time.index
+        assert merged.worst_cost.index == reference.worst_cost.index
         assert merged.executions == reference.executions
 
     def test_pool_is_reused_across_map_shards_calls(self):

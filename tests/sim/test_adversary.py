@@ -9,7 +9,6 @@ from repro.graphs.families import oriented_ring, star_graph
 from repro.sim.adversary import (
     ConfigCube,
     Configuration,
-    ExtremeRecord,
     Reduction,
     Verdict,
     VerdictBlock,
@@ -78,24 +77,6 @@ class TestWorstCaseSearch:
         assert len(report.failures) == 11
         with pytest.raises(ValueError, match="no successful execution"):
             _ = report.max_time
-
-    def test_unmet_record_raises_instead_of_returning_none(self, ring12, ring12_exploration):
-        """Regression: ``ExtremeRecord.time`` used to be a bare assert,
-        which ``python -O`` strips -- a None would then flow into max
-        comparisons.  It must be a hard ValueError, like
-        ``WorstCaseReport.max_time``."""
-        algorithm = Fast(ring12_exploration, label_space=4)
-        unmet = simulate_rendezvous(
-            ring12, algorithm, labels=(1, 2), starts=(0, 6), max_rounds=1
-        )
-        assert not unmet.met
-        record = ExtremeRecord(
-            config=Configuration(labels=(1, 2), starts=(0, 6), delay=0),
-            result=unmet,
-        )
-        with pytest.raises(ValueError, match="never met"):
-            _ = record.time
-        assert record.cost == unmet.cost  # cost stays well-defined
 
 
 #: Every engine that runs here: cube only when NumPy is importable.
@@ -221,14 +202,14 @@ def _config(index):
 def _single_reduction():
     reduction = Reduction()
     for index, (time, cost) in enumerate(VERDICTS):
-        reduction.add(Verdict(index, _config(index), 50, time, cost))
+        reduction.add(Verdict(index, _config(index), time, cost))
     return reduction
 
 
 class TestReduction:
     def test_first_max_keeps_the_incumbent_on_ties(self):
-        early = Verdict(0, _config(0), 50, 5, 5)
-        late = Verdict(1, _config(1), 50, 5, 6)
+        early = Verdict(0, _config(0), 5, 5)
+        late = Verdict(1, _config(1), 5, 6)
         assert first_max(early, late, "time") is early
         assert first_max(early, late, "cost") is late
         assert first_max(None, late, "time") is late
@@ -257,7 +238,6 @@ class TestReduction:
                     lambda position, offset=offset: (
                         offset + position,
                         _config(offset + position),
-                        50,
                     ),
                 )
             )

@@ -29,7 +29,6 @@ from repro.sim.adversary import (
     default_horizon,
     worst_case_search,
 )
-from repro.sim.compiled import TrajectoryTable
 from repro.sim.cube import (
     BatchUnavailableError,
     CubeTimelineTable,
@@ -107,15 +106,6 @@ class TestCubeTimelineTable:
         assert list(table._labels) == [1]
         assert first.positions.shape == (9, first.length + 1)
         assert first.costs.shape == first.positions.shape
-
-    def test_result_matches_the_simulator(self, torus):
-        algorithm = build_algorithm("fwr", torus)
-        table = CubeTimelineTable(torus, algorithm)
-        config = Configuration(labels=(1, 3), starts=(2, 7), delay=4)
-        horizon = default_horizon(algorithm, config)
-        assert table.result(config, horizon) == TrajectoryTable(
-            torus, algorithm
-        ).result(config, horizon)
 
     def test_group_matrix_cache_is_bounded(self, torus, monkeypatch):
         n = torus.num_nodes

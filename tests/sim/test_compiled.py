@@ -6,8 +6,10 @@ are *indistinguishable* from the reactive engine: for every registered
 algorithm on a small instance of every registered graph family, under
 both presence models and a ``{0, 1, E}`` delay grid, the engines must
 return equal :class:`~repro.sim.adversary.WorstCaseReport`\\ s --
-including failure tuples, tie-broken argmax configurations, and the full
-per-agent traces inside the extreme records.
+including failure tuples and the extreme verdicts with their tie-broken
+argmax indices and configurations.  Full executions come only from the
+reactive simulator; a compiled trajectory is checked against its traces
+position by position.
 """
 
 import pytest
@@ -248,6 +250,9 @@ class TestCompilation:
         assert len(table) == 1
 
     def test_single_result_equals_the_simulator(self, ring12):
+        """One configuration's ``(time, cost)`` is the reactive one, and
+        the reactive traces walk the compiled trajectories round by round
+        (the second agent held at its start for ``delay`` rounds)."""
         algorithm = build_algorithm("fwr", ring12)
         table = TrajectoryTable(ring12, algorithm)
         for labels, starts, delay, presence in [
@@ -266,7 +271,18 @@ class TestCompilation:
                 max_rounds=horizon,
                 presence=presence,
             )
-            assert table.result(config, horizon, presence) == expected
+            assert table.evaluate(config, horizon, presence) == (
+                expected.time if expected.met else None,
+                expected.cost,
+            )
+            first = table.trajectory(labels[0], starts[0])
+            second = table.trajectory(labels[1], starts[1])
+            trace1, trace2 = expected.traces
+            points = range(expected.rounds_executed + 1)
+            assert trace1.positions == [first.position_at(t) for t in points]
+            assert trace2.positions == [
+                second.position_at(max(t - delay, 0)) for t in points
+            ]
 
     def test_non_schedule_driven_program_is_rejected(self, ring12):
         class LyingFactory:

@@ -140,6 +140,27 @@ class TestCommands:
             main(["certify", "--size", "12", *argv])
         assert str(exited.value.code) == message
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--label-space", "1"], "rendezvous needs at least two labels, got L=1"),
+            (["--label-space", "0"], "rendezvous needs at least two labels, got L=0"),
+            (["--weight", "0"], "weight must be a positive integer, got 0"),
+            (["--size", "2"], "a ring needs n >= 3 nodes, got 2"),
+        ],
+    )
+    def test_tradeoff_bad_flags_exit_with_the_message(self, argv, message):
+        with pytest.raises(SystemExit) as exited:
+            main(["tradeoff", "--size", "12", *argv])
+        assert str(exited.value.code) == message
+
+    def test_experiments_run_rejects_zero_shards(self, tmp_path):
+        with pytest.raises(SystemExit) as exited:
+            main(["experiments", "run", "exp01", "--quick", "--no-cache",
+                  "--shards", "0", "--report-dir", str(tmp_path)])
+        assert str(exited.value.code) == "--shards must be >= 1, got 0"
+        assert list(tmp_path.iterdir()) == []
+
     def test_explore_command(self, capsys):
         exit_code = main(["explore"])
         assert exit_code == 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.tables import Table, print_lines
-from repro.sim.adversary import Configuration, ExtremeRecord
+from repro.sim.adversary import Configuration
 from repro.sim.program import AgentContext
 
 
@@ -31,19 +31,6 @@ class TestAdversaryRecords:
         config = Configuration(labels=(1, 2), starts=(0, 3), delay=2)
         with pytest.raises(AttributeError):
             config.delay = 5  # type: ignore[misc]
-
-    def test_extreme_record_accessors(self, ring12, ring12_exploration):
-        from repro.core.fast import FastSimultaneous
-        from repro.sim.simulator import simulate_rendezvous
-
-        algorithm = FastSimultaneous(ring12_exploration, 4)
-        config = Configuration(labels=(1, 2), starts=(0, 5), delay=0)
-        result = simulate_rendezvous(
-            ring12, algorithm, labels=config.labels, starts=config.starts
-        )
-        record = ExtremeRecord(config=config, result=result)
-        assert record.time == result.time
-        assert record.cost == result.cost
 
 
 class TestTablePrinting:

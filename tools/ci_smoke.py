@@ -1,12 +1,14 @@
 """CI smoke check for the CLI and the internal-deprecation policy.
 
-Ten gates, all dependency-free (run with ``python tools/ci_smoke.py``):
+Eleven gates, all dependency-free (run with ``python tools/ci_smoke.py``):
 
 1. ``python -m repro --help`` exits 0 in a fresh subprocess;
 2. one tiny ``sweep --json`` (and ``run --json``) on a 6-node ring runs
    end-to-end in-process and prints parseable canonical JSON;
 3. ``tradeoff --json`` on the 12-ring reports the curve's three
-   strategies, with Cheap's worst cost below Fast's;
+   strategies, with Cheap's worst cost below Fast's, and a bad flag
+   (``--label-space 1``) exits 1 with the validation message on stderr,
+   not a traceback;
 4. ``experiments list --json`` exposes the registered experiment
    catalog (all twelve EXP-NN ids);
 5. ``lint --json`` reports a clean tree under every registered
@@ -25,7 +27,9 @@ Ten gates, all dependency-free (run with ``python tools/ci_smoke.py``):
 9. ``certify --json`` prints a canonical ``scenario``/``result`` report
    for Theorem 3.1, and a bad flag (``--label-space 1``) exits 1 with
    the validation message on stderr, not a traceback;
-10. no ``DeprecationWarning`` originates from inside ``src/repro`` while
+10. ``experiments run exp01 --shards 0`` exits 1 with the message on
+   stderr, not a traceback, and writes no report;
+11. no ``DeprecationWarning`` originates from inside ``src/repro`` while
    doing so -- deprecation shims, if any ever exist, are for external
    callers only; package-internal code must stay on the current API.
 """
@@ -73,6 +77,17 @@ def check_help() -> None:
         if command not in proc.stdout:
             fail(f"--help does not mention the {command!r} command")
     print("help: OK")
+
+
+def check_clean_exit(argv: list[str], message: str) -> None:
+    """``python -m repro ARGV`` exits 1 with ``message``, no traceback."""
+    proc = run_cli_subprocess(argv)
+    name = " ".join(argv)
+    if proc.returncode != 1 or message not in proc.stderr:
+        fail(f"{name} exited {proc.returncode}: {proc.stderr}")
+    if "Traceback" in proc.stderr:
+        fail(f"{name} printed a traceback:\n{proc.stderr}")
+    print(f"{argv[0]} rejects a bad flag cleanly: OK")
 
 
 def run_cli_capturing(argv: list[str]) -> tuple[str, list[warnings.WarningMessage]]:
@@ -138,6 +153,10 @@ def check_json_commands() -> None:
     if not points[expected[0]]["max_cost"] < points[expected[2]]["max_cost"]:
         fail("tradeoff: Cheap's worst cost is not below Fast's")
     print("tradeoff --json: OK")
+    check_clean_exit(
+        ["tradeoff", "--size", "12", "--label-space", "1"],
+        "rendezvous needs at least two labels, got L=1",
+    )
 
     list_out, list_warnings = run_cli_capturing(["experiments", "list", "--json"])
     registered = {item["id"] for item in json.loads(list_out)["experiments"]}
@@ -169,15 +188,19 @@ def check_json_commands() -> None:
         fail(f"unexpected certify report blocks: {sorted(certificate)}")
     print("certify --json: OK")
 
-    proc = run_cli_subprocess(
-        ["certify", "--size", "12", "--algorithm", "fast", "--label-space", "1"]
+    check_clean_exit(
+        ["certify", "--size", "12", "--algorithm", "fast", "--label-space", "1"],
+        "rendezvous needs at least two labels, got L=1",
     )
-    message = "rendezvous needs at least two labels, got L=1"
-    if proc.returncode != 1 or message not in proc.stderr:
-        fail(f"certify --label-space 1 exited {proc.returncode}: {proc.stderr}")
-    if "Traceback" in proc.stderr:
-        fail(f"certify --label-space 1 printed a traceback:\n{proc.stderr}")
-    print("certify rejects a bad flag cleanly: OK")
+
+    with tempfile.TemporaryDirectory() as report_dir:
+        check_clean_exit(
+            ["experiments", "run", "exp01", "--quick", "--no-cache",
+             "--shards", "0", "--report-dir", report_dir],
+            "--shards must be >= 1, got 0",
+        )
+        if any(pathlib.Path(report_dir).iterdir()):
+            fail("experiments run --shards 0 wrote a report")
 
     engines_out, engines_warnings = run_cli_capturing(["engines", "--json"])
     ladder = json.loads(engines_out)
