@@ -29,6 +29,7 @@ from repro.lower_bounds.ring_exec import meeting_round
 from repro.lower_bounds.trim import trimmed_from_algorithm
 from repro.obs import MemorySink, Telemetry
 from repro.runtime import (
+    DEFAULT_SHARD_COUNT,
     AlgorithmSpec,
     GraphSpec,
     JobSpec,
@@ -351,11 +352,12 @@ def cube_engine_baseline(graph, algorithm) -> dict | None:
 
 
 def runtime_baseline() -> dict:
-    """The sharded runtime sweep, with its merge/store split measured.
+    """The runtime sweep, with its shard/merge split measured.
 
-    One serial pass of ``RUNTIME_JOB`` under an in-memory collector: the
-    recorded stages are the span totals of the runner's own phases, so
-    the baseline tracks where sharded-sweep wall-clock actually goes.
+    One serial pass of ``RUNTIME_JOB`` at the default plan (one shard,
+    as there is no store) under an in-memory collector: the recorded
+    stages are the span totals of the runner's own phases, so the
+    baseline tracks where the sweep's wall-clock actually goes.
     """
     sink = MemorySink()
     telemetry = Telemetry(sink)
@@ -431,7 +433,10 @@ def test_engine_runtime_parallel_speedup(benchmark, report):
     the measured ratio is printed for humans and the bench log.
     """
     serial_started = time.perf_counter()
-    serial = execute_job(RUNTIME_JOB, executor=SerialExecutor())
+    # The pool's plan, so the reports are compared at one shard count.
+    serial = execute_job(
+        RUNTIME_JOB, executor=SerialExecutor(), shard_count=DEFAULT_SHARD_COUNT
+    )
     serial_seconds = time.perf_counter() - serial_started
 
     with ParallelExecutor(4) as executor:

@@ -68,11 +68,11 @@ class Schedule:
         """EXPLORE for 1-bits, WAIT(``wait_rounds``) for 0-bits.
 
         This is how Fast turns a (transformed) label into a schedule; the
-        wait length is always ``E`` there.
+        wait length is always ``E`` there.  Segments are frozen, so one
+        EXPLORE and one WAIT segment serve every bit.
         """
-        return cls(
-            explore() if bit else wait(wait_rounds) for bit in bits
-        )
+        one, zero = explore(), wait(wait_rounds)
+        return cls(one if bit else zero for bit in bits)
 
     @property
     def segments(self) -> tuple[Segment, ...]:

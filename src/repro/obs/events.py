@@ -35,6 +35,7 @@ byte.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Any, Mapping, Sequence
 
 from repro.obs.telemetry import SCHEMA_VERSION
@@ -201,8 +202,17 @@ def summarize(events: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
     }
 
 
+#: How many executed shards :func:`render_summary` lists one per line.
+SLOWEST_SHARDS = 5
+
+
 def render_summary(summary: Mapping[str, Any]) -> list[str]:
-    """Human-readable lines for a :func:`summarize` payload."""
+    """Human-readable lines for a :func:`summarize` payload.
+
+    Executed shards are condensed to one line of totals and their
+    engine/path mix, plus the :data:`SLOWEST_SHARDS` slowest; the payload
+    (and ``telemetry summary --json``) keeps every shard.
+    """
     meta = summary.get("meta") or {}
     lines = [
         f"telemetry summary: {summary['events']} events over "
@@ -232,14 +242,28 @@ def render_summary(summary: Mapping[str, Any]) -> list[str]:
         lines.append(
             f"shards: {len(shards)} total, {len(shards) - len(executed)} cached"
         )
-        for shard in executed:
-            bounds = f"[{shard.get('lo', '?')}, {shard.get('hi', '?')})"
-            lines.append(
-                f"  {bounds:<16} {shard.get('executions', 0):>8} configs  "
-                f"{shard.get('seconds', 0.0):>8.3f}s  "
-                f"engine={shard.get('engine', '?')}"
-                + (f" path={shard['path']}" if "path" in shard else "")
+        if executed:
+            mix = Counter(
+                f"{shard.get('engine', '?')}/{shard.get('path', '?')}"
+                for shard in executed
             )
+            lines.append(
+                f"  executed: {len(executed)}, "
+                f"{sum(s.get('executions', 0) for s in executed)} configs, "
+                f"{sum(s.get('seconds', 0.0) for s in executed):.3f}s; "
+                + ", ".join(f"{name} x{n}" for name, n in sorted(mix.items()))
+            )
+            slowest = sorted(executed, key=lambda s: -s.get("seconds", 0.0))
+            if len(executed) > SLOWEST_SHARDS:
+                lines.append(f"  slowest {SLOWEST_SHARDS}:")
+            for shard in slowest[:SLOWEST_SHARDS]:
+                bounds = f"[{shard.get('lo', '?')}, {shard.get('hi', '?')})"
+                lines.append(
+                    f"  {bounds:<16} {shard.get('executions', 0):>8} configs  "
+                    f"{shard.get('seconds', 0.0):>8.3f}s  "
+                    f"engine={shard.get('engine', '?')}"
+                    + (f" path={shard['path']}" if "path" in shard else "")
+                )
     for warning in summary.get("warnings") or []:
         lines.append(f"warning: {warning}")
     return lines

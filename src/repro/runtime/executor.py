@@ -1,11 +1,14 @@
 """Shard planning and the executor layer (serial and process-pool).
 
-Shard boundaries are a function of the configuration-space size only --
-*not* of the worker count -- so a sweep cached by a serial run is hit by a
+Whenever a :class:`repro.runtime.store.RunStore` is attached, shard
+boundaries are a function of the configuration-space size only -- *not*
+of the worker count -- so a sweep cached by a serial run is hit by a
 parallel rerun and vice versa, and any worker count replays the same
-shards from the :class:`repro.runtime.store.RunStore`.  Executors yield
-shard reports as they complete (the parallel one out of order); callers
-that need determinism get it from
+shards from the store.  A serial run without a store is one shard (see
+:func:`repro.runtime.runner.execute_job`): with no store to resume from
+and no pool to balance, more shards only repeat per-shard costs.
+Executors yield shard reports as they complete (the parallel one out of
+order); callers that need determinism get it from
 :func:`repro.runtime.report.merge_reports`, which is order-insensitive.
 """
 
@@ -20,9 +23,10 @@ from repro.runtime.report import ShardReport
 from repro.runtime.spec import JobSpec
 from repro.runtime.worker import run_shard
 
-#: Default number of shards per sweep.  Fixed (rather than derived from
-#: the worker count) so cache entries survive ``--workers`` changes, and
-#: large enough to keep a typical pool busy with work-stealing slack.
+#: Default number of shards per sweep with a store or a pool.  Fixed
+#: (rather than derived from the worker count) so cache entries survive
+#: ``--workers`` changes, and large enough to keep a typical pool busy
+#: with work-stealing slack.  A serial run without a store plans one.
 DEFAULT_SHARD_COUNT = 16
 
 
@@ -85,7 +89,12 @@ def plan_shards(
 
 
 class Executor(Protocol):
-    """Anything that can turn shard specs into shard reports."""
+    """Anything that can turn shard specs into shard reports.
+
+    ``workers`` is how many shards it can run at once; one means serial.
+    """
+
+    workers: int
 
     def map_shards(self, specs: Sequence[JobSpec]) -> Iterator[ShardReport]:
         ...

@@ -1,10 +1,11 @@
 """The high-level entry point: plan, consult the store, execute, merge.
 
 :func:`execute_job` is what the analysis layer and the CLI call.  It
-plans shard bounds from the configuration-space size, looks completed
-shards up in the run store (if one is given), hands only the missing
-shards to the executor, persists each fresh report as it arrives, and
-merges everything into one deterministic report with cache statistics.
+plans shard bounds from the configuration-space size (one shard for a
+serial run without a store), looks completed shards up in the run store
+(if one is given), hands only the missing shards to the executor,
+persists each fresh report as it arrives, and merges everything into
+one deterministic report with cache statistics.
 The store is a :class:`repro.runtime.store.RunStore`, and the merged
 report is byte-identical whether it or a fresh execution served each
 shard.
@@ -37,10 +38,11 @@ class RunStats:
         return self.shards_total > 0 and self.shards_cached == self.shards_total
 
     def summary(self) -> str:
+        noun = "shard" if self.shards_total == 1 else "shards"
         return (
-            f"{self.shards_total} shards: {self.shards_cached} cached, "
+            f"{self.shards_total} {noun}: {self.shards_cached} cached, "
             f"{self.shards_executed} executed "
-            f"({self.executions} simulations total; run {self.sweep_key[:12]})"
+            f"({self.executions} configurations; run {self.sweep_key[:12]})"
         )
 
 
@@ -78,7 +80,13 @@ def execute_job(
     """Run a whole sweep, reusing any shards the store already holds.
 
     ``spec.shard`` is ignored (the runner owns sharding); pass the sweep
-    spec.  Cached shards are reused only when their bounds match the
+    spec.  Without an explicit ``shard_count``, a run with a store or a
+    multi-worker executor plans :data:`DEFAULT_SHARD_COUNT` shards (the
+    store's resume unit, the pool's load-balancing unit); a serial run
+    without a store has neither use for shards and plans one, paying the
+    per-shard costs (whole-cube call, horizons, reduction) once.  Reports
+    are byte-identical across plans except for ``MergedReport.shards``.
+    Cached shards are reused only when their bounds match the
     current plan, so changing ``shard_count`` safely re-executes rather
     than merging mismatched slices.  ``graph`` may be passed when the
     caller has already built ``spec.graph`` (it is only used to size the
@@ -94,6 +102,8 @@ def execute_job(
     executor = executor if executor is not None else SerialExecutor()
     graph = graph if graph is not None else spec.graph.build()
     total = spec.config_space_size(graph)
+    if shard_count is None and store is None and executor.workers == 1:
+        shard_count = 1
     bounds = plan_shards(total, shard_count=shard_count)
     telemetry.gauge("sweep.configurations", total)
     telemetry.gauge("sweep.shards", len(bounds))

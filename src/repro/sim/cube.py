@@ -343,10 +343,12 @@ class CubeTimelineTable:
             self._probed = True
         row0 = np.array(base.positions, dtype=self._position_dtype)
         shifts = np.arange(n, dtype=self._position_dtype)[:, None]
+        # Costs are start-independent here: every row is one read-only
+        # view of the start-0 row rather than n copies of it.
         return LabelTimelines(
             positions=(row0[None, :] + shifts) % n,
-            costs=np.tile(
-                np.array(base.cumulative_cost, dtype=np.int32), (n, 1)
+            costs=np.broadcast_to(
+                np.array(base.cumulative_cost, dtype=np.int32), (n, row0.size)
             ),
             length=base.length,
         )

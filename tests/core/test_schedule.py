@@ -35,6 +35,16 @@ class TestSchedule:
         kinds = [seg.kind for seg in schedule]
         assert kinds == [SegmentKind.EXPLORE, SegmentKind.WAIT, SegmentKind.EXPLORE]
         assert schedule.segments[1].rounds == 9
+        # Equal bits give equal segments (one shared segment per bit value).
+        assert schedule.segments[0] == schedule.segments[2]
+        long_bits = [(i * 7) % 3 == 0 for i in range(1000)]
+        long = Schedule.from_bits(long_bits, wait_rounds=9)
+        assert long.segments[0] == long.segments[3]
+        assert long.segments[1] == long.segments[2]
+        fresh = Schedule(explore() if bit else wait(9) for bit in long_bits)
+        assert long == fresh
+        ones = sum(long_bits)
+        assert long.total_rounds(exploration_budget=11) == ones * 11 + (1000 - ones) * 9
 
     def test_accounting(self):
         schedule = Schedule([explore(), wait(5), explore()])

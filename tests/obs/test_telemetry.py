@@ -321,7 +321,37 @@ class TestSummaries:
         assert "telemetry summary:" in text
         assert "scenario.run" in text
         assert "shards: 2 total, 1 cached" in text
+        assert "executed: 1, 10 configs, 0.500s; cube/whole_cube x1" in text
         assert "warning: something tore" in text
+
+    def test_many_shards_render_totals_and_the_slowest_five(self):
+        telemetry, sink = make_telemetry()
+        for index in range(8):
+            telemetry.event("shard.complete",
+                            lo=10 * index, hi=10 * index + 10, executions=10,
+                            seconds=0.1 * (index + 1),
+                            engine="cube" if index % 2 else "compiled",
+                            path="whole_cube" if index % 2 else "stream")
+        telemetry.event("shard.cached", lo=80, hi=90, executions=10)
+        telemetry.close()
+        summary = summarize(sink.events)
+        # The payload (and --json) keeps every shard ...
+        assert len(summary["shards"]) == 9
+        lines = render_summary(summary)
+        # ... the rendering keeps one totals line and the five slowest.
+        shard_lines = [line for line in lines if " configs  " in line]
+        assert len(shard_lines) == 5
+        assert shard_lines[0].startswith("  [70, 80)")
+        assert [line.split()[0] for line in shard_lines] == [
+            "[70,", "[60,", "[50,", "[40,", "[30,"
+        ]
+        text = "\n".join(lines)
+        assert "shards: 9 total, 1 cached" in text
+        assert (
+            "executed: 8, 80 configs, 3.600s; "
+            "compiled/stream x4, cube/whole_cube x4"
+        ) in text
+        assert "slowest 5:" in text
 
 
 class TestStripTiming:

@@ -9,13 +9,16 @@ from functools import partial
 
 import pytest
 
+from repro.api import Scenario
 from repro.runtime import (
+    DEFAULT_SHARD_COUNT,
     AlgorithmSpec,
     ExtremeSummary,
     GraphSpec,
     JobSpec,
     MergedReport,
     ParallelExecutor,
+    RunStore,
     SerialExecutor,
     ShardReport,
     canonical_json,
@@ -103,8 +106,15 @@ class TestDeterminism:
     @pytest.mark.parametrize("job", [RING_JOB, TREE_JOB], ids=["ring", "tree"])
     @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_parallel_is_byte_identical_to_serial(self, job, workers):
-        serial = execute_job(job, executor=SerialExecutor())
-        parallel = execute_job(job, executor=ParallelExecutor(workers))
+        # One plan for both, so the worker count is the only axis; the
+        # default plans differ (see TestDefaultPlan).
+        serial = execute_job(
+            job, executor=SerialExecutor(), shard_count=DEFAULT_SHARD_COUNT
+        )
+        parallel = execute_job(
+            job, executor=ParallelExecutor(workers),
+            shard_count=DEFAULT_SHARD_COUNT,
+        )
         assert canonical_json(serial.report.to_dict()) == canonical_json(
             parallel.report.to_dict()
         )
@@ -150,6 +160,55 @@ class TestDeterminism:
         payload = coarse.to_dict()
         payload["shards"] = fine.shards
         assert canonical_json(payload) == canonical_json(fine.to_dict())
+
+
+class TestDefaultPlan:
+    """A serial run without a store is one shard; stores and pools keep 16."""
+
+    @pytest.mark.parametrize(
+        "new_executor, with_store, expected",
+        [
+            (SerialExecutor, False, 1),
+            (SerialExecutor, True, DEFAULT_SHARD_COUNT),
+            (partial(ParallelExecutor, 2), False, DEFAULT_SHARD_COUNT),
+            (partial(ParallelExecutor, 1), False, 1),
+        ],
+        ids=["serial", "serial-store", "pool", "pool-of-one"],
+    )
+    def test_shards_planned(self, tmp_path, new_executor, with_store, expected):
+        def shards_total(executor, shard_count=None):
+            store = RunStore(tmp_path / str(shard_count)) if with_store else None
+            outcome = execute_job(
+                RING_JOB, executor=executor, store=store,
+                shard_count=shard_count,
+            )
+            return outcome.stats.shards_total
+
+        with new_executor() as executor:
+            assert shards_total(executor) == expected
+            # An explicit count always wins.
+            assert shards_total(executor, shard_count=3) == 3
+            assert shards_total(executor, shard_count=1) == 1
+
+    @pytest.mark.parametrize("job", [RING_JOB, TREE_JOB], ids=["ring", "tree"])
+    def test_one_shard_report_equals_the_sharded_one(self, job):
+        whole = execute_job(job).report
+        sharded = execute_job(job, shard_count=DEFAULT_SHARD_COUNT).report
+        assert (whole.shards, sharded.shards) == (1, DEFAULT_SHARD_COUNT)
+        payload = whole.to_dict()
+        payload["shards"] = sharded.shards
+        assert canonical_json(payload) == canonical_json(sharded.to_dict())
+
+    def test_scenario_run_is_identical_across_plans(self):
+        scenario = Scenario(
+            graph="ring", graph_params={"n": 8}, algorithm="fast",
+            label_space=3, delays=(0, 1),
+        )
+        default = scenario.run(cache=False)
+        sharded = scenario.run(cache=False, shard_count=DEFAULT_SHARD_COUNT)
+        assert default.stats.shards_total == 1
+        assert sharded.stats.shards_total == DEFAULT_SHARD_COUNT
+        assert default.to_json() == sharded.to_json()
 
 
 class TestExecutors:

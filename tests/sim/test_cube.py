@@ -278,6 +278,18 @@ class TestProbeDefense:
         assert cube_search(graph, factory, cube, 12) == reactive
 
 
+@needs_numpy
+def test_rotated_timelines_share_one_cost_row(ring12):
+    table = CubeTimelineTable(ring12, build_algorithm("fast", ring12))
+    rows = table.timelines(1)
+    assert table.certificate.orbit
+    assert rows.costs.shape == rows.positions.shape == (12, rows.length + 1)
+    assert rows.costs.strides[0] == 0  # one row, viewed from every start
+    start = table.trajectories.trajectory(1, 5)
+    assert tuple(rows.positions[5]) == start.positions
+    assert tuple(rows.costs[5]) == start.cumulative_cost
+
+
 class TestDominance:
     def test_plan_groups_slices_by_post_wake_window(self):
         plan = dominance_plan(

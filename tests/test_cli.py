@@ -14,6 +14,7 @@ import pytest
 import repro
 from repro.api import Scenario
 from repro.cli import EXIT_CLOSED_PIPE, main, scenario_from_args
+from repro.runtime import canonical_json
 
 
 def flags(graph="ring", size=12, algorithm="cheap", label_space=8, weight=2):
@@ -195,8 +196,13 @@ class TestJsonOutput:
         assert main(args) == 0
         serial = capsys.readouterr().out
         assert main(args + ["--workers", "2"]) == 0
-        parallel = capsys.readouterr().out
-        assert serial == parallel
+        parallel = json.loads(capsys.readouterr().out)
+        serial = json.loads(serial)
+        for key in ("result", "scenario"):
+            assert canonical_json(serial[key]) == canonical_json(parallel[key])
+        # A serial store-less sweep is one shard; the pool keeps 16.
+        assert serial["runtime"]["shards_total"] == 1
+        assert parallel["runtime"]["shards_total"] == 16
 
     def test_run_json(self, capsys):
         assert main(["run", "--json", "--labels", "2", "5", "--starts", "0", "6",

@@ -22,8 +22,10 @@ Eleven gates, all dependency-free (run with ``python tools/ci_smoke.py``):
    reports how many files it removed;
 8. ``--engine`` names only the simulation substrate: ``sweep --engine
    reactive --workers 2`` and ``sweep --engine auto`` print
-   byte-identical reports after ``telemetry strip --provenance``, and the
-   executor name ``--engine serial`` is a usage error (exit status 2);
+   byte-identical reports after ``telemetry strip --provenance``, the
+   pooled run plans 16 shards and the serial store-less one a single
+   shard, and the executor name ``--engine serial`` is a usage error
+   (exit status 2);
 9. ``certify --json`` prints a canonical ``scenario``/``result`` report
    for Theorem 3.1, and a bad flag (``--label-space 1``) exits 1 with
    the validation message on stderr, not a traceback;
@@ -294,9 +296,15 @@ def check_engine_axis() -> None:
                   "--no-cache", "--json"]
     stripped = {}
     with tempfile.TemporaryDirectory() as scratch:
-        for name, flags in (("reactive", ["--engine", "reactive", "--workers", "2"]),
-                            ("auto", ["--engine", "auto"])):
+        for name, flags, shards in (
+            ("reactive", ["--engine", "reactive", "--workers", "2"], 16),
+            ("auto", ["--engine", "auto"], 1),
+        ):
             report, _ = run_cli_capturing(sweep_args + flags)
+            planned = json.loads(report)["runtime"]["shards_total"]
+            if planned != shards:
+                fail(f"sweep --engine {name} planned {planned} shards, "
+                     f"expected {shards}")
             path = pathlib.Path(scratch) / f"{name}.json"
             path.write_text(report, encoding="utf-8")
             stripped[name], _ = run_cli_capturing(
@@ -304,7 +312,8 @@ def check_engine_axis() -> None:
             )
     if stripped["reactive"] != stripped["auto"]:
         fail("sweep --engine reactive --workers 2 and --engine auto differ")
-    print("sweep --engine reactive --workers 2 == --engine auto: OK")
+    print("sweep --engine reactive --workers 2 == --engine auto "
+          "(16 shards vs 1): OK")
 
     from repro.cli import main as cli_main
 
