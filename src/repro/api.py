@@ -133,17 +133,9 @@ class SweepRow:
             "cost_bound": self.cost_bound,
             "cost_within_bound": self.cost_within_bound,
             "executions": self.executions,
-            "worst_time_config": _config_dict(self.worst_time_config),
-            "worst_cost_config": _config_dict(self.worst_cost_config),
+            "worst_time_config": self.worst_time_config.to_dict(),
+            "worst_cost_config": self.worst_cost_config.to_dict(),
         }
-
-
-def _config_dict(config: Configuration) -> dict[str, Any]:
-    return {
-        "labels": list(config.labels),
-        "starts": list(config.starts),
-        "delay": config.delay,
-    }
 
 
 def _row_from_report(
@@ -155,7 +147,7 @@ def _row_from_report(
     """Turn a runtime :class:`~repro.runtime.report.MergedReport` into a
     :class:`SweepRow`, or raise on any failure to meet."""
     if report.failures:
-        first = report.failures[0]
+        _, first = report.failures[0]
         raise AssertionError(
             f"{algorithm.name} failed to meet in {len(report.failures)} "
             f"configurations, e.g. labels={first.labels} starts={first.starts} "

@@ -174,7 +174,7 @@ def _worst_case(graph, factory, label_pairs, start_pairs=None) -> WorstCaseRepor
     if report.failures:
         raise AssertionError(
             f"no meeting in {len(report.failures)} configurations, "
-            f"e.g. {report.failures[0]}"
+            f"e.g. {report.failures[0][1]}"
         )
     return report
 
@@ -1508,7 +1508,7 @@ def _ablations_count_failures(graph, algorithm, delays, horizon_factor=6):
         ) + config.delay
 
     report = worst_case_search(graph, algorithm, cube, horizon, engine="auto")
-    first = report.failures[0] if report.failures else None
+    first = report.failures[0][1] if report.failures else None
     return {
         "failures": len(report.failures),
         "total": report.executions,

@@ -9,9 +9,11 @@ one-off serial enumeration into sharded, parallel, resumable *runs*:
   parameters + an optional configuration-shard slice), with a canonical
   JSON form and a content hash so work units can cross process boundaries
   and key a cache;
-* :mod:`repro.runtime.report` -- compact shard results and a deterministic
-  max-reduce merge whose tie-breaking (lowest configuration index wins)
-  makes parallel output bit-identical to the serial enumeration;
+* :mod:`repro.runtime.report` -- shard and merged reports (each a
+  :class:`~repro.sim.adversary.WorstCaseReport` plus shard bookkeeping)
+  and a deterministic merge whose tie-breaking (lowest configuration
+  index wins) makes parallel output bit-identical to the serial
+  enumeration;
 * :mod:`repro.runtime.worker` -- the pure function a worker process runs:
   rebuild the graph and algorithm from the spec, execute one shard;
 * :mod:`repro.runtime.executor` -- shard planning plus
@@ -35,8 +37,6 @@ from repro.runtime.executor import (
     plan_shards,
 )
 from repro.runtime.report import (
-    ConfigRef,
-    ExtremeSummary,
     MergedReport,
     ShardReport,
     merge_reports,
@@ -55,9 +55,7 @@ from repro.runtime.worker import run_shard
 __all__ = [
     "AlgorithmSpec",
     "CompactionStats",
-    "ConfigRef",
     "DEFAULT_SHARD_COUNT",
-    "ExtremeSummary",
     "GraphSpec",
     "JobSpec",
     "MergedReport",

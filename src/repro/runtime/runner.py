@@ -60,12 +60,7 @@ def _emit_shard(telemetry: Telemetry, report: ShardReport, cached: bool) -> None
         "executions": report.executions,
     }
     if report.timing is not None:
-        attrs.update(
-            seconds=report.timing.seconds,
-            table_seconds=report.timing.table_seconds,
-            engine=report.timing.engine,
-            path=report.timing.path,
-        )
+        attrs.update(report.timing.to_dict())
     telemetry.event("shard.cached" if cached else "shard.complete", **attrs)
 
 

@@ -12,8 +12,9 @@ followed by one ``shard`` line per completed shard.  Records are written
 with a single ``O_APPEND`` syscall each, so concurrent sweeps of the same
 spec interleave at record granularity rather than tearing each other's
 lines, and a process killed mid-write leaves at most one truncated
-trailing line.  :meth:`RunStore.load` skips undecodable lines
-(re-running at most the affected shards) instead of failing.  A spec hash
+trailing line.  All readers share one parser: they skip undecodable
+lines with a warning (re-running at most the affected shards) instead
+of failing, and keep the first record of each shard's bounds.  A spec hash
 names an immutable computation *within one library version* -- the
 library and record-format versions are part of the filename, so results
 computed by different code never serve (or evict) each other -- and the
@@ -33,9 +34,9 @@ import json
 import os
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.runtime.report import ShardReport
@@ -58,6 +59,88 @@ def _library_version() -> str:
     from repro import __version__
 
     return __version__
+
+
+class _Record(NamedTuple):
+    """One line of a sweep file, as :func:`_records` classifies it."""
+
+    raw: str  # the line as read, newline and all
+    kind: str  # the record's kind, or "torn" (undecodable) or "blank"
+    value: Any  # a header's spec or a shard's ShardReport, else None
+    repeat: bool  # a later header, or a later shard of bounds already seen
+
+
+def _records(path: Path) -> Iterator[_Record]:
+    """Every line of a sweep file, classified: the store's one parser.
+
+    The first ``job`` header and the first ``shard`` record of each
+    bounds win; later ones come back as repeats (a repeated shard is not
+    decoded), so every reader keeps the same records.
+    """
+    header_seen = False
+    bounds_seen: set[tuple[int, int]] = set()
+    with path.open("r", encoding="utf-8") as handle:
+        for raw in handle:
+            line = raw.strip()
+            if not line:
+                yield _Record(raw, "blank", None, False)
+                continue
+            try:
+                payload: dict[str, Any] = json.loads(line)
+            except json.JSONDecodeError:
+                yield _Record(raw, "torn", None, False)
+                continue
+            kind = payload.get("kind")
+            if kind == "job":
+                yield _Record(raw, kind, payload["spec"], header_seen)
+                header_seen = True
+            elif kind == "shard":
+                report = payload["report"]
+                bounds = tuple(report["shard"])
+                repeat = bounds in bounds_seen
+                bounds_seen.add(bounds)
+                value = None if repeat else ShardReport.from_dict(report)
+                yield _Record(raw, kind, value, repeat)
+            else:
+                # Unknown record kinds are informational; version skew
+                # never reaches here because both the library and
+                # record-format versions are part of the filename.
+                yield _Record(raw, str(kind), None, False)
+
+
+def _read(
+    path: Path, telemetry: Telemetry = NULL_TELEMETRY
+) -> tuple[dict[str, Any] | None, dict[tuple[int, int], ShardReport]]:
+    """A sweep file's header spec (``None`` if absent) and its shards.
+
+    Torn lines -- an interrupted write, or a concurrent writer on a
+    filesystem without atomic appends -- are skipped, and the affected
+    shards re-execute.  Each costs a shard of recomputation, so a
+    ``RuntimeWarning`` (and a telemetry warning plus the
+    ``store.torn_lines`` counter) names the file and the count.
+    """
+    spec: dict[str, Any] | None = None
+    shards: dict[tuple[int, int], ShardReport] = {}
+    torn = 0
+    for record in _records(path):
+        if record.repeat:
+            continue
+        if record.kind == "job":
+            spec = record.value
+        elif record.kind == "shard":
+            shards[record.value.shard] = record.value
+        elif record.kind == "torn":
+            torn += 1
+    if torn:
+        message = (
+            f"run store {path} contains {torn} undecodable line(s) "
+            "(interrupted write or corruption); the affected shards "
+            "will re-execute"
+        )
+        warnings.warn(message, RuntimeWarning, stacklevel=3)
+        telemetry.warn(message, file=str(path), lines=torn)
+        telemetry.count("store.torn_lines", torn)
+    return spec, shards
 
 
 @dataclass(frozen=True)
@@ -102,13 +185,7 @@ class CompactionStats:
     duplicate_shards: int = 0
 
     def to_dict(self) -> dict[str, int]:
-        return {
-            "files": self.files,
-            "rewritten": self.rewritten,
-            "torn_lines": self.torn_lines,
-            "duplicate_headers": self.duplicate_headers,
-            "duplicate_shards": self.duplicate_shards,
-        }
+        return asdict(self)
 
 
 class RunStore:
@@ -144,48 +221,12 @@ class RunStore:
     ) -> dict[tuple[int, int], ShardReport]:
         """All completed shards of the spec's sweep, keyed by shard bounds.
 
-        Undecodable lines -- a truncated trailing line after an
-        interruption, or (pathologically) a torn line from a concurrent
-        writer on a filesystem without atomic appends -- are skipped, not
-        fatal: the affected shards simply re-execute.  They are counted,
-        though: each torn line costs a shard of recomputation, so a
-        ``warnings.warn`` (and a telemetry warning event plus the
-        ``store.torn_lines`` counter) names the cache file instead of
-        letting resumed runs quietly redo work.
+        The first record of each bounds wins, as everywhere (:func:`_read`).
         """
         path = self.path_for(spec)
         if not path.exists():
             return {}
-        shards: dict[tuple[int, int], ShardReport] = {}
-        torn = 0
-        with path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload: dict[str, Any] = json.loads(line)
-                except json.JSONDecodeError:
-                    torn += 1
-                    continue
-                if payload.get("kind") != "shard":
-                    # Headers (and unknown record kinds) are informational;
-                    # version skew never reaches here because both the
-                    # library and record-format versions are part of the
-                    # filename.
-                    continue
-                report = ShardReport.from_dict(payload["report"])
-                shards[report.shard] = report
-        if torn:
-            message = (
-                f"run store {path} contains {torn} undecodable line(s) "
-                "(interrupted write or corruption); the affected shards "
-                "will re-execute"
-            )
-            warnings.warn(message, RuntimeWarning, stacklevel=2)
-            telemetry.warn(message, file=str(path), lines=torn)
-            telemetry.count("store.torn_lines", torn)
-        return shards
+        return _read(path, telemetry)[1]
 
     def append(self, spec: JobSpec, report: ShardReport) -> None:
         """Persist one completed shard (writing the header on first use).
@@ -244,6 +285,8 @@ class RunStore:
         recovered from shard records alone.  ``compact`` never produces
         such a file, so in practice this only drops a sweep whose very
         first append was interrupted before the header line landed.
+        Each file is read as :meth:`load` reads it: the first record of
+        each bounds wins, and torn lines are skipped with a warning.
         """
         runs = self.root / "runs"
         if not runs.exists():
@@ -252,23 +295,7 @@ class RunStore:
             match = _STEM.match(path.stem)
             if match is None:
                 continue
-            spec: dict[str, Any] | None = None
-            shards: dict[tuple[int, int], ShardReport] = {}
-            with path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        payload: dict[str, Any] = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue
-                    kind = payload.get("kind")
-                    if kind == "job" and spec is None:
-                        spec = payload["spec"]
-                    elif kind == "shard":
-                        report = ShardReport.from_dict(payload["report"])
-                        shards[report.shard] = report
+            spec, shards = _read(path)
             if spec is None:
                 continue
             yield StoredRun(
@@ -288,8 +315,10 @@ class RunStore:
         each shard bounds survives, later duplicates are dropped, and
         undecodable lines disappear.  Kept lines are carried over
         byte-for-byte (never re-serialized), so compaction of a healthy
-        file is a no-op and a compacted file loads to exactly the shards
-        it loaded before.
+        file is a no-op; and since :meth:`load` also keeps the first
+        record of each bounds (all three readers share :func:`_records`),
+        a compacted file loads to exactly the shards it loaded before,
+        timing included.
         """
         stats = CompactionStats()
         runs = self.root / "runs"
@@ -299,39 +328,23 @@ class RunStore:
             stats.files += 1
             kept: list[str] = []
             damaged = False
-            header_seen = False
-            bounds_seen: set[tuple[int, int]] = set()
-            with path.open("r", encoding="utf-8") as handle:
-                for raw in handle:
-                    line = raw.strip()
-                    if not line:
-                        damaged = True
-                        continue
-                    try:
-                        payload: dict[str, Any] = json.loads(line)
-                    except json.JSONDecodeError:
-                        stats.torn_lines += 1
-                        damaged = True
-                        continue
-                    if payload.get("kind") == "job":
-                        if header_seen:
-                            stats.duplicate_headers += 1
-                            damaged = True
-                            continue
-                        header_seen = True
-                    elif payload.get("kind") == "shard":
-                        report = ShardReport.from_dict(payload["report"])
-                        if report.shard in bounds_seen:
-                            stats.duplicate_shards += 1
-                            damaged = True
-                            continue
-                        bounds_seen.add(report.shard)
-                    if not raw.endswith("\n"):
-                        # A final line missing its newline decodes fine but
-                        # would tear the next appended record; restore it.
-                        raw = raw + "\n"
-                        damaged = True
-                    kept.append(raw)
+            for record in _records(path):
+                if record.kind == "torn":
+                    stats.torn_lines += 1
+                elif record.repeat and record.kind == "job":
+                    stats.duplicate_headers += 1
+                elif record.repeat:
+                    stats.duplicate_shards += 1
+                if record.repeat or record.kind in ("torn", "blank"):
+                    damaged = True
+                    continue
+                raw = record.raw
+                if not raw.endswith("\n"):
+                    # A final line missing its newline decodes fine but
+                    # would tear the next appended record; restore it.
+                    raw += "\n"
+                    damaged = True
+                kept.append(raw)
             if not damaged:
                 continue
             stats.rewritten += 1

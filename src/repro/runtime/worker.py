@@ -16,8 +16,9 @@ evaluator: the reactive round simulator, the compiled trajectory engine
 one sweep share compilations.  A cube shard never exists as
 configurations: it is one whole-cube tensor pass over the slice, with
 horizons per ``(label pair, delay)``; the other evaluators walk the
-slice configuration by configuration.  Whatever the path, the shard
-report is identical, and its non-canonical
+slice configuration by configuration.  The reduction's record is the
+shard report as it stands.  Whatever the path, the
+shard report is identical, and its non-canonical
 :class:`~repro.runtime.report.ShardTiming` records which path ran
 (``"whole_cube"``, or ``"stream"`` for one configuration at a time).
 """
@@ -31,11 +32,10 @@ from typing import Any, Callable
 from repro.core.base import RendezvousAlgorithm
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.registry import PRESENCE_MODELS
-from repro.runtime.report import ConfigRef, ExtremeSummary, ShardReport, ShardTiming
+from repro.runtime.report import ShardReport, ShardTiming
 from repro.runtime.spec import AlgorithmSpec, GraphSpec, JobSpec
 from repro.sim.adversary import (
     Configuration,
-    Verdict,
     default_horizon,
     engine_table,
     reduce_space,
@@ -65,20 +65,6 @@ def _horizon_policy(
     if spec.horizon is not None:
         return spec.horizon
     return partial(default_horizon, algorithm)
-
-
-def _summary(verdict: Verdict | None) -> ExtremeSummary | None:
-    if verdict is None:
-        return None
-    config = verdict.config
-    return ExtremeSummary(
-        index=verdict.index,
-        labels=config.labels,
-        starts=config.starts,
-        delay=config.delay,
-        time=verdict.time,
-        cost=verdict.cost,
-    )
 
 
 def run_shard(spec: JobSpec) -> ShardReport:
@@ -114,20 +100,9 @@ def run_shard(spec: JobSpec) -> ShardReport:
     )
     table_seconds = table.build_seconds - build_before if table is not None else 0.0
 
-    return ShardReport(
+    return found.report(
+        ShardReport,
         shard=(lo, hi),
-        executions=found.executions,
-        worst_time=_summary(found.worst_time),
-        worst_cost=_summary(found.worst_cost),
-        failures=tuple(
-            ConfigRef(
-                index=index,
-                labels=config.labels,
-                starts=config.starts,
-                delay=config.delay,
-            )
-            for index, config in found.failures
-        ),
         timing=ShardTiming(
             # repro: allow(REP001): ShardTiming rides the non-canonical
             # timing channel (compare=False; stripped from reports).

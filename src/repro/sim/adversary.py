@@ -11,11 +11,12 @@ replayed.
 Every engine is an *evaluator*: it reports one :class:`Verdict` ``(index,
 config, time|None, cost)`` per requested cube index, in the order
 requested, singly or as a NumPy :class:`VerdictBlock`.  One
-:class:`Reduction` turns verdicts into extremes and failures, and
-:func:`first_max` is the only place the lowest-index tie-break is
-written.  The extremes stay verdicts: a full execution of one, with
-traces, comes from replaying its configuration through the reactive
-simulator (:func:`repro.analysis.replay.replay`).
+:class:`Reduction` turns verdicts -- or the reports of consecutive index
+ranges -- into the one record, a :class:`WorstCaseReport` of extremes
+and failures, and :func:`first_max` is the only place the lowest-index
+tie-break is written.  The extremes stay verdicts: a full execution of
+one, with traces, comes from replaying its configuration through the
+reactive simulator (:func:`repro.analysis.replay.replay`).
 :func:`worst_case_search` and the runtime's
 :func:`repro.runtime.worker.run_shard` are two thin drivers over
 :func:`reduce_space`.
@@ -30,7 +31,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -50,22 +51,56 @@ class Configuration:
     starts: tuple[int, int]
     delay: int
 
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "labels": list(self.labels),
+            "starts": list(self.starts),
+            "delay": self.delay,
+        }
+
+
+def _indexed(payload: Mapping[str, Any]) -> tuple[int, Configuration]:
+    """Decode an ``{index, labels, starts, delay}`` entry."""
+    labels, starts = tuple(payload["labels"]), tuple(payload["starts"])
+    return payload["index"], Configuration(labels, starts, payload["delay"])
+
+
+def _verdict(payload: Mapping[str, Any] | None) -> Verdict | None:
+    if payload is None:
+        return None
+    return Verdict(*_indexed(payload), payload["time"], payload["cost"])
+
+
+def _verdict_dict(verdict: Verdict | None) -> dict[str, Any] | None:
+    if verdict is None:
+        return None
+    return {
+        "index": verdict.index,
+        **verdict.config.to_dict(),
+        "time": verdict.time,
+        "cost": verdict.cost,
+    }
+
 
 @dataclass(frozen=True)
 class WorstCaseReport:
-    """Outcome of a worst-case search.
+    """The adversary's answer over a range of enumeration indices.
 
     ``worst_time`` and ``worst_cost`` are the lowest-index verdicts
     maximising each metric (``None`` when nothing met).  ``failures``
-    lists configurations in which the agents did not meet within the
-    horizon -- for a correct algorithm with a sufficient horizon it must
-    be empty, and tests assert exactly that.
+    lists the ``(index, configuration)`` pairs, in index order, in which
+    the agents did not meet within the horizon -- for a correct
+    algorithm with a sufficient horizon it must be empty, and tests
+    assert exactly that.  The runtime's shard and merged reports are
+    this record plus their shard bookkeeping.  In its one JSON form a
+    verdict is ``{index, labels, starts, delay, time, cost}`` and a
+    failure ``{index, labels, starts, delay}``.
     """
 
     worst_time: Verdict | None
     worst_cost: Verdict | None
     executions: int
-    failures: tuple[Configuration, ...]
+    failures: tuple[tuple[int, Configuration], ...]
 
     @property
     def max_time(self) -> int:
@@ -78,6 +113,27 @@ class WorstCaseReport:
         if self.worst_cost is None:
             raise ValueError("no successful execution recorded")
         return self.worst_cost.cost
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "executions": self.executions,
+            "worst_time": _verdict_dict(self.worst_time),
+            "worst_cost": _verdict_dict(self.worst_cost),
+            "failures": [
+                {"index": index, **config.to_dict()} for index, config in self.failures
+            ],
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, Any], **extra: Any) -> "WorstCaseReport":
+        """Decode :meth:`to_dict`'s form; ``extra`` fills a subclass's fields."""
+        return cls(
+            worst_time=_verdict(payload.get("worst_time")),
+            worst_cost=_verdict(payload.get("worst_cost")),
+            executions=payload["executions"],
+            failures=tuple(_indexed(entry) for entry in payload.get("failures", ())),
+            **extra,
+        )
 
 
 def all_label_pairs(label_space: int) -> Iterator[tuple[int, int]]:
@@ -237,9 +293,10 @@ def first_max(incumbent: Any, challenger: Any, metric: str) -> Any:
 class Reduction:
     """Extremes and failures of verdicts fed in enumeration order.
 
-    The single reducer behind every engine: single verdicts and NumPy
-    blocks alike reach :func:`first_max`, a block through one ``argmax``
-    per metric (which returns the block's first maximiser).  ``failures``
+    The single reducer behind every engine, shard and merge: single
+    verdicts, NumPy blocks and whole reports of the next index range
+    alike reach :func:`first_max`, a block through one ``argmax`` per
+    metric (which returns the block's first maximiser).  ``failures``
     holds ``(index, config)`` pairs in order.
     """
 
@@ -278,6 +335,24 @@ class Reduction:
         self.worst_time = first_max(self.worst_time, verdict(int(met.argmax())), "time")
         self.worst_cost = first_max(
             self.worst_cost, verdict(int(masked_cost.argmax())), "cost"
+        )
+
+    def absorb(self, report: WorstCaseReport) -> None:
+        """Fold in the report of the next index range, in order."""
+        self.executions += report.executions
+        self.failures.extend(report.failures)
+        self.worst_time = first_max(self.worst_time, report.worst_time, "time")
+        self.worst_cost = first_max(self.worst_cost, report.worst_cost, "cost")
+
+    def report(self, kind: type = WorstCaseReport, **extra: Any) -> Any:
+        """The record so far, as ``kind`` (a :class:`WorstCaseReport`
+        subclass whose own fields ``extra`` fills)."""
+        return kind(
+            worst_time=self.worst_time,
+            worst_cost=self.worst_cost,
+            executions=self.executions,
+            failures=tuple(self.failures),
+            **extra,
         )
 
 
@@ -468,9 +543,4 @@ def worst_case_search(
                     "cube.prune.early_exit_rounds", stats.early_exit_rounds
                 )
 
-    return WorstCaseReport(
-        worst_time=found.worst_time,
-        worst_cost=found.worst_cost,
-        executions=found.executions,
-        failures=tuple(config for _, config in found.failures),
-    )
+    return found.report()

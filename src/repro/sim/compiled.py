@@ -17,7 +17,8 @@ Equivalence contract: for any schedule-driven factory,
 ``worst_case_search(engine="compiled")`` returns a
 :class:`~repro.sim.adversary.WorstCaseReport` equal *field for field* --
 extreme verdicts with their indices and tie-broken argmax
-configurations, executions and failures -- to the reactive engine's:
+configurations, executions and ``(index, configuration)`` failures --
+to the reactive engine's:
 :meth:`TrajectoryTable.verdicts` measures exactly the reactive ``(time,
 cost)`` and the shared :class:`~repro.sim.adversary.Reduction` picks the
 extremes.  The cross-engine suite in ``tests/sim/test_compiled.py``

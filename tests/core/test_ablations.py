@@ -118,7 +118,7 @@ def test_ablation_counts_equal_the_reactive_search(name):
         return 6 * longer + config.delay
 
     reactive = worst_case_search(graph, algorithm, cube, horizon, engine="reactive")
-    first = reactive.failures[0] if reactive.failures else None
+    first = reactive.failures[0][1] if reactive.failures else None
     assert catalog._ablations_count_failures(graph, algorithm, delays) == {
         "failures": len(reactive.failures),
         "total": len(cube),

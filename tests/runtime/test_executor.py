@@ -5,6 +5,7 @@ however many workers execute the shards, the merged report is
 byte-identical (canonical JSON) to the serial in-process enumeration.
 """
 
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -13,7 +14,6 @@ from repro.api import Scenario
 from repro.runtime import (
     DEFAULT_SHARD_COUNT,
     AlgorithmSpec,
-    ExtremeSummary,
     GraphSpec,
     JobSpec,
     MergedReport,
@@ -29,6 +29,9 @@ from repro.runtime import (
 )
 from repro.sim.adversary import (
     ConfigCube,
+    Configuration,
+    Verdict,
+    WorstCaseReport,
     all_label_pairs,
     default_horizon,
     worst_case_search,
@@ -46,6 +49,8 @@ TREE_JOB = JobSpec(
     delays=(0,),
     fix_first_start=False,
 )
+#: Too short a horizon for every configuration to meet: failures to compare.
+SHORT_HORIZON_JOB = replace(RING_JOB, horizon=4)
 
 
 class TestPlanShards:
@@ -66,23 +71,23 @@ class TestPlanShards:
 
 
 class TestMerge:
-    def summary(self, index, value):
-        return ExtremeSummary(
-            index=index, labels=(1, 2), starts=(0, 1), delay=0,
-            time=value, cost=value,
-        )
+    def verdict(self, index, value):
+        return Verdict(index, Configuration((1, 2), (0, 1), 0), value, value)
+
+    def shard(self, lo, hi, worst_time, worst_cost):
+        return ShardReport(worst_time, worst_cost, hi - lo, (), shard=(lo, hi))
 
     def test_ties_break_toward_the_lowest_global_index(self):
-        early = ShardReport((0, 10), 10, self.summary(3, 7), self.summary(3, 7))
-        late = ShardReport((10, 20), 10, self.summary(15, 7), self.summary(15, 7))
+        early = self.shard(0, 10, self.verdict(3, 7), self.verdict(3, 7))
+        late = self.shard(10, 20, self.verdict(15, 7), self.verdict(15, 7))
         for order in ([early, late], [late, early]):
             merged = merge_reports(order)
             assert merged.worst_time.index == 3
             assert merged.worst_cost.index == 3
 
     def test_higher_value_beats_lower_index(self):
-        low = ShardReport((0, 10), 10, self.summary(0, 5), self.summary(0, 5))
-        high = ShardReport((10, 20), 10, self.summary(19, 6), self.summary(19, 6))
+        low = self.shard(0, 10, self.verdict(0, 5), self.verdict(0, 5))
+        high = self.shard(10, 20, self.verdict(19, 6), self.verdict(19, 6))
         merged = merge_reports([low, high])
         assert merged.worst_time.index == 19 and merged.max_time == 6
 
@@ -97,7 +102,7 @@ class TestMerge:
 
     def test_round_trip(self):
         merged = merge_reports(
-            [ShardReport((0, 5), 5, self.summary(2, 9), self.summary(4, 3))]
+            [self.shard(0, 5, self.verdict(2, 9), self.verdict(4, 3))]
         )
         assert MergedReport.from_dict(merged.to_dict()) == merged
 
@@ -120,7 +125,11 @@ class TestDeterminism:
         )
         assert serial.report.executions == job.config_space_size()
 
-    @pytest.mark.parametrize("job", [RING_JOB, TREE_JOB], ids=["ring", "tree"])
+    @pytest.mark.parametrize(
+        "job",
+        [RING_JOB, TREE_JOB, SHORT_HORIZON_JOB],
+        ids=["ring", "tree", "short-horizon"],
+    )
     def test_runtime_matches_the_in_process_adversary(self, job):
         graph = job.graph.build()
         algorithm = job.algorithm.build(graph)
@@ -130,17 +139,14 @@ class TestDeterminism:
             delays=job.delays,
             fix_first_start=job.fix_first_start,
         )
-        reference = worst_case_search(
-            graph, algorithm, cube, partial(default_horizon, algorithm)
+        horizon = (
+            partial(default_horizon, algorithm) if job.horizon is None else job.horizon
         )
+        reference = worst_case_search(graph, algorithm, cube, horizon)
         merged = execute_job(job, executor=ParallelExecutor(2)).report
-        assert merged.max_time == reference.max_time
-        assert merged.max_cost == reference.max_cost
-        assert merged.worst_time.config == reference.worst_time.config
-        assert merged.worst_cost.config == reference.worst_cost.config
-        assert merged.worst_time.index == reference.worst_time.index
-        assert merged.worst_cost.index == reference.worst_cost.index
-        assert merged.executions == reference.executions
+        assert WorstCaseReport.to_dict(merged) == reference.to_dict()
+        if job is SHORT_HORIZON_JOB:
+            assert reference.failures and reference.worst_time is not None
 
     def test_pool_is_reused_across_map_shards_calls(self):
         with ParallelExecutor(2) as executor:

@@ -251,6 +251,31 @@ class TestJsonlCompaction:
             warnings.simplefilter("error")
             assert len(store.load(job)) == 3
 
+    def test_a_duplicate_shard_loads_the_same_before_and_after_compact(
+        self, tmp_path
+    ):
+        store = RunStore(tmp_path)
+        job = small_job()
+        execute_job(job, store=store, shard_count=3)
+        path = store.path_for(job)
+        lines = path.read_text().splitlines()
+        duplicate = json.loads(lines[1])
+        duplicate["report"]["timing"]["seconds"] = 123.0
+        path.write_text(
+            "\n".join(lines + [json.dumps(duplicate, sort_keys=True)]) + "\n"
+        )
+
+        def timings():
+            return {
+                bounds: report.timing
+                for bounds, report in store.load(job).items()
+            }
+
+        before = timings()
+        assert store.compact().duplicate_shards == 1
+        assert timings() == before
+        assert all(timing.seconds != 123.0 for timing in before.values())
+
     def test_compact_restores_a_missing_trailing_newline(self, tmp_path):
         store = RunStore(tmp_path)
         job = small_job()
@@ -289,6 +314,19 @@ class TestQueryLayer:
         (entry,) = query_runs(store, algorithm="fast")
         assert entry["result"] == live.report.to_dict()
         assert entry["sweep_key"] == job.sweep_key()
+
+    def test_a_torn_line_makes_the_query_warn(self, store):
+        job = small_job()
+        execute_job(job, store=store, shard_count=3)
+        path = store.path_for(job)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2][:20]
+        path.write_text("\n".join(lines) + "\n")
+
+        with pytest.warns(RuntimeWarning, match="1 undecodable line") as caught:
+            (entry,) = query_runs(store)
+        assert str(path) in str(caught[0].message)
+        assert entry["result"]["shards"] == 2
 
     def test_runs_with_no_shards_are_skipped(self, store):
         # A registered sweep with no completed shards has no extremes to

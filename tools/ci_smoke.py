@@ -18,8 +18,10 @@ Eleven gates, all dependency-free (run with ``python tools/ci_smoke.py``):
 7. the run store round-trips: a sweep run cold into a fresh
    ``--cache-dir`` and again from the store reports identically (modulo
    the non-canonical timing section), ``query`` answers the worst-case
-   lookup from the stored run without re-sweeping, and ``cache clear``
-   reports how many files it removed;
+   lookup from the stored run without re-sweeping, ``cache compact``
+   scans the one healthy file without rewriting it (and ``query``
+   answers the same afterwards), and ``cache clear`` reports how many
+   files it removed;
 8. ``--engine`` names only the simulation substrate: ``sweep --engine
    reactive --workers 2`` and ``sweep --engine auto`` print
    byte-identical reports after ``telemetry strip --provenance``, the
@@ -272,6 +274,20 @@ def check_store() -> None:
         )
     print("query --json: OK")
 
+    compact_out, compact_warnings = run_cli_capturing(
+        ["cache", "compact", "--json", "--cache-dir", cache_dir]
+    )
+    compaction = json.loads(compact_out)["compaction"]
+    if (compaction["files"], compaction["rewritten"]) != (1, 0):
+        fail(f"cache compact of a healthy store reported {compaction}, "
+             "expected 1 file scanned and none rewritten")
+    requery_out, requery_warnings = run_cli_capturing(
+        ["query", "--json", "--algorithm", "fast-sim", "--cache-dir", cache_dir]
+    )
+    if requery_out != query_out:
+        fail("query answers differently after cache compact")
+    print("cache compact --json: OK")
+
     clear_out, clear_warnings = run_cli_capturing(
         ["cache", "clear", "--json", "--cache-dir", cache_dir]
     )
@@ -281,7 +297,8 @@ def check_store() -> None:
     print("cache clear --json: OK")
 
     offenders = internal_deprecations(
-        cold_warnings + cached_warnings + query_warnings + clear_warnings
+        cold_warnings + cached_warnings + query_warnings + compact_warnings
+        + requery_warnings + clear_warnings
     )
     if offenders:
         lines = "\n".join(
