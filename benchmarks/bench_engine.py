@@ -6,9 +6,10 @@ it, the ``Trim`` procedure's full pairwise sweep, the experiment runtime's
 parallel-vs-serial sweep throughput, the compiled trajectory engine's
 speedup over the reactive simulator, and the whole-cube tensor engine's
 speedup over the compiled one on the dense (all start pairs, wide delay
-grid) sweep handed over as a ``ConfigCube`` (cross-label tensor passes
-plus orbit/dominance pruning).  The engine comparison doubles as the
-perf baseline:
+grid) sweep handed over as a ``ConfigCube`` -- on the 16-ring, where the
+cube reads one delta row per slice (orbit pruning), and ungated on the
+4x4 torus, where it scans every start row.  The engine comparison
+doubles as the perf baseline:
 ``python benchmarks/bench_engine.py`` (or the pytest bench, or the CI
 smoke job) rewrites ``BENCH_engine.json`` at the repository root so the
 numbers are tracked PR over PR.
@@ -23,7 +24,7 @@ import time
 from repro.core.cheap import CheapSimultaneous
 from repro.core.fast import Fast, FastSimultaneous
 from repro.exploration.ring import RingExploration
-from repro.graphs.families import oriented_ring
+from repro.graphs.families import oriented_ring, torus_grid
 from repro.lower_bounds.behaviour import behaviour_from_schedule
 from repro.lower_bounds.ring_exec import meeting_round
 from repro.lower_bounds.trim import trimmed_from_algorithm
@@ -150,7 +151,9 @@ def compiled_engine_baseline(path: pathlib.Path | None = BASELINE_PATH) -> dict:
       configurations -- the reactive engine cannot afford more);
     * cube vs compiled on the dense sweep (all ordered start pairs, a
       wide delay grid -- the curve-assembly workload the cube engine
-      tensorizes), skipped without NumPy.
+      tensorizes), skipped without NumPy; and the same sweep on the 4x4
+      torus, where no rotation preserves the ports and the cube scans
+      every start row (recorded, not gated).
 
     All engines must produce *equal* reports on their workloads; the
     returned (and, unless ``path`` is None, written) baseline records
@@ -158,6 +161,7 @@ def compiled_engine_baseline(path: pathlib.Path | None = BASELINE_PATH) -> dict:
     """
     graph = oriented_ring(16)
     algorithm = Fast(RingExploration(16), 8)
+    torus = torus_grid(4, 4)
     configs = ConfigCube.make(
         graph, all_label_pairs(8), delays=(0, 3, 15), fix_first_start=True
     )
@@ -206,7 +210,10 @@ def compiled_engine_baseline(path: pathlib.Path | None = BASELINE_PATH) -> dict:
             "compiled": _engine_entry("compiled", len(configs), best, samples),
             **_speedups(samples, "reactive", "compiled", COMPILED_SPEEDUP_GATE),
         },
-        "cube_vs_compiled": cube_engine_baseline(graph, algorithm),
+        "cube_vs_compiled": cube_engine_baseline(graph, algorithm, "ring(n=16)"),
+        "cube_per_start": cube_engine_baseline(
+            torus, AlgorithmSpec("fast", 8).build(torus), "torus(4x4)", gate=None
+        ),
         "runtime": runtime_baseline(),
         "reports_identical": True,
     }
@@ -291,7 +298,7 @@ def _engine_entry(engine: str, configurations: int, best: dict, samples: dict) -
     }
 
 
-def _speedups(samples: dict, slower: str, faster: str, gate: int) -> dict:
+def _speedups(samples: dict, slower: str, faster: str, gate: int | None) -> dict:
     """The min-of-N speedup (what is gated), the median one and the gate."""
     return {
         "speedup": round(min(samples[slower]) / min(samples[faster]), 2),
@@ -303,7 +310,9 @@ def _speedups(samples: dict, slower: str, faster: str, gate: int) -> dict:
     }
 
 
-def cube_engine_baseline(graph, algorithm) -> dict | None:
+def cube_engine_baseline(
+    graph, algorithm, graph_name: str, gate: int | None = CUBE_SPEEDUP_GATE
+) -> dict | None:
     """Cube vs compiled on the dense (all start pairs) whole-cube sweep.
 
     Both engines receive the same
@@ -313,7 +322,8 @@ def cube_engine_baseline(graph, algorithm) -> dict | None:
     time.  The engines run in alternating
     repetitions, :data:`DENSE_REPETITIONS` each, so drift on a shared
     runner hits both alike; the speedup is the ratio of the min-of-N
-    seconds, and the spread of each side is recorded beside it.  Returns
+    seconds, and the spread of each side is recorded beside it, with the
+    ``gate`` it must meet (``None``: recorded only).  Returns
     ``None`` without NumPy -- the baseline then simply records no cube
     section, and the NumPy-free CI leg stays green.
     """
@@ -338,7 +348,7 @@ def cube_engine_baseline(graph, algorithm) -> dict | None:
     return {
         "sweep": {
             "algorithm": "fast",
-            "graph": "ring(n=16)",
+            "graph": graph_name,
             "label_space": 8,
             "delays": list(DENSE_DELAYS),
             "fix_first_start": False,
@@ -347,7 +357,7 @@ def cube_engine_baseline(graph, algorithm) -> dict | None:
         "cpu": _cpu_model(),
         "compiled": _engine_entry("compiled", len(cube), best, samples),
         "cube": _engine_entry("cube", len(cube), best, samples),
-        **_speedups(samples, "compiled", "cube", CUBE_SPEEDUP_GATE),
+        **_speedups(samples, "compiled", "cube", gate),
     }
 
 
@@ -409,16 +419,20 @@ def test_engine_compiled_sweep_speedup(report):
         f"({versus['compiled']['configs_per_s']:.0f} configs/s) "
         f"-> speedup x{versus['speedup']:.1f}",
     ]
-    cube = baseline["cube_vs_compiled"]
-    if cube is not None:
+    for name in ("cube_vs_compiled", "cube_per_start"):
+        entry = baseline[name]
+        if entry is None:
+            continue
         lines.append(
-            f"whole-cube sweep ({cube['sweep']['configurations']} "
-            f"configurations, min of {cube['cube']['samples']['n']}): "
-            f"compiled {cube['compiled']['seconds'] * 1000:.0f} ms, "
-            f"cube {cube['cube']['seconds'] * 1000:.0f} ms "
-            f"({cube['cube']['configs_per_s']:.0f} configs/s) "
-            f"-> speedup x{cube['speedup']:.1f}"
+            f"whole-cube sweep on {entry['sweep']['graph']} "
+            f"({entry['sweep']['configurations']} "
+            f"configurations, min of {entry['cube']['samples']['n']}): "
+            f"compiled {entry['compiled']['seconds'] * 1000:.0f} ms, "
+            f"cube {entry['cube']['seconds'] * 1000:.0f} ms "
+            f"({entry['cube']['configs_per_s']:.0f} configs/s) "
+            f"-> speedup x{entry['speedup']:.1f}"
         )
+    cube = baseline["cube_vs_compiled"]
     report(lines)
     assert versus["speedup"] >= COMPILED_SPEEDUP_GATE
     if cube is not None:

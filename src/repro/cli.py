@@ -303,8 +303,8 @@ def _engine_rows() -> list[dict]:
             "engine": "cube",
             "available": numpy_ok,
             "requires": ["is_oblivious", "numpy"],
-            "description": "whole-cube tensor passes; orbit/dominance "
-                           "pruning on symmetry-declaring graphs",
+            "description": "whole-cube tensor passes; delay-dominance "
+                           "pruning, orbit pruning on rotation-symmetric graphs",
         },
     ]
 

@@ -11,15 +11,13 @@ walking clockwise.
 Deterministic constructors register themselves in
 :data:`repro.registry.GRAPH_FAMILIES` so specs and scenarios can name them
 as data.  Metadata carried per entry: ``vertex_transitive`` (worst-case
-sweeps may pin the first agent's start without losing a worst case),
-``symmetry`` (the *port-preserving* automorphism structure engines may
-exploit -- ``"cyclic"`` declares that ``v -> v + 1 (mod n)`` preserves
-every port label, which is what the cube engine's orbit reduction needs;
-see :mod:`repro.sim.prune`, whose exact graph check re-verifies the
-declaration at run time) and ``from_size`` (how the CLI maps a single
-node budget to parameters).  The randomized constructors stay
-unregistered -- a registry entry must be rebuildable by value, and an
-``rng`` is not a value.
+sweeps may pin the first agent's start without losing a worst case) and
+``from_size`` (how the CLI maps a single node budget to parameters).
+Port-preserving symmetry is not declared: the cube engine derives it
+from the built graph with an exact check
+(:func:`repro.sim.prune.rotation_automorphism`).  The randomized
+constructors stay unregistered -- a registry entry must be rebuildable
+by value, and an ``rng`` is not a value.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from repro.registry import GRAPH_FAMILIES
 @GRAPH_FAMILIES.register(
     "ring",
     vertex_transitive=True,
-    symmetry="cyclic",
     from_size=lambda size: {"n": size},
 )
 def oriented_ring(n: int) -> PortLabeledGraph:
@@ -46,7 +43,7 @@ def oriented_ring(n: int) -> PortLabeledGraph:
     if n < 3:
         raise ValueError(f"a ring needs n >= 3 nodes, got {n}")
     edges = [PortEdge(u, 0, (u + 1) % n, 1) for u in range(n)]
-    return PortLabeledGraph.from_edges(n, edges).declare_symmetry("cyclic")
+    return PortLabeledGraph.from_edges(n, edges)
 
 
 def ring_with_random_ports(n: int, rng: random.Random) -> PortLabeledGraph:
@@ -236,7 +233,6 @@ def lollipop(clique_size: int, tail_length: int) -> PortLabeledGraph:
 @GRAPH_FAMILIES.register(
     "circulant",
     vertex_transitive=True,
-    symmetry="cyclic",
     from_size=lambda size: {"n": max(5, size), "offsets": [1, 2]},
 )
 def circulant_graph(n: int, offsets: Sequence[int]) -> PortLabeledGraph:
@@ -262,7 +258,7 @@ def circulant_graph(n: int, offsets: Sequence[int]) -> PortLabeledGraph:
     for i, s in enumerate(offsets):
         for u in range(n):
             edges.append(PortEdge(u, 2 * i, (u + s) % n, 2 * i + 1))
-    return PortLabeledGraph.from_edges(n, edges).declare_symmetry("cyclic")
+    return PortLabeledGraph.from_edges(n, edges)
 
 
 @GRAPH_FAMILIES.register(

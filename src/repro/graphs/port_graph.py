@@ -45,7 +45,7 @@ class PortLabeledGraph:
     Instances are immutable once constructed and validate themselves.
     """
 
-    __slots__ = ("_adj", "_num_edges", "_symmetry")
+    __slots__ = ("_adj", "_num_edges")
 
     def __init__(self, adjacency: Sequence[Sequence[tuple[int, int]]]):
         adj: tuple[tuple[tuple[int, int], ...], ...] = tuple(
@@ -53,7 +53,6 @@ class PortLabeledGraph:
         )
         self._adj = adj
         self._num_edges = sum(len(row) for row in adj) // 2
-        self._symmetry: str | None = None
         self._validate()
 
     # ------------------------------------------------------------------
@@ -83,32 +82,6 @@ class PortLabeledGraph:
                 )
             adjacency.append([ports[p] for p in range(degree)])
         return cls(adjacency)
-
-    # ------------------------------------------------------------------
-    # Symmetry declaration
-    # ------------------------------------------------------------------
-
-    @property
-    def declared_symmetry(self) -> str | None:
-        """The builder's symmetry declaration, or ``None`` if undeclared.
-
-        ``"cyclic"`` asserts that ``v -> v + 1 (mod n)`` is a
-        *port-preserving* automorphism.  The declaration only gates whether
-        engines *attempt* symmetry-based pruning; :mod:`repro.sim.prune`
-        re-verifies it with an exact structural check before relying on it,
-        so a wrong declaration degrades performance, never correctness.
-        """
-        return self._symmetry
-
-    def declare_symmetry(self, symmetry: str | None) -> "PortLabeledGraph":
-        """Record a symmetry declaration; returns ``self`` for chaining.
-
-        Called by graph-family builders (the adjacency itself stays
-        immutable; the declaration is advisory metadata, excluded from
-        equality and hashing).
-        """
-        self._symmetry = symmetry
-        return self
 
     # ------------------------------------------------------------------
     # Basic queries

@@ -68,6 +68,7 @@ class _Record(NamedTuple):
     kind: str  # the record's kind, or "torn" (undecodable) or "blank"
     value: Any  # a header's spec or a shard's ShardReport, else None
     repeat: bool  # a later header, or a later shard of bounds already seen
+    bounds: tuple[int, int] | None = None  # a shard's bounds
 
 
 def _records(path: Path) -> Iterator[_Record]:
@@ -75,7 +76,10 @@ def _records(path: Path) -> Iterator[_Record]:
 
     The first ``job`` header and the first ``shard`` record of each
     bounds win; later ones come back as repeats (a repeated shard is not
-    decoded), so every reader keeps the same records.
+    decoded), so every reader keeps the same records.  A line that does
+    not decode -- not JSON, not an object, a header without a spec, a
+    shard without a readable report -- is torn, like an interrupted
+    write: readers drop it and its shard re-executes.
     """
     header_seen = False
     bounds_seen: set[tuple[int, int]] = set()
@@ -86,26 +90,34 @@ def _records(path: Path) -> Iterator[_Record]:
                 yield _Record(raw, "blank", None, False)
                 continue
             try:
-                payload: dict[str, Any] = json.loads(line)
-            except json.JSONDecodeError:
+                record = _decode(raw, json.loads(line), header_seen, bounds_seen)
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError):
                 yield _Record(raw, "torn", None, False)
                 continue
-            kind = payload.get("kind")
-            if kind == "job":
-                yield _Record(raw, kind, payload["spec"], header_seen)
+            if record.kind == "job":
                 header_seen = True
-            elif kind == "shard":
-                report = payload["report"]
-                bounds = tuple(report["shard"])
-                repeat = bounds in bounds_seen
-                bounds_seen.add(bounds)
-                value = None if repeat else ShardReport.from_dict(report)
-                yield _Record(raw, kind, value, repeat)
-            else:
-                # Unknown record kinds are informational; version skew
-                # never reaches here because both the library and
-                # record-format versions are part of the filename.
-                yield _Record(raw, str(kind), None, False)
+            elif record.kind == "shard":
+                bounds_seen.add(record.bounds)
+            yield record
+
+
+def _decode(
+    raw: str, payload: Any, header_seen: bool, bounds_seen: set[tuple[int, int]]
+) -> _Record:
+    """One decoded line as a record; raises on a line that does not decode."""
+    kind = payload.get("kind")
+    if kind == "job":
+        return _Record(raw, kind, payload["spec"], header_seen)
+    if kind == "shard":
+        report = payload["report"]
+        bounds = tuple(report["shard"])
+        if bounds in bounds_seen:
+            return _Record(raw, kind, None, True, bounds)
+        return _Record(raw, kind, ShardReport.from_dict(report), False, bounds)
+    # Unknown record kinds are informational; version skew never reaches
+    # here because both the library and record-format versions are part
+    # of the filename.
+    return _Record(raw, str(kind), None, False)
 
 
 def _read(

@@ -6,27 +6,30 @@ per configuration.  This module removes the per-configuration scan, the
 per-configuration objects and most of the scanned space:
 
 * **Dense timelines** -- the per-``(label, start)`` position timelines
-  are stacked into one ``(n, T+1)`` array per label, and every ``(start
-  pair, delay)`` configuration of a label pair is answered by array
-  comparison over delay-shifted timelines, costs by fancy-indexed
-  cumulative-traversal rows -- exact integer arithmetic mirroring
-  :meth:`~repro.sim.compiled.TrajectoryTable.evaluate`.
-* **Cross-label tensorization** -- given a :class:`ConfigCube` (the
+  are stacked into one ``(n, T+1)`` array per label; meetings are found
+  by array comparison over delay-shifted timelines, costs by
+  fancy-indexed cumulative-traversal rows -- exact integer arithmetic
+  mirroring :meth:`~repro.sim.compiled.TrajectoryTable.evaluate`.
+* **One stacked scan over cells** -- a cell is (dominance-pivot group,
+  first-start row, second start).  Given a :class:`ConfigCube` (the
   product-structured configuration space), the whole
   ``L(L-1) x n(n-1) x D`` cube -- or any contiguous index slice of it,
-  such as a runtime shard -- is answered by per-axis array passes:
+  such as a runtime shard -- is answered by one scan over the cells of
+  every label pair it touches, a bounded chunk of cells at a time:
   configurations exist only as ``(pair, start, delay)`` indices, handed
   to the reducer as one :class:`~repro.sim.adversary.VerdictBlock` that
   locates only the two argmax extremes (and any failures).
 * **Rotation-orbit reduction** (:mod:`repro.sim.prune`) -- on a graph
-  certified cyclic, with a start-oblivious factory, every label's ``n``
-  timelines are rotated copies of one compiled trajectory, and a start
-  pair's verdict depends only on ``delta = (s2 - s1) mod n``; one
-  ``(D, n)`` delta table replaces each ``(D, n, n)`` start-pair tensor.
+  whose rotation preserves every port, with a start-oblivious factory,
+  every label's ``n`` timelines are rotated copies of one compiled
+  trajectory, and a start pair's verdict depends only on ``delta = (s2
+  - s1) mod n``; the scan then keeps one first-start row per slice and
+  reads its second axis as the delta (``r = 1`` rows instead of
+  ``r = n``).  That operand is the scan's only branch.
 * **Delay dominance and early exit** -- delay slices past the first
   agent's schedule that share a post-wake window are exact translates of
   a pivot slice and are derived, not scanned; the meeting scan stops as
-  soon as every tracked cell has met.
+  soon as every cell of a chunk has met.
 
 Equivalence contract: identical to the compiled engine's -- every pruned
 verdict is reconstructed by an exact rule before any comparison, the
@@ -72,18 +75,24 @@ try:  # pragma: no cover - exercised via both CI legs
 except ImportError:  # pragma: no cover
     _np = None
 
-#: Element budget of one ``(n, n, block)`` comparison tensor; the scanned
-#: column block adapts to the graph size so temporaries stay a few MB.
-_BLOCK_ELEMENTS = 1 << 21
+#: Element budget of one block's ``(cells, columns)`` comparison tensor;
+#: the scanned column block adapts to the chunk so temporaries stay
+#: about a megabyte.
+_BLOCK_ELEMENTS = 1 << 19
 
-#: Narrowest scanned column block.  Meetings are typically early, so
-#: moderate blocks give the vector path the same early-exit the compiled
-#: engine's phase scans enjoy.
+#: Narrowest scanned column block.  Blocks grow geometrically from it:
+#: meetings are typically early, so the first narrow blocks usually settle
+#: every cell, while late meetings cost only O(log) extra passes.
 _MIN_TIME_BLOCK = 16
 
-#: Total element budget of each cache of per-group meeting/cost
-#: matrices or delta rows; the oldest entries are evicted beyond it.
-_MATRIX_CACHE_ELEMENTS = 1 << 24
+#: Most cells -- (pivot group, first-start row, second start) -- one chunk
+#: of the scan tracks, so its per-cell state stays small however many
+#: label pairs and delays a sweep stacks.
+_CHUNK_CELLS = 1 << 10
+
+#: Total element budget of the slice cache; the oldest entries are
+#: evicted beyond it.
+_CACHE_ELEMENTS = 1 << 24
 
 
 class BatchUnavailableError(ValueError):
@@ -117,9 +126,9 @@ def store_bounded(cache: dict, key: Any, value: Any, size: int) -> None:
     """Insert into a FIFO cache of equal-size entries, evicting the oldest.
 
     ``size`` is one entry's element count; entries are dropped oldest
-    first until the new one fits :data:`_MATRIX_CACHE_ELEMENTS`.
+    first until the new one fits :data:`_CACHE_ELEMENTS`.
     """
-    while cache and (len(cache) + 1) * size > _MATRIX_CACHE_ELEMENTS:
+    while cache and (len(cache) + 1) * size > _CACHE_ELEMENTS:
         cache.pop(next(iter(cache)))
     cache[key] = value
 
@@ -141,106 +150,19 @@ class LabelTimelines:
     length: int
 
 
-def _meeting_tensor(
-    np: Any,
-    first: LabelTimelines,
-    second: LabelTimelines,
-    delay_horizons: Sequence[tuple[int, int]],
-    parachute: bool,
-) -> Any:
-    """First colocation times for every ``(delay slice, start pair)``.
-
-    Slice ``d`` of the returned ``(D, n, n)`` tensor answers
-    ``delay_horizons[d] = (delay, horizon)`` for every ordered start
-    pair: the first time point in ``[earliest, horizon]`` at which the
-    delay-shifted timelines colocate, ``-1`` when they never do.  The
-    second agent's timeline is read through clipped time indices
-    (``clip(t - delay, 0, T2)``), which realises both the pre-wake wait
-    at its start and the parked tail past its schedule -- the same delay
-    shift :func:`repro.sim.compiled.first_meeting_time` scans in phases;
-    under the parachute presence model its pre-wake positions are blanked
-    to a sentinel no node matches, so no meeting can precede its wake.
-
-    All slices share one column-block scan (early meetings stop it
-    early).  No slice looks past ``max(T1, delay + T2)``: beyond that
-    point both timelines are constant, so a colocation there implies an
-    earlier one at the parking point, which the scan covers.  A first
-    colocation past a slice's own window is masked back to ``-1``.
-    """
-    n = first.positions.shape[0]
-    count = len(delay_horizons)
-    delays = np.array([delay for delay, _ in delay_horizons], dtype=np.intp)
-    horizons = np.array([horizon for _, horizon in delay_horizons], dtype=np.int64)
-    met = np.full((count, n, n), -1, dtype=np.int64)
-    length1, length2 = first.length, second.length
-    limit = np.minimum(horizons, np.maximum(length1, delays + length2))
-    max_scan = int(limit.max())
-    start_t = int(delays.min()) if parachute else 0
-    positions1, positions2 = first.positions, second.positions
-    block = max(_MIN_TIME_BLOCK, _BLOCK_ELEMENTS // (count * n * n))
-    t0 = start_t
-    while t0 <= max_scan:
-        t1 = min(t0 + block - 1, max_scan)
-        times = np.arange(t0, t1 + 1, dtype=np.intp)
-        a = positions1[:, np.minimum(times, length1)]  # (n, b)
-        cols2 = np.clip(times[None, :] - delays[:, None], 0, length2)  # (D, b)
-        b2 = np.moveaxis(positions2[:, cols2], 0, 1)  # (D, n, b)
-        if parachute:
-            asleep = times[None, :] < delays[:, None]
-            b2 = np.where(asleep[:, None, :], -1, b2)
-        colocated = a[None, :, None, :] == b2[:, None, :, :]  # (D, n, n, b)
-        fresh = colocated.any(axis=3) & (met < 0)
-        if fresh.any():
-            met[fresh] = t0 + colocated[fresh].argmax(axis=1)
-            if (met >= 0).all():
-                break
-        t0 = t1 + 1
-    # A colocation past a slice's window (its horizon, or -- parachute
-    # only -- at a time its own delay has not reached) is no meeting.
-    return np.where((met >= 0) & (met <= limit[:, None, None]), met, -1)
-
-
-def _cost_tensor(
-    np: Any,
-    first: LabelTimelines,
-    second: LabelTimelines,
-    delay_horizons: Sequence[tuple[int, int]],
-    met: Any,
-) -> Any:
-    """Total traversal cost for every ``(delay slice, start pair)``.
-
-    Counted through the meeting round (``met[d, s1, s2]``), or through
-    the slice's horizon where the pair never meets -- exactly the clamped
-    cumulative-cost reads of :meth:`TrajectoryTable.evaluate`.
-    """
-    n = met.shape[1]
-    delays = np.array([delay for delay, _ in delay_horizons], dtype=np.int64)
-    horizons = np.array([horizon for _, horizon in delay_horizons], dtype=np.int64)
-    last = np.where(met >= 0, met, horizons[:, None, None])
-    rows = np.arange(n, dtype=np.intp)
-    return (
-        first.costs[rows[None, :, None], np.minimum(last, first.length)]
-        + second.costs[
-            rows[None, None, :],
-            np.clip(last - delays[:, None, None], 0, second.length),
-        ]
-    )
-
-
 class CubeTimelineTable:
-    """Dense per-label timelines, pruned whenever pruning is certified.
+    """Dense per-label timelines and the one first-meeting scan over them.
 
     At most ``L`` label timeline arrays are built, however many
-    configurations are evaluated.  When the sweep is certified (cyclic
-    graph declaration re-verified exactly, start-oblivious factory,
-    derived-trajectory probe), each label's arrays are rotation-derived
-    from one compilation instead of ``n``, and whole label-pair blocks
-    are answered through ``(D, n)`` delta tables
-    (:meth:`orbit_cube`); otherwise they come from per-start
-    compilations and ``(n, n)`` start-pair matrices (:meth:`pair_cube`).
-    Delay dominance applies on both paths.  Every reduction is exact, so
-    the path changes only the work done (``stats`` meters what was
-    avoided), never a report.
+    configurations are evaluated.  When the sweep is certified (exact
+    rotation check, start-oblivious factory, derived-trajectory probe),
+    each label's ``n`` rows are rotated copies of one compilation and the
+    scan (:meth:`slices`) keeps a single first-start row, reading the
+    second axis as the delta ``(s2 - s1) mod n``; otherwise the rows come
+    from per-start compilations and the scan keeps all ``n``.  Delay
+    dominance and early exit apply either way.  Every reduction is exact,
+    so the certificate changes only the work done (``stats`` meters what
+    was avoided), never a report.
     """
 
     def __init__(self, graph: PortLabeledGraph, factory: ProgramFactory):
@@ -256,23 +178,18 @@ class CubeTimelineTable:
         self.build_seconds = 0.0
         self.stats = PruneStats()
         self.certificate = certify_symmetry(graph, factory)
-        # Both caches are bounded FIFOs keyed by (labels, delay, horizon,
-        # presence): shards of one sweep that split a label pair read
-        # them back instead of rescanning, and a long-lived worker table
-        # serves sweep after sweep over ever new delays.  Certified
-        # sweeps cache a (2, n) array over delta -- the met row stacked
-        # on the cost row; the others a (met, cost) pair of (n, n)
-        # start-pair matrices.
-        self._delta_rows: dict[
+        # A bounded FIFO keyed by (labels, delay, horizon, presence):
+        # shards of one sweep that split a label pair read it back instead
+        # of rescanning, and a long-lived worker table serves sweep after
+        # sweep over ever new delays.  Each entry is one (2, r, n) view --
+        # the met rows stacked on the cost rows -- into its scan's block.
+        self._slices: dict[
             tuple[tuple[int, int], int, int, PresenceModel], Any
-        ] = {}
-        self._matrices: dict[
-            tuple[tuple[int, int], int, int, PresenceModel], tuple[Any, Any]
         ] = {}
         self._probed = False
         # int16 positions halve the traffic of the comparison pass; node
         # ids exceed it only on graphs far past this engine's O(n^2)
-        # start-pair matrices anyway.
+        # start-pair cells anyway.
         self._position_dtype = (
             self._np.int16 if graph.num_nodes <= 2**15 else self._np.int32
         )
@@ -281,14 +198,14 @@ class CubeTimelineTable:
         """The stacked (all-starts) timeline arrays of one label, built once.
 
         On a certified sweep row ``s`` is the start-0 trajectory shifted
-        by ``s`` -- exact on a certified-cyclic graph with a
-        start-oblivious factory -- so one compile serves all ``n`` rows.
-        Defense in depth beyond the declarations: the first label built
-        also compiles its start-1 trajectory and probes it against the
-        derived row (one extra compile per table, the property is a
-        factory-wide one); any mismatch voids the certificate for the
-        whole table, discards derived state and falls back to per-start
-        compilations.
+        by ``s`` -- exact when rotation preserves every port and the
+        factory is start-oblivious -- so one compile serves all ``n`` rows.
+        Defense in depth beyond the factory's declaration: the first
+        label built also compiles its start-1 trajectory and probes it
+        against the derived row (one extra compile per table, the
+        property is a factory-wide one); any mismatch voids the
+        certificate for the whole table, discards derived state and falls
+        back to per-start compilations.
         """
         stacked = self._labels.get(label)
         if stacked is not None:
@@ -338,7 +255,7 @@ class CubeTimelineTable:
                     "trajectory is not the rotated start-0 trajectory",
                 )
                 self._labels.clear()  # derived rows of other labels are void
-                self._delta_rows.clear()
+                self._slices.clear()
                 return None
             self._probed = True
         row0 = np.array(base.positions, dtype=self._position_dtype)
@@ -353,264 +270,222 @@ class CubeTimelineTable:
             length=base.length,
         )
 
-    def orbit_cube(
+    def slices(
         self,
         label_pairs: Sequence[tuple[int, int]],
         delay_horizons: Sequence[Sequence[tuple[int, int]]],
         presence: PresenceModel,
-    ) -> tuple[Any, Any] | None:
-        """``(met, cost)`` as ``(P, D, n)`` tensors: label pair, delay, delta.
+    ) -> tuple[Any, Any]:
+        """``(met, cost)`` as ``(P, D, r, n)`` tensors: pair, delay, start cells.
 
         ``delay_horizons[p]`` lists pair ``p``'s ``(delay, horizon)``
-        slices (one per delay-axis entry, so ``D`` is uniform).  Pairs
-        whose every slice is in the row cache are read back; the rest go
-        through one stacked pass (:meth:`_scan_orbit_cube`) and are
-        cached.  Returns ``None`` when the orbit certificate does not
-        hold (or the trajectory probe voids it mid-build).
+        slices (one per delay-axis entry, so ``D`` is uniform).  Axis 2 is
+        the first agent's start and axis 3 the second's; on a certified
+        sweep ``r = 1`` and axis 3 is the delta ``(s2 - s1) mod n``, which
+        alone decides a start pair's verdict there.  ``met`` is the first
+        meeting time point, ``-1`` for none in the slice's window; ``cost``
+        the total traversals through it (through the horizon on a miss).
+        Pairs whose every slice is cached are read back; the rest go
+        through one scan (:meth:`_scan`) and are cached.
         """
-        if not self.certificate.orbit:
-            return None
         np = self._np
         n = self.graph.num_nodes
-        delay_count = len(delay_horizons[0]) if delay_horizons else 0
-        met = np.empty((len(label_pairs), delay_count, n), dtype=np.int64)
-        cost = np.empty((len(label_pairs), delay_count, n), dtype=np.int64)
-        todo: list[int] = []
-        for p, labels in enumerate(label_pairs):
-            rows = [
-                self._delta_rows.get((labels, delay, horizon, presence))
-                for delay, horizon in delay_horizons[p]
-            ]
-            if any(row is None for row in rows):
-                todo.append(p)
-                continue
-            for index, row in enumerate(rows):
-                met[p, index] = row[0]
-                cost[p, index] = row[1]
+        keys = [
+            [(labels, delay, horizon, presence) for delay, horizon in horizons]
+            for labels, horizons in zip(label_pairs, delay_horizons)
+        ]
+        cached = [[self._slices.get(key) for key in row] for row in keys]
+        todo = [p for p, row in enumerate(cached) if any(v is None for v in row)]
+        for label in sorted({label for p in todo for label in label_pairs[p]}):
+            self.timelines(label)  # the probe may void the certificate here
+        rows = 1 if self.certificate.orbit else n
         if todo:
-            scanned = self._scan_orbit_cube(
+            scanned = self._scan(
                 [label_pairs[p] for p in todo],
                 [delay_horizons[p] for p in todo],
                 presence,
+                rows,
             )
-            if scanned is None:
-                return None
-            met[todo], cost[todo] = scanned
-            # One (T, D, 2, n) copy; each cached row is a view into it, so
-            # a block lives until the FIFO has evicted all of its rows.
-            packed = np.stack(scanned, axis=2)
             for slot, p in enumerate(todo):
-                for index, (delay, horizon) in enumerate(delay_horizons[p]):
+                for index, key in enumerate(keys[p]):
                     store_bounded(
-                        self._delta_rows,
-                        (label_pairs[p], delay, horizon, presence),
-                        packed[slot, index],
-                        2 * n,
+                        self._slices, key, scanned[slot, index], 2 * rows * n
                     )
-        return met, cost
+        if len(todo) == len(label_pairs):
+            packed = scanned
+        else:
+            packed = np.empty(
+                (len(label_pairs), len(keys[0]), 2, rows, n), dtype=np.int64
+            )
+            for p, row in enumerate(cached):
+                if all(v is not None for v in row):
+                    packed[p] = row
+            if todo:
+                packed[todo] = scanned
+        return packed[:, :, 0], packed[:, :, 1]
 
-    def _scan_orbit_cube(
+    def _scan(
         self,
         label_pairs: Sequence[tuple[int, int]],
         delay_horizons: Sequence[Sequence[tuple[int, int]]],
         presence: PresenceModel,
-    ) -> tuple[Any, Any] | None:
-        """The cross-label pass behind :meth:`orbit_cube`.
+        rows: int,
+    ) -> Any:
+        """The stacked first-meeting pass behind :meth:`slices`.
 
-        Every label's start-0 timeline is stacked (parked-tail padded)
-        into one ``(L, Tmax+1)`` tensor, and all ``P x D`` dominance-pivot
-        groups are scanned in a single column-blocked sweep -- no Python
-        loop over label pairs touches the time axis.  With
-        rotation-derived timelines, starts ``(s1, s2)`` colocate at ``t``
-        iff ``pos1(t) - pos2(t') == s2 - s1 (mod n)`` of the start-0 rows,
-        so one ``(D, n)`` table over ``delta`` answers all ``n**2`` start
-        pairs of a label pair.  Row semantics (windows, delay clipping,
-        parachute blanking, ``-1`` for never) match
-        :func:`_meeting_tensor`'s exactly; the scan stops early once every delta has met
-        (``stats.early_exit_rounds`` counts the skipped time points).
+        Returns one packed ``(P, D, 2, rows, n)`` block (met, then cost).
+        The first ``rows`` timeline rows of every label are stacked
+        (parked-tail padded) into one ``(L, rows, Tmax+1)`` tensor, and
+        the dominance pivots of all pairs are scanned together, a bounded
+        number of cells at a time (:meth:`_first_meetings`) -- no Python
+        loop over label pairs touches the time axis.  Costs are priced
+        from the stacked cost rows; slices a pivot dominates derive by
+        exact translation (:func:`~repro.sim.prune.derive_met`).
         """
         np = self._np
         n = self.graph.num_nodes
-        pair_count = len(label_pairs)
-        delay_count = len(delay_horizons[0]) if delay_horizons else 0
-        labels_needed = sorted({label for pair in label_pairs for label in pair})
-        stacked = {label: self.timelines(label) for label in labels_needed}
-        if not self.certificate.orbit:  # probe mismatch mid-build
-            return None
         parachute = presence is PresenceModel.PARACHUTE
-        index_of = {label: slot for slot, label in enumerate(labels_needed)}
-        lengths = [stacked[label].length for label in labels_needed]
-        tmax = max(lengths) if lengths else 0
+        labels = sorted({label for pair in label_pairs for label in pair})
+        slot = {label: index for index, label in enumerate(labels)}
+        stacked = [self._labels[label] for label in labels]
+        lengths = [timelines.length for timelines in stacked]
+        tmax = max(lengths)
         # Parked-tail padding makes the rows rectangular across labels:
         # past its own schedule a timeline repeats its final position and
-        # cost, so clamped reads below need only the shared tmax.  int32
-        # holds any node id or cumulative cost in half the bytes of int64,
-        # and schedules run to ~1e5 rounds.
-        pos0 = np.empty((len(labels_needed), tmax + 1), dtype=np.int32)
-        cost0 = np.empty((len(labels_needed), tmax + 1), dtype=np.int32)
-        for slot, label in enumerate(labels_needed):
-            rows = stacked[label]
-            pos0[slot, : rows.length + 1] = rows.positions[0]
-            pos0[slot, rows.length + 1 :] = int(rows.positions[0][-1])
-            cost0[slot, : rows.length + 1] = rows.costs[0]
-            cost0[slot, rows.length + 1 :] = int(rows.costs[0][-1])
+        # cost, so clamped reads below need only the shared tmax.
+        positions = np.empty((len(labels), rows, tmax + 1), self._position_dtype)
+        costs = np.empty((len(labels), rows, tmax + 1), dtype=np.int32)
+        for index, timelines in enumerate(stacked):
+            end = timelines.length + 1
+            positions[index, :, :end] = timelines.positions[:rows]
+            positions[index, :, end:] = timelines.positions[:rows, -1:]
+            costs[index, :, :end] = timelines.costs[:rows]
+            costs[index, :, end:] = timelines.costs[:rows, -1:]
+        # Per pair: both labels' slots and schedule lengths.
+        agents = [
+            (slot[a], slot[b], lengths[slot[a]], lengths[slot[b]])
+            for a, b in label_pairs
+        ]
         # One scan group per dominance pivot; dominated slices derive.
         plans = [
-            dominance_plan(
-                delay_horizons[p], stacked[label_pairs[p][0]].length
-            )
-            for p in range(pair_count)
+            dominance_plan(horizons, first_length)
+            for (_, _, first_length, _), horizons in zip(agents, delay_horizons)
         ]
-        group_i1: list[int] = []
-        group_i2: list[int] = []
-        group_delay: list[int] = []
-        group_horizon: list[int] = []
-        group_t1: list[int] = []
-        group_t2: list[int] = []
-        for p, labels in enumerate(label_pairs):
-            for index in plans[p].scan:
-                delay, horizon = delay_horizons[p][index]
-                group_i1.append(index_of[labels[0]])
-                group_i2.append(index_of[labels[1]])
-                group_delay.append(delay)
-                group_horizon.append(horizon)
-                group_t1.append(stacked[labels[0]].length)
-                group_t2.append(stacked[labels[1]].length)
-        group_count = len(group_i1)
-        i1 = np.array(group_i1, dtype=np.intp)
-        i2 = np.array(group_i2, dtype=np.intp)
-        delays = np.array(group_delay, dtype=np.int64)
-        horizons = np.array(group_horizon, dtype=np.int64)
-        t1s = np.array(group_t1, dtype=np.int64)
-        t2s = np.array(group_t2, dtype=np.int64)
-        limit = np.minimum(horizons, np.maximum(t1s, delays + t2s))
-        met = np.full((group_count, n), -1, dtype=np.int64)
-        deltas = np.arange(n, dtype=np.int64)
-        if group_count:
-            max_scan = int(limit.max())
-            t0 = int(delays.min()) if parachute else 0
-            # Blocks grow geometrically up to the element budget: meetings
-            # are typically early, so the first narrow blocks usually
-            # settle every delta and the scan exits long before the
-            # horizon, while late meetings cost only O(log) extra passes.
-            widest = max(
-                _MIN_TIME_BLOCK, _BLOCK_ELEMENTS // max(group_count * n, 1)
-            )
-            block = _MIN_TIME_BLOCK
-            while t0 <= max_scan:
-                t1 = min(t0 + block - 1, max_scan)
-                block = min(2 * block, widest)
-                times = np.arange(t0, t1 + 1, dtype=np.intp)
-                a = pos0[i1[:, None], np.minimum(times, tmax)[None, :]]
-                cols2 = np.minimum(
-                    np.maximum(times[None, :] - delays[:, None], 0), tmax
-                )
-                diffs = (a - pos0[i2[:, None], cols2]) % n  # (G, b)
-                # Out-of-window time points match no delta: past the
-                # group's limit, or (parachute only) before its wake.
-                invalid = times[None, :] > limit[:, None]
-                if parachute:
-                    invalid |= times[None, :] < delays[:, None]
-                diffs = np.where(invalid, -1, diffs)
-                hits = diffs[:, :, None] == deltas[None, None, :]  # (G, b, n)
-                fresh = hits.any(axis=1) & (met < 0)
-                if fresh.any():
-                    met = np.where(fresh, t0 + hits.argmax(axis=1), met)
-                    if (met >= 0).all():
-                        self.stats.early_exit_rounds += max_scan - t1
-                        break
-                t0 = t1 + 1
-        last = np.where(met >= 0, met, horizons[:, None])
-        # Start-oblivious costs are start-independent, so the start-0 rows
-        # price every delta: through the meeting round, or through the
-        # group's horizon where the delta never meets.
-        cost = cost0[i1[:, None], np.minimum(last, tmax)].astype(np.int64) + (
-            cost0[i2[:, None], np.minimum(np.maximum(last - delays[:, None], 0), tmax)]
+        groups = np.array(
+            [
+                (p, index, *agents[p], *delay_horizons[p][index])
+                for p, plan in enumerate(plans)
+                for index in plan.scan
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 8)
+        pair, index, i1, i2, t1, t2, delays, horizons = groups.T
+        # No group looks past max(T1, delay + T2): beyond it both
+        # timelines are parked, so a colocation there implies an earlier
+        # one at the parking point, which the scan covers.
+        limits = np.minimum(horizons, np.maximum(t1, delays + t2))
+        first_rows = np.arange(rows)[None, :, None]
+        second_rows = (np.arange(n) % rows)[None, None, :]
+        packed = np.empty(
+            (len(label_pairs), len(delay_horizons[0]), 2, rows, n), dtype=np.int64
         )
-        # Scatter pivots into the (P, D, n) cube, then fill dominated
-        # slices by exact translation from their pivot rows.
-        met_full = np.empty((pair_count, delay_count, n), dtype=np.int64)
-        cost_full = np.empty((pair_count, delay_count, n), dtype=np.int64)
-        group = 0
-        for p in range(pair_count):
-            plan = plans[p]
-            for index in plan.scan:
-                met_full[p, index] = met[group]
-                cost_full[p, index] = cost[group]
-                group += 1
-            for index, (pivot, shift) in plan.derived.items():
-                met_full[p, index] = derive_met(
-                    np,
-                    met_full[p, pivot],
-                    delay_horizons[p][pivot][0],
-                    shift,
-                    parachute,
+        per_chunk = max(1, _CHUNK_CELLS // (rows * n))
+        for lo in range(0, len(groups), per_chunk):
+            chunk = slice(lo, lo + per_chunk)
+            met = self._first_meetings(
+                positions,
+                i1[chunk],
+                i2[chunk],
+                delays[chunk],
+                limits[chunk],
+                parachute,
+            )
+            last = np.where(met >= 0, met, horizons[chunk, None, None])
+            wake = np.maximum(last - delays[chunk, None, None], 0)
+            packed[pair[chunk], index[chunk], 0] = met
+            packed[pair[chunk], index[chunk], 1] = costs[
+                i1[chunk, None, None], first_rows, np.minimum(last, tmax)
+            ].astype(np.int64) + costs[
+                i2[chunk, None, None], second_rows, np.minimum(wake, tmax)
+            ]
+        for p, plan in enumerate(plans):
+            for derived, (pivot, shift) in plan.derived.items():
+                pivot_delay = delay_horizons[p][pivot][0]
+                packed[p, derived, 0] = derive_met(
+                    np, packed[p, pivot, 0], pivot_delay, shift, parachute
                 )
-                cost_full[p, index] = cost_full[p, pivot]
+                packed[p, derived, 1] = packed[p, pivot, 1]
                 self.stats.dominated_slices += 1
-        self.stats.orbit_cells += pair_count * delay_count * (n * n - n)
-        return met_full, cost_full
+        if rows == 1:
+            pair_count, delay_count = packed.shape[:2]
+            self.stats.orbit_cells += pair_count * delay_count * (n * n - n)
+        return packed
 
-    def pair_cube(
+    def _first_meetings(
         self,
-        labels: tuple[int, int],
-        delay_horizons: Sequence[tuple[int, int]],
-        presence: PresenceModel,
-        s1: Any,
-        s2: Any,
-    ) -> tuple[Any, Any]:
-        """``(met, cost)`` as ``(S, D)`` arrays for one label pair.
+        positions: Any,
+        i1: Any,
+        i2: Any,
+        delays: Any,
+        limits: Any,
+        parachute: bool,
+    ) -> Any:
+        """First colocation time of every cell of ``G`` groups, as ``(G, r, n)``.
 
-        Rows follow the given start-pair order, columns the given delay
-        order -- the flattened result is the global enumeration order
-        within the pair, which is what makes one ``argmax`` reproduce the
-        serial first-wins tie-break.  Each ``(delay, horizon)`` slice is
-        an ``(n, n)`` all-start-pairs matrix pair, cached (bounded FIFO)
-        so shards that split a label pair still compute it once.  The
-        missing slices are answered together: dominance pivots
-        (:func:`~repro.sim.prune.dominance_plan`) by one tensor pass, the
-        slices they dominate by exact translation
-        (:func:`~repro.sim.prune.derive_met`).
+        Group ``g`` pairs stacked label ``i1[g]`` with ``i2[g]`` at
+        ``delays[g]``; ``-1`` marks a cell with no colocation in its
+        window.  The second agent is read through clamped time indices
+        (``clip(t - delay, 0, Tmax)``), which realises both its pre-wake
+        wait at its start and its parked tail -- the delay shift
+        :func:`repro.sim.compiled.first_meeting_time` scans in phases.
+        Out-of-window time points -- past the group's limit or, under the
+        parachute presence model, before its wake -- are blanked to ``-1``,
+        which no operand matches.  With one row (a certified sweep) starts
+        ``(s1, s2)`` colocate at ``t`` iff the start-0 rows differ by
+        ``s2 - s1 (mod n)``, so the row difference is compared against
+        every delta; otherwise row meets row.  Column blocks grow
+        geometrically, and the scan stops once every cell has met
+        (``stats.early_exit_rounds`` counts the time points skipped).
         """
         np = self._np
-        slices = {
-            (delay, horizon): self._matrices.get((labels, delay, horizon, presence))
-            for delay, horizon in delay_horizons
-        }
-        missing = [key for key, matrices in slices.items() if matrices is None]
-        if missing:
-            first = self.timelines(labels[0])
-            second = self.timelines(labels[1])
-            parachute = presence is PresenceModel.PARACHUTE
-            plan = dominance_plan(missing, first.length)
-            pivots = [missing[index] for index in plan.scan]
-            met = _meeting_tensor(np, first, second, pivots, parachute)
-            cost = _cost_tensor(np, first, second, pivots, met)
-            for slot, pivot in enumerate(pivots):
-                slices[pivot] = (met[slot], cost[slot])
-            for index, (pivot, shift) in plan.derived.items():
-                pivot_met, pivot_cost = slices[missing[pivot]]
-                slices[missing[index]] = (
-                    derive_met(np, pivot_met, missing[pivot][0], shift, parachute),
-                    pivot_cost,
-                )
-                self.stats.dominated_slices += 1
-            # Each entry holds TWO n*n matrices (met and cost).
-            size = 2 * self.graph.num_nodes**2
-            for delay, horizon in missing:
-                store_bounded(
-                    self._matrices,
-                    (labels, delay, horizon, presence),
-                    slices[delay, horizon],
-                    size,
-                )
-        met_slices = []
-        cost_slices = []
-        for key in delay_horizons:
-            met_matrix, cost_matrix = slices[key]
-            met_slices.append(met_matrix[s1, s2])
-            cost_slices.append(cost_matrix[s1, s2])
-        return np.stack(met_slices, axis=1), np.stack(cost_slices, axis=1)
+        n = self.graph.num_nodes
+        rows, tmax = positions.shape[1], positions.shape[2] - 1
+        met = np.full((len(i1), rows, n), -1, dtype=np.int64)
+        max_scan = int(limits.max())
+        t0 = int(delays.min()) if parachute else 0
+        widest = max(_MIN_TIME_BLOCK, _BLOCK_ELEMENTS // met.size)
+        block = _MIN_TIME_BLOCK
+        first = (i1[:, None, None], np.arange(rows)[None, :, None])
+        if rows == 1:
+            second = (i2[:, None, None], 0)
+            other = np.arange(n, dtype=positions.dtype)[None, None, :, None]
+        else:
+            second = (i2[:, None, None, None], np.arange(n)[None, None, :, None])
+        delays, limits = delays[:, None], limits[:, None]
+        while t0 <= max_scan:
+            t1 = min(t0 + block - 1, max_scan)
+            block = min(2 * block, widest)
+            times = np.arange(t0, t1 + 1, dtype=np.intp)
+            cols2 = np.minimum(np.maximum(times - delays, 0), tmax)
+            a = positions[(*first, np.minimum(times, tmax))]
+            if rows == 1:
+                a = (a - positions[(*second, cols2[:, None, :])]) % n
+            else:
+                other = positions[(*second, cols2[:, None, None, :])]
+            invalid = times > limits
+            if parachute:
+                invalid |= times < delays
+            a = np.where(invalid[:, None, :], -1, a)
+            hits = a[:, :, None, :] == other  # (G, r, n, b)
+            fresh = hits.any(axis=3) & (met < 0)
+            if fresh.any():
+                met = np.where(fresh, t0 + hits.argmax(axis=3), met)
+                if (met >= 0).all():
+                    self.stats.early_exit_rounds += max_scan - t1
+                    break
+            del hits
+            t0 = t1 + 1
+        return met
 
 
 def _pair_horizons(
@@ -666,14 +541,12 @@ def _whole_cube_search(
     ``worst_case_search(engine="cube")`` and the runtime's cube shards;
     ``indices`` is a contiguous ascending ``range`` (a shard, a whole cube).
     Only the label pairs the range touches are evaluated, with horizons
-    per ``(label pair, delay)`` (:func:`_pair_horizons`).  On a certified-cyclic sweep they are one
-    stacked pass (:meth:`CubeTimelineTable.orbit_cube`) gathered
-    by start-pair delta; otherwise each pair's touched start rows are
-    read from its all-start-pairs matrices (:meth:`~CubeTimelineTable.pair_cube`).
-    Either way the verdicts form one flat block in enumeration order
-    (pair, start pair, delay), cut to ``[lo, hi)`` -- no
-    :class:`Configuration` exists until the reducer locates a winner or
-    a failure.
+    per ``(label pair, delay)`` (:func:`_pair_horizons`), through one
+    stacked scan (:meth:`CubeTimelineTable.slices`) gathered at
+    ``[s1, s2]`` -- or at ``[0, delta]`` on a certified sweep.  The
+    verdicts form one flat block in enumeration order (pair, start pair,
+    delay), cut to ``[lo, hi)`` -- no :class:`Configuration` exists until
+    the reducer locates a winner or a failure.
     """
     np = table._np
     start_pairs = cube.start_pairs
@@ -692,34 +565,14 @@ def _whole_cube_search(
     # Block positions count from the first touched pair's first index.
     begin, end = lo - first_pair * per_pair, hi - first_pair * per_pair
 
-    tables = table.orbit_cube(label_pairs, pair_horizons, presence)
-    if tables is not None:
-        n = table.graph.num_nodes
-        delta = np.array([(v - u) % n for u, v in start_pairs], dtype=np.intp)
-        # (P, D, S) -> (P, S, D) -> flat row-major = enumeration order.
-        met_rows, cost_rows = tables
-        met = met_rows[:, :, delta].transpose(0, 2, 1).reshape(-1)[begin:end]
-        cost = cost_rows[:, :, delta].transpose(0, 2, 1).reshape(-1)[begin:end]
-    else:
-        s1 = np.array([u for u, _ in start_pairs], dtype=np.intp)
-        s2 = np.array([v for _, v in start_pairs], dtype=np.intp)
-        met_parts = []
-        cost_parts = []
-        for p, labels in enumerate(label_pairs):
-            # This pair's share of the range, as pair-local positions,
-            # widened to whole start rows for the gather.
-            first = max(begin - p * per_pair, 0)
-            last = min(end - p * per_pair, per_pair)
-            rows = slice(first // delay_count, (last - 1) // delay_count + 1)
-            pair_met, pair_cost = table.pair_cube(
-                labels, pair_horizons[p], presence, s1[rows], s2[rows]
-            )
-            skip = rows.start * delay_count
-            cut = slice(first - skip, last - skip)
-            met_parts.append(pair_met.reshape(-1)[cut])
-            cost_parts.append(pair_cost.reshape(-1)[cut])
-        met = np.concatenate(met_parts)
-        cost = np.concatenate(cost_parts)
+    n = table.graph.num_nodes
+    met_cells, cost_cells = table.slices(label_pairs, pair_horizons, presence)
+    s1, s2 = np.array(start_pairs, dtype=np.intp).reshape(-1, 2).T
+    # A certified sweep's one row is read by delta, any other by start.
+    rows, cols = (0, (s2 - s1) % n) if met_cells.shape[2] == 1 else (s1, s2)
+    # Gathered as (P, S, D): flat row-major is the enumeration order.
+    met = met_cells.transpose(0, 2, 3, 1)[:, rows, cols].reshape(-1)[begin:end]
+    cost = cost_cells.transpose(0, 2, 3, 1)[:, rows, cols].reshape(-1)[begin:end]
 
     def locate(position: int) -> tuple[int, Configuration]:
         pair_index, rest = divmod(begin + position, per_pair)

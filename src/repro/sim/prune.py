@@ -4,12 +4,12 @@ The cube engine (:mod:`repro.sim.cube`) answers the whole
 ``L(L-1) x n(n-1) x D`` adversarial cube per sweep.  Most of that cube is
 redundant: on a graph whose rotation is a *port-preserving* automorphism,
 a start-oblivious agent traces rotated copies of one route, so every
-rotation orbit of start pairs shares one verdict; and once the second
-agent's wake-up delay exceeds the first agent's schedule, further delay
-merely translates the tail of the execution, so whole delay slices are
-exact translates of a pivot slice.  This module holds the *soundness
-machinery* for those reductions -- certification, orbit arithmetic and
-dominance planning -- so the engine itself stays a tensor pipeline.
+start pair with the same ``delta = (s2 - s1) mod n`` shares one verdict;
+and once the second agent's wake-up delay exceeds the first agent's
+schedule, further delay merely translates the tail of the execution, so
+whole delay slices are exact translates of a pivot slice.  This module
+holds the *soundness machinery* for those reductions -- certification
+and dominance planning -- so the engine itself stays a tensor pipeline.
 
 Pruning soundness contract
 --------------------------
@@ -20,31 +20,29 @@ rule proven from the simulator's semantics, so reports stay byte-identical
 to the reactive engine (the cross-engine suite in ``tests/sim`` asserts
 this for every registered algorithm x family x presence model).  There
 is no switch: the cube engine applies every reduction whose gates pass
-and falls back exactly where one fails.  Three gates keep the rules
-sound:
+and falls back exactly where one fails.  Three gates keep the rotation
+rule sound:
 
-* **Declaration** -- a graph family must declare ``symmetry="cyclic"``
-  (:data:`repro.registry.GRAPH_FAMILIES` metadata, stamped onto built
-  graphs as :attr:`~repro.graphs.port_graph.PortLabeledGraph.declared_symmetry`).
-  Undeclared families fall back untouched, at zero cost.
-* **Exact re-verification** -- the declaration is never trusted:
-  :func:`rotation_automorphism` re-checks, in ``O(E)``, that
-  ``v -> v + 1 (mod n)`` preserves every port label.  A wrong declaration
-  therefore degrades performance, never correctness.  Reflection
-  (``v -> -v (mod n)``) is *not* port-preserving on oriented rings (it
-  swaps the clockwise/counterclockwise ports 0 and 1), so the engine
-  never merges reflection orbits.
-* **Behavioural declaration** -- the algorithm's exploration must declare
+* **Rotation check** -- :func:`rotation_automorphism` verifies, in
+  ``O(E)``, that ``v -> v + 1 (mod n)`` preserves every port label of
+  the built graph.  Nothing is declared, so nothing can be declared
+  wrongly; a graph that fails the check is scanned start by start.
+  Reflection (``v -> -v (mod n)``) is *not* port-preserving on oriented
+  rings (it swaps the clockwise/counterclockwise ports 0 and 1), so the
+  engine never merges reflection orbits.
+* **Start-oblivious factory** -- the algorithm's exploration must declare
   :attr:`~repro.exploration.base.ExplorationProcedure.start_oblivious`
-  (its port sequence depends only on the observation stream), and the
-  engine still probes one derived trajectory against a real compilation
-  before relying on the family (defense in depth).
+  (its port sequence depends only on the observation stream).
+* **Probe** -- the engine still compiles one trajectory from start 1
+  and compares it with the rotated start-0 trajectory before relying on
+  the factory's declaration (defense in depth); a mismatch voids the
+  certificate for the whole table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from repro.graphs.port_graph import PortLabeledGraph
 
@@ -56,13 +54,13 @@ from repro.graphs.port_graph import PortLabeledGraph
 def rotation_automorphism(graph: PortLabeledGraph) -> bool:
     """Whether ``v -> v + 1 (mod n)`` preserves every port label.
 
-    The exact ``O(E)`` check behind the ``symmetry="cyclic"`` family
-    declaration: for every node ``u`` and port ``p`` with
-    ``neighbor_via(u, p) == (v, q)``, the rotated node must satisfy
-    ``neighbor_via(u + 1, p) == (v + 1, q)`` (all mod ``n``), and degrees
-    must match.  When this holds, relabeling every node by ``+ s`` maps
-    walks to walks with identical port decisions, which is what makes
-    rotation-derived trajectories exact.
+    The exact ``O(E)`` check behind the orbit certificate: for every
+    node ``u`` and port ``p`` with ``neighbor_via(u, p) == (v, q)``, the
+    rotated node must satisfy ``neighbor_via(u + 1, p) == (v + 1, q)``
+    (all mod ``n``), and degrees must match.  When this holds,
+    relabeling every node by ``+ s`` maps walks to walks with identical
+    port decisions, which is what makes rotation-derived trajectories
+    exact.
     """
     n = graph.num_nodes
     for u in range(n):
@@ -108,21 +106,13 @@ class SymmetryCertificate:
 def certify_symmetry(graph: PortLabeledGraph, factory: Any) -> SymmetryCertificate:
     """Decide whether rotation-orbit reduction is sound for this sweep.
 
-    Declaration gate first (undeclared families cost nothing), then the
-    exact structural re-check, then the factory's behavioural
-    declaration.  Any failure yields ``orbit=False`` -- the engine falls
-    back to full per-pair tensor passes, identical output.
+    The exact structural check of the graph first, then the factory's
+    behavioural declaration.  Any failure yields ``orbit=False`` -- the
+    engine scans every start row instead, identical output.
     """
-    declared = graph.declared_symmetry
-    if declared != "cyclic":
-        return SymmetryCertificate(
-            False, f"graph declares symmetry {declared!r}, not 'cyclic'"
-        )
     if not rotation_automorphism(graph):
         return SymmetryCertificate(
-            False,
-            "declared cyclic symmetry failed the exact rotation check "
-            "(declaration bug: rotation does not preserve ports)",
+            False, "rotation v -> v + 1 (mod n) does not preserve every port"
         )
     if not start_oblivious_factory(factory):
         return SymmetryCertificate(
@@ -131,35 +121,6 @@ def certify_symmetry(graph: PortLabeledGraph, factory: Any) -> SymmetryCertifica
     return SymmetryCertificate(
         True, "cyclic rotation verified and factory is start-oblivious"
     )
-
-
-# ----------------------------------------------------------------------
-# Rotation orbits of start pairs
-# ----------------------------------------------------------------------
-
-
-def pair_delta(pair: tuple[int, int], n: int) -> int:
-    """The rotation invariant of an ordered start pair: ``(s2 - s1) mod n``."""
-    s1, s2 = pair
-    return (s2 - s1) % n
-
-
-def orbit_representatives(n: int) -> list[tuple[int, int]]:
-    """One representative per rotation orbit of ordered distinct pairs.
-
-    The orbit of ``(s1, s2)`` under ``+1`` rotation is exactly the set of
-    pairs sharing ``delta = (s2 - s1) mod n``, so ``(0, delta)`` for
-    ``delta = 1..n-1`` enumerates every orbit once.  The property test in
-    ``tests/sim/test_cube.py`` asserts the orbits are disjoint and cover
-    the full ``n(n-1)`` start space for odd and even ``n``.
-    """
-    return [(0, delta) for delta in range(1, n)]
-
-
-def orbit_of(n: int, delta: int) -> Iterator[tuple[int, int]]:
-    """Every ordered start pair in the rotation orbit with this ``delta``."""
-    for s1 in range(n):
-        yield (s1, (s1 + delta) % n)
 
 
 # ----------------------------------------------------------------------

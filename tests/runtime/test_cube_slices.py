@@ -171,15 +171,48 @@ def test_too_small_horizon_decodes_failures_in_index_order(graph, prune):
 
 
 def test_row_cache_stays_within_its_budget(monkeypatch, prune):
-    """Evicting cached rows or matrices mid-sweep never changes a shard report."""
-    rows = 4
-    monkeypatch.setattr(cube, "_MATRIX_CACHE_ELEMENTS", rows * 2 * 6)
+    """Evicting cached slices mid-sweep never changes a shard report."""
+    kept = 4
+    # One slice is (2, r, n): a delta row pruned, every start row unpruned.
+    rows = 1 if prune else 6
+    monkeypatch.setattr(cube, "_CACHE_ELEMENTS", kept * 2 * rows * 6)
     spec = sweep("ring")
     assert_slices_match(spec, prune)
     table = worker._table("cube", spec.graph, spec.algorithm)
-    assert len(table._delta_rows) <= rows
-    # A (6, 6) matrix pair outgrows this budget on its own: one is kept.
-    assert len(table._matrices) <= 1
+    assert len(table._slices) == kept
+    assert all(entry.shape == (2, rows, 6) for entry in table._slices.values())
+
+
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+@pytest.mark.parametrize("presence", ["from-start", "parachute"])
+def test_one_group_chunks_of_few_columns_match_the_reactive_engine(
+    graph, presence, monkeypatch
+):
+    """Chunk and column-block boundaries never change a report.
+
+    The scan is cut to one pivot group per chunk and three time columns
+    per block, so every chunk, block and early-exit boundary the shipped
+    constants would hide is crossed.
+    """
+    monkeypatch.setattr(cube, "_CHUNK_CELLS", 1)
+    monkeypatch.setattr(cube, "_MIN_TIME_BLOCK", 3)
+    monkeypatch.setattr(cube, "_BLOCK_ELEMENTS", 1)
+    chunk_groups: list[int] = []
+    scan = cube.CubeTimelineTable._first_meetings
+
+    def spy(table, positions, i1, *args):
+        chunk_groups.append(len(i1))
+        return scan(table, positions, i1, *args)
+
+    monkeypatch.setattr(cube.CubeTimelineTable, "_first_meetings", spy)
+    longest = max(sweep(graph).delays) - 3
+    spec = sweep(graph, presence=presence, delays=(0, 1, longest + 1, longest + 3))
+    worker._table.cache_clear()
+    try:
+        assert run_shard(replace(spec, engine="cube")) == run_shard(spec)
+    finally:
+        worker._table.cache_clear()
+    assert len(chunk_groups) > 1 and set(chunk_groups) == {1}
 
 
 def test_stream_substrates_report_their_path():

@@ -288,6 +288,53 @@ class TestJsonlCompaction:
         assert len(store.load(job)) == 3
 
 
+class TestUndecodableRecords:
+    """A line that is JSON but no record is torn: dropped, never fatal."""
+
+    @pytest.fixture(
+        params=[
+            '{"kind": "shard", "report": {"shard": [0, 99]}}',
+            "[1, 2]",
+            '{"kind": "job"}',
+        ],
+        ids=["shard-without-report-fields", "non-object", "header-without-spec"],
+    )
+    def damaged(self, request, tmp_path):
+        store = RunStore(tmp_path)
+        job = small_job()
+        baseline = execute_job(job, store=store, shard_count=3)
+        path = store.path_for(job)
+        lines = path.read_text().splitlines()
+        # Lose one good shard, so the sweep has something to re-execute.
+        path.write_text("\n".join(lines[:-1] + [request.param]) + "\n")
+        return store, job, baseline
+
+    def test_the_sweep_re_executes_the_missing_shard(self, damaged):
+        store, job, baseline = damaged
+        counting = CountingExecutor()
+        with pytest.warns(RuntimeWarning, match="1 undecodable line"):
+            replay = execute_job(job, executor=counting, store=store, shard_count=3)
+        assert counting.shards_run == 1
+        assert canonical_json(replay.report.to_dict()) == canonical_json(
+            baseline.report.to_dict()
+        )
+
+    def test_the_query_answers_from_the_good_shards(self, damaged):
+        store, _, _ = damaged
+        with pytest.warns(RuntimeWarning, match="1 undecodable line"):
+            payload = query_payload(store, algorithm="fast")
+        (entry,) = payload["result"]["runs"]
+        assert entry["result"]["shards"] == 2
+
+    def test_compact_drops_the_line(self, damaged):
+        store, job, _ = damaged
+        stats = store.compact()
+        assert (stats.rewritten, stats.torn_lines) == (1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(store.load(job)) == 2
+
+
 class TestQueryLayer:
     def test_filters_narrow_by_every_dimension(self, store):
         ring = small_job()

@@ -109,29 +109,30 @@ class TestCubeTimelineTable:
 
     def test_group_matrix_cache_is_bounded(self, torus, monkeypatch):
         n = torus.num_nodes
-        monkeypatch.setattr(cube_module, "_MATRIX_CACHE_ELEMENTS", 4 * n**2)
+        # Room for four (2, n, n) slices: the ten below evict six.
+        monkeypatch.setattr(cube_module, "_CACHE_ELEMENTS", 4 * 2 * n**2)
         algorithm = build_algorithm("cheap", torus)
         assert not certify_symmetry(torus, algorithm).orbit
         table = CubeTimelineTable(torus, algorithm)
         horizon = default_horizon(
             algorithm, Configuration(labels=(1, 2), starts=(0, 1), delay=0)
         )
-        s1, s2 = cube_module._np.array([0, 3]), cube_module._np.array([5, 8])
         presence = PresenceModel.FROM_START
 
         def slices(delays):
-            return [(delay, horizon + delay) for delay in delays]
+            return [[(delay, horizon + delay) for delay in delays]]
 
-        first = table.pair_cube((1, 2), slices(range(10)), presence, s1, s2)
-        assert len(table._matrices) <= 4
-        # The most recent group is still served from the cache ...
-        cached = table._matrices[(1, 2), 9, horizon + 9, presence]
-        table.pair_cube((1, 2), slices([9]), presence, s1, s2)
-        assert table._matrices[(1, 2), 9, horizon + 9, presence] is cached
+        first = table.slices([(1, 2)], slices(range(10)), presence)
+        assert len(table._slices) == 4
+        # The most recent slice is still served from the cache ...
+        cached = table._slices[(1, 2), 9, horizon + 9, presence]
+        assert cached.shape == (2, n, n)
+        table.slices([(1, 2)], slices([9]), presence)
+        assert table._slices[(1, 2), 9, horizon + 9, presence] is cached
         # ... and the evicted ones are recomputed to the same values.
-        again = table.pair_cube((1, 2), slices(range(10)), presence, s1, s2)
+        again = table.slices([(1, 2)], slices(range(10)), presence)
         assert all((a == b).all() for a, b in zip(first, again))
-        assert first[0].shape == (2, 10)
+        assert first[0].shape == (1, 10, n, n)
 
 
 @requires_numpy

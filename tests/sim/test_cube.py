@@ -6,10 +6,10 @@ field-for-field to the reactive engine -- for every registered algorithm
 on a small instance of every registered graph family plus an odd and an
 even certified ring, with delays past every schedule so that delay
 dominance fires, under both presence models.  Second, the pruning
-machinery itself (:mod:`repro.sim.prune`): rotation orbits must partition
-the full ordered-start space on odd and even rings, the certification
-gates must each refuse exactly their failure mode, and delay dominance
-must derive exact translates.
+machinery itself (:mod:`repro.sim.prune`): the engine's delta rows must
+cover the full ordered-start space on odd and even rings, the
+certification gates must each refuse exactly their failure mode, and
+delay dominance must derive exact translates.
 """
 
 import pytest
@@ -19,6 +19,7 @@ from repro.exploration.ring import RingExploration
 from repro.graphs.families import oriented_ring, torus_grid
 from repro.obs.telemetry import Telemetry
 from repro.registry import ALGORITHMS, GRAPH_FAMILIES
+from repro.runtime import AlgorithmSpec
 from repro.sim import cube as cube_module
 from repro.sim.adversary import (
     ConfigCube,
@@ -30,12 +31,10 @@ from repro.sim.adversary import (
 )
 from repro.sim.cube import BatchUnavailableError, CubeTimelineTable, numpy_available
 from repro.sim.prune import (
+    SymmetryCertificate,
     certify_symmetry,
     derive_met,
     dominance_plan,
-    orbit_of,
-    orbit_representatives,
-    pair_delta,
     rotation_automorphism,
     start_oblivious_factory,
 )
@@ -161,33 +160,76 @@ def test_sparse_repeated_start_pairs_agree_across_engines(name):
         assert report == reactive, engine
 
 
+def rotation_symmetric(n):
+    """An ``n``-node graph whose rotation preserves every port.
+
+    The oriented ring, or the one-edge complete graph where no ring
+    exists (``n = 2``).
+    """
+    if n >= 3:
+        return oriented_ring(n)
+    return GRAPH_FAMILIES.entry("complete").build(n=n)
+
+
+def start_cells(graph, certified):
+    """``(met, cost)`` over every start cell of every label pair, two delays.
+
+    An uncertified table scans all ``n`` first-start rows; a certified one
+    keeps the single delta row.
+    """
+    # Try-all-DFS is start-oblivious on every graph, K2 included.
+    algorithm = AlgorithmSpec(
+        "fast",
+        LABEL_SPACE,
+        knowledge="map-without-position",
+        exploration="try-all-dfs",
+    ).build(graph)
+    table = CubeTimelineTable(graph, algorithm)
+    assert table.certificate.orbit
+    if not certified:
+        table.certificate = SymmetryCertificate(False, "every start row")
+    pairs = list(all_label_pairs(LABEL_SPACE))
+    horizons = [
+        [
+            (delay, default_horizon(algorithm, Configuration(pair, (0, 1), delay)))
+            for delay in (0, 5)
+        ]
+        for pair in pairs
+    ]
+    return table.slices(pairs, horizons, PresenceModel.FROM_START)
+
+
+@needs_numpy
 class TestOrbitCoverage:
-    """The property behind orbit pruning: a disjoint, exhaustive partition."""
+    """The property behind orbit pruning, read off the engine's own cells.
+
+    A certified table's delta row must cover the ordered start space
+    exactly: cell ``[0, (s2 - s1) mod n]`` equals the start-row scan's
+    cell ``[s1, s2]`` for every start pair, on odd and even ``n``.
+    """
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 16, 17])
     def test_representatives_partition_the_ordered_start_space(self, n):
-        representatives = orbit_representatives(n)
-        assert len(representatives) == n - 1
-        covered: set[tuple[int, int]] = set()
-        for representative in representatives:
-            delta = pair_delta(representative, n)
-            orbit = set(orbit_of(n, delta))
-            assert representative in orbit
-            assert len(orbit) == n
-            assert all(pair_delta(pair, n) == delta for pair in orbit)
-            assert not covered & orbit, "orbits must be disjoint"
-            covered |= orbit
-        full_space = {
-            (s1, s2) for s1 in range(n) for s2 in range(n) if s1 != s2
-        }
-        assert covered == full_space
+        np = cube_module.require_numpy()
+        graph = rotation_symmetric(n)
+        orbit = start_cells(graph, certified=True)
+        full = start_cells(graph, certified=False)
+        assert orbit[0].shape[2:] == (1, n)
+        assert full[0].shape[2:] == (n, n)
+        starts = np.arange(n)
+        delta = (starts[None, :] - starts[:, None]) % n
+        for by_delta, by_start in zip(orbit, full):
+            assert (by_delta[:, :, 0, delta] == by_start).all()
 
     @pytest.mark.parametrize("n", [5, 8])
     def test_deltas_are_rotation_invariants(self, n):
-        for delta in range(1, n):
-            for shift in range(n):
-                rotated = ((0 + shift) % n, (delta + shift) % n)
-                assert pair_delta(rotated, n) == delta
+        np = cube_module.require_numpy()
+        rotated = (np.arange(n) + 1) % n
+        for cells in start_cells(oriented_ring(n), certified=False):
+            shifted = cells
+            for _ in range(n):
+                shifted = shifted[:, :, rotated][:, :, :, rotated]
+                assert (shifted == cells).all()
 
 
 class TestCertification:
@@ -197,17 +239,12 @@ class TestCertification:
         for n in (3, 8, 12):
             assert rotation_automorphism(oriented_ring(n))
 
-    def test_undeclared_family_fails_the_declaration_gate(self):
+    def test_non_rotation_symmetric_graph_fails_the_rotation_check(self):
+        # Nothing is declared: the O(E) structural check alone decides,
+        # so a graph that is not rotation-symmetric is scanned start by
+        # start, never wrongly pruned.
         graph = GRAPH_FAMILIES.entry("path").build(n=4)
-        assert graph.declared_symmetry is None
-        certificate = certify_symmetry(graph, build_algorithm("fast", graph))
-        assert not certificate.orbit
-        assert "cyclic" in certificate.reason
-
-    def test_wrong_declaration_fails_the_exact_recheck(self):
-        # A lying declaration must cost performance, never correctness:
-        # the O(E) structural check catches it before any orbit is used.
-        graph = GRAPH_FAMILIES.entry("path").build(n=4).declare_symmetry("cyclic")
+        assert not rotation_automorphism(graph)
         certificate = certify_symmetry(graph, build_algorithm("fast", graph))
         assert not certificate.orbit
         assert "rotation" in certificate.reason
@@ -260,7 +297,7 @@ class TestProbeDefense:
     def test_lying_factory_voids_the_certificate(self):
         graph = oriented_ring(6)
         factory = StartSensitiveFactory()
-        # Every declaration gate passes -- the lie is behavioural.
+        # Every static gate passes -- the lie is behavioural.
         assert certify_symmetry(graph, factory).orbit
         table = CubeTimelineTable(graph, factory)
         assert table.certificate.orbit
