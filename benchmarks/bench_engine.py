@@ -3,7 +3,8 @@
 Not a paper experiment -- these keep the infrastructure honest: the round
 simulator's cost per round, the prefix-sum ring executor's advantage over
 it, the ``Trim`` procedure's full pairwise sweep, the experiment runtime's
-parallel-vs-serial sweep throughput, the compiled trajectory engine's
+parallel-vs-serial sweep throughput and its store-backed tiny sweeps
+(cold, then cached), the compiled trajectory engine's
 speedup over the reactive simulator, and the whole-cube tensor engine's
 speedup over the compiled one on the dense (all start pairs, wide delay
 grid) sweep handed over as a ``ConfigCube`` -- on the 16-ring, where the
@@ -19,8 +20,10 @@ import json
 import pathlib
 import platform
 import statistics
+import tempfile
 import time
 
+from repro.api import Scenario
 from repro.core.cheap import CheapSimultaneous
 from repro.core.fast import Fast, FastSimultaneous
 from repro.exploration.ring import RingExploration
@@ -35,6 +38,7 @@ from repro.runtime import (
     GraphSpec,
     JobSpec,
     ParallelExecutor,
+    RunStore,
     SerialExecutor,
     canonical_json,
     execute_job,
@@ -396,6 +400,51 @@ def runtime_baseline() -> dict:
             "shard_seconds": round(shard_seconds, 4),
             "merge_seconds": round(spans.get("merge", 0.0), 4),
         },
+        "store_sweep": store_sweep_baseline(),
+    }
+
+
+#: One-delay sweeps in the store-backed entry, as in the repository
+#: benchmark's store round trip.
+STORE_SWEEPS = 100
+
+
+def store_sweep_baseline() -> dict:
+    """Tiny store-backed serial sweeps, cold into a fresh store, then cached.
+
+    ``STORE_SWEEPS`` one-delay sweeps of Fast on the 8-ring at L=4 (84
+    configurations, 16 shards each) through ``Scenario.run``: the cold
+    pass runs each sweep's shards in one engine pass and appends one
+    record per shard; the cached pass answers every sweep from the store.
+    Recorded, not gated.
+    """
+    scenarios = [
+        Scenario(
+            graph="ring",
+            graph_params={"n": 8},
+            algorithm="fast",
+            label_space=4,
+            delays=(delay,),
+        )
+        for delay in range(STORE_SWEEPS)
+    ]
+    with tempfile.TemporaryDirectory() as root:
+        store = RunStore(root)
+        started = time.perf_counter()
+        cold = [scenario.run(workers=1, cache=store) for scenario in scenarios]
+        cold_seconds = time.perf_counter() - started
+        started = time.perf_counter()
+        cached = [scenario.run(workers=1, cache=store) for scenario in scenarios]
+        cached_seconds = time.perf_counter() - started
+    assert all(run.stats.fully_cached for run in cached)
+    assert [run.to_json() for run in cached] == [run.to_json() for run in cold]
+    return {
+        "sweeps": STORE_SWEEPS,
+        "configurations_per_sweep": cold[0].row.executions,
+        "shards_per_sweep": cold[0].stats.shards_total,
+        "appends": sum(run.stats.shards_executed for run in cold),
+        "cold_ms_per_sweep": round(cold_seconds / STORE_SWEEPS * 1000, 3),
+        "cached_ms_per_sweep": round(cached_seconds / STORE_SWEEPS * 1000, 3),
     }
 
 

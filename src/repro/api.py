@@ -38,6 +38,7 @@ import inspect
 import itertools
 import json
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.core.base import RendezvousAlgorithm
@@ -68,6 +69,7 @@ from repro.runtime.spec import (
     thaw_value,
 )
 from repro.runtime.store import DEFAULT_CACHE_DIR, RunStore
+from repro.runtime.worker import materialize
 from repro.sim.adversary import Configuration, resolve_substrate
 from repro.sim.metrics import RendezvousResult
 from repro.sim.simulator import simulate_rendezvous
@@ -358,12 +360,13 @@ class Scenario:
         entry = GRAPH_FAMILIES.entry(self.graph)
         return bool(entry.metadata.get("vertex_transitive", False))
 
-    def job_spec(self) -> JobSpec:
+    def job_spec(self, engine: str = "reactive") -> JobSpec:
         """The runtime :class:`JobSpec` describing this scenario's sweep.
 
         The one place a :class:`JobSpec` is built: the CLI and campaigns
         describe a sweep as a scenario and resolve it here, so run-store
-        keys have a single source.
+        keys have a single source.  ``engine`` is the resolved substrate
+        the spec records (see :meth:`run`).
         """
         return JobSpec(
             algorithm=self._algorithm_spec(),
@@ -373,7 +376,17 @@ class Scenario:
             fix_first_start=self.resolved_fix_first_start,
             presence=self.presence,
             horizon=self.horizon,
+            engine=engine,
         )
+
+    @cached_property
+    def _resolved(
+        self,
+    ) -> dict[str, tuple[JobSpec, PortLabeledGraph, RendezvousAlgorithm]]:
+        # run()'s memo, per substrate: the spec (whose content key is
+        # memoised in turn) and the per-process graph and algorithm.  It
+        # lives in the instance dict, outside the frozen fields.
+        return {}
 
     def _graph_spec(self) -> GraphSpec:
         return GraphSpec(self.graph, self.graph_params)
@@ -578,16 +591,24 @@ class Scenario:
         or off.
         """
         tele = resolve_telemetry(telemetry)
-        spec = self.job_spec()
         sim_engine = resolve_substrate(
             engine, ALGORITHMS.entry(self.algorithm).target
         )
-        if sim_engine != spec.engine:
-            spec = replace(spec, engine=sim_engine)
-        graph = graph if graph is not None else spec.graph.build()
+        if graph is None:
+            resolved = self._resolved.get(sim_engine)
+            if resolved is None:
+                spec = self.job_spec(engine=sim_engine)
+                built = materialize(spec.graph, spec.algorithm)
+                resolved = self._resolved[sim_engine] = (spec, *built)
+            spec, graph, algorithm = resolved
+        else:
+            spec = self.job_spec(engine=sim_engine)
+            algorithm = spec.algorithm.build(graph)
         owned = executor is None
         if executor is None:
-            executor = resolve_engine(workers, spec.config_space_size(graph))
+            # resolve_engine reads the space size only without a worker count.
+            size = spec.config_space_size(graph) if workers is None else 0
+            executor = resolve_engine(workers, size)
         store = resolve_store(cache)
         try:
             with tele.span(
@@ -601,7 +622,6 @@ class Scenario:
                     workers=workers,
                     cached=store is not None,
                 )
-                algorithm = spec.algorithm.build(graph)
                 outcome = execute_job(
                     spec,
                     executor=executor,

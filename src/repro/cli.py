@@ -742,7 +742,8 @@ def make_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--workers", type=int, default=1,
                               help="process-pool workers (default 1 = serial)")
     sweep_parser.add_argument("--shards", type=int, default=None,
-                              help="override the shard count (default 16)")
+                              help="override the shard count (default 16 with "
+                                   "a run store or a pool, 1 otherwise)")
     cache_group = sweep_parser.add_mutually_exclusive_group()
     cache_group.add_argument("--cache", dest="no_cache", action="store_false",
                              help="reuse/store shards in the run store (default)")

@@ -78,9 +78,7 @@ class Telemetry:
 
     def emit(self, kind: str, **fields: Any) -> None:
         """Emit one raw event (``ev``/``ts`` added here)."""
-        event: dict[str, Any] = {"ev": kind, "ts": round(self.elapsed(), 6)}
-        event.update(fields)
-        self.sink.emit(event)
+        self.sink.emit({"ev": kind, "ts": round(self.elapsed(), 6), **fields})
 
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[int]:

@@ -14,11 +14,12 @@ one-off serial enumeration into sharded, parallel, resumable *runs*:
   and a deterministic merge whose tie-breaking (lowest configuration
   index wins) makes parallel output bit-identical to the serial
   enumeration;
-* :mod:`repro.runtime.worker` -- the pure function a worker process runs:
-  rebuild the graph and algorithm from the spec, execute one shard;
+* :mod:`repro.runtime.worker` -- the pure functions a worker runs:
+  rebuild the graph and algorithm from the spec, execute a run of
+  abutting shards in one engine pass (one shard on a pool);
 * :mod:`repro.runtime.executor` -- shard planning plus
-  :class:`SerialExecutor` and :class:`ParallelExecutor` (a
-  ``ProcessPoolExecutor`` pool);
+  :class:`SerialExecutor` (which groups abutting shards into passes) and
+  :class:`ParallelExecutor` (a ``ProcessPoolExecutor`` pool);
 * :mod:`repro.runtime.store` -- a content-addressed run store under
   ``.repro_cache/`` so repeated sweeps skip completed shards and
   interrupted runs resume where they stopped (one append-only JSONL
@@ -50,7 +51,7 @@ from repro.runtime.store import (
     query_payload,
     query_runs,
 )
-from repro.runtime.worker import run_shard
+from repro.runtime.worker import run_shard, run_shards
 
 __all__ = [
     "AlgorithmSpec",
@@ -75,4 +76,5 @@ __all__ = [
     "query_payload",
     "query_runs",
     "run_shard",
+    "run_shards",
 ]

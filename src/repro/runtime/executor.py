@@ -7,6 +7,12 @@ parallel rerun and vice versa, and any worker count replays the same
 shards from the store.  A serial run without a store is one shard (see
 :func:`repro.runtime.runner.execute_job`): with no store to resume from
 and no pool to balance, more shards only repeat per-shard costs.
+The plan sets what is *recorded* -- one report per shard, which is the
+run store's resume unit -- while the executor decides what is *computed*
+in one pass: the serial executor runs each maximal run of abutting
+shards of one sweep (up to :data:`_PASS_CONFIGS` configurations) in one
+engine pass (:func:`repro.runtime.worker.run_shards`), and the pool
+submits one shard per task.
 Executors yield shard reports as they complete (the parallel one out of
 order); callers that need determinism get it from
 :func:`repro.runtime.report.merge_reports`, which is order-insensitive.
@@ -21,13 +27,18 @@ from typing import Iterator, Protocol, Sequence
 
 from repro.runtime.report import ShardReport
 from repro.runtime.spec import JobSpec
-from repro.runtime.worker import run_shard
+from repro.runtime.worker import run_shard, run_shards
 
 #: Default number of shards per sweep with a store or a pool.  Fixed
 #: (rather than derived from the worker count) so cache entries survive
 #: ``--workers`` changes, and large enough to keep a typical pool busy
 #: with work-stealing slack.  A serial run without a store plans one.
 DEFAULT_SHARD_COUNT = 16
+
+#: The most configurations one serial engine pass groups; a shard larger
+#: than this runs alone.  It bounds what an interrupted serial sweep
+#: loses: the reports of a pass reach the run store when the pass ends.
+_PASS_CONFIGS = 4096
 
 
 class ShardExecutionError(RuntimeError):
@@ -100,14 +111,44 @@ class Executor(Protocol):
         ...
 
 
+def _passes(specs: Sequence[JobSpec]) -> Iterator[list[JobSpec]]:
+    """The specs cut into maximal runs of abutting shards of one sweep.
+
+    A run grows while the next shard starts where the last one ends,
+    belongs to the same sweep and keeps the run within
+    :data:`_PASS_CONFIGS` configurations.
+    """
+    run: list[JobSpec] = []
+    configs = 0
+    for spec in specs:
+        last, shard = run[-1].shard if run else None, spec.shard
+        if (
+            last is not None
+            and shard is not None
+            and last[1] == shard[0]
+            and configs + shard[1] - shard[0] <= _PASS_CONFIGS
+            and spec.same_sweep(run[0])
+        ):
+            run.append(spec)
+        else:
+            if run:
+                yield run
+            run, configs = [spec], 0
+        if shard is not None:
+            configs += shard[1] - shard[0]
+    if run:
+        yield run
+
+
 class SerialExecutor:
-    """Run shards in-process, one after another, in submission order."""
+    """Run shards in-process, in submission order, one pass per run of
+    abutting shards (see :func:`_passes`)."""
 
     workers = 1
 
     def map_shards(self, specs: Sequence[JobSpec]) -> Iterator[ShardReport]:
-        for spec in specs:
-            yield run_shard(spec)
+        for run in _passes(specs):
+            yield from run_shards(run)
 
     def close(self) -> None:
         """Nothing to release; present so callers can close uniformly."""

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from typing import Any, Mapping
 
 from repro.core.base import RendezvousAlgorithm
@@ -251,6 +252,11 @@ class JobSpec:
         """The whole-sweep spec this shard belongs to."""
         return replace(self, shard=None) if self.shard is not None else self
 
+    def same_sweep(self, other: "JobSpec") -> bool:
+        """Whether ``other`` is a shard of this spec's sweep (equal but
+        for ``shard``), checked without building either sweep spec."""
+        return _sweep_fields(self) == _sweep_fields(other)
+
     def shard_spec(self, lo: int, hi: int) -> "JobSpec":
         if not 0 <= lo <= hi:
             raise ValueError(f"invalid shard bounds [{lo}, {hi})")
@@ -314,9 +320,24 @@ class JobSpec:
         return payload
 
     def key(self) -> str:
-        """Content hash of this spec (including the shard slice, if any)."""
-        return _content_key(self.to_dict())
+        """Content hash of this spec (including the shard slice, if any).
+
+        Memoised on the instance: the runner's one sweep spec is hashed
+        once across its store load, appends and run statistics.
+        """
+        try:
+            return self.__dict__["_key"]
+        except KeyError:
+            key = _content_key(self.to_dict())
+            object.__setattr__(self, "_key", key)  # frozen: a memo, not a field
+            return key
 
     def sweep_key(self) -> str:
         """Content hash of the whole sweep this spec belongs to."""
         return self.sweep_spec().key()
+
+
+#: Every field but ``shard`` as one tuple: what the shards of a sweep share.
+_sweep_fields = attrgetter(
+    *(field.name for field in fields(JobSpec) if field.name != "shard")
+)

@@ -200,6 +200,26 @@ class CompactionStats:
         return asdict(self)
 
 
+def _claim(path: Path) -> tuple[int, bool]:
+    """Open a sweep file for appending, creating it if absent.
+
+    Returns the descriptor and whether this call created the file (and
+    so owes it the header).  ``O_EXCL`` makes exactly one of several
+    racing appenders the creator.
+    """
+    while True:
+        try:
+            flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_EXCL
+            return os.open(path, flags, 0o644), True
+        except FileExistsError:
+            try:
+                return os.open(path, os.O_WRONLY | os.O_APPEND), False
+            except FileNotFoundError:
+                # The file vanished between the two opens (a racing
+                # clear()); take another lap and claim the header.
+                continue
+
+
 class RunStore:
     """A directory of append-only JSONL shard records, keyed by spec hash."""
 
@@ -249,26 +269,17 @@ class RunStore:
         is claimed with ``O_EXCL``: exactly one appender creates the file
         and that one writes the ``job`` header, so concurrent first
         appends cannot duplicate it (a ``path.exists()`` check would let
-        both racers see "no file yet" and both write headers).
+        both racers see "no file yet" and both write headers).  Appends to
+        an existing file -- all but a sweep's first -- make one ``open``
+        and no ``mkdir``.
         """
         path = self.path_for(spec)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        while True:
-            try:
-                fd = os.open(
-                    path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_EXCL, 0o644
-                )
-                created = True
-                break
-            except FileExistsError:
-                try:
-                    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
-                    created = False
-                    break
-                except FileNotFoundError:
-                    # The file vanished between the two opens (a racing
-                    # clear()); take another lap and claim the header.
-                    continue
+        created = False
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, created = _claim(path)
         lines = []
         if created:
             lines.append(

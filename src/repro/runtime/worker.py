@@ -1,33 +1,36 @@
-"""The function a worker process executes: one shard of adversary search.
+"""The functions a worker executes: a run of shards in one engine pass.
 
 :func:`run_shard` is deliberately a module-level function of one picklable
-argument so it can be submitted to a ``ProcessPoolExecutor`` unchanged.
-Graphs and algorithms are rebuilt from the spec on first use and memoised
-per process (pool workers are long-lived, so a worker pays the
+argument so it can be submitted to a ``ProcessPoolExecutor`` unchanged;
+it is :func:`run_shards` of one shard.  Graphs and algorithms are rebuilt
+from the spec on first use and memoised per process by
+:func:`materialize` (pool workers are long-lived, so a worker pays the
 construction cost once per distinct job, not once per shard).
 
 A shard is the ``range(lo, hi)`` of indices into the sweep's
-:class:`~repro.sim.adversary.ConfigCube` (:meth:`JobSpec.config_cube`),
-reduced by :func:`repro.sim.adversary.reduce_space` -- the evaluators and
-the reducer ``worst_case_search`` uses.  The spec's ``engine`` picks the
-evaluator: the reactive round simulator, the compiled trajectory engine
-(:mod:`repro.sim.compiled`) or the pruned cube engine
-(:mod:`repro.sim.cube`).  Tables are memoised per process, so shards of
-one sweep share compilations.  A cube shard never exists as
-configurations: it is one whole-cube tensor pass over the slice, with
+:class:`~repro.sim.adversary.ConfigCube` (:meth:`JobSpec.config_cube`).
+:func:`run_shards` takes abutting shards of one sweep and reduces them
+in one pass of :func:`repro.sim.adversary.reduce_space` -- one cube, one
+horizon per ``(label pair, delay)``, one whole-cube call or one stream
+walk over their hull -- into one report per shard.  The spec's
+``engine`` picks the evaluator: the reactive round simulator, the
+compiled trajectory engine (:mod:`repro.sim.compiled`) or the pruned
+cube engine (:mod:`repro.sim.cube`).  Tables are memoised per process,
+so shards of one sweep share compilations.  A cube pass never exists as
+configurations: it is one whole-cube tensor pass over the hull, with
 horizons per ``(label pair, delay)``; the other evaluators walk the
-slice configuration by configuration.  The reduction's record is the
-shard report as it stands.  Whatever the path, the
-shard report is identical, and its non-canonical
-:class:`~repro.runtime.report.ShardTiming` records which path ran
-(``"whole_cube"``, or ``"stream"`` for one configuration at a time).
+hull configuration by configuration.  Whatever the path and however the
+shards are grouped into passes, each shard's report is identical, and
+its non-canonical :class:`~repro.runtime.report.ShardTiming` records
+which path ran (``"whole_cube"``, or ``"stream"`` for one configuration
+at a time) and its share of the pass's time.
 """
 
 from __future__ import annotations
 
 import time
 from functools import lru_cache, partial
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.core.base import RendezvousAlgorithm
 from repro.graphs.port_graph import PortLabeledGraph
@@ -43,9 +46,11 @@ from repro.sim.adversary import (
 
 
 @lru_cache(maxsize=16)
-def _materialize(
+def materialize(
     graph_spec: GraphSpec, algorithm_spec: AlgorithmSpec
 ) -> tuple[PortLabeledGraph, RendezvousAlgorithm]:
+    """The spec's graph and algorithm, built once per process and shared
+    (read-only) by every shard and run of them."""
     graph = graph_spec.build()
     return graph, algorithm_spec.build(graph)
 
@@ -54,7 +59,7 @@ def _materialize(
 def _table(engine: str, graph_spec: GraphSpec, algorithm_spec: AlgorithmSpec) -> Any:
     # Keyed without delays, so every sweep over one graph and algorithm
     # shares a table whatever its delays.
-    graph, algorithm = _materialize(graph_spec, algorithm_spec)
+    graph, algorithm = materialize(graph_spec, algorithm_spec)
     return engine_table(engine, graph, algorithm)
 
 
@@ -67,25 +72,33 @@ def _horizon_policy(
     return partial(default_horizon, algorithm)
 
 
-def run_shard(spec: JobSpec) -> ShardReport:
-    """Run every configuration in the spec's shard and keep the extremes.
+def run_shards(specs: Sequence[JobSpec]) -> list[ShardReport]:
+    """Run abutting shards of one sweep in one engine pass; one report each.
 
-    Semantically identical to
-    :func:`repro.sim.adversary.worst_case_search` restricted to the slice:
-    the record kept per metric is the one with the lowest global index
-    among maximisers -- the invariant
+    ``specs`` are shard specs of a single sweep in ascending, abutting
+    order (a whole-sweep spec counts as the shard ``[0, len(cube))``).
+    Each report is semantically identical to
+    :func:`repro.sim.adversary.worst_case_search` restricted to its
+    slice: the record kept per metric is the one with the lowest global
+    index among maximisers -- the invariant
     :func:`repro.runtime.report.merge_reports` relies on, and the one
-    :class:`~repro.sim.adversary.Reduction` keeps.
+    :class:`~repro.sim.adversary.Reduction` keeps.  The pass's seconds
+    and table-build seconds are split among the shards in proportion to
+    their configurations.
     """
     started = time.perf_counter()  # repro: allow(REP001): ShardTiming provenance
-    graph, algorithm = _materialize(spec.graph, spec.algorithm)
+    spec = specs[0]
+    if not all(spec.same_sweep(each) for each in specs[1:]):
+        raise ValueError("run_shards takes shards of one sweep")
+    graph, algorithm = materialize(spec.graph, spec.algorithm)
     presence = PRESENCE_MODELS.get(spec.presence)  # SpecError if unknown
     cube = spec.config_cube(graph)
-    lo, hi = spec.shard if spec.shard is not None else (0, len(cube))
+    size = len(cube)
+    shards = [each.shard if each.shard is not None else (0, size) for each in specs]
 
-    # Tables are memoised per process, so the shard's table-build cost is
+    # Tables are memoised per process, so the pass's table-build cost is
     # the delta of the table's cumulative ``build_seconds`` (the first
-    # shard of a sweep pays the builds; later shards read the cache).
+    # pass of a sweep pays the builds; later passes read the cache).
     table = _table(spec.engine, spec.graph, spec.algorithm)
     build_before = table.build_seconds if table is not None else 0.0
     found = reduce_space(
@@ -94,21 +107,29 @@ def run_shard(spec: JobSpec) -> ShardReport:
         graph,
         algorithm,
         cube,
-        range(lo, min(hi, len(cube))),
+        [(min(lo, size), min(hi, size)) for lo, hi in shards],
         _horizon_policy(spec, algorithm),
         presence,
     )
     table_seconds = table.build_seconds - build_before if table is not None else 0.0
-
-    return found.report(
-        ShardReport,
-        shard=(lo, hi),
-        timing=ShardTiming(
-            # repro: allow(REP001): ShardTiming rides the non-canonical
-            # timing channel (compare=False; stripped from reports).
-            seconds=round(time.perf_counter() - started, 6),
-            table_seconds=round(table_seconds, 6),
+    # repro: allow(REP001): ShardTiming rides the non-canonical timing
+    # channel (compare=False; stripped from reports).
+    seconds = time.perf_counter() - started
+    configs = sum(reduction.executions for reduction in found)
+    path = "whole_cube" if spec.engine == "cube" else "stream"
+    reports = []
+    for shard, reduction in zip(shards, found):
+        share = reduction.executions / configs if configs else 1 / len(found)
+        timing = ShardTiming(
+            seconds=round(seconds * share, 6),
+            table_seconds=round(table_seconds * share, 6),
             engine=spec.engine,
-            path="whole_cube" if spec.engine == "cube" else "stream",
-        ),
-    )
+            path=path,
+        )
+        reports.append(reduction.report(ShardReport, shard=shard, timing=timing))
+    return reports
+
+
+def run_shard(spec: JobSpec) -> ShardReport:
+    """Run one shard: :func:`run_shards` of that shard alone."""
+    return run_shards([spec])[0]

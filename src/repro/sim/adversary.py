@@ -18,8 +18,9 @@ tie-break is written.  The extremes stay verdicts: a full execution of
 one, with traces, comes from replaying its configuration through the
 reactive simulator (:func:`repro.analysis.replay.replay`).
 :func:`worst_case_search` and the runtime's
-:func:`repro.runtime.worker.run_shard` are two thin drivers over
-:func:`reduce_space`.
+:func:`repro.runtime.worker.run_shards` are two thin drivers over
+:func:`reduce_space`, which reduces a run of abutting index ranges in
+one pass.
 """
 
 from __future__ import annotations
@@ -31,7 +32,15 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Sequence,
+)
 
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -442,35 +451,54 @@ def reduce_space(
     graph: PortLabeledGraph,
     factory: ProgramFactory,
     cube: ConfigCube,
-    indices: range,
+    bounds: Sequence[tuple[int, int]],
     max_rounds: int | Callable[[Configuration], int],
     presence: PresenceModel,
-) -> Reduction:
-    """Reduce one engine's verdicts over ``indices`` of a cube, in that order.
+) -> list[Reduction]:
+    """Reduce one engine's verdicts over abutting index ranges of a cube.
 
-    The single point every engine passes through: a shard passes
-    ``range(lo, hi)``, a whole search ``range(len(cube))``.  ``table`` is the
+    The single point every engine passes through, in one pass over the
+    hull ``[bounds[0][0], bounds[-1][1])``: a whole search passes
+    ``[(0, len(cube))]``, the runtime a run of abutting shards.  Returns
+    one :class:`Reduction` per bound, in order.  ``table`` is the
     engine's substrate (see :func:`engine_table`; the runtime passes
-    per-process memoised ones).  The cube engine answers the indices
-    from one whole-cube block (:func:`repro.sim.cube._whole_cube_search`);
-    the reactive and compiled evaluators hand over one verdict at a
-    time, walking the indices lazily.  A cube over another graph than
-    ``graph`` is refused: its start pairs would name the wrong nodes.
+    per-process memoised ones).  The cube engine answers the hull with
+    one whole-cube block (:func:`repro.sim.cube._whole_cube_search`),
+    cut into one slice per bound; the reactive and compiled evaluators
+    walk the hull lazily, one verdict at a time, each routed to its
+    bound.  A cube over another graph than ``graph`` is refused: its
+    start pairs would name the wrong nodes.
     """
     if cube.graph is not graph and cube.graph != graph:
         raise ValueError(
             f"the configuration cube is over {cube.graph!r}, "
             f"not the searched {graph!r}"
         )
-    reduction = Reduction()
+    if (
+        not bounds
+        or any(lo > hi for lo, hi in bounds)
+        or any(left[1] != right[0] for left, right in zip(bounds, bounds[1:]))
+    ):
+        raise ValueError(f"bounds must be abutting ascending ranges, got {bounds}")
+    hull = range(bounds[0][0], bounds[-1][1])
+    reductions = [Reduction() for _ in bounds]
     if engine == "cube":
         from repro.sim.cube import _whole_cube_search
 
-        reduction.add_block(
-            _whole_cube_search(table, cube, indices, max_rounds, presence)
+        met, cost, locate = _whole_cube_search(
+            table, cube, hull, max_rounds, presence
         )
-        return reduction
-    indexed = cube.indexed(indices)
+        for reduction, (lo, hi) in zip(reductions, bounds):
+            begin, end = lo - hull.start, hi - hull.start
+            reduction.add_block(
+                VerdictBlock(
+                    met[begin:end],
+                    cost[begin:end],
+                    lambda position, begin=begin: locate(begin + position),
+                )
+            )
+        return reductions
+    indexed = cube.indexed(hull)
     if callable(max_rounds):
         items = ((index, config, max_rounds(config)) for index, config in indexed)
     else:
@@ -479,9 +507,10 @@ def reduce_space(
         verdicts = table.verdicts(items, presence)
     else:
         verdicts = reactive_verdicts(graph, factory, items, presence)
-    for verdict in verdicts:
-        reduction.add(verdict)
-    return reduction
+    for reduction, (lo, hi) in zip(reductions, bounds):
+        for verdict in itertools.islice(verdicts, hi - lo):
+            reduction.add(verdict)
+    return reductions
 
 
 def worst_case_search(
@@ -516,8 +545,8 @@ def worst_case_search(
     table = engine_table(engine, graph, factory)
     with telemetry.span(f"{engine}.search"):
         started = time.perf_counter()
-        found = reduce_space(
-            engine, table, graph, factory, cube, range(len(cube)), max_rounds,
+        (found,) = reduce_space(
+            engine, table, graph, factory, cube, [(0, len(cube))], max_rounds,
             presence,
         )
         if telemetry.enabled:

@@ -16,7 +16,8 @@ Eleven gates, all dependency-free (run with ``python tools/ci_smoke.py``):
 6. ``engines --json`` lists the full simulation-engine ladder
    (reactive, compiled, cube) with a sane ``auto`` resolution;
 7. the run store round-trips: a sweep run cold into a fresh
-   ``--cache-dir`` and again from the store reports identically (modulo
+   ``--cache-dir`` (in a temporary directory, so the checkout stays
+   clean) and again from the store reports identically (modulo
    the non-canonical timing section), ``query`` answers the worst-case
    lookup from the stored run without re-sweeping, ``cache compact``
    scans the one healthy file without rewriting it (and ``query``
@@ -241,7 +242,11 @@ def _without_timing(payload):
 
 
 def check_store() -> None:
-    cache_dir = "ci-smoke-store"
+    with tempfile.TemporaryDirectory() as scratch:
+        _check_store(os.path.join(scratch, "store"))
+
+
+def _check_store(cache_dir: str) -> None:
     sweep_args = ["sweep", "--graph", "ring", "--size", "6",
                   "--algorithm", "fast-sim", "--label-space", "4",
                   "--cache-dir", cache_dir, "--json"]
