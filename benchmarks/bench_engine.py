@@ -9,7 +9,9 @@ speedup over the reactive simulator, and the whole-cube tensor engine's
 speedup over the compiled one on the dense (all start pairs, wide delay
 grid) sweep handed over as a ``ConfigCube`` -- on the 16-ring, where the
 cube reads one delta row per slice (orbit pruning), and ungated on the
-4x4 torus, where it scans every start row.  The engine comparison
+4x4 torus, where it scans every start row -- and, ungated, EXP-12's
+zigzag worst case on the cube against the reactive engine, with the
+timeline rounds the on-demand builds left unbuilt.  The engine comparison
 doubles as the perf baseline:
 ``python benchmarks/bench_engine.py`` (or the pytest bench, or the CI
 smoke job) rewrites ``BENCH_engine.json`` at the repository root so the
@@ -24,8 +26,14 @@ import tempfile
 import time
 
 from repro.api import Scenario
+from repro.baselines.ring_zigzag import RingZigzag
 from repro.core.cheap import CheapSimultaneous
 from repro.core.fast import Fast, FastSimultaneous
+from repro.experiments.catalog import (
+    EXP12_LABEL_SPACE,
+    EXP12_PAIRS,
+    EXP12_RING_SIZE,
+)
 from repro.exploration.ring import RingExploration
 from repro.graphs.families import oriented_ring, torus_grid
 from repro.lower_bounds.behaviour import behaviour_from_schedule
@@ -98,6 +106,10 @@ def _engine_stages(sink: MemorySink, engine: str) -> dict:
         )
         stages["early_exit_rounds"] = int(
             counters.get("cube.prune.early_exit_rounds", 0)
+        )
+        stages["rounds_built"] = int(counters.get("cube.build.rounds_built", 0))
+        stages["rounds_declared"] = int(
+            counters.get("cube.build.rounds_declared", 0)
         )
     return stages
 
@@ -219,6 +231,7 @@ def compiled_engine_baseline(path: pathlib.Path | None = BASELINE_PATH) -> dict:
             torus, AlgorithmSpec("fast", 8).build(torus), "torus(4x4)", gate=None
         ),
         "runtime": runtime_baseline(),
+        "on_demand": on_demand_baseline(),
         "reports_identical": True,
     }
     if path is not None:
@@ -362,6 +375,69 @@ def cube_engine_baseline(
         "compiled": _engine_entry("compiled", len(cube), best, samples),
         "cube": _engine_entry("cube", len(cube), best, samples),
         **_speedups(samples, "compiled", "cube", gate),
+    }
+
+
+#: EXP-12's nearest and farthest start distances.
+ON_DEMAND_DISTANCES = (1, 24)
+
+
+def on_demand_baseline() -> dict | None:
+    """EXP-12's zigzag worst case, reactive against cube, at D=1 and D=24.
+
+    The zigzag schedule is 4,440 rounds long on the 48-ring, and the cube
+    builds each label's timeline only as far as the block in which its
+    cells meet (19 rounds at D=1, 1,776 at D=24).  Per distance: min-of-N
+    seconds of alternating passes, and the timeline rounds the cube built
+    against the rounds its labels declare.  Recorded, not gated;
+    ``None`` without NumPy.
+    """
+    if not numpy_available():
+        return None
+    ring = oriented_ring(EXP12_RING_SIZE)
+    zigzag = RingZigzag(EXP12_RING_SIZE, EXP12_LABEL_SPACE)
+
+    def horizon(config):
+        return default_horizon(zigzag, config)
+
+    distances = {}
+    for distance in ON_DEMAND_DISTANCES:
+        cube = ConfigCube.make(
+            ring,
+            EXP12_PAIRS,
+            delays=(0,),
+            start_pairs=sorted({(0, distance), (0, EXP12_RING_SIZE - distance)}),
+        )
+        best, samples = _alternating(
+            {"reactive": cube, "cube": cube},
+            ring,
+            zigzag,
+            horizon,
+            REACTIVE_REPETITIONS,
+        )
+        assert best["cube"][0] == best["reactive"][0], (
+            "engines diverged; do not record a baseline"
+        )
+        stages = _engine_stages(best["cube"][2], "cube")
+        distances[f"D{distance}"] = {
+            "configurations": len(cube),
+            "max_time": best["cube"][0].max_time,
+            "reactive": _engine_entry("reactive", len(cube), best, samples),
+            "cube": _engine_entry("cube", len(cube), best, samples),
+            "rounds_built": stages["rounds_built"],
+            "rounds_declared": stages["rounds_declared"],
+            **_speedups(samples, "reactive", "cube", None),
+        }
+    return {
+        "sweep": {
+            "algorithm": "ring-zigzag",
+            "graph": f"ring(n={EXP12_RING_SIZE})",
+            "label_space": EXP12_LABEL_SPACE,
+            "label_pairs": [list(pair) for pair in EXP12_PAIRS],
+            "schedule_length": zigzag.schedule_length(1),
+        },
+        "cpu": _cpu_model(),
+        "distances": distances,
     }
 
 

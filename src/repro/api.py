@@ -140,33 +140,38 @@ class SweepRow:
         }
 
 
-def _row_from_report(
-    algorithm: RendezvousAlgorithm,
-    graph: PortLabeledGraph,
-    graph_name: str,
-    report: MergedReport,
-) -> SweepRow:
+def _row_fields(
+    algorithm: RendezvousAlgorithm, graph: PortLabeledGraph, graph_name: str
+) -> dict[str, Any]:
+    """The :class:`SweepRow` fields a sweep's report does not set."""
+    return {
+        "algorithm": algorithm.name,
+        "graph": graph_name,
+        "num_nodes": graph.num_nodes,
+        "exploration_budget": algorithm.exploration_budget,
+        "label_space": algorithm.label_space,
+        "time_bound": algorithm.time_bound(),
+        "cost_bound": algorithm.cost_bound(),
+    }
+
+
+def _row_from_report(fields: Mapping[str, Any], report: MergedReport) -> SweepRow:
     """Turn a runtime :class:`~repro.runtime.report.MergedReport` into a
-    :class:`SweepRow`, or raise on any failure to meet."""
+    :class:`SweepRow` with the static ``fields`` (:func:`_row_fields`), or
+    raise on any failure to meet."""
     if report.failures:
         _, first = report.failures[0]
         raise AssertionError(
-            f"{algorithm.name} failed to meet in {len(report.failures)} "
+            f"{fields['algorithm']} failed to meet in {len(report.failures)} "
             f"configurations, e.g. labels={first.labels} starts={first.starts} "
             f"delay={first.delay}"
         )
     if report.worst_time is None or report.worst_cost is None:
         raise ValueError("empty configuration space: nothing to sweep")
     return SweepRow(
-        algorithm=algorithm.name,
-        graph=graph_name,
-        num_nodes=graph.num_nodes,
-        exploration_budget=algorithm.exploration_budget,
-        label_space=algorithm.label_space,
+        **fields,
         max_time=report.max_time,
-        time_bound=algorithm.time_bound(),
         max_cost=report.max_cost,
-        cost_bound=algorithm.cost_bound(),
         executions=report.executions,
         worst_time_config=report.worst_time.config,
         worst_cost_config=report.worst_cost.config,
@@ -382,10 +387,11 @@ class Scenario:
     @cached_property
     def _resolved(
         self,
-    ) -> dict[str, tuple[JobSpec, PortLabeledGraph, RendezvousAlgorithm]]:
+    ) -> dict[str, tuple[JobSpec, PortLabeledGraph, dict[str, Any]]]:
         # run()'s memo, per substrate: the spec (whose content key is
-        # memoised in turn) and the per-process graph and algorithm.  It
-        # lives in the instance dict, outside the frozen fields.
+        # memoised in turn), the per-process graph and the row's static
+        # fields (:func:`_row_fields`).  It lives in the instance dict,
+        # outside the frozen fields.
         return {}
 
     def _graph_spec(self) -> GraphSpec:
@@ -598,12 +604,20 @@ class Scenario:
             resolved = self._resolved.get(sim_engine)
             if resolved is None:
                 spec = self.job_spec(engine=sim_engine)
-                built = materialize(spec.graph, spec.algorithm)
-                resolved = self._resolved[sim_engine] = (spec, *built)
-            spec, graph, algorithm = resolved
+                built_graph, algorithm = materialize(spec.graph, spec.algorithm)
+                resolved = self._resolved[sim_engine] = (
+                    spec,
+                    built_graph,
+                    _row_fields(algorithm, built_graph, spec.graph.label),
+                )
+            spec, graph, fields = resolved
         else:
             spec = self.job_spec(engine=sim_engine)
-            algorithm = spec.algorithm.build(graph)
+            fields = _row_fields(
+                spec.algorithm.build(graph), graph, spec.graph.label
+            )
+        if graph_name is not None:
+            fields = {**fields, "graph": graph_name}
         owned = executor is None
         if executor is None:
             # resolve_engine reads the space size only without a worker count.
@@ -633,8 +647,7 @@ class Scenario:
         finally:
             if owned:
                 executor.close()
-        name = graph_name if graph_name is not None else spec.graph.label
-        row = _row_from_report(algorithm, graph, name, outcome.report)
+        row = _row_from_report(fields, outcome.report)
         return ScenarioRun(scenario=self, row=row, stats=outcome.stats)
 
 

@@ -11,17 +11,19 @@ which the tradeoff curve is plotted.
 
 from __future__ import annotations
 
+from repro.core.base import RendezvousAlgorithm
+from repro.core.schedule import Schedule, explore
 from repro.exploration.base import ExplorationProcedure
-from repro.sim.program import AgentContext, AgentGenerator
 
 
-class OracleBaseline:
+class OracleBaseline(RendezvousAlgorithm):
     """Both labels are known: the smaller waits, the larger explores.
 
-    A :data:`~repro.sim.program.ProgramFactory`; construct one per agent
-    pair.  With simultaneous start: time exactly ``E`` (one exploration)
-    and cost at most ``E``.  With delay ``d`` on the larger-labelled
-    agent: time at most ``d + E``.
+    Schedule-driven: the larger label's schedule is one EXPLORE, the
+    smaller label's is empty (it idles at its start from round 0).
+    Construct one per agent pair.  With simultaneous start: time exactly
+    ``E`` (one exploration) and cost at most ``E``.  With delay ``d`` on
+    the larger-labelled agent: time at most ``d + E``.
     """
 
     name = "oracle"
@@ -29,22 +31,19 @@ class OracleBaseline:
     def __init__(self, exploration: ExplorationProcedure, pair: tuple[int, int]):
         if pair[0] == pair[1]:
             raise ValueError("the two labels must be distinct")
-        self.exploration = exploration
         self.pair = pair
+        super().__init__(exploration, max(pair))
 
-    @property
-    def exploration_budget(self) -> int:
-        return self.exploration.budget
-
-    def __call__(self, ctx: AgentContext) -> AgentGenerator:
-        if ctx.label not in self.pair:
-            raise ValueError(f"label {ctx.label} is not part of the pair {self.pair}")
-        obs = yield
-        if ctx.label == max(self.pair):
-            yield from self.exploration.execute(ctx, obs)
-        # The smaller label simply returns: the simulator keeps it idle.
-
-    def schedule_length(self, label: int) -> int:
+    def _check_label(self, label: int) -> None:
         if label not in self.pair:
             raise ValueError(f"label {label} is not part of the pair {self.pair}")
-        return self.exploration_budget if label == max(self.pair) else 0
+
+    def schedule(self, label: int) -> Schedule:
+        self._check_label(label)
+        return Schedule([explore()] if label == max(self.pair) else [])
+
+    def time_bound(self, smaller_label: int | None = None) -> int:
+        raise NotImplementedError("the oracle baseline has no bound from the paper")
+
+    def cost_bound(self, smaller_label: int | None = None) -> int:
+        raise NotImplementedError("the oracle baseline has no bound from the paper")

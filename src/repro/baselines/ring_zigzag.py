@@ -30,9 +30,13 @@ from __future__ import annotations
 
 from math import ceil, log2
 
+from repro.core.base import RendezvousAlgorithm
+from repro.core.schedule import Schedule, SegmentKind, explore, wait
+from repro.exploration.base import ExplorationProcedure
 from repro.graphs.orientation import CLOCKWISE, COUNTERCLOCKWISE
 from repro.sim.actions import WAIT, Action
-from repro.sim.program import AgentContext, AgentGenerator
+from repro.sim.observation import Observation
+from repro.sim.program import AgentContext, SubBehaviour
 
 
 def fixed_length_bits(label: int, label_space: int) -> tuple[int, ...]:
@@ -51,8 +55,43 @@ def fixed_length_bits(label: int, label_space: int) -> tuple[int, ...]:
     return tuple(doubled) + (0, 1)
 
 
-class RingZigzag:
-    """Doubling zigzag rendezvous on an oriented ring (simultaneous start)."""
+class RingSweep(ExplorationProcedure):
+    """Clockwise ``r``, counterclockwise ``2r``, clockwise ``r``: budget ``4r``.
+
+    Visits every node within distance ``r`` of the start in both
+    directions and returns to it.  A fixed port sequence, so it is
+    start-oblivious on an oriented ring.
+    """
+
+    name = "ring-sweep"
+    start_oblivious = True
+
+    def __init__(self, radius: int):
+        self.radius = radius
+        self.route: tuple[Action, ...] = (
+            (CLOCKWISE,) * radius
+            + (COUNTERCLOCKWISE,) * (2 * radius)
+            + (CLOCKWISE,) * radius
+        )
+
+    @property
+    def budget(self) -> int:
+        return 4 * self.radius
+
+    def moves(self, ctx: AgentContext, obs: Observation) -> SubBehaviour:
+        for port in self.route:
+            obs = yield port
+        return obs
+
+
+class RingZigzag(RendezvousAlgorithm):
+    """Doubling zigzag rendezvous on an oriented ring (simultaneous start).
+
+    Schedule-driven: per stage ``s`` and bit, an EXPLORE of the stage's
+    :class:`RingSweep` (radius ``r = min(2^s, n)``) for a 1-bit or
+    ``WAIT(4r)`` for a 0-bit.  Its own ``exploration`` is the last
+    stage's sweep, which covers the whole ring.
+    """
 
     name = "ring-zigzag"
     requires_simultaneous_start = True
@@ -63,35 +102,34 @@ class RingZigzag:
         if label_space < 2:
             raise ValueError(f"need L >= 2, got {label_space}")
         self.ring_size = ring_size
-        self.label_space = label_space
         # Stages stop once the sweep radius covers half the ring in both
         # directions (the hypothesis 2^s >= D is then certainly true).
         self.num_stages = max(1, ceil(log2(ring_size))) + 1
+        self.sweeps = tuple(
+            RingSweep(min(2**stage, ring_size)) for stage in range(self.num_stages)
+        )
+        super().__init__(self.sweeps[-1], label_space)
+
+    def schedule(self, label: int) -> Schedule:
+        bits = fixed_length_bits(label, self.label_space)
+        segments = []
+        for sweep in self.sweeps:
+            sweeping, waiting = explore(sweep), wait(sweep.budget)
+            segments.extend(sweeping if bit else waiting for bit in bits)
+        return Schedule(segments)
 
     def movement_plan(self, label: int) -> list[Action]:
         """The agent's entire action sequence (it is non-adaptive)."""
-        bits = fixed_length_bits(label, self.label_space)
         plan: list[Action] = []
-        for stage in range(self.num_stages):
-            radius = min(2**stage, self.ring_size)
-            for bit in bits:
-                if bit:
-                    plan.extend([CLOCKWISE] * radius)
-                    plan.extend([COUNTERCLOCKWISE] * (2 * radius))
-                    plan.extend([CLOCKWISE] * radius)
-                else:
-                    plan.extend([WAIT] * (4 * radius))
+        for segment in self.schedule(label):
+            if segment.kind is SegmentKind.WAIT:
+                plan.extend([WAIT] * segment.rounds)
+            else:
+                plan.extend(segment.exploration.route)
         return plan
 
-    def __call__(self, ctx: AgentContext) -> AgentGenerator:
-        plan = self.movement_plan(ctx.label)
-        obs = yield
-        for action in plan:
-            obs = yield action
+    def time_bound(self, smaller_label: int | None = None) -> int:
+        raise NotImplementedError("the zigzag baseline has no bound from the paper")
 
-    def schedule_length(self, label: int) -> int:
-        bits = fixed_length_bits(label, self.label_space)
-        return sum(
-            4 * min(2**stage, self.ring_size) * len(bits)
-            for stage in range(self.num_stages)
-        )
+    def cost_bound(self, smaller_label: int | None = None) -> int:
+        raise NotImplementedError("the zigzag baseline has no bound from the paper")

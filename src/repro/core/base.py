@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-from repro.core.schedule import Schedule, schedule_body, schedule_program
+from repro.core.schedule import Schedule, SegmentKind, schedule_program
 from repro.exploration.base import ExplorationProcedure
-from repro.sim.observation import Observation
-from repro.sim.program import AgentContext, AgentGenerator, SubBehaviour
+from repro.sim.program import AgentContext, AgentGenerator
 
 
 class RendezvousAlgorithm(ABC):
@@ -37,7 +36,7 @@ class RendezvousAlgorithm(ABC):
     #: other agent.  Such algorithms are eligible for the compiled and
     #: cube engines (:mod:`repro.sim.compiled`, :mod:`repro.sim.cube`).
     #: Derived, never declared: :meth:`__init_subclass__` sets it exactly
-    #: when a subclass overrides neither ``__call__`` nor ``body``.
+    #: when a subclass does not override ``__call__``.
     is_oblivious: bool = False
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -51,7 +50,9 @@ class RendezvousAlgorithm(ABC):
             )
         self.exploration = exploration
         self.label_space = label_space
-        self._schedule_lengths: dict[int, int] = {}
+        self._schedule_facts: dict[
+            int, tuple[int, tuple[ExplorationProcedure, ...]]
+        ] = {}
 
     # ------------------------------------------------------------------
 
@@ -78,15 +79,6 @@ class RendezvousAlgorithm(ABC):
         self._check_label(ctx.label)
         return schedule_program(self.schedule(ctx.label), self.exploration, ctx)
 
-    def body(self, ctx: AgentContext, obs: Observation) -> SubBehaviour:
-        """The algorithm as a composable sub-behaviour.
-
-        Used by :class:`~repro.core.unknown_e.IteratedDoublingRendezvous`
-        to chain one instance per size estimate.
-        """
-        self._check_label(ctx.label)
-        return schedule_body(self.schedule(ctx.label), self.exploration, ctx, obs)
-
     def schedule_length(self, label: int) -> int:
         """Exact number of rounds in agent ``label``'s schedule.
 
@@ -96,11 +88,35 @@ class RendezvousAlgorithm(ABC):
         rebuilding the :class:`~repro.core.schedule.Schedule` each time
         would dominate the compiled engine's per-configuration work.
         """
-        cached = self._schedule_lengths.get(label)
-        if cached is None:
-            cached = self.schedule(label).total_rounds(self.exploration_budget)
-            self._schedule_lengths[label] = cached
-        return cached
+        return self._facts(label)[0]
+
+    def explorations(self, label: int) -> tuple[ExplorationProcedure, ...]:
+        """The procedures agent ``label``'s schedule runs, derived from it.
+
+        The ones its EXPLORE segments name and, for a segment naming
+        none, the algorithm's own; memoised with :meth:`schedule_length`,
+        from the same schedule build.  The cube engine's orbit gate
+        (:func:`repro.sim.prune.start_oblivious_schedule`) checks them.
+        """
+        return self._facts(label)[1]
+
+    def _facts(self, label: int) -> tuple[int, tuple[ExplorationProcedure, ...]]:
+        facts = self._schedule_facts.get(label)
+        if facts is None:
+            schedule = self.schedule(label)
+            procedures = {
+                id(procedure): procedure
+                for procedure in (
+                    segment.exploration or self.exploration
+                    for segment in schedule
+                    if segment.kind is SegmentKind.EXPLORE
+                )
+            }
+            facts = self._schedule_facts[label] = (
+                schedule.total_rounds(self.exploration_budget),
+                tuple(procedures.values()),
+            )
+        return facts
 
     # ------------------------------------------------------------------
     # Declared complexity (each subclass wires the right formula in)
@@ -125,13 +141,12 @@ def schedule_driven(cls: type) -> bool:
     """Whether ``cls``'s program is its :meth:`~RendezvousAlgorithm.schedule`.
 
     The structural rule behind :attr:`RendezvousAlgorithm.is_oblivious`:
-    true exactly for subclasses that override neither ``__call__`` nor
-    ``body``, so every agent runs ``schedule_program(self.schedule(label),
+    true exactly for subclasses that do not override ``__call__``, so
+    every agent runs ``schedule_program(self.schedule(label),
     self.exploration, ctx)``.  The compiled engine asks this rule, never
     the flag, before compiling a trajectory segment by segment.
     """
     return (
         issubclass(cls, RendezvousAlgorithm)
         and cls.__call__ is RendezvousAlgorithm.__call__
-        and cls.body is RendezvousAlgorithm.body
     )

@@ -2,7 +2,10 @@
 
 Every algorithm in the paper is, per agent, a fixed sequence of two kinds
 of segments: *explore* (run ``EXPLORE`` for exactly ``E`` rounds) and
-*wait* (idle for a given number of rounds).  Expressing algorithms as
+*wait* (idle for a given number of rounds).  An explore segment runs the
+algorithm's own procedure unless it names one: the Conclusion's
+unknown-``E`` construction concatenates schedules whose explorations
+grow level by level.  Expressing algorithms as
 :class:`Schedule` values keeps the algorithm classes declarative, gives
 the analysis code (behaviour-vector extraction, bound accounting) an exact
 description to work from, and makes program generation a single shared
@@ -33,23 +36,28 @@ class Segment:
 
     ``rounds`` is the wait length for WAIT segments and must be ``None``
     for EXPLORE segments (an exploration always takes exactly ``E`` rounds,
-    determined by the procedure, not the schedule).
+    determined by the procedure, not the schedule).  ``exploration`` is
+    the procedure an EXPLORE segment runs, with its own budget; ``None``
+    means the executing algorithm's own procedure.
     """
 
     kind: SegmentKind
     rounds: int | None = None
+    exploration: ExplorationProcedure | None = None
 
     def __post_init__(self) -> None:
         if self.kind is SegmentKind.WAIT:
             if self.rounds is None or self.rounds < 0:
                 raise ValueError(f"WAIT segment needs a non-negative length, got {self.rounds}")
+            if self.exploration is not None:
+                raise ValueError("WAIT segments run no exploration")
         elif self.rounds is not None:
             raise ValueError("EXPLORE segments take exactly E rounds; do not set rounds")
 
 
-def explore() -> Segment:
-    """An EXPLORE segment."""
-    return Segment(SegmentKind.EXPLORE)
+def explore(exploration: ExplorationProcedure | None = None) -> Segment:
+    """An EXPLORE segment, of the given procedure or the algorithm's own."""
+    return Segment(SegmentKind.EXPLORE, exploration=exploration)
 
 
 def wait(rounds: int) -> Segment:
@@ -100,20 +108,43 @@ class Schedule:
         """How many EXPLORE segments the schedule contains."""
         return sum(1 for seg in self._segments if seg.kind is SegmentKind.EXPLORE)
 
+    def bound_to(self, exploration: ExplorationProcedure) -> "Schedule":
+        """This schedule with every unnamed EXPLORE naming ``exploration``.
+
+        How a schedule keeps its meaning inside another algorithm's
+        schedule (see :class:`~repro.core.unknown_e.IteratedDoublingRendezvous`).
+        """
+        named = explore(exploration)
+        return Schedule(
+            named
+            if seg.kind is SegmentKind.EXPLORE and seg.exploration is None
+            else seg
+            for seg in self._segments
+        )
+
     def total_rounds(self, exploration_budget: int) -> int:
-        """Exact length of the schedule in rounds, given ``E``."""
+        """Exact length of the schedule in rounds, given ``E``.
+
+        An EXPLORE segment that names its procedure takes that
+        procedure's budget; the others take ``exploration_budget``.
+        """
         total = 0
         for seg in self._segments:
-            if seg.kind is SegmentKind.EXPLORE:
-                total += exploration_budget
-            else:
-                assert seg.rounds is not None
+            if seg.kind is SegmentKind.WAIT:
                 total += seg.rounds
+            elif seg.exploration is not None:
+                total += seg.exploration.budget
+            else:
+                total += exploration_budget
         return total
 
     def max_cost(self, exploration_budget: int) -> int:
         """Upper bound on one agent's traversals if it runs to completion."""
-        return self.num_explorations() * exploration_budget
+        return sum(
+            exploration_budget if seg.exploration is None else seg.exploration.budget
+            for seg in self._segments
+            if seg.kind is SegmentKind.EXPLORE
+        )
 
 
 def schedule_body(
@@ -122,10 +153,14 @@ def schedule_body(
     ctx: AgentContext,
     obs: Observation,
 ) -> SubBehaviour:
-    """Run a schedule as a sub-behaviour (composable via ``yield from``)."""
+    """Run a schedule as a sub-behaviour (composable via ``yield from``).
+
+    ``exploration`` runs every EXPLORE segment that names no procedure.
+    """
     for segment in schedule:
         if segment.kind is SegmentKind.EXPLORE:
-            obs = yield from exploration.execute(ctx, obs)
+            procedure = segment.exploration or exploration
+            obs = yield from procedure.execute(ctx, obs)
         else:
             assert segment.rounds is not None
             obs = yield from idle(segment.rounds, obs)

@@ -7,6 +7,8 @@ most ``2^i`` (with budget ``E_i``), until rendezvous happens -- which is
 guaranteed once ``2^i`` reaches the actual size.  The budgets grow
 geometrically, so the total time and cost telescope to a constant factor
 of the final iteration's: complexities are preserved up to constants.
+:class:`IteratedDoublingRendezvous` is that construction as one schedule,
+the concatenation of the per-level schedules, so every engine runs it.
 
 Two level factories are provided:
 
@@ -23,11 +25,11 @@ import random
 from typing import Callable, Sequence
 
 from repro.core.base import RendezvousAlgorithm
+from repro.core.schedule import Schedule, Segment
 from repro.exploration.base import ExplorationProcedure
 from repro.exploration.ring import RingExploration
 from repro.exploration.uxs import UXSExploration, build_verified_uxs
 from repro.graphs.port_graph import PortLabeledGraph
-from repro.sim.program import AgentContext, AgentGenerator
 
 #: ``(exploration, label_space) -> algorithm`` -- e.g. ``Cheap`` or ``Fast``.
 AlgorithmFactory = Callable[[ExplorationProcedure, int], RendezvousAlgorithm]
@@ -67,14 +69,21 @@ def uxs_level_factory(
     return factory
 
 
-class IteratedDoublingRendezvous:
-    """Program factory chaining one algorithm instance per size estimate.
+class IteratedDoublingRendezvous(RendezvousAlgorithm):
+    """One algorithm instance per size estimate, chained into one schedule.
 
-    Instances are :data:`~repro.sim.program.ProgramFactory` values and can
-    be passed straight to the simulator.  ``schedule_length`` reports the
-    total horizon through ``max_level``, so ``simulate_rendezvous`` works
-    unchanged.
+    Schedule-driven: ``schedule(label)`` is the concatenation of the
+    per-level schedules for levels ``start_level..max_level``, each
+    EXPLORE naming its level's exploration (the Conclusion's
+    construction).  Instances are :data:`~repro.sim.program.ProgramFactory`
+    values and run on every engine; ``schedule_length`` is the total
+    horizon through ``max_level``, so ``simulate_rendezvous`` works
+    unchanged.  Its own ``exploration`` is the first level's.  The paper
+    states the overhead only up to constants, so there is no
+    ``time_bound``/``cost_bound``.
     """
+
+    name = "iterated-doubling"
 
     def __init__(
         self,
@@ -90,26 +99,39 @@ class IteratedDoublingRendezvous:
             )
         self.algorithm_factory = algorithm_factory
         self.level_factory = level_factory
-        self.label_space = label_space
         self.start_level = start_level
         self.max_level = max_level
+        self._levels: dict[int, RendezvousAlgorithm] = {}
+        self._schedules: dict[int, Schedule] = {}
+        self.label_space = label_space
+        super().__init__(self.algorithm_at(start_level).exploration, label_space)
 
     def algorithm_at(self, level: int) -> RendezvousAlgorithm:
         """The inner algorithm instance used in iteration ``level``."""
-        return self.algorithm_factory(self.level_factory(level), self.label_space)
+        algorithm = self._levels.get(level)
+        if algorithm is None:
+            algorithm = self._levels[level] = self.algorithm_factory(
+                self.level_factory(level), self.label_space
+            )
+        return algorithm
 
-    def __call__(self, ctx: AgentContext) -> AgentGenerator:
-        obs = yield
-        for level in range(self.start_level, self.max_level + 1):
-            algorithm = self.algorithm_at(level)
-            obs = yield from algorithm.body(ctx, obs)
+    def levels(self) -> range:
+        return range(self.start_level, self.max_level + 1)
 
-    def schedule_length(self, label: int) -> int:
-        """Total rounds through ``max_level`` (a sufficient horizon)."""
-        return sum(
-            self.algorithm_at(level).schedule_length(label)
-            for level in range(self.start_level, self.max_level + 1)
-        )
+    def schedule(self, label: int) -> Schedule:
+        """The per-level schedules of ``label``, concatenated (memoised:
+        each is as long as all levels together)."""
+        schedule = self._schedules.get(label)
+        if schedule is None:
+            self._check_label(label)
+            segments: list[Segment] = []
+            for level in self.levels():
+                algorithm = self.algorithm_at(level)
+                segments.extend(
+                    algorithm.schedule(label).bound_to(algorithm.exploration)
+                )
+            schedule = self._schedules[label] = Schedule(segments)
+        return schedule
 
     def level_needed(self, graph_size: int) -> int:
         """The first iteration whose exploration covers ``graph_size`` nodes."""
@@ -123,4 +145,14 @@ class IteratedDoublingRendezvous:
         return sum(
             self.algorithm_at(lvl).schedule_length(label)
             for lvl in range(self.start_level, level + 1)
+        )
+
+    def time_bound(self, smaller_label: int | None = None) -> int:
+        raise NotImplementedError(
+            "iterated doubling keeps the inner bounds only up to constants"
+        )
+
+    def cost_bound(self, smaller_label: int | None = None) -> int:
+        raise NotImplementedError(
+            "iterated doubling keeps the inner bounds only up to constants"
         )

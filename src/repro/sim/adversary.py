@@ -403,16 +403,13 @@ def resolve_substrate(engine: str, factory: Any) -> str:
     :class:`~repro.sim.cube.BatchUnavailableError` without NumPy.  The
     engines produce byte-identical reports wherever they all apply.
     """
-    # Imported lazily: repro.sim.cube imports this module's types.
-    from repro.sim.cube import numpy_available, require_numpy
-
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {list(ENGINES)}")
     oblivious = getattr(factory, "is_oblivious", False)
     if engine == "auto":
         if not oblivious:
             return "reactive"
-        return "cube" if numpy_available() else "compiled"
+        return "cube" if _cube().numpy_available() else "compiled"
     if engine != "reactive" and not oblivious:
         name = getattr(factory, "name", factory)
         raise ValueError(
@@ -420,8 +417,25 @@ def resolve_substrate(engine: str, factory: Any) -> str:
             f"engine={engine!r} needs a schedule-driven algorithm"
         )
     if engine == "cube":
-        require_numpy()
+        _cube().require_numpy()
     return engine
+
+
+_cube_module: Any = None
+
+
+def _cube() -> Any:
+    """The :mod:`repro.sim.cube` module, imported on first use.
+
+    It imports this module's types, so it cannot be imported at the top;
+    holding it here keeps the import statement off every call's path.
+    """
+    global _cube_module
+    if _cube_module is None:
+        from repro.sim import cube
+
+        _cube_module = cube
+    return _cube_module
 
 
 def engine_table(
@@ -570,6 +584,10 @@ def worst_case_search(
                 )
                 telemetry.count(
                     "cube.prune.early_exit_rounds", stats.early_exit_rounds
+                )
+                telemetry.count("cube.build.rounds_built", stats.rounds_built)
+                telemetry.count(
+                    "cube.build.rounds_declared", stats.rounds_declared
                 )
 
     return found.report()

@@ -10,8 +10,18 @@ agent.  An agent's whole trajectory is therefore a pure function of
 ``L(L-1) * n(n-1) * |delays|`` configurations.  The reactive engine pays a
 full generator-driven simulation per configuration; this module pays one
 compilation per ``(label, start)`` -- ``O(L * n)`` of them -- and answers
-each configuration by scanning two pre-computed position timelines for
-their first (delay-shifted) colocation.
+each configuration by scanning two position timelines for their first
+(delay-shifted) colocation.
+
+Timelines are built on demand.  A :class:`CompiledTrajectory` is a
+recorder that can resume: :meth:`TrajectoryTable.trajectory` extends it
+through the time point a reader asks for, and the meeting scans ask in
+time blocks that double from :data:`MIN_TIME_BLOCK`, so a trajectory is
+built about as far as the latest meeting that reads it -- the whole
+``schedule_length`` only when some configuration misses, meets late or
+reads the parked tail.  A meeting round and its cost depend only on the
+prefix, so nothing a report holds depends on how far a trajectory was
+built.
 
 Equivalence contract: for any schedule-driven factory,
 ``worst_case_search(engine="compiled")`` returns a
@@ -30,11 +40,12 @@ the reactive simulator.
 Compilation takes one of two routes, picked by structure, never by a
 declared flag.  When the factory is a
 :class:`~repro.core.base.RendezvousAlgorithm` whose program is its
-schedule (:func:`~repro.core.base.schedule_driven`: it overrides neither
-``__call__`` nor ``body``, the rule that also derives ``is_oblivious``),
+schedule (:func:`~repro.core.base.schedule_driven`: it does not override
+``__call__``, the rule that also derives ``is_oblivious``),
 the *segment route* walks ``schedule(label)``: a ``WAIT(k)`` segment
-extends the timeline by ``k`` rounds in one step, and each ``EXPLORE``
-segment runs the real ``exploration.execute`` generator on the
+extends the timeline by ``k`` rounds in one step (in runs, at a block
+edge), and each ``EXPLORE`` segment runs the real ``execute`` generator
+of the exploration it names (the algorithm's own by default) on the
 observations the program would see.  Every other factory takes the
 *replay route*, which drives the agent program itself one round at a
 time.  Either way exploration routes and budget enforcement are the
@@ -51,7 +62,6 @@ from __future__ import annotations
 # inertness matrix in tests/obs proves dynamically.
 
 import time
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.graphs.port_graph import PortLabeledGraph
@@ -62,88 +72,193 @@ from repro.sim.program import AgentContext, ProgramFactory, ReactiveProgram
 from repro.sim.simulator import PresenceModel
 
 
-@dataclass(frozen=True)
-class CompiledTrajectory:
-    """One agent's full solo timeline: what ``(label, start)`` determines.
+#: The first time block a meeting scan reads.  Later blocks double, so a
+#: trajectory is built about as far as its latest meeting, never more
+#: than twice that (the cube engine's column blocks start from it too).
+MIN_TIME_BLOCK = 16
 
-    ``positions[t]`` is the node occupied at time point ``t`` for
-    ``t = 0..T`` (``T`` = the schedule length in rounds); after ``T`` the
-    agent idles at ``positions[T]`` forever.  ``actions[r - 1]`` is the
-    action of round ``r`` (``None`` for a wait), and
-    ``cumulative_cost[r]`` the number of edge traversals through round
-    ``r`` (``cumulative_cost[0] == 0``).
+
+class CompiledTrajectory:
+    """One agent's solo timeline: what ``(label, start)`` determines.
+
+    Built on demand: :meth:`extend` records the timeline through a time
+    point, resuming the suspended schedule (or program) where the last
+    extension stopped.  ``positions[t]`` is the node occupied at time
+    point ``t`` for ``t = 0..built``; once built to ``length`` (``T``, the
+    schedule length) the agent idles at ``positions[T]`` forever.
+    ``actions[r - 1]`` is the action of round ``r`` (``None`` for a
+    wait), and ``cumulative_cost[r]`` the number of edge traversals
+    through round ``r`` (``cumulative_cost[0] == 0``).  The three read
+    as tuples of the built prefix; the engines read the lists behind
+    them.
     """
 
-    label: int
-    start: int
-    positions: tuple[int, ...]
-    actions: tuple[Action, ...]
-    cumulative_cost: tuple[int, ...]
+    __slots__ = (
+        "label",
+        "start",
+        "length",
+        "_rows",
+        "_factory",
+        "_positions",
+        "_actions",
+        "_cumulative",
+        "_moves",
+        "_entry_port",
+        "_target",
+        "_steps",
+    )
+
+    def __init__(
+        self, graph: PortLabeledGraph, factory: ProgramFactory, label: int, start: int,
+        length: int,
+    ):
+        self.label = label
+        self.start = start
+        self.length = length
+        self._rows = graph.adjacency()
+        self._factory = factory
+        self._positions = [start]
+        self._actions: list[Action] = []
+        self._cumulative = [0]
+        self._moves = 0
+        self._entry_port: int | None = None  # persists across waits, as in the simulator
+        self._target = 0
+        #: The suspended recording generator; ``None`` once the whole
+        #: schedule is recorded and checked.
+        self._steps: Iterator[None] | None = None
 
     @property
-    def length(self) -> int:
-        """The schedule length ``T``: rounds until the agent parks."""
-        return len(self.actions)
+    def built(self) -> int:
+        """The last time point recorded so far."""
+        return len(self._positions) - 1
+
+    @property
+    def positions(self) -> tuple[int, ...]:
+        return tuple(self._positions)
+
+    @property
+    def actions(self) -> tuple[Action, ...]:
+        return tuple(self._actions)
+
+    @property
+    def cumulative_cost(self) -> tuple[int, ...]:
+        return tuple(self._cumulative)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CompiledTrajectory):
+            return NotImplemented
+        return (self.label, self.start, self.length, self._positions, self._actions) == (
+            other.label, other.start, other.length, other._positions, other._actions
+        )
+
+    __hash__ = None  # type: ignore[assignment]  # it grows
+
+    def __repr__(self) -> str:
+        return (
+            f"CompiledTrajectory(label={self.label}, start={self.start}, "
+            f"length={self.length}, built={self.built})"
+        )
+
+    def reaches(self, upto: int | None) -> bool:
+        """Whether the timeline is built through ``upto`` (``None``: all of it)."""
+        if self._steps is None:
+            return True
+        return upto is not None and upto < len(self._positions)
+
+    def extend(self, upto: int | None = None) -> None:
+        """Record through time point ``min(upto, length)``; ``None`` records all.
+
+        Reaching ``length`` runs the program's end check: a program still
+        active past its declared schedule length raises.
+        """
+        target = self.length if upto is None else min(upto, self.length)
+        if self._steps is None or (
+            target < len(self._positions) and target < self.length
+        ):
+            return
+        self._target = target
+        if next(self._steps, _DONE) is _DONE:
+            self._steps = None
+
+    def window(self, lo: int, hi: int) -> tuple[list[int], list[Action], list[int]]:
+        """Time points ``lo..hi - 1`` as built: positions, the actions of
+        their rounds (round ``t`` ends at time point ``t``) and costs."""
+        return (
+            self._positions[lo:hi],
+            self._actions[max(lo - 1, 0) : hi - 1],
+            self._cumulative[lo:hi],
+        )
 
     def position_at(self, time_point: int) -> int:
         """The node occupied at ``time_point`` (parked past the schedule)."""
         if time_point < 0:
             raise ValueError(f"time points are non-negative, got {time_point}")
-        positions = self.positions
-        return positions[time_point] if time_point < len(positions) else positions[-1]
+        return self._read(self._positions, time_point)
 
     def cost_through(self, round_: int) -> int:
         """Edge traversals through round ``round_`` (clamped to the schedule)."""
-        cumulative = self.cumulative_cost
-        return cumulative[round_] if round_ < len(cumulative) else cumulative[-1]
+        return self._read(self._cumulative, round_)
 
+    def _read(self, timeline: list[int], time_point: int) -> int:
+        if time_point < len(timeline):
+            return timeline[time_point]
+        if self._steps is not None:
+            raise ValueError(
+                f"time point {time_point} is past the built prefix "
+                f"(0..{self.built}) of a trajectory of length {self.length}"
+            )
+        return timeline[-1]
 
-class _Recorder:
-    """One agent's solo timeline as it is compiled, round by round or in runs."""
-
-    __slots__ = ("graph", "positions", "actions", "cumulative", "moves", "entry_port")
-
-    def __init__(self, graph: PortLabeledGraph, start: int):
-        self.graph = graph
-        self.positions = [start]
-        self.actions: list[Action] = []
-        self.cumulative = [0]
-        self.moves = 0
-        self.entry_port: int | None = None  # persists across waits, as in the simulator
+    # -- recording ------------------------------------------------------
 
     def observation(self) -> Observation:
-        """What the agent perceives before its next round."""
+        """What the agent perceives before its next round: clock, degree
+        and last entry port."""
         return Observation(
-            clock=len(self.actions),
-            degree=self.graph.degree(self.positions[-1]),
-            entry_port=self.entry_port,
+            len(self._actions), len(self._rows[self._positions[-1]]), self._entry_port
         )
 
-    def act(self, action: Action) -> None:
-        """Record one round's action."""
-        position = self.positions[-1]
-        validate_action(action, self.graph.degree(position))
+    def _room(self) -> int:
+        """Rounds the recorder may take before pausing at its target."""
+        built = len(self._positions) - 1
+        if built == self.length:
+            raise _still_active(self._factory, self.label, self.length)
+        return self._target - built
+
+    def _step(self, action: Action) -> Observation:
+        """Record one round's action; return what the agent perceives next."""
+        rows = self._rows
+        position = self._positions[-1]
         if action is not None:
-            position, self.entry_port = self.graph.neighbor_via(position, action)
-            self.moves += 1
-        self.actions.append(action)
-        self.positions.append(position)
-        self.cumulative.append(self.moves)
+            row = rows[position]
+            if action.__class__ is not int or not 0 <= action < len(row):
+                validate_action(action, len(row))  # raises unless an int subclass
+            position, self._entry_port = row[action]
+            self._moves += 1
+        self._actions.append(action)
+        self._positions.append(position)
+        self._cumulative.append(self._moves)
+        return Observation(len(self._actions), len(rows[position]), self._entry_port)
 
-    def wait(self, rounds: int) -> None:
+    def _idle(self, rounds: int) -> None:
         """Record ``rounds`` consecutive waits in one step."""
-        self.positions.extend([self.positions[-1]] * rounds)
-        self.actions.extend([WAIT] * rounds)
-        self.cumulative.extend([self.moves] * rounds)
+        self._positions.extend([self._positions[-1]] * rounds)
+        self._actions.extend([WAIT] * rounds)
+        self._cumulative.extend([self._moves] * rounds)
 
-    def trajectory(self, label: int) -> CompiledTrajectory:
-        return CompiledTrajectory(
-            label=label,
-            start=self.positions[0],
-            positions=tuple(self.positions),
-            actions=tuple(self.actions),
-            cumulative_cost=tuple(self.cumulative),
-        )
+    def _wait(self, rounds: int) -> Iterator[None]:
+        """Record ``rounds`` consecutive waits, in runs up to the target."""
+        while rounds:
+            room = self._room()
+            if room <= 0:
+                yield
+                continue
+            run = min(room, rounds)
+            self._idle(run)
+            rounds -= run
+
+
+_DONE = object()
 
 
 def _still_active(factory: ProgramFactory, label: int, total: int) -> ValueError:
@@ -154,7 +269,7 @@ def _still_active(factory: ProgramFactory, label: int, total: int) -> ValueError
     )
 
 
-def compile_trajectory(
+def open_trajectory(
     graph: PortLabeledGraph,
     factory: ProgramFactory,
     label: int,
@@ -162,17 +277,16 @@ def compile_trajectory(
     provide_map: bool = True,
     provide_position: bool = True,
 ) -> CompiledTrajectory:
-    """Run agent ``label`` solo from ``start`` and record its timeline.
+    """Agent ``label``'s solo timeline from ``start``, built to time point 0.
 
-    Records exactly ``factory.schedule_length(label)`` rounds, feeding the
+    :meth:`CompiledTrajectory.extend` records it further, feeding the
     agent the same observations (clock, degree, last entry port) a
     two-agent run would -- legitimate because oblivious programs never
-    observe the other agent.  A schedule-driven algorithm is compiled
+    observe the other agent.  A schedule-driven algorithm is recorded
     segment by segment, anything else by replaying its program (see the
-    module docstring); both routes give the same trajectory.  Fails
-    loudly if the program is still active past its declared schedule
-    length: a factory whose behaviour outlives ``schedule_length`` is not
-    schedule-driven and must use the reactive engine.
+    module docstring); both routes give the same trajectory.  A factory
+    whose program is still active past its declared schedule length is
+    not schedule-driven: the extension that reaches that length raises.
     """
     from repro.core.base import schedule_driven  # deferred: core imports sim
 
@@ -183,125 +297,162 @@ def compile_trajectory(
             "the factory exposes no schedule_length"
         )
     total = schedule_length(label)
-
-    recorder = _Recorder(graph, start)
+    trajectory = CompiledTrajectory(graph, factory, label, start, total)
     context = AgentContext(
         label=label,
         graph=graph if provide_map else None,
         position_oracle=(
-            (lambda: recorder.positions[-1]) if provide_position else None
+            (lambda: trajectory._positions[-1]) if provide_position else None
         ),
     )
     if schedule_driven(type(factory)):
-        _record_segments(recorder, factory, context)
-        if len(recorder.actions) > total:
-            raise _still_active(factory, label, total)
-        recorder.wait(total - len(recorder.actions))
+        trajectory._steps = _record_segments(trajectory, factory, context)
     else:
-        _record_replay(recorder, factory, context, total)
-    return recorder.trajectory(label)
+        trajectory._steps = _record_replay(trajectory, factory, context, total)
+    return trajectory
 
 
-def _record_segments(recorder: _Recorder, algorithm, context: AgentContext) -> None:
-    """The segment route: waits in one step, explorations by their generator."""
+def compile_trajectory(
+    graph: PortLabeledGraph,
+    factory: ProgramFactory,
+    label: int,
+    start: int,
+    provide_map: bool = True,
+    provide_position: bool = True,
+) -> CompiledTrajectory:
+    """Run agent ``label`` solo from ``start`` through its whole schedule.
+
+    :func:`open_trajectory` extended to ``factory.schedule_length(label)``
+    rounds; fails loudly if the program is still active past it.
+    """
+    trajectory = open_trajectory(
+        graph, factory, label, start, provide_map, provide_position
+    )
+    trajectory.extend()
+    return trajectory
+
+
+def _record_segments(
+    trajectory: CompiledTrajectory, algorithm, context: AgentContext
+) -> Iterator[None]:
+    """The segment route: waits in runs, explorations by their generator.
+
+    A generator that pauses (yields) whenever the trajectory reaches its
+    target; an EXPLORE segment runs the procedure it names, or the
+    algorithm's own.
+    """
     from repro.core.schedule import SegmentKind
 
     algorithm._check_label(context.label)
-    exploration = algorithm.exploration
+    default = algorithm.exploration
+    room, step = trajectory._room, trajectory._step
     for segment in algorithm.schedule(context.label):
         if segment.kind is SegmentKind.WAIT:
-            recorder.wait(segment.rounds)
+            yield from trajectory._wait(segment.rounds)
             continue
-        behaviour = exploration.execute(context, recorder.observation())
+        procedure = segment.exploration or default
+        behaviour = procedure.execute(context, trajectory.observation())
+        left = 0  # rounds before the target, counted down between checks
         try:
             action = next(behaviour)
             while True:
-                recorder.act(action)
-                action = behaviour.send(recorder.observation())
+                if left <= 0:
+                    left = room()
+                    while left <= 0:
+                        yield
+                        left = room()
+                left -= 1
+                action = behaviour.send(step(action))
         except StopIteration:
             pass
+    # A declared length past the schedule's own parks the agent.
+    yield from trajectory._wait(trajectory.length - trajectory.built)
 
 
 def _record_replay(
-    recorder: _Recorder, factory: ProgramFactory, context: AgentContext, total: int
-) -> None:
+    trajectory: CompiledTrajectory,
+    factory: ProgramFactory,
+    context: AgentContext,
+    total: int,
+) -> Iterator[None]:
     """The replay route: drive the agent program for ``total`` rounds."""
     program = ReactiveProgram(factory(context))
+    observation = trajectory.observation()
     for _ in range(total):
-        recorder.act(program.step(recorder.observation()))
+        while trajectory._room() <= 0:
+            yield
+        observation = trajectory._step(program.step(observation))
     # The schedule must be exhausted: one further step has to yield the
     # implicit wait-forever, or the declared length lied and compiled
     # results would silently diverge from the reactive engine.
-    if program.step(recorder.observation()) is not WAIT or not program.finished:
+    if program.step(observation) is not WAIT or not program.finished:
         raise _still_active(factory, context.label, total)
 
 
-def first_meeting_time(
+def _meeting_in(
     first: CompiledTrajectory,
     second: CompiledTrajectory,
     delay: int,
-    horizon: int,
-    presence: PresenceModel = PresenceModel.FROM_START,
+    lo: int,
+    hi: int,
 ) -> int | None:
-    """First time point in ``[0, horizon]`` at which the agents colocate.
+    """First time point in ``[lo, hi]`` at which the agents colocate.
 
     The second agent's timeline is shifted by ``delay`` (it sits at its
-    start until then); under :attr:`PresenceModel.PARACHUTE` time points
-    before its wake (``t < delay``) cannot be meetings.  The scan is split
-    into phases so the long stationary stretches (waiting periods, parked
-    schedule tails) run through C-speed ``tuple.index`` searches instead
-    of a Python loop.
+    start until then).  Both trajectories must be built through the
+    window (``hi`` and ``hi - delay``); a parked end is read only past a
+    schedule, where the window has made its trajectory complete.  The
+    window is split into phases so the long stationary stretches
+    (waiting periods, parked schedule tails) run through C-speed
+    ``list.index`` searches instead of a Python loop.
     """
-    p1, p2 = first.positions, second.positions
+    p1, p2 = first._positions, second._positions
     length1, length2 = first.length, second.length
-    end1, end2 = p1[-1], p2[-1]
     start2 = p2[0]
-    earliest = delay if presence is PresenceModel.PARACHUTE else 0
-    if earliest > horizon:
-        return None
 
-    # Phase 1 -- t in [earliest, min(delay, horizon)]: agent 2 at its start.
-    hi = min(delay, horizon)
-    if earliest <= hi:
-        cut = min(hi, length1)
-        if earliest <= cut:
+    # Phase 1 -- t <= delay: agent 2 at its start.
+    top = min(delay, hi)
+    if lo <= top:
+        cut = min(top, length1)
+        if lo <= cut:
             try:
-                return p1.index(start2, earliest, cut + 1)
+                return p1.index(start2, lo, cut + 1)
             except ValueError:
                 pass
-        if hi > length1 and end1 == start2:
-            return max(earliest, length1 + 1)
+        if top > length1 and p1[-1] == start2:
+            return max(lo, length1 + 1)
 
-    # Phase 2 -- t in (delay, min(horizon, delay + T2)]: agent 2 en route.
-    lo = delay + 1
-    hi = min(horizon, delay + length2)
-    if lo <= hi:
-        cut = min(hi, length1)
-        if lo <= cut:
-            shifted = lo - delay
+    # Phase 2 -- delay < t <= delay + T2: agent 2 en route.
+    begin = max(lo, delay + 1)
+    top = min(hi, delay + length2)
+    if begin <= top:
+        cut = min(top, length1)
+        if begin <= cut:
+            shifted = begin - delay
             for offset, (a, b) in enumerate(
-                zip(p1[lo : cut + 1], p2[shifted : shifted + cut - lo + 1])
+                zip(p1[begin : cut + 1], p2[shifted : shifted + cut - begin + 1])
             ):
                 if a == b:
-                    return lo + offset
-        if hi > length1:
-            parked_lo = max(lo, length1 + 1)
+                    return begin + offset
+        if top > length1:
+            parked_lo = max(begin, length1 + 1)
             try:
-                return p2.index(end1, parked_lo - delay, hi - delay + 1) + delay
+                return p2.index(p1[-1], parked_lo - delay, top - delay + 1) + delay
             except ValueError:
                 pass
 
-    # Phase 3 -- t in (delay + T2, horizon]: agent 2 parked at its endpoint.
-    lo = delay + length2 + 1
-    if lo <= horizon:
-        cut = min(horizon, length1)
-        if lo <= cut:
+    # Phase 3 -- t > delay + T2: agent 2 parked at its endpoint.
+    begin = max(lo, delay + length2 + 1)
+    if begin <= hi:
+        end2 = p2[-1]
+        cut = min(hi, length1)
+        if begin <= cut:
             try:
-                return p1.index(end2, lo, cut + 1)
+                return p1.index(end2, begin, cut + 1)
             except ValueError:
                 pass
-        if horizon > length1 and end1 == end2:
-            return max(lo, length1 + 1)
+        if hi > length1 and p1[-1] == end2:
+            return max(begin, length1 + 1)
     return None
 
 
@@ -331,20 +482,74 @@ class TrajectoryTable:
         #: reads it back into the computation.
         self.build_seconds = 0.0
 
-    def trajectory(self, label: int, start: int) -> CompiledTrajectory:
+    def trajectory(
+        self, label: int, start: int, upto: int | None = None
+    ) -> CompiledTrajectory:
+        """The ``(label, start)`` trajectory, built through time point ``upto``.
+
+        ``None`` builds the whole schedule.  Every build step of this
+        engine, and of the cube engine's rows, goes through here: a
+        trajectory is opened once and extended only as far as some
+        reader asked.  A build that raises drops the trajectory, so the
+        next request raises again.
+        """
         key = (label, start)
         compiled = self._trajectories.get(key)
-        if compiled is None:
-            started = time.perf_counter()
-            compiled = compile_trajectory(
-                self.graph, self.factory, label, start, *self._provide
-            )
+        if compiled is not None and compiled.reaches(upto):
+            return compiled
+        started = time.perf_counter()
+        try:
+            if compiled is None:
+                compiled = self._trajectories[key] = open_trajectory(
+                    self.graph, self.factory, label, start, *self._provide
+                )
+            compiled.extend(upto)
+        except BaseException:
+            self._trajectories.pop(key, None)
+            raise
+        finally:
             self.build_seconds += time.perf_counter() - started
-            self._trajectories[key] = compiled
         return compiled
 
     def __len__(self) -> int:
         return len(self._trajectories)
+
+    def first_meeting_time(
+        self,
+        config: Configuration,
+        horizon: int,
+        presence: PresenceModel = PresenceModel.FROM_START,
+    ) -> int | None:
+        """First time point in ``[0, horizon]`` at which the agents colocate.
+
+        The second agent's timeline is shifted by ``config.delay``; under
+        :attr:`PresenceModel.PARACHUTE` time points before its wake
+        (``t < delay``) cannot be meetings.  The window is read in time
+        blocks that double from :data:`MIN_TIME_BLOCK`, each first
+        extending both trajectories as far as it reads, so a
+        configuration that meets early builds neither schedule in full.
+        No block looks past ``max(T1, delay + T2)``: beyond it both agents
+        are parked, so a colocation there implies one at that point.
+        """
+        (label1, label2), (start1, start2), delay = (
+            config.labels, config.starts, config.delay
+        )
+        first = self.trajectory(label1, start1, 0)
+        second = self.trajectory(label2, start2, 0)
+        limit = min(horizon, max(first.length, delay + second.length))
+        lo = delay if presence is PresenceModel.PARACHUTE else 0
+        block = MIN_TIME_BLOCK
+        while lo <= limit:
+            # Read whatever is built already in one go.
+            hi = min(limit, max(lo + block - 1, min(first.built, second.built + delay)))
+            block *= 2
+            first = self.trajectory(label1, start1, hi)
+            second = self.trajectory(label2, start2, hi - delay)
+            met_at = _meeting_in(first, second, delay, lo, hi)
+            if met_at is not None:
+                return met_at
+            lo = hi + 1
+        return None
 
     def evaluate(
         self,
@@ -358,15 +563,16 @@ class TrajectoryTable:
         ``max_rounds``; the cost is counted through the meeting round, or
         through the horizon for a failure -- exactly the numbers the
         reactive engine's :class:`~repro.sim.metrics.RendezvousResult`
-        would carry.
+        would carry.  The meeting scan has usually built both
+        trajectories as far as these reads go.
         """
-        first = self.trajectory(config.labels[0], config.starts[0])
-        second = self.trajectory(config.labels[1], config.starts[1])
-        met_at = first_meeting_time(first, second, config.delay, max_rounds, presence)
+        met_at = self.first_meeting_time(config, max_rounds, presence)
         last_round = met_at if met_at is not None else max_rounds
-        cost = first.cost_through(last_round) + second.cost_through(
-            max(last_round - config.delay, 0)
-        )
+        (label1, label2), (start1, start2) = config.labels, config.starts
+        wake_round = max(last_round - config.delay, 0)
+        cost = self.trajectory(label1, start1, last_round).cost_through(
+            last_round
+        ) + self.trajectory(label2, start2, wake_round).cost_through(wake_round)
         return met_at, cost
 
     def verdicts(

@@ -5,11 +5,13 @@ The compiled engine (:mod:`repro.sim.compiled`) reduces a sweep to
 per configuration.  This module removes the per-configuration scan, the
 per-configuration objects and most of the scanned space:
 
-* **Dense timelines** -- the per-``(label, start)`` position timelines
-  are stacked into one ``(n, T+1)`` array per label; meetings are found
-  by array comparison over delay-shifted timelines, costs by
-  fancy-indexed cumulative-traversal rows -- exact integer arithmetic
-  mirroring :meth:`~repro.sim.compiled.TrajectoryTable.evaluate`.
+* **Dense timelines, built on demand** -- the per-``(label, start)``
+  position timelines are stacked into one ``(r, T+1)`` array per label
+  (one start-0 row on a certified sweep, ``n`` rows otherwise), filled
+  only as far as the scan reads them; meetings are found by array
+  comparison over delay-shifted timelines, costs by fancy-indexed
+  cumulative-traversal rows -- exact integer arithmetic mirroring
+  :meth:`~repro.sim.compiled.TrajectoryTable.evaluate`.
 * **One stacked scan over cells** -- a cell is (dominance-pivot group,
   first-start row, second start).  Given a :class:`ConfigCube` (the
   product-structured configuration space), the whole
@@ -28,8 +30,10 @@ per-configuration objects and most of the scanned space:
   ``r = n``).  That operand is the scan's only branch.
 * **Delay dominance and early exit** -- delay slices past the first
   agent's schedule that share a post-wake window are exact translates of
-  a pivot slice and are derived, not scanned; the meeting scan stops as
-  soon as every cell of a chunk has met.
+  a pivot slice and are derived, not scanned; the meeting scan drops a
+  group once the cells its sweep needs have met, and before each column
+  block builds the timelines of the groups left only that far, so no
+  trajectory is built past the block in which its cells met.
 
 Equivalence contract: identical to the compiled engine's -- every pruned
 verdict is reconstructed by an exact rule before any comparison, the
@@ -54,12 +58,11 @@ from __future__ import annotations
 # dynamically.
 
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.sim.adversary import ConfigCube, Configuration, VerdictBlock
-from repro.sim.compiled import TrajectoryTable
+from repro.sim.compiled import MIN_TIME_BLOCK, TrajectoryTable
 from repro.sim.program import ProgramFactory
 from repro.sim.prune import (
     PruneStats,
@@ -67,6 +70,7 @@ from repro.sim.prune import (
     certify_symmetry,
     derive_met,
     dominance_plan,
+    start_oblivious_schedule,
 )
 from repro.sim.simulator import PresenceModel
 
@@ -79,11 +83,6 @@ except ImportError:  # pragma: no cover
 #: the scanned column block adapts to the chunk so temporaries stay
 #: about a megabyte.
 _BLOCK_ELEMENTS = 1 << 19
-
-#: Narrowest scanned column block.  Blocks grow geometrically from it:
-#: meetings are typically early, so the first narrow blocks usually settle
-#: every cell, while late meetings cost only O(log) extra passes.
-_MIN_TIME_BLOCK = 16
 
 #: Most cells -- (pivot group, first-start row, second start) -- one chunk
 #: of the scan tracks, so its per-cell state stays small however many
@@ -133,31 +132,63 @@ def store_bounded(cache: dict, key: Any, value: Any, size: int) -> None:
     cache[key] = value
 
 
-@dataclass(frozen=True)
 class LabelTimelines:
-    """One label's solo timelines over *all* starting nodes, as arrays.
+    """One label's solo timelines over its starting nodes, as arrays.
 
-    Row ``s`` of ``positions`` is the padded position timeline of the
-    agent with this label started at node ``s`` (``positions[s, t]`` for
-    time points ``t = 0..T``); ``costs[s, t]`` is its cumulative number
-    of edge traversals through round ``t``.  ``length`` is the schedule
-    length ``T`` (identical across starts: it is a function of the label
+    Built on demand, like the trajectories behind them: ``built`` is the
+    last time point recorded, and ``positions``/``costs`` are the
+    ``(rows, built + 1)`` views of it.  On a certified table ``rows`` is
+    1, the start-0 timeline, from which start ``s`` derives as
+    ``(positions + s) mod n`` with the same costs; otherwise row ``s`` is
+    the timeline of the agent started at node ``s``.  ``costs[s, t]`` is
+    its cumulative number of edge traversals through round ``t``.
+    ``length`` is the schedule length ``T`` (a function of the label
     alone, which is what makes the rows rectangular).
     """
 
-    positions: Any  # (n, T+1) int16 (int32 on huge graphs) ndarray
-    costs: Any  # (n, T+1) int32 ndarray
-    length: int
+    __slots__ = ("length", "built", "_positions", "_costs")
+
+    def __init__(self, rows: int, length: int, position_dtype: Any, np: Any):
+        self.length = length
+        self.built = -1
+        # Allocated for the whole schedule, filled as it is built: the
+        # pages of a large allocation past the built columns stay untouched.
+        self._positions = np.empty((rows, length + 1), dtype=position_dtype)
+        self._costs = np.empty((rows, length + 1), dtype=np.int32)
+
+    @property
+    def rows(self) -> int:
+        return self._positions.shape[0]
+
+    @property
+    def positions(self) -> Any:  # (rows, built+1) int16 (int32 on huge graphs)
+        return self._positions[:, : self.built + 1]
+
+    @property
+    def costs(self) -> Any:  # (rows, built+1) int32
+        return self._costs[:, : self.built + 1]
+
+
+#: ``met`` of a cell the scan stopped before answering (see
+#: :meth:`CubeTimelineTable.slices`).
+_UNKNOWN = -2
+
+#: Stacked through every time point: a label built to its schedule's end.
+_FOREVER = float("inf")
+
+
+class _CertificateVoided(Exception):
+    """The probe voided the certificate under a one-row scan."""
 
 
 class CubeTimelineTable:
     """Dense per-label timelines and the one first-meeting scan over them.
 
     At most ``L`` label timeline arrays are built, however many
-    configurations are evaluated.  When the sweep is certified (exact
-    rotation check, start-oblivious factory, derived-trajectory probe),
-    each label's ``n`` rows are rotated copies of one compilation and the
-    scan (:meth:`slices`) keeps a single first-start row, reading the
+    configurations are evaluated, and each only as far as the scan reads
+    it (:meth:`timelines`).  When the sweep is certified (exact rotation
+    check, start-oblivious factory, derived-trajectory probe), each
+    label keeps one start-0 row and the scan (:meth:`slices`) reads the
     second axis as the delta ``(s2 - s1) mod n``; otherwise the rows come
     from per-start compilations and the scan keeps all ``n``.  Delay
     dominance and early exit apply either way.  Every reduction is exact,
@@ -186,7 +217,11 @@ class CubeTimelineTable:
         self._slices: dict[
             tuple[tuple[int, int], int, int, PresenceModel], Any
         ] = {}
-        self._probed = False
+        #: The label whose start-1 trajectory is probed, once one is built,
+        #: and the last time point the probe has compared.
+        self._probe_label: int | None = None
+        self._probed = -1
+        self._needed_cells: dict[tuple[int, Any], Any] = {}
         # int16 positions halve the traffic of the comparison pass; node
         # ids exceed it only on graphs far past this engine's O(n^2)
         # start-pair cells anyway.
@@ -194,87 +229,114 @@ class CubeTimelineTable:
             self._np.int16 if graph.num_nodes <= 2**15 else self._np.int32
         )
 
-    def timelines(self, label: int) -> LabelTimelines:
-        """The stacked (all-starts) timeline arrays of one label, built once.
+    def timelines(self, label: int, upto: int | None = None) -> LabelTimelines:
+        """One label's timeline arrays, built through time point ``upto``.
 
-        On a certified sweep row ``s`` is the start-0 trajectory shifted
-        by ``s`` -- exact when rotation preserves every port and the
-        factory is start-oblivious -- so one compile serves all ``n`` rows.
-        Defense in depth beyond the factory's declaration: the first
-        label built also compiles its start-1 trajectory and probes it
-        against the derived row (one extra compile per table, the
-        property is a factory-wide one); any mismatch voids the
-        certificate for the whole table, discards derived state and falls
+        ``None`` builds the whole schedule.  The one build step of this
+        engine: each call extends the label's rows (through
+        :meth:`TrajectoryTable.trajectory`) only past what an earlier
+        call built.  On a certified sweep the one row is the start-0
+        trajectory, valid for every start when rotation preserves every
+        port and the factory is start-oblivious; a label whose schedule
+        runs an exploration that is not voids the certificate as it is
+        opened.  Defense in depth beyond the factory's declaration: the
+        first label built also compiles its start-1 trajectory, extends
+        it as far as any label's row is
+        built and compares every new prefix with the derived one (one
+        extra compile per table, the property is a factory-wide one); any
+        mismatch voids the certificate.  A voided certificate holds for
+        the whole table: derived state is discarded and every label falls
         back to per-start compilations.
         """
         stacked = self._labels.get(label)
-        if stacked is not None:
+        if stacked is not None and (
+            stacked.built == stacked.length
+            or (upto is not None and upto <= stacked.built)
+        ):
             return stacked
         started = time.perf_counter()
-        if self.certificate.orbit and self.graph.num_nodes >= 2:
-            stacked = self._rotated_timelines(label)
-        if stacked is None:
-            stacked = self._per_start_timelines(label)
-        self._labels[label] = stacked
-        self.build_seconds += time.perf_counter() - started
+        try:
+            return self._extend(label, upto)
+        except BaseException:
+            self._labels.pop(label, None)
+            raise
+        finally:
+            self.build_seconds += time.perf_counter() - started
+
+    def _extend(self, label: int, upto: int | None) -> LabelTimelines:
+        n = self.graph.num_nodes
+        orbit = self.certificate.orbit and n >= 2
+        rows = 1 if orbit else n
+        stacked = self._labels.get(label)
+        if stacked is None or stacked.rows != rows:
+            if orbit and not start_oblivious_schedule(self.factory, label):
+                self._void(
+                    f"label {label}'s schedule runs an exploration that "
+                    "does not declare start_oblivious"
+                )
+                return self._extend(label, upto)
+            length = self.trajectories.trajectory(label, 0, 0).length
+            stacked = self._labels[label] = LabelTimelines(
+                rows, length, self._position_dtype, self._np
+            )
+            self.stats.rounds_declared += length
+        target = stacked.length if upto is None else min(upto, stacked.length)
+        lo = stacked.built + 1
+        starts = [0] if orbit else range(n)
+        if orbit and not self._probe(label, target):
+            return self._extend(label, upto)
+        trajectories = [
+            self.trajectories.trajectory(label, start, target) for start in starts
+        ]
+        for row, trajectory in enumerate(trajectories):
+            positions, _, costs = trajectory.window(lo, target + 1)
+            stacked._positions[row, lo : target + 1] = positions
+            stacked._costs[row, lo : target + 1] = costs
+        self.stats.rounds_built += target - stacked.built
+        stacked.built = target
         return stacked
 
-    def _per_start_timelines(self, label: int) -> LabelTimelines:
-        """One compiled trajectory per start, stacked row by row."""
-        np = self._np
-        rows = [
-            self.trajectories.trajectory(label, start)
-            for start in range(self.graph.num_nodes)
-        ]
-        return LabelTimelines(
-            positions=np.array(
-                [t.positions for t in rows], dtype=self._position_dtype
-            ),
-            costs=np.array([t.cumulative_cost for t in rows], dtype=np.int32),
-            length=rows[0].length,
-        )
-
-    def _rotated_timelines(self, label: int) -> LabelTimelines | None:
-        """The start-0 trajectory rotated to every start, or ``None``
-        when the probe voids the certificate."""
-        np = self._np
+    def _probe(self, label: int, target: int) -> bool:
+        """Extend the probe label's start-0 and start-1 trajectories through
+        ``target`` (its own length at most) and compare the new time points,
+        the start-1 ones with the rotated start-0 ones; a mismatch voids the
+        certificate.  The probe label is the first one built; any label's
+        row built to ``target`` takes the probe that far."""
+        if self._probe_label is None:
+            self._probe_label = label
+        label = self._probe_label
+        length = self.trajectories.trajectory(label, 0, 0).length
+        lo, hi = self._probed + 1, min(target, length)
+        if hi < lo:
+            return True
+        base = self.trajectories.trajectory(label, 0, hi)
+        probe = self.trajectories.trajectory(label, 1, hi)
+        self._probed = hi
         n = self.graph.num_nodes
-        base = self.trajectories.trajectory(label, 0)
-        if not self._probed:
-            probe = self.trajectories.trajectory(label, 1)
-            derived_positions = tuple((p + 1) % n for p in base.positions)
-            if (
-                probe.positions != derived_positions
-                or probe.actions != base.actions
-                or probe.cumulative_cost != base.cumulative_cost
-            ):
-                self.certificate = SymmetryCertificate(
-                    False,
-                    f"derived-trajectory probe mismatch for label {label}: "
-                    "the factory declared start_oblivious but its start-1 "
-                    "trajectory is not the rotated start-0 trajectory",
-                )
-                self._labels.clear()  # derived rows of other labels are void
-                self._slices.clear()
-                return None
-            self._probed = True
-        row0 = np.array(base.positions, dtype=self._position_dtype)
-        shifts = np.arange(n, dtype=self._position_dtype)[:, None]
-        # Costs are start-independent here: every row is one read-only
-        # view of the start-0 row rather than n copies of it.
-        return LabelTimelines(
-            positions=(row0[None, :] + shifts) % n,
-            costs=np.broadcast_to(
-                np.array(base.cumulative_cost, dtype=np.int32), (n, row0.size)
-            ),
-            length=base.length,
+        positions, actions, costs = base.window(lo, hi + 1)
+        derived = ([(p + 1) % n for p in positions], actions, costs)
+        if probe.window(lo, hi + 1) == derived:
+            return True
+        self._void(
+            f"derived-trajectory probe mismatch for label {label}: "
+            "the factory declared start_oblivious but its start-1 "
+            "trajectory is not the rotated start-0 trajectory"
         )
+        return False
+
+    def _void(self, reason: str) -> None:
+        """Void the certificate for the whole table: the derived rows of
+        every label, and the slices scanned from them, are discarded."""
+        self.certificate = SymmetryCertificate(False, reason)
+        self._labels.clear()
+        self._slices.clear()
 
     def slices(
         self,
         label_pairs: Sequence[tuple[int, int]],
         delay_horizons: Sequence[Sequence[tuple[int, int]]],
         presence: PresenceModel,
+        start_pairs: Sequence[tuple[int, int]] | None = None,
     ) -> tuple[Any, Any]:
         """``(met, cost)`` as ``(P, D, r, n)`` tensors: pair, delay, start cells.
 
@@ -285,8 +347,13 @@ class CubeTimelineTable:
         alone decides a start pair's verdict there.  ``met`` is the first
         meeting time point, ``-1`` for none in the slice's window; ``cost``
         the total traversals through it (through the horizon on a miss).
-        Pairs whose every slice is cached are read back; the rest go
-        through one scan (:meth:`_scan`) and are cached.
+        Only the cells of ``start_pairs`` (all cells for ``None``) must
+        be answered: the scan may stop before other cells meet and marks
+        them ``-2`` (unknown), and a slice with an unknown cell is returned
+        but not cached.  Pairs whose every slice is cached are read back;
+        the rest go through one scan (:meth:`_scan`) and are cached.  A
+        scan that the probe voids part way is run again over every start
+        row.
         """
         np = self._np
         n = self.graph.num_nodes
@@ -294,35 +361,66 @@ class CubeTimelineTable:
             [(labels, delay, horizon, presence) for delay, horizon in horizons]
             for labels, horizons in zip(label_pairs, delay_horizons)
         ]
-        cached = [[self._slices.get(key) for key in row] for row in keys]
-        todo = [p for p, row in enumerate(cached) if any(v is None for v in row)]
-        for label in sorted({label for p in todo for label in label_pairs[p]}):
-            self.timelines(label)  # the probe may void the certificate here
-        rows = 1 if self.certificate.orbit else n
-        if todo:
-            scanned = self._scan(
-                [label_pairs[p] for p in todo],
-                [delay_horizons[p] for p in todo],
-                presence,
-                rows,
-            )
+        while True:
+            rows = 1 if self.certificate.orbit else n
+            cached = [[self._slices.get(key) for key in row] for row in keys]
+            todo = [p for p, row in enumerate(cached) if any(v is None for v in row)]
+            if not todo:
+                break
+            try:
+                scanned = self._scan(
+                    [label_pairs[p] for p in todo],
+                    [delay_horizons[p] for p in todo],
+                    presence,
+                    rows,
+                    self._needed(rows, start_pairs),
+                )
+            except _CertificateVoided:
+                continue  # the cache is cleared: everything rescans
+            complete = (scanned[:, :, 0] != _UNKNOWN).all(axis=(2, 3))
             for slot, p in enumerate(todo):
                 for index, key in enumerate(keys[p]):
-                    store_bounded(
-                        self._slices, key, scanned[slot, index], 2 * rows * n
-                    )
+                    if complete[slot, index]:
+                        store_bounded(
+                            self._slices, key, scanned[slot, index], 2 * rows * n
+                        )
+            break
         if len(todo) == len(label_pairs):
             packed = scanned
         else:
             packed = np.empty(
                 (len(label_pairs), len(keys[0]), 2, rows, n), dtype=np.int64
             )
+            scanned_pairs = set(todo)
             for p, row in enumerate(cached):
-                if all(v is not None for v in row):
+                if p not in scanned_pairs:
                     packed[p] = row
             if todo:
                 packed[todo] = scanned
         return packed[:, :, 0], packed[:, :, 1]
+
+    def _needed(
+        self, rows: int, start_pairs: Sequence[tuple[int, int]] | None
+    ) -> Any:
+        """The ``(rows, n)`` cells a sweep over ``start_pairs`` reads:
+        ``(s1, s2)``, or ``(0, (s2 - s1) mod n)`` on one row (all for
+        ``None``).  Memoised: the shards of a sweep share its start pairs."""
+        key = (rows, None if start_pairs is None else tuple(start_pairs))
+        needed = self._needed_cells.get(key)
+        if needed is not None:
+            return needed
+        np = self._np
+        n = self.graph.num_nodes
+        needed = np.ones((rows, n), dtype=bool)
+        if start_pairs is not None:
+            needed[:] = False
+            s1, s2 = np.array(start_pairs, dtype=np.intp).reshape(-1, 2).T
+            if rows == 1:
+                needed[0, (s2 - s1) % n] = True
+            else:
+                needed[s1, s2] = True
+        self._needed_cells[key] = needed
+        return needed
 
     def _scan(
         self,
@@ -330,37 +428,47 @@ class CubeTimelineTable:
         delay_horizons: Sequence[Sequence[tuple[int, int]]],
         presence: PresenceModel,
         rows: int,
+        needed: Any,
     ) -> Any:
         """The stacked first-meeting pass behind :meth:`slices`.
 
         Returns one packed ``(P, D, 2, rows, n)`` block (met, then cost).
-        The first ``rows`` timeline rows of every label are stacked
-        (parked-tail padded) into one ``(L, rows, Tmax+1)`` tensor, and
-        the dominance pivots of all pairs are scanned together, a bounded
-        number of cells at a time (:meth:`_first_meetings`) -- no Python
-        loop over label pairs touches the time axis.  Costs are priced
-        from the stacked cost rows; slices a pivot dominates derive by
-        exact translation (:func:`~repro.sim.prune.derive_met`).
+        The first ``rows`` timeline rows of every label are stacked into
+        one ``(L, rows, Tmax+1)`` tensor, filled label by label only as
+        far as the scan reads (:meth:`timelines`), and the dominance
+        pivots of all pairs are scanned together, a bounded number of
+        cells at a time (:meth:`_first_meetings`) -- no Python loop over
+        label pairs touches the time axis.  Every read clamps to its
+        label's own schedule length, past which a timeline is parked.
+        A chunk stops once its ``needed`` cells have met.  Costs are
+        priced from the stacked cost rows; slices a pivot dominates derive
+        by exact translation (:func:`~repro.sim.prune.derive_met`, which
+        keeps unknown cells unknown).
         """
         np = self._np
         n = self.graph.num_nodes
         parachute = presence is PresenceModel.PARACHUTE
         labels = sorted({label for pair in label_pairs for label in pair})
         slot = {label: index for index, label in enumerate(labels)}
-        stacked = [self._labels[label] for label in labels]
-        lengths = [timelines.length for timelines in stacked]
+        lengths = [self.timelines(label, 0).length for label in labels]
         tmax = max(lengths)
-        # Parked-tail padding makes the rows rectangular across labels:
-        # past its own schedule a timeline repeats its final position and
-        # cost, so clamped reads below need only the shared tmax.
         positions = np.empty((len(labels), rows, tmax + 1), self._position_dtype)
         costs = np.empty((len(labels), rows, tmax + 1), dtype=np.int32)
-        for index, timelines in enumerate(stacked):
-            end = timelines.length + 1
-            positions[index, :, :end] = timelines.positions[:rows]
-            positions[index, :, end:] = timelines.positions[:rows, -1:]
-            costs[index, :, :end] = timelines.costs[:rows]
-            costs[index, :, end:] = timelines.costs[:rows, -1:]
+        filled = [-1] * len(labels)  # last stacked column, per label
+
+        def reach(time_point: int, slots: Iterable[int]) -> None:
+            """Stack the labels in ``slots`` through ``time_point``."""
+            for index in slots:
+                if filled[index] >= min(time_point, lengths[index]):
+                    continue
+                timelines = self.timelines(labels[index], time_point)
+                if rows == 1 and not self.certificate.orbit:
+                    raise _CertificateVoided
+                lo, hi = filled[index] + 1, timelines.built + 1
+                positions[index, :, lo:hi] = timelines.positions[:rows, lo:hi]
+                costs[index, :, lo:hi] = timelines.costs[:rows, lo:hi]
+                filled[index] = timelines.built
+
         # Per pair: both labels' slots and schedule lengths.
         agents = [
             (slot[a], slot[b], lengths[slot[a]], lengths[slot[b]])
@@ -392,22 +500,50 @@ class CubeTimelineTable:
         per_chunk = max(1, _CHUNK_CELLS // (rows * n))
         for lo in range(0, len(groups), per_chunk):
             chunk = slice(lo, lo + per_chunk)
+            chunk_i1, chunk_i2 = i1[chunk], i2[chunk]
+            ready = [-1]  # the labels of the groups still scanned are stacked this far
+
+            def reach_groups(time_point: int, active: Any) -> None:
+                if time_point <= ready[0]:
+                    return
+                # A set, not np.unique: that would import numpy.ma.
+                slots = {*chunk_i1[active].tolist(), *chunk_i2[active].tolist()}
+                reach(time_point, slots)
+                ready[0] = min(
+                    filled[s] if filled[s] < lengths[s] else _FOREVER for s in slots
+                )
+
             met = self._first_meetings(
                 positions,
-                i1[chunk],
-                i2[chunk],
+                chunk_i1,
+                chunk_i2,
+                t1[chunk],
+                t2[chunk],
                 delays[chunk],
                 limits[chunk],
                 parachute,
+                needed,
+                reach_groups,
             )
-            last = np.where(met >= 0, met, horizons[chunk, None, None])
+            # A miss is priced at its horizon, an unknown cell not at all.
+            last = np.where(
+                met >= 0, met, np.where(met == _UNKNOWN, 0, horizons[chunk, None, None])
+            )
             wake = np.maximum(last - delays[chunk, None, None], 0)
+            cols1 = np.minimum(last, t1[chunk, None, None])
+            cols2 = np.minimum(wake, t2[chunk, None, None])
+            if (met == -1).any():
+                # A miss prices its horizon: built by the scan already, but
+                # for a parachute window that closes before the wake.
+                for group, (first, second) in enumerate(
+                    zip(chunk_i1.tolist(), chunk_i2.tolist())
+                ):
+                    reach(int(cols1[group].max()), (first,))
+                    reach(int(cols2[group].max()), (second,))
             packed[pair[chunk], index[chunk], 0] = met
             packed[pair[chunk], index[chunk], 1] = costs[
-                i1[chunk, None, None], first_rows, np.minimum(last, tmax)
-            ].astype(np.int64) + costs[
-                i2[chunk, None, None], second_rows, np.minimum(wake, tmax)
-            ]
+                chunk_i1[:, None, None], first_rows, cols1
+            ].astype(np.int64) + costs[chunk_i2[:, None, None], second_rows, cols2]
         for p, plan in enumerate(plans):
             for derived, (pivot, shift) in plan.derived.items():
                 pivot_delay = delay_horizons[p][pivot][0]
@@ -426,65 +562,110 @@ class CubeTimelineTable:
         positions: Any,
         i1: Any,
         i2: Any,
+        t1: Any,
+        t2: Any,
         delays: Any,
         limits: Any,
         parachute: bool,
+        needed: Any,
+        reach: Callable[[int, Any], None],
     ) -> Any:
         """First colocation time of every cell of ``G`` groups, as ``(G, r, n)``.
 
-        Group ``g`` pairs stacked label ``i1[g]`` with ``i2[g]`` at
-        ``delays[g]``; ``-1`` marks a cell with no colocation in its
-        window.  The second agent is read through clamped time indices
-        (``clip(t - delay, 0, Tmax)``), which realises both its pre-wake
-        wait at its start and its parked tail -- the delay shift
-        :func:`repro.sim.compiled.first_meeting_time` scans in phases.
-        Out-of-window time points -- past the group's limit or, under the
-        parachute presence model, before its wake -- are blanked to ``-1``,
-        which no operand matches.  With one row (a certified sweep) starts
-        ``(s1, s2)`` colocate at ``t`` iff the start-0 rows differ by
-        ``s2 - s1 (mod n)``, so the row difference is compared against
-        every delta; otherwise row meets row.  Column blocks grow
-        geometrically, and the scan stops once every cell has met
-        (``stats.early_exit_rounds`` counts the time points skipped).
+        Group ``g`` pairs stacked label ``i1[g]`` (schedule length
+        ``t1[g]``) with ``i2[g]`` (``t2[g]``) at ``delays[g]``; ``-1``
+        marks a cell with no colocation in its window.  Each column block
+        first calls ``reach`` with its last time point and the groups
+        still scanned, which stacks their labels that far.  Reads clamp
+        to each label's schedule length, which realises its parked tail;
+        the second agent is read
+        at ``clip(t - delay, 0, T2)``, which also realises its pre-wake
+        wait at its start -- the delay shift
+        :meth:`repro.sim.compiled.TrajectoryTable.first_meeting_time`
+        scans in phases.  Out-of-window time points -- past the group's
+        limit or, under the parachute presence model, before its wake --
+        are blanked to ``-1``, which no operand matches.  With one row (a
+        certified sweep) starts ``(s1, s2)`` colocate at ``t`` iff the
+        start-0 rows differ by ``s2 - s1 (mod n)``, so the row difference
+        is compared against every delta; otherwise row meets row.  Column
+        blocks grow geometrically.  A group is done once every cell the
+        ``(r, n)`` mask ``needed`` marks has met; done groups leave the
+        scan once they are a quarter of it, and the scan stops once no
+        group is left (``stats.early_exit_rounds`` counts
+        the time points skipped), so no timeline is built past the block
+        in which its cells met; cells still unmet in a group that left
+        early are :data:`_UNKNOWN`.
         """
         np = self._np
         n = self.graph.num_nodes
-        rows, tmax = positions.shape[1], positions.shape[2] - 1
+        rows = positions.shape[1]
         met = np.full((len(i1), rows, n), -1, dtype=np.int64)
         max_scan = int(limits.max())
         t0 = int(delays.min()) if parachute else 0
-        widest = max(_MIN_TIME_BLOCK, _BLOCK_ELEMENTS // met.size)
-        block = _MIN_TIME_BLOCK
-        first = (i1[:, None, None], np.arange(rows)[None, :, None])
+        # Blocks grow geometrically from the compiled engine's first
+        # block: meetings are typically early, so the first narrow blocks
+        # usually settle every cell (and are all that gets built), while
+        # late meetings cost only O(log) extra passes.
+        widest = max(MIN_TIME_BLOCK, _BLOCK_ELEMENTS // met.size)
+        block = MIN_TIME_BLOCK
+        first_rows = np.arange(rows)[None, :, None]
         if rows == 1:
-            second = (i2[:, None, None], 0)
             other = np.arange(n, dtype=positions.dtype)[None, None, :, None]
         else:
-            second = (i2[:, None, None, None], np.arange(n)[None, None, :, None])
-        delays, limits = delays[:, None], limits[:, None]
-        while t0 <= max_scan:
-            t1 = min(t0 + block - 1, max_scan)
+            second_starts = np.arange(n)[None, None, :, None]
+        unneeded = ~needed
+        # The groups still scanned and their operands, compacted whenever
+        # groups leave, so no block reads a finished group.
+        active, current = np.arange(len(i1)), met
+        label1, label2 = i1[:, None, None], i2[:, None, None]
+        t1, t2, delays, limits = t1[:, None], t2[:, None], delays[:, None], limits[:, None]
+        soonest = int(limits.min())  # the first time point a window closes
+        while active.size and t0 <= max_scan:
+            end = min(t0 + block - 1, max_scan)
             block = min(2 * block, widest)
-            times = np.arange(t0, t1 + 1, dtype=np.intp)
-            cols2 = np.minimum(np.maximum(times - delays, 0), tmax)
-            a = positions[(*first, np.minimum(times, tmax))]
+            reach(end, active)
+            times = np.arange(t0, end + 1, dtype=np.intp)
+            cols1 = np.minimum(times, t1)
+            cols2 = np.minimum(np.maximum(times - delays, 0), t2)
+            a = positions[label1, first_rows, cols1[:, None, :]]
             if rows == 1:
-                a = (a - positions[(*second, cols2[:, None, :])]) % n
+                a = (a - positions[label2, 0, cols2[:, None, :]]) % n
             else:
-                other = positions[(*second, cols2[:, None, None, :])]
+                other = positions[label2[..., None], second_starts, cols2[:, None, None, :]]
             invalid = times > limits
             if parachute:
                 invalid |= times < delays
             a = np.where(invalid[:, None, :], -1, a)
-            hits = a[:, :, None, :] == other  # (G, r, n, b)
-            fresh = hits.any(axis=3) & (met < 0)
-            if fresh.any():
-                met = np.where(fresh, t0 + hits.argmax(axis=3), met)
-                if (met >= 0).all():
-                    self.stats.early_exit_rounds += max_scan - t1
-                    break
+            hits = a[:, :, None, :] == other  # (A, r, n, b)
+            fresh = hits.any(axis=3) & (current < 0)
+            met_now = fresh.any()
+            if met_now:
+                current = np.where(fresh, t0 + hits.argmax(axis=3), current)
             del hits
-            t0 = t1 + 1
+            t0 = end + 1
+            if met_now:
+                if (current >= 0).all():
+                    break
+            elif end < soonest:
+                continue  # no cell met and no window closed: no group is done
+            # A group is done once its window is scanned (its unmet cells
+            # are misses) or its needed cells have met (the rest unknown).
+            scanned = limits[:, 0] <= end
+            answered = ((current >= 0) | unneeded).all(axis=(1, 2))
+            done = scanned | answered
+            finished = int(done.sum())
+            # Compacting costs a few copies: wait until a quarter is done.
+            if finished and 4 * finished >= done.size:
+                early = answered & ~scanned
+                current[early] = np.where(current[early] < 0, _UNKNOWN, current[early])
+                met[active[done]] = current[done]
+                keep = ~done
+                active, current = active[keep], current[keep]
+                label1, label2 = label1[keep], label2[keep]
+                t1, t2, delays, limits = t1[keep], t2[keep], delays[keep], limits[keep]
+                soonest = int(limits.min()) if active.size else max_scan
+        met[active] = current
+        self.stats.early_exit_rounds += max(max_scan - t0 + 1, 0)
         return met
 
 
@@ -566,7 +747,9 @@ def _whole_cube_search(
     begin, end = lo - first_pair * per_pair, hi - first_pair * per_pair
 
     n = table.graph.num_nodes
-    met_cells, cost_cells = table.slices(label_pairs, pair_horizons, presence)
+    met_cells, cost_cells = table.slices(
+        label_pairs, pair_horizons, presence, start_pairs
+    )
     s1, s2 = np.array(start_pairs, dtype=np.intp).reshape(-1, 2).T
     # A certified sweep's one row is read by delta, any other by start.
     rows, cols = (0, (s2 - s1) % n) if met_cells.shape[2] == 1 else (s1, s2)

@@ -30,13 +30,16 @@ rule sound:
   Reflection (``v -> -v (mod n)``) is *not* port-preserving on oriented
   rings (it swaps the clockwise/counterclockwise ports 0 and 1), so the
   engine never merges reflection orbits.
-* **Start-oblivious factory** -- the algorithm's exploration must declare
+* **Start-oblivious factory** -- the algorithm's exploration, and every
+  one a label's schedule names (checked as the engine opens the label),
+  must declare
   :attr:`~repro.exploration.base.ExplorationProcedure.start_oblivious`
   (its port sequence depends only on the observation stream).
 * **Probe** -- the engine still compiles one trajectory from start 1
-  and compares it with the rotated start-0 trajectory before relying on
-  the factory's declaration (defense in depth); a mismatch voids the
-  certificate for the whole table.
+  and compares it with the rotated start-0 trajectory over every prefix
+  any label's start-0 row is built to, before relying on the factory's
+  declaration (defense in depth); a mismatch voids the certificate for
+  the whole table.
 """
 
 from __future__ import annotations
@@ -82,12 +85,29 @@ def start_oblivious_factory(factory: Any) -> bool:
     the compiled and cube engines already use) and the exploration's
     :attr:`~repro.exploration.base.ExplorationProcedure.start_oblivious`
     declaration.  Factories without an ``exploration`` attribute (custom
-    program factories) conservatively answer ``False``.
+    program factories) conservatively answer ``False``.  The other
+    explorations a schedule names are checked label by label
+    (:func:`start_oblivious_schedule`).
     """
     if not getattr(factory, "is_oblivious", False):
         return False
     exploration = getattr(factory, "exploration", None)
     return bool(getattr(exploration, "start_oblivious", False))
+
+
+def start_oblivious_schedule(factory: Any, label: int) -> bool:
+    """Whether every exploration agent ``label``'s schedule runs declares
+    :attr:`~repro.exploration.base.ExplorationProcedure.start_oblivious`.
+
+    Derived from the schedule
+    (:meth:`~repro.core.base.RendezvousAlgorithm.explorations`); a
+    factory without one runs only its own ``exploration``, which
+    :func:`start_oblivious_factory` checks.
+    """
+    explorations = getattr(factory, "explorations", None)
+    if explorations is None:
+        return True
+    return all(procedure.start_oblivious for procedure in explorations(label))
 
 
 @dataclass(frozen=True)
@@ -212,11 +232,16 @@ class PruneStats:
     ``orbit_cells`` counts start-pair cells answered by rotation instead
     of a direct scan; ``dominated_slices`` counts delay slices derived
     from a pivot; ``early_exit_rounds`` counts time points the meeting
-    scan skipped because every tracked cell had already met.  Pure
-    observability: nothing reads these back into the computation.
+    scan skipped because every tracked cell had already met.
+    ``rounds_built`` counts the rounds of label timelines built and
+    ``rounds_declared`` the schedule rounds of the labels opened: their
+    gap is what on-demand builds left unbuilt.  Pure observability:
+    nothing reads these back into the computation.
     """
 
     orbit_cells: int = 0
     dominated_slices: int = 0
     early_exit_rounds: int = 0
+    rounds_built: int = 0
+    rounds_declared: int = 0
 

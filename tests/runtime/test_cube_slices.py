@@ -195,7 +195,7 @@ def test_one_group_chunks_of_few_columns_match_the_reactive_engine(
     constants would hide is crossed.
     """
     monkeypatch.setattr(cube, "_CHUNK_CELLS", 1)
-    monkeypatch.setattr(cube, "_MIN_TIME_BLOCK", 3)
+    monkeypatch.setattr(cube, "MIN_TIME_BLOCK", 3)
     monkeypatch.setattr(cube, "_BLOCK_ELEMENTS", 1)
     chunk_groups: list[int] = []
     scan = cube.CubeTimelineTable._first_meetings

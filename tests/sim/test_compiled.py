@@ -192,7 +192,7 @@ class TestEngineSelection:
         assert calls == ["compiled"]
 
     def test_ablations_derive_is_oblivious_and_auto_matches_reactive(self):
-        """The ablations inherit the schedule-driven ``__call__``/``body``,
+        """The ablations inherit the schedule-driven ``__call__``,
         so they derive the flag (overriding ``__call__`` withdraws it) and
         ``auto`` runs them on a derived engine -- with the reactive report,
         failures included."""

@@ -317,14 +317,19 @@ class TestProbeDefense:
 
 @needs_numpy
 def test_rotated_timelines_share_one_cost_row(ring12):
+    """A certified label stores one row, start 0's, and extends only it."""
     table = CubeTimelineTable(ring12, build_algorithm("fast", ring12))
-    rows = table.timelines(1)
+    rows = table.timelines(1, 20)
     assert table.certificate.orbit
-    assert rows.costs.shape == rows.positions.shape == (12, rows.length + 1)
-    assert rows.costs.strides[0] == 0  # one row, viewed from every start
+    assert rows.length > 20
+    assert rows.costs.shape == rows.positions.shape == (1, 21)
+    assert table.timelines(1) is rows
+    assert rows.costs.shape == rows.positions.shape == (1, rows.length + 1)
+    # Start 0 and the probe's start 1: no other start is ever compiled.
+    assert sorted(table.trajectories._trajectories) == [(1, 0), (1, 1)]
     start = table.trajectories.trajectory(1, 5)
-    assert tuple(rows.positions[5]) == start.positions
-    assert tuple(rows.costs[5]) == start.cumulative_cost
+    assert tuple((rows.positions[0] + 5) % 12) == start.positions
+    assert tuple(rows.costs[0]) == start.cumulative_cost
 
 
 class TestDominance:
