@@ -97,6 +97,11 @@ def _engine_stages(sink: MemorySink, engine: str) -> dict:
         "scan_seconds": round(gauges.get(f"{engine}.scan_seconds", 0.0), 4),
     }
     counters = sink.counter_totals()
+    # Exploration routes recorded once and spliced into the trajectories.
+    stages["routes_recorded"] = int(counters.get("compiled.routes.recorded", 0))
+    stages["spliced_rounds"] = int(
+        counters.get("compiled.routes.spliced_rounds", 0)
+    )
     if engine == "cube":
         stages["pruned_orbit_cells"] = int(
             counters.get("cube.prune.orbit_cells", 0)

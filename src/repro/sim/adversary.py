@@ -575,6 +575,10 @@ def worst_case_search(
                 )
             if engine == "compiled":
                 telemetry.gauge("compiled.trajectories", len(table))
+            if table is not None:
+                routes = (table if engine == "compiled" else table.trajectories).routes
+                telemetry.count("compiled.routes.recorded", len(routes))
+                telemetry.count("compiled.routes.spliced_rounds", routes.spliced_rounds)
             telemetry.count("configs.evaluated", found.executions)
             if engine == "cube":
                 stats = table.stats

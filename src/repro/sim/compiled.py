@@ -44,14 +44,19 @@ schedule (:func:`~repro.core.base.schedule_driven`: it does not override
 ``__call__``, the rule that also derives ``is_oblivious``),
 the *segment route* walks ``schedule(label)``: a ``WAIT(k)`` segment
 extends the timeline by ``k`` rounds in one step (in runs, at a block
-edge), and each ``EXPLORE`` segment runs the real ``execute`` generator
-of the exploration it names (the algorithm's own by default) on the
-observations the program would see.  Every other factory takes the
-*replay route*, which drives the agent program itself one round at a
-time.  Either way exploration routes and budget enforcement are the
-reactive engine's own code, not a re-implementation; only the
-per-configuration interaction logic (colocation, presence, costs) is
-specialised here.
+edge), and each ``EXPLORE`` segment splices in the route of the
+exploration it names (the algorithm's own by default) from the agent's
+node and entry port there.  ``execute`` hands an exploration only a local
+view (its own clock from 0, the map, the position capability), so that
+route is a function of its start: a :class:`RouteMemo` records each
+``(procedure, node, entry port)`` route once per table with
+:func:`~repro.exploration.base.record_route` and splices it, up to the
+build target, into every trajectory that reaches it; a stored error
+fires only when a build reaches its round.  Every other factory takes
+the *replay route*, which drives the agent program one round at a time.
+Either way exploration routes and budget enforcement are the reactive
+engine's own code, not a re-implementation; only the per-configuration
+interaction logic (colocation, presence, costs) is specialised here.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ from __future__ import annotations
 # inertness matrix in tests/obs proves dynamically.
 
 import time
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.sim.actions import WAIT, Action, validate_action
@@ -70,6 +75,9 @@ from repro.sim.adversary import Configuration, Verdict
 from repro.sim.observation import Observation
 from repro.sim.program import AgentContext, ProgramFactory, ReactiveProgram
 from repro.sim.simulator import PresenceModel
+
+if TYPE_CHECKING:  # exploration imports sim, so its names load at run time
+    from repro.exploration.base import ExplorationProcedure, Route
 
 
 #: The first time block a meeting scan reads.  Later blocks double, so a
@@ -211,13 +219,6 @@ class CompiledTrajectory:
 
     # -- recording ------------------------------------------------------
 
-    def observation(self) -> Observation:
-        """What the agent perceives before its next round: clock, degree
-        and last entry port."""
-        return Observation(
-            len(self._actions), len(self._rows[self._positions[-1]]), self._entry_port
-        )
-
     def _room(self) -> int:
         """Rounds the recorder may take before pausing at its target."""
         built = len(self._positions) - 1
@@ -269,6 +270,34 @@ def _still_active(factory: ProgramFactory, label: int, total: int) -> ValueError
     )
 
 
+class RouteMemo(dict):
+    """``(procedure, node, entry port) -> Route`` for one graph and knowledge.
+
+    A missing route is recorded on first use
+    (:func:`~repro.exploration.base.record_route`), so each is recorded
+    once however many trajectories splice it; ``spliced_rounds`` counts
+    the route rounds spliced.  Both counts are observability data only.
+    """
+
+    def __init__(
+        self, graph: PortLabeledGraph, provide_map: bool = True,
+        provide_position: bool = True,
+    ):
+        super().__init__()
+        self._knowledge = (provide_map, provide_position)
+        self._graph = graph
+        self.spliced_rounds = 0
+
+    def __missing__(self, key: tuple[ExplorationProcedure, int, int | None]) -> Route:
+        from repro.exploration.base import record_route  # deferred: it imports sim
+
+        procedure, node, entry_port = key
+        route = self[key] = record_route(
+            procedure, self._graph, node, entry_port, *self._knowledge
+        )
+        return route
+
+
 def open_trajectory(
     graph: PortLabeledGraph,
     factory: ProgramFactory,
@@ -276,6 +305,7 @@ def open_trajectory(
     start: int,
     provide_map: bool = True,
     provide_position: bool = True,
+    routes: RouteMemo | None = None,
 ) -> CompiledTrajectory:
     """Agent ``label``'s solo timeline from ``start``, built to time point 0.
 
@@ -283,7 +313,9 @@ def open_trajectory(
     agent the same observations (clock, degree, last entry port) a
     two-agent run would -- legitimate because oblivious programs never
     observe the other agent.  A schedule-driven algorithm is recorded
-    segment by segment, anything else by replaying its program (see the
+    segment by segment, its explorations spliced from ``routes`` (a
+    :class:`RouteMemo` of the same graph and knowledge; a private one
+    when ``None``), anything else by replaying its program (see the
     module docstring); both routes give the same trajectory.  A factory
     whose program is still active past its declared schedule length is
     not schedule-driven: the extension that reaches that length raises.
@@ -298,16 +330,18 @@ def open_trajectory(
         )
     total = schedule_length(label)
     trajectory = CompiledTrajectory(graph, factory, label, start, total)
-    context = AgentContext(
-        label=label,
-        graph=graph if provide_map else None,
-        position_oracle=(
-            (lambda: trajectory._positions[-1]) if provide_position else None
-        ),
-    )
     if schedule_driven(type(factory)):
-        trajectory._steps = _record_segments(trajectory, factory, context)
+        if routes is None:
+            routes = RouteMemo(graph, provide_map, provide_position)
+        trajectory._steps = _record_segments(trajectory, factory, label, routes)
     else:
+        context = AgentContext(
+            label=label,
+            graph=graph if provide_map else None,
+            position_oracle=(
+                (lambda: trajectory._positions[-1]) if provide_position else None
+            ),
+        )
         trajectory._steps = _record_replay(trajectory, factory, context, total)
     return trajectory
 
@@ -333,38 +367,50 @@ def compile_trajectory(
 
 
 def _record_segments(
-    trajectory: CompiledTrajectory, algorithm, context: AgentContext
+    trajectory: CompiledTrajectory, algorithm, label: int, routes: RouteMemo
 ) -> Iterator[None]:
-    """The segment route: waits in runs, explorations by their generator.
+    """The segment route: waits in runs, explorations spliced from routes.
 
     A generator that pauses (yields) whenever the trajectory reaches its
-    target; an EXPLORE segment runs the procedure it names, or the
-    algorithm's own.
+    target.  An EXPLORE segment splices the route of the procedure it
+    names (or the algorithm's own) from the agent's node and entry port,
+    slice by slice up to the target; a route that raised raises once the
+    build reaches the round it failed in.
     """
     from repro.core.schedule import SegmentKind
 
-    algorithm._check_label(context.label)
+    algorithm._check_label(label)
     default = algorithm.exploration
-    room, step = trajectory._room, trajectory._step
-    for segment in algorithm.schedule(context.label):
+    positions, actions, cumulative = (
+        trajectory._positions, trajectory._actions, trajectory._cumulative
+    )
+    room = trajectory._room
+    for segment in algorithm.schedule(label):
         if segment.kind is SegmentKind.WAIT:
             yield from trajectory._wait(segment.rounds)
             continue
-        procedure = segment.exploration or default
-        behaviour = procedure.execute(context, trajectory.observation())
-        left = 0  # rounds before the target, counted down between checks
-        try:
-            action = next(behaviour)
-            while True:
-                if left <= 0:
-                    left = room()
-                    while left <= 0:
-                        yield
-                        left = room()
-                left -= 1
-                action = behaviour.send(step(action))
-        except StopIteration:
-            pass
+        route = routes[
+            segment.exploration or default, positions[-1], trajectory._entry_port
+        ]
+        base, done, end = trajectory._moves, 0, len(route.actions)
+        while done < end:
+            left = room()
+            if left <= 0:
+                yield
+                continue
+            stop = min(done + left, end)
+            positions.extend(route.positions[done:stop])
+            actions.extend(route.actions[done:stop])
+            costs = route.cumulative[done:stop]
+            cumulative.extend(map(base.__add__, costs) if base else costs)
+            routes.spliced_rounds += stop - done
+            done = stop
+        if route.error is not None:
+            while route.error_at > done and room() <= 0:
+                yield
+            raise route.error
+        trajectory._moves = base + route.moves
+        trajectory._entry_port = route.entry_port
     # A declared length past the schedule's own parks the agent.
     yield from trajectory._wait(trajectory.length - trajectory.built)
 
@@ -377,7 +423,7 @@ def _record_replay(
 ) -> Iterator[None]:
     """The replay route: drive the agent program for ``total`` rounds."""
     program = ReactiveProgram(factory(context))
-    observation = trajectory.observation()
+    observation = Observation(0, len(trajectory._rows[trajectory.start]), None)
     for _ in range(total):
         while trajectory._room() <= 0:
             yield
@@ -460,9 +506,11 @@ class TrajectoryTable:
     """Lazily compiled ``(label, start) -> trajectory`` cache for one sweep.
 
     The compilation substrate of the compiled engine: at most ``L * n``
-    trajectories are compiled however many configurations are evaluated.
-    ``evaluate`` answers one configuration's meeting time and cost, the
-    numbers a report keeps.
+    trajectories are compiled however many configurations are evaluated,
+    and their explorations are spliced from one :class:`RouteMemo`
+    (``routes``: ``len(routes)`` routes recorded,
+    ``routes.spliced_rounds`` rounds spliced).  ``evaluate`` answers one
+    configuration's meeting time and cost, the numbers a report keeps.
     """
 
     def __init__(
@@ -475,6 +523,7 @@ class TrajectoryTable:
         self.graph = graph
         self.factory = factory
         self._provide = (provide_map, provide_position)
+        self.routes = RouteMemo(graph, provide_map, provide_position)
         self._trajectories: dict[tuple[int, int], CompiledTrajectory] = {}
         #: Cumulative wall-clock seconds spent compiling trajectories --
         #: the "table build" half of this engine's profile (the rest of a
@@ -501,7 +550,8 @@ class TrajectoryTable:
         try:
             if compiled is None:
                 compiled = self._trajectories[key] = open_trajectory(
-                    self.graph, self.factory, label, start, *self._provide
+                    self.graph, self.factory, label, start, *self._provide,
+                    self.routes,
                 )
             compiled.extend(upto)
         except BaseException:

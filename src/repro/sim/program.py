@@ -38,8 +38,29 @@ AgentGenerator: TypeAlias = Generator[Action, Observation, None]
 SubBehaviour: TypeAlias = Generator[Action, Observation, Observation]
 
 
+class _Capabilities:
+    """The two knowledge capabilities and the errors that name them."""
+
+    graph: PortLabeledGraph | None
+    position_oracle: Callable[[], int] | None
+
+    def require_map(self) -> PortLabeledGraph:
+        """The map, or a :class:`ValueError` naming the missing knowledge."""
+        if self.graph is None:
+            raise ValueError("this procedure requires a map of the graph")
+        return self.graph
+
+    def require_position(self) -> int:
+        """Current map position, or an error naming the missing capability."""
+        if self.position_oracle is None:
+            raise ValueError(
+                "this procedure requires a map with a marked current position"
+            )
+        return self.position_oracle()
+
+
 @dataclass
-class AgentContext:
+class AgentContext(_Capabilities):
     """Everything an agent is given before it starts executing.
 
     Attributes:
@@ -60,19 +81,18 @@ class AgentContext:
     position_oracle: Callable[[], int] | None = None
     rng: random.Random | None = None
 
-    def require_map(self) -> PortLabeledGraph:
-        """The map, or a :class:`ValueError` naming the missing knowledge."""
-        if self.graph is None:
-            raise ValueError("this procedure requires a map of the graph")
-        return self.graph
 
-    def require_position(self) -> int:
-        """Current map position, or an error naming the missing capability."""
-        if self.position_oracle is None:
-            raise ValueError(
-                "this procedure requires a map with a marked current position"
-            )
-        return self.position_oracle()
+@dataclass(frozen=True)
+class ExplorationContext(_Capabilities):
+    """What an exploration procedure is given: the map and the position
+    capability of its agent, and neither its label nor an rng.
+
+    :meth:`repro.exploration.base.ExplorationProcedure.execute` builds it,
+    so an exploration's route is a function of where it starts.
+    """
+
+    graph: PortLabeledGraph | None = None
+    position_oracle: Callable[[], int] | None = None
 
 
 #: Factories the simulator accepts.

@@ -346,9 +346,10 @@ class Replayed:
 
 
 class ObservantExploration(ExplorationProcedure):
-    """Steers by the whole observation it starts from: clock, degree and
-    the entry port carried over from before the segment (no registered
-    procedure reads all three)."""
+    """Steers by the whole observation it sees: its exploration-local clock
+    (0 when the segment starts), the degree and the entry port carried
+    over from before the segment (no registered procedure reads all
+    three)."""
 
     name = "observant"
 
@@ -357,8 +358,9 @@ class ObservantExploration(ExplorationProcedure):
         return 3
 
     def moves(self, ctx, obs):
-        obs = yield (obs.clock + (obs.entry_port or 0)) % obs.degree
-        obs = yield (obs.entry_port + 1) % obs.degree
+        assert obs.clock == 0, "the clock starts with the exploration"
+        obs = yield (obs.entry_port or 0) % obs.degree
+        obs = yield (obs.clock + obs.entry_port) % obs.degree
         return obs
 
 
