@@ -1,11 +1,11 @@
 """Engine micro-benchmarks: simulator throughput and analysis kernels.
 
 Not a paper experiment -- these keep the infrastructure honest: the round
-simulator's cost per round, the prefix-sum ring executor's advantage over
-it, the ``Trim`` procedure's full pairwise sweep, the experiment runtime's
-parallel-vs-serial sweep throughput and its store-backed tiny sweeps
-(cold, then cached), the compiled trajectory engine's
-speedup over the reactive simulator, and the whole-cube tensor engine's
+simulator's cost per round, the vector ring executor's advantage over
+it, the ``Trim`` procedure's engine pass over all label pairs, the
+experiment runtime's parallel-vs-serial sweep throughput and its
+store-backed tiny sweeps (cold, then cached), the compiled trajectory
+engine's speedup over the reactive simulator, and the whole-cube tensor engine's
 speedup over the compiled one on the dense (all start pairs, wide delay
 grid) sweep handed over as a ``ConfigCube`` -- on the 16-ring, where the
 cube reads one delta row per slice (orbit pruning), and ungated on the
@@ -130,7 +130,7 @@ def test_engine_simulator_round_throughput(benchmark):
 
 
 def test_engine_ring_executor(benchmark):
-    """The same execution on the prefix-sum executor (orders faster)."""
+    """The same execution on the vector ring executor (orders faster)."""
     n = 24
     algorithm = FastSimultaneous(RingExploration(n), 16)
     vec_a = behaviour_from_schedule(algorithm.schedule(9), n - 1)
@@ -140,7 +140,7 @@ def test_engine_ring_executor(benchmark):
 
 
 def test_engine_trim_sweep(benchmark):
-    """Trim = Theta(L^2 n) pairwise executions over the vectors."""
+    """Trim = one engine pass over the L(L-1)(n-1) pairwise executions."""
     algorithm = CheapSimultaneous(RingExploration(12), 8)
     trimmed = benchmark(lambda: trimmed_from_algorithm(algorithm, 12))
     assert len(trimmed.labels) == 8

@@ -68,6 +68,7 @@ from repro.sim.adversary import (
     default_horizon,
     worst_case_search,
 )
+from repro.sim.compiled import TrajectoryTable
 from repro.sim.gathering import gather
 
 # ----------------------------------------------------------------------
@@ -754,7 +755,7 @@ EXP06 = _register(
 # ----------------------------------------------------------------------
 
 EXP07_LABEL_SPACES = (4, 8, 16, 32)
-#: Larger instances (numpy-accelerated Trim) showing the bound scales in E.
+#: Larger instances showing the bound scales in E.
 EXP07_SCALING_CASES = ((12, 16), (24, 16), (36, 16))
 EXP07_QUICK_LABEL_SPACES = (4, 32)
 EXP07_QUICK_SCALING_CASES = ((12, 16), (24, 16))
@@ -1769,14 +1770,14 @@ GATHERING_QUICK_KS = (2, 3)
 GATHERING_SUBSET_STRIDE = 3
 
 
-def _gathering_worst(algorithm, ring, k):
+def _gathering_worst(table, k):
     worst_time = worst_cost = 0
     label_sets = list(
         itertools.combinations(range(1, GATHERING_LABEL_SPACE + 1), k)
     )[::GATHERING_SUBSET_STRIDE]
     for labels in label_sets:
         starts = tuple((i * (RING_SIZE // k)) % RING_SIZE for i in range(k))
-        result = gather(ring, algorithm, labels, starts)
+        result = gather(table, labels, starts)
         if not result.gathered:
             raise AssertionError(f"not gathered: {labels} {starts}")
         worst_time = max(worst_time, result.time)
@@ -1793,8 +1794,9 @@ def _gathering_measure(quick: bool) -> Mapping[str, Any]:
         CheapSimultaneous(exploration, GATHERING_LABEL_SPACE),
         FastSimultaneous(exploration, GATHERING_LABEL_SPACE),
     ):
+        table = TrajectoryTable(ring, algorithm)
         for k in ks:
-            time, cost = _gathering_worst(algorithm, ring, k)
+            time, cost = _gathering_worst(table, k)
             rows.append(
                 {
                     "algorithm": algorithm.name,

@@ -10,9 +10,11 @@ constructions is computable, and this package computes it:
 
 * :mod:`repro.lower_bounds.behaviour` -- extracting behaviour vectors from
   schedules and from solo simulations;
-* :mod:`repro.lower_bounds.ring_exec` -- fast prefix-sum execution of
-  vector pairs on the ring (validated against the full simulator);
-* :mod:`repro.lower_bounds.trim` -- the paper's ``Trim`` procedure;
+* :mod:`repro.lower_bounds.ring_exec` -- pure-Python execution of
+  vector pairs on the ring, the one-gap oracle the engines are tested
+  against;
+* :mod:`repro.lower_bounds.trim` -- the paper's ``Trim`` procedure, its
+  deadlines read off the adversary's engine ladder;
 * :mod:`repro.lower_bounds.aggregate` -- blocks, sectors, aggregate
   vectors, surpluses (Facts 3.9/3.10);
 * :mod:`repro.lower_bounds.progress` -- Algorithm 3, ``DefineProgress``,
@@ -30,7 +32,6 @@ from repro.lower_bounds.behaviour import (
     forward_and_back,
 )
 from repro.lower_bounds.certificates import (
-    CertificateError,
     Theorem31Certificate,
     Theorem32Certificate,
     certify_theorem_31,
@@ -50,7 +51,6 @@ from repro.lower_bounds.progress import (
 from repro.lower_bounds.ring_exec import (
     displacement,
     meeting_round,
-    meeting_rounds_by_gap,
     positions_over_time,
     solo_cost,
 )
@@ -60,10 +60,9 @@ from repro.lower_bounds.tournament import (
     hamiltonian_path,
     tournament_edges,
 )
-from repro.lower_bounds.trim import TrimmedAlgorithm, extract_trimmed_vectors, trim_vectors
+from repro.lower_bounds.trim import TrimmedAlgorithm, extract_trimmed_vectors
 
 __all__ = [
-    "CertificateError",
     "EagerReport",
     "fact_31_disjoint_placement",
     "fact_32_cost_lower_bound",
@@ -84,12 +83,10 @@ __all__ = [
     "forward_and_back",
     "hamiltonian_path",
     "meeting_round",
-    "meeting_rounds_by_gap",
     "positions_over_time",
     "progress_pairs",
     "solo_cost",
     "surplus",
     "tournament_edges",
-    "trim_vectors",
     "verify_progress_invariants",
 ]

@@ -34,7 +34,7 @@ from repro.lower_bounds.progress import (
     progress_weight,
     verify_progress_invariants,
 )
-from repro.lower_bounds.ring_exec import meeting_rounds_by_gap, solo_cost
+from repro.lower_bounds.ring_exec import solo_cost
 from repro.lower_bounds.tournament import (
     chain_executions,
     gap_f,
@@ -42,33 +42,6 @@ from repro.lower_bounds.tournament import (
     tournament_edges,
 )
 from repro.lower_bounds.trim import TrimmedAlgorithm
-
-
-class CertificateError(RuntimeError):
-    """Raised when certificate preconditions are unsatisfiable."""
-
-
-def _max_execution_cost(trimmed: TrimmedAlgorithm) -> int:
-    """Worst combined cost over all pairs and gaps (simultaneous start).
-
-    Every gap of a pair is answered by one :func:`meeting_rounds_by_gap` pass.
-    """
-    labels = trimmed.labels
-    worst = 0
-    for i, x in enumerate(labels):
-        vector_x = trimmed.vector(x)
-        for y in labels[i + 1 :]:
-            vector_y = trimmed.vector(y)
-            times = meeting_rounds_by_gap(vector_x, vector_y, trimmed.ring_size)
-            for gap in range(1, trimmed.ring_size):
-                time = times[gap]
-                if time is None:
-                    raise CertificateError(
-                        f"trimmed vectors of {x}, {y} never meet from gap {gap}"
-                    )
-                cost = solo_cost(vector_x, time) + solo_cost(vector_y, time)
-                worst = max(worst, cost)
-    return worst
 
 
 # ----------------------------------------------------------------------
@@ -83,7 +56,7 @@ class Theorem31Certificate:
     label_space: int
     exploration_budget: int  # E = n - 1
     gap: int  # F = ceil(E / 2)
-    slack: int  # phi: measured max cost minus E
+    slack: int  # phi: the adversary's worst cost minus E
     mirrored: bool  # orientation flipped to make clockwise-heavy the majority
     heavy_labels: tuple[int, ...]
     back_values: Mapping[int, int]
@@ -158,7 +131,7 @@ def certify_theorem_31(trimmed: TrimmedAlgorithm) -> Theorem31Certificate:
     n = trimmed.ring_size
     exploration_budget = n - 1
     f = gap_f(n)
-    slack = max(0, _max_execution_cost(trimmed) - exploration_budget)
+    slack = max(0, trimmed.max_cost - exploration_budget)
 
     vectors = {label: list(trimmed.vector(label)) for label in trimmed.labels}
     heavy = [label for label, vec in vectors.items() if is_clockwise_heavy(vec)]

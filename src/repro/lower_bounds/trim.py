@@ -8,21 +8,38 @@ remaining non-zero entry an *operational* meaning: some execution of the
 algorithm is still running at that round.  Both lower-bound proofs work
 with trimmed vectors.
 
-Because behaviour vectors are position-independent, only the initial gap
-``(p_y - p_x) mod n`` matters, so the maximisation fixes ``p_x = 0`` and
-sweeps the ``n - 1`` possible gaps -- an exact, not heuristic, reduction.
+The deadlines are the adversary's own numbers, so they are read off the
+engine ladder (:func:`~repro.sim.adversary.resolve_substrate` with
+``"auto"``) rather than re-derived: one :func:`~repro.sim.adversary.reduce_space`
+pass over the cube of all ordered label pairs at delay 0, with the first
+agent pinned to node 0 (sound on the vertex-transitive oriented ring, so
+only the gap ``(p_y - p_x) mod n`` varies).  Pairs ``(x, .)`` are
+contiguous in the cube's order, so the pass keeps one reduction per first
+label: its ``worst_time`` is ``m_x``.  The same pass yields the worst
+execution cost over all pairs and gaps, which the Theorem 3.1 certificate
+needs for its slack ``phi``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
+from repro.graphs.families import oriented_ring
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.graphs.validation import require_oriented_ring
 from repro.lower_bounds.behaviour import behaviour_from_schedule, behaviour_from_solo_run
-from repro.lower_bounds.ring_exec import meeting_rounds_by_gap
+from repro.sim.adversary import (
+    ConfigCube,
+    default_horizon,
+    engine_table,
+    reduce_space,
+    resolve_substrate,
+)
 from repro.sim.program import ProgramFactory
+from repro.sim.simulator import PresenceModel
 
 
 class NonMeetingError(RuntimeError):
@@ -36,6 +53,7 @@ class TrimmedAlgorithm:
     ring_size: int
     vectors: Mapping[int, tuple[int, ...]]
     meeting_deadlines: Mapping[int, int]  # the paper's m_x
+    max_cost: int  # worst combined cost over all label pairs and gaps
 
     @property
     def labels(self) -> list[int]:
@@ -48,65 +66,75 @@ class TrimmedAlgorithm:
         return self.meeting_deadlines[label]
 
 
-def trim_vectors(
-    raw_vectors: Mapping[int, Sequence[int]], ring_size: int
+def _trim(
+    ring: PortLabeledGraph,
+    factory: ProgramFactory,
+    raw_vectors: Mapping[int, Sequence[int]],
 ) -> TrimmedAlgorithm:
-    """Apply ``Trim`` to the given per-label behaviour vectors.
+    """Cut ``factory``'s raw behaviour vectors at its meeting deadlines.
 
-    Raises :class:`NonMeetingError` if some pair of labels never meets from
-    some starting gap -- i.e. if the vectors do not come from a correct
-    rendezvous algorithm (or were recorded over too short a horizon).
+    Raises :class:`NonMeetingError`, naming the first failing ``(x, y,
+    gap)``, if some pair of labels never meets from some starting gap
+    within the default horizon -- i.e. if ``factory`` is not a correct
+    rendezvous algorithm (or declares too short a ``schedule_length``).
     """
+    ring_size = require_oriented_ring(ring)
     labels = sorted(raw_vectors)
     if len(labels) < 2:
         raise ValueError("trimming needs at least two labels")
-
-    deadlines: dict[int, int] = {}
-    for x in labels:
-        worst = 0
-        for y in labels:
-            if y == x:
-                continue
-            rounds = meeting_rounds_by_gap(raw_vectors[x], raw_vectors[y], ring_size)
-            for gap, met in enumerate(rounds):
-                if met is None:
-                    raise NonMeetingError(
-                        f"labels {x} and {y} never meet from gap {gap}: "
-                        "not a correct algorithm (or truncated vectors)"
-                    )
-                worst = max(worst, met)
-        deadlines[x] = worst
-
-    trimmed = {
-        x: tuple(raw_vectors[x][: deadlines[x]])
-        for x in labels
+    cube = ConfigCube.make(
+        ring, itertools.permutations(labels, 2), fix_first_start=True
+    )
+    block = (len(labels) - 1) * (ring_size - 1)
+    engine = resolve_substrate("auto", factory)
+    reductions = reduce_space(
+        engine,
+        engine_table(engine, ring, factory),
+        ring,
+        factory,
+        cube,
+        [(index * block, (index + 1) * block) for index in range(len(labels))],
+        partial(default_horizon, factory),
+        PresenceModel.FROM_START,
+    )
+    for reduction in reductions:
+        if reduction.failures:
+            _, config = reduction.failures[0]
+            x, y = config.labels
+            raise NonMeetingError(
+                f"labels {x} and {y} never meet from gap {config.starts[1]}: "
+                "not a correct algorithm (or truncated vectors)"
+            )
+    deadlines = {
+        x: reduction.worst_time.time for x, reduction in zip(labels, reductions)
     }
     return TrimmedAlgorithm(
-        ring_size=ring_size, vectors=trimmed, meeting_deadlines=deadlines
+        ring_size=ring_size,
+        vectors={x: tuple(raw_vectors[x][: deadlines[x]]) for x in labels},
+        meeting_deadlines=deadlines,
+        max_cost=max(reduction.worst_cost.cost for reduction in reductions),
     )
 
 
 def extract_trimmed_vectors(
-    ring: PortLabeledGraph,
-    factory: ProgramFactory,
-    labels: Sequence[int],
-    horizon: int | Mapping[int, int],
+    ring: PortLabeledGraph, factory: ProgramFactory, labels: Sequence[int]
 ) -> TrimmedAlgorithm:
     """Record solo behaviour vectors by simulation, then trim them.
 
-    ``horizon`` bounds the recorded solo executions; pass the algorithm's
-    ``schedule_length`` per label (or a single sufficient constant).
+    Each label's solo execution runs for ``factory.schedule_length(label)``
+    rounds, the horizon every engine reads too.
     """
-    ring_size = require_oriented_ring(ring)
-    raw: dict[int, list[int]] = {}
-    for label in labels:
-        rounds = horizon[label] if isinstance(horizon, Mapping) else horizon
-        raw[label] = behaviour_from_solo_run(ring, factory, label, rounds)
-    return trim_vectors(raw, ring_size)
+    raw = {
+        label: behaviour_from_solo_run(
+            ring, factory, label, factory.schedule_length(label)
+        )
+        for label in labels
+    }
+    return _trim(ring, factory, raw)
 
 
 def trimmed_from_algorithm(algorithm, ring_size: int) -> TrimmedAlgorithm:
-    """Trim a schedule-based algorithm analytically (no simulation).
+    """Trim a schedule-based algorithm, its vectors read off the schedules.
 
     ``algorithm`` must be a :class:`~repro.core.base.RendezvousAlgorithm`
     whose exploration is the clockwise ring walk with budget
@@ -123,4 +151,4 @@ def trimmed_from_algorithm(algorithm, ring_size: int) -> TrimmedAlgorithm:
         )
         for label in range(1, algorithm.label_space + 1)
     }
-    return trim_vectors(raw, ring_size)
+    return _trim(oriented_ring(ring_size), algorithm, raw)

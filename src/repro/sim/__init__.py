@@ -16,7 +16,7 @@ from repro.sim.actions import WAIT, Action, is_move
 from repro.sim.adversary import WorstCaseReport, worst_case_search
 from repro.sim.compiled import CompiledTrajectory, TrajectoryTable, compile_trajectory
 from repro.sim.cube import BatchUnavailableError
-from repro.sim.gathering import GatheringResult, GatheringSimulator, GatheringSpec, gather
+from repro.sim.gathering import GatheringResult, gather
 from repro.sim.metrics import RendezvousResult
 from repro.sim.observation import Observation
 from repro.sim.program import AgentContext, ProgramFactory, ReactiveProgram, idle
@@ -38,8 +38,6 @@ __all__ = [
     "BatchUnavailableError",
     "CompiledTrajectory",
     "GatheringResult",
-    "GatheringSimulator",
-    "GatheringSpec",
     "gather",
     "Observation",
     "PresenceModel",

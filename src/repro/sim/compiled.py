@@ -67,6 +67,7 @@ from __future__ import annotations
 # inertness matrix in tests/obs proves dynamically.
 
 import time
+from operator import eq, indexOf
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.graphs.port_graph import PortLabeledGraph
@@ -448,9 +449,10 @@ def _meeting_in(
     start until then).  Both trajectories must be built through the
     window (``hi`` and ``hi - delay``); a parked end is read only past a
     schedule, where the window has made its trajectory complete.  The
-    window is split into phases so the long stationary stretches
-    (waiting periods, parked schedule tails) run through C-speed
-    ``list.index`` searches instead of a Python loop.
+    window is split into phases so every stretch runs through a C-speed
+    search instead of a Python loop: ``list.index`` where one agent is
+    stationary (waiting periods, parked schedule tails), and the first
+    ``True`` of a lazy ``map(eq, ...)`` where both move.
     """
     p1, p2 = first._positions, second._positions
     length1, length2 = first.length, second.length
@@ -475,11 +477,12 @@ def _meeting_in(
         cut = min(top, length1)
         if begin <= cut:
             shifted = begin - delay
-            for offset, (a, b) in enumerate(
-                zip(p1[begin : cut + 1], p2[shifted : shifted + cut - begin + 1])
-            ):
-                if a == b:
-                    return begin + offset
+            window = cut - begin + 1
+            same = map(eq, p1[begin : cut + 1], p2[shifted : shifted + window])
+            try:
+                return begin + indexOf(same, True)
+            except ValueError:
+                pass
         if top > length1:
             parked_lo = max(begin, length1 + 1)
             try:
@@ -581,6 +584,12 @@ class TrajectoryTable:
         No block looks past ``max(T1, delay + T2)``: beyond it both agents
         are parked, so a colocation there implies one at that point.
         """
+        return self._scan(config, horizon, presence)[0]
+
+    def _scan(
+        self, config: Configuration, horizon: int, presence: PresenceModel
+    ) -> tuple[int | None, CompiledTrajectory, CompiledTrajectory]:
+        """:meth:`first_meeting_time` and the two trajectories it read."""
         (label1, label2), (start1, start2), delay = (
             config.labels, config.starts, config.delay
         )
@@ -593,13 +602,15 @@ class TrajectoryTable:
             # Read whatever is built already in one go.
             hi = min(limit, max(lo + block - 1, min(first.built, second.built + delay)))
             block *= 2
-            first = self.trajectory(label1, start1, hi)
-            second = self.trajectory(label2, start2, hi - delay)
+            if not first.reaches(hi):
+                first = self.trajectory(label1, start1, hi)
+            if not second.reaches(hi - delay):
+                second = self.trajectory(label2, start2, hi - delay)
             met_at = _meeting_in(first, second, delay, lo, hi)
             if met_at is not None:
-                return met_at
+                return met_at, first, second
             lo = hi + 1
-        return None
+        return None, first, second
 
     def evaluate(
         self,
@@ -616,14 +627,14 @@ class TrajectoryTable:
         would carry.  The meeting scan has usually built both
         trajectories as far as these reads go.
         """
-        met_at = self.first_meeting_time(config, max_rounds, presence)
+        met_at, first, second = self._scan(config, max_rounds, presence)
         last_round = met_at if met_at is not None else max_rounds
-        (label1, label2), (start1, start2) = config.labels, config.starts
         wake_round = max(last_round - config.delay, 0)
-        cost = self.trajectory(label1, start1, last_round).cost_through(
-            last_round
-        ) + self.trajectory(label2, start2, wake_round).cost_through(wake_round)
-        return met_at, cost
+        if not first.reaches(last_round):
+            first = self.trajectory(config.labels[0], config.starts[0], last_round)
+        if not second.reaches(wake_round):
+            second = self.trajectory(config.labels[1], config.starts[1], wake_round)
+        return met_at, first.cost_through(last_round) + second.cost_through(wake_round)
 
     def verdicts(
         self,

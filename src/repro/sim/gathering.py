@@ -10,11 +10,17 @@ standard *merge* semantics on top of the synchronous model:
   executing its own schedule -- merging never perturbs the leader);
 * gathering is complete when a single group remains.
 
+Because merging never perturbs a leader, a leader's trajectory is its
+solo trajectory, and two surviving groups meet exactly when their
+leaders' two-agent execution does.  :func:`gather` therefore reads
+everything off a compiled :class:`~repro.sim.compiled.TrajectoryTable`:
+the leaders' pairwise first meetings, processed in time order, and the
+cost rows of their trajectories, weighted by group size.
+
 With these semantics any *pairwise-correct* simultaneous-start rendezvous
-algorithm gathers ``k`` agents within its two-agent worst-case time: all
-leaders run their full schedules from round 1, so any two surviving
-groups trace exactly the two-agent execution of their leaders and must
-meet by its bound -- past that bound only one group can remain.  The
+algorithm gathers ``k`` agents within its two-agent worst-case time: any
+two surviving groups trace the two-agent execution of their leaders and
+must meet by its bound -- past that bound only one group can remain.  The
 ``gathering`` experiment (``python -m repro experiments run gathering``)
 measures this claim.
 
@@ -28,33 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.graphs.port_graph import PortLabeledGraph
-from repro.sim.actions import is_move, validate_action
-from repro.sim.observation import Observation
-from repro.sim.program import AgentContext, ProgramFactory, ReactiveProgram
-
-
-@dataclass
-class _Member:
-    label: int
-    start_node: int
-    program: ReactiveProgram | None = None  # None once leadership is lost
-
-
-@dataclass
-class _Group:
-    position: int
-    members: list[_Member]
-    entry_port: int | None = None
-    pending_obs: Observation | None = None
-
-    @property
-    def leader(self) -> _Member:
-        return min(self.members, key=lambda member: member.label)
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
+from repro.sim.adversary import Configuration
+from repro.sim.compiled import CompiledTrajectory, TrajectoryTable
 
 
 @dataclass(frozen=True)
@@ -82,149 +63,94 @@ class GatheringResult:
         )
 
 
-@dataclass(frozen=True)
-class GatheringSpec:
-    """One agent in a gathering run (always waking in round 1)."""
-
-    label: int
-    start_node: int
-    factory: ProgramFactory
-    provide_map: bool = True
-    provide_position: bool = True
-
-
-class GatheringSimulator:
-    """Synchronous gathering with merge-and-follow-the-leader semantics."""
-
-    def __init__(self, graph: PortLabeledGraph):
-        if not graph.is_connected():
-            raise ValueError("gathering requires a connected graph")
-        self.graph = graph
-
-    def run(
-        self, specs: Sequence[GatheringSpec], max_rounds: int
-    ) -> GatheringResult:
-        if len(specs) < 2:
-            raise ValueError("gathering needs at least two agents")
-        labels = [spec.label for spec in specs]
-        starts = [spec.start_node for spec in specs]
-        if len(set(labels)) != len(labels):
-            raise ValueError("labels must be pairwise distinct")
-        if len(set(starts)) != len(starts):
-            raise ValueError("agents must start at pairwise distinct nodes")
-
-        groups = [self._initial_group(spec) for spec in specs]
-        cost = 0
-        merge_times: list[int] = []
-
-        for current_round in range(1, max_rounds + 1):
-            # Each group steps its leader's program.
-            for group in groups:
-                leader = group.leader
-                assert leader.program is not None and group.pending_obs is not None
-                action = leader.program.step(group.pending_obs)
-                validate_action(action, self.graph.degree(group.position))
-                if is_move(action):
-                    group.position, group.entry_port = self.graph.neighbor_via(
-                        group.position, action
-                    )
-                    cost += group.size
-                group.pending_obs = Observation(
-                    clock=current_round,
-                    degree=self.graph.degree(group.position),
-                    entry_port=group.entry_port,
-                )
-
-            merged = self._merge_colocated(groups)
-            if len(merged) < len(groups):
-                merge_times.append(current_round)
-            groups = merged
-            if len(groups) == 1:
-                return GatheringResult(
-                    gathered=True,
-                    time=current_round,
-                    node=groups[0].position,
-                    cost=cost,
-                    rounds_executed=current_round,
-                    final_group_count=1,
-                    merge_times=tuple(merge_times),
-                )
-
-        return GatheringResult(
-            gathered=False,
-            time=None,
-            node=None,
-            cost=cost,
-            rounds_executed=max_rounds,
-            final_group_count=len(groups),
-            merge_times=tuple(merge_times),
-        )
-
-    # ------------------------------------------------------------------
-
-    def _initial_group(self, spec: GatheringSpec) -> _Group:
-        group = _Group(position=spec.start_node, members=[])
-        context = AgentContext(
-            label=spec.label,
-            graph=self.graph if spec.provide_map else None,
-            position_oracle=(
-                (lambda g=group: g.position) if spec.provide_position else None
-            ),
-        )
-        member = _Member(
-            label=spec.label,
-            start_node=spec.start_node,
-            program=ReactiveProgram(spec.factory(context)),
-        )
-        group.members.append(member)
-        group.pending_obs = Observation(
-            clock=0,
-            degree=self.graph.degree(spec.start_node),
-            entry_port=None,
-        )
-        return group
-
-    def _merge_colocated(self, groups: list[_Group]) -> list[_Group]:
-        by_node: dict[int, _Group] = {}
-        for group in groups:
-            resident = by_node.get(group.position)
-            if resident is None:
-                by_node[group.position] = group
-                continue
-            absorbed, surviving = (
-                (group, resident)
-                if resident.leader.label < group.leader.label
-                else (resident, group)
-            )
-            # The losing leader's program is abandoned for good.
-            absorbed.leader.program = None
-            surviving.members.extend(absorbed.members)
-            by_node[group.position] = surviving
-        return list(by_node.values())
-
-
 def gather(
-    graph: PortLabeledGraph,
-    factory: ProgramFactory,
+    table: TrajectoryTable,
     labels: Sequence[int],
     starts: Sequence[int],
     max_rounds: int | None = None,
 ) -> GatheringResult:
-    """Convenience wrapper mirroring :func:`simulate_rendezvous`.
+    """Gather one agent per ``(label, start)`` on ``table``'s graph.
 
-    ``factory`` is typically a simultaneous-start algorithm instance; the
-    default horizon is the longest member schedule (a pairwise-correct
-    algorithm gathers within its two-agent bound, which that covers).
+    ``table`` compiles the agents' solo trajectories (one table serves
+    any number of calls on its graph and factory).  The default horizon
+    is the longest member schedule (a pairwise-correct algorithm gathers
+    within its two-agent bound, which that covers).
     """
+    if not table.graph.is_connected():
+        raise ValueError("gathering requires a connected graph")
+    if len(labels) < 2:
+        raise ValueError("gathering needs at least two agents")
+    if len(set(labels)) != len(labels):
+        raise ValueError("labels must be pairwise distinct")
+    if len(set(starts)) != len(starts):
+        raise ValueError("agents must start at pairwise distinct nodes")
     if max_rounds is None:
-        schedule_length = getattr(factory, "schedule_length", None)
-        if schedule_length is None:
-            raise ValueError(
-                "pass max_rounds explicitly for factories without schedule_length"
+        max_rounds = max(table.factory.schedule_length(label) for label in labels)
+    start_of = dict(zip(labels, starts))
+
+    def at(label: int, time_point: int) -> CompiledTrajectory:
+        return table.trajectory(label, start_of[label], time_point)
+
+    def moved(leader: int, members: int, since: int, upto: int) -> int:
+        """Traversals of ``leader``'s group in rounds ``since + 1..upto``."""
+        cost_through = at(leader, upto).cost_through
+        return members * (cost_through(upto) - cost_through(since))
+
+    meetings: dict[tuple[int, int], int] = {}
+    for index, first in enumerate(labels):
+        for second in labels[index + 1 :]:
+            met_at = table.first_meeting_time(
+                Configuration(
+                    labels=(first, second),
+                    starts=(start_of[first], start_of[second]),
+                    delay=0,
+                ),
+                max_rounds,
             )
-        max_rounds = max(schedule_length(label) for label in labels)
-    specs = [
-        GatheringSpec(label=label, start_node=start, factory=factory)
-        for label, start in zip(labels, starts)
-    ]
-    return GatheringSimulator(graph).run(specs, max_rounds=max_rounds)
+            if met_at is not None:
+                meetings[first, second] = met_at
+
+    # leader -> (group size, round its current size started counting)
+    groups = {label: (1, 0) for label in labels}
+    cost = 0
+    merge_times: list[int] = []
+    while len(groups) > 1:
+        pending = [
+            met_at
+            for (first, second), met_at in meetings.items()
+            if first in groups and second in groups
+        ]
+        if not pending:
+            break
+        now = min(pending)
+        merge_times.append(now)
+        # Leaders colocated now have not met before (they would have
+        # merged), so these are exactly the leaders meeting at ``now``.
+        at_node: dict[int, list[int]] = {}
+        for leader in groups:
+            node = at(leader, now).position_at(now)
+            at_node.setdefault(node, []).append(leader)
+        for leaders in at_node.values():
+            if len(leaders) < 2:
+                continue
+            size = 0
+            for leader in leaders:
+                members, since = groups.pop(leader)
+                cost += moved(leader, members, since, now)
+                size += members
+            groups[min(leaders)] = (size, now)
+
+    gathered = len(groups) == 1
+    end = merge_times[-1] if gathered else max_rounds
+    for leader, (members, since) in groups.items():
+        cost += moved(leader, members, since, end)
+    leader = min(groups)
+    return GatheringResult(
+        gathered=gathered,
+        time=end if gathered else None,
+        node=at(leader, end).position_at(end) if gathered else None,
+        cost=cost,
+        rounds_executed=end,
+        final_group_count=len(groups),
+        merge_times=tuple(merge_times),
+    )

@@ -105,7 +105,7 @@ class TestRingExecutor:
     )
     @settings(max_examples=50, deadline=None)
     def test_executor_agrees_with_full_simulator(self, vec_a, vec_b, gap):
-        """The prefix-sum executor and the round simulator must agree on
+        """The vector executor and the round simulator must agree on
         the meeting time for arbitrary vector pairs."""
         n = 12
         ring = oriented_ring(n)

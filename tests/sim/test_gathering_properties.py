@@ -7,6 +7,7 @@ from repro.core.cheap import CheapSimultaneous
 from repro.core.fast import FastSimultaneous
 from repro.exploration.ring import RingExploration
 from repro.graphs.families import oriented_ring
+from repro.sim.compiled import TrajectoryTable
 from repro.sim.gathering import gather
 
 RING_SIZE = 12
@@ -48,7 +49,7 @@ def test_fast_gathers_within_two_agent_bound(instance):
     labels, starts = instance
     ring = oriented_ring(RING_SIZE)
     algorithm = FastSimultaneous(RingExploration(RING_SIZE), LABEL_SPACE)
-    result = gather(ring, algorithm, labels, starts)
+    result = gather(TrajectoryTable(ring, algorithm), labels, starts)
     assert result.gathered
     assert result.time <= algorithm.time_bound()
     # One round can absorb several groups at a node, so there are between
@@ -64,6 +65,6 @@ def test_cheap_gathers_by_smallest_label_block(instance):
     labels, starts = instance
     ring = oriented_ring(RING_SIZE)
     algorithm = CheapSimultaneous(RingExploration(RING_SIZE), LABEL_SPACE)
-    result = gather(ring, algorithm, labels, starts)
+    result = gather(TrajectoryTable(ring, algorithm), labels, starts)
     assert result.gathered
     assert result.time <= min(labels) * (RING_SIZE - 1)

@@ -93,15 +93,29 @@ def test_the_bridge_still_loads_on_demand():
 
 
 def test_trim_runs_without_numpy():
-    # NumPy is optional too: Trim's all-gaps pass falls back to pure Python.
+    # NumPy is optional too: without it Trim's sweep runs on the compiled
+    # engine, with the cube's deadlines and worst cost.
     proc = run_blocked(
         """
         sys.modules["numpy"] = None
-        from repro.lower_bounds import ring_exec
-        from repro.lower_bounds.trim import trim_vectors
-        assert ring_exec._np is None
-        print(trim_vectors({1: [1] * 40, 2: [0] * 40}, 6).deadline(1))
+        from repro.core.fast import FastSimultaneous
+        from repro.exploration.ring import RingExploration
+        from repro.lower_bounds.trim import trimmed_from_algorithm
+        from repro.sim.adversary import resolve_substrate
+        algorithm = FastSimultaneous(RingExploration(12), 8)
+        assert resolve_substrate("auto", algorithm) == "compiled"
+        trimmed = trimmed_from_algorithm(algorithm, 12)
+        print(trimmed.max_cost, max(trimmed.meeting_deadlines.values()))
         """
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "5"
+    assert proc.stdout.split() == ["99", str(max_deadline_with_numpy())]
+
+
+def max_deadline_with_numpy() -> int:
+    from repro.core.fast import FastSimultaneous
+    from repro.exploration.ring import RingExploration
+    from repro.lower_bounds.trim import trimmed_from_algorithm
+
+    trimmed = trimmed_from_algorithm(FastSimultaneous(RingExploration(12), 8), 12)
+    return max(trimmed.meeting_deadlines.values())
