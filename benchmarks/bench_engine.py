@@ -64,7 +64,7 @@ from repro.sim.simulator import simulate_rendezvous
 BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 
-def _instrumented_search(engine, graph, algorithm, configs, horizon):
+def _instrumented_search(engine, graph, algorithm, configs):
     """One engine pass under an in-memory telemetry collector.
 
     Returns ``(report, elapsed_seconds, sink)``; the sink's gauges and
@@ -74,7 +74,7 @@ def _instrumented_search(engine, graph, algorithm, configs, horizon):
     telemetry = Telemetry(sink)
     started = time.perf_counter()
     report = worst_case_search(
-        graph, algorithm, configs, horizon, engine=engine, telemetry=telemetry
+        graph, algorithm, configs, engine=engine, telemetry=telemetry
     )
     elapsed = time.perf_counter() - started
     telemetry.close()
@@ -187,14 +187,10 @@ def compiled_engine_baseline(path: pathlib.Path | None = BASELINE_PATH) -> dict:
         graph, all_label_pairs(8), delays=(0, 3, 15), fix_first_start=True
     )
 
-    def horizon(config):
-        return default_horizon(algorithm, config)
-
     best, samples = _alternating(
         {"reactive": configs, "compiled": configs},
         graph,
         algorithm,
-        horizon,
         REACTIVE_REPETITIONS,
     )
     reactive, reactive_seconds, _ = best["reactive"]
@@ -208,8 +204,9 @@ def compiled_engine_baseline(path: pathlib.Path | None = BASELINE_PATH) -> dict:
     table = TrajectoryTable(graph, algorithm)
     rounds = 0
     for config in configs:
-        met_at, _ = table.evaluate(config, horizon(config))
-        rounds += met_at if met_at is not None else horizon(config)
+        horizon = default_horizon(algorithm, config.labels, config.delay)
+        met_at, _ = table.evaluate(config, horizon)
+        rounds += met_at if met_at is not None else horizon
 
     baseline = {
         "benchmark": "worst-case sweep engine comparison",
@@ -288,7 +285,7 @@ def _spread(samples: list[float]) -> dict:
     }
 
 
-def _alternating(workloads: dict, graph, algorithm, horizon, repetitions: int):
+def _alternating(workloads: dict, graph, algorithm, repetitions: int):
     """Time engines in alternating passes, so drift hits each alike.
 
     ``workloads`` maps an engine to the configurations it searches.
@@ -300,9 +297,7 @@ def _alternating(workloads: dict, graph, algorithm, horizon, repetitions: int):
     best: dict[str, tuple] = {}
     for _ in range(repetitions):
         for engine, workload in workloads.items():
-            candidate = _instrumented_search(
-                engine, graph, algorithm, workload, horizon
-            )
+            candidate = _instrumented_search(engine, graph, algorithm, workload)
             samples[engine].append(candidate[1])
             if engine not in best or candidate[1] < best[engine][1]:
                 best[engine] = candidate
@@ -353,15 +348,8 @@ def cube_engine_baseline(
         return None
     cube = ConfigCube.make(graph, all_label_pairs(8), delays=DENSE_DELAYS)
 
-    def horizon(config):
-        return default_horizon(algorithm, config)
-
     best, samples = _alternating(
-        {"compiled": cube, "cube": cube},
-        graph,
-        algorithm,
-        horizon,
-        DENSE_REPETITIONS,
+        {"compiled": cube, "cube": cube}, graph, algorithm, DENSE_REPETITIONS
     )
     assert best["cube"][0] == best["compiled"][0], (
         "engines diverged; do not record a baseline"
@@ -402,9 +390,6 @@ def on_demand_baseline() -> dict | None:
     ring = oriented_ring(EXP12_RING_SIZE)
     zigzag = RingZigzag(EXP12_RING_SIZE, EXP12_LABEL_SPACE)
 
-    def horizon(config):
-        return default_horizon(zigzag, config)
-
     distances = {}
     for distance in ON_DEMAND_DISTANCES:
         cube = ConfigCube.make(
@@ -414,11 +399,7 @@ def on_demand_baseline() -> dict | None:
             start_pairs=sorted({(0, distance), (0, EXP12_RING_SIZE - distance)}),
         )
         best, samples = _alternating(
-            {"reactive": cube, "cube": cube},
-            ring,
-            zigzag,
-            horizon,
-            REACTIVE_REPETITIONS,
+            {"reactive": cube, "cube": cube}, ring, zigzag, REACTIVE_REPETITIONS
         )
         assert best["cube"][0] == best["reactive"][0], (
             "engines diverged; do not record a baseline"

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import partial
 from math import log10, log2
 from typing import Any, Mapping, Sequence
 
@@ -65,7 +64,6 @@ from repro.sim.adversary import (
     ConfigCube,
     WorstCaseReport,
     all_label_pairs,
-    default_horizon,
     worst_case_search,
 )
 from repro.sim.compiled import TrajectoryTable
@@ -145,33 +143,18 @@ def _bound_checks(ctx: ExperimentContext) -> list[Check]:
     return out
 
 
-def _pinned_cube(
-    graph, label_pairs, delays: Sequence[int] = (0,), start_pairs=None
-) -> ConfigCube:
-    """The adversary's cube with the first agent at node 0.
-
-    ``start_pairs`` defaults to ``(0, b)`` for every other node ``b``.
-    """
-    return ConfigCube.make(
-        graph, label_pairs, delays=delays, start_pairs=start_pairs,
-        fix_first_start=True,
-    )
-
-
 def _worst_case(graph, factory, label_pairs, start_pairs=None) -> WorstCaseReport:
-    """The worst case of ``factory`` over :func:`_pinned_cube`, at delay 0.
+    """The worst case of ``factory`` with the first agent at node 0, at delay 0.
 
     One :func:`worst_case_search` on the engine ladder (``auto``) with the
     default horizon -- how a measurement sweeps live objects that have no
-    registry name.  Any failure to meet raises.
+    registry name.  ``start_pairs`` defaults to ``(0, b)`` for every other
+    node ``b``.  Any failure to meet raises.
     """
-    report = worst_case_search(
-        graph,
-        factory,
-        _pinned_cube(graph, label_pairs, start_pairs=start_pairs),
-        partial(default_horizon, factory),
-        engine="auto",
+    cube = ConfigCube.make(
+        graph, label_pairs, start_pairs=start_pairs, fix_first_start=True
     )
+    report = worst_case_search(graph, factory, cube, engine="auto")
     if report.failures:
         raise AssertionError(
             f"no meeting in {len(report.failures)} configurations, "
@@ -1492,21 +1475,28 @@ ABLATIONS_NO_DOUBLING_DELAYS = (0, 5, RING_BUDGET)
 #: a delayed agent's exploration misses the still-waiting one).
 ABLATIONS_QUICK_SHORT_WAIT_DELAYS = (0, 2)
 ABLATIONS_QUICK_NO_DOUBLING_DELAYS = (0, 5)
+#: The ablation searches run to this many times the longer schedule
+#: past the delay, well beyond both agents' schedule ends: an ablated
+#: variant is not a correct algorithm, and the margin keeps a counted
+#: failure from being an artefact of a tight round budget.
+ABLATIONS_HORIZON_FACTOR = 6
 
 
-def _ablations_count_failures(graph, algorithm, delays, horizon_factor=6):
+def _ablations_count_failures(graph, algorithm, delays):
     """Failures of ``algorithm`` over every label pair, start ``(0, b)`` and delay.
 
-    One adversary search on the engine ladder (``auto``); the horizon
-    depends on the labels and the delay only, so the cube engine takes it.
+    One adversary search on the engine ladder (``auto``), to
+    :data:`ABLATIONS_HORIZON_FACTOR` times the longer schedule past the
+    delay.
     """
-    cube = _pinned_cube(graph, all_label_pairs(ABLATIONS_LABEL_SPACE), delays)
+    cube = ConfigCube.make(
+        graph, all_label_pairs(ABLATIONS_LABEL_SPACE), delays, fix_first_start=True
+    )
 
-    def horizon(config):
-        a, b = config.labels
-        return horizon_factor * max(
-            algorithm.schedule_length(a), algorithm.schedule_length(b)
-        ) + config.delay
+    def horizon(labels, delay):
+        a, b = labels
+        longer = max(algorithm.schedule_length(a), algorithm.schedule_length(b))
+        return ABLATIONS_HORIZON_FACTOR * longer + delay
 
     report = worst_case_search(graph, algorithm, cube, horizon, engine="auto")
     first = report.failures[0][1] if report.failures else None

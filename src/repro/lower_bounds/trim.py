@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from typing import Mapping, Sequence
 
 from repro.graphs.families import oriented_ring
@@ -33,7 +32,6 @@ from repro.graphs.validation import require_oriented_ring
 from repro.lower_bounds.behaviour import behaviour_from_schedule, behaviour_from_solo_run
 from repro.sim.adversary import (
     ConfigCube,
-    default_horizon,
     engine_table,
     reduce_space,
     resolve_substrate,
@@ -94,7 +92,7 @@ def _trim(
         factory,
         cube,
         [(index * block, (index + 1) * block) for index in range(len(labels))],
-        partial(default_horizon, factory),
+        None,
         PresenceModel.FROM_START,
     )
     for reduction in reductions:

@@ -210,9 +210,10 @@ class JobSpec:
 
     ``shard=None`` describes the whole sweep; ``shard=(lo, hi)`` restricts
     it to the configurations with global indices in ``[lo, hi)``.
-    ``horizon=None`` means each execution's round budget is derived from
-    the algorithm's own schedule (``delay + max schedule length``), as
-    :func:`repro.sim.adversary.default_horizon` states it.
+    ``horizon=None`` means each ``(label pair, delay)``'s round budget is
+    derived from the algorithm's own schedule (``delay + max schedule
+    length``), as :func:`repro.sim.adversary.default_horizon` states it;
+    the worker hands the field to the engines as the horizon policy.
 
     ``engine`` picks the evaluator a worker uses: ``"reactive"`` (the
     round simulator), ``"compiled"`` (the trajectory engine of

@@ -29,20 +29,15 @@ at a time) and its share of the pass's time.
 from __future__ import annotations
 
 import time
-from functools import lru_cache, partial
-from typing import Any, Callable, Sequence
+from functools import lru_cache
+from typing import Any, Sequence
 
 from repro.core.base import RendezvousAlgorithm
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.registry import PRESENCE_MODELS
 from repro.runtime.report import ShardReport, ShardTiming
 from repro.runtime.spec import AlgorithmSpec, GraphSpec, JobSpec
-from repro.sim.adversary import (
-    Configuration,
-    default_horizon,
-    engine_table,
-    reduce_space,
-)
+from repro.sim.adversary import engine_table, reduce_space
 
 
 @lru_cache(maxsize=16)
@@ -61,15 +56,6 @@ def _table(engine: str, graph_spec: GraphSpec, algorithm_spec: AlgorithmSpec) ->
     # shares a table whatever its delays.
     graph, algorithm = materialize(graph_spec, algorithm_spec)
     return engine_table(engine, graph, algorithm)
-
-
-def _horizon_policy(
-    spec: JobSpec, algorithm: RendezvousAlgorithm
-) -> int | Callable[[Configuration], int]:
-    """The spec's fixed horizon, or the algorithm's own schedule bound."""
-    if spec.horizon is not None:
-        return spec.horizon
-    return partial(default_horizon, algorithm)
 
 
 def run_shards(specs: Sequence[JobSpec]) -> list[ShardReport]:
@@ -108,7 +94,7 @@ def run_shards(specs: Sequence[JobSpec]) -> list[ShardReport]:
         algorithm,
         cube,
         [(min(lo, size), min(hi, size)) for lo, hi in shards],
-        _horizon_policy(spec, algorithm),
+        spec.horizon,
         presence,
     )
     table_seconds = table.build_seconds - build_before if table is not None else 0.0

@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -243,18 +244,49 @@ class ConfigCube:
             )
 
 
-def default_horizon(algorithm: Any, config: Configuration) -> int:
-    """The standard round budget for one configuration.
+#: A sweep's round-budget policy: a constant, ``None`` for
+#: :func:`default_horizon`, or a function of ``(labels, delay)``.
+Horizon = int | None | Callable[[tuple[int, int], int], int]
+
+
+def default_horizon(algorithm: Any, labels: tuple[int, int], delay: int) -> int:
+    """The standard round budget of a label pair at a delay.
 
     The later agent's schedule end plus the wake-up delay -- a correct
-    algorithm must meet before both schedules run out.  A thin delegation
-    to :func:`repro.sim.simulator.default_max_rounds`, the single
-    statement of that formula shared with ``simulate_rendezvous``; the
-    serial sweep and the runtime workers all route through here, so no
-    path can disagree on ``max_rounds``.  ``algorithm`` is anything
-    exposing ``schedule_length`` (every :mod:`repro.core` algorithm does).
+    algorithm must meet before both schedules run out, and both schedules
+    depend on the label alone, so the budget is a function of ``(labels,
+    delay)`` by the model.  A thin delegation to
+    :func:`repro.sim.simulator.default_max_rounds`, the single statement
+    of that formula shared with ``simulate_rendezvous``; a ``None``
+    horizon policy resolves here (:func:`pair_horizons`) on every engine,
+    serial or runtime, so no path can disagree on ``max_rounds``.
+    ``algorithm`` is anything exposing ``schedule_length`` (every
+    :mod:`repro.core` algorithm does).
     """
-    return default_max_rounds(algorithm, config.labels, config.delay)
+    return default_max_rounds(algorithm, labels, delay)
+
+
+def pair_horizons(
+    factory: Any, cube: ConfigCube, indices: range, max_rounds: Horizon
+) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """The ``(delay, horizon)`` slices of each label pair ``indices`` touches.
+
+    Yields ``(pair index, [(delay, horizon) per delay-axis entry])`` in
+    cube order, calling the policy once per ``(label pair, delay)``:
+    ``None`` is :func:`default_horizon` of ``factory``, a constant is
+    every slice's horizon.  Lazy, so a walk that enters the pairs one at
+    a time holds one pair's horizons at a time.
+    """
+    if not len(indices):
+        return
+    policy = partial(default_horizon, factory) if max_rounds is None else max_rounds
+    per_pair = len(cube.start_pairs) * len(cube.delays)
+    for pair in range(indices.start // per_pair, (indices.stop - 1) // per_pair + 1):
+        labels = cube.label_pairs[pair]
+        if callable(policy):
+            yield pair, [(delay, policy(labels, delay)) for delay in cube.delays]
+        else:
+            yield pair, [(delay, policy) for delay in cube.delays]
 
 
 class Verdict(NamedTuple):
@@ -466,7 +498,7 @@ def reduce_space(
     factory: ProgramFactory,
     cube: ConfigCube,
     bounds: Sequence[tuple[int, int]],
-    max_rounds: int | Callable[[Configuration], int],
+    max_rounds: Horizon,
     presence: PresenceModel,
 ) -> list[Reduction]:
     """Reduce one engine's verdicts over abutting index ranges of a cube.
@@ -480,8 +512,11 @@ def reduce_space(
     one whole-cube block (:func:`repro.sim.cube._whole_cube_search`),
     cut into one slice per bound; the reactive and compiled evaluators
     walk the hull lazily, one verdict at a time, each routed to its
-    bound.  A cube over another graph than ``graph`` is refused: its
-    start pairs would name the wrong nodes.
+    bound.  Both read the horizon policy ``max_rounds`` through
+    :func:`pair_horizons`, once per ``(label pair, delay)`` of the pairs
+    the hull touches: the cube for all of them up front, the walk as it
+    enters each pair.  A cube over another graph than ``graph`` is
+    refused: its start pairs would name the wrong nodes.
     """
     if cube.graph is not graph and cube.graph != graph:
         raise ValueError(
@@ -512,15 +547,21 @@ def reduce_space(
                 )
             )
         return reductions
-    indexed = cube.indexed(hull)
-    if callable(max_rounds):
-        items = ((index, config, max_rounds(config)) for index, config in indexed)
-    else:
-        items = ((index, config, max_rounds) for index, config in indexed)
+    delay_count = len(cube.delays)
+    per_pair = len(cube.start_pairs) * delay_count
+
+    def items() -> Iterator[tuple[int, Configuration, int]]:
+        # The walk is pair-major: a pair's horizons resolve as it enters.
+        for pair, horizons in pair_horizons(factory, cube, hull, max_rounds):
+            lo, hi = pair * per_pair, (pair + 1) * per_pair
+            span = range(max(hull.start, lo), min(hull.stop, hi))
+            for index, config in cube.indexed(span):
+                yield index, config, horizons[index % delay_count][1]
+
     if engine == "compiled":
-        verdicts = table.verdicts(items, presence)
+        verdicts = table.verdicts(items(), presence)
     else:
-        verdicts = reactive_verdicts(graph, factory, items, presence)
+        verdicts = reactive_verdicts(graph, factory, items(), presence)
     for reduction, (lo, hi) in zip(reductions, bounds):
         for verdict in itertools.islice(verdicts, hi - lo):
             reduction.add(verdict)
@@ -531,15 +572,17 @@ def worst_case_search(
     graph: PortLabeledGraph,
     factory: ProgramFactory,
     cube: ConfigCube,
-    max_rounds: int | Callable[[Configuration], int],
+    max_rounds: Horizon = None,
     presence: PresenceModel = PresenceModel.FROM_START,
     engine: str = "reactive",
     telemetry: Telemetry = NULL_TELEMETRY,
 ) -> WorstCaseReport:
     """Run every configuration of ``cube`` and keep the extremes.
 
-    ``max_rounds`` may be a constant horizon or a function of the
-    configuration (e.g., the algorithm's own schedule bound plus the delay).
+    ``max_rounds`` is the horizon policy: a constant, a function of
+    ``(labels, delay)``, or ``None`` for the algorithm's own schedule
+    bound plus the delay (:func:`default_horizon`).  Every engine calls a
+    function once per ``(label pair, delay)`` (:func:`pair_horizons`).
 
     ``engine`` selects the substrate (resolved by
     :func:`resolve_substrate`) and never the semantics -- the reports are
@@ -551,8 +594,7 @@ def worst_case_search(
       ``(label, start)`` and scans timelines (:mod:`repro.sim.compiled`);
     * ``"cube"`` tensorizes *across* label pairs and prunes the adversary
       space by rotation orbits and delay dominance (:mod:`repro.sim.cube`);
-      needs the optional NumPy dependency and a horizon determined by
-      ``(labels, delay)``;
+      needs the optional NumPy dependency;
     * ``"auto"`` picks the fastest sound one of these for the factory.
     """
     engine = resolve_substrate(engine, factory)

@@ -61,7 +61,13 @@ import time
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.graphs.port_graph import PortLabeledGraph
-from repro.sim.adversary import ConfigCube, Configuration, VerdictBlock
+from repro.sim.adversary import (
+    ConfigCube,
+    Configuration,
+    Horizon,
+    VerdictBlock,
+    pair_horizons,
+)
 from repro.sim.compiled import MIN_TIME_BLOCK, TrajectoryTable
 from repro.sim.program import ProgramFactory
 from repro.sim.prune import (
@@ -669,51 +675,11 @@ class CubeTimelineTable:
         return met
 
 
-def _pair_horizons(
-    cube: ConfigCube,
-    labels: tuple[int, int],
-    max_rounds: int | Callable[[Configuration], int],
-) -> list[tuple[int, int]]:
-    """One ``(delay, horizon)`` per delay axis entry, probed start-free.
-
-    The whole-cube pass needs the horizon to be a function of ``(labels,
-    delay)`` alone -- true of every built-in policy
-    (:func:`repro.sim.adversary.default_horizon` depends on schedule
-    lengths and the delay).  A custom callable is probed at the first and
-    last start pair of each slice; a disagreement raises loudly rather
-    than silently mis-windowing the tensor pass.
-    """
-    if not callable(max_rounds):
-        return [(delay, max_rounds) for delay in cube.delays]
-    pairs: list[tuple[int, int]] = []
-    first_start = cube.start_pairs[0]
-    last_start = cube.start_pairs[-1]
-    for delay in cube.delays:
-        horizon = max_rounds(
-            Configuration(labels=labels, starts=first_start, delay=delay)
-        )
-        if last_start != first_start:
-            check = max_rounds(
-                Configuration(labels=labels, starts=last_start, delay=delay)
-            )
-            if check != horizon:
-                raise ValueError(
-                    "engine 'cube' needs a start-independent horizon, but "
-                    f"max_rounds() returned {horizon} and {check} for "
-                    f"start pairs {first_start} and {last_start} "
-                    f"(labels={labels}, delay={delay}); use a constant or "
-                    "a (labels, delay)-determined policy, or choose "
-                    "engine 'compiled'"
-                )
-        pairs.append((delay, horizon))
-    return pairs
-
-
 def _whole_cube_search(
     table: CubeTimelineTable,
     cube: ConfigCube,
     indices: range,
-    max_rounds: int | Callable[[Configuration], int],
+    max_rounds: Horizon,
     presence: PresenceModel,
 ) -> VerdictBlock:
     """Answer the index range ``[lo, hi)`` of a :class:`ConfigCube` as one block.
@@ -722,7 +688,8 @@ def _whole_cube_search(
     ``worst_case_search(engine="cube")`` and the runtime's cube shards;
     ``indices`` is a contiguous ascending ``range`` (a shard, a whole cube).
     Only the label pairs the range touches are evaluated, with horizons
-    per ``(label pair, delay)`` (:func:`_pair_horizons`), through one
+    per ``(label pair, delay)``
+    (:func:`~repro.sim.adversary.pair_horizons`), through one
     stacked scan (:meth:`CubeTimelineTable.slices`) gathered at
     ``[s1, s2]`` -- or at ``[0, delta]`` on a certified sweep.  The
     verdicts form one flat block in enumeration order (pair, start pair,
@@ -740,15 +707,15 @@ def _whole_cube_search(
     lo, hi = indices.start, indices.stop
     first_pair = lo // per_pair
     label_pairs = cube.label_pairs[first_pair : (hi - 1) // per_pair + 1]
-    pair_horizons = [
-        _pair_horizons(cube, labels, max_rounds) for labels in label_pairs
+    horizons = [
+        slices for _, slices in pair_horizons(table.factory, cube, indices, max_rounds)
     ]
     # Block positions count from the first touched pair's first index.
     begin, end = lo - first_pair * per_pair, hi - first_pair * per_pair
 
     n = table.graph.num_nodes
     met_cells, cost_cells = table.slices(
-        label_pairs, pair_horizons, presence, start_pairs
+        label_pairs, horizons, presence, start_pairs
     )
     s1, s2 = np.array(start_pairs, dtype=np.intp).reshape(-1, 2).T
     # A certified sweep's one row is read by delta, any other by start.

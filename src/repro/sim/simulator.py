@@ -279,8 +279,9 @@ def default_max_rounds(
     algorithm must meet before both schedules run out.  This is the
     *single* statement of that formula: :func:`simulate_rendezvous` (for
     an omitted ``max_rounds``) and
-    :func:`repro.sim.adversary.default_horizon` (for sweeps, serial and
-    runtime alike) both delegate here, so the two can never drift.
+    :func:`repro.sim.adversary.default_horizon` (for every sweep's
+    ``None`` horizon policy) both delegate here, so the two can never
+    drift.
     ``factory`` must expose ``schedule_length`` (every :mod:`repro.core`
     algorithm does).
     """

@@ -375,14 +375,7 @@ class TestRunBehaviour:
     def test_run_matches_object_sweep(self):
         # The spec world (Scenario.run) and the object world
         # (worst_case_search) must report identical extremes and argmaxes.
-        from functools import partial
-
-        from repro.sim.adversary import (
-            ConfigCube,
-            all_label_pairs,
-            default_horizon,
-            worst_case_search,
-        )
+        from repro.sim.adversary import ConfigCube, all_label_pairs, worst_case_search
 
         scenario = tiny(algorithm="cheap", delays=(0, 1))
         run = scenario.run(engine="reactive", workers=1)
@@ -397,7 +390,6 @@ class TestRunBehaviour:
                 delays=(0, 1),
                 fix_first_start=True,
             ),
-            partial(default_horizon, algorithm),
         )
         assert (direct.max_time, direct.max_cost) == (run.row.max_time, run.row.max_cost)
         assert direct.worst_time.config == run.row.worst_time_config

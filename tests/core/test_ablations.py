@@ -112,10 +112,10 @@ def test_ablation_counts_equal_the_reactive_search(name):
         start_pairs=[(0, b) for b in range(1, graph.num_nodes)],
     )
 
-    def horizon(config):
-        a, b = config.labels
+    def horizon(labels, delay):
+        a, b = labels
         longer = max(algorithm.schedule_length(a), algorithm.schedule_length(b))
-        return 6 * longer + config.delay
+        return catalog.ABLATIONS_HORIZON_FACTOR * longer + delay
 
     reactive = worst_case_search(graph, algorithm, cube, horizon, engine="reactive")
     first = reactive.failures[0][1] if reactive.failures else None

@@ -33,7 +33,6 @@ from repro.sim.adversary import (
     Verdict,
     WorstCaseReport,
     all_label_pairs,
-    default_horizon,
     worst_case_search,
 )
 
@@ -139,10 +138,7 @@ class TestDeterminism:
             delays=job.delays,
             fix_first_start=job.fix_first_start,
         )
-        horizon = (
-            partial(default_horizon, algorithm) if job.horizon is None else job.horizon
-        )
-        reference = worst_case_search(graph, algorithm, cube, horizon)
+        reference = worst_case_search(graph, algorithm, cube, job.horizon)
         merged = execute_job(job, executor=ParallelExecutor(2)).report
         assert WorstCaseReport.to_dict(merged) == reference.to_dict()
         if job is SHORT_HORIZON_JOB:

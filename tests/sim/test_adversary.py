@@ -1,5 +1,7 @@
 """Tests for the worst-case adversary search."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import CheapSimultaneous, Fast
@@ -14,11 +16,13 @@ from repro.sim.adversary import (
     VerdictBlock,
     all_label_pairs,
     default_horizon,
+    engine_table,
     first_max,
+    reduce_space,
     worst_case_search,
 )
 from repro.sim.cube import numpy_available
-from repro.sim.simulator import default_max_rounds, simulate_rendezvous
+from repro.sim.simulator import PresenceModel, default_max_rounds, simulate_rendezvous
 
 
 class TestConfigurationEnumeration:
@@ -54,9 +58,9 @@ class TestWorstCaseSearch:
             ring12,
             algorithm,
             ConfigCube.make(ring12, all_label_pairs(4), fix_first_start=True),
-            max_rounds=lambda config: max(
-                algorithm.schedule_length(config.labels[0]),
-                algorithm.schedule_length(config.labels[1]),
+            max_rounds=lambda labels, delay: max(
+                algorithm.schedule_length(labels[0]),
+                algorithm.schedule_length(labels[1]),
             ),
         )
         assert not report.failures
@@ -115,28 +119,25 @@ class TestStreaming:
 
         monkeypatch.setattr(adversary_module, "simulate_rendezvous", spying)
         monkeypatch.setattr(ConfigCube, "indexed", interleaving)
-        report = worst_case_search(
-            ring12,
-            algorithm,
-            cube,
-            max_rounds=lambda config: default_horizon(algorithm, config),
-            engine="reactive",
-        )
+        report = worst_case_search(ring12, algorithm, cube, engine="reactive")
         assert report.executions == len(cube) == len(executed)
 
+    @pytest.mark.parametrize("horizon", [60, None])
     @pytest.mark.parametrize("engine", ENGINES)
     def test_search_never_builds_the_population(
-        self, ring12, ring12_exploration, monkeypatch, engine
+        self, ring12, ring12_exploration, monkeypatch, engine, horizon
     ):
         algorithm = CheapSimultaneous(ring12_exploration, label_space=3)
         cube = ConfigCube.make(ring12, all_label_pairs(3), fix_first_start=True)
-        expected = worst_case_search(ring12, algorithm, cube, 60, engine="reactive")
+        expected = worst_case_search(
+            ring12, algorithm, cube, horizon, engine="reactive"
+        )
 
         def refuse(self):
             raise AssertionError("the search built the population")
 
         monkeypatch.setattr(ConfigCube, "__iter__", refuse)
-        report = worst_case_search(ring12, algorithm, cube, 60, engine=engine)
+        report = worst_case_search(ring12, algorithm, cube, horizon, engine=engine)
         assert report.executions == len(cube)
         assert report == expected
 
@@ -150,6 +151,42 @@ def test_foreign_graph_cube_is_refused(ring12, ring12_exploration, engine):
         worst_case_search(ring12, algorithm, foreign, 60, engine=engine)
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+def test_each_engine_calls_the_policy_once_per_label_pair_and_delay(
+    ring12, ring12_exploration, engine
+):
+    """Every engine resolves a pass's horizons once per ``(label pair,
+    delay)`` of the pairs it touches -- not per start pair, not twice."""
+    algorithm = Fast(ring12_exploration, label_space=3)
+    cube = ConfigCube.make(ring12, all_label_pairs(3), delays=(0, 4, 9))
+    calls = Counter()
+
+    def policy(labels, delay):
+        calls[labels, delay] += 1
+        return default_horizon(algorithm, labels, delay)
+
+    def once_each(label_pairs):
+        return Counter({(labels, d): 1 for labels in label_pairs for d in cube.delays})
+
+    report = worst_case_search(ring12, algorithm, cube, policy, engine=engine)
+    assert calls == once_each(cube.label_pairs)
+    assert report == worst_case_search(ring12, algorithm, cube, engine="reactive")
+    # Two abutting shards in one pass, from inside pair 1 to inside pair 3.
+    calls.clear()
+    per_pair = len(cube) // len(cube.label_pairs)
+    reduce_space(
+        engine,
+        engine_table(engine, ring12, algorithm),
+        ring12,
+        algorithm,
+        cube,
+        [(per_pair + 5, 2 * per_pair), (2 * per_pair, 3 * per_pair + 1)],
+        policy,
+        PresenceModel.FROM_START,
+    )
+    assert calls == once_each(cube.label_pairs[1:4])
+
+
 class TestDefaultHorizon:
     def test_one_formula_everywhere(self, ring12, ring12_exploration):
         """``default_horizon`` and ``simulate_rendezvous``'s implicit
@@ -157,7 +194,7 @@ class TestDefaultHorizon:
         algorithm = Fast(ring12_exploration, label_space=4)
         config = Configuration(labels=(3, 1), starts=(0, 5), delay=7)
         expected = 7 + max(algorithm.schedule_length(3), algorithm.schedule_length(1))
-        assert default_horizon(algorithm, config) == expected
+        assert default_horizon(algorithm, config.labels, config.delay) == expected
         assert default_max_rounds(algorithm, config.labels, config.delay) == expected
 
     def test_simulate_rendezvous_defaults_to_the_shared_horizon(self):
@@ -172,7 +209,7 @@ class TestDefaultHorizon:
             star, algorithm, labels=config.labels, starts=config.starts, delay=2
         )
         assert not result.met  # the ablation's known failure mode
-        assert result.rounds_executed == default_horizon(algorithm, config)
+        assert result.rounds_executed == default_horizon(algorithm, config.labels, 2)
 
     def test_factories_without_schedule_length_require_explicit_horizon(self, ring12):
         def bare_factory(ctx):

@@ -24,7 +24,6 @@ from repro.runtime.spec import canonical_json
 from repro.runtime.worker import run_shard
 from repro.sim.adversary import (
     ConfigCube,
-    Configuration,
     all_label_pairs,
     default_horizon,
     worst_case_search,
@@ -70,14 +69,9 @@ class TestAvailability:
         algorithm = build_algorithm("cheap", ring12)
         configs = ConfigCube.make(ring12, all_label_pairs(3), delays=(0, 2))
 
-        def horizon(config):
-            return default_horizon(algorithm, config)
-
-        compiled = worst_case_search(
-            ring12, algorithm, configs, horizon, engine="compiled"
-        )
+        compiled = worst_case_search(ring12, algorithm, configs, engine="compiled")
         monkeypatch.setattr(cube_module, "_np", None)
-        auto = worst_case_search(ring12, algorithm, configs, horizon, engine="auto")
+        auto = worst_case_search(ring12, algorithm, configs, engine="auto")
         assert auto == compiled
 
     def test_importing_the_module_needs_no_numpy(self, monkeypatch):
@@ -114,9 +108,7 @@ class TestCubeTimelineTable:
         algorithm = build_algorithm("cheap", torus)
         assert not certify_symmetry(torus, algorithm).orbit
         table = CubeTimelineTable(torus, algorithm)
-        horizon = default_horizon(
-            algorithm, Configuration(labels=(1, 2), starts=(0, 1), delay=0)
-        )
+        horizon = default_horizon(algorithm, (1, 2), 0)
         presence = PresenceModel.FROM_START
 
         def slices(delays):
@@ -160,10 +152,10 @@ class TestBatchWorstCaseSearch:
     def test_constant_horizon_matches_callable(self, ring12):
         algorithm = build_algorithm("cheap-sim", ring12)
         configs = ConfigCube.make(ring12, all_label_pairs(3), delays=(0,))
-        horizon = default_horizon(algorithm, next(iter(configs)))
+        horizon = default_horizon(algorithm, (1, 2), 0)
         constant = worst_case_search(ring12, algorithm, configs, horizon, engine="cube")
         called = worst_case_search(
-            ring12, algorithm, configs, lambda config: horizon, engine="cube"
+            ring12, algorithm, configs, lambda labels, delay: horizon, engine="cube"
         )
         assert constant == called
 

@@ -98,16 +98,13 @@ def test_derived_engine_reports_equal_reactive_report(family, algorithm_name):
         graph, all_label_pairs(LABEL_SPACE), delays=delay_grid(algorithm)
     )
 
-    def horizon(config):
-        return default_horizon(algorithm, config)
-
     for presence in PresenceModel:
         reactive = worst_case_search(
-            graph, algorithm, configs, horizon, presence=presence, engine="reactive"
+            graph, algorithm, configs, presence=presence, engine="reactive"
         )
         for engine in DERIVED_ENGINES:
             derived = worst_case_search(
-                graph, algorithm, configs, horizon, presence=presence, engine=engine
+                graph, algorithm, configs, presence=presence, engine=engine
             )
             assert derived == reactive, (
                 f"{algorithm_name} on {family} ({presence}, {engine})"
@@ -135,21 +132,14 @@ class TestTieBreaking:
         )
         assert list(reversed_configs) == list(reversed(list(configs)))
 
-        def horizon(config):
-            return default_horizon(algorithm, config)
-
         for ordering in (configs, reversed_configs):
-            reactive = worst_case_search(
-                ring12, algorithm, ordering, horizon, engine="reactive"
-            )
+            reactive = worst_case_search(ring12, algorithm, ordering, engine="reactive")
             for engine in DERIVED_ENGINES:
-                derived = worst_case_search(
-                    ring12, algorithm, ordering, horizon, engine=engine
-                )
+                derived = worst_case_search(ring12, algorithm, ordering, engine=engine)
                 assert derived == reactive, engine
-        forward = worst_case_search(ring12, algorithm, configs, horizon, engine="compiled")
+        forward = worst_case_search(ring12, algorithm, configs, engine="compiled")
         backward = worst_case_search(
-            ring12, algorithm, reversed_configs, horizon, engine="compiled"
+            ring12, algorithm, reversed_configs, engine="compiled"
         )
         assert forward.max_time == backward.max_time
         assert forward.worst_time.config != backward.worst_time.config
@@ -175,13 +165,7 @@ class TestEngineSelection:
         monkeypatch.setattr(adversary_module, "reduce_space", spy)
 
         def search():
-            worst_case_search(
-                ring12,
-                algorithm,
-                configs,
-                lambda c: default_horizon(algorithm, c),
-                engine="auto",
-            )
+            worst_case_search(ring12, algorithm, configs, engine="auto")
 
         if numpy_available():
             search()
@@ -210,13 +194,8 @@ class TestEngineSelection:
         algorithm = CheapShortWait(KnownMapDFS(star), label_space=LABEL_SPACE)
         configs = ConfigCube.make(star, all_label_pairs(LABEL_SPACE), delays=(0, 2))
 
-        def horizon(config):
-            return default_horizon(algorithm, config)
-
-        auto = worst_case_search(star, algorithm, configs, horizon, engine="auto")
-        reactive = worst_case_search(
-            star, algorithm, configs, horizon, engine="reactive"
-        )
+        auto = worst_case_search(star, algorithm, configs, engine="auto")
+        reactive = worst_case_search(star, algorithm, configs, engine="reactive")
         assert reactive.failures, "delay 2 must defeat the short wait"
         assert auto.failures == reactive.failures
         assert auto == reactive
@@ -261,7 +240,7 @@ class TestCompilation:
             ((2, 3), (11, 1), 17, PresenceModel.FROM_START),
         ]:
             config = Configuration(labels=labels, starts=starts, delay=delay)
-            horizon = default_horizon(algorithm, config)
+            horizon = default_horizon(algorithm, labels, delay)
             expected = simulate_rendezvous(
                 ring12,
                 algorithm,

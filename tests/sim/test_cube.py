@@ -55,7 +55,7 @@ needs_numpy = pytest.mark.skipif(
 )
 
 
-def cube_search(graph, factory, configs, max_rounds, **kwargs):
+def cube_search(graph, factory, configs, max_rounds=None, **kwargs):
     return worst_case_search(
         graph, factory, configs, max_rounds, engine="cube", **kwargs
     )
@@ -103,18 +103,15 @@ def test_pruning_never_changes_a_report(family, algorithm_name):
         graph, all_label_pairs(LABEL_SPACE), delays=past_schedule_delays(algorithm)
     )
 
-    def horizon(config):
-        return default_horizon(algorithm, config)
-
     certified = certify_symmetry(graph, algorithm).orbit
     assert certified or family not in CERTIFIED_RINGS
     for presence in PresenceModel:
         reactive = worst_case_search(
-            graph, algorithm, cube, horizon, presence=presence, engine="reactive"
+            graph, algorithm, cube, presence=presence, engine="reactive"
         )
         telemetry = Telemetry()
         report = cube_search(
-            graph, algorithm, cube, horizon, presence=presence, telemetry=telemetry
+            graph, algorithm, cube, presence=presence, telemetry=telemetry
         )
         assert report == reactive, f"{algorithm_name} on {family} ({presence})"
         counters = telemetry.counters
@@ -150,13 +147,10 @@ def test_sparse_repeated_start_pairs_agree_across_engines(name):
         start_pairs=[(0, 3), (0, n - 3), (0, n - 3)],
     )
 
-    def horizon(config):
-        return default_horizon(algorithm, config)
-
-    reactive = worst_case_search(graph, algorithm, cube, horizon, engine="reactive")
+    reactive = worst_case_search(graph, algorithm, cube, engine="reactive")
     assert reactive.executions == len(cube)
     for engine in ("compiled", "cube"):
-        report = worst_case_search(graph, algorithm, cube, horizon, engine=engine)
+        report = worst_case_search(graph, algorithm, cube, engine=engine)
         assert report == reactive, engine
 
 
@@ -191,8 +185,7 @@ def start_cells(graph, certified):
     pairs = list(all_label_pairs(LABEL_SPACE))
     horizons = [
         [
-            (delay, default_horizon(algorithm, Configuration(pair, (0, 1), delay)))
-            for delay in (0, 5)
+            (delay, default_horizon(algorithm, pair, delay)) for delay in (0, 5)
         ]
         for pair in pairs
     ]
@@ -370,13 +363,8 @@ class TestTelemetryMeters:
             ring12, pairs, delays=(0, longest + 1, longest + 2)
         )
 
-        def horizon(config):
-            return default_horizon(algorithm, config)
-
         telemetry = Telemetry()
-        report = cube_search(
-            ring12, algorithm, cube, horizon, telemetry=telemetry
-        )
+        report = cube_search(ring12, algorithm, cube, telemetry=telemetry)
         counters = telemetry.counters
         assert counters["configs.evaluated"] == len(cube)
         assert counters["cube.prune.orbit_cells"] == len(pairs) * 3 * (
@@ -385,9 +373,7 @@ class TestTelemetryMeters:
         # Both past-schedule delays share K = max schedule length, so one
         # slice per label pair derives from its pivot.
         assert counters["cube.prune.dominated_slices"] == len(pairs)
-        assert report == worst_case_search(
-            ring12, algorithm, cube, horizon, engine="reactive"
-        )
+        assert report == worst_case_search(ring12, algorithm, cube, engine="reactive")
 
     def test_uncertified_family_meters_no_orbit_cells(self):
         graph = small_instance("torus")
@@ -395,13 +381,7 @@ class TestTelemetryMeters:
         assert not certify_symmetry(graph, algorithm).orbit
         cube = ConfigCube.make(graph, [(1, 2)], delays=(0,))
         telemetry = Telemetry()
-        cube_search(
-            graph,
-            algorithm,
-            cube,
-            lambda config: default_horizon(algorithm, config),
-            telemetry=telemetry,
-        )
+        cube_search(graph, algorithm, cube, telemetry=telemetry)
         assert telemetry.counters["configs.evaluated"] == len(cube)
         assert telemetry.counters["cube.prune.orbit_cells"] == 0
         assert telemetry.counters["cube.prune.dominated_slices"] == 0
@@ -416,18 +396,6 @@ class TestWithoutNumpy:
         with pytest.raises(BatchUnavailableError, match="'cube'"):
             cube_search(ring12, algorithm, ConfigCube.make(ring12, []), 1)
 
-
-@needs_numpy
-class TestStartDependentHorizon:
-    def test_whole_cube_path_rejects_start_dependent_horizons(self, ring12):
-        algorithm = build_algorithm("fast", ring12)
-        cube = ConfigCube.make(ring12, [(1, 2)], delays=(0,))
-        horizon = lambda config: 40 + config.starts[1]  # noqa: E731
-        with pytest.raises(ValueError, match="engine 'compiled'"):
-            cube_search(ring12, algorithm, cube, horizon)
-        # The suggested engine takes the very same callable.
-        report = worst_case_search(ring12, algorithm, cube, horizon, engine="compiled")
-        assert report.executions == len(cube)
 
 class TestConfigCube:
     def test_iteration_matches_configurations_in_global_order(self, ring12):

@@ -34,7 +34,6 @@ from repro.graphs.families import oriented_ring, torus_grid
 from repro.sim.adversary import (
     ConfigCube,
     all_label_pairs,
-    default_horizon,
     reduce_space,
     resolve_substrate,
     worst_case_search,
@@ -55,16 +54,13 @@ needs_numpy = pytest.mark.skipif(
 
 
 def assert_engines_agree(graph, factory, cube, presences=tuple(PresenceModel)):
-    def horizon(config):
-        return default_horizon(factory, config)
-
     for presence in presences:
         reactive = worst_case_search(
-            graph, factory, cube, horizon, presence=presence, engine="reactive"
+            graph, factory, cube, presence=presence, engine="reactive"
         )
         for engine in DERIVED_ENGINES:
             derived = worst_case_search(
-                graph, factory, cube, horizon, presence=presence, engine=engine
+                graph, factory, cube, presence=presence, engine=engine
             )
             assert derived == reactive, (engine, presence)
 
@@ -319,9 +315,7 @@ def test_early_meetings_never_build_past_their_block(engine, monkeypatch):
         ring, [(1, 2), (5, 6), (7, 8)], delays=(0,), start_pairs=[(0, 1), (0, 47)]
     )
     asked = spy_builds(monkeypatch)
-    report = worst_case_search(
-        ring, zigzag, cube, lambda c: default_horizon(zigzag, c), engine=engine
-    )
+    report = worst_case_search(ring, zigzag, cube, engine=engine)
     assert report.max_time == 19
     second_block_end = 3 * MIN_TIME_BLOCK - 1
     assert None not in asked
@@ -485,10 +479,7 @@ def test_an_outliving_program_raises_once_a_sweep_builds_to_its_length(engine, r
     truncated = Truncated(RingExploration(12), 3)
     cube = ConfigCube.make(ring12, [(1, 2)], delays=(0, 40))
     with pytest.raises(ValueError, match="still active"):
-        worst_case_search(
-            ring12, truncated, cube, lambda c: default_horizon(truncated, c),
-            engine=engine,
-        )
+        worst_case_search(ring12, truncated, cube, engine=engine)
 
 
 def test_a_failed_build_is_dropped_and_raises_again(ring12):

@@ -36,7 +36,6 @@ from repro.sim.actions import WAIT
 from repro.sim.adversary import (
     ConfigCube,
     all_label_pairs,
-    default_horizon,
     reduce_space,
     worst_case_search,
 )
@@ -61,14 +60,14 @@ GRAPHS = {
 }
 
 
-def assert_engines_agree(graph, factory, cube, horizon):
+def assert_engines_agree(graph, factory, cube):
     for presence in PresenceModel:
         reactive = worst_case_search(
-            graph, factory, cube, horizon, presence=presence, engine="reactive"
+            graph, factory, cube, presence=presence, engine="reactive"
         )
         for engine in DERIVED_ENGINES:
             derived = worst_case_search(
-                graph, factory, cube, horizon, presence=presence, engine=engine
+                graph, factory, cube, presence=presence, engine=engine
             )
             assert derived == reactive, (engine, presence)
 
@@ -105,9 +104,7 @@ def test_observation_driven_explorations_agree_across_engines(
     graph = GRAPHS[family]()
     factory = algorithm(exploration(), 3)
     cube = ConfigCube.make(graph, all_label_pairs(3), delays=(0, 1, 4))
-    assert_engines_agree(
-        graph, factory, cube, lambda config: default_horizon(factory, config)
-    )
+    assert_engines_agree(graph, factory, cube)
 
 
 def test_execute_hands_moves_an_exploration_local_view(ring12):
@@ -170,8 +167,7 @@ def test_each_walk_is_recorded_once_per_table(engine, family, monkeypatch):
     sink = MemorySink()
     telemetry = Telemetry(sink)
     report = worst_case_search(
-        graph, factory, cube, lambda c: default_horizon(factory, c),
-        engine=engine, telemetry=telemetry,
+        graph, factory, cube, engine=engine, telemetry=telemetry
     )
     telemetry.close()
     assert report.executions == len(cube)
@@ -323,11 +319,8 @@ def test_a_start_divergent_exploration_voids_the_certificate():
     assert table.certificate.orbit
     cube = ConfigCube.make(ring, all_label_pairs(3), delays=(0, 3))
 
-    def horizon(config):
-        return default_horizon(algorithm, config)
-
     (reduction,) = reduce_space(
-        "cube", table, ring, algorithm, cube, [(0, len(cube))], horizon,
+        "cube", table, ring, algorithm, cube, [(0, len(cube))], None,
         PresenceModel.FROM_START,
     )
     assert not table.certificate.orbit
@@ -338,5 +331,5 @@ def test_a_start_divergent_exploration_voids_the_certificate():
     assert routes[algorithm.exploration, 0, None].moves == 5
     assert routes[algorithm.exploration, 1, None].moves == 0
     assert reduction.report() == worst_case_search(
-        ring, algorithm, cube, horizon, engine="reactive"
+        ring, algorithm, cube, engine="reactive"
     )

@@ -6,7 +6,6 @@ algorithm -> adversary -> bound comparison -> certificates.
 """
 
 import itertools
-from functools import partial
 
 import pytest
 
@@ -30,12 +29,7 @@ from repro.graphs.families import (
 )
 from repro.lower_bounds import certify_theorem_31, certify_theorem_32
 from repro.lower_bounds.trim import trimmed_from_algorithm
-from repro.sim.adversary import (
-    ConfigCube,
-    all_label_pairs,
-    default_horizon,
-    worst_case_search,
-)
+from repro.sim.adversary import ConfigCube, all_label_pairs, worst_case_search
 
 GRAPHS = [
     ("ring-9", oriented_ring(9), True),
@@ -54,9 +48,7 @@ def worst_case(algorithm, graph, label_pairs=None, delays=(0,), fix_first_start=
     cube = ConfigCube.make(
         graph, label_pairs, delays=delays, fix_first_start=fix_first_start
     )
-    report = worst_case_search(
-        graph, algorithm, cube, partial(default_horizon, algorithm), engine="auto"
-    )
+    report = worst_case_search(graph, algorithm, cube, engine="auto")
     assert not report.failures, (algorithm.name, report.failures[0])
     return report
 

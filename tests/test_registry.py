@@ -1,6 +1,5 @@
 """The named registries and the typed SpecError they raise."""
 
-from functools import partial
 
 import pytest
 
@@ -25,12 +24,7 @@ from repro.registry import (
 )
 from repro.runtime.spec import AlgorithmSpec, GraphSpec, JobSpec
 from repro.runtime.worker import run_shard
-from repro.sim.adversary import (
-    ConfigCube,
-    all_label_pairs,
-    default_horizon,
-    worst_case_search,
-)
+from repro.sim.adversary import ConfigCube, all_label_pairs, worst_case_search
 from repro.sim.simulator import PresenceModel
 
 
@@ -167,7 +161,6 @@ class TestPopulatedRegistries:
                     graph,
                     algorithm,
                     ConfigCube.make(graph, all_label_pairs(3), fix_first_start=pin),
-                    partial(default_horizon, algorithm),
                 )
                 for pin in (True, False)
             )
