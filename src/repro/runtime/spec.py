@@ -277,8 +277,8 @@ class JobSpec:
 
         Its axes fix the global (shard-index) order: label pairs
         outermost, then :func:`~repro.sim.adversary.default_start_pairs`,
-        then delays.  A shard ``[lo, hi)`` is the slice
-        ``cube.indexed(range(lo, hi))``; :meth:`config_space_size` and
+        then delays.  A shard ``[lo, hi)`` is the configurations
+        ``cube.config(index)`` of its indices; :meth:`config_space_size` and
         the engines' shard slices all read these axes, so their orderings
         cannot drift.
         """

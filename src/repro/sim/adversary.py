@@ -10,7 +10,9 @@ replayed.
 
 Every engine is an *evaluator*: it reports one :class:`Verdict` ``(index,
 config, time|None, cost)`` per requested cube index, in the order
-requested, singly or as a NumPy :class:`VerdictBlock`.  One
+requested, singly or as a NumPy :class:`VerdictBlock`; either way the
+configuration comes from the one index decoder, :meth:`ConfigCube.config`
+(a block decodes only its extremes and failures).  One
 :class:`Reduction` turns verdicts -- or the reports of consecutive index
 ranges -- into the one record, a :class:`WorstCaseReport` of extremes
 and failures, and :func:`first_max` is the only place the lowest-index
@@ -223,25 +225,22 @@ class ConfigCube:
     def __len__(self) -> int:
         return len(self.label_pairs) * len(self.start_pairs) * len(self.delays)
 
-    def indexed(
-        self, indices: Iterable[int]
-    ) -> Iterator[tuple[int, Configuration]]:
-        """The ``(global index, configuration)`` pair of each index, in order.
+    def config(self, index: int) -> Configuration:
+        """The configuration at global ``index``, by ``divmod`` over the axes.
 
-        An index maps to its configuration by ``divmod`` over the axes, so
-        a slice costs ``O(len(indices))`` wherever it lies --
-        no other configuration is enumerated and discarded.
+        The one decoder from an index to its axes: a shard's slice, the
+        stream walk and the cube engine's located extremes all read it,
+        so a configuration costs ``O(1)`` wherever it lies -- no other
+        configuration is enumerated and discarded.
         """
         delays = self.delays
-        per_pair = len(self.start_pairs) * len(delays)
-        for index in indices:
-            pair_index, rest = divmod(index, per_pair)
-            start_index, delay_index = divmod(rest, len(delays))
-            yield index, Configuration(
-                labels=self.label_pairs[pair_index],
-                starts=self.start_pairs[start_index],
-                delay=delays[delay_index],
-            )
+        pair_index, rest = divmod(index, len(self.start_pairs) * len(delays))
+        start_index, delay_index = divmod(rest, len(delays))
+        return Configuration(
+            labels=self.label_pairs[pair_index],
+            starts=self.start_pairs[start_index],
+            delay=delays[delay_index],
+        )
 
 
 #: A sweep's round-budget policy: a constant, ``None`` for
@@ -441,7 +440,9 @@ def resolve_substrate(engine: str, factory: Any) -> str:
     if engine == "auto":
         if not oblivious:
             return "reactive"
-        return "cube" if _cube().numpy_available() else "compiled"
+        from repro.sim.cube import numpy_available
+
+        return "cube" if numpy_available() else "compiled"
     if engine != "reactive" and not oblivious:
         name = getattr(factory, "name", factory)
         raise ValueError(
@@ -449,25 +450,10 @@ def resolve_substrate(engine: str, factory: Any) -> str:
             f"engine={engine!r} needs a schedule-driven algorithm"
         )
     if engine == "cube":
-        _cube().require_numpy()
+        from repro.sim.cube import require_numpy
+
+        require_numpy()
     return engine
-
-
-_cube_module: Any = None
-
-
-def _cube() -> Any:
-    """The :mod:`repro.sim.cube` module, imported on first use.
-
-    It imports this module's types, so it cannot be imported at the top;
-    holding it here keeps the import statement off every call's path.
-    """
-    global _cube_module
-    if _cube_module is None:
-        from repro.sim import cube
-
-        _cube_module = cube
-    return _cube_module
 
 
 def engine_table(
@@ -554,9 +540,8 @@ def reduce_space(
         # The walk is pair-major: a pair's horizons resolve as it enters.
         for pair, horizons in pair_horizons(factory, cube, hull, max_rounds):
             lo, hi = pair * per_pair, (pair + 1) * per_pair
-            span = range(max(hull.start, lo), min(hull.stop, hi))
-            for index, config in cube.indexed(span):
-                yield index, config, horizons[index % delay_count][1]
+            for index in range(max(hull.start, lo), min(hull.stop, hi)):
+                yield index, cube.config(index), horizons[index % delay_count][1]
 
     if engine == "compiled":
         verdicts = table.verdicts(items(), presence)

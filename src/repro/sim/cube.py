@@ -20,7 +20,10 @@ per-configuration objects and most of the scanned space:
   every label pair it touches, a bounded chunk of cells at a time:
   configurations exist only as ``(pair, start, delay)`` indices, handed
   to the reducer as one :class:`~repro.sim.adversary.VerdictBlock` that
-  locates only the two argmax extremes (and any failures).
+  locates only the two argmax extremes (and any failures) through
+  :meth:`~repro.sim.adversary.ConfigCube.config`.  A table keeps only
+  what it builds -- label timelines and the trajectories behind them --
+  never a scanned slice: every pass scans the pairs it touches.
 * **Rotation-orbit reduction** (:mod:`repro.sim.prune`) -- on a graph
   whose rotation preserves every port, with a start-oblivious factory,
   every label's ``n`` timelines are rotated copies of one compiled
@@ -95,10 +98,6 @@ _BLOCK_ELEMENTS = 1 << 19
 #: label pairs and delays a sweep stacks.
 _CHUNK_CELLS = 1 << 10
 
-#: Total element budget of the slice cache; the oldest entries are
-#: evicted beyond it.
-_CACHE_ELEMENTS = 1 << 24
-
 
 class BatchUnavailableError(ValueError):
     """The NumPy engine was requested but NumPy is not importable.
@@ -125,17 +124,6 @@ def require_numpy() -> Any:
             "without NumPy and the reports are identical"
         )
     return _np
-
-
-def store_bounded(cache: dict, key: Any, value: Any, size: int) -> None:
-    """Insert into a FIFO cache of equal-size entries, evicting the oldest.
-
-    ``size`` is one entry's element count; entries are dropped oldest
-    first until the new one fits :data:`_CACHE_ELEMENTS`.
-    """
-    while cache and (len(cache) + 1) * size > _CACHE_ELEMENTS:
-        cache.pop(next(iter(cache)))
-    cache[key] = value
 
 
 class LabelTimelines:
@@ -215,19 +203,10 @@ class CubeTimelineTable:
         self.build_seconds = 0.0
         self.stats = PruneStats()
         self.certificate = certify_symmetry(graph, factory)
-        # A bounded FIFO keyed by (labels, delay, horizon, presence):
-        # shards of one sweep that split a label pair read it back instead
-        # of rescanning, and a long-lived worker table serves sweep after
-        # sweep over ever new delays.  Each entry is one (2, r, n) view --
-        # the met rows stacked on the cost rows -- into its scan's block.
-        self._slices: dict[
-            tuple[tuple[int, int], int, int, PresenceModel], Any
-        ] = {}
         #: The label whose start-1 trajectory is probed, once one is built,
         #: and the last time point the probe has compared.
         self._probe_label: int | None = None
         self._probed = -1
-        self._needed_cells: dict[tuple[int, Any], Any] = {}
         # int16 positions halve the traffic of the comparison pass; node
         # ids exceed it only on graphs far past this engine's O(n^2)
         # start-pair cells anyway.
@@ -332,10 +311,9 @@ class CubeTimelineTable:
 
     def _void(self, reason: str) -> None:
         """Void the certificate for the whole table: the derived rows of
-        every label, and the slices scanned from them, are discarded."""
+        every label are discarded."""
         self.certificate = SymmetryCertificate(False, reason)
         self._labels.clear()
-        self._slices.clear()
 
     def slices(
         self,
@@ -355,77 +333,40 @@ class CubeTimelineTable:
         the total traversals through it (through the horizon on a miss).
         Only the cells of ``start_pairs`` (all cells for ``None``) must
         be answered: the scan may stop before other cells meet and marks
-        them ``-2`` (unknown), and a slice with an unknown cell is returned
-        but not cached.  Pairs whose every slice is cached are read back;
-        the rest go through one scan (:meth:`_scan`) and are cached.  A
-        scan that the probe voids part way is run again over every start
-        row.
+        them ``-2`` (unknown).  Every call scans (:meth:`_scan`); the
+        table keeps only what it builds, the label timelines.  A scan
+        that the probe voids part way is run again over every start row.
         """
-        np = self._np
-        n = self.graph.num_nodes
-        keys = [
-            [(labels, delay, horizon, presence) for delay, horizon in horizons]
-            for labels, horizons in zip(label_pairs, delay_horizons)
-        ]
         while True:
-            rows = 1 if self.certificate.orbit else n
-            cached = [[self._slices.get(key) for key in row] for row in keys]
-            todo = [p for p, row in enumerate(cached) if any(v is None for v in row)]
-            if not todo:
-                break
+            rows = 1 if self.certificate.orbit else self.graph.num_nodes
             try:
                 scanned = self._scan(
-                    [label_pairs[p] for p in todo],
-                    [delay_horizons[p] for p in todo],
+                    label_pairs,
+                    delay_horizons,
                     presence,
                     rows,
                     self._needed(rows, start_pairs),
                 )
             except _CertificateVoided:
-                continue  # the cache is cleared: everything rescans
-            complete = (scanned[:, :, 0] != _UNKNOWN).all(axis=(2, 3))
-            for slot, p in enumerate(todo):
-                for index, key in enumerate(keys[p]):
-                    if complete[slot, index]:
-                        store_bounded(
-                            self._slices, key, scanned[slot, index], 2 * rows * n
-                        )
-            break
-        if len(todo) == len(label_pairs):
-            packed = scanned
-        else:
-            packed = np.empty(
-                (len(label_pairs), len(keys[0]), 2, rows, n), dtype=np.int64
-            )
-            scanned_pairs = set(todo)
-            for p, row in enumerate(cached):
-                if p not in scanned_pairs:
-                    packed[p] = row
-            if todo:
-                packed[todo] = scanned
-        return packed[:, :, 0], packed[:, :, 1]
+                continue  # every label now builds every start row
+            return scanned[:, :, 0], scanned[:, :, 1]
 
     def _needed(
         self, rows: int, start_pairs: Sequence[tuple[int, int]] | None
     ) -> Any:
         """The ``(rows, n)`` cells a sweep over ``start_pairs`` reads:
         ``(s1, s2)``, or ``(0, (s2 - s1) mod n)`` on one row (all for
-        ``None``).  Memoised: the shards of a sweep share its start pairs."""
-        key = (rows, None if start_pairs is None else tuple(start_pairs))
-        needed = self._needed_cells.get(key)
-        if needed is not None:
-            return needed
+        ``None``)."""
         np = self._np
         n = self.graph.num_nodes
-        needed = np.ones((rows, n), dtype=bool)
-        if start_pairs is not None:
-            needed[:] = False
-            s1, s2 = np.array(start_pairs, dtype=np.intp).reshape(-1, 2).T
-            if rows == 1:
-                needed[0, (s2 - s1) % n] = True
-            else:
-                needed[s1, s2] = True
-        self._needed_cells[key] = needed
+        if start_pairs is None:
+            return np.ones((rows, n), dtype=bool)
+        needed = np.zeros((rows, n), dtype=bool)
+        s1, s2 = np.array(start_pairs, dtype=np.intp).reshape(-1, 2).T
+        if rows == 1:
+            needed[0, (s2 - s1) % n] = True
+        else:
+            needed[s1, s2] = True
         return needed
 
     def _scan(
@@ -694,13 +635,12 @@ def _whole_cube_search(
     ``[s1, s2]`` -- or at ``[0, delta]`` on a certified sweep.  The
     verdicts form one flat block in enumeration order (pair, start pair,
     delay), cut to ``[lo, hi)`` -- no :class:`Configuration` exists until
-    the reducer locates a winner or a failure.
+    the reducer locates a winner or a failure
+    (:meth:`~repro.sim.adversary.ConfigCube.config`).
     """
     np = table._np
     start_pairs = cube.start_pairs
-    delays = cube.delays
-    delay_count = len(delays)
-    per_pair = len(start_pairs) * delay_count
+    per_pair = len(start_pairs) * len(cube.delays)
     if not len(indices):
         empty = np.empty(0, dtype=np.int64)
         return VerdictBlock(empty, empty, [].__getitem__)  # nothing to locate
@@ -725,13 +665,6 @@ def _whole_cube_search(
     cost = cost_cells.transpose(0, 2, 3, 1)[:, rows, cols].reshape(-1)[begin:end]
 
     def locate(position: int) -> tuple[int, Configuration]:
-        pair_index, rest = divmod(begin + position, per_pair)
-        start_index, delay_index = divmod(rest, delay_count)
-        config = Configuration(
-            labels=label_pairs[pair_index],
-            starts=start_pairs[start_index],
-            delay=delays[delay_index],
-        )
-        return lo + position, config
+        return lo + position, cube.config(lo + position)
 
     return VerdictBlock(met, cost, locate)

@@ -170,17 +170,19 @@ def test_too_small_horizon_decodes_failures_in_index_order(graph, prune):
     assert report.worst_time is not None, "some pairs still meet in 3 rounds"
 
 
-def test_row_cache_stays_within_its_budget(monkeypatch, prune):
-    """Evicting cached slices mid-sweep never changes a shard report."""
-    kept = 4
-    # One slice is (2, r, n): a delta row pruned, every start row unpruned.
-    rows = 1 if prune else 6
-    monkeypatch.setattr(cube, "_CACHE_ELEMENTS", kept * 2 * rows * 6)
+def test_repeated_sweep_rescans_on_the_built_timelines(prune):
+    """A table keeps no scanned slice: a repeated sweep rescans every
+    shard to the same reports, and builds no timeline a first pass built."""
     spec = sweep("ring")
     assert_slices_match(spec, prune)
     table = worker._table("cube", spec.graph, spec.algorithm)
-    assert len(table._slices) == kept
-    assert all(entry.shape == (2, rows, 6) for entry in table._slices.values())
+    built = dict(table._labels)
+    seconds = table.build_seconds
+    assert sorted(built) == list(range(1, LABEL_SPACE + 1))
+    assert_slices_match(spec, prune)
+    assert worker._table("cube", spec.graph, spec.algorithm) is table
+    assert all(table._labels[label] is built[label] for label in built)
+    assert table.build_seconds == seconds
 
 
 @pytest.mark.parametrize("graph", sorted(GRAPHS))

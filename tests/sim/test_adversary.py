@@ -100,25 +100,26 @@ class TestStreaming:
         cube = ConfigCube.make(ring12, [(1, 2)], fix_first_start=True)
         executed = []
         real_simulate = adversary_module.simulate_rendezvous
-        real_indexed = ConfigCube.indexed
+        real_config = ConfigCube.config
+        decoded = []
 
         def spying(*args, **kwargs):
             result = real_simulate(*args, **kwargs)
             executed.append(kwargs["labels"])
             return result
 
-        def interleaving(self, indices):
-            # An eager ``list(...)`` pulls every configuration before any
+        def interleaving(self, index):
+            # An eager walk decodes every configuration before any
             # simulation, tripping the assertion -- so merely completing
             # the sweep proves the path streams.
-            for position, item in enumerate(real_indexed(self, indices)):
-                assert len(executed) == position, (
-                    "the sweep materialized the configuration stream"
-                )
-                yield item
+            assert len(executed) == len(decoded), (
+                "the sweep materialized the configuration stream"
+            )
+            decoded.append(index)
+            return real_config(self, index)
 
         monkeypatch.setattr(adversary_module, "simulate_rendezvous", spying)
-        monkeypatch.setattr(ConfigCube, "indexed", interleaving)
+        monkeypatch.setattr(ConfigCube, "config", interleaving)
         report = worst_case_search(ring12, algorithm, cube, engine="reactive")
         assert report.executions == len(cube) == len(executed)
 
@@ -219,12 +220,13 @@ class TestDefaultHorizon:
             simulate_rendezvous(ring12, bare_factory, labels=(1, 2), starts=(0, 3))
 
 
-class TestConfigCubeIndexed:
+class TestConfigCubeConfig:
     @pytest.mark.parametrize("lo, hi", [(0, None), (0, 5), (7, 40), (130, 500)])
     def test_slices_match_enumeration(self, ring12, lo, hi):
         cube = ConfigCube.make(ring12, [(1, 2), (2, 1)], delays=(0, 3))
         flat = list(enumerate(cube))
-        assert list(cube.indexed(range(len(cube))[lo:hi])) == flat[lo:hi]
+        indices = range(len(cube))[lo:hi]
+        assert [(index, cube.config(index)) for index in indices] == flat[lo:hi]
 
 
 #: Verdicts with tied maxima and failures at known indices: the time

@@ -34,7 +34,6 @@ from repro.sim.cube import (
     numpy_available,
     require_numpy,
 )
-from repro.sim.prune import certify_symmetry
 from repro.sim.simulator import PresenceModel
 
 requires_numpy = pytest.mark.skipif(
@@ -101,30 +100,23 @@ class TestCubeTimelineTable:
         assert first.positions.shape == (9, first.length + 1)
         assert first.costs.shape == first.positions.shape
 
-    def test_group_matrix_cache_is_bounded(self, torus, monkeypatch):
-        n = torus.num_nodes
-        # Room for four (2, n, n) slices: the ten below evict six.
-        monkeypatch.setattr(cube_module, "_CACHE_ELEMENTS", 4 * 2 * n**2)
+    def test_repeated_slices_rebuild_nothing(self, torus):
+        # The scan keeps nothing: asked twice, it rescans the same label
+        # timelines into fresh, equal tensors and builds no new state.
         algorithm = build_algorithm("cheap", torus)
-        assert not certify_symmetry(torus, algorithm).orbit
         table = CubeTimelineTable(torus, algorithm)
         horizon = default_horizon(algorithm, (1, 2), 0)
-        presence = PresenceModel.FROM_START
-
-        def slices(delays):
-            return [[(delay, horizon + delay) for delay in delays]]
-
-        first = table.slices([(1, 2)], slices(range(10)), presence)
-        assert len(table._slices) == 4
-        # The most recent slice is still served from the cache ...
-        cached = table._slices[(1, 2), 9, horizon + 9, presence]
-        assert cached.shape == (2, n, n)
-        table.slices([(1, 2)], slices([9]), presence)
-        assert table._slices[(1, 2), 9, horizon + 9, presence] is cached
-        # ... and the evicted ones are recomputed to the same values.
-        again = table.slices([(1, 2)], slices(range(10)), presence)
-        assert all((a == b).all() for a, b in zip(first, again))
-        assert first[0].shape == (1, 10, n, n)
+        delays = [[(delay, horizon + delay) for delay in range(10)]]
+        once = table.slices([(1, 2)], delays, PresenceModel.FROM_START)
+        built = dict(table._labels)
+        seconds = table.build_seconds
+        twice = table.slices([(1, 2)], delays, PresenceModel.FROM_START)
+        assert once[0].shape == (1, 10, 9, 9)
+        assert all((a == b).all() for a, b in zip(once, twice))
+        assert all(a is not b for a, b in zip(once, twice))
+        assert table._labels == built
+        assert all(table._labels[label] is built[label] for label in built)
+        assert table.build_seconds == seconds
 
 
 @requires_numpy
