@@ -59,12 +59,10 @@ class RingSweep(ExplorationProcedure):
     """Clockwise ``r``, counterclockwise ``2r``, clockwise ``r``: budget ``4r``.
 
     Visits every node within distance ``r`` of the start in both
-    directions and returns to it.  A fixed port sequence, so it is
-    start-oblivious on an oriented ring.
+    directions and returns to it.  A fixed port sequence.
     """
 
     name = "ring-sweep"
-    start_oblivious = True
 
     def __init__(self, radius: int):
         self.radius = radius

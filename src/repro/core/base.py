@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-from repro.core.schedule import Schedule, SegmentKind, schedule_program
+from repro.core.schedule import Schedule, schedule_program
 from repro.exploration.base import ExplorationProcedure
 from repro.sim.program import AgentContext, AgentGenerator
 
@@ -50,9 +50,7 @@ class RendezvousAlgorithm(ABC):
             )
         self.exploration = exploration
         self.label_space = label_space
-        self._schedule_facts: dict[
-            int, tuple[int, tuple[ExplorationProcedure, ...]]
-        ] = {}
+        self._schedule_lengths: dict[int, int] = {}
 
     # ------------------------------------------------------------------
 
@@ -88,35 +86,13 @@ class RendezvousAlgorithm(ABC):
         rebuilding the :class:`~repro.core.schedule.Schedule` each time
         would dominate the compiled engine's per-configuration work.
         """
-        return self._facts(label)[0]
-
-    def explorations(self, label: int) -> tuple[ExplorationProcedure, ...]:
-        """The procedures agent ``label``'s schedule runs, derived from it.
-
-        The ones its EXPLORE segments name and, for a segment naming
-        none, the algorithm's own; memoised with :meth:`schedule_length`,
-        from the same schedule build.  The cube engine's orbit gate
-        (:func:`repro.sim.prune.start_oblivious_schedule`) checks them.
-        """
-        return self._facts(label)[1]
-
-    def _facts(self, label: int) -> tuple[int, tuple[ExplorationProcedure, ...]]:
-        facts = self._schedule_facts.get(label)
-        if facts is None:
+        length = self._schedule_lengths.get(label)
+        if length is None:
             schedule = self.schedule(label)
-            procedures = {
-                id(procedure): procedure
-                for procedure in (
-                    segment.exploration or self.exploration
-                    for segment in schedule
-                    if segment.kind is SegmentKind.EXPLORE
-                )
-            }
-            facts = self._schedule_facts[label] = (
-                schedule.total_rounds(self.exploration_budget),
-                tuple(procedures.values()),
+            length = self._schedule_lengths[label] = schedule.total_rounds(
+                self.exploration_budget
             )
-        return facts
+        return length
 
     # ------------------------------------------------------------------
     # Declared complexity (each subclass wires the right formula in)

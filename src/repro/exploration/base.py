@@ -38,18 +38,6 @@ class ExplorationProcedure(ABC):
     #: Human-readable name used in reports.
     name: str = "exploration"
 
-    #: True when :meth:`moves` emits a port sequence that depends only on
-    #: the observation stream (exploration-local clock, degree, entry
-    #: ports) -- never on the agent's position or a map lookup keyed by
-    #: node identity.
-    #: On a graph whose rotation is a port-preserving automorphism, such a
-    #: procedure traces rotated copies of one route from every start,
-    #: which is what lets the cube engine (:mod:`repro.sim.prune`) derive
-    #: all-start trajectories from a single compilation.  Deliberately
-    #: conservative: ``False`` here; a procedure must only declare ``True``
-    #: when the property holds by construction (fixed port sequences).
-    start_oblivious: bool = False
-
     @property
     @abstractmethod
     def budget(self) -> int:
@@ -106,7 +94,8 @@ class Route(NamedTuple):
     the last round.  A walk that raised keeps its prefix, the ``error``
     and ``error_at``, the round a build must reach for it to fire: the
     prefix length, or one more for a bad port (checked as its round is
-    recorded).
+    recorded).  ``reads_position`` tells whether the walk called its
+    position capability at all.
     """
 
     actions: list[Action]
@@ -116,6 +105,7 @@ class Route(NamedTuple):
     entry_port: int | None
     error: Exception | None = None
     error_at: int = 0
+    reads_position: bool = False
 
 
 def record_route(
@@ -132,15 +122,30 @@ def record_route(
     :meth:`~ExplorationProcedure.execute` (budget enforced) with the
     knowledge the flags grant, checks every port, and keeps an error (an
     overrun budget, a missing map, a bad port) in the :class:`Route`.
+
+    The position capability it grants notes every call, in
+    ``reads_position``.  A walk that never calls it is the rotated walk
+    from every rotated start, on a graph whose rotation ``v -> v + s``
+    preserves every port: by induction over rounds, both walks see the
+    same clock, degree and entry port and hold the same map object, so,
+    a route being a function of ``(procedure, node, entry port)``, they
+    emit the same actions (and raise the same error in the same round)
+    while their positions differ by ``s``.  The cube engine's orbit
+    reduction rests on this (:mod:`repro.sim.prune`).
     """
     rows = graph.adjacency()
     actions: list[Action] = []
     positions: list[int] = []
     cumulative: list[int] = []
-    position, moves, late = node, 0, 0
+    position, moves, late, read = node, 0, 0, False
+
+    def oracle() -> int:
+        nonlocal read
+        read = True
+        return position
+
     context = ExplorationContext(
-        graph if provide_map else None,
-        (lambda: position) if provide_position else None,
+        graph if provide_map else None, oracle if provide_position else None
     )
     behaviour = procedure.execute(
         context, Observation(0, len(rows[node]), entry_port)
@@ -166,8 +171,10 @@ def record_route(
         pass
     except Exception as error:  # kept, and raised where a build reaches it
         error_at = len(actions) + late
-        return Route(actions, positions, cumulative, moves, entry_port, error, error_at)
-    return Route(actions, positions, cumulative, moves, entry_port)
+        return Route(
+            actions, positions, cumulative, moves, entry_port, error, error_at, read
+        )
+    return Route(actions, positions, cumulative, moves, entry_port, None, 0, read)
 
 
 def measure_exploration(

@@ -19,12 +19,6 @@ class RingExploration(ExplorationProcedure):
 
     name = "ring-clockwise"
 
-    # The route is the fixed port sequence (CLOCKWISE x (n - 1)); no
-    # position or map lookup is ever consulted, so rotated starts trace
-    # rotated copies of the same walk -- the property the cube engine's
-    # orbit reduction (repro.sim.prune) requires by construction.
-    start_oblivious = True
-
     def __init__(self, ring_size: int):
         if ring_size < 3:
             raise ValueError(f"a ring has at least 3 nodes, got {ring_size}")

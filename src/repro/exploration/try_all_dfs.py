@@ -32,12 +32,6 @@ class TryAllDFS(ExplorationProcedure):
 
     name = "try-all-dfs"
 
-    # The emitted ports depend only on the precomputed hypothesis walks and
-    # the observation stream (degree checks, recorded entry ports) -- the
-    # map is consulted only for its node count, never keyed by the agent's
-    # position.  Rotated starts therefore trace rotated copies of one route.
-    start_oblivious = True
-
     def __init__(self, graph: PortLabeledGraph):
         if graph.num_nodes < 2:
             raise ValueError("exploration needs at least 2 nodes")

@@ -99,11 +99,6 @@ class UXSExploration(ExplorationProcedure):
 
     name = "uxs"
 
-    # Emits ``(entry + term) % degree`` -- a function of the fixed sequence
-    # and the observation stream alone, with no position or map access, so
-    # rotated starts trace rotated copies of the same walk.
-    start_oblivious = True
-
     def __init__(self, sequence: Sequence[int]):
         if not sequence:
             raise ValueError("a UXS must be non-empty")

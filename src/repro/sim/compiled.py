@@ -278,6 +278,10 @@ class RouteMemo(dict):
     (:func:`~repro.exploration.base.record_route`), so each is recorded
     once however many trajectories splice it; ``spliced_rounds`` counts
     the route rounds spliced.  Both counts are observability data only.
+    ``position_read`` tells whether any route recorded here read its
+    position: while it is false, every walk this memo spliced is the
+    rotated copy of itself from a rotated start on a port-preserving
+    rotation (:func:`~repro.exploration.base.record_route`).
     """
 
     def __init__(
@@ -288,6 +292,7 @@ class RouteMemo(dict):
         self._knowledge = (provide_map, provide_position)
         self._graph = graph
         self.spliced_rounds = 0
+        self.position_read = False
 
     def __missing__(self, key: tuple[ExplorationProcedure, int, int | None]) -> Route:
         from repro.exploration.base import record_route  # deferred: it imports sim
@@ -296,6 +301,7 @@ class RouteMemo(dict):
         route = self[key] = record_route(
             procedure, self._graph, node, entry_port, *self._knowledge
         )
+        self.position_read |= route.reads_position
         return route
 
 

@@ -25,12 +25,13 @@ per-configuration objects and most of the scanned space:
   what it builds -- label timelines and the trajectories behind them --
   never a scanned slice: every pass scans the pairs it touches.
 * **Rotation-orbit reduction** (:mod:`repro.sim.prune`) -- on a graph
-  whose rotation preserves every port, with a start-oblivious factory,
-  every label's ``n`` timelines are rotated copies of one compiled
-  trajectory, and a start pair's verdict depends only on ``delta = (s2
-  - s1) mod n``; the scan then keeps one first-start row per slice and
-  reads its second axis as the delta (``r = 1`` rows instead of
-  ``r = n``).  That operand is the scan's only branch.
+  whose rotation preserves every port, with a schedule-driven factory
+  whose walks never read their position, every label's ``n`` timelines
+  are rotated copies of one compiled trajectory, and a start pair's
+  verdict depends only on ``delta = (s2 - s1) mod n``; the scan then
+  keeps one first-start row per slice and reads its second axis as the
+  delta (``r = 1`` rows instead of ``r = n``).  That operand is the
+  scan's only branch.
 * **Delay dominance and early exit** -- delay slices past the first
   agent's schedule that share a post-wake window are exact translates of
   a pivot slice and are derived, not scanned; the meeting scan drops a
@@ -79,7 +80,6 @@ from repro.sim.prune import (
     certify_symmetry,
     derive_met,
     dominance_plan,
-    start_oblivious_schedule,
 )
 from repro.sim.simulator import PresenceModel
 
@@ -172,7 +172,7 @@ _FOREVER = float("inf")
 
 
 class _CertificateVoided(Exception):
-    """The probe voided the certificate under a one-row scan."""
+    """A build voided the certificate under a one-row scan."""
 
 
 class CubeTimelineTable:
@@ -180,11 +180,11 @@ class CubeTimelineTable:
 
     At most ``L`` label timeline arrays are built, however many
     configurations are evaluated, and each only as far as the scan reads
-    it (:meth:`timelines`).  When the sweep is certified (exact rotation
-    check, start-oblivious factory, derived-trajectory probe), each
-    label keeps one start-0 row and the scan (:meth:`slices`) reads the
-    second axis as the delta ``(s2 - s1) mod n``; otherwise the rows come
-    from per-start compilations and the scan keeps all ``n``.  Delay
+    it (:meth:`timelines`).  While the sweep is certified (exact rotation
+    check, schedule-driven factory, no spliced walk read its position),
+    each label keeps one start-0 row and the scan (:meth:`slices`) reads
+    the second axis as the delta ``(s2 - s1) mod n``; otherwise the rows
+    come from per-start compilations and the scan keeps all ``n``.  Delay
     dominance and early exit apply either way.  Every reduction is exact,
     so the certificate changes only the work done (``stats`` meters what
     was avoided), never a report.
@@ -203,10 +203,6 @@ class CubeTimelineTable:
         self.build_seconds = 0.0
         self.stats = PruneStats()
         self.certificate = certify_symmetry(graph, factory)
-        #: The label whose start-1 trajectory is probed, once one is built,
-        #: and the last time point the probe has compared.
-        self._probe_label: int | None = None
-        self._probed = -1
         # int16 positions halve the traffic of the comparison pass; node
         # ids exceed it only on graphs far past this engine's O(n^2)
         # start-pair cells anyway.
@@ -222,16 +218,11 @@ class CubeTimelineTable:
         :meth:`TrajectoryTable.trajectory`) only past what an earlier
         call built.  On a certified sweep the one row is the start-0
         trajectory, valid for every start when rotation preserves every
-        port and the factory is start-oblivious; a label whose schedule
-        runs an exploration that is not voids the certificate as it is
-        opened.  Defense in depth beyond the factory's declaration: the
-        first label built also compiles its start-1 trajectory, extends
-        it as far as any label's row is
-        built and compares every new prefix with the derived one (one
-        extra compile per table, the property is a factory-wide one); any
-        mismatch voids the certificate.  A voided certificate holds for
-        the whole table: derived state is discarded and every label falls
-        back to per-start compilations.
+        port and no walk spliced into it read its position; the build
+        that splices the first walk that did voids the certificate
+        (:meth:`_extend`).  A voided certificate holds for the whole
+        table: derived state is discarded and every label falls back to
+        per-start compilations.
         """
         stacked = self._labels.get(label)
         if stacked is not None and (
@@ -249,17 +240,16 @@ class CubeTimelineTable:
             self.build_seconds += time.perf_counter() - started
 
     def _extend(self, label: int, upto: int | None) -> LabelTimelines:
+        """Build ``label``'s rows through ``upto``; on a certified table,
+        void the certificate once a walk spliced into a start-0 row has
+        read its position.  The rows are returned either way: the one-row
+        scan that asked for them sees the void and starts over
+        (:meth:`slices`)."""
         n = self.graph.num_nodes
         orbit = self.certificate.orbit and n >= 2
         rows = 1 if orbit else n
         stacked = self._labels.get(label)
         if stacked is None or stacked.rows != rows:
-            if orbit and not start_oblivious_schedule(self.factory, label):
-                self._void(
-                    f"label {label}'s schedule runs an exploration that "
-                    "does not declare start_oblivious"
-                )
-                return self._extend(label, upto)
             length = self.trajectories.trajectory(label, 0, 0).length
             stacked = self._labels[label] = LabelTimelines(
                 rows, length, self._position_dtype, self._np
@@ -267,47 +257,19 @@ class CubeTimelineTable:
             self.stats.rounds_declared += length
         target = stacked.length if upto is None else min(upto, stacked.length)
         lo = stacked.built + 1
-        starts = [0] if orbit else range(n)
-        if orbit and not self._probe(label, target):
-            return self._extend(label, upto)
-        trajectories = [
-            self.trajectories.trajectory(label, start, target) for start in starts
-        ]
-        for row, trajectory in enumerate(trajectories):
+        for row in range(rows):
+            trajectory = self.trajectories.trajectory(label, row, target)
             positions, _, costs = trajectory.window(lo, target + 1)
             stacked._positions[row, lo : target + 1] = positions
             stacked._costs[row, lo : target + 1] = costs
         self.stats.rounds_built += target - stacked.built
         stacked.built = target
+        if orbit and self.trajectories.routes.position_read:
+            self._void(
+                f"a walk spliced into label {label}'s start-0 row read its "
+                "position, so other starts are not its rotations"
+            )
         return stacked
-
-    def _probe(self, label: int, target: int) -> bool:
-        """Extend the probe label's start-0 and start-1 trajectories through
-        ``target`` (its own length at most) and compare the new time points,
-        the start-1 ones with the rotated start-0 ones; a mismatch voids the
-        certificate.  The probe label is the first one built; any label's
-        row built to ``target`` takes the probe that far."""
-        if self._probe_label is None:
-            self._probe_label = label
-        label = self._probe_label
-        length = self.trajectories.trajectory(label, 0, 0).length
-        lo, hi = self._probed + 1, min(target, length)
-        if hi < lo:
-            return True
-        base = self.trajectories.trajectory(label, 0, hi)
-        probe = self.trajectories.trajectory(label, 1, hi)
-        self._probed = hi
-        n = self.graph.num_nodes
-        positions, actions, costs = base.window(lo, hi + 1)
-        derived = ([(p + 1) % n for p in positions], actions, costs)
-        if probe.window(lo, hi + 1) == derived:
-            return True
-        self._void(
-            f"derived-trajectory probe mismatch for label {label}: "
-            "the factory declared start_oblivious but its start-1 "
-            "trajectory is not the rotated start-0 trajectory"
-        )
-        return False
 
     def _void(self, reason: str) -> None:
         """Void the certificate for the whole table: the derived rows of
@@ -334,8 +296,10 @@ class CubeTimelineTable:
         Only the cells of ``start_pairs`` (all cells for ``None``) must
         be answered: the scan may stop before other cells meet and marks
         them ``-2`` (unknown).  Every call scans (:meth:`_scan`); the
-        table keeps only what it builds, the label timelines.  A scan
-        that the probe voids part way is run again over every start row.
+        table keeps only what it builds, the label timelines.  A one-row
+        scan whose builds splice a walk that read its position voids the
+        certificate part way (:meth:`_extend`) and is run again over every
+        start row.
         """
         while True:
             rows = 1 if self.certificate.orbit else self.graph.num_nodes

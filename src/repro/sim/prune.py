@@ -3,13 +3,14 @@
 The cube engine (:mod:`repro.sim.cube`) answers the whole
 ``L(L-1) x n(n-1) x D`` adversarial cube per sweep.  Most of that cube is
 redundant: on a graph whose rotation is a *port-preserving* automorphism,
-a start-oblivious agent traces rotated copies of one route, so every
-start pair with the same ``delta = (s2 - s1) mod n`` shares one verdict;
-and once the second agent's wake-up delay exceeds the first agent's
-schedule, further delay merely translates the tail of the execution, so
-whole delay slices are exact translates of a pivot slice.  This module
-holds the *soundness machinery* for those reductions -- certification
-and dominance planning -- so the engine itself stays a tensor pipeline.
+an agent whose walks never read their position traces rotated copies of
+one route, so every start pair with the same ``delta = (s2 - s1) mod n``
+shares one verdict; and once the second agent's wake-up delay exceeds the
+first agent's schedule, further delay merely translates the tail of the
+execution, so whole delay slices are exact translates of a pivot slice.
+This module holds the *soundness machinery* for those reductions --
+certification and dominance planning -- so the engine itself stays a
+tensor pipeline.
 
 Pruning soundness contract
 --------------------------
@@ -19,27 +20,25 @@ pruned verdict is recomputed from its representative by a closed-form
 rule proven from the simulator's semantics, so reports stay byte-identical
 to the reactive engine (the cross-engine suite in ``tests/sim`` asserts
 this for every registered algorithm x family x presence model).  There
-is no switch: the cube engine applies every reduction whose gates pass
-and falls back exactly where one fails.  Three gates keep the rotation
-rule sound:
+is no switch: the cube engine applies every reduction whose checks pass
+and falls back exactly where one fails.  The rotation rule rests on two
+observed facts, nothing declared:
 
 * **Rotation check** -- :func:`rotation_automorphism` verifies, in
   ``O(E)``, that ``v -> v + 1 (mod n)`` preserves every port label of
-  the built graph.  Nothing is declared, so nothing can be declared
-  wrongly; a graph that fails the check is scanned start by start.
-  Reflection (``v -> -v (mod n)``) is *not* port-preserving on oriented
-  rings (it swaps the clockwise/counterclockwise ports 0 and 1), so the
-  engine never merges reflection orbits.
-* **Start-oblivious factory** -- the algorithm's exploration, and every
-  one a label's schedule names (checked as the engine opens the label),
-  must declare
-  :attr:`~repro.exploration.base.ExplorationProcedure.start_oblivious`
-  (its port sequence depends only on the observation stream).
-* **Probe** -- the engine still compiles one trajectory from start 1
-  and compares it with the rotated start-0 trajectory over every prefix
-  any label's start-0 row is built to, before relying on the factory's
-  declaration (defense in depth); a mismatch voids the certificate for
-  the whole table.
+  the built graph; a graph that fails the check is scanned start by
+  start.  Reflection (``v -> -v (mod n)``) is *not* port-preserving on
+  oriented rings (it swaps the clockwise/counterclockwise ports 0 and
+  1), so the engine never merges reflection orbits.  The factory must
+  also be schedule-driven (:func:`~repro.core.base.schedule_driven`), so
+  that every round it runs is a wait or a recorded exploration walk.
+* **Position-free walks** -- each exploration walk spliced into a
+  start-0 row notes whether it read its position
+  (:attr:`~repro.exploration.base.Route.reads_position`).  A walk that
+  did not is the rotated walk from every other start (the lemma in
+  :func:`~repro.exploration.base.record_route`).  The first walk that
+  did voids the certificate for the whole table as its row is built,
+  and every label falls back to per-start rows.
 """
 
 from __future__ import annotations
@@ -78,44 +77,12 @@ def rotation_automorphism(graph: PortLabeledGraph) -> bool:
     return True
 
 
-def start_oblivious_factory(factory: Any) -> bool:
-    """Whether the factory's route is provably independent of its start.
-
-    Requires both the schedule-driven flag (``is_oblivious``, the gate
-    the compiled and cube engines already use) and the exploration's
-    :attr:`~repro.exploration.base.ExplorationProcedure.start_oblivious`
-    declaration.  Factories without an ``exploration`` attribute (custom
-    program factories) conservatively answer ``False``.  The other
-    explorations a schedule names are checked label by label
-    (:func:`start_oblivious_schedule`).
-    """
-    if not getattr(factory, "is_oblivious", False):
-        return False
-    exploration = getattr(factory, "exploration", None)
-    return bool(getattr(exploration, "start_oblivious", False))
-
-
-def start_oblivious_schedule(factory: Any, label: int) -> bool:
-    """Whether every exploration agent ``label``'s schedule runs declares
-    :attr:`~repro.exploration.base.ExplorationProcedure.start_oblivious`.
-
-    Derived from the schedule
-    (:meth:`~repro.core.base.RendezvousAlgorithm.explorations`); a
-    factory without one runs only its own ``exploration``, which
-    :func:`start_oblivious_factory` checks.
-    """
-    explorations = getattr(factory, "explorations", None)
-    if explorations is None:
-        return True
-    return all(procedure.start_oblivious for procedure in explorations(label))
-
-
 @dataclass(frozen=True)
 class SymmetryCertificate:
     """The outcome of :func:`certify_symmetry` -- may orbits be used?
 
-    ``orbit`` is True only when every gate passed; ``reason`` names the
-    first gate that failed (or confirms the pass) for telemetry and
+    ``orbit`` is True only when every check passed; ``reason`` names the
+    first check that failed (or confirms the pass) for telemetry and
     debugging.
     """
 
@@ -124,22 +91,27 @@ class SymmetryCertificate:
 
 
 def certify_symmetry(graph: PortLabeledGraph, factory: Any) -> SymmetryCertificate:
-    """Decide whether rotation-orbit reduction is sound for this sweep.
+    """Decide whether rotation-orbit reduction may start for this sweep.
 
-    The exact structural check of the graph first, then the factory's
-    behavioural declaration.  Any failure yields ``orbit=False`` -- the
-    engine scans every start row instead, identical output.
+    The exact structural check of the graph, then the factory's
+    structure: only a schedule-driven factory splices recorded walks,
+    which is what lets the engine observe that none read its position
+    (a replay-route program has nothing to vouch for it).  Any failure
+    yields ``orbit=False`` -- the engine scans every start row instead,
+    identical output.
     """
+    from repro.core.base import schedule_driven  # deferred: core imports sim
+
     if not rotation_automorphism(graph):
         return SymmetryCertificate(
             False, "rotation v -> v + 1 (mod n) does not preserve every port"
         )
-    if not start_oblivious_factory(factory):
+    if not schedule_driven(type(factory)):
         return SymmetryCertificate(
-            False, "factory's exploration does not declare start_oblivious"
+            False, "factory is not schedule-driven: its walks are not recorded"
         )
     return SymmetryCertificate(
-        True, "cyclic rotation verified and factory is start-oblivious"
+        True, "cyclic rotation verified and factory is schedule-driven"
     )
 
 

@@ -50,7 +50,7 @@ class TestEveryRuleHasFixtures:
     def test_registry_metadata_names_family_and_mirror(self, rule):
         entry = LINT_RULES.entry(rule)
         assert entry.metadata["family"] in {
-            "determinism", "atomicity", "inertness", "soundness",
+            "determinism", "atomicity", "inertness",
         }
         assert entry.metadata["mirrors"]
 

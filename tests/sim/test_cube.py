@@ -8,15 +8,16 @@ even certified ring, with delays past every schedule so that delay
 dominance fires, under both presence models.  Second, the pruning
 machinery itself (:mod:`repro.sim.prune`): the engine's delta rows must
 cover the full ordered-start space on odd and even rings, the
-certification gates must each refuse exactly their failure mode, and
-delay dominance must derive exact translates.
+certification checks must each refuse exactly their failure mode, the
+walks a certificate rests on must be exact rotations, and delay
+dominance must derive exact translates.
 """
 
 import pytest
 
 from repro.core.ablations import CheapShortWait
 from repro.exploration.ring import RingExploration
-from repro.graphs.families import oriented_ring, torus_grid
+from repro.graphs.families import circulant_graph, oriented_ring, torus_grid
 from repro.obs.telemetry import Telemetry
 from repro.registry import ALGORITHMS, GRAPH_FAMILIES
 from repro.runtime import AlgorithmSpec
@@ -29,6 +30,7 @@ from repro.sim.adversary import (
     default_start_pairs,
     worst_case_search,
 )
+from repro.sim.compiled import TrajectoryTable
 from repro.sim.cube import BatchUnavailableError, CubeTimelineTable, numpy_available
 from repro.sim.prune import (
     SymmetryCertificate,
@@ -36,7 +38,6 @@ from repro.sim.prune import (
     derive_met,
     dominance_plan,
     rotation_automorphism,
-    start_oblivious_factory,
 )
 from repro.sim.simulator import PresenceModel
 
@@ -92,10 +93,10 @@ def test_pruning_never_changes_a_report(family, algorithm_name):
     """Pruned cube == reactive, everywhere.
 
     The whole-cube tensor path (a :class:`ConfigCube` input) takes every
-    reduction its gates allow -- rotation orbits exactly where the
-    symmetry certificate holds, delay dominance on the past-schedule
-    slices -- and must come back byte-identical to the reactive
-    reference regardless.
+    reduction its checks allow -- rotation orbits exactly where the
+    symmetry certificate holds and no walk read its position, delay
+    dominance on the past-schedule slices -- and must come back
+    byte-identical to the reactive reference regardless.
     """
     graph = reference_instance(family)
     algorithm = build_algorithm(algorithm_name, graph)
@@ -103,7 +104,13 @@ def test_pruning_never_changes_a_report(family, algorithm_name):
         graph, all_label_pairs(LABEL_SPACE), delays=past_schedule_delays(algorithm)
     )
 
-    certified = certify_symmetry(graph, algorithm).orbit
+    # What the walks did: the start-0 rows of every label, built whole.
+    walks = TrajectoryTable(graph, algorithm)
+    for label in range(1, LABEL_SPACE + 1):
+        walks.trajectory(label, 0)
+    certified = (
+        certify_symmetry(graph, algorithm).orbit and not walks.routes.position_read
+    )
     assert certified or family not in CERTIFIED_RINGS
     for presence in PresenceModel:
         reactive = worst_case_search(
@@ -171,7 +178,7 @@ def start_cells(graph, certified):
     An uncertified table scans all ``n`` first-start rows; a certified one
     keeps the single delta row.
     """
-    # Try-all-DFS is start-oblivious on every graph, K2 included.
+    # Try-all-DFS reads no position on any graph, K2 included.
     algorithm = AlgorithmSpec(
         "fast",
         LABEL_SPACE,
@@ -242,38 +249,35 @@ class TestCertification:
         assert not certificate.orbit
         assert "rotation" in certificate.reason
 
-    def test_undeclared_factory_fails_the_behavioural_gate(self, ring12):
-        # Overriding __call__ withdraws the derived is_oblivious flag.
+    def test_a_factory_that_is_not_schedule_driven_fails_the_structural_gate(
+        self, ring12
+    ):
+        # Overriding __call__ makes the program a replay: no recorded walk
+        # could show that it ignores its position.
         class Reactive(CheapShortWait):
             def __call__(self, ctx):
                 return super().__call__(ctx)
 
         ablation = Reactive(RingExploration(12), label_space=LABEL_SPACE)
-        assert not start_oblivious_factory(ablation)
         certificate = certify_symmetry(ring12, ablation)
         assert not certificate.orbit
-        assert "start_oblivious" in certificate.reason
+        assert "not schedule-driven" in certificate.reason
 
     def test_registered_algorithm_on_a_ring_earns_the_certificate(self, ring12):
         certificate = certify_symmetry(ring12, build_algorithm("fast", ring12))
         assert certificate.orbit
 
 
-class _LyingExploration:
-    start_oblivious = True
-
-
 class StartSensitiveFactory:
-    """Declares ``start_oblivious`` but anchors its route to node 0.
+    """A hand-declared replay-route factory anchored to node 0.
 
     Started at node 0 it walks clockwise for its whole schedule; started
-    anywhere else it never moves -- the exact lie the derived-trajectory
-    probe exists to catch.
+    anywhere else it never moves.  It is not schedule-driven, so the cube
+    never takes the orbit path for it.
     """
 
     name = "start-sensitive"
     is_oblivious = True
-    exploration = _LyingExploration()
 
     def schedule_length(self, label: int) -> int:
         return 6
@@ -286,26 +290,19 @@ class StartSensitiveFactory:
 
 
 @needs_numpy
-class TestProbeDefense:
-    def test_lying_factory_voids_the_certificate(self):
-        graph = oriented_ring(6)
-        factory = StartSensitiveFactory()
-        # Every static gate passes -- the lie is behavioural.
-        assert certify_symmetry(graph, factory).orbit
-        table = CubeTimelineTable(graph, factory)
-        assert table.certificate.orbit
-        table.timelines(1)
-        assert not table.certificate.orbit
-        assert "probe mismatch" in table.certificate.reason
-
-    def test_fallback_after_the_probe_is_still_byte_identical(self):
-        graph = oriented_ring(6)
-        factory = StartSensitiveFactory()
-        cube = ConfigCube.make(graph, [(1, 2), (2, 1)], delays=(0, 2))
-        reactive = worst_case_search(
-            graph, factory, cube, 12, engine="reactive"
-        )
-        assert cube_search(graph, factory, cube, 12) == reactive
+def test_a_replay_factory_is_refused_up_front_and_matches_reactive():
+    graph = oriented_ring(6)
+    factory = StartSensitiveFactory()
+    certificate = certify_symmetry(graph, factory)
+    assert not certificate.orbit
+    assert "not schedule-driven" in certificate.reason
+    table = CubeTimelineTable(graph, factory)
+    assert table.timelines(1).rows == 6
+    cube = ConfigCube.make(graph, [(1, 2), (2, 1)], delays=(0, 2))
+    reactive = worst_case_search(graph, factory, cube, 12, engine="reactive")
+    telemetry = Telemetry()
+    assert cube_search(graph, factory, cube, 12, telemetry=telemetry) == reactive
+    assert telemetry.counters["cube.prune.orbit_cells"] == 0
 
 
 @needs_numpy
@@ -318,11 +315,38 @@ def test_rotated_timelines_share_one_cost_row(ring12):
     assert rows.costs.shape == rows.positions.shape == (1, 21)
     assert table.timelines(1) is rows
     assert rows.costs.shape == rows.positions.shape == (1, rows.length + 1)
-    # Start 0 and the probe's start 1: no other start is ever compiled.
-    assert sorted(table.trajectories._trajectories) == [(1, 0), (1, 1)]
+    # Start 0 only: no other start is ever compiled.
+    assert sorted(table.trajectories._trajectories) == [(1, 0)]
     start = table.trajectories.trajectory(1, 5)
     assert tuple((rows.positions[0] + 5) % 12) == start.positions
     assert tuple(rows.costs[0]) == start.cumulative_cost
+
+
+@needs_numpy
+@pytest.mark.parametrize(
+    "knowledge, exploration, orbit",
+    [
+        ("map-without-position", "try-all-dfs", True),
+        ("size-bound-only", "uxs", True),
+        ("map-with-position", "hamiltonian", False),
+    ],
+)
+def test_walks_that_read_the_map_but_not_the_position_keep_the_orbit(
+    knowledge, exploration, orbit
+):
+    """On a circulant, the knowledge model picks the exploration, and
+    only the one that reads its position loses the orbit rows."""
+    graph = circulant_graph(8, (1, 2))
+    algorithm = AlgorithmSpec(
+        "fast", 4, knowledge=knowledge, exploration=exploration
+    ).build(graph)
+    cube = ConfigCube.make(graph, all_label_pairs(4), delays=(0, 3))
+    reactive = worst_case_search(graph, algorithm, cube, engine="reactive")
+    telemetry = Telemetry()
+    assert cube_search(graph, algorithm, cube, telemetry=telemetry) == reactive
+    assert telemetry.counters["cube.prune.orbit_cells"] == (
+        len(cube) if orbit else 0
+    )
 
 
 class TestDominance:

@@ -10,9 +10,9 @@ Four contracts are enforced here:
   generator programs produced before they were schedules;
 * a sweep whose cells all meet early never builds past the block in
   which they met;
-* the derived-trajectory probe keeps pace with the start-0 row, so a
-  factory whose start-1 route diverges only after the first block still
-  voids the orbit certificate;
+* the orbit certificate holds while the start-0 rows splice only walks
+  that read no position: a later EXPLORE that reads it voids the
+  certificate once a build reaches it, and not before;
 * a program still active past its declared schedule length raises once a
   sweep builds to that length.
 """
@@ -25,12 +25,16 @@ import pytest
 from repro.baselines.oracle import OracleBaseline
 from repro.baselines.ring_zigzag import RingZigzag
 from repro.core.ablations import CheapShortWait
+from repro.core.base import RendezvousAlgorithm
 from repro.core.cheap import Cheap
 from repro.core.fast import Fast
+from repro.core.schedule import Schedule, explore, wait
 from repro.core.unknown_e import IteratedDoublingRendezvous, ring_level_factory
 from repro.exploration.dfs import KnownMapDFS
 from repro.exploration.ring import RingExploration
 from repro.graphs.families import oriented_ring, torus_grid
+from repro.graphs.orientation import CLOCKWISE
+from repro.sim.actions import WAIT
 from repro.sim.adversary import (
     ConfigCube,
     all_label_pairs,
@@ -40,7 +44,6 @@ from repro.sim.adversary import (
 )
 from repro.sim.compiled import MIN_TIME_BLOCK, TrajectoryTable, compile_trajectory
 from repro.sim.cube import CubeTimelineTable, numpy_available
-from repro.sim.prune import start_oblivious_factory
 from repro.sim.simulator import PresenceModel, simulate_rendezvous
 
 # The replay-route wrapper of the segment-route suite.
@@ -101,7 +104,6 @@ class TestScheduleDriven:
             if segment.exploration is not None
         ]
         assert {e.budget for e in explorations} == {3, 7, 15}
-        assert set(map(id, explorations)) == set(map(id, wrapper.explorations(2)))
         assert wrapper.schedule_length(2) == wrapper.horizon_through(2, 4)
 
     def test_zigzag_schedule_sweeps_or_waits_four_radii(self):
@@ -122,27 +124,22 @@ class TestScheduleDriven:
         with pytest.raises(ValueError, match="not part of the pair"):
             oracle.schedule_length(3)
 
-    def test_the_explorations_are_derived_from_the_schedules(self):
-        zigzag = RingZigzag(12, 4)
-        assert set(map(id, zigzag.explorations(3))) == set(map(id, zigzag.sweeps))
-        oracle = OracleBaseline(RingExploration(12), (2, 5))
-        assert oracle.explorations(5) == (oracle.exploration,)
-        assert oracle.explorations(2) == ()
-        fast = Fast(RingExploration(12), 3)
-        assert fast.explorations(1) == (fast.exploration,)
+
+class PositionReading(RingExploration):
+    """The clockwise walk, after reading its position once."""
+
+    def moves(self, ctx, obs):
+        ctx.require_position()
+        return (yield from super().moves(ctx, obs))
 
 
 @needs_numpy
 def test_the_orbit_gate_checks_every_named_exploration(ring12):
-    class Anchored(RingExploration):
-        start_oblivious = False
-
     def levels(level):
         exploration = RingExploration(max(3, 2**level))
-        return Anchored(exploration.ring_size) if level == 4 else exploration
+        return PositionReading(exploration.ring_size) if level == 4 else exploration
 
     wrapper = IteratedDoublingRendezvous(Fast, levels, 3, start_level=2, max_level=5)
-    assert start_oblivious_factory(wrapper)  # its own exploration, the first level's
     table = CubeTimelineTable(ring12, wrapper)
     assert table.certificate.orbit
     cube = ConfigCube.make(ring12, [(1, 2), (3, 1)], delays=(0, 4))
@@ -152,7 +149,7 @@ def test_the_orbit_gate_checks_every_named_exploration(ring12):
         PresenceModel.FROM_START,
     )
     assert not table.certificate.orbit
-    assert "does not declare start_oblivious" in table.certificate.reason
+    assert "read its position" in table.certificate.reason
     assert reduction.report() == worst_case_search(
         ring12, wrapper, cube, horizon, engine="reactive"
     )
@@ -338,109 +335,86 @@ def test_a_cube_scan_builds_each_label_only_as_far_as_its_pairs_meet():
 
 
 # ----------------------------------------------------------------------
-# (c) The probe keeps pace with the build
+# (c) A later EXPLORE that reads its position voids the certificate
 # ----------------------------------------------------------------------
 
 
-class _ClaimsStartOblivious:
-    start_oblivious = True
+class AnchoredWalk(RingExploration):
+    """Reads its position and walks clockwise only from node 0."""
 
-
-class LateDivergence:
-    """Walks clockwise for 20 rounds from any start, then only an agent
-    started at node 0 keeps walking: the start-1 route equals the rotated
-    start-0 route on the first block and differs after it."""
-
-    name = "late-divergence"
-    is_oblivious = True
-    exploration = _ClaimsStartOblivious()
-
-    def schedule_length(self, label: int) -> int:
-        return 40
-
-    def __call__(self, ctx):
+    def moves(self, ctx, obs):
         anchored = ctx.require_position() == 0
-        obs = yield
-        for round_ in range(40):
-            obs = yield (0 if round_ < 20 or anchored else None)
+        for _ in range(self.ring_size - 1):
+            obs = yield (CLOCKWISE if anchored else WAIT)
+        return obs
+
+
+class LateReader(RendezvousAlgorithm):
+    """Label 1 waits and every other label walks clockwise for 20 rounds,
+    so labels 1 and 2 meet in the first block and labels 3 and 4, in
+    lockstep, do not.  Then every label runs a 20-round EXPLORE that
+    reads its position and walks only from node 0: the rows past round
+    20 are not rotations of the start-0 row."""
+
+    name = "late-reader"
+
+    def __init__(self, label_space: int = 4):
+        super().__init__(RingExploration(21), label_space)
+        self.anchored = AnchoredWalk(21)
+
+    def schedule(self, label: int) -> Schedule:
+        first = wait(20) if label == 1 else explore()
+        return Schedule([first, explore(self.anchored)])
+
+    def time_bound(self, smaller_label: int | None = None) -> int:
+        raise NotImplementedError
+
+    def cost_bound(self, smaller_label: int | None = None) -> int:
+        raise NotImplementedError
+
+
+def late_reader_sweep(pairs, delays, start_pairs=None):
+    """A whole cube sweep of :class:`LateReader` on the 6-ring, with the
+    table it ran on."""
+    ring = oriented_ring(6)
+    factory = LateReader()
+    cube = ConfigCube.make(ring, pairs, delays=delays, start_pairs=start_pairs)
+    table = CubeTimelineTable(ring, factory)
+    assert table.certificate.orbit
+    (reduction,) = reduce_space(
+        "cube", table, ring, factory, cube, [(0, len(cube))], 60,
+        PresenceModel.FROM_START,
+    )
+    reactive = worst_case_search(ring, factory, cube, 60, engine="reactive")
+    assert reduction.report() == reactive
+    return table, reactive
 
 
 @needs_numpy
 def test_a_late_divergence_voids_the_certificate():
-    ring = oriented_ring(6)
-    factory = LateDivergence()
-    cube = ConfigCube.make(ring, [(1, 2), (2, 1)], delays=(0, 3))
-    table = CubeTimelineTable(ring, factory)
-    assert table.certificate.orbit
-    (reduction,) = reduce_space(
-        "cube", table, ring, factory, cube, [(0, len(cube))], 60,
-        PresenceModel.FROM_START,
-    )
+    table, reactive = late_reader_sweep([(2, 3), (3, 2)], (0, 3))
     assert not table.certificate.orbit
-    assert "probe mismatch" in table.certificate.reason
-    reactive = worst_case_search(ring, factory, cube, 60, engine="reactive")
+    assert "read its position" in table.certificate.reason
     assert reactive.failures  # agents that both stop never meet
-    assert reduction.report() == reactive
-
-
-class LabelledLateDivergence:
-    """Label 1 waits and label 2 walks for 20 rounds, so they meet in the
-    first block; labels 3 and 4 walk in lockstep, so they do not.  From
-    round 20 on, only an agent started at node 0 walks: every label's
-    start-1 route differs from the rotated start-0 route after the first
-    block."""
-
-    name = "labelled-late-divergence"
-    is_oblivious = True
-    exploration = _ClaimsStartOblivious()
-
-    def schedule_length(self, label: int) -> int:
-        return 40
-
-    def __call__(self, ctx):
-        anchored = ctx.require_position() == 0
-        obs = yield
-        for round_ in range(40):
-            early = round_ < 20
-            obs = yield (0 if (ctx.label != 1 if early else anchored) else None)
 
 
 @needs_numpy
-def test_the_probe_keeps_pace_with_labels_built_past_its_own_meetings():
-    """The probed label (the smallest) meets in the first block, but the
-    other pair's rows are built past it: the probe follows them there."""
-    ring = oriented_ring(6)
-    factory = LabelledLateDivergence()
-    cube = ConfigCube.make(ring, [(1, 2), (3, 4)], delays=(0,))
-    table = CubeTimelineTable(ring, factory)
-    assert table.certificate.orbit
-    (reduction,) = reduce_space(
-        "cube", table, ring, factory, cube, [(0, len(cube))], 60,
-        PresenceModel.FROM_START,
-    )
+def test_a_pair_built_past_the_read_voids_the_certificate_after_early_meetings():
+    """Labels 1 and 2 meet in the first block, but the rows of 3 and 4 are
+    built past round 20 and splice the reading walk."""
+    table, reactive = late_reader_sweep([(1, 2), (3, 4)], (0,))
     assert not table.certificate.orbit
-    assert "probe mismatch for label 1" in table.certificate.reason
-    reactive = worst_case_search(ring, factory, cube, 60, engine="reactive")
+    assert "read its position" in table.certificate.reason
     assert reactive.failures and reactive.max_time > 20
-    assert reduction.report() == reactive
 
 
 @needs_numpy
 def test_a_first_block_sweep_keeps_the_certificate():
-    """Before the divergence the derived rows are exact, and the scan that
-    never reads past them keeps the orbit path."""
-    ring = oriented_ring(6)
-    factory = LateDivergence()
-    cube = ConfigCube.make(ring, [(1, 2)], delays=(2,), start_pairs=[(0, 1)])
-    table = CubeTimelineTable(ring, factory)
-    (reduction,) = reduce_space(
-        "cube", table, ring, factory, cube, [(0, len(cube))], 60,
-        PresenceModel.FROM_START,
-    )
+    """Before the reading walk the derived rows are exact, and a scan that
+    never builds as far as it keeps the orbit path."""
+    table, _ = late_reader_sweep([(2, 3)], (2,), start_pairs=[(0, 1)])
     assert table.certificate.orbit
-    assert reduction.report() == worst_case_search(
-        ring, factory, cube, 60, engine="reactive"
-    )
+    assert not table.trajectories.routes.position_read
 
 
 # ----------------------------------------------------------------------
@@ -453,7 +427,6 @@ class Outliving:
 
     name = "outliving"
     is_oblivious = True
-    exploration = _ClaimsStartOblivious()
 
     def schedule_length(self, label: int) -> int:
         return 3

@@ -12,7 +12,9 @@ every trajectory that runs an EXPLORE there.  Enforced here:
   never steps a round by itself;
 * a walk that raises fires exactly when a build reaches the round it
   failed in -- never for a sweep whose cells all meet before it;
-* a start-1-divergent exploration still voids the cube certificate.
+* a walk that reads no position is the rotated walk from every rotated
+  start (the lemma behind the cube's orbit rows), and a walk that reads
+  it voids the cube certificate.
 """
 
 import collections
@@ -29,9 +31,10 @@ from repro.exploration.base import (
 )
 from repro.exploration.dfs import KnownMapDFS
 from repro.exploration.ring import RingExploration
-from repro.graphs.families import oriented_ring, star_graph, torus_grid
+from repro.graphs.families import circulant_graph, oriented_ring, star_graph, torus_grid
 from repro.graphs.orientation import CLOCKWISE
 from repro.obs import MemorySink, Telemetry
+from repro.registry import EXPLORATIONS
 from repro.sim.actions import WAIT
 from repro.sim.adversary import (
     ConfigCube,
@@ -43,6 +46,7 @@ from repro.sim.compiled import CompiledTrajectory, TrajectoryTable, compile_traj
 from repro.sim.cube import CubeTimelineTable, numpy_available
 from repro.sim.observation import Observation
 from repro.sim.program import AgentContext, ExplorationContext
+from repro.sim.prune import rotation_automorphism
 from repro.sim.simulator import PresenceModel
 
 from tests.sim.test_compiled import ObservantExploration, Replayed
@@ -295,14 +299,73 @@ def test_a_map_procedure_without_its_knowledge_raises(ring12, flags, message):
 
 
 # ----------------------------------------------------------------------
-# (e) The probe records its own routes
+# (e) A walk that reads no position rotates; one that reads it voids
 # ----------------------------------------------------------------------
+
+#: Graphs whose rotation ``v -> v + 1`` preserves every port.
+ROTATION_GRAPHS = {
+    "ring-5": lambda: oriented_ring(5),
+    "ring-6": lambda: oriented_ring(6),
+    "ring-8": lambda: oriented_ring(8),
+    "circulant(8,(1,2))": lambda: circulant_graph(8, (1, 2)),
+    "circulant(7,(1,3))": lambda: circulant_graph(7, (1, 3)),
+}
+
+#: The map-with-position procedures: each reads its position when granted.
+POSITION_READERS = {"dfs-open", "dfs-closed", "eulerian", "hamiltonian"}
+
+
+def route_facts(route, shift, n):
+    """A route's observable record with its positions rotated by ``shift``."""
+    error = route.error
+    return (
+        [(position + shift) % n for position in route.positions],
+        route.actions,
+        route.cumulative,
+        route.moves,
+        route.entry_port,
+        None if error is None else (type(error), str(error)),
+        route.error_at,
+    )
+
+
+@pytest.mark.parametrize("name", EXPLORATIONS.names())
+def test_a_walk_that_reads_no_position_is_the_rotated_walk(name):
+    """The lemma of ``record_route``, by brute force: every start, entry
+    port and position flag on every rotation-symmetric graph the
+    procedure applies to."""
+    applied = 0
+    for graph_name, build in ROTATION_GRAPHS.items():
+        graph = build()
+        assert rotation_automorphism(graph), graph_name
+        try:
+            procedure = EXPLORATIONS.entry(name).build(graph)
+        except ValueError:  # e.g. ring-clockwise off a ring
+            continue
+        applied += 1
+        n = graph.num_nodes
+        for provide_position in (True, False):
+            for entry_port in (None, *range(graph.degree(0))):
+                walks = [
+                    record_route(
+                        procedure, graph, node, entry_port, True, provide_position
+                    )
+                    for node in range(n)
+                ]
+                origin = walks[0]
+                if provide_position and name in POSITION_READERS:
+                    assert origin.reads_position, (graph_name, entry_port)
+                for node, walk in enumerate(walks):
+                    assert walk.reads_position == origin.reads_position
+                    if not walk.reads_position:
+                        assert route_facts(walk, 0, n) == route_facts(
+                            origin, node, n
+                        ), (graph_name, provide_position, entry_port, node)
+    assert applied >= 3
 
 
 class AnchoredExploration(RingExploration):
-    """Declares ``start_oblivious`` but walks only when it starts at node 0."""
-
-    start_oblivious = True  # the lie the probe exists to catch
+    """Reads its position and walks only when it starts at node 0."""
 
     def moves(self, ctx, obs):
         anchored = ctx.require_position() == 0
@@ -324,9 +387,10 @@ def test_a_start_divergent_exploration_voids_the_certificate():
         PresenceModel.FROM_START,
     )
     assert not table.certificate.orbit
-    assert "probe mismatch" in table.certificate.reason
+    assert "read its position" in table.certificate.reason
     # The start-1 row recorded its walk from node 1 itself, not by rotation.
     routes = table.trajectories.routes
+    assert routes.position_read
     assert (algorithm.exploration, 1, None) in routes
     assert routes[algorithm.exploration, 0, None].moves == 5
     assert routes[algorithm.exploration, 1, None].moves == 0
